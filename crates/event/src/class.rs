@@ -124,6 +124,13 @@ impl EventClass {
         self.attrs.iter().position(|a| a.name() == name)
     }
 
+    /// [`attr_index`](EventClass::attr_index) by interned id: the form the
+    /// filter crate uses, since a constraint carries its attribute's id.
+    #[must_use]
+    pub fn attr_index_of(&self, id: AttrId) -> Option<usize> {
+        self.attr_ids.iter().position(|a| *a == id)
+    }
+
     /// Looks up an attribute declaration by name.
     #[must_use]
     pub fn attr(&self, name: &str) -> Option<&AttributeDecl> {

@@ -127,9 +127,11 @@ impl EventData {
     /// Returns a copy containing only the named attributes, in schema order.
     #[must_use]
     pub fn project(&self, names: &[&str]) -> EventData {
-        let mut out = EventData::with_capacity(names.len());
+        // A name that was never interned names no attribute of any event.
+        let ids: Vec<AttrId> = names.iter().filter_map(|n| AttrId::lookup(n)).collect();
+        let mut out = EventData::with_capacity(ids.len());
         for (n, v) in &self.attrs {
-            if names.contains(&n.name()) {
+            if ids.contains(n) {
                 out.attrs.push((*n, v.clone()));
             }
         }

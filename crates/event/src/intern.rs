@@ -10,12 +10,16 @@
 //!
 //! The interner is process-global, append-only, and thread-safe. Interned
 //! names are leaked (once per distinct name, ever) so resolution hands out
-//! `&'static str` without holding any lock. Wire formats always carry the
-//! *name*, never the id: ids are a process-local acceleration and are
-//! re-derived on deserialization, so two processes never need to agree on
-//! numbering.
+//! `&'static str`. Only the name → id direction takes a lock: the id → name
+//! table is a set of write-once slots behind an atomic length, so
+//! [`AttrId::name`] and [`AttrId::universe_size`] — what the codec and the
+//! matching structures call per attribute — never contend with a writer.
+//! Wire formats always carry the *name*, never the id: ids are a
+//! process-local acceleration and are re-derived on deserialization, so two
+//! processes never need to agree on numbering.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{OnceLock, RwLock};
 
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -28,19 +32,29 @@ use serde::{DeError, Deserialize, Serialize, Value};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttrId(pub u32);
 
-struct Interner {
-    by_name: HashMap<&'static str, AttrId>,
-    names: Vec<&'static str>,
+/// Name → id, the only direction that needs a lock. Writers also append to
+/// [`NAMES`] while holding it, which is what keeps ids dense.
+fn by_name() -> &'static RwLock<HashMap<&'static str, AttrId>> {
+    static BY_NAME: OnceLock<RwLock<HashMap<&'static str, AttrId>>> = OnceLock::new();
+    BY_NAME.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-fn interner() -> &'static RwLock<Interner> {
-    static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        RwLock::new(Interner {
-            by_name: HashMap::new(),
-            names: Vec::new(),
-        })
-    })
+/// Id → name: chunk `k` holds `FIRST_CHUNK << k` write-once slots, so the
+/// 27 chunks cover every `u32` id and a slot never moves once written.
+static NAMES: [OnceLock<Box<[OnceLock<&'static str>]>>; CHUNKS] =
+    [const { OnceLock::new() }; CHUNKS];
+/// Number of names published so far. Stored with `Release` after the slot
+/// is written and loaded with `Acquire`, so an id below the length always
+/// finds its slot filled.
+static LEN: AtomicUsize = AtomicUsize::new(0);
+const CHUNKS: usize = 27;
+const FIRST_CHUNK: usize = 64;
+
+/// The chunk holding dense index `i` and the offset within it.
+fn locate(i: usize) -> (usize, usize) {
+    let n = i / FIRST_CHUNK + 1;
+    let chunk = n.ilog2() as usize;
+    (chunk, i - FIRST_CHUNK * ((1 << chunk) - 1))
 }
 
 impl AttrId {
@@ -51,14 +65,22 @@ impl AttrId {
         if let Some(id) = AttrId::lookup(name) {
             return id;
         }
-        let mut guard = interner().write().expect("attribute interner poisoned");
-        if let Some(&id) = guard.by_name.get(name) {
+        let mut guard = by_name().write().expect("attribute interner poisoned");
+        if let Some(&id) = guard.get(name) {
             return id; // raced with another writer
         }
         let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        let id = AttrId(u32::try_from(guard.names.len()).expect("attribute names fit in u32"));
-        guard.names.push(leaked);
-        guard.by_name.insert(leaked, id);
+        // Only writers change the length, and they hold the lock.
+        let len = LEN.load(Ordering::Relaxed);
+        let id = AttrId(u32::try_from(len).expect("attribute names fit in u32"));
+        let (chunk, offset) = locate(len);
+        let slots = NAMES[chunk]
+            .get_or_init(|| (0..FIRST_CHUNK << chunk).map(|_| OnceLock::new()).collect());
+        slots[offset]
+            .set(leaked)
+            .expect("a slot at the table's length is vacant");
+        LEN.store(len + 1, Ordering::Release);
+        guard.insert(leaked, id);
         id
     }
 
@@ -69,15 +91,14 @@ impl AttrId {
     /// [`EventData`]: crate::EventData
     #[must_use]
     pub fn lookup(name: &str) -> Option<AttrId> {
-        interner()
+        by_name()
             .read()
             .expect("attribute interner poisoned")
-            .by_name
             .get(name)
             .copied()
     }
 
-    /// Resolves the id back to its name.
+    /// Resolves the id back to its name, without taking a lock.
     ///
     /// # Panics
     ///
@@ -85,11 +106,11 @@ impl AttrId {
     /// process.
     #[must_use]
     pub fn name(self) -> &'static str {
-        interner()
-            .read()
-            .expect("attribute interner poisoned")
-            .names
-            .get(self.0 as usize)
+        let (chunk, offset) = locate(self.0 as usize);
+        NAMES
+            .get(chunk)
+            .and_then(OnceLock::get)
+            .and_then(|slots| slots[offset].get())
             .copied()
             .unwrap_or_else(|| panic!("AttrId({}) was never interned", self.0))
     }
@@ -99,11 +120,7 @@ impl AttrId {
     /// needs.
     #[must_use]
     pub fn universe_size() -> usize {
-        interner()
-            .read()
-            .expect("attribute interner poisoned")
-            .names
-            .len()
+        LEN.load(Ordering::Acquire)
     }
 }
 
@@ -144,6 +161,18 @@ mod tests {
         assert_eq!(AttrId::lookup("intern-test-alpha"), Some(a));
         assert_eq!(a.name(), "intern-test-alpha");
         assert!(AttrId::universe_size() >= 2);
+    }
+
+    #[test]
+    fn dense_indices_map_onto_consecutive_chunk_slots() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(63), (0, 63));
+        assert_eq!(locate(64), (1, 0));
+        assert_eq!(locate(191), (1, 127));
+        assert_eq!(locate(192), (2, 0));
+        let (chunk, offset) = locate(u32::MAX as usize);
+        assert_eq!(chunk, CHUNKS - 1);
+        assert!(offset < FIRST_CHUNK << chunk);
     }
 
     #[test]

@@ -35,21 +35,18 @@
 //! the live index stores a single sentinel destination per root (the root's
 //! slab id) and real destinations are expanded from the root's refcount map
 //! at match time, so subscribe/unsubscribe never rewrites an id-list; and
-//! cover searches go through posting lists keyed on equality constraints —
-//! a root covering `f` can only constrain attributes `f` constrains, and
-//! every equality it demands must appear in `f`, so candidates come from a
-//! few hash lookups instead of a full root scan.
+//! both cover searches — the roots covering a filter, the roots a filter
+//! covers — are questions put to the live table's own index
+//! ([`FilterTable::covers_of`], [`FilterTable::covered_by`]), so the forest
+//! keeps no candidate index of its own and never scans its roots.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
 
-use layercake_event::{AttrId, AttrValue, ClassId, EventData, TypeRegistry};
+use layercake_event::{ClassId, EventData, TypeRegistry};
 
 use crate::cover::merge_cover;
 use crate::filter::Filter;
 use crate::index::{DestId, FilterTable, IndexKind};
-use crate::predicate::Predicate;
 
 /// Live-index changes produced by one [`AggTable::insert`] or
 /// [`AggTable::remove`]: which root filters gained a live entry (something a
@@ -105,12 +102,6 @@ pub struct AggStats {
 struct AggNode {
     /// Normalized filter — the node's identity in `by_key`.
     filter: Filter,
-    /// Bloom mask of the filter's non-wildcard attribute ids. A root can
-    /// cover `f` only if `root.mask & !f.mask == 0`.
-    mask: u64,
-    /// Sorted `(attr, canonical value hash)` pairs for equality
-    /// constraints — the posting-list key for cover searches.
-    sig: Vec<(AttrId, u64)>,
     /// `Some(root)` for covered children, `None` for roots (depth ≤ 1).
     parent: Option<usize>,
     /// Covered children (roots only).
@@ -128,12 +119,8 @@ struct AggNode {
 
 impl AggNode {
     fn new(filter: Filter, synthetic: bool) -> Self {
-        let mask = filter_mask(&filter);
-        let sig = filter_sig(&filter);
         AggNode {
             filter,
-            mask,
-            sig,
             parent: None,
             children: Vec::new(),
             own: Vec::new(),
@@ -143,56 +130,13 @@ impl AggNode {
     }
 }
 
-fn attr_bit(id: AttrId) -> u64 {
-    1u64 << (id.0 % 64)
-}
-
+/// The set of attributes a filter constrains (wildcards aside), as a bit
+/// per attribute id modulo 64: what a bounded-weakening merge must keep.
 fn filter_mask(f: &Filter) -> u64 {
     f.constraints()
         .iter()
         .filter(|c| !c.is_wildcard())
-        .fold(0, |m, c| m | attr_bit(c.id()))
-}
-
-/// Canonical hash of an equality constant, collapsing `Int`/`Float` into one
-/// numeric key to mirror `value_eq` semantics. Collisions only widen the
-/// candidate set — every candidate is re-checked with [`Filter::covers`].
-fn value_sig(v: &AttrValue) -> u64 {
-    let mut h = DefaultHasher::new();
-    match v {
-        AttrValue::Int(i) => {
-            0u8.hash(&mut h);
-            (*i as f64).to_bits().hash(&mut h);
-        }
-        AttrValue::Float(f) => {
-            0u8.hash(&mut h);
-            let f = if *f == 0.0 { 0.0 } else { *f };
-            f.to_bits().hash(&mut h);
-        }
-        AttrValue::Str(s) => {
-            1u8.hash(&mut h);
-            s.hash(&mut h);
-        }
-        AttrValue::Bool(b) => {
-            2u8.hash(&mut h);
-            b.hash(&mut h);
-        }
-    }
-    h.finish()
-}
-
-fn filter_sig(f: &Filter) -> Vec<(AttrId, u64)> {
-    let mut sig: Vec<(AttrId, u64)> = f
-        .constraints()
-        .iter()
-        .filter_map(|c| match c.predicate() {
-            Predicate::Eq(v) => Some((c.id(), value_sig(v))),
-            _ => None,
-        })
-        .collect();
-    sig.sort_unstable();
-    sig.dedup();
-    sig
+        .fold(0, |m, c| m | 1u64 << (c.id().0 % 64))
 }
 
 /// An aggregated subscription table: the cover forest plus the live
@@ -210,10 +154,6 @@ pub struct AggTable {
     by_key: HashMap<Filter, usize>,
     /// Root set in ascending slab order — deterministic iteration.
     roots: BTreeSet<usize>,
-    /// Posting lists: equality pair → roots whose filter demands it.
-    posts: HashMap<(AttrId, u64), Vec<usize>>,
-    /// Roots with no equality constraints (always cover-candidates).
-    eqless: Vec<usize>,
     covered_pairs: usize,
     total_pairs: usize,
     dest_pairs: HashMap<DestId, u32>,
@@ -232,8 +172,6 @@ impl AggTable {
             free: Vec::new(),
             by_key: HashMap::new(),
             roots: BTreeSet::new(),
-            posts: HashMap::new(),
-            eqless: Vec::new(),
             covered_pairs: 0,
             total_pairs: 0,
             dest_pairs: HashMap::new(),
@@ -282,14 +220,13 @@ impl AggTable {
 
         let mut node = AggNode::new(key.clone(), false);
         node.own.push(dest);
-        let (mask, sig) = (node.mask, node.sig.clone());
         let idx = self.alloc(node);
         self.by_key.insert(key, idx);
         delta.changed = true;
         self.total_pairs += 1;
         *self.dest_pairs.entry(dest).or_insert(0) += 1;
 
-        if let Some(r) = self.find_covering_root(idx, mask, &sig, registry) {
+        if let Some(r) = self.find_covering_root(idx, registry) {
             self.attach(idx, r, &mut delta);
         } else if !(self.merge_enabled && self.try_merge(idx, registry, &mut delta)) {
             self.make_root(idx, registry, &mut delta);
@@ -345,8 +282,7 @@ impl AggTable {
         self.live.matches(class, meta, registry, &mut hits);
         out.clear();
         for s in &hits {
-            let root = usize::try_from(s.0).expect("sentinel fits usize");
-            out.extend(self.node(root).counts.keys().copied());
+            out.extend(self.node(Self::root_of(*s)).counts.keys().copied());
         }
         self.match_scratch = hits;
         out.sort_unstable();
@@ -355,22 +291,20 @@ impl AggTable {
 
     /// Finds the strongest live filter covering `f` and the destinations it
     /// stands for (placement search).
-    #[must_use]
     pub fn find_cover(
-        &self,
+        &mut self,
         f: &Filter,
         registry: &TypeRegistry,
     ) -> Option<(&Filter, Vec<DestId>)> {
-        self.live
-            .find_cover(f, registry)
-            .map(|(filter, sentinel)| (filter, self.root_dests(sentinel)))
+        let (filter, sentinel) = self.live.find_cover(f, registry)?;
+        Some((filter, Self::root_dests(&self.nodes, sentinel)))
     }
 
     /// Iterates over the live `(filter, destinations)` entries.
     pub fn iter(&self) -> impl Iterator<Item = (&Filter, Vec<DestId>)> {
         self.live
             .iter()
-            .map(|(f, sentinel)| (f, self.root_dests(sentinel)))
+            .map(|(f, sentinel)| (f, Self::root_dests(&self.nodes, sentinel)))
     }
 
     /// The *original* filters a destination subscribed, covered or not, in
@@ -449,11 +383,19 @@ impl AggTable {
         DestId(idx as u64)
     }
 
+    /// The root a live entry stands for, read back from its sentinel.
+    fn root_of(sentinel: DestId) -> usize {
+        usize::try_from(sentinel.0).expect("sentinel fits usize")
+    }
+
     /// Expands a live entry's sentinel id-list into the root's real
-    /// destinations, ascending.
-    fn root_dests(&self, sentinel: &[DestId]) -> Vec<DestId> {
-        let root = usize::try_from(sentinel[0].0).expect("sentinel fits usize");
-        let mut ds: Vec<DestId> = self.node(root).counts.keys().copied().collect();
+    /// destinations, ascending. (Takes the slab, not `self`, so it can run
+    /// while the live table is borrowed.)
+    fn root_dests(nodes: &[Option<AggNode>], sentinel: &[DestId]) -> Vec<DestId> {
+        let root = nodes[Self::root_of(sentinel[0])]
+            .as_ref()
+            .expect("live agg node");
+        let mut ds: Vec<DestId> = root.counts.keys().copied().collect();
         ds.sort_unstable();
         ds
     }
@@ -474,71 +416,27 @@ impl AggTable {
         self.free.push(idx);
     }
 
-    fn post_root(&mut self, idx: usize) {
-        let sig = self.node(idx).sig.clone();
-        if sig.is_empty() {
-            self.eqless.push(idx);
-        } else {
-            for pair in sig {
-                self.posts.entry(pair).or_default().push(idx);
-            }
-        }
-    }
-
-    fn unpost_root(&mut self, idx: usize) {
-        let sig = self.node(idx).sig.clone();
-        if sig.is_empty() {
-            self.eqless.retain(|&x| x != idx);
-        } else {
-            for pair in sig {
-                if let Some(list) = self.posts.get_mut(&pair) {
-                    list.retain(|&x| x != idx);
-                    if list.is_empty() {
-                        self.posts.remove(&pair);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The strongest root covering the node's filter, if any. A candidate
-    /// must post every equality it demands inside the filter's own equality
-    /// set (or demand none), so the search is a handful of hash lookups
-    /// plus verification — no full root scan.
-    fn find_covering_root(
-        &self,
-        idx: usize,
-        mask: u64,
-        sig: &[(AttrId, u64)],
-        registry: &TypeRegistry,
-    ) -> Option<usize> {
-        let mut cands: Vec<usize> = self.eqless.clone();
-        for pair in sig {
-            if let Some(list) = self.posts.get(pair) {
-                cands.extend_from_slice(list);
-            }
-        }
-        cands.sort_unstable();
-        cands.dedup();
-        let filter = &self.node(idx).filter;
+    /// The strongest root covering the node's filter, if any. Every root
+    /// holding destinations is a live entry and nothing else is, so the live
+    /// table's covering query names exactly the covering roots.
+    fn find_covering_root(&mut self, idx: usize, registry: &TypeRegistry) -> Option<usize> {
+        let mut covering: Vec<usize> = self
+            .live
+            .covers_of(
+                &self.nodes[idx].as_ref().expect("live agg node").filter,
+                registry,
+            )
+            .into_iter()
+            .map(|(_, sentinel)| Self::root_of(sentinel[0]))
+            .filter(|&r| r != idx)
+            .collect();
+        covering.sort_unstable();
         let mut best: Option<usize> = None;
-        for r in cands {
-            if r == idx {
-                continue;
-            }
-            let cand = self.node(r);
-            // A cover cannot constrain attributes the stronger filter
-            // leaves free.
-            if cand.mask & !mask != 0 {
-                continue;
-            }
-            if !cand.filter.covers(filter, registry) {
-                continue;
-            }
+        for r in covering {
             best = match best {
                 None => Some(r),
                 Some(b) => {
-                    let bn = self.node(b);
+                    let (bn, cand) = (self.node(b), self.node(r));
                     // Prefer the strictly more specific cover; ties keep
                     // the lower slab index (deterministic).
                     if bn.filter.covers(&cand.filter, registry)
@@ -554,44 +452,23 @@ impl AggTable {
         best
     }
 
-    /// Roots covered by `filter` (to demote under a new root). A covered
-    /// root must demand every equality `filter` demands, so candidates come
-    /// from one posting list; an equality-free filter falls back to the
-    /// full root scan.
+    /// Roots covered by `filter` (to demote under a new root), in ascending
+    /// slab order.
     fn roots_covered_by(
         &self,
         filter: &Filter,
-        mask: u64,
-        sig: &[(AttrId, u64)],
         exclude: usize,
         registry: &TypeRegistry,
     ) -> Vec<usize> {
-        let mut cands: Vec<usize> = if sig.is_empty() {
-            self.roots.iter().copied().collect()
-        } else {
-            let mut shortest: Option<&Vec<usize>> = None;
-            for pair in sig {
-                match self.posts.get(pair) {
-                    // No root demands this equality, so no root is covered.
-                    None => return Vec::new(),
-                    Some(list) => match shortest {
-                        Some(s) if list.len() >= s.len() => {}
-                        _ => shortest = Some(list),
-                    },
-                }
-            }
-            shortest.cloned().unwrap_or_default()
-        };
-        cands.sort_unstable();
-        cands.dedup();
-        cands.retain(|&r| {
-            if r == exclude {
-                return false;
-            }
-            let cand = self.node(r);
-            mask & !cand.mask == 0 && filter.covers(&cand.filter, registry)
-        });
-        cands
+        let mut covered: Vec<usize> = self
+            .live
+            .covered_by(filter, registry)
+            .into_iter()
+            .map(|(_, sentinel)| Self::root_of(sentinel[0]))
+            .filter(|&r| r != exclude)
+            .collect();
+        covered.sort_unstable();
+        covered
     }
 
     fn attach(&mut self, idx: usize, root: usize, delta: &mut AggDelta) {
@@ -613,13 +490,9 @@ impl AggTable {
             *self.node_mut(idx).counts.entry(*d).or_insert(0) += 1;
         }
         self.roots.insert(idx);
-        self.post_root(idx);
 
-        let (filter, mask, sig) = {
-            let n = self.node(idx);
-            (n.filter.clone(), n.mask, n.sig.clone())
-        };
-        for r in self.roots_covered_by(&filter, mask, &sig, idx, registry) {
+        let filter = self.node(idx).filter.clone();
+        for r in self.roots_covered_by(&filter, idx, registry) {
             self.demote_root(r, idx, delta);
         }
 
@@ -633,7 +506,6 @@ impl AggTable {
     /// flattens `r`'s children (and `r` itself) into `new_root`'s child
     /// list, and merges the refcounts.
     fn demote_root(&mut self, r: usize, new_root: usize, delta: &mut AggDelta) {
-        self.unpost_root(r);
         self.roots.remove(&r);
 
         let rfilter = self.node(r).filter.clone();
@@ -681,7 +553,6 @@ impl AggTable {
             if n.children.is_empty() {
                 // A leaf root; refcounts (and the live entry) are already
                 // gone via unbump.
-                self.unpost_root(idx);
                 self.roots.remove(&idx);
                 self.delete_node(idx);
             } else {
@@ -694,7 +565,6 @@ impl AggTable {
     /// entry is withdrawn and every child is re-homed under another cover
     /// or re-promoted to a root — never a rebuild.
     fn dissolve_root(&mut self, idx: usize, registry: &TypeRegistry, delta: &mut AggDelta) {
-        self.unpost_root(idx);
         self.roots.remove(&idx);
         let filter = self.node(idx).filter.clone();
         if !self.node(idx).counts.is_empty() {
@@ -715,11 +585,7 @@ impl AggTable {
         // The child's pairs stop counting as covered either way; attach()
         // re-adds them if another cover takes it in.
         self.covered_pairs -= self.node(c).own.len();
-        let (mask, sig) = {
-            let n = self.node(c);
-            (n.mask, n.sig.clone())
-        };
-        if let Some(r) = self.find_covering_root(c, mask, &sig, registry) {
+        if let Some(r) = self.find_covering_root(c, registry) {
             self.attach(c, r, delta);
         } else {
             self.make_root(c, registry, delta);
@@ -741,7 +607,6 @@ impl AggTable {
         }
         if n.children.is_empty() {
             // Refcounts emptied with the last child, so no live entry left.
-            self.unpost_root(p);
             self.roots.remove(&p);
             self.delete_node(p);
         } else {
@@ -787,10 +652,8 @@ impl AggTable {
     /// the inputs did and must verifiably cover both — otherwise the merge
     /// is rejected and `idx` becomes a plain root.
     fn try_merge(&mut self, idx: usize, registry: &TypeRegistry, delta: &mut AggDelta) -> bool {
-        let (filter, mask) = {
-            let n = self.node(idx);
-            (n.filter.clone(), n.mask)
-        };
+        let filter = self.node(idx).filter.clone();
+        let mask = filter_mask(&filter);
         let class = filter.class();
         let cands: Vec<usize> = self
             .roots
@@ -798,7 +661,7 @@ impl AggTable {
             .copied()
             .filter(|&r| {
                 let n = self.node(r);
-                !n.synthetic && n.mask == mask && n.filter.class() == class
+                !n.synthetic && filter_mask(&n.filter) == mask && n.filter.class() == class
             })
             .collect();
         for r in cands {

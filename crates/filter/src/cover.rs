@@ -1,58 +1,69 @@
 //! Covering relations between filters and events, and covering merges.
 
-use layercake_event::{ClassId, EventData, TypeRegistry};
+use layercake_event::{AttrId, ClassId, EventData, TypeRegistry};
 
 use crate::filter::Filter;
-use crate::predicate::{AttrFilter, Predicate};
+use crate::predicate::{AttrFilter, Interval, Predicate};
 
 /// Whether `weak` covers `strong` (Definition 2): `∀e. strong(e) ⇒ weak(e)`.
 ///
 /// Sound and conservative (see crate docs). Exposed through
 /// [`Filter::covers`].
 pub(crate) fn filter_covers(weak: &Filter, strong: &Filter, registry: &TypeRegistry) -> bool {
-    // Class constraint: the weak filter's class must be a supertype of the
-    // strong filter's class. An unconstrained strong class can only be
-    // covered by an unconstrained weak class.
-    match (weak.class(), strong.class()) {
-        (None, _) => {}
-        (Some(_), None) => return false,
-        (Some(w), Some(s)) => {
-            if !registry.is_subtype(s, w) {
-                return false;
-            }
-        }
-    }
-    weak.constraints()
-        .iter()
-        .all(|c| constraint_implied(c, strong))
+    class_covers(weak.class(), strong.class(), registry)
+        && weak.constraints().iter().all(|c| {
+            implied_by(
+                c.predicate(),
+                strong.constraints_on_id(c.id()).map(AttrFilter::predicate),
+            )
+        })
 }
 
-/// Whether the conjunction of `strong`'s constraints on `c`'s attribute
-/// implies `c`.
-fn constraint_implied(c: &AttrFilter, strong: &Filter) -> bool {
-    if c.is_wildcard() {
+/// The class half of covering: the weak filter's class must be a supertype
+/// of the strong filter's class. An unconstrained strong class can only be
+/// covered by an unconstrained weak class.
+pub(crate) fn class_covers(
+    weak: Option<ClassId>,
+    strong: Option<ClassId>,
+    registry: &TypeRegistry,
+) -> bool {
+    match (weak, strong) {
+        (None, _) => true,
+        (Some(_), None) => false,
+        (Some(w), Some(s)) => registry.is_subtype(s, w),
+    }
+}
+
+/// Whether the conjunction `strong` — every constraint a filter puts on one
+/// attribute — implies the predicate `c` on that attribute. This is the one
+/// covering rule: [`Filter::covers`] applies it per constraint, and the
+/// filter table's covering query applies it once per distinct stored
+/// predicate.
+pub(crate) fn implied_by<'a>(
+    c: &Predicate,
+    strong: impl Iterator<Item = &'a Predicate> + Clone,
+) -> bool {
+    #[cfg(test)]
+    IMPLIED_CHECKS.with(|n| n.set(n.get() + 1));
+    if matches!(c, Predicate::Any) {
         return true;
     }
-    let strong_preds: Vec<&Predicate> = strong
-        .constraints_on(c.name())
-        .map(AttrFilter::predicate)
-        .collect();
-    if strong_preds.is_empty() {
+    if strong.clone().next().is_none() {
         return false;
     }
     // Fast path: a single strong predicate already implies c.
-    if strong_preds.iter().any(|p| c.predicate().covers(p)) {
+    if strong.clone().any(|p| c.covers(p)) {
         return true;
     }
     // Interval path: intersect all interval-representable strong predicates
     // and check containment. Only sound when *all* strong predicates on the
     // attribute are interval-representable (otherwise we cannot bound the
     // conjunction) — fall back to `false` (conservative) if not.
-    let Some(c_iv) = c.predicate().interval() else {
+    let Some(c_iv) = c.interval() else {
         return false;
     };
-    let mut acc = None;
-    for p in &strong_preds {
+    let mut acc: Option<Interval<'_>> = None;
+    for p in strong {
         let Some(iv) = p.interval() else {
             return false;
         };
@@ -68,6 +79,14 @@ fn constraint_implied(c: &AttrFilter, strong: &Filter) -> bool {
     }
     let strong_iv = acc.expect("non-empty predicate list");
     strong_iv.is_empty() || c_iv.contains_interval(&strong_iv)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`implied_by`] on this thread, so a test can show that a
+    /// covering query runs the rule once per candidate predicate and not
+    /// once per stored filter.
+    pub(crate) static IMPLIED_CHECKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Whether event `e` covers event `e_prime` for filter `f` (Definition 3):
@@ -120,11 +139,11 @@ pub fn merge_cover(filters: &[&Filter], registry: &TypeRegistry) -> Filter {
 
     // Attribute order: first-seen across inputs (inputs are normally in
     // schema order, so the merge stays in schema order too).
-    let mut attr_order: Vec<&str> = Vec::new();
+    let mut attr_order: Vec<AttrId> = Vec::new();
     for f in filters {
         for c in f.constraints() {
-            if !attr_order.contains(&c.name()) {
-                attr_order.push(c.name());
+            if !attr_order.contains(&c.id()) {
+                attr_order.push(c.id());
             }
         }
     }
@@ -137,7 +156,7 @@ pub fn merge_cover(filters: &[&Filter], registry: &TypeRegistry) -> Filter {
         let mut per_filter: Vec<Vec<&Predicate>> = Vec::with_capacity(filters.len());
         for f in filters {
             let preds: Vec<&Predicate> = f
-                .constraints_on(attr)
+                .constraints_on_id(attr)
                 .map(AttrFilter::predicate)
                 .filter(|p| !matches!(p, Predicate::Any))
                 .collect();
@@ -147,7 +166,7 @@ pub fn merge_cover(filters: &[&Filter], registry: &TypeRegistry) -> Filter {
             per_filter.push(preds);
         }
         for pred in merge_attr(&per_filter) {
-            merged = merged.with(AttrFilter::new(attr, pred));
+            merged = merged.with(AttrFilter::for_id(attr, pred));
         }
     }
     merged
@@ -208,7 +227,7 @@ fn merge_attr(per_filter: &[Vec<&Predicate>]) -> Vec<Predicate> {
     }
     // Interval hull: each filter's conjunction reduced to an interval, then
     // hulled across filters.
-    let mut hull: Option<crate::predicate::Interval> = None;
+    let mut hull: Option<Interval<'_>> = None;
     for preds in per_filter {
         let mut iv = None;
         for p in preds {

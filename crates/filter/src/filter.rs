@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use layercake_event::{AttrValue, ClassId, Envelope, EventData, TypeRegistry};
+use layercake_event::{AttrId, AttrValue, ClassId, Envelope, EventData, TypeRegistry};
 use serde::{Deserialize, Serialize};
 
 use crate::cover::filter_covers;
@@ -172,8 +172,16 @@ impl Filter {
     /// Iterates over the constraints on a given attribute.
     pub fn constraints_on<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a AttrFilter> {
         // A name that was never interned cannot appear in any constraint.
-        let id = layercake_event::AttrId::lookup(name);
-        self.constraints.iter().filter(move |c| Some(c.id()) == id)
+        AttrId::lookup(name)
+            .into_iter()
+            .flat_map(|id| self.constraints_on_id(id))
+    }
+
+    /// [`constraints_on`](Filter::constraints_on) for an attribute whose
+    /// interned id is at hand: no name lookup, so this is the form covering
+    /// checks and the matching indexes use.
+    pub fn constraints_on_id(&self, id: AttrId) -> impl Iterator<Item = &AttrFilter> + Clone {
+        self.constraints.iter().filter(move |c| c.id() == id)
     }
 
     /// Whether this filter has neither class nor non-wildcard attribute

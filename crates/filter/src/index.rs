@@ -21,14 +21,15 @@
 //! on the hot path.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use layercake_event::{AttrValue, ClassId, EventData, TypeRegistry};
 use serde::{Deserialize, Serialize};
 
+use crate::cover::{class_covers, implied_by};
 use crate::filter::Filter;
-use crate::predicate::Predicate;
+use crate::predicate::{AttrFilter, Predicate};
 
 /// Destination of a forwarded event: a child node or a local subscriber,
 /// as assigned by the overlay layer.
@@ -57,8 +58,9 @@ pub enum IndexKind {
 #[derive(Debug, Clone)]
 struct Entry {
     filter: Filter,
-    key: Filter,
     dests: Vec<DestId>,
+    /// Position in the table's entry order (see [`FilterTable::order`]).
+    seq: u64,
 }
 
 /// A node's `<filter, id-list>` table (Figure 6) with pluggable matching
@@ -67,6 +69,13 @@ struct Entry {
 /// Inserting an existing filter (up to constraint reordering) for a new
 /// destination extends the id-list instead of duplicating the filter, as in
 /// the paper's insertion algorithm.
+///
+/// Every operation on an indexed table ([`IndexKind::Counting`],
+/// [`IndexKind::Compiled`]) is answered from the one index it maintains:
+/// matching, the covering search of subscription placement
+/// ([`find_cover`](FilterTable::find_cover)) and removal, which un-indexes
+/// the one entry it drops. [`IndexKind::Naive`] scans for all of them and is
+/// the reference the indexed strategies are tested against.
 ///
 /// # Example
 ///
@@ -88,12 +97,20 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct FilterTable {
     kind: IndexKind,
-    entries: Vec<Entry>,
-    /// Normalized filter → entry index, for O(1) insert-time dedup.
-    /// Invalidated (and rebuilt) when entries are removed.
-    by_key: HashMap<Filter, usize>,
+    /// Entries by slot. A slot is the entry's number in `counting`; a
+    /// removed entry's slot is reused, so the vector is as long as the table
+    /// was at its largest.
+    entries: Vec<Option<Entry>>,
+    free: Vec<u32>,
+    /// Insertion sequence number → slot: the table's *entry order*, which
+    /// iteration follows and which decides ties in
+    /// [`find_cover`](FilterTable::find_cover). Slots alone cannot give it,
+    /// since they are reused.
+    order: BTreeMap<u64, u32>,
+    next_seq: u64,
+    /// Normalized filter → slot, for O(1) insert-time dedup.
+    by_key: HashMap<Filter, u32>,
     counting: CountingIndex,
-    counting_dirty: bool,
     /// Reused per-event buffer of matched slots, so the counting path does
     /// not allocate per event.
     slot_scratch: Vec<u32>,
@@ -112,9 +129,11 @@ impl FilterTable {
         Self {
             kind,
             entries: Vec::new(),
+            free: Vec::new(),
+            order: BTreeMap::new(),
+            next_seq: 0,
             by_key: HashMap::new(),
             counting: CountingIndex::with_compilation(kind == IndexKind::Compiled),
-            counting_dirty: false,
             slot_scratch: Vec::new(),
         }
     }
@@ -125,49 +144,82 @@ impl FilterTable {
         self.kind
     }
 
+    fn entry(&self, slot: u32) -> &Entry {
+        self.entries[slot as usize]
+            .as_ref()
+            .expect("slot of a stored entry")
+    }
+
+    /// The stored entries in entry order (insertion order of the filters
+    /// still present).
+    fn ordered(&self) -> impl Iterator<Item = &Entry> {
+        self.order.values().map(|&slot| self.entry(slot))
+    }
+
     /// Inserts a `<filter, id>` pair. Returns `true` when this created a new
     /// filter entry (as opposed to extending an existing id-list).
     pub fn insert(&mut self, filter: Filter, dest: DestId) -> bool {
         let key = filter.normalized();
-        if let Some(&idx) = self.by_key.get(&key) {
-            let entry = &mut self.entries[idx];
+        if let Some(&slot) = self.by_key.get(&key) {
+            let entry = self.entries[slot as usize]
+                .as_mut()
+                .expect("slot of a stored entry");
             if !entry.dests.contains(&dest) {
                 entry.dests.push(dest);
             }
             return false;
         }
-        if self.kind != IndexKind::Naive && !self.counting_dirty {
-            self.counting.add(
-                u32::try_from(self.entries.len()).expect("filter table fits in u32"),
-                &filter,
-            );
-        }
-        self.by_key.insert(key.clone(), self.entries.len());
-        self.entries.push(Entry {
-            filter,
-            key,
-            dests: vec![dest],
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.entries.push(None);
+            u32::try_from(self.entries.len() - 1).expect("filter table fits in u32")
         });
+        if self.kind != IndexKind::Naive {
+            self.counting.add(slot, &filter);
+        }
+        self.by_key.insert(key, slot);
+        self.order.insert(self.next_seq, slot);
+        self.entries[slot as usize] = Some(Entry {
+            filter,
+            dests: vec![dest],
+            seq: self.next_seq,
+        });
+        self.next_seq += 1;
         true
+    }
+
+    /// Removes `dest` from the id-list of the entry in `slot` (which must
+    /// list it); the entry leaves the table, and the index, when its id-list
+    /// empties. Nothing else in the table is touched. `key` is the entry's
+    /// normalized filter, when the caller has it at hand.
+    fn remove_pair(&mut self, slot: u32, dest: DestId, key: Option<Filter>) {
+        let entry = self.entries[slot as usize]
+            .as_mut()
+            .expect("slot of a stored entry");
+        entry.dests.retain(|d| *d != dest);
+        if !entry.dests.is_empty() {
+            return;
+        }
+        let entry = self.entries[slot as usize].take().expect("checked above");
+        if self.kind != IndexKind::Naive {
+            self.counting.remove(slot, &entry.filter);
+        }
+        self.by_key
+            .remove(&key.unwrap_or_else(|| entry.filter.normalized()));
+        self.order.remove(&entry.seq);
+        self.free.push(slot);
     }
 
     /// Removes a destination from a filter's id-list; the entry disappears
     /// when its id-list empties. Returns `true` if the pair existed.
     pub fn remove(&mut self, filter: &Filter, dest: DestId) -> bool {
         let key = filter.normalized();
-        let Some(&idx) = self.by_key.get(&key) else {
+        let Some(&slot) = self.by_key.get(&key) else {
             return false;
         };
-        let entry = &mut self.entries[idx];
-        let Some(pos) = entry.dests.iter().position(|d| *d == dest) else {
+        if !self.entry(slot).dests.contains(&dest) {
             return false;
-        };
-        entry.dests.remove(pos);
-        if entry.dests.is_empty() {
-            self.entries.remove(idx);
-            self.counting_dirty = true;
-            self.rebuild_key_index();
         }
+        self.remove_pair(slot, dest, Some(key));
         true
     }
 
@@ -181,25 +233,14 @@ impl FilterTable {
         dest: DestId,
         registry: &TypeRegistry,
     ) -> bool {
-        let Some(idx) = self
-            .entries
+        let covers = self.cover_slots(filter, registry);
+        let Some(&slot) = covers
             .iter()
-            .position(|e| e.dests.contains(&dest) && e.filter.covers(filter, registry))
+            .find(|&&slot| self.entry(slot).dests.contains(&dest))
         else {
             return false;
         };
-        let entry = &mut self.entries[idx];
-        let pos = entry
-            .dests
-            .iter()
-            .position(|d| *d == dest)
-            .expect("checked above");
-        entry.dests.remove(pos);
-        if entry.dests.is_empty() {
-            self.entries.remove(idx);
-            self.counting_dirty = true;
-            self.rebuild_key_index();
-        }
+        self.remove_pair(slot, dest, None);
         true
     }
 
@@ -207,19 +248,15 @@ impl FilterTable {
     /// child), dropping entries whose id-lists empty. Returns the number of
     /// pairs removed.
     pub fn remove_dest(&mut self, dest: DestId) -> usize {
-        let mut removed = 0;
-        self.entries.retain_mut(|e| {
-            if let Some(pos) = e.dests.iter().position(|d| *d == dest) {
-                e.dests.remove(pos);
-                removed += 1;
-            }
-            !e.dests.is_empty()
-        });
-        if removed > 0 {
-            self.counting_dirty = true;
-            self.rebuild_key_index();
+        let holders: Vec<u32> = (0u32..)
+            .zip(&self.entries)
+            .filter(|(_, e)| e.as_ref().is_some_and(|e| e.dests.contains(&dest)))
+            .map(|(slot, _)| slot)
+            .collect();
+        for &slot in &holders {
+            self.remove_pair(slot, dest, None);
         }
-        removed
+        holders.len()
     }
 
     /// Collects the destinations of all filters matching the event, without
@@ -235,20 +272,17 @@ impl FilterTable {
         out.clear();
         match self.kind {
             IndexKind::Naive => {
-                for e in &self.entries {
+                for e in self.entries.iter().flatten() {
                     if e.filter.matches(class, meta, registry) {
                         out.extend_from_slice(&e.dests);
                     }
                 }
             }
             IndexKind::Counting | IndexKind::Compiled => {
-                if self.counting_dirty {
-                    self.rebuild_counting();
-                }
                 let mut slots = std::mem::take(&mut self.slot_scratch);
                 self.counting.matches(class, meta, registry, &mut slots);
                 for &slot in &slots {
-                    out.extend_from_slice(&self.entries[slot as usize].dests);
+                    out.extend_from_slice(&self.entry(slot).dests);
                 }
                 self.slot_scratch = slots;
             }
@@ -259,7 +293,8 @@ impl FilterTable {
 
     /// Whether any stored filter matches the event, stopping at the first
     /// hit instead of computing the full destination set. This is the
-    /// neighbor-forwarding question the mesh hot path asks per link.
+    /// neighbor-forwarding question the mesh hot path asks per link, and the
+    /// one a subscriber asks of its branches for every delivery.
     pub fn matches_any(
         &mut self,
         class: ClassId,
@@ -272,46 +307,105 @@ impl FilterTable {
             IndexKind::Naive => self
                 .entries
                 .iter()
+                .flatten()
                 .any(|e| e.filter.matches(class, meta, registry)),
             IndexKind::Counting | IndexKind::Compiled => {
-                if self.counting_dirty {
-                    self.rebuild_counting();
-                }
                 self.counting.matches_any(class, meta, registry)
             }
         }
     }
 
-    /// Finds the *strongest* stored filter covering `f`, along with its
-    /// id-list — the search step of the subscription placement algorithm
-    /// (Figure 5(b)). Among covering candidates, a candidate covered by all
-    /// previously seen candidates wins.
-    #[must_use]
-    pub fn find_cover(&self, f: &Filter, registry: &TypeRegistry) -> Option<(&Filter, &[DestId])> {
-        let mut best: Option<&Entry> = None;
-        for e in &self.entries {
-            if e.filter.covers(f, registry) {
-                let better = match best {
-                    None => true,
-                    Some(b) => b.filter.covers(&e.filter, registry),
-                };
-                if better {
-                    best = Some(e);
-                }
+    /// The slots of the entries whose filter covers `f`, in entry order.
+    fn cover_slots(&mut self, f: &Filter, registry: &TypeRegistry) -> Vec<u32> {
+        match self.kind {
+            IndexKind::Naive => self
+                .order
+                .values()
+                .copied()
+                .filter(|&slot| self.entry(slot).filter.covers(f, registry))
+                .collect(),
+            IndexKind::Counting | IndexKind::Compiled => {
+                let mut slots = Vec::new();
+                self.counting.covers_of(f, registry, &mut slots);
+                slots.sort_unstable_by_key(|&slot| self.entry(slot).seq);
+                slots
             }
         }
-        best.map(|e| (&e.filter, e.dests.as_slice()))
+    }
+
+    /// Every stored entry whose filter covers `f`, in entry order.
+    /// (`&mut self` for the same reason as [`matches`](FilterTable::matches).)
+    pub fn covers_of(&mut self, f: &Filter, registry: &TypeRegistry) -> Vec<(&Filter, &[DestId])> {
+        self.cover_slots(f, registry)
+            .into_iter()
+            .map(|slot| {
+                let e = self.entry(slot);
+                (&e.filter, e.dests.as_slice())
+            })
+            .collect()
+    }
+
+    /// Finds the *strongest* stored filter covering `f`, along with its
+    /// id-list — the search step of the subscription placement algorithm
+    /// (Figure 5(b)). Among covering candidates, taken in entry order, a
+    /// candidate covered by all previously seen candidates wins.
+    pub fn find_cover(
+        &mut self,
+        f: &Filter,
+        registry: &TypeRegistry,
+    ) -> Option<(&Filter, &[DestId])> {
+        let mut best: Option<u32> = None;
+        for slot in self.cover_slots(f, registry) {
+            let better = match best {
+                None => true,
+                Some(b) => self
+                    .entry(b)
+                    .filter
+                    .covers(&self.entry(slot).filter, registry),
+            };
+            if better {
+                best = Some(slot);
+            }
+        }
+        best.map(|slot| {
+            let e = self.entry(slot);
+            (&e.filter, e.dests.as_slice())
+        })
+    }
+
+    /// Stored entries whose filter is covered by `f`, in entry order — what
+    /// a new aggregation root takes over. Sound, and deliberately not
+    /// exhaustive on an indexed table: when `f` carries equality constraints
+    /// only the entries repeating one of them are examined (every entry when
+    /// it carries none), so an entry that pins the same value another way
+    /// (`x ≥ 5 ∧ x ≤ 5` under `x = 5`) is missed. A miss leaves two entries
+    /// where one would do; it never loses a match.
+    #[must_use]
+    pub fn covered_by(&self, f: &Filter, registry: &TypeRegistry) -> Vec<(&Filter, &[DestId])> {
+        let candidates = match self.kind {
+            IndexKind::Naive => None,
+            IndexKind::Counting | IndexKind::Compiled => self.counting.sharing_an_equality(f),
+        };
+        let mut found: Vec<&Entry> = match candidates {
+            Some(slots) => slots.into_iter().map(|slot| self.entry(slot)).collect(),
+            None => self.entries.iter().flatten().collect(),
+        };
+        found.retain(|e| f.covers(&e.filter, registry));
+        found.sort_unstable_by_key(|e| e.seq);
+        found
+            .into_iter()
+            .map(|e| (&e.filter, e.dests.as_slice()))
+            .collect()
     }
 
     /// Iterates over `(filter, id-list)` entries.
     pub fn iter(&self) -> impl Iterator<Item = (&Filter, &[DestId])> {
-        self.entries.iter().map(|e| (&e.filter, e.dests.as_slice()))
+        self.ordered().map(|e| (&e.filter, e.dests.as_slice()))
     }
 
     /// The filters associated with a given destination.
     pub fn filters_for(&self, dest: DestId) -> impl Iterator<Item = &Filter> {
-        self.entries
-            .iter()
+        self.ordered()
             .filter(move |e| e.dests.contains(&dest))
             .map(|e| &e.filter)
     }
@@ -320,39 +414,19 @@ impl FilterTable {
     /// Load Complexity metric.
     #[must_use]
     pub fn filter_count(&self) -> usize {
-        self.entries.len()
+        self.order.len()
     }
 
     /// Whether the table holds no filters.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.order.is_empty()
     }
 
     /// Total number of `<filter, id>` pairs.
     #[must_use]
     pub fn pair_count(&self) -> usize {
-        self.entries.iter().map(|e| e.dests.len()).sum()
-    }
-
-    fn rebuild_key_index(&mut self) {
-        self.by_key = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.key.clone(), i))
-            .collect();
-    }
-
-    fn rebuild_counting(&mut self) {
-        self.counting = CountingIndex::with_compilation(self.kind == IndexKind::Compiled);
-        for (i, e) in self.entries.iter().enumerate() {
-            self.counting.add(
-                u32::try_from(i).expect("filter table fits in u32"),
-                &e.filter,
-            );
-        }
-        self.counting_dirty = false;
+        self.entries.iter().flatten().map(|e| e.dests.len()).sum()
     }
 }
 
@@ -400,6 +474,16 @@ impl EqKey {
             AttrValue::Int(i) => EqKey::Num(*i as f64),
             AttrValue::Float(f) => EqKey::Num(eq_num_key(*f)?),
         })
+    }
+
+    /// A value of this equality class; the covering rule tells none of the
+    /// class's members apart.
+    fn to_value(&self) -> AttrValue {
+        match self {
+            EqKey::Bool(b) => AttrValue::Bool(*b),
+            EqKey::Num(f) => AttrValue::Float(*f),
+            EqKey::Str(s) => AttrValue::Str(s.clone()),
+        }
     }
 
     fn rank(&self) -> u8 {
@@ -450,22 +534,28 @@ impl<'a> EqKeyRef<'a> {
 
 /// A predicate counting index over a set of filters.
 ///
-/// Filters are registered under dense slot numbers; matching returns the
-/// slots whose predicates are all satisfied by the event (and whose class
-/// constraint admits the event's class). Identical predicates shared by
-/// many filters are evaluated once per event.
+/// Filters are registered under slot numbers the caller chooses; matching
+/// returns the slots whose predicates are all satisfied by the event (and
+/// whose class constraint admits the event's class). Identical predicates
+/// shared by many filters are evaluated once per event.
 ///
 /// When built with compilation enabled
 /// ([`with_compilation`](CountingIndex::with_compilation)), equality
 /// predicates are additionally keyed by value in a sorted per-attribute
 /// table, so all equality constraints on one attribute cost a single binary
 /// search per event instead of one evaluation each.
+///
+/// The same groups answer the *covering* question
+/// ([`covers_of`](CountingIndex::covers_of)): with a filter in the event's
+/// place, a stored predicate counts when the filter's constraints on its
+/// attribute imply it.
 #[derive(Debug, Clone, Default)]
 pub struct CountingIndex {
     /// Whether equality predicates compile to sorted lookup tables.
     compiled: bool,
-    /// Per-slot requirements.
-    slots: Vec<SlotInfo>,
+    /// Per-slot requirements; `None` for a slot holding no filter.
+    slots: Vec<Option<SlotInfo>>,
+    len: usize,
     /// Slots with no counted predicates (class-only or wildcard-only).
     zero_required: Vec<u32>,
     /// Distinct predicates grouped by interned attribute id; the vector is
@@ -504,31 +594,137 @@ struct PredGroup {
     slots: Vec<u32>,
 }
 
-/// Marks `slot` as having one more satisfied predicate this epoch; pushes
-/// it to `out` when the count completes. Free function so callers can hold
-/// disjoint field borrows.
+/// Counts one more satisfied predicate for `slot` this epoch; `true` when
+/// that completes the slot. Free function so callers can hold disjoint
+/// field borrows.
 #[inline]
 fn bump_slot(
     scratch: &mut [(u64, u32)],
-    slots: &[SlotInfo],
+    slots: &[Option<SlotInfo>],
     epoch: u64,
     slot: u32,
-    out: &mut Vec<u32>,
-) {
+) -> bool {
     let cell = &mut scratch[slot as usize];
     if cell.0 != epoch {
         *cell = (epoch, 0);
     }
     cell.1 += 1;
-    if cell.1 == slots[slot as usize].required {
-        out.push(slot);
+    slots[slot as usize]
+        .as_ref()
+        .is_some_and(|info| cell.1 == info.required)
+}
+
+/// Predicate identity for grouping: `==`, except that floats compare by bit
+/// pattern. Under `==` a predicate holding NaN differs from itself, and its
+/// group could not be found again to remove it.
+fn same_predicate(a: &Predicate, b: &Predicate) -> bool {
+    fn same(a: &AttrValue, b: &AttrValue) -> bool {
+        match (a, b) {
+            (AttrValue::Float(x), AttrValue::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => a == b,
+        }
+    }
+    match (a, b) {
+        (Predicate::Eq(x), Predicate::Eq(y))
+        | (Predicate::Ne(x), Predicate::Ne(y))
+        | (Predicate::Lt(x), Predicate::Lt(y))
+        | (Predicate::Le(x), Predicate::Le(y))
+        | (Predicate::Gt(x), Predicate::Gt(y))
+        | (Predicate::Ge(x), Predicate::Ge(y)) => same(x, y),
+        (Predicate::In(xs), Predicate::In(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same(x, y))
+        }
+        _ => a == b,
     }
 }
 
-fn class_admits(info: &SlotInfo, class: ClassId, registry: &TypeRegistry) -> bool {
-    match info.class {
-        None => true,
-        Some(want) => registry.is_subtype(class, want),
+/// Drops one occurrence of `slot` from a group's posting list.
+fn unpost(slots: &mut Vec<u32>, slot: u32) {
+    let pos = slots
+        .iter()
+        .position(|s| *s == slot)
+        .expect("slot is posted in its predicate's group");
+    slots.swap_remove(pos);
+}
+
+fn class_of(slots: &[Option<SlotInfo>], slot: u32) -> Option<ClassId> {
+    slots[slot as usize]
+        .as_ref()
+        .expect("a posted slot holds a filter")
+        .class
+}
+
+/// Whether the filter in `slot` admits events of `class`.
+fn admits(slots: &[Option<SlotInfo>], slot: u32, class: ClassId, registry: &TypeRegistry) -> bool {
+    class_of(slots, slot).is_none_or(|want| registry.is_subtype(class, want))
+}
+
+impl AttrGroups {
+    /// The posting list of the equality group keyed `key`, if there is one.
+    fn eq_group(&self, key: &EqKeyRef<'_>) -> Option<&Vec<u32>> {
+        let pos = self.eq.binary_search_by(|g| g.key.cmp_ref(key)).ok()?;
+        Some(&self.eq[pos].slots)
+    }
+
+    /// The posting lists of the groups an event's value satisfies.
+    fn satisfied_by<'g>(&'g self, value: &'g AttrValue) -> impl Iterator<Item = &'g Vec<u32>> {
+        let eq_hit = EqKeyRef::of(value).and_then(|key| self.eq_group(&key));
+        let scan_hits = self
+            .scan
+            .iter()
+            .filter(move |g| g.pred.matches(Some(value)))
+            .map(|g| &g.slots);
+        eq_hit.into_iter().chain(scan_hits)
+    }
+
+    /// The posting lists of the groups whose predicate is an equality with a
+    /// value equal to `v`. Where equalities are not compiled they are scan
+    /// groups, one per spelling of the value (`5` and `5.0` are two).
+    fn demanding<'g>(&'g self, v: &'g AttrValue) -> impl Iterator<Item = &'g Vec<u32>> {
+        let compiled = EqKeyRef::of(v).and_then(|key| self.eq_group(&key));
+        let scanned = self
+            .scan
+            .iter()
+            .filter(move |g| matches!(&g.pred, Predicate::Eq(w) if w.value_eq(v)))
+            .map(|g| &g.slots);
+        compiled.into_iter().chain(scanned)
+    }
+
+    /// The posting lists of the groups whose predicate is implied by
+    /// `on_attr`, a filter's constraints on this attribute.
+    ///
+    /// When those constraints pin the attribute to one point (a single
+    /// equality beside any wildcards) the one equality group it can imply is
+    /// found by binary search: `x = v` implies `x = k` only for `k` equal to
+    /// `v`, and equal values share a key. Any other conjunction may imply
+    /// several keys or, being unsatisfiable (`x = NaN` included), all of
+    /// them, so each key is put to the rule.
+    fn implied_by<'g, I>(&'g self, on_attr: I) -> impl Iterator<Item = &'g Vec<u32>>
+    where
+        I: Iterator<Item = &'g Predicate> + Clone + 'g,
+    {
+        let mut counted = on_attr.clone().filter(|p| !matches!(p, Predicate::Any));
+        let (first, second) = (counted.next(), counted.next());
+        let point = match (first, second) {
+            (Some(Predicate::Eq(v)), None) => EqKeyRef::of(v),
+            _ => None,
+        };
+        let (pinned, tested, scanned) = match (first, point) {
+            // Wildcards alone imply nothing.
+            (None, _) => (None, &self.eq[..0], &self.scan[..0]),
+            (_, Some(key)) => (self.eq_group(&key), &self.eq[..0], &self.scan[..]),
+            _ => (None, &self.eq[..], &self.scan[..]),
+        };
+        let rule = on_attr.clone();
+        let eq_hits = tested
+            .iter()
+            .filter(move |g| implied_by(&Predicate::Eq(g.key.to_value()), rule.clone()))
+            .map(|g| &g.slots);
+        let scan_hits = scanned
+            .iter()
+            .filter(move |g| implied_by(&g.pred, on_attr.clone()))
+            .map(|g| &g.slots);
+        pinned.into_iter().chain(eq_hits).chain(scan_hits)
     }
 }
 
@@ -550,13 +746,30 @@ impl CountingIndex {
         }
     }
 
-    /// Registers a filter under the next slot number; slots must be added
-    /// densely in increasing order.
+    /// The equality class a constraint is grouped under, when this index
+    /// keeps equality groups and the predicate has one. An `Eq` on NaN has
+    /// none (it matches nothing); the scan path preserves that semantics.
+    fn eq_key(&self, pred: &Predicate) -> Option<EqKey> {
+        match pred {
+            Predicate::Eq(v) if self.compiled => EqKey::of(v),
+            _ => None,
+        }
+    }
+
+    /// Registers a filter under a vacant slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot already holds a filter.
     pub fn add(&mut self, slot: u32, filter: &Filter) {
-        assert_eq!(
-            slot as usize,
-            self.slots.len(),
-            "counting index slots must be added densely"
+        let idx = slot as usize;
+        if idx >= self.slots.len() {
+            self.slots.resize(idx + 1, None);
+            self.scratch.resize(idx + 1, (0, 0));
+        }
+        assert!(
+            self.slots[idx].is_none(),
+            "counting index slot {slot} is occupied"
         );
         let mut required = 0u32;
         for c in filter.constraints() {
@@ -564,31 +777,30 @@ impl CountingIndex {
                 continue; // wildcards are always satisfied
             }
             required += 1;
-            let idx = c.id().0 as usize;
-            if idx >= self.by_attr.len() {
-                self.by_attr.resize_with(idx + 1, AttrGroups::default);
+            let key = self.eq_key(c.predicate());
+            let attr = c.id().0 as usize;
+            if attr >= self.by_attr.len() {
+                self.by_attr.resize_with(attr + 1, AttrGroups::default);
             }
-            let groups = &mut self.by_attr[idx];
-            if self.compiled {
-                if let Predicate::Eq(v) = c.predicate() {
-                    if let Some(key) = EqKey::of(v) {
-                        match groups.eq.binary_search_by(|g| g.key.cmp_key(&key)) {
-                            Ok(pos) => groups.eq[pos].slots.push(slot),
-                            Err(pos) => groups.eq.insert(
-                                pos,
-                                EqGroup {
-                                    key,
-                                    slots: vec![slot],
-                                },
-                            ),
-                        }
-                        continue;
-                    }
-                    // An Eq on NaN has no equality class (it matches
-                    // nothing); the scan path preserves that semantics.
+            let groups = &mut self.by_attr[attr];
+            if let Some(key) = key {
+                match groups.eq.binary_search_by(|g| g.key.cmp_key(&key)) {
+                    Ok(pos) => groups.eq[pos].slots.push(slot),
+                    Err(pos) => groups.eq.insert(
+                        pos,
+                        EqGroup {
+                            key,
+                            slots: vec![slot],
+                        },
+                    ),
                 }
+                continue;
             }
-            match groups.scan.iter_mut().find(|g| g.pred == *c.predicate()) {
+            match groups
+                .scan
+                .iter_mut()
+                .find(|g| same_predicate(&g.pred, c.predicate()))
+            {
                 Some(g) => g.slots.push(slot),
                 None => groups.scan.push(PredGroup {
                     pred: c.predicate().clone(),
@@ -599,11 +811,55 @@ impl CountingIndex {
         if required == 0 {
             self.zero_required.push(slot);
         }
-        self.slots.push(SlotInfo {
+        self.slots[idx] = Some(SlotInfo {
             required,
             class: filter.class(),
         });
-        self.scratch.push((0, 0));
+        self.len += 1;
+    }
+
+    /// Unregisters the filter held by `slot`, touching only the groups of
+    /// its own predicates. `filter` must be the filter the slot was added
+    /// with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is vacant or `filter` is not what it holds.
+    pub fn remove(&mut self, slot: u32, filter: &Filter) {
+        let info = self.slots[slot as usize]
+            .take()
+            .expect("counting index slot holds a filter");
+        self.len -= 1;
+        if info.required == 0 {
+            unpost(&mut self.zero_required, slot);
+        }
+        for c in filter.constraints() {
+            if matches!(c.predicate(), Predicate::Any) {
+                continue;
+            }
+            let key = self.eq_key(c.predicate());
+            let groups = &mut self.by_attr[c.id().0 as usize];
+            if let Some(key) = key {
+                let pos = groups
+                    .eq
+                    .binary_search_by(|g| g.key.cmp_key(&key))
+                    .expect("equality group of an indexed constraint");
+                unpost(&mut groups.eq[pos].slots, slot);
+                if groups.eq[pos].slots.is_empty() {
+                    groups.eq.remove(pos);
+                }
+            } else {
+                let pos = groups
+                    .scan
+                    .iter()
+                    .position(|g| same_predicate(&g.pred, c.predicate()))
+                    .expect("scan group of an indexed constraint");
+                unpost(&mut groups.scan[pos].slots, slot);
+                if groups.scan[pos].slots.is_empty() {
+                    groups.scan.swap_remove(pos);
+                }
+            }
+        }
     }
 
     /// Collects the slots of all filters matching the event, in ascending
@@ -617,33 +873,21 @@ impl CountingIndex {
     ) {
         out.clear();
         self.epoch += 1;
-        let epoch = self.epoch;
+        let (epoch, slots, scratch) = (self.epoch, &self.slots, &mut self.scratch);
         for (id, value) in meta.iter_ids() {
             let Some(groups) = self.by_attr.get(id.0 as usize) else {
                 continue;
             };
-            if !groups.eq.is_empty() {
-                if let Some(key) = EqKeyRef::of(value) {
-                    if let Ok(pos) = groups.eq.binary_search_by(|g| g.key.cmp_ref(&key)) {
-                        for &slot in &groups.eq[pos].slots {
-                            bump_slot(&mut self.scratch, &self.slots, epoch, slot, out);
-                        }
+            for posted in groups.satisfied_by(value) {
+                for &slot in posted {
+                    if bump_slot(scratch, slots, epoch, slot) {
+                        out.push(slot);
                     }
                 }
             }
-            for group in &groups.scan {
-                if !group.pred.matches(Some(value)) {
-                    continue;
-                }
-                for &slot in &group.slots {
-                    bump_slot(&mut self.scratch, &self.slots, epoch, slot, out);
-                }
-            }
         }
-        for &slot in &self.zero_required {
-            out.push(slot);
-        }
-        out.retain(|&slot| class_admits(&self.slots[slot as usize], class, registry));
+        out.extend_from_slice(&self.zero_required);
+        out.retain(|&slot| admits(slots, slot, class, registry));
         out.sort_unstable();
     }
 
@@ -655,58 +899,109 @@ impl CountingIndex {
         meta: &EventData,
         registry: &TypeRegistry,
     ) -> bool {
+        self.epoch += 1;
+        let (epoch, slots, scratch) = (self.epoch, &self.slots, &mut self.scratch);
         // Zero-required slots (match-all / class-only filters) decide
         // without touching the event at all.
-        for &slot in &self.zero_required {
-            if class_admits(&self.slots[slot as usize], class, registry) {
-                return true;
-            }
+        if self
+            .zero_required
+            .iter()
+            .any(|&slot| admits(slots, slot, class, registry))
+        {
+            return true;
         }
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let mut completed = Vec::new();
         for (id, value) in meta.iter_ids() {
             let Some(groups) = self.by_attr.get(id.0 as usize) else {
                 continue;
             };
-            completed.clear();
-            if !groups.eq.is_empty() {
-                if let Some(key) = EqKeyRef::of(value) {
-                    if let Ok(pos) = groups.eq.binary_search_by(|g| g.key.cmp_ref(&key)) {
-                        for &slot in &groups.eq[pos].slots {
-                            bump_slot(&mut self.scratch, &self.slots, epoch, slot, &mut completed);
-                        }
+            for posted in groups.satisfied_by(value) {
+                for &slot in posted {
+                    if bump_slot(scratch, slots, epoch, slot)
+                        && admits(slots, slot, class, registry)
+                    {
+                        return true;
                     }
                 }
-            }
-            for group in &groups.scan {
-                if !group.pred.matches(Some(value)) {
-                    continue;
-                }
-                for &slot in &group.slots {
-                    bump_slot(&mut self.scratch, &self.slots, epoch, slot, &mut completed);
-                }
-            }
-            if completed
-                .iter()
-                .any(|&slot| class_admits(&self.slots[slot as usize], class, registry))
-            {
-                return true;
             }
         }
         false
     }
 
+    /// Collects the slots of all filters that cover `f` (Definition 2), in
+    /// no particular order: exactly the slots whose filter passes
+    /// [`Filter::covers`]`(f)`.
+    ///
+    /// `f`'s constraints on an attribute play the part an event's value
+    /// plays in matching. A stored predicate counts for its slots when those
+    /// constraints imply it, by the rule [`Filter::covers`] applies per
+    /// constraint, run once per distinct predicate; a slot covers `f` when
+    /// every predicate it requires has counted and its class admits `f`'s.
+    /// Attributes `f` leaves free or wildcarded imply nothing, so their
+    /// groups are never visited.
+    pub fn covers_of(&mut self, f: &Filter, registry: &TypeRegistry, out: &mut Vec<u32>) {
+        out.clear();
+        self.epoch += 1;
+        let (epoch, slots, scratch) = (self.epoch, &self.slots, &mut self.scratch);
+        let constraints = f.constraints();
+        for (i, c) in constraints.iter().enumerate() {
+            // One pass per attribute, at its first constraint.
+            if constraints[..i]
+                .iter()
+                .any(|earlier| earlier.id() == c.id())
+            {
+                continue;
+            }
+            let Some(groups) = self.by_attr.get(c.id().0 as usize) else {
+                continue;
+            };
+            let on_attr = f.constraints_on_id(c.id()).map(AttrFilter::predicate);
+            for posted in groups.implied_by(on_attr) {
+                for &slot in posted {
+                    if bump_slot(scratch, slots, epoch, slot) {
+                        out.push(slot);
+                    }
+                }
+            }
+        }
+        out.extend_from_slice(&self.zero_required);
+        out.retain(|&slot| class_covers(class_of(slots, slot), f.class(), registry));
+    }
+
+    /// The slots whose filter repeats one of `f`'s equality constraints —
+    /// the only ones [`FilterTable::covered_by`] examines — taken from the
+    /// constraint fewest filters share. `None` when `f` has no equality
+    /// constraint, and every slot is a candidate.
+    fn sharing_an_equality(&self, f: &Filter) -> Option<Vec<u32>> {
+        let posted = |lists: &[&Vec<u32>]| lists.iter().map(|l| l.len()).sum::<usize>();
+        let mut fewest: Option<Vec<&Vec<u32>>> = None;
+        for c in f.constraints() {
+            let Predicate::Eq(v) = c.predicate() else {
+                continue;
+            };
+            let lists: Vec<&Vec<u32>> = self
+                .by_attr
+                .get(c.id().0 as usize)
+                .map_or_else(Vec::new, |groups| groups.demanding(v).collect());
+            if fewest
+                .as_ref()
+                .is_none_or(|best| posted(&lists) < posted(best))
+            {
+                fewest = Some(lists);
+            }
+        }
+        fewest.map(|lists| lists.into_iter().flatten().copied().collect())
+    }
+
     /// Number of registered filters.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     /// Whether no filters are registered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len == 0
     }
 }
 
@@ -871,7 +1166,7 @@ mod tests {
     }
 
     #[test]
-    fn removal_and_rebuild() {
+    fn removal_unindexes_in_place() {
         let (r, stock, _) = registry();
         let meta = event_data! { "symbol" => "Foo" };
         let mut t = FilterTable::new(IndexKind::Counting);
@@ -887,6 +1182,111 @@ mod tests {
         assert!(t.is_empty());
         t.matches(stock, &meta, &r, &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn freed_slots_are_reused_without_disturbing_entry_order() {
+        let (r, stock, _) = registry();
+        for kind in [IndexKind::Naive, IndexKind::Counting, IndexKind::Compiled] {
+            let mut t = FilterTable::new(kind);
+            let sym = |s: &str| Filter::for_class(stock).eq("symbol", s);
+            for (i, s) in ["A", "B", "C"].into_iter().enumerate() {
+                t.insert(sym(s), DestId(i as u64));
+            }
+            assert!(t.remove(&sym("A"), DestId(0)));
+            // "D" takes over A's slot but stands last in entry order.
+            t.insert(sym("D"), DestId(3));
+            let order: Vec<Filter> = t.iter().map(|(f, _)| f.clone()).collect();
+            assert_eq!(order, vec![sym("B"), sym("C"), sym("D")], "kind {kind:?}");
+            let mut out = Vec::new();
+            t.matches(stock, &event_data! { "symbol" => "D" }, &r, &mut out);
+            assert_eq!(out, vec![DestId(3)], "kind {kind:?}");
+            t.matches(stock, &event_data! { "symbol" => "A" }, &r, &mut out);
+            assert!(out.is_empty(), "kind {kind:?}");
+        }
+    }
+
+    #[test]
+    fn find_cover_breaks_ties_by_entry_order_on_every_strategy() {
+        let (r, stock, _) = registry();
+        // Two incomparable covers of the probe: the first stored wins, and
+        // after it is removed and stored again, the other one does.
+        let by_symbol = Filter::for_class(stock).eq("symbol", "A");
+        let by_price = Filter::for_class(stock).lt("price", 20.0);
+        let probe = Filter::for_class(stock).eq("symbol", "A").lt("price", 10.0);
+        for kind in [IndexKind::Naive, IndexKind::Counting, IndexKind::Compiled] {
+            let mut t = FilterTable::new(kind);
+            t.insert(by_symbol.clone(), DestId(1));
+            t.insert(by_price.clone(), DestId(2));
+            assert_eq!(t.find_cover(&probe, &r).unwrap().0, &by_symbol, "{kind:?}");
+            t.remove(&by_symbol, DestId(1));
+            t.insert(by_symbol.clone(), DestId(1));
+            assert_eq!(t.find_cover(&probe, &r).unwrap().0, &by_price, "{kind:?}");
+            // A cover of both earlier covers never wins over them...
+            t.insert(Filter::for_class(stock), DestId(3));
+            assert_eq!(t.find_cover(&probe, &r).unwrap().0, &by_price, "{kind:?}");
+            // ...and a stronger cover stored later does.
+            let strong = Filter::for_class(stock).eq("symbol", "A").lt("price", 20.0);
+            t.insert(strong.clone(), DestId(4));
+            assert_eq!(t.find_cover(&probe, &r).unwrap().0, &strong, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn find_cover_checks_candidates_not_entries() {
+        use crate::cover::IMPLIED_CHECKS;
+        let (r, stock, _) = registry();
+        let mut t = FilterTable::new(IndexKind::Compiled);
+        // 1 000 entries on distinct symbols, every tenth with one of four
+        // price ceilings: 1 000 equality groups, 4 distinct scan predicates.
+        for i in 0..1_000u32 {
+            let mut f = Filter::for_class(stock).eq("symbol", format!("S{i:04}"));
+            if i % 10 == 0 {
+                f = f.lt("price", f64::from(i % 4 + 1) * 10.0);
+            }
+            t.insert(f, DestId(u64::from(i)));
+        }
+        let checks = |t: &mut FilterTable, probe: &Filter| {
+            let before = IMPLIED_CHECKS.with(std::cell::Cell::get);
+            let found = t.find_cover(probe, &r).map(|(f, _)| f.clone());
+            (found, IMPLIED_CHECKS.with(std::cell::Cell::get) - before)
+        };
+        // The symbol is found by binary search, untested; the rule runs once
+        // per distinct price predicate, whatever the number of entries.
+        let probe = Filter::for_class(stock)
+            .eq("symbol", "S0500")
+            .lt("price", 5.0);
+        let (found, n) = checks(&mut t, &probe);
+        assert_eq!(
+            found,
+            Some(
+                Filter::for_class(stock)
+                    .eq("symbol", "S0500")
+                    .lt("price", 10.0)
+            )
+        );
+        assert!(n <= 4, "{n} covering checks for 4 distinct predicates");
+        // A band on the symbol pins no single group, so each of the 1 000
+        // distinct constants is put to the rule once — still not once per
+        // constraint of every entry, which the scan costs (1 100 here, plus
+        // the class test of each entry).
+        let band = Filter::for_class(stock)
+            .ge("symbol", "S0500")
+            .le("symbol", "S0500");
+        let (found, n) = checks(&mut t, &band);
+        assert_eq!(found, None, "S0500 is stored with a price ceiling");
+        assert!(
+            n <= 1_000,
+            "{n} covering checks for 1 000 distinct constants"
+        );
+        // The scan, for scale: the rule runs for every entry.
+        let mut naive = FilterTable::new(IndexKind::Naive);
+        for (f, ds) in t.iter() {
+            naive.insert(f.clone(), ds[0]);
+        }
+        let (found, n) = checks(&mut naive, &probe);
+        assert!(found.is_some());
+        assert!(n >= 1_000, "the scan made only {n} checks");
     }
 
     #[test]

@@ -145,7 +145,7 @@ impl Predicate {
     }
 
     /// The interval view of this predicate, if it has one.
-    pub(crate) fn interval(&self) -> Option<Interval> {
+    pub(crate) fn interval(&self) -> Option<Interval<'_>> {
         Interval::of(self)
     }
 
@@ -169,36 +169,40 @@ impl Predicate {
 }
 
 /// A one-sided or two-sided interval over comparable [`AttrValue`]s; the
-/// set-of-values view of the ordering predicates.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Interval {
+/// set-of-values view of the ordering predicates. It borrows its bounds
+/// from the predicates it was built from, so covering checks never clone a
+/// value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Interval<'a> {
     /// Lower bound and whether it is inclusive.
-    pub lo: Option<(AttrValue, bool)>,
+    pub lo: Bound<'a>,
     /// Upper bound and whether it is inclusive.
-    pub hi: Option<(AttrValue, bool)>,
+    pub hi: Bound<'a>,
 }
 
-impl Interval {
-    pub(crate) fn of(pred: &Predicate) -> Option<Interval> {
+type Bound<'a> = Option<(&'a AttrValue, bool)>;
+
+impl<'a> Interval<'a> {
+    pub(crate) fn of(pred: &'a Predicate) -> Option<Interval<'a>> {
         let iv = match pred {
             Predicate::Eq(v) => Interval {
-                lo: Some((v.clone(), true)),
-                hi: Some((v.clone(), true)),
+                lo: Some((v, true)),
+                hi: Some((v, true)),
             },
             Predicate::Lt(v) => Interval {
                 lo: None,
-                hi: Some((v.clone(), false)),
+                hi: Some((v, false)),
             },
             Predicate::Le(v) => Interval {
                 lo: None,
-                hi: Some((v.clone(), true)),
+                hi: Some((v, true)),
             },
             Predicate::Gt(v) => Interval {
-                lo: Some((v.clone(), false)),
+                lo: Some((v, false)),
                 hi: None,
             },
             Predicate::Ge(v) => Interval {
-                lo: Some((v.clone(), true)),
+                lo: Some((v, true)),
                 hi: None,
             },
             _ => return None,
@@ -208,28 +212,28 @@ impl Interval {
 
     /// Whether `self`'s value set contains `other`'s. Bounds of incomparable
     /// kinds make this `false` (conservative).
-    pub(crate) fn contains_interval(&self, other: &Interval) -> bool {
+    pub(crate) fn contains_interval(&self, other: &Interval<'_>) -> bool {
         if other.is_empty() {
             return true;
         }
-        let lo_ok = match (&self.lo, &other.lo) {
+        let lo_ok = match (self.lo, other.lo) {
             (None, _) => true,
             (Some(_), None) => false,
             (Some((a, a_inc)), Some((b, b_inc))) => match a.compare(b) {
                 Some(Ordering::Less) => true,
-                Some(Ordering::Equal) => *a_inc || !*b_inc,
+                Some(Ordering::Equal) => a_inc || !b_inc,
                 _ => false,
             },
         };
         if !lo_ok {
             return false;
         }
-        match (&self.hi, &other.hi) {
+        match (self.hi, other.hi) {
             (None, _) => true,
             (Some(_), None) => false,
             (Some((a, a_inc)), Some((b, b_inc))) => match a.compare(b) {
                 Some(Ordering::Greater) => true,
-                Some(Ordering::Equal) => *a_inc || !*b_inc,
+                Some(Ordering::Equal) => a_inc || !b_inc,
                 _ => false,
             },
         }
@@ -237,10 +241,10 @@ impl Interval {
 
     /// Whether the interval denotes the empty set.
     pub(crate) fn is_empty(&self) -> bool {
-        if let (Some((lo, lo_inc)), Some((hi, hi_inc))) = (&self.lo, &self.hi) {
+        if let (Some((lo, lo_inc)), Some((hi, hi_inc))) = (self.lo, self.hi) {
             match lo.compare(hi) {
                 Some(Ordering::Greater) => true,
-                Some(Ordering::Equal) => !(*lo_inc && *hi_inc),
+                Some(Ordering::Equal) => !(lo_inc && hi_inc),
                 Some(Ordering::Less) => false,
                 None => true, // mixed-kind bounds denote nothing
             }
@@ -252,22 +256,22 @@ impl Interval {
     /// Intersects two intervals (used when a filter carries several
     /// constraints on the same attribute). `None` when bounds are of
     /// incomparable kinds.
-    pub(crate) fn intersect(&self, other: &Interval) -> Option<Interval> {
-        let lo = tighter_bound(&self.lo, &other.lo, true)?;
-        let hi = tighter_bound(&self.hi, &other.hi, false)?;
+    pub(crate) fn intersect(&self, other: &Interval<'a>) -> Option<Interval<'a>> {
+        let lo = tighter_bound(self.lo, other.lo, true)?;
+        let hi = tighter_bound(self.hi, other.hi, false)?;
         Some(Interval { lo, hi })
     }
 
     /// The convex hull of two intervals (used by filter merging).
-    pub(crate) fn hull(&self, other: &Interval) -> Option<Interval> {
-        let lo = looser_bound(&self.lo, &other.lo, true)?;
-        let hi = looser_bound(&self.hi, &other.hi, false)?;
+    pub(crate) fn hull(&self, other: &Interval<'a>) -> Option<Interval<'a>> {
+        let lo = looser_bound(self.lo, other.lo, true)?;
+        let hi = looser_bound(self.hi, other.hi, false)?;
         Some(Interval { lo, hi })
     }
 
     /// Renders this interval back into one or two predicates.
-    pub(crate) fn to_predicates(&self) -> Vec<Predicate> {
-        match (&self.lo, &self.hi) {
+    pub(crate) fn to_predicates(self) -> Vec<Predicate> {
+        match (self.lo, self.hi) {
             (Some((lo, true)), Some((hi, true))) if lo.value_eq(hi) => {
                 vec![Predicate::Eq(lo.clone())]
             }
@@ -289,26 +293,24 @@ impl Interval {
     }
 }
 
-type Bound = Option<(AttrValue, bool)>;
-
 /// Picks the tighter of two bounds (for intersection). `is_lo` selects the
 /// direction. Returns `None` on incomparable kinds.
-fn tighter_bound(a: &Bound, b: &Bound, is_lo: bool) -> Option<Bound> {
+fn tighter_bound<'a>(a: Bound<'a>, b: Bound<'a>, is_lo: bool) -> Option<Bound<'a>> {
     combine_bound(a, b, is_lo, true)
 }
 
 /// Picks the looser of two bounds (for hulls).
-fn looser_bound(a: &Bound, b: &Bound, is_lo: bool) -> Option<Bound> {
+fn looser_bound<'a>(a: Bound<'a>, b: Bound<'a>, is_lo: bool) -> Option<Bound<'a>> {
     combine_bound(a, b, is_lo, false)
 }
 
-fn combine_bound(a: &Bound, b: &Bound, is_lo: bool, tighter: bool) -> Option<Bound> {
+fn combine_bound<'a>(a: Bound<'a>, b: Bound<'a>, is_lo: bool, tighter: bool) -> Option<Bound<'a>> {
     match (a, b) {
         (None, None) => Some(None),
         (Some(x), None) | (None, Some(x)) => {
             // An absent bound is the loosest possible.
             if tighter {
-                Some(Some(x.clone()))
+                Some(Some(x))
             } else {
                 Some(None)
             }
@@ -320,9 +322,9 @@ fn combine_bound(a: &Bound, b: &Bound, is_lo: bool, tighter: bool) -> Option<Bou
                     // For lower bounds, exclusive is tighter; for upper
                     // bounds likewise. Inclusive is looser either way.
                     if tighter {
-                        !ai || *bi // prefer the exclusive one
+                        !ai || bi // prefer the exclusive one
                     } else {
-                        *ai || !bi // prefer the inclusive one
+                        ai || !bi // prefer the inclusive one
                     }
                 }
                 Ordering::Less => {
@@ -342,11 +344,7 @@ fn combine_bound(a: &Bound, b: &Bound, is_lo: bool, tighter: bool) -> Option<Bou
                     }
                 }
             };
-            Some(Some(if pick_a {
-                (av.clone(), *ai)
-            } else {
-                (bv.clone(), *bi)
-            }))
+            Some(Some(if pick_a { (av, ai) } else { (bv, bi) }))
         }
     }
 }
@@ -583,8 +581,13 @@ mod tests {
 
     #[test]
     fn interval_intersection_and_hull() {
-        let a = Interval::of(&Predicate::Ge(i(5))).unwrap();
-        let b = Interval::of(&Predicate::Le(i(10))).unwrap();
+        let (ge5, le10, lt3) = (
+            Predicate::Ge(i(5)),
+            Predicate::Le(i(10)),
+            Predicate::Lt(i(3)),
+        );
+        let a = Interval::of(&ge5).unwrap();
+        let b = Interval::of(&le10).unwrap();
         let band = a.intersect(&b).unwrap();
         assert!(!band.is_empty());
         assert_eq!(
@@ -592,28 +595,31 @@ mod tests {
             vec![Predicate::Ge(i(5)), Predicate::Le(i(10))]
         );
 
-        let c = Interval::of(&Predicate::Lt(i(3))).unwrap();
+        let c = Interval::of(&lt3).unwrap();
         assert!(a.intersect(&c).unwrap().is_empty());
 
-        let h = Interval::of(&Predicate::Lt(f(10.0)))
+        let (lt10, lt11) = (Predicate::Lt(f(10.0)), Predicate::Lt(f(11.0)));
+        let h = Interval::of(&lt10)
             .unwrap()
-            .hull(&Interval::of(&Predicate::Lt(f(11.0))).unwrap())
+            .hull(&Interval::of(&lt11).unwrap())
             .unwrap();
         assert_eq!(h.to_predicates(), vec![Predicate::Lt(f(11.0))]);
     }
 
     #[test]
     fn point_interval_renders_as_eq() {
-        let a = Interval::of(&Predicate::Ge(i(5))).unwrap();
-        let b = Interval::of(&Predicate::Le(i(5))).unwrap();
+        let (ge5, le5) = (Predicate::Ge(i(5)), Predicate::Le(i(5)));
+        let a = Interval::of(&ge5).unwrap();
+        let b = Interval::of(&le5).unwrap();
         let point = a.intersect(&b).unwrap();
         assert_eq!(point.to_predicates(), vec![Predicate::Eq(i(5))]);
     }
 
     #[test]
     fn boundary_inclusivity_in_combine() {
-        let lt = Interval::of(&Predicate::Lt(i(5))).unwrap();
-        let le = Interval::of(&Predicate::Le(i(5))).unwrap();
+        let (lt5, le5) = (Predicate::Lt(i(5)), Predicate::Le(i(5)));
+        let lt = Interval::of(&lt5).unwrap();
+        let le = Interval::of(&le5).unwrap();
         assert_eq!(lt.intersect(&le).unwrap(), lt);
         assert_eq!(lt.hull(&le).unwrap(), le);
     }

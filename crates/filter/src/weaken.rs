@@ -32,15 +32,14 @@ pub fn standardize(f: &Filter, class: &EventClass) -> Result<Filter, FilterError
         check_kind(c, decl.kind())?;
     }
     let mut out = Filter::for_class(f.class().unwrap_or_else(|| class.id()));
-    for (idx, decl) in class.attributes().iter().enumerate() {
-        let _ = idx;
+    for &id in class.attr_ids() {
         let mut any_constraint = false;
-        for c in f.constraints_on(decl.name()) {
+        for c in f.constraints_on_id(id) {
             out = out.with(c.clone());
             any_constraint = true;
         }
         if !any_constraint {
-            out = out.with(AttrFilter::new(decl.name(), Predicate::Any));
+            out = out.with(AttrFilter::for_id(id, Predicate::Any));
         }
     }
     Ok(out)
@@ -95,7 +94,7 @@ pub fn weaken_to_stage(f: &Filter, class: &EventClass, g: &StageMap, stage: usiz
         if c.is_wildcard() {
             continue;
         }
-        if let Some(idx) = class.attr_index(c.name()) {
+        if let Some(idx) = class.attr_index_of(c.id()) {
             if keep.contains(&idx) {
                 out = out.with(c.clone());
             }

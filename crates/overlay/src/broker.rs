@@ -135,7 +135,11 @@ impl BrokerTable {
     }
 
     /// Strongest live filter covering `f`, with its destinations.
-    fn find_cover(&self, f: &Filter, registry: &TypeRegistry) -> Option<(&Filter, Vec<DestId>)> {
+    fn find_cover(
+        &mut self,
+        f: &Filter,
+        registry: &TypeRegistry,
+    ) -> Option<(&Filter, Vec<DestId>)> {
         match self {
             BrokerTable::Plain(t) => t.find_cover(f, registry).map(|(c, d)| (c, d.to_vec())),
             BrokerTable::Agg(t) => t.find_cover(f, registry),

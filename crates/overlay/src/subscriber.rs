@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use layercake_event::{ClassId, Envelope, EventSeq, TypeRegistry};
-use layercake_filter::{Filter, FilterId};
+use layercake_filter::{DestId, Filter, FilterId, FilterTable, IndexKind};
 use layercake_metrics::NodeRecord;
 use layercake_sim::{ActorId, SimDuration};
 use layercake_trace::{HopRecord, HopVerdict, TraceSink};
@@ -88,6 +88,12 @@ impl Branch {
 pub struct SubscriberNode {
     label: String,
     branches: Vec<Branch>,
+    /// The branch filters again, as the table a broker would keep them in:
+    /// "does any branch match" is then one index lookup per delivery, not a
+    /// scan of the branches.
+    table: FilterTable,
+    /// Branches still without a host.
+    unplaced: usize,
     residual: Option<Box<dyn ResidualFilter>>,
     registry: Arc<TypeRegistry>,
     root: ActorId,
@@ -166,6 +172,7 @@ pub(crate) struct SubscriberSetup {
     pub residual: Option<Box<dyn ResidualFilter>>,
     pub registry: Arc<TypeRegistry>,
     pub root: ActorId,
+    pub index: IndexKind,
     pub leases_enabled: bool,
     pub ttl: SimDuration,
     pub reliability_window: usize,
@@ -183,6 +190,7 @@ impl SubscriberNode {
             residual,
             registry,
             root,
+            index,
             leases_enabled,
             ttl,
             reliability_window,
@@ -196,8 +204,16 @@ impl SubscriberNode {
             "a subscription needs at least one branch"
         );
         let branch_count = branches.len();
+        let mut table = FilterTable::new(index);
+        for (_, filter) in &branches {
+            // Only "does any branch match" is ever asked, so every branch
+            // stands for the same destination: the subscriber.
+            table.insert(filter.clone(), DestId(0));
+        }
         Self {
             label,
+            table,
+            unplaced: branch_count,
             branches: branches
                 .into_iter()
                 .map(|(id, filter)| Branch {
@@ -335,7 +351,13 @@ impl SubscriberNode {
     /// Whether every branch has completed placement.
     #[must_use]
     pub fn fully_placed(&self) -> bool {
-        self.branches.iter().all(|b| b.host.is_some())
+        self.unplaced == 0
+    }
+
+    /// Number of branches currently hosted.
+    #[must_use]
+    pub fn placed_branches(&self) -> usize {
+        self.branches.len() - self.unplaced
     }
 
     /// Number of `join-At` redirects the placement walk took.
@@ -410,7 +432,9 @@ impl SubscriberNode {
                 let Some(branch_idx) = self.branches.iter().position(|b| b.id == id) else {
                     return;
                 };
-                self.branches[branch_idx].host = Some(node);
+                if self.branches[branch_idx].host.replace(node).is_none() {
+                    self.unplaced -= 1;
+                }
                 self.resub_attempts[branch_idx] = 0;
                 if self.leases_enabled && !self.timer_started {
                     self.timer_started = true;
@@ -653,9 +677,8 @@ impl SubscriberNode {
     fn accept(&mut self, from: ActorId, env: Envelope, ctx: &mut dyn NodeCtx) {
         self.received += 1;
         let declarative = self
-            .branches
-            .iter()
-            .any(|b| b.filter.matches_envelope(&env, &self.registry));
+            .table
+            .matches_any(env.class(), env.meta(), &self.registry);
         let full = declarative
             && match &mut self.residual {
                 Some(r) => r.matches(&env),
@@ -762,6 +785,7 @@ impl SubscriberNode {
         for i in 0..self.branches.len() {
             if self.branches[i].host == Some(host) {
                 self.branches[i].host = None;
+                self.unplaced += 1;
                 self.resubscribe(i, ctx);
             }
         }

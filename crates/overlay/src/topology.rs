@@ -175,6 +175,7 @@ pub fn build_subscriber(
         residual,
         registry: Arc::clone(registry),
         root,
+        index: cfg.index,
         leases_enabled: cfg.leases_enabled,
         ttl: cfg.ttl,
         reliability_window: cfg.reliability_window,

@@ -21,8 +21,9 @@
 //! decisions can consult a seeded RNG, replicas stay convergent only
 //! when control traffic reaches them in one global order — which the
 //! runtime guarantees by placing subscriptions sequentially during
-//! setup ([`Runtime::add_subscriber_any`] blocks until the walk
-//! finishes) before any data flows.
+//! setup, one branch at a time ([`Runtime::add_subscriber_any`] sends a
+//! branch's request only once the previous branch is hosted, and blocks
+//! until the last walk finishes) before any data flows.
 //!
 //! # Supervision
 //!
@@ -1374,9 +1375,9 @@ impl Runtime {
             &self.stats,
             false,
         );
-        // Advertisements flood through leader control; give followers the
-        // same broadcast before subscriptions race in.
-        self.quiesce(Duration::from_millis(50));
+        // Advertisements flood through leader control; let every shard of
+        // every broker handle its copy before subscriptions race in.
+        self.quiesce();
     }
 
     /// Adds a subscriber with a single declarative filter, blocking until
@@ -1430,9 +1431,13 @@ impl Runtime {
     }
 
     /// Adds a subscriber with a disjunctive subscription, spawns its
-    /// thread, sends the placement requests and blocks until every branch
-    /// is hosted. Sequential placement is what keeps follower shards
-    /// convergent with their leader (see the module docs).
+    /// thread and places its branches one at a time, blocking until every
+    /// branch is hosted. Sequential placement is what keeps follower shards
+    /// convergent with their leader (see the module docs), and what makes
+    /// placement a function of the subscriptions alone: a branch's
+    /// `req-Insert` is in the root's inbox before its acceptance is sent,
+    /// so the next branch's similarity search always finds it — sent as a
+    /// batch, the requests would race the `req-Insert`s they cause.
     ///
     /// # Errors
     ///
@@ -1481,7 +1486,7 @@ impl Runtime {
             }
         };
         self.router.set(id, Route::Subscriber { tx, link });
-        let placed = Arc::new(AtomicBool::new(false));
+        let (placed_tx, placed) = channel();
         let heartbeat = self
             .stats
             .registry()
@@ -1494,7 +1499,7 @@ impl Runtime {
             router: self.router.clone(),
             stats: Arc::clone(&self.stats),
             profiler: Arc::clone(&self.profiler),
-            placed: Arc::clone(&placed),
+            placed: placed_tx,
             heartbeat,
             notices: self.notice_tx.clone(),
             tap,
@@ -1509,7 +1514,9 @@ impl Runtime {
         });
 
         // The subscriber itself initiates the walk, with external
-        // provenance for the initial requests — as in the simulator.
+        // provenance for the initial requests — as in the simulator. Its
+        // thread signals each branch's acceptance; a thread that died
+        // first hangs up instead.
         for (fid, filter) in branches {
             self.router.dispatch(
                 EXTERNAL,
@@ -1523,14 +1530,9 @@ impl Runtime {
                 &self.stats,
                 false,
             );
-        }
-
-        let deadline = Instant::now() + self.cfg.placement_timeout;
-        while !placed.load(Ordering::Acquire) {
-            if Instant::now() >= deadline {
-                return Err(RtError::PlacementTimeout);
-            }
-            std::thread::sleep(Duration::from_micros(200));
+            placed
+                .recv_timeout(self.cfg.placement_timeout)
+                .map_err(|_| RtError::PlacementTimeout)?;
         }
         Ok(RtSubscriberHandle { id, index })
     }
@@ -1550,21 +1552,26 @@ impl Runtime {
     /// Blocks until `expected` events have been delivered or `timeout`
     /// elapses; returns whether the target was reached.
     pub fn wait_delivered(&self, expected: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while self.stats.delivered() < expected {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        true
+        self.stats.wait_delivered(expected, timeout)
     }
 
-    /// Sleeps briefly to let in-flight control traffic settle. Crude but
-    /// honest: the runtime has no global quiescence detector (that's the
-    /// simulator's job).
-    fn quiesce(&self, pause: Duration) {
-        std::thread::sleep(pause);
+    /// Waits until every frame sent so far has been handled, along with
+    /// every frame sent in response: the barrier behind
+    /// [`Runtime::advertise`]. A node counts a frame as received only after
+    /// handling it, so the counters meet exactly when nothing is queued or
+    /// being worked on, on either transport (a frame counts as sent before
+    /// it reaches a socket). Gives up after the placement timeout — a link
+    /// that dropped a frame keeps the counters apart for good.
+    fn quiesce(&self) {
+        let deadline = Instant::now() + self.cfg.placement_timeout;
+        // `received` first: it never exceeds `sent`, so reading it first
+        // cannot make frames still in flight look handled.
+        while self.stats.frames_received() != self.stats.frames_sent() {
+            if Instant::now() >= deadline {
+                return;
+            }
+            std::thread::sleep(Duration::from_micros(20));
+        }
     }
 
     /// Stops the runtime: stops the supervisor (force-completing any
@@ -2075,7 +2082,9 @@ struct SubEnv {
     router: Router,
     stats: Arc<RtStats>,
     profiler: Arc<StageProfiler>,
-    placed: Arc<AtomicBool>,
+    /// Told once per branch, when it is hosted: what
+    /// `add_subscriber_inner` blocks on between placement requests.
+    placed: Sender<()>,
     heartbeat: Arc<Gauge>,
     notices: Sender<Notice>,
     /// When set, every accepted delivery is also forwarded here (the
@@ -2125,9 +2134,12 @@ fn sub_run_loop(env: &SubEnv, node: &mut SubscriberNode, rx: &Receiver<RtEvent>)
     let mut decoder = LinkDecoder::new(env.router.codec);
     let mut frame_counter = 0u64;
     let mut received = 0u64;
-    let after = |node: &mut SubscriberNode, stats: &RtStats| {
-        if !env.placed.load(Ordering::Relaxed) && node.fully_placed() {
-            env.placed.store(true, Ordering::Release);
+    let mut placed = 0usize;
+    let mut after = |node: &mut SubscriberNode, stats: &RtStats| {
+        while placed < node.placed_branches() {
+            placed += 1;
+            // Nobody listens once the placement call has timed out.
+            let _ = env.placed.send(());
         }
         for env_msg in node.take_inbox() {
             if let Some(tc) = env_msg.trace() {
@@ -2412,7 +2424,6 @@ fn feed_node<N: Node>(
                 if let Some(t0) = decode_timer {
                     profiler.record(PipelineStage::Decode, elapsed_ns(t0));
                 }
-                stats.inc_frames_received();
                 if from == EXTERNAL {
                     if let OverlayMsg::Publish(env) = &mut msg {
                         if let Some(mut tc) = env.trace() {
@@ -2444,6 +2455,10 @@ fn feed_node<N: Node>(
                         elapsed_ns(t0).saturating_sub(ctx.nested_ns),
                     );
                 }
+                // Counted once handled, after whatever the node sent in
+                // response: `frames_sent == frames_received` then means no
+                // frame is queued or being worked on (see `quiesce`).
+                stats.inc_frames_received();
             }
             Ok(None) => break,
             Err(_) => {

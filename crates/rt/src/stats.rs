@@ -1,6 +1,8 @@
 //! Wall-clock runtime counters and latency distribution.
 
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use layercake_metrics::{Gauge, Histogram, ShardedCounter, ShardedHistogram, TelemetryRegistry};
 
@@ -58,6 +60,12 @@ pub struct RtStats {
     /// Subscriptions held as covered (non-live) aggregation bookkeeping,
     /// summed over all broker leaders; zero with aggregation disabled.
     agg_covered_subs: Arc<Gauge>,
+    /// Callers blocked in [`RtStats::wait_delivered`]. Subscriber threads
+    /// read it after every delivery and touch the lock only when it is
+    /// non-zero, so an unobserved delivery costs one load.
+    delivery_waiters: AtomicUsize,
+    delivery_lock: Mutex<()>,
+    delivery_signal: Condvar,
 }
 
 impl Default for RtStats {
@@ -93,6 +101,9 @@ impl RtStats {
             restart_ns: registry.histogram("rt.restart_ns"),
             filter_table_entries: registry.gauge("rt.filter_table_entries"),
             agg_covered_subs: registry.gauge("rt.agg_covered_subs"),
+            delivery_waiters: AtomicUsize::new(0),
+            delivery_lock: Mutex::new(()),
+            delivery_signal: Condvar::new(),
             registry,
         }
     }
@@ -111,6 +122,47 @@ impl RtStats {
 
     pub(crate) fn inc_delivered(&self) {
         self.delivered.inc();
+        // Pairs with the fence in `wait_delivered`: either this thread sees
+        // the waiter and wakes it, or the waiter's check sees this delivery.
+        fence(Ordering::SeqCst);
+        if self.delivery_waiters.load(Ordering::Relaxed) > 0 {
+            // Taking the lock orders the wake-up after the waiter's check.
+            drop(
+                self.delivery_lock
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner),
+            );
+            self.delivery_signal.notify_all();
+        }
+    }
+
+    /// Blocks until `expected` events have been delivered or `timeout`
+    /// elapses; returns whether the target was reached. The delivering
+    /// thread wakes the caller — nothing is polled.
+    pub(crate) fn wait_delivered(&self, expected: u64, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut guard = self
+            .delivery_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.delivery_waiters.fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        let reached = loop {
+            if self.delivered() >= expected {
+                break true;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break false;
+            }
+            guard = self
+                .delivery_signal
+                .wait_timeout(guard, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        };
+        self.delivery_waiters.fetch_sub(1, Ordering::Relaxed);
+        reached
     }
 
     pub(crate) fn note_frame_sent(&self, bytes: usize) {

@@ -131,6 +131,77 @@ fn shutdown_drains_in_flight_events() {
     assert_eq!(report.deliveries(handle).len(), 500);
 }
 
+/// The branches of one subscription are placed one at a time: a branch's
+/// `req-Insert` is at the root before the next branch's request is sent, so
+/// the similarity search always sees it. Sent as a batch the requests race
+/// the `req-Insert`s they cause, and where a branch lands — and whether a
+/// follower shard's table still equals its leader's — depends on which
+/// thread the scheduler ran first.
+#[test]
+fn branches_sharing_a_root_filter_share_a_host() {
+    let mut registry = TypeRegistry::new();
+    let class = register_classes(&mut registry, 1)[0];
+    let overlay = OverlayConfig {
+        levels: vec![4, 1],
+        ..OverlayConfig::default()
+    };
+    let mut rt = Runtime::start(RtConfig::new(overlay, 2), Arc::new(registry)).unwrap();
+    // The root filters on `region` alone, the stage-1 brokers on both.
+    rt.advertise(Advertisement::new(
+        class,
+        StageMap::from_prefixes(&[2, 1]).unwrap(),
+    ));
+    // Level-major, so branches of one region are never neighbours.
+    let branches: Vec<Filter> = (0..6i64)
+        .flat_map(|level| {
+            (0..8i64).map(move |region| {
+                Filter::for_class(class)
+                    .eq("region", region)
+                    .eq("level", level)
+            })
+        })
+        .collect();
+    rt.add_subscriber_any(branches).unwrap();
+    let report = rt.shutdown();
+
+    let node = &report.subscribers[0];
+    assert!(node.fully_placed());
+    for region in 0..8usize {
+        let hosts: Vec<_> = node
+            .branches()
+            .iter()
+            .skip(region)
+            .step_by(8)
+            .map(|b| b.host().expect("placed"))
+            .collect();
+        assert_eq!(hosts.len(), 6);
+        assert!(
+            hosts.iter().all(|h| *h == hosts[0]),
+            "region {region} is spread over {hosts:?}"
+        );
+    }
+    // Every shard of a broker applied the same control frames in the same
+    // order, so the replicas' tables are equal entry for entry.
+    for ((id, shard), broker) in &report.brokers {
+        let leader = report
+            .brokers
+            .iter()
+            .find(|((b, s), _)| b == id && *s == 0)
+            .map(|(_, leader)| leader)
+            .expect("shard 0 of every broker");
+        let entries = |b: &layercake_overlay::Broker| {
+            b.table_entries()
+                .map(|(f, ds)| (f.clone(), ds))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            entries(broker),
+            entries(leader),
+            "broker {id:?} shard {shard}"
+        );
+    }
+}
+
 #[test]
 fn runtime_rejects_unsupported_configs() {
     let registry = Arc::new(TypeRegistry::new());
