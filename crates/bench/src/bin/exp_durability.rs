@@ -17,6 +17,9 @@
 //!   3. **replay throughput** — register a consumer at offset 0 and
 //!      drain `replay_after`, timing decode of the full history. This
 //!      bounds how fast a reconnecting durable subscriber catches up.
+//!      Then the same history is paged out in windows of 8 — the shape
+//!      the broker's in-flight window gives catch-up under load — and
+//!      the bytes the log read are set against the bytes it returned.
 //!   4. **runtime crash/restart** — a small `layercake-rt` run with a
 //!      durable subscriber: publish, `kill()` (no final flush), restart
 //!      over the same directory, and verify zero event loss across the
@@ -25,8 +28,9 @@
 //! Shape checks (the binary exits non-zero on violation): every append
 //! lands in the log; fsync batches strictly shrink as the flush
 //! interval grows; recovery recovers the full tail with no torn
-//! truncation; replay returns the entire history in offset order; the
-//! runtime crash/restart loses nothing.
+//! truncation; replay returns the entire history in offset order; a
+//! paged catch-up decodes exactly the records it returns and reads at
+//! most twice their bytes; the runtime crash/restart loses nothing.
 //!
 //! Run with: `cargo run --release -p layercake-bench --bin
 //! exp_durability [out_dir] [events]` — `out_dir` (default
@@ -116,20 +120,34 @@ struct RecoveryResult {
     scanned_per_sec: f64,
     replay_ms: f64,
     replayed_per_sec: f64,
+    paged: PagedCatchUp,
 }
+
+/// Paging the whole history out in windows of [`PAGE`] records.
+struct PagedCatchUp {
+    calls: u64,
+    records_per_sec: f64,
+    records_decoded: u64,
+    /// `log_bytes_read` ÷ the bytes of the records returned.
+    read_amplification: f64,
+}
+
+/// Window of the paged catch-up: one batch of acknowledgements' worth.
+const PAGE: usize = 8;
 
 /// Logs `events` records, drops the log, then times a cold reopen
 /// (full CRC rescan) and a from-zero replay of the whole history.
 fn recovery_and_replay(events: u64) -> RecoveryResult {
     let dir = scratch_dir("recover");
-    {
+    let logged_bytes = {
         let mut log = open_log(&dir, 8);
         log.register_consumer(DestId(1), CLASS);
         for seq in 0..events {
             log.append(&bench_event(seq));
         }
         log.flush();
-    }
+        log.stats().bytes_fsynced
+    };
 
     let start = Instant::now();
     let mut log = open_log(&dir, 8);
@@ -145,6 +163,24 @@ fn recovery_and_replay(events: u64) -> RecoveryResult {
         replayed.windows(2).all(|w| w[0].0 < w[1].0),
         "replay must come back in offset order"
     );
+    drop(replayed);
+
+    let before = log.stats().clone();
+    let start = Instant::now();
+    let mut upto = 0;
+    while let Some(&(last, _)) = log.replay_window(CLASS, upto, PAGE).last() {
+        upto = last;
+    }
+    let paged = start.elapsed();
+    assert_eq!(upto, events, "paging reaches the tail");
+    let after = log.stats();
+    let paged = PagedCatchUp {
+        calls: after.catch_up_calls - before.catch_up_calls,
+        records_per_sec: events as f64 / paged.as_secs_f64(),
+        records_decoded: after.records_decoded - before.records_decoded,
+        read_amplification: (after.log_bytes_read - before.log_bytes_read) as f64
+            / logged_bytes as f64,
+    };
 
     let _ = std::fs::remove_dir_all(&dir);
     RecoveryResult {
@@ -152,6 +188,24 @@ fn recovery_and_replay(events: u64) -> RecoveryResult {
         scanned_per_sec: events as f64 / open.as_secs_f64(),
         replay_ms: replay.as_secs_f64() * 1000.0,
         replayed_per_sec: events as f64 / replay.as_secs_f64(),
+        paged,
+    }
+}
+
+/// Returns once no frame is queued or being handled, five polls in a
+/// row: a durable stream with backlog keeps a delivery or an
+/// acknowledgement in flight until its last record is out.
+fn settle(rt: &Runtime) {
+    let mut quiet = 0;
+    while quiet < 5 {
+        let stats = rt.stats();
+        let received = stats.frames_received();
+        quiet = if received == stats.frames_sent() {
+            quiet + 1
+        } else {
+            0
+        };
+        std::thread::sleep(Duration::from_millis(5));
     }
 }
 
@@ -159,6 +213,12 @@ struct CrashRestart {
     first_delivered: u64,
     replayed: u64,
     recovered_total: u64,
+    /// The restarted run's catch-up, as `RtReport::durability()` sums it
+    /// over the shards: calls, records decoded, and bytes read over the
+    /// bytes of that many mean-sized records.
+    catch_up_calls: u64,
+    records_decoded: u64,
+    read_amplification: f64,
 }
 
 /// End-to-end through the runtime: log under real traffic, kill the
@@ -204,6 +264,13 @@ fn rt_crash_restart(events: u64) -> CrashRestart {
             "crash-restart run delivered {} of {n}",
             rt.stats().delivered()
         );
+        // The restarted run's first `n` deliveries may all be replay, and
+        // the backlog behind them is paged out by acknowledgements the
+        // brokers stop reading once teardown poisons them: let the
+        // stream run dry first.
+        if !crash {
+            settle(&rt);
+        }
         let report = if crash { rt.kill() } else { rt.shutdown() };
         (report.deliveries(sub).to_vec(), report.durability())
     };
@@ -220,10 +287,16 @@ fn rt_crash_restart(events: u64) -> CrashRestart {
     );
     assert!(d2.records_replayed > 0, "the lost acks must force a replay");
     let _ = std::fs::remove_dir_all(&dir);
+    // Both runs logged the same kind of event, so the second run's mean
+    // record size prices the records of the first that it read back.
+    let mean_record = d2.bytes_fsynced as f64 / d2.records_appended as f64;
     CrashRestart {
         first_delivered: first.len() as u64,
         replayed: d2.records_replayed,
         recovered_total: union.len() as u64,
+        catch_up_calls: d2.catch_up_calls,
+        records_decoded: d2.records_decoded,
+        read_amplification: d2.log_bytes_read as f64 / (d2.records_decoded as f64 * mean_record),
     }
 }
 
@@ -287,9 +360,24 @@ fn main() {
         rec.replay_ms, rec.replayed_per_sec
     );
     println!(
+        "catch-up: windows of {PAGE}, {} calls, {:.0} records/sec, {} records decoded, \
+         bytes read / bytes returned = {:.2}",
+        rec.paged.calls,
+        rec.paged.records_per_sec,
+        rec.paged.records_decoded,
+        rec.paged.read_amplification
+    );
+    println!(
         "runtime crash/restart: {} delivered, crash, restart replayed {} — \
-         {} of {} recovered, zero loss.\n",
-        cr.first_delivered, cr.replayed, cr.recovered_total, rt_events
+         {} of {} recovered, zero loss; its catch-up: {} calls, {} records decoded, \
+         bytes read / bytes returned = {:.2}.\n",
+        cr.first_delivered,
+        cr.replayed,
+        cr.recovered_total,
+        rt_events,
+        cr.catch_up_calls,
+        cr.records_decoded,
+        cr.read_amplification
     );
     println!(
         "reading guide: flush_every=1 prices an fsync into every append;\n\
@@ -316,16 +404,26 @@ fn main() {
          \"fsync_sweep\": [\n{}\n  ],\n  \
          \"recovery\": {{\"open_ms\": {:.3}, \"records_per_sec\": {:.1}}},\n  \
          \"replay\": {{\"replay_ms\": {:.3}, \"records_per_sec\": {:.1}}},\n  \
+         \"paged_catch_up\": {{\"window\": {PAGE}, \"calls\": {}, \"records_per_sec\": {:.1}, \
+         \"records_decoded\": {}, \"read_amplification\": {:.3}}},\n  \
          \"rt_crash_restart\": {{\"events\": {rt_events}, \"first_delivered\": {}, \
-         \"records_replayed\": {}, \"recovered\": {}, \"zero_loss\": true}}\n}}\n",
+         \"records_replayed\": {}, \"recovered\": {}, \"zero_loss\": true, \
+         \"catch_up_calls\": {}, \"records_decoded\": {}, \"read_amplification\": {:.3}}}\n}}\n",
         sweep_json.join(",\n"),
         rec.open_ms,
         rec.scanned_per_sec,
         rec.replay_ms,
         rec.replayed_per_sec,
+        rec.paged.calls,
+        rec.paged.records_per_sec,
+        rec.paged.records_decoded,
+        rec.paged.read_amplification,
         cr.first_delivered,
         cr.replayed,
         cr.recovered_total,
+        cr.catch_up_calls,
+        cr.records_decoded,
+        cr.read_amplification,
     );
     std::fs::create_dir_all(out_dir).expect("create out_dir");
     let path = format!("{out_dir}/BENCH_durability.json");
@@ -353,5 +451,18 @@ fn main() {
         assert!(r.bytes_fsynced > 0, "synced bytes must be accounted");
     }
     assert!(rec.scanned_per_sec > 0.0 && rec.replayed_per_sec > 0.0);
+    assert_eq!(
+        rec.paged.records_decoded, events,
+        "a paged catch-up decodes the records it returns and no others"
+    );
+    for (what, amplification) in [
+        ("a paged catch-up", rec.paged.read_amplification),
+        ("the restarted runtime", cr.read_amplification),
+    ] {
+        assert!(
+            amplification <= 2.0,
+            "{what} read {amplification:.2}x the bytes it returned: whole-segment reads are back"
+        );
+    }
     println!("shape checks passed.");
 }

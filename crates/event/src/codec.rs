@@ -273,6 +273,12 @@ pub enum DictMode {
     /// wire ids on first use and announces each mapping in a
     /// [`KIND_DICT`] frame *before* the message that relies on it.
     Negotiated,
+    /// No connection at all: every reference spells its name out in
+    /// place, so a value decodes with nothing but its own bytes. This is
+    /// the mode of stored records (the write-ahead log), which outlive
+    /// the process whose interner numbered them and are read back from
+    /// arbitrary positions.
+    Inline,
 }
 
 /// The sender's half of the dictionary: maps interned [`AttrId`]s to
@@ -311,6 +317,7 @@ impl EncodeDict {
     pub fn write_attr(&mut self, out: &mut Vec<u8>, id: AttrId) {
         match self.mode {
             DictMode::Shared => write_varint(out, u64::from(id.0)),
+            DictMode::Inline => write_str(out, id.name()),
             DictMode::Negotiated => {
                 let idx = id.0 as usize;
                 if idx >= self.wire.len() {
@@ -383,22 +390,26 @@ impl DecodeDict {
     /// Returns [`CodecError::DictMiss`] for a wire id this connection
     /// was never taught ([`DictMode::Negotiated`]) or that exceeds the
     /// process interner ([`DictMode::Shared`] — possible only when a
-    /// foreign or corrupt payload is fed to an in-process decoder).
+    /// foreign or corrupt payload is fed to an in-process decoder), and
+    /// the failures of [`WireReader::string`] in [`DictMode::Inline`].
     pub fn read_attr(&self, r: &mut WireReader<'_>) -> Result<AttrId, CodecError> {
-        let wire = r.varint()?;
         match self.mode {
             DictMode::Shared => {
+                let wire = r.varint()?;
                 if (wire as usize) < AttrId::universe_size() {
                     Ok(AttrId(wire as u32))
                 } else {
                     Err(CodecError::DictMiss(wire))
                 }
             }
-            DictMode::Negotiated => self
-                .attrs
-                .get(usize::try_from(wire).map_err(|_| CodecError::DictMiss(wire))?)
-                .copied()
-                .ok_or(CodecError::DictMiss(wire)),
+            DictMode::Negotiated => {
+                let wire = r.varint()?;
+                self.attrs
+                    .get(usize::try_from(wire).map_err(|_| CodecError::DictMiss(wire))?)
+                    .copied()
+                    .ok_or(CodecError::DictMiss(wire))
+            }
+            DictMode::Inline => Ok(AttrId::intern(r.string()?)),
         }
     }
 
@@ -787,6 +798,24 @@ mod tests {
             dec.read_attr(&mut r),
             Err(CodecError::DictMiss(_))
         ));
+    }
+
+    #[test]
+    fn inline_dict_spells_names_out_and_needs_no_state() {
+        let mut meta = EventData::new();
+        meta.insert("codec_inline_attr", 7_i64);
+        let env = Envelope::from_meta(ClassId(2), "CodecInline", EventSeq(5), meta);
+        let mut enc = EncodeDict::new(DictMode::Inline);
+        let mut buf = Vec::new();
+        env.encode_bin(&mut buf, &mut enc);
+        assert!(!enc.has_pending(), "inline mode never announces");
+        let spelled = |name: &[u8]| buf.windows(name.len()).any(|w| w == name);
+        assert!(spelled(b"codec_inline_attr") && spelled(b"CodecInline"));
+        // A decoder that has seen nothing before reads it back.
+        let dec = DecodeDict::new(DictMode::Inline);
+        let mut r = WireReader::new(&buf);
+        assert_eq!(Envelope::decode_bin(&mut r, &dec).unwrap(), env);
+        r.expect_end().unwrap();
     }
 
     #[test]

@@ -85,7 +85,10 @@ pub use envelope::{Envelope, EventSeq};
 pub use error::EventError;
 pub use frame::{encode_frame, FrameDecoder, FrameError, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD};
 pub use intern::AttrId;
-pub use record::{crc32, encode_record, scan_records, RecordScan, RECORD_HEADER_LEN};
+pub use record::{
+    crc32, encode_record, encode_record_into, read_record, scan_records, RecordScan,
+    RECORD_HEADER_LEN,
+};
 pub use registry::TypeRegistry;
 pub use stage::{Advertisement, StageMap};
 pub use trace_ctx::{TraceContext, TraceId};

@@ -65,17 +65,54 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// [`MAX_FRAME_PAYLOAD`] — the same cap the live framing enforces, so a
 /// loggable record is always shippable.
 pub fn encode_record(payload: &[u8]) -> Result<Vec<u8>, FrameError> {
-    if payload.len() > MAX_FRAME_PAYLOAD {
+    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
+    encode_record_into(&mut out, |buf| buf.extend_from_slice(payload))?;
+    Ok(out)
+}
+
+/// Appends one CRC-framed record to `out`, letting `write_payload` build
+/// the payload in place — an appender that reuses one buffer encodes a
+/// record without allocating.
+///
+/// # Errors
+///
+/// Returns [`FrameError::Oversized`] when the payload written exceeds
+/// [`MAX_FRAME_PAYLOAD`]; `out` is then restored to its previous length.
+pub fn encode_record_into(
+    out: &mut Vec<u8>,
+    write_payload: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), FrameError> {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; RECORD_HEADER_LEN]);
+    write_payload(out);
+    let len = out.len() - start - RECORD_HEADER_LEN;
+    if len > MAX_FRAME_PAYLOAD {
+        out.truncate(start);
         return Err(FrameError::Oversized {
-            len: payload.len(),
+            len,
             max: MAX_FRAME_PAYLOAD,
         });
     }
-    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(out)
+    let crc = crc32(&out[start + RECORD_HEADER_LEN..]);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 4..start + RECORD_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+/// Reads the record that starts at the beginning of `bytes`: its payload
+/// (borrowed) when the header fits, the declared length is within the cap
+/// and the region, and the CRC matches; `None` on any sign of damage. The
+/// record occupies `RECORD_HEADER_LEN + payload.len()` bytes.
+#[must_use]
+pub fn read_record(bytes: &[u8]) -> Option<&[u8]> {
+    let header = bytes.get(..RECORD_HEADER_LEN)?;
+    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+    let want = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    if len > MAX_FRAME_PAYLOAD {
+        return None;
+    }
+    let payload = bytes.get(RECORD_HEADER_LEN..RECORD_HEADER_LEN + len)?;
+    (crc32(payload) == want).then_some(payload)
 }
 
 /// The result of scanning a byte region for CRC-framed records.
@@ -102,19 +139,9 @@ pub struct RecordScan {
 pub fn scan_records(bytes: &[u8]) -> RecordScan {
     let mut records = Vec::new();
     let mut at = 0usize;
-    while bytes.len() - at >= RECORD_HEADER_LEN {
-        let len =
-            u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]) as usize;
-        let want = u32::from_le_bytes([bytes[at + 4], bytes[at + 5], bytes[at + 6], bytes[at + 7]]);
-        if len > MAX_FRAME_PAYLOAD || bytes.len() - at - RECORD_HEADER_LEN < len {
-            break;
-        }
-        let payload = &bytes[at + RECORD_HEADER_LEN..at + RECORD_HEADER_LEN + len];
-        if crc32(payload) != want {
-            break;
-        }
+    while let Some(payload) = read_record(&bytes[at..]) {
         records.push(payload.to_vec());
-        at += RECORD_HEADER_LEN + len;
+        at += RECORD_HEADER_LEN + payload.len();
     }
     RecordScan {
         records,

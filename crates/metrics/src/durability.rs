@@ -22,6 +22,15 @@ pub struct DurabilityStats {
     pub records_replayed: u64,
     /// Torn or garbage tails truncated while opening a log.
     pub torn_truncations: u64,
+    /// Catch-up reads served (`replay_window` / `replay_after` calls).
+    pub catch_up_calls: u64,
+    /// Segment bytes read back by catch-up (cold-open scans excluded).
+    /// Against the bytes of the records returned, this is the read
+    /// amplification of paging a consumer out of the log.
+    pub log_bytes_read: u64,
+    /// Records decoded by catch-up. Equals the records returned when the
+    /// log reads by position; a whole-segment scan decodes many more.
+    pub records_decoded: u64,
 }
 
 impl DurabilityStats {
@@ -41,6 +50,9 @@ impl DurabilityStats {
         self.segments_compacted += other.segments_compacted;
         self.records_replayed += other.records_replayed;
         self.torn_truncations += other.torn_truncations;
+        self.catch_up_calls += other.catch_up_calls;
+        self.log_bytes_read += other.log_bytes_read;
+        self.records_decoded += other.records_decoded;
     }
 
     /// Renders the counters as aligned `key = value` lines for experiment
@@ -54,14 +66,20 @@ impl DurabilityStats {
              segments_rotated   = {}\n\
              segments_compacted = {}\n\
              records_replayed   = {}\n\
-             torn_truncations   = {}\n",
+             torn_truncations   = {}\n\
+             catch_up_calls     = {}\n\
+             log_bytes_read     = {}\n\
+             records_decoded    = {}\n",
             self.records_appended,
             self.bytes_fsynced,
             self.fsync_batches,
             self.segments_rotated,
             self.segments_compacted,
             self.records_replayed,
-            self.torn_truncations
+            self.torn_truncations,
+            self.catch_up_calls,
+            self.log_bytes_read,
+            self.records_decoded
         )
     }
 }
@@ -90,6 +108,9 @@ mod tests {
             segments_compacted: 0,
             records_replayed: 3,
             torn_truncations: 1,
+            catch_up_calls: 2,
+            log_bytes_read: 100,
+            records_decoded: 5,
         };
         let b = DurabilityStats {
             records_appended: 4,
@@ -99,6 +120,9 @@ mod tests {
             segments_compacted: 2,
             records_replayed: 0,
             torn_truncations: 0,
+            catch_up_calls: 1,
+            log_bytes_read: 20,
+            records_decoded: 4,
         };
         a.absorb(&b);
         assert_eq!(a.records_appended, 5);
@@ -108,6 +132,9 @@ mod tests {
         assert_eq!(a.segments_compacted, 2);
         assert_eq!(a.records_replayed, 3);
         assert_eq!(a.torn_truncations, 1);
+        assert_eq!(a.catch_up_calls, 3);
+        assert_eq!(a.log_bytes_read, 120);
+        assert_eq!(a.records_decoded, 9);
     }
 
     #[test]
@@ -120,11 +147,15 @@ mod tests {
             segments_compacted: 1,
             records_replayed: 9,
             torn_truncations: 1,
+            catch_up_calls: 4,
+            log_bytes_read: 640,
+            records_decoded: 9,
         };
         let text = stats.render();
         assert!(text.contains("records_appended   = 7"));
         assert!(text.contains("bytes_fsynced      = 512"));
         assert!(text.contains("torn_truncations   = 1"));
+        assert!(text.contains("log_bytes_read     = 640"));
     }
 
     #[test]

@@ -1306,12 +1306,11 @@ impl Broker {
         // appended stream and finish with their own perfect filtering,
         // exactly like any stage-0 subscriber.
         let class = env.class();
-        if self
+        if let Some(wal) = self
             .wal
-            .as_ref()
-            .is_some_and(|w| w.has_class_consumer(class))
+            .as_mut()
+            .filter(|w| w.consumers_of_class(class).next().is_some())
         {
-            let wal = self.wal.as_mut().expect("checked above");
             let append_timer = ctx.stage_sampled().then(std::time::Instant::now);
             let off = wal.append(env);
             if let Some(t0) = append_timer {
@@ -1320,24 +1319,16 @@ impl Broker {
                     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
                 );
             }
-            let consumers = wal.consumers_of_class(class);
-            for dest in consumers {
+            for (dest, acked) in wal.consumers_of_class(class) {
                 if self.parked.contains_key(&dest) {
                     continue;
                 }
-                let key = (dest.0, class.0);
-                let wal = self.wal.as_ref().expect("checked above");
-                let acked = wal.acked_upto(dest, class);
-                let sent = self
-                    .durable_sent
-                    .get(&key)
-                    .copied()
-                    .unwrap_or(acked)
-                    .max(acked);
-                if off != sent + 1 || off - acked > DURABLE_WINDOW {
+                let sent = self.durable_sent.entry((dest.0, class.0)).or_insert(acked);
+                *sent = (*sent).max(acked);
+                if off != *sent + 1 || off - acked > DURABLE_WINDOW {
                     continue;
                 }
-                self.durable_sent.insert(key, off);
+                *sent = off;
                 let mut fwd = env.clone();
                 fwd.touch_trace(ctx.trace_now());
                 ctx.send(actor_of(dest), OverlayMsg::Durable { off, env: fwd });

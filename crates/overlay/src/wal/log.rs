@@ -1,9 +1,13 @@
 //! The per-broker durable event log: segmented, CRC-framed, with
-//! batched fsync, consumer offsets, and torn-tail recovery.
+//! batched fsync, consumer offsets, a record position index, and
+//! torn-tail recovery.
 
 use std::collections::BTreeMap;
 
-use layercake_event::{encode_record, scan_records, ClassId, Envelope, RECORD_HEADER_LEN};
+use layercake_event::{
+    encode_record_into, read_record, write_varint, BinCodec, ClassId, CodecError, DecodeDict,
+    DictMode, EncodeDict, Envelope, WireReader, RECORD_HEADER_LEN,
+};
 use layercake_filter::DestId;
 use layercake_metrics::{DurabilityStats, PipelineStage, StageProfiler};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -30,21 +34,47 @@ impl Default for LogConfig {
     }
 }
 
-/// One record as it lives in the log: the event plus its per-class
-/// durable offset (1-based, monotone per class).
+/// First payload byte of a binary record: the format version.
+const RECORD_V1: u8 = 1;
+
+/// Writes one record payload: the version byte, the per-class durable
+/// offset (1-based, monotone per class) under its class, then the
+/// envelope with every name spelled out ([`DictMode::Inline`]), so the
+/// record decodes from any position with no other record's help.
+fn encode_payload(out: &mut Vec<u8>, off: u64, env: &Envelope) {
+    let mut dict = EncodeDict::new(DictMode::Inline);
+    out.push(RECORD_V1);
+    env.class().encode_bin(out, &mut dict);
+    write_varint(out, off);
+    env.encode_bin(out, &mut dict);
+}
+
+/// One record as it lives in the log: the event plus its class's offset.
 struct LogRecord {
     class: ClassId,
     off: u64,
     env: Envelope,
 }
 
-impl Serialize for LogRecord {
-    fn serialize_value(&self) -> Value {
-        let mut obj = Value::object();
-        obj.insert_field("class", u64::from(self.class.0).serialize_value());
-        obj.insert_field("off", self.off.serialize_value());
-        obj.insert_field("env", self.env.serialize_value());
-        obj
+/// Reads a record payload of either format: the binary one by its
+/// version byte, or the JSON object logs carried before it (first byte
+/// `{`), which stays readable so an existing log directory opens intact.
+fn decode_payload(payload: &[u8]) -> Result<LogRecord, CodecError> {
+    match payload.first() {
+        Some(&RECORD_V1) => {
+            let dict = DecodeDict::new(DictMode::Inline);
+            let mut r = WireReader::new(&payload[1..]);
+            let class = ClassId::decode_bin(&mut r, &dict)?;
+            let off = r.varint()?;
+            let env = Envelope::decode_bin(&mut r, &dict)?;
+            r.expect_end()?;
+            Ok(LogRecord { class, off, env })
+        }
+        Some(b'{') => {
+            serde_json::from_slice(payload).map_err(|_| CodecError::Invalid("JSON log record"))
+        }
+        Some(&other) => Err(CodecError::Tag(other)),
+        None => Err(CodecError::Truncated),
     }
 }
 
@@ -59,13 +89,45 @@ impl Deserialize for LogRecord {
     }
 }
 
-/// In-memory index of one segment: byte size and the highest per-class
-/// offset it contains (what compaction compares against consumer acks).
-#[derive(Debug, Default, Clone)]
+/// Where one record lives in its segment: header included, so the range
+/// is what a reader fetches and CRC-checks.
+#[derive(Debug, Clone, Copy)]
+struct RecPos {
+    off: u64,
+    pos: u64,
+    len: u32,
+}
+
+/// In-memory index of one segment: byte size and, per class, the
+/// position of every record in ascending offset order. The last entry of
+/// a class is the highest offset the segment holds of it (what
+/// compaction compares against consumer acks); a catch-up read binary-
+/// searches the entries and fetches only the ranges it returns. Filled
+/// by `append`, rebuilt by `rescan`, dropped with the segment.
+#[derive(Debug, Default)]
 struct SegMeta {
     id: u64,
     bytes: usize,
-    max_off: BTreeMap<u32, u64>,
+    classes: BTreeMap<u32, Vec<RecPos>>,
+}
+
+impl SegMeta {
+    fn new(id: u64) -> Self {
+        Self {
+            id,
+            ..Self::default()
+        }
+    }
+
+    /// Indexes a record of `len` bytes appended at the segment's end.
+    fn push(&mut self, class: u32, off: u64, len: usize) {
+        self.classes.entry(class).or_default().push(RecPos {
+            off,
+            pos: self.bytes as u64,
+            len: u32::try_from(len).expect("a record is under the frame cap"),
+        });
+        self.bytes += len;
+    }
 }
 
 /// A per-broker append-only event log with CRC-framed records, segment
@@ -90,12 +152,17 @@ pub struct DurableLog {
     next_seg_id: u64,
     /// Last assigned offset per class (`0` = nothing logged yet).
     tail: BTreeMap<u32, u64>,
-    /// Acknowledged offset per `(dest, class)` durable consumer.
-    offsets: BTreeMap<(u64, u32), u64>,
+    /// Acknowledged offset per `(class, dest)` durable consumer — class
+    /// first, so one class's consumers are one contiguous range.
+    offsets: BTreeMap<(u32, u64), u64>,
     dirty_records: usize,
     dirty_bytes: u64,
     offsets_dirty: bool,
     stats: DurabilityStats,
+    /// The record being appended, and the ranges a catch-up read
+    /// fetched: reused, so neither path allocates per record.
+    enc_buf: Vec<u8>,
+    read_buf: Vec<u8>,
     /// Optional stage telemetry: every fsync batch's duration lands in
     /// the [`PipelineStage::WalFsync`] histogram. Set only by the
     /// wall-clock runtime; the simulator's logs never time syncs, so
@@ -122,6 +189,8 @@ impl DurableLog {
             dirty_bytes: 0,
             offsets_dirty: false,
             stats: DurabilityStats::default(),
+            enc_buf: Vec::new(),
+            read_buf: Vec::new(),
             profiler: None,
         };
         log.rescan();
@@ -162,36 +231,27 @@ impl DurableLog {
         let class = env.class();
         let off = self.tail_off(class) + 1;
         self.tail.insert(class.0, off);
-        let payload = serde_json::to_vec(&LogRecord {
-            class,
-            off,
-            env: env.clone(),
-        })
-        .expect("log record serializes");
-        let rec = encode_record(&payload).expect("log record fits the frame cap");
+        self.enc_buf.clear();
+        encode_record_into(&mut self.enc_buf, |out| encode_payload(out, off, env))
+            .expect("log record fits the frame cap");
+        let len = self.enc_buf.len();
         if self
             .segs
             .last()
-            .is_some_and(|s| s.bytes > 0 && s.bytes + rec.len() > self.cfg.segment_bytes)
+            .is_some_and(|s| s.bytes > 0 && s.bytes + len > self.cfg.segment_bytes)
         {
             self.rotate();
         }
         if self.segs.is_empty() {
-            let id = self.next_seg_id;
+            self.segs.push(SegMeta::new(self.next_seg_id));
             self.next_seg_id += 1;
-            self.segs.push(SegMeta {
-                id,
-                bytes: 0,
-                max_off: BTreeMap::new(),
-            });
         }
         let seg = self.segs.last_mut().expect("open segment exists");
-        self.storage.append(seg.id, &rec);
-        seg.bytes += rec.len();
-        seg.max_off.insert(class.0, off);
+        self.storage.append(seg.id, &self.enc_buf);
+        seg.push(class.0, off, len);
         self.stats.records_appended += 1;
         self.dirty_records += 1;
-        self.dirty_bytes += rec.len() as u64;
+        self.dirty_bytes += len as u64;
         if self.dirty_records >= self.cfg.flush_every {
             self.flush();
         }
@@ -246,7 +306,7 @@ impl DurableLog {
     /// immediately, so a crash cannot forget a durable consumer.
     pub fn register_consumer(&mut self, dest: DestId, class: ClassId) -> u64 {
         let tail = self.tail_off(class);
-        let upto = *self.offsets.entry((dest.0, class.0)).or_insert(tail);
+        let upto = *self.offsets.entry((class.0, dest.0)).or_insert(tail);
         // The new entry points at the in-memory tail (and the table may
         // carry other consumers' unflushed acks): sync appended records
         // first so the persisted table never outruns the durable tail.
@@ -258,55 +318,49 @@ impl DurableLog {
     /// Whether any durable consumer entry exists for this destination.
     #[must_use]
     pub fn is_consumer(&self, dest: DestId) -> bool {
-        self.offsets.keys().any(|&(d, _)| d == dest.0)
-    }
-
-    /// Whether any durable consumer is registered for this class (i.e.
-    /// whether events of the class must be appended to the log at all).
-    #[must_use]
-    pub fn has_class_consumer(&self, class: ClassId) -> bool {
-        self.offsets.keys().any(|&(_, c)| c == class.0)
+        self.offsets.keys().any(|&(_, d)| d == dest.0)
     }
 
     /// Whether this destination holds a durable consumer entry for this
     /// specific class.
     #[must_use]
     pub fn is_class_consumer(&self, dest: DestId, class: ClassId) -> bool {
-        self.offsets.contains_key(&(dest.0, class.0))
+        self.offsets.contains_key(&(class.0, dest.0))
     }
 
-    /// The destinations holding a durable consumer entry for `class`, in
-    /// ascending id order.
-    #[must_use]
-    pub fn consumers_of_class(&self, class: ClassId) -> Vec<DestId> {
+    /// The durable consumers of `class` with the offset each has
+    /// acknowledged, in ascending destination order: one range of the
+    /// offset table, no allocation. Empty when events of the class need
+    /// not be logged at all.
+    pub fn consumers_of_class(&self, class: ClassId) -> impl Iterator<Item = (DestId, u64)> + '_ {
         self.offsets
-            .keys()
-            .filter(|&&(_, c)| c == class.0)
-            .map(|&(d, _)| DestId(d))
-            .collect()
+            .range((class.0, 0)..=(class.0, u64::MAX))
+            .map(|(&(_, dest), &upto)| (DestId(dest), upto))
     }
 
     /// The offset a consumer has acknowledged for a class (`0` when it
     /// has no entry).
     #[must_use]
     pub fn acked_upto(&self, dest: DestId, class: ClassId) -> u64 {
-        self.offsets.get(&(dest.0, class.0)).copied().unwrap_or(0)
+        self.offsets.get(&(class.0, dest.0)).copied().unwrap_or(0)
     }
 
-    /// The classes a destination holds durable offsets for.
+    /// The classes a destination holds durable offsets for, ascending.
     #[must_use]
     pub fn consumer_classes(&self, dest: DestId) -> Vec<ClassId> {
         self.offsets
             .keys()
-            .filter(|&&(d, _)| d == dest.0)
-            .map(|&(_, c)| ClassId(c))
+            .filter(|&&(_, d)| d == dest.0)
+            .map(|&(c, _)| ClassId(c))
             .collect()
     }
 
-    /// Every destination with at least one durable consumer entry.
+    /// Every destination with at least one durable consumer entry,
+    /// ascending.
     #[must_use]
     pub fn consumer_dests(&self) -> Vec<DestId> {
-        let mut dests: Vec<DestId> = self.offsets.keys().map(|&(d, _)| DestId(d)).collect();
+        let mut dests: Vec<DestId> = self.offsets.keys().map(|&(_, d)| DestId(d)).collect();
+        dests.sort_unstable_by_key(|d| d.0);
         dests.dedup();
         dests
     }
@@ -322,7 +376,7 @@ impl DurableLog {
     /// extra, which the subscriber's `(class, seq)` dedup absorbs.
     pub fn ack(&mut self, dest: DestId, class: ClassId, upto: u64) {
         let upto = upto.min(self.tail_off(class));
-        if let Some(entry) = self.offsets.get_mut(&(dest.0, class.0)) {
+        if let Some(entry) = self.offsets.get_mut(&(class.0, dest.0)) {
             if upto > *entry {
                 *entry = upto;
                 self.offsets_dirty = true;
@@ -335,7 +389,7 @@ impl DurableLog {
     /// interested consumer gone, a segment's history is garbage.
     pub fn drop_consumer(&mut self, dest: DestId) {
         let before = self.offsets.len();
-        self.offsets.retain(|&(d, _), _| d != dest.0);
+        self.offsets.retain(|&(_, d), _| d != dest.0);
         if self.offsets.len() != before {
             // The surviving entries may hold acks for records not yet
             // synced; keep the sync-before-persist invariant here too.
@@ -370,23 +424,47 @@ impl DurableLog {
     /// time, paced by its acknowledgements, instead of having its whole
     /// backlog dumped on the wire at once. Does **not** touch the replay
     /// counter (see [`DurableLog::note_replayed`]).
+    ///
+    /// Answered from the position index: each segment's entries for the
+    /// class are binary-searched for `upto`, and only the byte ranges of
+    /// the records returned are read and decoded — adjacent records in
+    /// one read. A record that no longer passes its CRC or does not
+    /// decode (damage since open) is left out.
     pub fn replay_window(&mut self, class: ClassId, upto: u64, max: usize) -> Vec<(u64, Envelope)> {
+        self.stats.catch_up_calls += 1;
         let mut out = Vec::new();
-        'segs: for seg in &self.segs {
-            if seg.max_off.get(&class.0).copied().unwrap_or(0) <= upto {
+        for seg in &self.segs {
+            let Some(recs) = seg.classes.get(&class.0) else {
                 continue;
-            }
-            let bytes = self.storage.read_segment(seg.id);
-            for payload in scan_records(&bytes).records {
-                let Ok(rec) = serde_json::from_slice::<LogRecord>(&payload) else {
-                    continue;
-                };
-                if rec.class == class && rec.off > upto {
-                    if out.len() >= max {
-                        break 'segs;
-                    }
-                    out.push((rec.off, rec.env));
+            };
+            let start = recs.partition_point(|r| r.off <= upto);
+            let mut rest = &recs[start..recs.len().min(start.saturating_add(max - out.len()))];
+            while let Some(first) = rest.first() {
+                // One read per run of records that sit back to back.
+                let mut run = 1;
+                while run < rest.len()
+                    && rest[run].pos == rest[run - 1].pos + u64::from(rest[run - 1].len)
+                {
+                    run += 1;
                 }
+                let (run, tail) = rest.split_at(run);
+                rest = tail;
+                let bytes: usize = run.iter().map(|r| r.len as usize).sum();
+                self.read_buf.resize(bytes, 0);
+                self.storage.read_at(seg.id, first.pos, &mut self.read_buf);
+                self.stats.log_bytes_read += bytes as u64;
+                let mut at = 0usize;
+                for r in run {
+                    let raw = &self.read_buf[at..at + r.len as usize];
+                    at += r.len as usize;
+                    self.stats.records_decoded += 1;
+                    if let Some(Ok(rec)) = read_record(raw).map(decode_payload) {
+                        out.push((rec.off, rec.env));
+                    }
+                }
+            }
+            if out.len() >= max {
+                break;
             }
         }
         out
@@ -406,49 +484,40 @@ impl DurableLog {
     }
 
     /// Scans storage and rebuilds the in-memory index: per-segment sizes
-    /// and per-class maxima, class tails, and the consumer-offset table.
+    /// and record positions, class tails, and the consumer-offset table.
     /// Torn or undecodable tails are truncated (and the cut fsynced) so
-    /// the next append lands on a valid boundary.
+    /// the next append lands on a valid boundary. The one place whole
+    /// segments are read.
     fn rescan(&mut self) {
         self.segs.clear();
         self.tail.clear();
         for id in self.storage.segment_ids() {
             let bytes = self.storage.read_segment(id);
-            let scan = scan_records(&bytes);
-            let mut meta = SegMeta {
-                id,
-                bytes: 0,
-                max_off: BTreeMap::new(),
-            };
-            let mut valid_len = 0usize;
-            let mut decode_cut = false;
-            for payload in &scan.records {
-                match serde_json::from_slice::<LogRecord>(payload) {
-                    Ok(rec) => {
-                        valid_len += RECORD_HEADER_LEN + payload.len();
-                        let tail = self.tail.entry(rec.class.0).or_insert(0);
-                        *tail = (*tail).max(rec.off);
-                        let mx = meta.max_off.entry(rec.class.0).or_insert(0);
-                        *mx = (*mx).max(rec.off);
-                    }
-                    Err(_) => {
-                        // CRC-valid but not a record we can read: written
-                        // by something else. Cut here like a torn tail.
-                        decode_cut = true;
-                        break;
-                    }
+            let mut meta = SegMeta::new(id);
+            while let Some(payload) = read_record(&bytes[meta.bytes..]) {
+                // CRC-valid but not a record of ours — unreadable, or
+                // numbered at or below its class's tail, which no append
+                // does and the index's offset order relies on: written by
+                // something else. Cut here like a torn tail.
+                let Ok(rec) = decode_payload(payload) else {
+                    break;
+                };
+                let tail = self.tail.entry(rec.class.0).or_insert(0);
+                if rec.off <= *tail {
+                    break;
                 }
+                *tail = rec.off;
+                meta.push(rec.class.0, rec.off, RECORD_HEADER_LEN + payload.len());
             }
-            if !scan.clean || decode_cut {
-                self.storage.truncate(id, valid_len as u64);
+            if meta.bytes != bytes.len() {
+                self.storage.truncate(id, meta.bytes as u64);
                 self.storage.sync(id);
                 self.stats.torn_truncations += 1;
             }
-            if valid_len == 0 {
+            if meta.bytes == 0 {
                 self.storage.remove_segment(id);
                 continue;
             }
-            meta.bytes = valid_len;
             self.segs.push(meta);
         }
         self.next_seg_id = self.segs.last().map_or(0, |s| s.id + 1);
@@ -456,14 +525,14 @@ impl DurableLog {
             .storage
             .read_meta()
             .and_then(|bytes| serde_json::from_slice::<OffsetTable>(&bytes).ok())
-            .map(|t| t.entries)
+            .map(|t| t.0)
             .unwrap_or_default();
         // A persisted ack above the recovered tail refers to records the
         // crash took (the offset table can legitimately be newer than the
         // last record sync). Clamp it, or new appends reusing those
         // offsets would be skipped by `replay_after` forever.
         let tail = &self.tail;
-        for (&(_, class), upto) in self.offsets.iter_mut() {
+        for (&(class, _), upto) in self.offsets.iter_mut() {
             let recovered = tail.get(&class).copied().unwrap_or(0);
             if *upto > recovered {
                 *upto = recovered;
@@ -474,23 +543,16 @@ impl DurableLog {
     /// Seals the open segment (fsyncing its tail) and starts a new one.
     fn rotate(&mut self) {
         self.flush();
-        let id = self.next_seg_id;
+        self.segs.push(SegMeta::new(self.next_seg_id));
         self.next_seg_id += 1;
-        self.segs.push(SegMeta {
-            id,
-            bytes: 0,
-            max_off: BTreeMap::new(),
-        });
         self.stats.segments_rotated += 1;
         self.compact();
     }
 
     /// Writes the consumer-offset table durably (atomic replace).
     fn persist_offsets(&mut self) {
-        let table = OffsetTable {
-            entries: self.offsets.clone(),
-        };
-        let bytes = serde_json::to_vec(&table).expect("offset table serializes");
+        let bytes =
+            serde_json::to_vec(&OffsetRows(&self.offsets)).expect("offset table serializes");
         self.storage.write_meta(&bytes);
         self.offsets_dirty = false;
     }
@@ -499,10 +561,8 @@ impl DurableLog {
     /// consumers; `u64::MAX` when no consumer is registered for it (its
     /// records are wanted by nobody).
     fn min_acked(&self, class: u32) -> u64 {
-        self.offsets
-            .iter()
-            .filter(|&(&(_, c), _)| c == class)
-            .map(|(_, &upto)| upto)
+        self.consumers_of_class(ClassId(class))
+            .map(|(_, upto)| upto)
             .min()
             .unwrap_or(u64::MAX)
     }
@@ -517,10 +577,10 @@ impl DurableLog {
         let mut removed = 0usize;
         for i in 0..sealed {
             let seg = &self.segs[i - removed];
-            let disposable = seg
-                .max_off
-                .iter()
-                .all(|(&class, &mx)| self.min_acked(class) >= mx);
+            let disposable = seg.classes.iter().all(|(&class, recs)| {
+                recs.last()
+                    .is_none_or(|last| self.min_acked(class) >= last.off)
+            });
             if disposable {
                 let id = seg.id;
                 self.storage.remove_segment(id);
@@ -532,17 +592,19 @@ impl DurableLog {
     }
 }
 
-/// The persisted consumer-offset table (the metadata blob's schema).
-struct OffsetTable {
-    entries: BTreeMap<(u64, u32), u64>,
-}
+type Offsets = BTreeMap<(u32, u64), u64>;
 
-impl Serialize for OffsetTable {
+/// The consumer-offset table as the metadata blob spells it:
+/// `{"consumers": [{"dest", "class", "upto"}, ..]}`. Written from a
+/// borrow of the live table, read back into an owned one.
+struct OffsetRows<'a>(&'a Offsets);
+
+impl Serialize for OffsetRows<'_> {
     fn serialize_value(&self) -> Value {
         let rows: Vec<Value> = self
-            .entries
+            .0
             .iter()
-            .map(|(&(dest, class), &upto)| {
+            .map(|(&(class, dest), &upto)| {
                 let mut row = Value::object();
                 row.insert_field("dest", dest.serialize_value());
                 row.insert_field("class", u64::from(class).serialize_value());
@@ -556,6 +618,8 @@ impl Serialize for OffsetTable {
     }
 }
 
+struct OffsetTable(Offsets);
+
 impl Deserialize for OffsetTable {
     fn deserialize_value(v: &Value) -> Result<Self, DeError> {
         let Value::Array(rows) = v.field("consumers") else {
@@ -566,17 +630,17 @@ impl Deserialize for OffsetTable {
             let dest: u64 = serde::__field(row, "dest")?;
             let class: u64 = serde::__field(row, "class")?;
             let upto: u64 = serde::__field(row, "upto")?;
-            entries.insert((dest, class as u32), upto);
+            entries.insert((class as u32, dest), upto);
         }
-        Ok(OffsetTable { entries })
+        Ok(OffsetTable(entries))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::storage::MemStorage;
+    use super::super::storage::{FileStorage, MemStorage};
     use super::*;
-    use layercake_event::{EventData, EventSeq};
+    use layercake_event::{scan_records, EventData, EventSeq};
 
     fn env(class: u32, seq: u64) -> Envelope {
         let mut meta = EventData::new();
@@ -795,10 +859,8 @@ mod tests {
             storage.append(0, &log.storage.read_segment(0));
             storage.sync(0);
         }
-        let table = OffsetTable {
-            entries: [((7u64, 0u32), 99u64)].into_iter().collect(),
-        };
-        storage.write_meta(&serde_json::to_vec(&table).expect("table serializes"));
+        let table: Offsets = [((0u32, 7u64), 99u64)].into_iter().collect();
+        storage.write_meta(&serde_json::to_vec(&OffsetRows(&table)).expect("table serializes"));
         let mut log = DurableLog::open(Box::new(storage), LogConfig::default());
         assert_eq!(
             log.acked_upto(DestId(7), ClassId(0)),
@@ -848,6 +910,205 @@ mod tests {
         let rest = log.replay_window(ClassId(0), 6, usize::MAX);
         assert_eq!(rest.len(), 4);
         assert_eq!(rest[0].0, 7);
+    }
+
+    #[test]
+    fn paged_catch_up_reads_and_decodes_only_what_it_returns() {
+        let dir = std::env::temp_dir().join(format!("layercake-wal-paged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let storages: [Box<dyn LogStorage>; 2] = [
+            Box::new(MemStorage::new()),
+            Box::new(FileStorage::open(&dir).unwrap()),
+        ];
+        for storage in storages {
+            let cfg = LogConfig {
+                segment_bytes: 8 * 1024,
+                flush_every: 8,
+            };
+            let mut log = DurableLog::open(storage, cfg);
+            log.register_consumer(DestId(1), ClassId(0));
+            for i in 0..2_000 {
+                log.append(&env(0, i));
+            }
+            log.flush();
+            assert!(log.segment_count() > 4, "the history spans segments");
+            let logged_bytes = log.stats().bytes_fsynced;
+            let mut upto = 0;
+            let mut calls = 0;
+            loop {
+                let page = log.replay_window(ClassId(0), upto, 8);
+                calls += 1;
+                let Some(&(last, _)) = page.last() else { break };
+                assert_eq!(page.len(), 8);
+                assert_eq!(page[0].0, upto + 1);
+                upto = last;
+            }
+            assert_eq!(upto, 2_000);
+            let stats = log.stats();
+            assert_eq!(stats.catch_up_calls, calls);
+            assert_eq!(
+                stats.records_decoded, 2_000,
+                "one decode per record returned"
+            );
+            assert_eq!(stats.log_bytes_read, logged_bytes, "each record read once");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_of_both_formats_share_a_segment() {
+        // A record as logs spelled it before the binary payload.
+        let json = br#"{"class":0,"off":1,"env":{"class":0,"class_name":"T","seq":40,"meta":{"attrs":[["k",{"Int":40}]]},"payload":[],"trace":null}}"#;
+        let mut storage = MemStorage::new();
+        storage.append(0, &layercake_event::encode_record(json).unwrap());
+        storage.sync(0);
+        let mut log = DurableLog::open(Box::new(storage), LogConfig::default());
+        assert_eq!(log.stats().torn_truncations, 0, "JSON is not a torn tail");
+        assert_eq!(log.tail_off(ClassId(0)), 1);
+        log.register_consumer(DestId(1), ClassId(0));
+        assert_eq!(log.append(&env(0, 41)), 2);
+        log.flush();
+        log.crash_restart();
+        let replayed = log.replay_after(ClassId(0), 0);
+        assert_eq!(replayed, vec![(1, env(0, 40)), (2, env(0, 41))]);
+    }
+
+    #[test]
+    fn a_record_numbered_below_its_class_tail_is_cut_at_open() {
+        let mut seg = Vec::new();
+        for off in [1, 2, 2, 3] {
+            encode_record_into(&mut seg, |out| encode_payload(out, off, &env(0, off))).unwrap();
+        }
+        let mut storage = MemStorage::new();
+        storage.append(0, &seg);
+        storage.sync(0);
+        let log = DurableLog::open(Box::new(storage), LogConfig::default());
+        assert_eq!(log.tail_off(ClassId(0)), 2);
+        assert_eq!(log.stats().torn_truncations, 1);
+    }
+
+    mod indexed_replay {
+        //! The position index against the scan it replaced: whatever a
+        //! log went through, `replay_window` and `replay_after` return
+        //! what reading every segment front to back returns.
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Append(u32),
+            Ack(u64, u32, u64),
+            Register(u64, u32),
+            Drop(u64),
+            Flush,
+            CrashRestart,
+            /// Crash with the last segment's final bytes torn off.
+            TornTail(u64),
+        }
+
+        /// Half appends, the rest spread over the other operations.
+        fn op() -> impl Strategy<Value = Op> {
+            (0u8..16, 1u64..4, 0u32..3, 0u64..60).prop_map(|(kind, dest, class, n)| match kind {
+                0..=7 => Op::Append(class),
+                8 | 9 => Op::Ack(dest, class, n),
+                10 | 11 => Op::Register(dest, class),
+                12 => Op::Drop(dest),
+                13 => Op::Flush,
+                14 => Op::CrashRestart,
+                _ => Op::TornTail(n + 1),
+            })
+        }
+
+        /// Every segment read whole and every record decoded, in order.
+        fn scan_replay(
+            log: &DurableLog,
+            class: ClassId,
+            upto: u64,
+            max: usize,
+        ) -> Vec<(u64, Envelope)> {
+            let mut out = Vec::new();
+            for id in log.storage.segment_ids() {
+                for payload in scan_records(&log.storage.read_segment(id)).records {
+                    let rec = decode_payload(&payload).expect("a logged record decodes");
+                    if rec.class == class && rec.off > upto && out.len() < max {
+                        out.push((rec.off, rec.env));
+                    }
+                }
+            }
+            out
+        }
+
+        fn check(log: &mut DurableLog) -> Result<(), TestCaseError> {
+            for class in (0..3).map(ClassId) {
+                let tail = log.tail_off(class);
+                for upto in [0, tail / 2, tail.saturating_sub(1), tail] {
+                    for max in [0, 1, 3, usize::MAX] {
+                        let want = scan_replay(log, class, upto, max);
+                        prop_assert_eq!(log.replay_window(class, upto, max), want);
+                    }
+                    let want = scan_replay(log, class, upto, usize::MAX);
+                    prop_assert_eq!(log.replay_after(class, upto), want);
+                }
+            }
+            Ok(())
+        }
+
+        fn run(storage: Box<dyn LogStorage>, ops: &[Op]) -> Result<(), TestCaseError> {
+            let cfg = LogConfig {
+                segment_bytes: 200, // a handful of records: rotation is routine
+                flush_every: 3,
+            };
+            let mut log = DurableLog::open(storage, cfg);
+            // Without a consumer everything sealed compacts at once.
+            log.register_consumer(DestId(1), ClassId(0));
+            for (seq, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Append(class) => {
+                        log.append(&env(class, seq as u64));
+                    }
+                    Op::Ack(dest, class, upto) => log.ack(DestId(dest), ClassId(class), upto),
+                    Op::Register(dest, class) => {
+                        log.register_consumer(DestId(dest), ClassId(class));
+                    }
+                    Op::Drop(dest) => log.drop_consumer(DestId(dest)),
+                    Op::Flush => log.flush(),
+                    Op::CrashRestart => log.crash_restart(),
+                    Op::TornTail(cut) => {
+                        if let Some(seg) = log.segs.last() {
+                            let keep = (seg.bytes as u64).saturating_sub(cut);
+                            log.storage.truncate(seg.id, keep);
+                        }
+                        log.crash_restart();
+                    }
+                }
+                check(&mut log)?;
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn matches_the_full_scan_in_memory(ops in proptest::collection::vec(op(), 1..60)) {
+                run(Box::new(MemStorage::new()), &ops)?;
+            }
+
+            #[test]
+            fn matches_the_full_scan_on_files(
+                ops in proptest::collection::vec(op(), 1..40),
+                case in any::<u64>(),
+            ) {
+                let dir = std::env::temp_dir().join(format!(
+                    "layercake-wal-index-{}-{case:016x}",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                let outcome = run(Box::new(FileStorage::open(&dir).unwrap()), &ops);
+                let _ = std::fs::remove_dir_all(&dir);
+                outcome?;
+            }
+        }
     }
 
     mod corruption {

@@ -11,8 +11,9 @@
 //!   wire codec's length-prefix discipline, plus a CRC-32 over the
 //!   payload), rotates segments, batches fsyncs, tracks per-`(consumer,
 //!   class)` acknowledged offsets, replays the unacknowledged suffix to
-//!   resuming durable subscribers, and compacts segments every consumer
-//!   has moved past.
+//!   resuming durable subscribers — by record position, reading only
+//!   what it returns — and compacts segments every consumer has moved
+//!   past.
 //!
 //! On open, a log recovers from torn writes by truncating each segment
 //! to its longest prefix of CRC-valid records — damage at the tail is an

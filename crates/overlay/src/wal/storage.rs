@@ -34,6 +34,12 @@ pub trait LogStorage: fmt::Debug + Send {
     /// Full contents of one segment (empty if it does not exist).
     fn read_segment(&self, seg: u64) -> Vec<u8>;
 
+    /// Fills `buf` with the bytes of a segment starting at `pos`. The
+    /// log only asks for ranges it appended (or found at open) and has
+    /// not truncated since, so a range that is not there is storage
+    /// loss and panics like any other I/O failure.
+    fn read_at(&mut self, seg: u64, pos: u64, buf: &mut [u8]);
+
     /// Appends bytes to a segment, creating it if needed. The bytes are
     /// *written* but not yet durable — only [`LogStorage::sync`] makes
     /// them survive [`LogStorage::lose_unsynced`] / a power cut.
@@ -106,6 +112,12 @@ impl LogStorage for MemStorage {
             .unwrap_or_default()
     }
 
+    fn read_at(&mut self, seg: u64, pos: u64, buf: &mut [u8]) {
+        let start = pos as usize;
+        let bytes = self.segments.get(&seg).map_or(&[][..], |s| &s.bytes);
+        buf.copy_from_slice(&bytes[start..start + buf.len()]);
+    }
+
     fn append(&mut self, seg: u64, bytes: &[u8]) {
         self.segments
             .entry(seg)
@@ -153,8 +165,10 @@ impl LogStorage for MemStorage {
 /// [`LogStorage::sync`] and atomic metadata replacement.
 pub struct FileStorage {
     dir: PathBuf,
-    /// Open append handles, kept so `sync` can `sync_data` the same file
-    /// descriptor the writes went through.
+    /// Open handles, kept so `sync` can `sync_data` the same file
+    /// descriptor the writes went through and `read_at` costs one
+    /// positioned read, not an open. Append mode sends every write to
+    /// the end of the file whatever a read did to the cursor.
     handles: BTreeMap<u64, fs::File>,
 }
 
@@ -201,6 +215,7 @@ impl FileStorage {
         self.handles.entry(seg).or_insert_with(|| {
             fs::OpenOptions::new()
                 .create(true)
+                .read(true)
                 .append(true)
                 .open(&path)
                 .unwrap_or_else(|e| panic!("open log segment {}: {e}", path.display()))
@@ -237,6 +252,24 @@ impl LogStorage for FileStorage {
                 .unwrap_or_else(|e| panic!("read log segment {seg}: {e}"));
         }
         bytes
+    }
+
+    fn read_at(&mut self, seg: u64, pos: u64, buf: &mut [u8]) {
+        let file = self.handle(seg);
+        #[cfg(unix)]
+        let read = std::os::unix::fs::FileExt::read_exact_at(file, buf, pos);
+        #[cfg(not(unix))]
+        let read = {
+            use std::io::Seek as _;
+            file.seek(io::SeekFrom::Start(pos))
+                .and_then(|_| file.read_exact(buf))
+        };
+        read.unwrap_or_else(|e| {
+            panic!(
+                "read {} bytes at {pos} of log segment {seg}: {e}",
+                buf.len()
+            )
+        });
     }
 
     fn append(&mut self, seg: u64, bytes: &[u8]) {
@@ -309,6 +342,9 @@ mod tests {
         s.sync(0);
         s.append(0, b"def");
         assert_eq!(s.read_segment(0), b"abcdef");
+        let mut mid = [0u8; 3];
+        s.read_at(0, 2, &mut mid);
+        assert_eq!(&mid, b"cde");
         s.lose_unsynced();
         assert_eq!(s.read_segment(0), b"abc");
         s.append(1, b"x");
@@ -337,6 +373,12 @@ mod tests {
         s.append(9, b"zzz");
         assert_eq!(s.segment_ids(), vec![7, 9]);
         assert_eq!(s.read_segment(7), b"hello world");
+        let mut mid = [0u8; 5];
+        s.read_at(7, 6, &mut mid);
+        assert_eq!(&mid, b"world");
+        // A positioned read leaves the append position at the end.
+        s.append(7, b"!");
+        assert_eq!(s.read_segment(7), b"hello world!");
         s.truncate(7, 5);
         assert_eq!(s.read_segment(7), b"hello");
         s.write_meta(b"{\"v\":1}");

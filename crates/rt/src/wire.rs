@@ -214,6 +214,7 @@ pub fn encode_hello(mode: DictMode) -> Vec<u8> {
     out.push(match mode {
         DictMode::Shared => 0,
         DictMode::Negotiated => 1,
+        DictMode::Inline => 2,
     });
     close_frame(&mut out, 0).expect("hello frame is 5 bytes");
     out
