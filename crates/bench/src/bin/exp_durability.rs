@@ -2,8 +2,8 @@
 //! charges on the hot path and how fast a crashed broker comes back.
 //!
 //! Three direct measurements against a real on-disk [`DurableLog`]
-//! (`FileStorage`, real fsync), plus one end-to-end crash/restart run
-//! through the wall-clock runtime:
+//! (`FileStorage`, real fsync), one against a broker over such a log,
+//! plus one end-to-end crash/restart run through the wall-clock runtime:
 //!
 //!   1. **fsync batching sweep** — append the same event stream with
 //!      `flush_every` ∈ {1, 8, 64}: appends/sec vs fsync batches. This
@@ -20,7 +20,13 @@
 //!      Then the same history is paged out in windows of 8 — the shape
 //!      the broker's in-flight window gives catch-up under load — and
 //!      the bytes the log read are set against the bytes it returned.
-//!   4. **runtime crash/restart** — a small `layercake-rt` run with a
+//!   4. **selective consumers** — four durable consumers of one class,
+//!      each matching a quarter of the stream, drain a logged backlog
+//!      from one broker under acknowledgements of eight: what the broker
+//!      sends against what the consumers are owed, the frames an event
+//!      costs, and the price of paging a filtered stream out of a log
+//!      that is read whole.
+//!   5. **runtime crash/restart** — a small `layercake-rt` run with a
 //!      durable subscriber: publish, `kill()` (no final flush), restart
 //!      over the same directory, and verify zero event loss across the
 //!      two runs with a non-empty replay.
@@ -30,7 +36,10 @@
 //! interval grows; recovery recovers the full tail with no torn
 //! truncation; replay returns the entire history in offset order; a
 //! paged catch-up decodes exactly the records it returns and reads at
-//! most twice their bytes; the runtime crash/restart loses nothing.
+//! most twice their bytes; selective consumers are sent at most 1.05
+//! frames per delivery they are owed, and their catch-up reads between
+//! one and two times the bytes it decodes; the runtime crash/restart
+//! loses nothing.
 //!
 //! Run with: `cargo run --release -p layercake-bench --bin
 //! exp_durability [out_dir] [events]` — `out_dir` (default
@@ -38,7 +47,7 @@
 //! 20000) sizes the logged history (CI smoke runs pass a smaller
 //! value).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,8 +59,9 @@ use layercake_event::{
 use layercake_filter::{DestId, Filter};
 use layercake_metrics::render_table;
 use layercake_overlay::wal::{DurableLog, FileStorage, LogConfig};
-use layercake_overlay::OverlayConfig;
+use layercake_overlay::{topology, Node, NodeCtx, OverlayConfig, OverlayMsg, SubscriptionReq};
 use layercake_rt::{RtConfig, Runtime};
+use layercake_sim::{ActorId, SimDuration, SimTime};
 
 const FLUSH_SWEEP: [usize; 3] = [1, 8, 64];
 const CLASS: ClassId = ClassId(0);
@@ -192,6 +202,187 @@ fn recovery_and_replay(events: u64) -> RecoveryResult {
     }
 }
 
+/// A [`NodeCtx`] that keeps what the broker sends, for the drive below
+/// to play the subscribers' part.
+#[derive(Default)]
+struct Outbox {
+    sent: Vec<(ActorId, OverlayMsg)>,
+}
+
+impl NodeCtx for Outbox {
+    fn now(&self) -> SimTime {
+        SimTime::ZERO
+    }
+    fn me(&self) -> ActorId {
+        ActorId(0)
+    }
+    fn send(&mut self, to: ActorId, msg: OverlayMsg) {
+        self.sent.push((to, msg));
+    }
+    fn set_timer(&mut self, _delay: SimDuration, _tag: u64) {}
+}
+
+/// Consumers of the selective run, each owed every [`SELECTIVE`]-th event.
+const SELECTIVE: u64 = 4;
+
+struct SelectiveResult {
+    /// Frames into and out of the broker over the whole run, per event:
+    /// one publication, one delivery, an eighth of an ack.
+    frames_per_event: f64,
+    /// `durable_sent` ÷ the deliveries the consumers are owed.
+    sent_per_owed: f64,
+    durable_skipped: u64,
+    /// Broker time in the handlers that page the backlog out (re-attach
+    /// and acknowledgements), per record they sent.
+    catch_up_us_per_record: f64,
+    catch_up_calls: u64,
+    /// `log_bytes_read` ÷ the bytes of the records decoded.
+    read_amplification: f64,
+}
+
+/// One broker on a real log, [`SELECTIVE`] durable consumers with
+/// `region = k`, a backlog of `events` logged while they are detached,
+/// then each re-attaches and drains its stream, acknowledging every
+/// eighth delivery as a subscriber does.
+fn selective_consumers(events: u64) -> SelectiveResult {
+    let dir = scratch_dir("selective");
+    let mut registry = TypeRegistry::new();
+    let class = registry
+        .register(
+            "Feed0",
+            None,
+            vec![
+                AttributeDecl::new("region", ValueKind::Int),
+                AttributeDecl::new("level", ValueKind::Int),
+            ],
+        )
+        .expect("register bench class");
+    assert_eq!(class, CLASS);
+    let registry = Arc::new(registry);
+    let cfg = OverlayConfig {
+        levels: vec![1],
+        durability_enabled: true,
+        ..OverlayConfig::default()
+    };
+    let mut broker = topology::build_brokers(&cfg, &registry, None)
+        .expect("one-broker topology")
+        .remove(0)
+        .broker;
+    broker.enable_durability(
+        Box::new(FileStorage::open(dir.clone()).expect("open log storage")),
+        LogConfig::default(),
+    );
+
+    let publisher = ActorId(usize::MAX);
+    let mut out = Outbox::default();
+    let mut frames = 0u64;
+    let mut feed = |broker: &mut layercake_overlay::Broker,
+                    out: &mut Outbox,
+                    from: ActorId,
+                    msg: OverlayMsg| {
+        frames += 1;
+        broker.on_message(from, msg, out);
+    };
+    let adv = Advertisement::new(CLASS, StageMap::from_prefixes(&[1]).expect("stage map"));
+    feed(&mut broker, &mut out, publisher, OverlayMsg::Advertise(adv));
+    let consumers: Vec<ActorId> = (0..SELECTIVE).map(|k| ActorId(100 + k as usize)).collect();
+    for (k, &subscriber) in consumers.iter().enumerate() {
+        let filter = Filter::for_class(CLASS).eq("region", k as i64);
+        let (id, filter) = topology::standardize_branches(&registry, vec![filter], k as u64)
+            .expect("bench filter standardises")
+            .remove(0);
+        let req = SubscriptionReq {
+            id,
+            filter,
+            subscriber,
+            durable: true,
+        };
+        feed(
+            &mut broker,
+            &mut out,
+            subscriber,
+            OverlayMsg::Subscribe(req),
+        );
+        feed(
+            &mut broker,
+            &mut out,
+            subscriber,
+            OverlayMsg::Detach { subscriber },
+        );
+    }
+    for seq in 0..events {
+        let mut meta = EventData::new();
+        meta.insert("region", (seq % SELECTIVE) as i64);
+        meta.insert("level", (seq % 100) as i64);
+        let env = Envelope::from_meta(CLASS, "Feed0", EventSeq(seq), meta);
+        feed(&mut broker, &mut out, publisher, OverlayMsg::Publish(env));
+    }
+    out.sent.clear();
+
+    let before = broker.durability().expect("durable broker").clone();
+    let mut paging = Duration::ZERO;
+    let mut delivered = 0u64;
+    for &subscriber in &consumers {
+        // What the subscriber has to say, in order: the re-attach, then
+        // an ack per eighth delivery; its timer flushes a short last batch.
+        let mut inbox = VecDeque::from([OverlayMsg::Attach { subscriber }]);
+        let (mut unacked, mut cursor) = (0, 0);
+        loop {
+            let msg = match inbox.pop_front() {
+                Some(msg) => msg,
+                None if unacked > 0 => {
+                    unacked = 0;
+                    OverlayMsg::AckUpto {
+                        class: CLASS,
+                        upto: cursor,
+                    }
+                }
+                None => break,
+            };
+            let start = Instant::now();
+            feed(&mut broker, &mut out, subscriber, msg);
+            paging += start.elapsed();
+            for (to, msg) in out.sent.drain(..) {
+                assert_eq!(
+                    to, subscriber,
+                    "only the draining consumer is sent anything"
+                );
+                let OverlayMsg::Durable { off, env, .. } = msg else {
+                    continue;
+                };
+                assert_eq!(env.seq().0 % SELECTIVE, (subscriber.0 - 100) as u64);
+                delivered += 1;
+                unacked += 1;
+                cursor = off;
+                if unacked == 8 {
+                    unacked = 0;
+                    inbox.push_back(OverlayMsg::AckUpto {
+                        class: CLASS,
+                        upto: off,
+                    });
+                }
+            }
+        }
+    }
+    frames += delivered + SELECTIVE; // the deliveries and the stream-open frames
+    assert_eq!(delivered, events, "every consumer drained what it is owed");
+
+    let after = broker.durability().expect("durable broker");
+    let mean_record = after.bytes_fsynced as f64 / after.records_appended as f64;
+    let decoded = after.records_decoded - before.records_decoded;
+    let result = SelectiveResult {
+        frames_per_event: frames as f64 / events as f64,
+        sent_per_owed: after.durable_sent as f64 / events as f64,
+        durable_skipped: after.durable_skipped,
+        catch_up_us_per_record: paging.as_secs_f64() * 1e6 / events as f64,
+        catch_up_calls: after.catch_up_calls - before.catch_up_calls,
+        read_amplification: (after.log_bytes_read - before.log_bytes_read) as f64
+            / (decoded as f64 * mean_record),
+    };
+    let _ = std::fs::remove_dir_all(&dir);
+    result
+}
+
 /// Returns once no frame is queued or being handled, five polls in a
 /// row: a durable stream with backlog keeps a delivery or an
 /// acknowledgement in flight until its last record is out.
@@ -324,6 +515,9 @@ fn main() {
     eprintln!("E18: recovery + replay over {events} records …");
     let rec = recovery_and_replay(events);
 
+    eprintln!("E18: {SELECTIVE} selective consumers over {events} records …");
+    let sel = selective_consumers(events);
+
     let rt_events = events.min(2048);
     eprintln!("E18: runtime crash/restart, {rt_events} events …");
     let cr = rt_crash_restart(rt_events);
@@ -368,6 +562,17 @@ fn main() {
         rec.paged.read_amplification
     );
     println!(
+        "selective: {SELECTIVE} consumers x 1/{SELECTIVE} of the stream: {:.3} frames per event, \
+         durable_sent / owed = {:.3} ({} passed over), catch-up {:.2} us per record sent \
+         in {} reads, bytes read / bytes decoded = {:.2}",
+        sel.frames_per_event,
+        sel.sent_per_owed,
+        sel.durable_skipped,
+        sel.catch_up_us_per_record,
+        sel.catch_up_calls,
+        sel.read_amplification
+    );
+    println!(
         "runtime crash/restart: {} delivered, crash, restart replayed {} — \
          {} of {} recovered, zero loss; its catch-up: {} calls, {} records decoded, \
          bytes read / bytes returned = {:.2}.\n",
@@ -406,6 +611,9 @@ fn main() {
          \"replay\": {{\"replay_ms\": {:.3}, \"records_per_sec\": {:.1}}},\n  \
          \"paged_catch_up\": {{\"window\": {PAGE}, \"calls\": {}, \"records_per_sec\": {:.1}, \
          \"records_decoded\": {}, \"read_amplification\": {:.3}}},\n  \
+         \"selective_consumers\": {{\"consumers\": {SELECTIVE}, \"frames_per_event\": {:.3}, \
+         \"sent_per_owed\": {:.3}, \"durable_skipped\": {}, \"catch_up_us_per_record\": {:.3}, \
+         \"catch_up_calls\": {}, \"read_amplification\": {:.3}}},\n  \
          \"rt_crash_restart\": {{\"events\": {rt_events}, \"first_delivered\": {}, \
          \"records_replayed\": {}, \"recovered\": {}, \"zero_loss\": true, \
          \"catch_up_calls\": {}, \"records_decoded\": {}, \"read_amplification\": {:.3}}}\n}}\n",
@@ -418,6 +626,12 @@ fn main() {
         rec.paged.records_per_sec,
         rec.paged.records_decoded,
         rec.paged.read_amplification,
+        sel.frames_per_event,
+        sel.sent_per_owed,
+        sel.durable_skipped,
+        sel.catch_up_us_per_record,
+        sel.catch_up_calls,
+        sel.read_amplification,
         cr.first_delivered,
         cr.replayed,
         cr.recovered_total,
@@ -464,5 +678,16 @@ fn main() {
             "{what} read {amplification:.2}x the bytes it returned: whole-segment reads are back"
         );
     }
+    assert!(
+        sel.sent_per_owed <= 1.05,
+        "selective consumers were sent {:.3} frames per delivery owed: \
+         streams are carrying records their consumers' filters reject",
+        sel.sent_per_owed
+    );
+    assert!(
+        (1.0..=2.0).contains(&sel.read_amplification),
+        "a filtered catch-up read {:.2}x the bytes it decoded",
+        sel.read_amplification
+    );
     println!("shape checks passed.");
 }

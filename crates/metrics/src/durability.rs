@@ -31,6 +31,13 @@ pub struct DurabilityStats {
     /// Records decoded by catch-up. Equals the records returned when the
     /// log reads by position; a whole-segment scan decodes many more.
     pub records_decoded: u64,
+    /// `Durable` frames brokers handed to their transport: first
+    /// deliveries and replays alike.
+    pub durable_sent: u64,
+    /// Records a durable stream passed over because the consumer's
+    /// filters did not match them: logged for another consumer of the
+    /// class, never owed to this one.
+    pub durable_skipped: u64,
 }
 
 impl DurabilityStats {
@@ -53,6 +60,8 @@ impl DurabilityStats {
         self.catch_up_calls += other.catch_up_calls;
         self.log_bytes_read += other.log_bytes_read;
         self.records_decoded += other.records_decoded;
+        self.durable_sent += other.durable_sent;
+        self.durable_skipped += other.durable_skipped;
     }
 
     /// Renders the counters as aligned `key = value` lines for experiment
@@ -69,7 +78,9 @@ impl DurabilityStats {
              torn_truncations   = {}\n\
              catch_up_calls     = {}\n\
              log_bytes_read     = {}\n\
-             records_decoded    = {}\n",
+             records_decoded    = {}\n\
+             durable_sent       = {}\n\
+             durable_skipped    = {}\n",
             self.records_appended,
             self.bytes_fsynced,
             self.fsync_batches,
@@ -79,7 +90,9 @@ impl DurabilityStats {
             self.torn_truncations,
             self.catch_up_calls,
             self.log_bytes_read,
-            self.records_decoded
+            self.records_decoded,
+            self.durable_sent,
+            self.durable_skipped
         )
     }
 }
@@ -111,6 +124,8 @@ mod tests {
             catch_up_calls: 2,
             log_bytes_read: 100,
             records_decoded: 5,
+            durable_sent: 6,
+            durable_skipped: 1,
         };
         let b = DurabilityStats {
             records_appended: 4,
@@ -123,6 +138,8 @@ mod tests {
             catch_up_calls: 1,
             log_bytes_read: 20,
             records_decoded: 4,
+            durable_sent: 3,
+            durable_skipped: 7,
         };
         a.absorb(&b);
         assert_eq!(a.records_appended, 5);
@@ -135,6 +152,8 @@ mod tests {
         assert_eq!(a.catch_up_calls, 3);
         assert_eq!(a.log_bytes_read, 120);
         assert_eq!(a.records_decoded, 9);
+        assert_eq!(a.durable_sent, 9);
+        assert_eq!(a.durable_skipped, 8);
     }
 
     #[test]
@@ -150,12 +169,16 @@ mod tests {
             catch_up_calls: 4,
             log_bytes_read: 640,
             records_decoded: 9,
+            durable_sent: 11,
+            durable_skipped: 30,
         };
         let text = stats.render();
         assert!(text.contains("records_appended   = 7"));
         assert!(text.contains("bytes_fsynced      = 512"));
         assert!(text.contains("torn_truncations   = 1"));
         assert!(text.contains("log_bytes_read     = 640"));
+        assert!(text.contains("durable_sent       = 11"));
+        assert!(text.contains("durable_skipped    = 30"));
     }
 
     #[test]

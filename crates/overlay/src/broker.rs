@@ -1,6 +1,6 @@
 //! The broker protocol machine: one intermediate node of the hierarchy.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use layercake_event::{Advertisement, ClassId, Envelope, StageMap, TraceContext, TypeRegistry};
@@ -30,12 +30,88 @@ const TAG_RENEW: u64 = 2;
 const TAG_FLOW: u64 = 4;
 
 /// Bound on unacknowledged durable deliveries in flight per
-/// `(consumer, class)` stream: the broker never sends more than this
-/// far past the consumer's acknowledged offset. The log is the
-/// overflow buffer — a slow consumer's backlog stays on disk and is
-/// paged out by its own acknowledgements, so its inbox growth is
-/// bounded instead of tracking the publisher's rate.
-const DURABLE_WINDOW: u64 = 64;
+/// `(consumer, class)` stream, counted in deliveries: a selective
+/// consumer's window spans as much of the log as it takes to find that
+/// many matches. The log is the overflow buffer — a slow consumer's
+/// backlog stays on disk and is paged out by its own acknowledgements,
+/// so its inbox growth is bounded instead of tracking the publisher's
+/// rate.
+const DURABLE_WINDOW: usize = 64;
+
+/// Most records one catch-up read reaches for, whatever the density.
+const DURABLE_PAGE_MAX: u64 = 4 * DURABLE_WINDOW as u64;
+
+/// Broker-side state of one durable stream: the subsequence of a
+/// class's log that one consumer's table entries match. Volatile — a
+/// restart rebuilds it from the persisted acks, and the streams restart
+/// from there via `DurableBase`.
+#[derive(Debug)]
+struct DurableStream {
+    /// Every record at or below this offset has been decided for this
+    /// stream: sent, or passed over as unmatched. The stream is *caught
+    /// up* while this is the log tail; otherwise the records above it
+    /// wait in the log for `durable_catch_up`.
+    scanned: u64,
+    /// Offset of the last record sent (the stream's base before the
+    /// first): the `prev` of the next delivery.
+    last_sent: u64,
+    /// Offsets sent and not yet acknowledged, ascending.
+    in_flight: VecDeque<u64>,
+    /// The log tail when the stream was last (re)opened. Catch-up sends
+    /// at or below this mark are re-read history and count as replays;
+    /// sends above it are first-time deliveries the window merely
+    /// deferred (see [`DurableLog::note_replayed`]).
+    replay_hwm: u64,
+    /// The acknowledged offset as of the previous lease sweep; an ack
+    /// sitting still below the log tail for a whole sweep means
+    /// deliveries (or acks) were lost and the stream is restarted.
+    sweep_acked: Option<u64>,
+    /// The consumer is registered in a recovered log and has not
+    /// re-subscribed since, so the table has no filter of its to ask: it
+    /// is sent the class's whole stream and filters at stage 0, which is
+    /// always safe.
+    unfiltered: bool,
+}
+
+impl DurableStream {
+    /// A stream (re)opening at the consumer's acknowledged offset.
+    fn open(acked: u64, tail: u64, unfiltered: bool) -> Self {
+        Self {
+            scanned: acked,
+            last_sent: acked,
+            in_flight: VecDeque::new(),
+            replay_hwm: tail,
+            sweep_acked: None,
+            unfiltered,
+        }
+    }
+
+    /// Sends `off` as the stream's next delivery, chained to the last.
+    fn send(&mut self, to: DestId, off: u64, mut env: Envelope, ctx: &mut dyn NodeCtx) {
+        env.touch_trace(ctx.trace_now());
+        ctx.send(
+            actor_of(to),
+            OverlayMsg::Durable {
+                prev: self.last_sent,
+                off,
+                env,
+            },
+        );
+        self.scanned = off;
+        self.last_sent = off;
+        self.in_flight.push_back(off);
+    }
+
+    /// With nothing in flight, every record up to `scanned` was either
+    /// acknowledged or never owed: move the persisted ack over the
+    /// skipped ones, so an idle, fully served consumer neither pins
+    /// segments nor looks stalled to the sweep.
+    fn settle_ack(&self, wal: &mut DurableLog, dest: DestId, class: ClassId) {
+        if self.in_flight.is_empty() {
+            wal.ack(dest, class, self.scanned);
+        }
+    }
+}
 
 pub(crate) fn dest_of(actor: ActorId) -> DestId {
     DestId(actor.0 as u64)
@@ -231,19 +307,10 @@ pub struct Broker {
     /// for this broker. Unlike every other field, the log's *storage*
     /// survives `on_restart` — that is the whole point.
     wal: Option<DurableLog>,
-    /// Highest durable offset sent contiguously per `(consumer, class)`
-    /// stream. Volatile: a restart resets it to the persisted acks, and
-    /// the streams restart from there via `DurableBase`.
-    durable_sent: HashMap<(u64, u32), u64>,
-    /// Each stream's acknowledged offset as of the previous lease sweep;
-    /// an ack sitting still below the log tail for a whole sweep means
-    /// deliveries (or acks) were lost and the stream is restarted.
-    durable_sweep_acked: HashMap<(u64, u32), u64>,
-    /// The log tail at the moment each stream was last (re)opened.
-    /// Catch-up records at or below this mark are re-read history and
-    /// count as replays; records above it are first-time deliveries the
-    /// window merely deferred (see [`DurableLog::note_replayed`]).
-    durable_replay_hwm: HashMap<(u64, u32), u64>,
+    /// One stream per durable consumer registration in the log, keyed
+    /// `(class, dest)` like the log's offset table so a class's streams
+    /// are one range.
+    durable: BTreeMap<(u32, u64), DurableStream>,
 }
 
 /// Construction parameters for a [`Broker`] (set by the overlay builder).
@@ -318,9 +385,7 @@ impl Broker {
             service_time: None,
             trace: setup.trace,
             wal: None,
-            durable_sent: HashMap::new(),
-            durable_sweep_acked: HashMap::new(),
-            durable_replay_hwm: HashMap::new(),
+            durable: BTreeMap::new(),
         }
     }
 
@@ -330,6 +395,36 @@ impl Broker {
     /// deterministic in-memory model, or real files under the runtime.
     pub fn enable_durability(&mut self, storage: Box<dyn LogStorage>, cfg: LogConfig) {
         self.wal = Some(DurableLog::open(storage, cfg));
+        self.recover_durable_streams();
+    }
+
+    /// Resets the stream table to what a (re)opened log knows: one stream
+    /// per recovered consumer registration, at its persisted ack. The
+    /// table holds none of their filters yet, so they are `unfiltered`
+    /// until each re-subscribes.
+    fn recover_durable_streams(&mut self) {
+        self.durable.clear();
+        let Some(wal) = self.wal.as_ref() else {
+            return;
+        };
+        for dest in wal.consumer_dests() {
+            for class in wal.consumer_classes(dest) {
+                self.durable.insert(
+                    (class.0, dest.0),
+                    DurableStream::open(wal.acked_upto(dest, class), wal.tail_off(class), true),
+                );
+            }
+        }
+    }
+
+    /// Ends a consumer's durable contract (explicit unsubscription or
+    /// lease expiry): its offsets go, which is what lets the log compact
+    /// segments nobody else still needs, and its streams with them.
+    fn drop_durable_consumer(&mut self, dest: DestId) {
+        if let Some(wal) = self.wal.as_mut() {
+            wal.drop_consumer(dest);
+        }
+        self.durable.retain(|&(_, d), _| d != dest.0);
     }
 
     /// The durable log's activity counters, when durability is enabled.
@@ -609,15 +704,7 @@ impl Broker {
                 if !self.table.has_dest(dest) {
                     self.leases.remove(&dest);
                     self.parked.remove(&dest);
-                    // An explicit unsubscription also ends the durable
-                    // contract: drop the consumer's offsets so its
-                    // segments become compactable.
-                    if let Some(wal) = self.wal.as_mut() {
-                        wal.drop_consumer(dest);
-                    }
-                    self.durable_sent.retain(|&(d, _), _| d != dest.0);
-                    self.durable_sweep_acked.retain(|&(d, _), _| d != dest.0);
-                    self.durable_replay_hwm.retain(|&(d, _), _| d != dest.0);
+                    self.drop_durable_consumer(dest);
                 }
             }
             OverlayMsg::ReqRemove { filter, child } => {
@@ -719,10 +806,8 @@ impl Broker {
         if let Some(wal) = self.wal.as_mut() {
             wal.crash_restart();
         }
-        self.durable_sent.clear();
-        self.durable_sweep_acked.clear();
-        self.durable_replay_hwm.clear();
         self.table = BrokerTable::new(self.index, matches!(self.table, BrokerTable::Agg(_)));
+        self.recover_durable_streams();
         self.up_refs.clear();
         self.stage_maps.clear();
         self.leases.clear();
@@ -938,15 +1023,7 @@ impl Broker {
                 for dest in expired {
                     self.leases.remove(&dest);
                     self.parked.remove(&dest);
-                    // Lease expiry ends the durable contract too: the
-                    // consumer's offsets go, which is what lets the log
-                    // compact segments nobody else still needs.
-                    if let Some(wal) = self.wal.as_mut() {
-                        wal.drop_consumer(dest);
-                    }
-                    self.durable_sent.retain(|&(d, _), _| d != dest.0);
-                    self.durable_sweep_acked.retain(|&(d, _), _| d != dest.0);
-                    self.durable_replay_hwm.retain(|&(d, _), _| d != dest.0);
+                    self.drop_durable_consumer(dest);
                     // Remove filter by filter so that weakened forms the
                     // node no longer needs are withdrawn from the parent
                     // (the per-filter granularity of the paper's renewals).
@@ -1224,21 +1301,8 @@ impl Broker {
         // the volatile path.
         if req.durable {
             if let (Some(wal), Some(class)) = (self.wal.as_mut(), req.filter.class()) {
-                let acked = wal.register_consumer(dest, class);
-                let tail = wal.tail_off(class);
-                // Open the stream: the base seeds the subscriber's
-                // contiguity cursor, then the first window of the
-                // unacknowledged suffix goes out (acks pull the rest).
-                // Everything logged before this moment is history; if the
-                // registration resumes below the tail, the catch-up
-                // records up to it are replays.
-                ctx.send(
-                    req.subscriber,
-                    OverlayMsg::DurableBase { class, base: acked },
-                );
-                self.durable_sent.insert((dest.0, class.0), acked);
-                self.durable_replay_hwm.insert((dest.0, class.0), tail);
-                self.durable_catch_up(dest, class, ctx);
+                wal.register_consumer(dest, class);
+                self.open_durable_stream(dest, class, true, ctx);
             }
         }
     }
@@ -1291,47 +1355,59 @@ impl Broker {
                 );
             }
         }
-        // Durable path: if any durable consumer is registered for this
-        // class, append the event to the log ONCE, then hand the stamped
-        // offset to every attached durable consumer of the class that is
-        // both caught up (the stream stays contiguous — a deliberate skip
-        // must not look like loss) and inside its in-flight window (the
-        // log is the buffer for slow consumers; their acks page the
-        // backlog out via `durable_catch_up`). Durable deliveries bypass
-        // the flow-control egress queues and the retransmission ring —
-        // loss is repaired by offset replay instead of NACKs. Detached
-        // durable consumers get nothing now (and nothing parked): the log
-        // holds their history until they acknowledge it. Note the
-        // granularity: durable consumers receive the class's whole
-        // appended stream and finish with their own perfect filtering,
+        // Durable path. The log holds what this broker owes someone: the
+        // event is appended, ONCE, only when a durable consumer of its
+        // class is among `dests` (a parked one keeps its table entries,
+        // so it counts) or is `unfiltered`; an event no durable consumer
+        // wants is not logged at all. Each stream that is caught up then
+        // decides the stamped offset: sent to the consumer if it is
+        // owed, attached and inside its in-flight window, passed over if
+        // its filters reject it. A stream that cannot take an owed
+        // record now falls behind, and `durable_catch_up` pages it out
+        // of the log when acks (or a re-attach) make room — it scans
+        // from `scanned`, so a stream already behind is left alone here.
+        // Durable deliveries bypass the flow-control egress queues and
+        // the retransmission ring — loss is repaired by offset replay
+        // instead of NACKs. Matching here is as weak as this stage's
+        // table; the consumer finishes with its own perfect filtering,
         // exactly like any stage-0 subscriber.
         let class = env.class();
-        if let Some(wal) = self
-            .wal
-            .as_mut()
-            .filter(|w| w.consumers_of_class(class).next().is_some())
-        {
-            let append_timer = ctx.stage_sampled().then(std::time::Instant::now);
-            let off = wal.append(env);
-            if let Some(t0) = append_timer {
-                ctx.record_stage(
-                    PipelineStage::WalAppend,
-                    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                );
-            }
-            for (dest, acked) in wal.consumers_of_class(class) {
-                if self.parked.contains_key(&dest) {
-                    continue;
+        if let Some(wal) = self.wal.as_mut() {
+            let streams = (class.0, 0)..=(class.0, u64::MAX);
+            let owed = |dest: u64, stream: &DurableStream| {
+                stream.unfiltered || dests.contains(&DestId(dest))
+            };
+            if self
+                .durable
+                .range(streams.clone())
+                .any(|(&(_, dest), stream)| owed(dest, stream))
+            {
+                let append_timer = ctx.stage_sampled().then(std::time::Instant::now);
+                let off = wal.append(env);
+                if let Some(t0) = append_timer {
+                    ctx.record_stage(
+                        PipelineStage::WalAppend,
+                        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                    );
                 }
-                let sent = self.durable_sent.entry((dest.0, class.0)).or_insert(acked);
-                *sent = (*sent).max(acked);
-                if off != *sent + 1 || off - acked > DURABLE_WINDOW {
-                    continue;
+                let (mut sent, mut skipped) = (0, 0);
+                for (&(_, dest), stream) in self.durable.range_mut(streams) {
+                    if stream.scanned + 1 != off {
+                        continue;
+                    }
+                    let to = DestId(dest);
+                    if !owed(dest, stream) {
+                        stream.scanned = off;
+                        skipped += 1;
+                        stream.settle_ack(wal, to, class);
+                    } else if stream.in_flight.len() < DURABLE_WINDOW
+                        && !self.parked.contains_key(&to)
+                    {
+                        stream.send(to, off, env.clone(), ctx);
+                        sent += 1;
+                    }
                 }
-                *sent = off;
-                let mut fwd = env.clone();
-                fwd.touch_trace(ctx.trace_now());
-                ctx.send(actor_of(dest), OverlayMsg::Durable { off, env: fwd });
+                wal.note_streamed(sent, skipped);
             }
         }
         for dest in &dests {
@@ -1379,10 +1455,7 @@ impl Broker {
     }
 
     /// Restarts every durable stream a consumer holds offsets for (used
-    /// on re-attach, and on a subscriber-requested gap repair): each
-    /// class's stream re-opens with a `DurableBase` at the acknowledged
-    /// offset and the first in-flight window of its unacknowledged
-    /// suffix; acknowledgements page out the rest.
+    /// on re-attach, and on a subscriber-requested gap repair).
     fn replay_to(&mut self, subscriber: ActorId, ctx: &mut dyn NodeCtx) {
         let dest = dest_of(subscriber);
         let classes = match self.wal.as_ref() {
@@ -1390,21 +1463,53 @@ impl Broker {
             None => return,
         };
         for class in classes {
-            let wal = self.wal.as_ref().expect("durability enabled");
-            let acked = wal.acked_upto(dest, class);
-            let tail = wal.tail_off(class);
-            ctx.send(subscriber, OverlayMsg::DurableBase { class, base: acked });
-            self.durable_sent.insert((dest.0, class.0), acked);
-            // Everything re-sent from here up to the current tail was
-            // (or could have been) sent before: it is replay, not
-            // deferred first delivery.
-            self.durable_replay_hwm.insert((dest.0, class.0), tail);
-            self.durable_catch_up(dest, class, ctx);
+            self.open_durable_stream(dest, class, false, ctx);
         }
     }
 
+    /// (Re)opens one durable stream at the consumer's acknowledged
+    /// offset: the `DurableBase` seeds the subscriber's cursor, then the
+    /// first in-flight window of what the consumer is owed past it goes
+    /// out (acks pull the rest). Everything logged before this moment is
+    /// history: the catch-up sends up to the current tail were (or could
+    /// have been) sent before and count as replays, not as deferred
+    /// first deliveries. `subscribed` says the consumer's filter has
+    /// just gone into the table; otherwise the stream stays as filtered
+    /// as it was.
+    fn open_durable_stream(
+        &mut self,
+        dest: DestId,
+        class: ClassId,
+        subscribed: bool,
+        ctx: &mut dyn NodeCtx,
+    ) {
+        let Some(wal) = self.wal.as_ref() else {
+            return;
+        };
+        let acked = wal.acked_upto(dest, class);
+        ctx.send(
+            actor_of(dest),
+            OverlayMsg::DurableBase { class, base: acked },
+        );
+        let key = (class.0, dest.0);
+        let old = self.durable.get(&key);
+        let mut stream = DurableStream::open(
+            acked,
+            wal.tail_off(class),
+            !subscribed && old.is_none_or(|old| old.unfiltered),
+        );
+        // The sweep's memory outlives the restart, or a stream it keeps
+        // restarting would never look stalled twice in a row.
+        stream.sweep_acked = old.and_then(|old| old.sweep_acked);
+        self.durable.insert(key, stream);
+        self.durable_catch_up(dest, class, ctx);
+    }
+
     /// Sends the next stretch of one durable stream out of the log: from
-    /// the highest offset already in flight, up to the window bound.
+    /// the last record decided, window after window, the records the
+    /// table matches for this consumer — until the in-flight window is
+    /// full or the tail is reached, so a stretch that matched nothing
+    /// never leaves the stream waiting for an ack that is not coming.
     /// Called when a stream (re)starts and whenever an acknowledgement
     /// frees window room, so a consumer drains its backlog at its own
     /// acknowledged pace with the log as the buffer.
@@ -1412,37 +1517,57 @@ impl Broker {
         if self.parked.contains_key(&dest) {
             return;
         }
-        let key = (dest.0, class.0);
-        let Some(wal) = self.wal.as_mut() else {
+        let (Some(wal), Some(stream)) =
+            (self.wal.as_mut(), self.durable.get_mut(&(class.0, dest.0)))
+        else {
             return;
         };
-        if !wal.is_class_consumer(dest, class) {
-            return;
-        }
         let acked = wal.acked_upto(dest, class);
-        let sent = self
-            .durable_sent
-            .get(&key)
-            .copied()
-            .unwrap_or(acked)
-            .max(acked);
-        let room = DURABLE_WINDOW.saturating_sub(sent - acked);
-        if room == 0 || sent >= wal.tail_off(class) {
-            return;
+        while stream.in_flight.front().is_some_and(|&off| off <= acked) {
+            stream.in_flight.pop_front();
         }
-        let events = wal.replay_window(class, sent, room as usize);
-        // Only records the stream had already passed when it was last
-        // (re)opened count as replays; the rest is backlog the window
-        // deferred, now going out for the first time.
-        let hwm = self.durable_replay_hwm.get(&key).copied().unwrap_or(0);
-        let replayed = events.iter().filter(|(off, _)| *off <= hwm).count() as u64;
+        let tail = wal.tail_off(class);
+        let mut matched = std::mem::take(&mut self.scratch);
+        let (mut sent, mut skipped, mut replayed) = (0u64, 0u64, 0u64);
+        while stream.scanned < tail && stream.in_flight.len() < DURABLE_WINDOW {
+            // Read as many records as should fill the window at the
+            // density this call has seen so far: a consumer matching one
+            // record in four reads four windows' worth in one go, not in
+            // ever smaller ones. Reading is all that is speculative —
+            // decoding stops at the delivery that fills the window.
+            let room = (DURABLE_WINDOW - stream.in_flight.len()) as u64;
+            let page = (room * (sent + skipped).max(1) / sent.max(1)).min(DURABLE_PAGE_MAX);
+            let at_tail = wal.replay_scan(class, stream.scanned, page as usize, |off, env| {
+                let owed = stream.unfiltered || {
+                    matched.clear();
+                    self.table
+                        .matches(class, env.meta(), &self.registry, &mut matched);
+                    matched.contains(&dest)
+                };
+                if !owed {
+                    stream.scanned = off;
+                    skipped += 1;
+                    return true;
+                }
+                // Only records the stream had already passed when it was
+                // last (re)opened count as replays; the rest is backlog
+                // the window deferred, now going out for the first time.
+                replayed += u64::from(off <= stream.replay_hwm);
+                stream.send(dest, off, env, ctx);
+                sent += 1;
+                stream.in_flight.len() < DURABLE_WINDOW
+            });
+            if at_tail {
+                // Records damaged since open are left out of a scan, and
+                // passed over with the rest.
+                stream.scanned = tail;
+            }
+        }
+        matched.clear();
+        self.scratch = matched;
+        wal.note_streamed(sent, skipped);
         wal.note_replayed(replayed);
-        for (off, env) in events {
-            self.durable_sent.insert(key, off);
-            let mut fwd = env;
-            fwd.touch_trace(ctx.trace_now());
-            ctx.send(actor_of(dest), OverlayMsg::Durable { off, env: fwd });
-        }
+        stream.settle_ack(wal, dest, class);
     }
 
     /// Lease-cadence anti-entropy for durable streams: an attached
@@ -1452,38 +1577,26 @@ impl Broker {
     /// dropped, which no later arrival can expose as a gap). Restart the
     /// stream from the acknowledged offset; the subscriber's cursor and
     /// `(class, seq)` dedup absorb anything re-sent by a false positive.
+    /// An idle stream is not one: with nothing in flight its ack already
+    /// sits at the tail.
     fn durable_anti_entropy(&mut self, ctx: &mut dyn NodeCtx) {
         let Some(wal) = self.wal.as_ref() else {
             return;
         };
-        let mut snapshot: HashMap<(u64, u32), u64> = HashMap::new();
-        let mut stalled: Vec<(DestId, ClassId, u64)> = Vec::new();
-        for dest in wal.consumer_dests() {
-            for class in wal.consumer_classes(dest) {
-                let acked = wal.acked_upto(dest, class);
-                snapshot.insert((dest.0, class.0), acked);
-                if self.parked.contains_key(&dest) {
-                    continue;
-                }
-                if acked < wal.tail_off(class)
-                    && self.durable_sweep_acked.get(&(dest.0, class.0)) == Some(&acked)
-                {
-                    stalled.push((dest, class, acked));
-                }
+        let mut stalled: Vec<(DestId, ClassId)> = Vec::new();
+        for (&(class, dest), stream) in &mut self.durable {
+            let (dest, class) = (DestId(dest), ClassId(class));
+            let acked = wal.acked_upto(dest, class);
+            if acked < wal.tail_off(class)
+                && stream.sweep_acked == Some(acked)
+                && !self.parked.contains_key(&dest)
+            {
+                stalled.push((dest, class));
             }
+            stream.sweep_acked = Some(acked);
         }
-        self.durable_sweep_acked = snapshot;
-        for (dest, class, acked) in stalled {
-            let tail = self.wal.as_ref().map_or(0, |wal| wal.tail_off(class));
-            ctx.send(
-                actor_of(dest),
-                OverlayMsg::DurableBase { class, base: acked },
-            );
-            self.durable_sent.insert((dest.0, class.0), acked);
-            // A restarted stream re-covers everything up to the tail it
-            // stalled under; those re-sends are replays.
-            self.durable_replay_hwm.insert((dest.0, class.0), tail);
-            self.durable_catch_up(dest, class, ctx);
+        for (dest, class) in stalled {
+            self.open_durable_stream(dest, class, false, ctx);
         }
     }
 

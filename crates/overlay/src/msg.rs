@@ -160,7 +160,16 @@ pub enum OverlayMsg {
     /// deliveries bypass the flow-control egress queues and the
     /// retransmission ring: the log itself is the buffer, and loss is
     /// repaired by offset replay rather than NACKs.
+    ///
+    /// A stream carries only the records the consumer's filters match,
+    /// so its offsets are not dense. `prev` chains each delivery to the
+    /// one before it: a subscriber whose cursor is below `prev` lost a
+    /// delivery, one whose cursor is in `prev..off` lost nothing — the
+    /// offsets in between were never owed to it.
     Durable {
+        /// Offset of the previous record sent on this stream, or the
+        /// stream's [`OverlayMsg::DurableBase`] for the first one.
+        prev: u64,
         /// The event's per-class durable log offset (1-based, monotone).
         off: u64,
         /// The event itself.
@@ -169,18 +178,19 @@ pub enum OverlayMsg {
     /// A durable subscriber acknowledges everything of `class` up to and
     /// including log offset `upto`; the hosting broker persists the
     /// offset and may compact segments all consumers have passed.
-    /// Subscribers only ever acknowledge their highest *contiguous*
-    /// received offset — a gap in the durable stream is repaired by
-    /// replay, never acked over, so compaction can't outrun delivery.
+    /// Subscribers only ever acknowledge the last offset received *in
+    /// chain* (see [`OverlayMsg::Durable`]) — a hole in the durable
+    /// stream is repaired by replay, never acked over, so compaction
+    /// can't outrun delivery.
     AckUpto {
         /// The event class being acknowledged.
         class: ClassId,
-        /// Highest contiguous durable offset received for that class.
+        /// Offset of the last in-chain delivery received for that class.
         upto: u64,
     },
     /// Opens (or re-opens) the durable stream of one class toward a
-    /// subscriber: the [`OverlayMsg::Durable`] deliveries that follow
-    /// start at `base + 1` and are contiguous. Sent by the hosting broker
+    /// subscriber: the first [`OverlayMsg::Durable`] delivery that
+    /// follows names `base` as its `prev`. Sent by the hosting broker
     /// on durable registration, on re-attach, and whenever it restarts a
     /// stalled stream from the consumer's acknowledged offset. The
     /// subscriber resets its contiguity cursor to `base` — which is what
@@ -330,7 +340,8 @@ impl Serialize for OverlayMsg {
                 obj.insert_field("consumed_total", consumed_total.serialize_value());
                 "CreditGrant"
             }
-            OverlayMsg::Durable { off, env } => {
+            OverlayMsg::Durable { prev, off, env } => {
+                obj.insert_field("prev", prev.serialize_value());
                 obj.insert_field("off", off.serialize_value());
                 obj.insert_field("env", env.serialize_value());
                 "Durable"
@@ -405,6 +416,7 @@ impl Deserialize for OverlayMsg {
                 consumed_total: serde::__field(v, "consumed_total")?,
             },
             "Durable" => OverlayMsg::Durable {
+                prev: serde::__field(v, "prev")?,
                 off: serde::__field(v, "off")?,
                 env: serde::__field(v, "env")?,
             },
@@ -575,9 +587,12 @@ impl BinCodec for OverlayMsg {
                 out.push(T_CREDIT_GRANT);
                 write_varint(out, *consumed_total);
             }
-            OverlayMsg::Durable { off, env } => {
+            OverlayMsg::Durable { prev, off, env } => {
+                // `prev` travels as its distance below `off`: one byte
+                // for any stream that is not extremely sparse.
                 out.push(T_DURABLE);
                 write_varint(out, *off);
+                write_varint(out, off.wrapping_sub(*prev));
                 env.encode_bin(out, dict);
             }
             OverlayMsg::AckUpto { class, upto } => {
@@ -642,10 +657,14 @@ impl BinCodec for OverlayMsg {
             T_CREDIT_GRANT => OverlayMsg::CreditGrant {
                 consumed_total: r.varint()?,
             },
-            T_DURABLE => OverlayMsg::Durable {
-                off: r.varint()?,
-                env: Envelope::decode_bin(r, dict)?,
-            },
+            T_DURABLE => {
+                let off = r.varint()?;
+                OverlayMsg::Durable {
+                    prev: off.wrapping_sub(r.varint()?),
+                    off,
+                    env: Envelope::decode_bin(r, dict)?,
+                }
+            }
             T_ACK_UPTO => OverlayMsg::AckUpto {
                 class: ClassId::decode_bin(r, dict)?,
                 upto: r.varint()?,
@@ -717,6 +736,7 @@ mod tests {
         }
         .is_data());
         assert!(OverlayMsg::Durable {
+            prev: 0,
             off: 1,
             env: env.clone(),
         }
@@ -814,7 +834,11 @@ mod tests {
             OverlayMsg::CreditGrant {
                 consumed_total: u64::MAX,
             },
-            OverlayMsg::Durable { off: 23, env },
+            OverlayMsg::Durable {
+                prev: 19,
+                off: 23,
+                env,
+            },
             OverlayMsg::AckUpto {
                 class: ClassId(3),
                 upto: 23,

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use layercake_event::{ClassId, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::{DestId, Filter, FilterId, FilterTable, IndexKind};
 use layercake_metrics::NodeRecord;
-use layercake_sim::{ActorId, SimDuration};
+use layercake_sim::{ActorId, SimDuration, SimTime};
 use layercake_trace::{HopRecord, HopVerdict, TraceSink};
 
 use crate::ctx::NodeCtx;
@@ -17,18 +17,42 @@ use crate::reliability::LinkRx;
 
 /// Timer tag: renew the subscription lease at the hosting node.
 const TAG_RENEW: u64 = 3;
-/// Timer tag: flush batched durable acks (and re-request stalled
-/// replays). One-shot, armed while durable progress is unacknowledged.
+/// Timer tag: flush batched durable acks once the streams go quiet (and
+/// re-request stalled replays). One-shot, armed while durable progress
+/// is unacknowledged.
 const TAG_ACK_FLUSH: u64 = 4;
 /// Timer tag base: re-subscription backoff check for branch
 /// `tag - TAG_RESUB_BASE` (one tag per branch).
 const TAG_RESUB_BASE: u64 = 1_000;
 /// Cap on the re-subscription backoff exponent (`ttl × 2^attempt`).
 const MAX_BACKOFF_EXP: u32 = 5;
-/// Durable-ack batching: acknowledge after the contiguity cursor has
-/// advanced this far since the last ack (the flush timer covers the
-/// remainder), instead of one `AckUpto` per delivery.
+/// Durable-ack batching: acknowledge after this many deliveries have
+/// advanced the contiguity cursor since the last ack (the flush timer
+/// covers the remainder), instead of one `AckUpto` per delivery.
+/// Counted in deliveries, not offsets: a filtered stream's offsets are
+/// sparse, and its acks should be no more frequent for that.
 const ACK_EVERY: u64 = 8;
+
+/// Subscriber-side state of one durable stream (one class at one host).
+#[derive(Debug, Default)]
+struct DurableRx {
+    /// Offset of the last delivery received *in chain* — the only value
+    /// ever acknowledged. Seeded by the host's `DurableBase` (`None`
+    /// until one arrives); a delivery whose `prev` lies beyond it
+    /// exposes a lost predecessor and never advances it, so the broker
+    /// can never compact a record this subscriber is owed and has not
+    /// received.
+    cursor: Option<u64>,
+    /// Last offset actually acknowledged (acks are batched).
+    acked: u64,
+    /// Deliveries that advanced the cursor since the last ack.
+    unacked: u64,
+    /// A hole was detected and a replay requested at this cursor
+    /// position — one `Attach` per hole, not one per out-of-order
+    /// arrival; the flush timer re-requests if the stream stays
+    /// stalled.
+    repair: Option<u64>,
+}
 
 /// A stateful subscriber-side predicate that brokers cannot evaluate —
 /// the paper's arbitrary filter code (e.g. `BuyFilter`), applied only at
@@ -133,21 +157,14 @@ pub struct SubscriberNode {
     durable: bool,
     /// Events received over the durable replay/delivery path.
     durable_received: u64,
-    /// Highest *contiguous* durable offset received per `(host, class)`
-    /// stream — the only value ever acknowledged. Seeded by the host's
-    /// `DurableBase`; an offset that would leave a hole never advances
-    /// it, so the broker can never compact an undelivered record.
-    durable_cursor: HashMap<(ActorId, u32), u64>,
-    /// Last offset actually acknowledged per stream (acks are batched:
-    /// one every [`ACK_EVERY`] cursor advances, the flush timer sweeps
-    /// up the remainder).
-    durable_acked: HashMap<(ActorId, u32), u64>,
-    /// Streams with a detected hole, keyed to the cursor position the
-    /// replay was requested at — one `Attach` per hole, not one per
-    /// out-of-order arrival; the flush timer re-requests if the stream
-    /// stays stalled.
-    repair_requested: HashMap<(ActorId, u32), u64>,
+    /// Durable stream state per `(host, class)`.
+    durable_rx: HashMap<(ActorId, u32), DurableRx>,
     ack_timer_armed: bool,
+    /// When an event was last delivered for the first time. The ack-flush
+    /// timer waits for a `ttl` without one; re-sent history does not
+    /// count, or a host restarting a stream every sweep would hold its
+    /// own acks off forever.
+    last_delivery_at: SimTime,
     /// Replay requests sent after detecting a hole in a durable stream.
     gap_repairs: u64,
 }
@@ -251,10 +268,9 @@ impl SubscriberNode {
             trace,
             durable,
             durable_received: 0,
-            durable_cursor: HashMap::new(),
-            durable_acked: HashMap::new(),
-            repair_requested: HashMap::new(),
+            durable_rx: HashMap::new(),
             ack_timer_armed: false,
+            last_delivery_at: SimTime::ZERO,
             gap_repairs: 0,
         }
     }
@@ -278,11 +294,12 @@ impl SubscriberNode {
         self.gap_repairs
     }
 
-    /// The highest contiguous durable offset received from `host` for
-    /// `class` — what the subscriber acknowledges (test introspection).
+    /// The offset of the last durable delivery received in chain from
+    /// `host` for `class` — what the subscriber acknowledges (test
+    /// introspection).
     #[must_use]
     pub fn durable_cursor(&self, host: ActorId, class: ClassId) -> Option<u64> {
-        self.durable_cursor.get(&(host, class.0)).copied()
+        self.durable_rx.get(&(host, class.0))?.cursor
     }
 
     /// Every durable stream's contiguous cursor: `(host, class, cursor)`,
@@ -292,9 +309,9 @@ impl SubscriberNode {
     #[must_use]
     pub fn durable_cursors(&self) -> Vec<(ActorId, ClassId, u64)> {
         let mut out: Vec<(ActorId, ClassId, u64)> = self
-            .durable_cursor
+            .durable_rx
             .iter()
-            .map(|(&(host, class), &cursor)| (host, ClassId(class), cursor))
+            .filter_map(|(&(host, class), rx)| Some((host, ClassId(class), rx.cursor?)))
             .collect();
         out.sort_unstable_by_key(|&(host, class, _)| (host.0, class.0));
         out
@@ -448,67 +465,71 @@ impl SubscriberNode {
             }
             OverlayMsg::DurableBase { class, base } => {
                 // The host (re)opens the durable stream of a class: the
-                // deliveries that follow are contiguous from `base + 1`.
+                // next delivery names `base` as its predecessor.
                 // Resetting the cursor — downward too — is what keeps
                 // acks honest across a broker crash that regressed the
                 // log's offsets; re-sent events fall through `(class,
                 // seq)` dedup.
-                let key = (from, class.0);
-                self.durable_cursor.insert(key, base);
-                self.durable_acked.insert(key, base);
-                self.repair_requested.remove(&key);
+                self.durable_rx.insert(
+                    (from, class.0),
+                    DurableRx {
+                        cursor: Some(base),
+                        acked: base,
+                        ..DurableRx::default()
+                    },
+                );
             }
-            OverlayMsg::Durable { off, env } => {
+            OverlayMsg::Durable { prev, off, env } => {
                 // Durable deliveries skip flow accounting on purpose: the
                 // broker sends them outside its credit window, so counting
                 // them as consumed credit would corrupt the window. The
                 // ack — per class, cumulative — is what advances the
                 // broker's persisted offset and unpins log segments, so it
-                // must only ever name the highest *contiguous* offset:
+                // must only ever name a delivery received *in chain*:
                 // acking across a hole would let compaction delete a
-                // record this subscriber never received.
+                // record this subscriber never received. The stream is
+                // filtered at the broker, so offsets between `prev` and
+                // `off` are not holes — they were never owed.
                 self.bytes_received += env.wire_size() as u64;
                 self.durable_received += 1;
                 let class = env.class();
                 let key = (from, class.0);
-                match self.durable_cursor.get(&key).copied() {
+                // Every arm delivers: `(class, seq)` dedup keeps delivery
+                // exact whatever the stream's state.
+                self.accept(from, env, ctx);
+                let rx = self.durable_rx.entry(key).or_default();
+                match rx.cursor {
                     // The stream's `DurableBase` never arrived (lost, or
-                    // reordered behind this delivery): deliver — `(class,
-                    // seq)` dedup keeps delivery exact — but acknowledge
+                    // reordered behind this delivery): acknowledge
                     // nothing and ask the host to restart the stream.
-                    None => {
-                        self.accept(from, env, ctx);
-                        self.request_repair(key, u64::MAX, ctx);
-                    }
-                    Some(cursor) if off == cursor + 1 => {
-                        self.accept(from, env, ctx);
-                        self.durable_cursor.insert(key, off);
-                        self.repair_requested.remove(&key);
-                        self.note_durable_progress(key, ctx);
-                    }
+                    None => self.request_repair(key, u64::MAX, ctx),
                     Some(cursor) if off <= cursor => {
                         // A duplicate, or a re-send after the host
-                        // restarted a stalled stream: deliver through
-                        // dedup and re-ack the cursor immediately — the
-                        // host resending means it may have lost our ack.
-                        self.accept(from, env, ctx);
-                        self.durable_acked.insert(key, cursor);
-                        ctx.send(
-                            from,
-                            OverlayMsg::AckUpto {
-                                class,
-                                upto: cursor,
-                            },
-                        );
+                        // restarted a stalled stream: re-ack the cursor
+                        // immediately — the host resending means it may
+                        // have lost our ack.
+                        self.ack_cursor(key, ctx);
                     }
-                    Some(cursor) => {
-                        // A hole: offsets `cursor+1..off` never arrived.
-                        // Deliver this event (the replayed copy dedups)
-                        // but never ack past the hole; have the host
-                        // replay from our acknowledged offset instead.
-                        self.accept(from, env, ctx);
-                        self.request_repair(key, cursor, ctx);
+                    Some(cursor) if prev <= cursor => {
+                        // In chain. Acks are batched: one goes out per
+                        // `ACK_EVERY` deliveries, and the flush timer
+                        // sweeps up a shorter remainder, so the broker's
+                        // persisted offset (and compaction) lags by a
+                        // bounded amount only.
+                        rx.cursor = Some(off);
+                        rx.unacked += 1;
+                        rx.repair = None;
+                        if rx.unacked >= ACK_EVERY {
+                            self.ack_cursor(key, ctx);
+                        } else {
+                            self.arm_ack_timer(self.ttl, ctx);
+                        }
                     }
+                    // A hole: the delivery at `prev` (and perhaps more
+                    // before it) never arrived. Never ack past it; have
+                    // the host replay from our acknowledged offset
+                    // instead (the replayed copy of this event dedups).
+                    Some(cursor) => self.request_repair(key, cursor, ctx),
                 }
             }
             OverlayMsg::Sequenced { link_seq, env } => {
@@ -568,25 +589,24 @@ impl SubscriberNode {
         }
     }
 
-    /// Acknowledges a durable stream's cursor advance, batched: an ack
-    /// goes out once the cursor is [`ACK_EVERY`] past the last ack; any
-    /// shorter remainder is swept up by the flush timer, so the broker's
-    /// persisted offset (and compaction) lags by a bounded amount only.
-    fn note_durable_progress(&mut self, key: (ActorId, u32), ctx: &mut dyn NodeCtx) {
-        let cursor = self.durable_cursor[&key];
-        let acked = self.durable_acked.get(&key).copied().unwrap_or(0);
-        if cursor >= acked + ACK_EVERY {
-            self.durable_acked.insert(key, cursor);
-            ctx.send(
-                key.0,
-                OverlayMsg::AckUpto {
-                    class: ClassId(key.1),
-                    upto: cursor,
-                },
-            );
-        } else if cursor > acked {
-            self.arm_ack_timer(ctx);
-        }
+    /// Acknowledges a stream's cursor, whether or not it moved since the
+    /// last ack.
+    fn ack_cursor(&mut self, key: (ActorId, u32), ctx: &mut dyn NodeCtx) {
+        let Some(rx) = self.durable_rx.get_mut(&key) else {
+            return;
+        };
+        let Some(cursor) = rx.cursor else {
+            return;
+        };
+        rx.acked = cursor;
+        rx.unacked = 0;
+        ctx.send(
+            key.0,
+            OverlayMsg::AckUpto {
+                class: ClassId(key.1),
+                upto: cursor,
+            },
+        );
     }
 
     /// Asks a stream's host to restart it: `Attach` makes the host send
@@ -596,8 +616,9 @@ impl SubscriberNode {
     /// covered by the pending replay; the flush timer re-requests if the
     /// stream stays stalled (the request or its replay got lost too).
     fn request_repair(&mut self, key: (ActorId, u32), cursor: u64, ctx: &mut dyn NodeCtx) {
-        if self.repair_requested.get(&key) != Some(&cursor) {
-            self.repair_requested.insert(key, cursor);
+        let rx = self.durable_rx.entry(key).or_default();
+        if rx.repair != Some(cursor) {
+            rx.repair = Some(cursor);
             self.gap_repairs += 1;
             ctx.send(
                 key.0,
@@ -606,52 +627,56 @@ impl SubscriberNode {
                 },
             );
         }
-        self.arm_ack_timer(ctx);
+        self.arm_ack_timer(self.ttl, ctx);
     }
 
-    fn arm_ack_timer(&mut self, ctx: &mut dyn NodeCtx) {
+    fn arm_ack_timer(&mut self, delay: SimDuration, ctx: &mut dyn NodeCtx) {
         if !self.ack_timer_armed {
             self.ack_timer_armed = true;
-            ctx.set_timer(self.ttl, TAG_ACK_FLUSH);
+            ctx.set_timer(delay, TAG_ACK_FLUSH);
         }
     }
 
-    /// Flushes every pending batched ack and re-requests replays for
-    /// streams still waiting on one. Re-arms itself while repairs stay
-    /// outstanding, so a lost `Attach` (or a lost replay) cannot stall a
-    /// durable stream forever.
+    /// The ack-flush timer. Once no new delivery has arrived for a `ttl`
+    /// it flushes every pending batched ack; while deliveries flow,
+    /// [`ACK_EVERY`] paces the acks and the remainder stays batched, so
+    /// an ack trails its cursor by fewer than `ACK_EVERY` deliveries, or
+    /// by one `ttl` once the stream stops. Quiet or not, it re-requests
+    /// replays for streams still waiting on one, and it re-arms itself
+    /// until the flush is done and no repair is outstanding, so a lost
+    /// `Attach` (or a lost replay) cannot stall a durable stream forever.
     fn flush_durable_acks(&mut self, ctx: &mut dyn NodeCtx) {
+        let due = self.last_delivery_at + self.ttl;
+        let quiet = ctx.now() >= due;
         // Deterministic send order: identically-seeded runs must replay
         // byte-identically, and HashMap iteration order is not stable.
-        let mut keys: Vec<(ActorId, u32)> = self.durable_cursor.keys().copied().collect();
+        let mut keys: Vec<(ActorId, u32)> = self.durable_rx.keys().copied().collect();
         keys.sort_unstable();
+        if quiet {
+            for &key in &keys {
+                let rx = &self.durable_rx[&key];
+                if rx.cursor.is_some_and(|cursor| cursor > rx.acked) {
+                    self.ack_cursor(key, ctx);
+                }
+            }
+        }
+        let mut stalled = false;
         for key in keys {
-            let cursor = self.durable_cursor[&key];
-            let acked = self.durable_acked.get(&key).copied().unwrap_or(0);
-            if cursor > acked {
-                self.durable_acked.insert(key, cursor);
+            if self.durable_rx[&key].repair.is_some() {
+                stalled = true;
+                self.gap_repairs += 1;
                 ctx.send(
                     key.0,
-                    OverlayMsg::AckUpto {
-                        class: ClassId(key.1),
-                        upto: cursor,
+                    OverlayMsg::Attach {
+                        subscriber: ctx.me(),
                     },
                 );
             }
         }
-        let mut stalled: Vec<(ActorId, u32)> = self.repair_requested.keys().copied().collect();
-        stalled.sort_unstable();
-        for key in &stalled {
-            self.gap_repairs += 1;
-            ctx.send(
-                key.0,
-                OverlayMsg::Attach {
-                    subscriber: ctx.me(),
-                },
-            );
-        }
-        if !stalled.is_empty() {
-            self.arm_ack_timer(ctx);
+        if !quiet {
+            self.arm_ack_timer(due - ctx.now(), ctx);
+        } else if stalled {
+            self.arm_ack_timer(self.ttl, ctx);
         }
     }
 
@@ -707,7 +732,7 @@ impl SubscriberNode {
                         from_id: crate::broker::trace_actor(from),
                         stage: 0,
                         shard: ctx.shard(),
-                        arrival: layercake_sim::SimTime::from_ticks(now),
+                        arrival: SimTime::from_ticks(now),
                         hop_latency: now.saturating_sub(tc.last_hop_at),
                         verdict,
                     },
@@ -719,6 +744,7 @@ impl SubscriberNode {
             // The same event may arrive once per branch; record it
             // exactly once.
             if self.seen.insert(env.seq()) {
+                self.last_delivery_at = ctx.now();
                 self.deliveries.push(env.seq());
                 if self.store_envelopes {
                     self.inbox.push(env);
@@ -779,9 +805,7 @@ impl SubscriberNode {
         // Durable stream state for the dead host is stale: the
         // re-subscription's `DurableBase` re-seeds the cursor from the
         // broker's (possibly recovered-and-regressed) offset table.
-        self.durable_cursor.retain(|&(h, _), _| h != host);
-        self.durable_acked.retain(|&(h, _), _| h != host);
-        self.repair_requested.retain(|&(h, _), _| h != host);
+        self.durable_rx.retain(|&(h, _), _| h != host);
         for i in 0..self.branches.len() {
             if self.branches[i].host == Some(host) {
                 self.branches[i].host = None;
@@ -809,5 +833,230 @@ impl SubscriberNode {
         );
         let backoff = self.ttl * (1u64 << attempt.min(MAX_BACKOFF_EXP));
         ctx.set_timer(backoff, TAG_RESUB_BASE + branch_idx as u64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use layercake_event::{AttributeDecl, EventData, ValueKind};
+
+    const HOST: ActorId = ActorId(1);
+    const ME: ActorId = ActorId(9);
+
+    /// A clock set by hand, and a record of what the node sent and of
+    /// the timers it armed, as `(delay, tag)`.
+    #[derive(Default)]
+    struct Outbox {
+        now: u64,
+        sent: Vec<(ActorId, OverlayMsg)>,
+        timers: Vec<(u64, u64)>,
+    }
+
+    impl NodeCtx for Outbox {
+        fn now(&self) -> SimTime {
+            SimTime::from_ticks(self.now)
+        }
+        fn me(&self) -> ActorId {
+            ME
+        }
+        fn send(&mut self, to: ActorId, msg: OverlayMsg) {
+            self.sent.push((to, msg));
+        }
+        fn set_timer(&mut self, delay: SimDuration, tag: u64) {
+            self.timers.push((delay.ticks(), tag));
+        }
+    }
+
+    impl Outbox {
+        /// The offsets acknowledged since the last call, in order.
+        fn take_acks(&mut self) -> Vec<u64> {
+            let acks = self
+                .sent
+                .iter()
+                .filter_map(|(_, m)| match m {
+                    OverlayMsg::AckUpto { upto, .. } => Some(*upto),
+                    _ => None,
+                })
+                .collect();
+            self.sent.clear();
+            acks
+        }
+
+        fn repairs(&self) -> usize {
+            self.sent
+                .iter()
+                .filter(|(_, m)| matches!(m, OverlayMsg::Attach { .. }))
+                .count()
+        }
+    }
+
+    /// A durable subscriber to every `level` of one class, with its
+    /// stream from `HOST` opened at `base`.
+    fn subscriber(base: u64) -> (SubscriberNode, ClassId, Outbox) {
+        let mut registry = TypeRegistry::new();
+        let class = registry
+            .register(
+                "Sensor",
+                None,
+                vec![AttributeDecl::new("level", ValueKind::Int)],
+            )
+            .unwrap();
+        let mut node = SubscriberNode::new(SubscriberSetup {
+            label: "sub".into(),
+            branches: vec![(FilterId(0), Filter::for_class(class).ge("level", 0i64))],
+            residual: None,
+            registry: Arc::new(registry),
+            root: HOST,
+            index: IndexKind::default(),
+            leases_enabled: false,
+            ttl: SimDuration::from_ticks(100),
+            reliability_window: 64,
+            flow_control_enabled: false,
+            queue_capacity: 64,
+            trace: None,
+            durable: true,
+        });
+        let mut out = Outbox::default();
+        node.handle(HOST, OverlayMsg::DurableBase { class, base }, &mut out);
+        (node, class, out)
+    }
+
+    /// The record at `off` carries sequence number `off`.
+    fn durable(class: ClassId, prev: u64, off: u64) -> OverlayMsg {
+        let mut meta = EventData::new();
+        meta.insert("level", off as i64);
+        OverlayMsg::Durable {
+            prev,
+            off,
+            env: Envelope::from_meta(class, "Sensor", EventSeq(off), meta),
+        }
+    }
+
+    #[test]
+    fn a_delivery_chained_to_the_cursor_advances_it_over_unowed_offsets() {
+        let (mut node, class, mut out) = subscriber(10);
+        // Offsets 11..=13 matched someone else's filter: no hole.
+        node.handle(HOST, durable(class, 10, 14), &mut out);
+        assert_eq!(node.durable_cursor(HOST, class), Some(14));
+        // The broker's `prev` may trail the cursor (its ack ran ahead of
+        // a restarted stream's base): still in chain.
+        node.handle(HOST, durable(class, 12, 20), &mut out);
+        assert_eq!(node.durable_cursor(HOST, class), Some(20));
+        assert_eq!(node.deliveries(), &[EventSeq(14), EventSeq(20)]);
+        assert_eq!(node.gap_repairs(), 0);
+        assert!(out.take_acks().is_empty(), "two deliveries are a batch yet");
+    }
+
+    #[test]
+    fn a_predecessor_beyond_the_cursor_is_a_hole_and_is_never_acked_past() {
+        let (mut node, class, mut out) = subscriber(10);
+        // The delivery at 12 was lost; 15 names it as its predecessor.
+        node.handle(HOST, durable(class, 12, 15), &mut out);
+        assert_eq!(
+            node.durable_cursor(HOST, class),
+            Some(10),
+            "held at the hole"
+        );
+        assert_eq!(node.deliveries(), &[EventSeq(15)], "delivered all the same");
+        assert_eq!(out.repairs(), 1, "the host is asked to restart the stream");
+        // More arrivals behind the same hole ride on the pending repair.
+        node.handle(HOST, durable(class, 15, 16), &mut out);
+        assert_eq!(out.repairs(), 1);
+        assert!(out.take_acks().is_empty());
+        // The restarted stream replays the hole and what followed; the
+        // copies already delivered fall to `(class, seq)` dedup.
+        node.handle(HOST, OverlayMsg::DurableBase { class, base: 10 }, &mut out);
+        for (prev, off) in [(10, 12), (12, 15), (15, 16)] {
+            node.handle(HOST, durable(class, prev, off), &mut out);
+        }
+        assert_eq!(node.durable_cursor(HOST, class), Some(16));
+        assert_eq!(
+            node.deliveries(),
+            &[EventSeq(15), EventSeq(16), EventSeq(12)]
+        );
+    }
+
+    #[test]
+    fn a_duplicate_is_re_acked_at_the_cursor_at_once() {
+        let (mut node, class, mut out) = subscriber(10);
+        node.handle(HOST, durable(class, 10, 14), &mut out);
+        node.handle(HOST, durable(class, 10, 14), &mut out);
+        node.handle(HOST, durable(class, 3, 9), &mut out);
+        assert_eq!(node.durable_cursor(HOST, class), Some(14));
+        assert_eq!(out.take_acks(), vec![14, 14]);
+        assert_eq!(node.deliveries(), &[EventSeq(14), EventSeq(9)]);
+    }
+
+    #[test]
+    fn a_stale_frame_behind_a_rebased_stream_cannot_move_the_cursor() {
+        let (mut node, class, mut out) = subscriber(10);
+        node.handle(HOST, durable(class, 10, 14), &mut out);
+        // The host crashed, lost its unsynced tail and reopened the
+        // stream lower; frames of the old incarnation are still in flight.
+        node.handle(HOST, OverlayMsg::DurableBase { class, base: 8 }, &mut out);
+        assert_eq!(
+            node.durable_cursor(HOST, class),
+            Some(8),
+            "rebased downward"
+        );
+        node.handle(HOST, durable(class, 14, 17), &mut out);
+        assert_eq!(
+            node.durable_cursor(HOST, class),
+            Some(8),
+            "chained to a delivery this stream never made"
+        );
+        assert_eq!(out.repairs(), 1);
+        node.handle(HOST, durable(class, 5, 8), &mut out);
+        assert_eq!(
+            out.take_acks(),
+            vec![8],
+            "at or below the base: a duplicate"
+        );
+        assert_eq!(node.durable_cursor(HOST, class), Some(8));
+    }
+
+    #[test]
+    fn a_delivery_on_a_stream_never_opened_asks_for_its_base() {
+        let (mut node, class, mut out) = subscriber(0);
+        let other = ActorId(2);
+        node.handle(other, durable(class, 30, 31), &mut out);
+        assert_eq!(node.durable_cursor(other, class), None);
+        assert_eq!(node.deliveries(), &[EventSeq(31)]);
+        assert_eq!(out.repairs(), 1);
+        assert!(out.take_acks().is_empty());
+    }
+
+    #[test]
+    fn acks_batch_by_deliveries_and_the_timer_flushes_once_quiet() {
+        let (mut node, class, mut out) = subscriber(0);
+        // A sparse stream: every fourth offset. Eight deliveries make an
+        // ack, however many offsets they span.
+        let mut prev = 0;
+        for off in (4..=32).step_by(4) {
+            assert!(out.take_acks().is_empty(), "no ack before delivery {off}");
+            node.handle(HOST, durable(class, prev, off), &mut out);
+            prev = off;
+        }
+        assert_eq!(out.take_acks(), vec![32]);
+        assert_eq!(out.timers, vec![(100, TAG_ACK_FLUSH)], "armed once");
+
+        // The timer finds a delivery 40 ticks old: the remainder stays
+        // batched and the timer comes back when that one is a `ttl` old.
+        out.now = 60;
+        node.handle(HOST, durable(class, 32, 36), &mut out);
+        out.now = 100;
+        node.timer(TAG_ACK_FLUSH, &mut out);
+        assert!(out.take_acks().is_empty());
+        assert_eq!(out.timers.last(), Some(&(60, TAG_ACK_FLUSH)));
+        // The host restarts the stream and re-sends history meanwhile:
+        // not a new delivery, so the flush comes when it was due.
+        out.now = 150;
+        node.handle(HOST, OverlayMsg::DurableBase { class, base: 32 }, &mut out);
+        node.handle(HOST, durable(class, 32, 36), &mut out);
+        out.now = 160;
+        node.timer(TAG_ACK_FLUSH, &mut out);
+        assert_eq!(out.take_acks(), vec![36]);
+        assert_eq!(out.timers.len(), 2, "flushed and quiet: left unarmed");
     }
 }

@@ -418,27 +418,60 @@ impl DurableLog {
         self.stats.records_replayed += n;
     }
 
+    /// Credits the broker's stream decisions to
+    /// [`DurabilityStats::durable_sent`] (`Durable` frames handed to the
+    /// transport) and [`DurabilityStats::durable_skipped`] (records a
+    /// stream passed over as unmatched). Like replays, these are the
+    /// broker's doing; the log only keeps the books.
+    pub fn note_streamed(&mut self, sent: u64, skipped: u64) {
+        self.stats.durable_sent += sent;
+        self.stats.durable_skipped += skipped;
+    }
+
     /// The bounded form of [`DurableLog::replay_after`]: at most `max`
-    /// records, in append order. Used by the broker's in-flight window —
-    /// a consumer far behind is paged out of the log one window at a
-    /// time, paced by its acknowledgements, instead of having its whole
-    /// backlog dumped on the wire at once. Does **not** touch the replay
-    /// counter (see [`DurableLog::note_replayed`]).
+    /// records, in append order. Does **not** touch the replay counter
+    /// (see [`DurableLog::note_replayed`]).
+    pub fn replay_window(&mut self, class: ClassId, upto: u64, max: usize) -> Vec<(u64, Envelope)> {
+        let mut out = Vec::new();
+        self.replay_scan(class, upto, max, |off, env| {
+            out.push((off, env));
+            true
+        });
+        out
+    }
+
+    /// Hands `visit` the logged records of `class` above `upto`, in
+    /// append order: at most `max` of them, and none after the one
+    /// `visit` answers `false` to. Returns whether it ran out of records
+    /// — `false` when `max` or `visit` ended it first. Used by the
+    /// broker's in-flight window — a consumer far behind is paged out of
+    /// the log one window at a time, paced by its acknowledgements,
+    /// instead of having its whole backlog dumped on the wire at once —
+    /// where the visitor stops at the delivery that fills the window.
+    /// Does **not** touch the replay counter.
     ///
     /// Answered from the position index: each segment's entries for the
     /// class are binary-searched for `upto`, and only the byte ranges of
-    /// the records returned are read and decoded — adjacent records in
-    /// one read. A record that no longer passes its CRC or does not
-    /// decode (damage since open) is left out.
-    pub fn replay_window(&mut self, class: ClassId, upto: u64, max: usize) -> Vec<(u64, Envelope)> {
+    /// the `max` records in reach are read — adjacent records in one
+    /// read — and only the records visited are decoded. A record that no
+    /// longer passes its CRC or does not decode (damage since open) is
+    /// left out.
+    pub fn replay_scan(
+        &mut self,
+        class: ClassId,
+        upto: u64,
+        max: usize,
+        mut visit: impl FnMut(u64, Envelope) -> bool,
+    ) -> bool {
         self.stats.catch_up_calls += 1;
-        let mut out = Vec::new();
+        let mut left = max;
         for seg in &self.segs {
             let Some(recs) = seg.classes.get(&class.0) else {
                 continue;
             };
             let start = recs.partition_point(|r| r.off <= upto);
-            let mut rest = &recs[start..recs.len().min(start.saturating_add(max - out.len()))];
+            let mut rest = &recs[start..recs.len().min(start.saturating_add(left))];
+            left -= rest.len();
             while let Some(first) = rest.first() {
                 // One read per run of records that sit back to back.
                 let mut run = 1;
@@ -459,15 +492,17 @@ impl DurableLog {
                     at += r.len as usize;
                     self.stats.records_decoded += 1;
                     if let Some(Ok(rec)) = read_record(raw).map(decode_payload) {
-                        out.push((rec.off, rec.env));
+                        if !visit(rec.off, rec.env) {
+                            return false;
+                        }
                     }
                 }
             }
-            if out.len() >= max {
-                break;
+            if left == 0 {
+                return false;
             }
         }
-        out
+        true
     }
 
     /// Simulates a process crash and restart on the same storage: every

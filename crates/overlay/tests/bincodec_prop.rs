@@ -113,7 +113,8 @@ fn arb_msg() -> impl Strategy<Value = OverlayMsg> {
         Just(OverlayMsg::Reannounce),
         Just(OverlayMsg::Credit),
         any::<u64>().prop_map(|consumed_total| OverlayMsg::CreditGrant { consumed_total }),
-        (any::<u64>(), arb_envelope()).prop_map(|(off, env)| OverlayMsg::Durable { off, env }),
+        (any::<u64>(), any::<u64>(), arb_envelope())
+            .prop_map(|(prev, off, env)| OverlayMsg::Durable { prev, off, env }),
         (0u32..8, any::<u64>()).prop_map(|(class, upto)| OverlayMsg::AckUpto {
             class: ClassId(class),
             upto

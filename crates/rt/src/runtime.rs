@@ -92,9 +92,18 @@ use crate::wire::{self, LinkDecoder, WireCodec};
 /// `send_external`, so provenance on the wire matches sim traces.
 pub(crate) const EXTERNAL: ActorId = ActorId(usize::MAX);
 
-/// How long an idle node thread sleeps in `recv_timeout` before checking
-/// timers again.
-const IDLE_TICK: Duration = Duration::from_millis(5);
+/// How often an idle node thread wakes with no timer due. Never, by
+/// default: it blocks on its inbox, and its heartbeat gauge is the time
+/// it last went to sleep. Only the supervisor's stall scan reads
+/// heartbeats, so only when [`SupervisionConfig::stall_timeout`] is set
+/// does an idle thread tick — several times per timeout, refreshing the
+/// gauge and checking its fence.
+fn idle_tick(supervision: &SupervisionConfig) -> Option<Duration> {
+    supervision
+        .stall_timeout
+        .filter(|_| supervision.enabled)
+        .map(|timeout| timeout / 4)
+}
 
 /// Configuration for [`Runtime::start`].
 #[derive(Debug, Clone)]
@@ -1232,6 +1241,7 @@ impl Runtime {
                     profiler: Arc::clone(&profiler),
                     fence: Arc::clone(&fence),
                     heartbeat: Arc::clone(&heartbeat),
+                    idle_tick: idle_tick(&cfg.supervision),
                     notices: notice_tx.clone(),
                 };
                 let handle = spawn_shard(env, broker, rx).map_err(RtError::Thread)?;
@@ -1501,6 +1511,7 @@ impl Runtime {
             profiler: Arc::clone(&self.profiler),
             placed: placed_tx,
             heartbeat,
+            idle_tick: idle_tick(&self.cfg.supervision),
             notices: self.notice_tx.clone(),
             tap,
         };
@@ -1845,9 +1856,12 @@ pub(crate) struct ShardEnv {
     /// touching shared state and exit `Fenced` at the next opportunity.
     pub(crate) fence: Arc<AtomicBool>,
     /// Liveness gauge (`rt.heartbeat_us.b<b>s<shard>`), raised to the
-    /// current tick every loop iteration; monotone (`set_max`) so a late
-    /// write from a replaced generation can't rewind it.
+    /// current tick every loop iteration — so while the thread is idle
+    /// it reads the time it last went to sleep; monotone (`set_max`) so
+    /// a late write from a replaced generation can't rewind it.
     pub(crate) heartbeat: Arc<Gauge>,
+    /// See [`idle_tick`].
+    pub(crate) idle_tick: Option<Duration>,
     pub(crate) notices: Sender<Notice>,
 }
 
@@ -1988,8 +2002,7 @@ fn shard_run_loop(
         if env.fence.load(Ordering::Relaxed) {
             return LoopExit::Fenced;
         }
-        let timeout = next_wakeup(&timers, env.epoch);
-        match rx.recv_timeout(timeout) {
+        match recv_until_wakeup(rx, &timers, env.epoch, env.idle_tick) {
             Ok(RtEvent::Frame(frame)) => {
                 received += 1;
                 let sampled = env.profiler.tick(&mut frame_counter);
@@ -2086,6 +2099,7 @@ struct SubEnv {
     /// `add_subscriber_inner` blocks on between placement requests.
     placed: Sender<()>,
     heartbeat: Arc<Gauge>,
+    idle_tick: Option<Duration>,
     notices: Sender<Notice>,
     /// When set, every accepted delivery is also forwarded here (the
     /// remote-access bridge); see [`Runtime::add_subscriber_tapped`].
@@ -2153,8 +2167,7 @@ fn sub_run_loop(env: &SubEnv, node: &mut SubscriberNode, rx: &Receiver<RtEvent>)
     };
     loop {
         env.heartbeat.set_max(heartbeat_now(env.epoch));
-        let timeout = next_wakeup(&timers, env.epoch);
-        match rx.recv_timeout(timeout) {
+        match recv_until_wakeup(rx, &timers, env.epoch, env.idle_tick) {
             Ok(RtEvent::Frame(frame)) => {
                 received += 1;
                 match env.router.fault.frame_action(env.id.0, 0, received) {
@@ -2348,6 +2361,7 @@ pub(crate) fn perform_restart(
         profiler: Arc::clone(&shared.profiler),
         fence: Arc::clone(&fence),
         heartbeat,
+        idle_tick: idle_tick(&shared.cfg.supervision),
         notices: shared.notice_tx.clone(),
     };
     match spawn_shard(env, broker, live_rx) {
@@ -2470,12 +2484,22 @@ fn feed_node<N: Node>(
     }
 }
 
-fn next_wakeup(timers: &BinaryHeap<Reverse<(u64, u64)>>, epoch: Instant) -> Duration {
-    match timers.peek() {
-        Some(Reverse((deadline, _))) => {
-            Duration::from_micros(deadline.saturating_sub(micros_since(epoch))).min(IDLE_TICK)
-        }
-        None => IDLE_TICK,
+/// Waits on a node's inbox until the next event, the next timer
+/// deadline or the next idle tick, whichever comes first; with neither a
+/// timer pending nor a tick configured it blocks until an event arrives.
+fn recv_until_wakeup(
+    rx: &Receiver<RtEvent>,
+    timers: &BinaryHeap<Reverse<(u64, u64)>>,
+    epoch: Instant,
+    idle_tick: Option<Duration>,
+) -> Result<RtEvent, RecvTimeoutError> {
+    let timer = timers.peek().map(|Reverse((deadline, _))| {
+        Duration::from_micros(deadline.saturating_sub(micros_since(epoch)))
+    });
+    match (timer, idle_tick) {
+        (Some(timer), Some(tick)) => rx.recv_timeout(timer.min(tick)),
+        (Some(wait), None) | (None, Some(wait)) => rx.recv_timeout(wait),
+        (None, None) => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
     }
 }
 

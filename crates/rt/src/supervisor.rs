@@ -71,7 +71,11 @@ pub struct SupervisionConfig {
     /// clock by more than this is fenced and replaced like a crash.
     /// `None` (the default) disables stall detection — appropriate when
     /// matcher work may legitimately block (e.g. cold-cache durable
-    /// replay under memory pressure).
+    /// replay under memory pressure). It also decides whether idle node
+    /// threads tick: with `None` they block on their inboxes, and the
+    /// `rt.heartbeat_us.*` gauge of an idle thread reads the time it
+    /// last went to sleep; with a timeout they wake four times per
+    /// timeout to refresh it.
     pub stall_timeout: Option<Duration>,
 }
 

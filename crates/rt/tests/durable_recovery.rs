@@ -210,6 +210,75 @@ fn recovery_works_for_classes_owned_by_a_follower_shard() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Two selective consumers of one class, killed and restarted: each
+/// stream is the subsequence of the class log its consumer's filter
+/// matches, so the restart replays to each consumer its own unacked
+/// matches and passes over the other's — every replayed frame is one its
+/// receiver's filter accepts.
+#[test]
+fn restart_replays_to_each_selective_consumer_only_its_own_matches() {
+    let dir = scratch_dir("selective");
+    let (reg, class) = registry();
+    let event = |seq: u64| {
+        let mut meta = EventData::new();
+        meta.insert("region", (seq % 2) as i64);
+        meta.insert("level", seq as i64);
+        Envelope::from_meta(class, "Sensor", EventSeq(seq), meta)
+    };
+    let run = |seqs: std::ops::Range<u64>, crash: bool| {
+        let mut rt = Runtime::start(durable_config(&dir), Arc::clone(&reg)).unwrap();
+        rt.advertise(Advertisement::new(
+            class,
+            StageMap::from_prefixes(&[1]).unwrap(),
+        ));
+        let subs = [0i64, 1].map(|region| {
+            rt.add_durable_subscriber(Filter::for_class(class).eq("region", region))
+                .unwrap()
+        });
+        let n = seqs.end - seqs.start;
+        let publisher = rt.publisher();
+        for seq in seqs {
+            publisher.publish(event(seq));
+        }
+        assert!(rt.wait_delivered(n, Duration::from_secs(30)));
+        let report = if crash { rt.kill() } else { rt.shutdown() };
+        let deliveries = subs.map(|sub| report.deliveries(sub).to_vec());
+        let records = [0, 1].map(|i| report.subscribers[i].record());
+        (deliveries, records, report.durability())
+    };
+
+    let (first, _, d1) = run(0..80, true);
+    assert_eq!(d1.records_appended, 80);
+    assert_eq!(d1.durable_sent, 80, "one consumer is owed each event");
+    assert_eq!(d1.durable_skipped, 80, "and the other passes it over");
+
+    let (second, records, d2) = run(80..120, false);
+    assert!(
+        d2.records_replayed > 0,
+        "acks lost to the crash force a replay"
+    );
+    let mut replayed = 0;
+    for (region, (first, second)) in first.iter().zip(&second).enumerate() {
+        let union: BTreeSet<EventSeq> = first.iter().chain(second).copied().collect();
+        let owed: BTreeSet<EventSeq> = (0..120)
+            .filter(|seq| seq % 2 == region as u64)
+            .map(EventSeq)
+            .collect();
+        assert_eq!(union, owed, "region {region}");
+        replayed += second.iter().filter(|s| s.0 < 80).count() as u64;
+    }
+    assert_eq!(
+        replayed, d2.records_replayed,
+        "every replayed frame was a delivery: none went to the wrong consumer"
+    );
+    assert_eq!(d2.durable_sent, 40 + d2.records_replayed);
+    for record in &records {
+        assert_eq!(record.received, record.matched, "{}", record.node);
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn durable_dir_and_durability_flag_must_agree() {
     let (reg, _) = registry();

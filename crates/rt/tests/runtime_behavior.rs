@@ -11,7 +11,7 @@ use layercake_event::{
 };
 use layercake_filter::Filter;
 use layercake_overlay::OverlayConfig;
-use layercake_rt::{RtConfig, RtError, Runtime};
+use layercake_rt::{RtConfig, RtError, Runtime, TransportKind};
 
 /// Registers `n` two-attribute event classes (`region`, `level`).
 fn register_classes(registry: &mut TypeRegistry, n: usize) -> Vec<ClassId> {
@@ -199,6 +199,67 @@ fn branches_sharing_a_root_filter_share_a_host() {
             entries(leader),
             "broker {id:?} shard {shard}"
         );
+    }
+}
+
+/// The frame shape of lcbench's `durable-tcp`: four symbols, each with
+/// one volatile and one durable subscriber, all hosted by the broker the
+/// publications enter at. An event costs three data frames — in, and out
+/// to each of its two matching subscribers — plus the durable
+/// subscriber's batched acks: the durable consumers of the other three
+/// symbols are sent nothing.
+#[test]
+fn a_durable_delivery_costs_one_frame_per_matching_consumer() {
+    for transport in [TransportKind::Mpsc, TransportKind::Tcp] {
+        let dir = std::env::temp_dir().join(format!(
+            "layercake-rt-frames-{transport:?}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut registry = TypeRegistry::new();
+        let class = register_classes(&mut registry, 1)[0];
+        let overlay = OverlayConfig {
+            levels: vec![1],
+            durability_enabled: true,
+            ..OverlayConfig::default()
+        };
+        let mut cfg = RtConfig::new(overlay, 1);
+        cfg.durable_dir = Some(dir.clone());
+        cfg.transport = transport;
+        let mut rt = Runtime::start(cfg, Arc::new(registry)).unwrap();
+        rt.advertise(Advertisement::new(
+            class,
+            StageMap::from_prefixes(&[2, 1]).unwrap(),
+        ));
+        for region in 0..4i64 {
+            let filter = Filter::for_class(class).eq("region", region);
+            rt.add_subscriber(filter.clone()).unwrap();
+            rt.add_durable_subscriber(filter).unwrap();
+        }
+
+        // Publishes `n` events, two deliveries each, and waits for the
+        // trailing acks (flushed a `ttl` after the last delivery).
+        let publisher = rt.publisher();
+        let mut seq = 0u64;
+        let mut publish = |n: u64| {
+            for _ in 0..n {
+                publisher.publish(event(class, 0, seq, (seq % 4) as i64, seq as i64));
+                seq += 1;
+            }
+            assert!(rt.wait_delivered(2 * seq, Duration::from_secs(30)));
+            std::thread::sleep(Duration::from_millis(250));
+        };
+        publish(100);
+        let warm = rt.stats().frames_sent();
+        publish(1600);
+        let per_event = (rt.stats().frames_sent() - warm) as f64 / 1600.0;
+        let report = rt.shutdown();
+        assert!(
+            (3.0..=3.5).contains(&per_event),
+            "{transport:?}: {per_event} frames per event"
+        );
+        assert_eq!(report.durability().durable_sent, 1700);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
