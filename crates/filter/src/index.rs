@@ -46,12 +46,12 @@ impl fmt::Display for DestId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexKind {
     /// Scan every filter per event (the paper's Figure 6 algorithm).
-    #[default]
     Naive,
     /// Counting index: shared predicates evaluated once per event.
     Counting,
     /// Counting index with equality predicates compiled into sorted
     /// per-attribute tables resolved by binary search.
+    #[default]
     Compiled,
 }
 

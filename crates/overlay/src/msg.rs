@@ -1,20 +1,19 @@
 //! The overlay's wire protocol (Figures 5 and 6).
 //!
 //! Besides the in-memory message enum, this module defines its *wire
-//! encoding*: a hand-written serde mapping onto tagged JSON objects
-//! (`{"t": "<variant>", ...fields}`), used by the wall-clock runtime to
-//! put every hop through a real serialize → frame → deframe →
-//! deserialize cycle. Node addresses ([`ActorId`]) travel as plain
-//! integers — the id space is runtime-local, exactly as in the
-//! simulator — and all payload types (filters, advertisements,
-//! envelopes) reuse their existing wire formats, so the envelope bytes a
-//! broker forwards are the same bytes the simulator's trace tooling
-//! knows.
+//! encoding* ([`BinCodec`]), used by the wall-clock runtime to put every
+//! hop through a real serialize → frame → deframe → deserialize cycle.
+//! Node addresses ([`ActorId`]) travel as plain integers — the id space
+//! is runtime-local, exactly as in the simulator — and all payload types
+//! (filters, advertisements, envelopes) reuse their own binary
+//! encodings. `Debug` is the pretty-printer.
 
-use layercake_event::{Advertisement, ClassId, Envelope};
+use layercake_event::{
+    write_varint, Advertisement, BinCodec, ClassId, CodecError, DecodeDict, EncodeDict, Envelope,
+    WireReader,
+};
 use layercake_filter::{Filter, FilterId};
 use layercake_sim::ActorId;
-use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A subscription request as it travels down the hierarchy looking for its
 /// insertion point (Figure 5(a): `Subscription(f_sub)`).
@@ -228,227 +227,10 @@ impl OverlayMsg {
 // Wire encoding
 // ---------------------------------------------------------------------------
 //
-// Every message becomes an object tagged with its variant name under "t",
-// with the variant's fields flattened alongside. Node addresses are plain
-// integers: `ActorId(usize::MAX)` (the external-sender sentinel) survives
-// the trip through `u64`.
-
-fn actor_value(a: ActorId) -> Value {
-    (a.0 as u64).serialize_value()
-}
-
-fn actor_field(v: &Value, name: &str) -> Result<ActorId, DeError> {
-    let raw: u64 = serde::__field(v, name)?;
-    Ok(ActorId(raw as usize))
-}
-
-impl Serialize for SubscriptionReq {
-    fn serialize_value(&self) -> Value {
-        let mut obj = Value::object();
-        obj.insert_field("id", self.id.serialize_value());
-        obj.insert_field("filter", self.filter.serialize_value());
-        obj.insert_field("subscriber", actor_value(self.subscriber));
-        obj.insert_field("durable", self.durable.serialize_value());
-        obj
-    }
-}
-
-impl Deserialize for SubscriptionReq {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        Ok(SubscriptionReq {
-            id: serde::__field(v, "id")?,
-            filter: serde::__field(v, "filter")?,
-            subscriber: actor_field(v, "subscriber")?,
-            durable: serde::__field(v, "durable")?,
-        })
-    }
-}
-
-impl Serialize for OverlayMsg {
-    fn serialize_value(&self) -> Value {
-        let mut obj = Value::object();
-        let tag = match self {
-            OverlayMsg::Advertise(ad) => {
-                obj.insert_field("ad", ad.serialize_value());
-                "Advertise"
-            }
-            OverlayMsg::Subscribe(req) => {
-                obj.insert_field("req", req.serialize_value());
-                "Subscribe"
-            }
-            OverlayMsg::JoinAt { req, node } => {
-                obj.insert_field("req", req.serialize_value());
-                obj.insert_field("node", actor_value(*node));
-                "JoinAt"
-            }
-            OverlayMsg::AcceptedAt { id, node } => {
-                obj.insert_field("id", id.serialize_value());
-                obj.insert_field("node", actor_value(*node));
-                "AcceptedAt"
-            }
-            OverlayMsg::ReqInsert { filter, child } => {
-                obj.insert_field("filter", filter.serialize_value());
-                obj.insert_field("child", actor_value(*child));
-                "ReqInsert"
-            }
-            OverlayMsg::Publish(env) => {
-                obj.insert_field("env", env.serialize_value());
-                "Publish"
-            }
-            OverlayMsg::Deliver(env) => {
-                obj.insert_field("env", env.serialize_value());
-                "Deliver"
-            }
-            OverlayMsg::Renew => "Renew",
-            OverlayMsg::Unsubscribe { filter, subscriber } => {
-                obj.insert_field("filter", filter.serialize_value());
-                obj.insert_field("subscriber", actor_value(*subscriber));
-                "Unsubscribe"
-            }
-            OverlayMsg::ReqRemove { filter, child } => {
-                obj.insert_field("filter", filter.serialize_value());
-                obj.insert_field("child", actor_value(*child));
-                "ReqRemove"
-            }
-            OverlayMsg::Detach { subscriber } => {
-                obj.insert_field("subscriber", actor_value(*subscriber));
-                "Detach"
-            }
-            OverlayMsg::Attach { subscriber } => {
-                obj.insert_field("subscriber", actor_value(*subscriber));
-                "Attach"
-            }
-            OverlayMsg::Sequenced { link_seq, env } => {
-                obj.insert_field("link_seq", link_seq.serialize_value());
-                obj.insert_field("env", env.serialize_value());
-                "Sequenced"
-            }
-            OverlayMsg::Nack { from_seq, to_seq } => {
-                obj.insert_field("from_seq", from_seq.serialize_value());
-                obj.insert_field("to_seq", to_seq.serialize_value());
-                "Nack"
-            }
-            OverlayMsg::Advance { to } => {
-                obj.insert_field("to", to.serialize_value());
-                "Advance"
-            }
-            OverlayMsg::RenewAck => "RenewAck",
-            OverlayMsg::Rejoin => "Rejoin",
-            OverlayMsg::Reannounce => "Reannounce",
-            OverlayMsg::Credit => "Credit",
-            OverlayMsg::CreditGrant { consumed_total } => {
-                obj.insert_field("consumed_total", consumed_total.serialize_value());
-                "CreditGrant"
-            }
-            OverlayMsg::Durable { prev, off, env } => {
-                obj.insert_field("prev", prev.serialize_value());
-                obj.insert_field("off", off.serialize_value());
-                obj.insert_field("env", env.serialize_value());
-                "Durable"
-            }
-            OverlayMsg::AckUpto { class, upto } => {
-                obj.insert_field("class", u64::from(class.0).serialize_value());
-                obj.insert_field("upto", upto.serialize_value());
-                "AckUpto"
-            }
-            OverlayMsg::DurableBase { class, base } => {
-                obj.insert_field("class", u64::from(class.0).serialize_value());
-                obj.insert_field("base", base.serialize_value());
-                "DurableBase"
-            }
-        };
-        obj.insert_field("t", Value::Str(tag.to_owned()));
-        obj
-    }
-}
-
-impl Deserialize for OverlayMsg {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let tag: String = serde::__field(v, "t")?;
-        Ok(match tag.as_str() {
-            "Advertise" => OverlayMsg::Advertise(serde::__field(v, "ad")?),
-            "Subscribe" => OverlayMsg::Subscribe(serde::__field(v, "req")?),
-            "JoinAt" => OverlayMsg::JoinAt {
-                req: serde::__field(v, "req")?,
-                node: actor_field(v, "node")?,
-            },
-            "AcceptedAt" => OverlayMsg::AcceptedAt {
-                id: serde::__field(v, "id")?,
-                node: actor_field(v, "node")?,
-            },
-            "ReqInsert" => OverlayMsg::ReqInsert {
-                filter: serde::__field(v, "filter")?,
-                child: actor_field(v, "child")?,
-            },
-            "Publish" => OverlayMsg::Publish(serde::__field(v, "env")?),
-            "Deliver" => OverlayMsg::Deliver(serde::__field(v, "env")?),
-            "Renew" => OverlayMsg::Renew,
-            "Unsubscribe" => OverlayMsg::Unsubscribe {
-                filter: serde::__field(v, "filter")?,
-                subscriber: actor_field(v, "subscriber")?,
-            },
-            "ReqRemove" => OverlayMsg::ReqRemove {
-                filter: serde::__field(v, "filter")?,
-                child: actor_field(v, "child")?,
-            },
-            "Detach" => OverlayMsg::Detach {
-                subscriber: actor_field(v, "subscriber")?,
-            },
-            "Attach" => OverlayMsg::Attach {
-                subscriber: actor_field(v, "subscriber")?,
-            },
-            "Sequenced" => OverlayMsg::Sequenced {
-                link_seq: serde::__field(v, "link_seq")?,
-                env: serde::__field(v, "env")?,
-            },
-            "Nack" => OverlayMsg::Nack {
-                from_seq: serde::__field(v, "from_seq")?,
-                to_seq: serde::__field(v, "to_seq")?,
-            },
-            "Advance" => OverlayMsg::Advance {
-                to: serde::__field(v, "to")?,
-            },
-            "RenewAck" => OverlayMsg::RenewAck,
-            "Rejoin" => OverlayMsg::Rejoin,
-            "Reannounce" => OverlayMsg::Reannounce,
-            "Credit" => OverlayMsg::Credit,
-            "CreditGrant" => OverlayMsg::CreditGrant {
-                consumed_total: serde::__field(v, "consumed_total")?,
-            },
-            "Durable" => OverlayMsg::Durable {
-                prev: serde::__field(v, "prev")?,
-                off: serde::__field(v, "off")?,
-                env: serde::__field(v, "env")?,
-            },
-            "AckUpto" => {
-                let class: u64 = serde::__field(v, "class")?;
-                OverlayMsg::AckUpto {
-                    class: ClassId(class as u32),
-                    upto: serde::__field(v, "upto")?,
-                }
-            }
-            "DurableBase" => {
-                let class: u64 = serde::__field(v, "class")?;
-                OverlayMsg::DurableBase {
-                    class: ClassId(class as u32),
-                    base: serde::__field(v, "base")?,
-                }
-            }
-            other => return Err(DeError::msg(format!("unknown OverlayMsg tag {other:?}"))),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Binary wire encoding
-// ---------------------------------------------------------------------------
-//
-// The compact form: a single tag byte per variant, varints for every
-// integer, attribute/class names through the per-connection dictionary.
-// `ActorId` travels as a varint `u64`, so the external-sender sentinel
-// `ActorId(usize::MAX)` survives the trip exactly as it does in JSON.
-
-use layercake_event::{write_varint, BinCodec, CodecError, DecodeDict, EncodeDict, WireReader};
+// A single tag byte per variant, varints for every integer,
+// attribute/class names through the per-connection dictionary. `ActorId`
+// travels as a varint `u64`, so the external-sender sentinel
+// `ActorId(usize::MAX)` survives the trip.
 
 fn write_actor(out: &mut Vec<u8>, a: ActorId) {
     write_varint(out, a.0 as u64);
@@ -851,29 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn every_variant_round_trips_through_json() {
-        for msg in one_of_each() {
-            let bytes = serde_json::to_vec(&msg).unwrap();
-            let back: OverlayMsg = serde_json::from_slice(&bytes).unwrap();
-            assert_eq!(msg, back, "value round trip failed");
-            // Byte identity: re-serializing the decoded message yields the
-            // exact bytes that were sent (the encoding is canonical).
-            let again = serde_json::to_vec(&back).unwrap();
-            assert_eq!(bytes, again, "re-encode of {msg:?} not byte-identical");
-        }
-    }
-
-    #[test]
-    fn external_sender_sentinel_survives_the_wire() {
-        let msg = OverlayMsg::Detach {
-            subscriber: ActorId(usize::MAX),
-        };
-        let bytes = serde_json::to_vec(&msg).unwrap();
-        let back: OverlayMsg = serde_json::from_slice(&bytes).unwrap();
-        assert_eq!(msg, back);
-    }
-
-    #[test]
     fn every_variant_round_trips_through_binary_shared_dict() {
         use layercake_event::DictMode;
         let mut enc = EncodeDict::new(DictMode::Shared);
@@ -914,23 +673,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_is_smaller_than_json_for_every_variant() {
-        use layercake_event::DictMode;
-        let mut enc = EncodeDict::new(DictMode::Shared);
-        for msg in one_of_each() {
-            let json = serde_json::to_vec(&msg).unwrap();
-            let mut bin = Vec::new();
-            msg.encode_bin(&mut bin, &mut enc);
-            assert!(
-                bin.len() < json.len(),
-                "{msg:?}: binary {} bytes >= json {} bytes",
-                bin.len(),
-                json.len()
-            );
-        }
-    }
-
-    #[test]
     fn binary_external_sentinel_survives_the_wire() {
         use layercake_event::DictMode;
         let msg = OverlayMsg::Detach {
@@ -952,21 +694,5 @@ mod tests {
             OverlayMsg::decode_bin(&mut r, &dec),
             Err(CodecError::Tag(200))
         );
-    }
-
-    #[test]
-    fn unknown_tag_is_rejected() {
-        let mut obj = Value::object();
-        obj.insert_field("t", Value::Str("Bogus".to_owned()));
-        let err = OverlayMsg::deserialize_value(&obj).unwrap_err();
-        assert!(format!("{err}").contains("Bogus"));
-    }
-
-    #[test]
-    fn missing_fields_are_rejected() {
-        // A tag whose required payload field is absent must not decode.
-        let mut obj = Value::object();
-        obj.insert_field("t", Value::Str("Publish".to_owned()));
-        assert!(OverlayMsg::deserialize_value(&obj).is_err());
     }
 }

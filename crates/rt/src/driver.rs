@@ -1,0 +1,420 @@
+//! The one loop every node thread runs.
+//!
+//! A broker matcher shard and a subscriber are the same thing to the
+//! runtime: a [`Node`] state machine fed framed wire messages from an
+//! inbox, with a heap of timer deadlines. [`NodeDriver`] owns the node
+//! and everything needed to run it. Its unit of work is the *turn* —
+//! [`NodeDriver::turn`] runs the node for one frame — and
+//! [`NodeDriver::run`] is the blocking loop that takes frames off an
+//! inbox and spends a turn on each. What differs between the two kinds of
+//! node (table gauges for a broker; placement signals, the delivery
+//! drain and the tap for a subscriber) is the closure `run` calls after
+//! each turn, and the exit report in the thread's main function.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use layercake_metrics::{Gauge, PipelineStage, StageProfiler};
+use layercake_overlay::{Node, NodeCtx, OverlayMsg};
+use layercake_sim::{ActorId, SimDuration, SimTime};
+
+use crate::fault::FaultAction;
+use crate::runtime::{
+    elapsed_ns, micros_since, nanos_since, shard_of, Frame, Router, RtEvent, EXTERNAL,
+};
+use crate::stats::RtStats;
+use crate::wire::{LinkDecoder, WireCodec};
+
+/// The current wall-clock microsecond tick as a heartbeat gauge value.
+fn heartbeat_now(epoch: Instant) -> i64 {
+    i64::try_from(micros_since(epoch)).unwrap_or(i64::MAX)
+}
+
+/// How a node's run loop ended (when it didn't panic).
+pub(crate) enum LoopExit {
+    Clean,
+    Fenced,
+}
+
+/// Who a node is and how it reaches the rest of the runtime: the part of
+/// a driver that its [`RtCtx`] reads and no frame changes.
+pub(crate) struct NodeEnv {
+    pub(crate) me: ActorId,
+    /// `(shard index, shard count)` for broker threads, `None` for
+    /// subscribers. Durable stream-open frames (`DurableBase`) are emitted
+    /// by the shard that owns the class's log slice rather than the
+    /// leader: only the owner knows the stream's real resume offset — the
+    /// leader's replica of a class it does not own has an empty history
+    /// and would open every stream at offset 0.
+    shard: Option<(usize, usize)>,
+    /// Leader shards (and every subscriber) emit control traffic and arm
+    /// timers; follower shards mutate state silently.
+    pub(crate) speaks: bool,
+    pub(crate) epoch: Instant,
+    router: Router,
+    pub(crate) stats: Arc<RtStats>,
+    profiler: Arc<StageProfiler>,
+}
+
+/// One node, who it is, and the thread-local state it is run with.
+/// Rebuilt (around a rebuilt node, with a fresh fence) for every
+/// supervised restart.
+pub(crate) struct NodeDriver<N: Node> {
+    node: N,
+    pub(crate) env: NodeEnv,
+    /// Set by the supervisor's stall detector: the thread must stop
+    /// touching shared state and exit `Fenced` at the next opportunity.
+    /// Subscribers are not restarted, so nothing fences them.
+    fence: Option<Arc<AtomicBool>>,
+    /// Liveness gauge (`rt.heartbeat_us.*`), raised to the current tick
+    /// every loop iteration — so while the thread is idle it reads the
+    /// time it last went to sleep; monotone (`set_max`) so a late write
+    /// from a replaced generation can't rewind it.
+    heartbeat: Arc<Gauge>,
+    /// How often the idle thread wakes with no timer due; see
+    /// `runtime::idle_tick`.
+    idle_tick: Option<Duration>,
+    decoder: LinkDecoder,
+    /// `(deadline in µs since epoch, tag)`.
+    timers: BinaryHeap<Reverse<(u64, u64)>>,
+    /// The stage sampler's position in its every-n-th cycle.
+    frame_counter: u64,
+    /// Frames taken off the inbox; what fault plans count in.
+    received: u64,
+    /// The frame being worked on, from before the fault hooks until the
+    /// node has handled it: a panic or a fence hands it to the supervisor
+    /// for requeueing (a deterministically poisonous frame then re-crashes
+    /// the replacement — bounded by the restart budget, which is the
+    /// intended behavior for a poison-pill input).
+    current: Option<Frame>,
+}
+
+impl<N: Node> NodeDriver<N> {
+    pub(crate) fn new(
+        node: N,
+        me: ActorId,
+        shard: Option<(usize, usize)>,
+        router: Router,
+        stats: Arc<RtStats>,
+        heartbeat: Arc<Gauge>,
+        idle_tick: Option<Duration>,
+    ) -> Self {
+        heartbeat.set_max(heartbeat_now(router.epoch));
+        Self {
+            node,
+            env: NodeEnv {
+                me,
+                shard,
+                speaks: shard.is_none_or(|(index, _)| index == 0),
+                epoch: router.epoch,
+                profiler: Arc::clone(&router.profiler),
+                router,
+                stats,
+            },
+            fence: None,
+            heartbeat,
+            idle_tick,
+            decoder: LinkDecoder::new(WireCodec::Binary),
+            timers: BinaryHeap::new(),
+            frame_counter: 0,
+            received: 0,
+            current: None,
+        }
+    }
+
+    /// Puts the driver under the supervisor's stall detector.
+    pub(crate) fn fenced_by(mut self, fence: Arc<AtomicBool>) -> Self {
+        self.fence = Some(fence);
+        self
+    }
+
+    /// What fault plans and supervision slots key this node by:
+    /// `(broker, shard)`, or `(node, 0)` for a subscriber.
+    pub(crate) fn slot(&self) -> (usize, usize) {
+        (self.env.me.0, self.env.shard.map_or(0, |(index, _)| index))
+    }
+
+    pub(crate) fn into_node(self) -> N {
+        self.node
+    }
+
+    /// The frame a panicked or fenced turn left unhandled, if any.
+    pub(crate) fn take_current(&mut self) -> Option<Frame> {
+        self.current.take()
+    }
+
+    fn fenced(&self) -> bool {
+        self.fence
+            .as_ref()
+            .is_some_and(|fence| fence.load(Ordering::Relaxed))
+    }
+
+    /// The node and the [`NodeCtx`] to call it with.
+    pub(crate) fn ctx(&mut self, sampled: bool) -> (&mut N, RtCtx<'_>) {
+        let ctx = RtCtx {
+            env: &self.env,
+            timers: &mut self.timers,
+            sampled,
+            nested_ns: 0,
+        };
+        (&mut self.node, ctx)
+    }
+
+    /// Blocks on the inbox, spending one turn on each frame and firing
+    /// the timers that fall due in between, until the shutdown pill (then
+    /// everything already queued is still handled, and nothing further is
+    /// waited for), a hang-up, or a fence. `after_turn` is the per-kind
+    /// step, called with the node once per wake-up.
+    pub(crate) fn run(
+        &mut self,
+        rx: &Receiver<RtEvent>,
+        mut after_turn: impl FnMut(&mut N),
+    ) -> LoopExit {
+        let mut draining = false;
+        loop {
+            self.heartbeat.set_max(heartbeat_now(self.env.epoch));
+            if self.fenced() {
+                return LoopExit::Fenced;
+            }
+            let event = if draining {
+                rx.try_recv().map_err(|_| RecvTimeoutError::Disconnected)
+            } else {
+                self.recv_until_wakeup(rx)
+            };
+            match event {
+                Ok(RtEvent::Frame(frame)) => {
+                    if let ControlFlow::Break(exit) = self.turn(frame) {
+                        return exit;
+                    }
+                }
+                Ok(RtEvent::Shutdown) => draining = true,
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return LoopExit::Clean,
+            }
+            if !draining {
+                self.fire_due_timers();
+            }
+            after_turn(&mut self.node);
+        }
+    }
+
+    /// Waits on the inbox until the next event, the next timer deadline
+    /// or the next idle tick, whichever comes first; with neither a timer
+    /// pending nor a tick configured it blocks until an event arrives.
+    fn recv_until_wakeup(&self, rx: &Receiver<RtEvent>) -> Result<RtEvent, RecvTimeoutError> {
+        let timer = self.timers.peek().map(|Reverse((deadline, _))| {
+            Duration::from_micros(deadline.saturating_sub(micros_since(self.env.epoch)))
+        });
+        match (timer, self.idle_tick) {
+            (Some(timer), Some(tick)) => rx.recv_timeout(timer.min(tick)),
+            (Some(wait), None) | (None, Some(wait)) => rx.recv_timeout(wait),
+            (None, None) => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        }
+    }
+
+    /// Runs the node for one frame: consults the fault plan, then decodes
+    /// the frame and hands each message in it to the node. Breaks when an
+    /// injected stall outlasted the supervisor's patience and the thread
+    /// came back fenced — the frame then stays in `current`, unhandled.
+    pub(crate) fn turn(&mut self, frame: Frame) -> ControlFlow<LoopExit> {
+        self.received += 1;
+        let sampled = self.env.profiler.tick(&mut self.frame_counter);
+        self.current = Some(frame);
+        let (node, shard) = self.slot();
+        match self
+            .env
+            .router
+            .fault
+            .frame_action(node, shard, self.received)
+        {
+            FaultAction::Pass => {}
+            FaultAction::Panic => {
+                self.env.stats.inc_faults_injected();
+                panic!(
+                    "injected fault: node {node} shard {shard} panics at frame {}",
+                    self.received
+                );
+            }
+            FaultAction::Stall(dur) => {
+                self.env.stats.inc_faults_injected();
+                std::thread::sleep(dur);
+                if self.fenced() {
+                    return ControlFlow::Break(LoopExit::Fenced);
+                }
+            }
+        }
+        self.feed(sampled);
+        self.current = None;
+        ControlFlow::Continue(())
+    }
+
+    /// Pushes the current frame's bytes through the link decoder and
+    /// feeds every complete wire message to the node. Corrupt frames are
+    /// counted and the buffered remainder discarded (the learned attribute
+    /// dictionary survives the reset — only framing state is poisoned).
+    ///
+    /// On a sampled frame the per-stage pipeline costs are recorded:
+    /// ingress wait (sender's enqueue stamp → now), decode (deframe +
+    /// deserialize, per wire message), and match (the state-machine step,
+    /// minus the time its own sends spent encoding and enqueuing — those
+    /// are reported as `Encode`/`EgressSend` by the nested dispatch).
+    ///
+    /// Externally published events are re-stamped here, at root ingress
+    /// dequeue: the wait an event spent behind earlier events in the root
+    /// inbox goes into `rt.queue_wait_ns`, and the trace context's
+    /// `published_at` is rebased to *now* so the end-to-end latency
+    /// histogram measures pipeline delivery latency rather than publish
+    /// backlog (an open-loop publisher queueing faster than one shard
+    /// drains once read as a 268 ms p50).
+    fn feed(&mut self, sampled: bool) {
+        let Some(frame) = self.current.as_ref() else {
+            return;
+        };
+        let env = &self.env;
+        if sampled && frame.enqueued_ns != 0 {
+            env.profiler.record(
+                PipelineStage::IngressWait,
+                nanos_since(env.epoch).saturating_sub(frame.enqueued_ns),
+            );
+        }
+        self.decoder.push(&frame.bytes);
+        loop {
+            let decode_timer = sampled.then(Instant::now);
+            match self.decoder.next_msg() {
+                Ok(Some((from, mut msg))) => {
+                    if let Some(t0) = decode_timer {
+                        env.profiler.record(PipelineStage::Decode, elapsed_ns(t0));
+                    }
+                    if from == EXTERNAL {
+                        if let OverlayMsg::Publish(event) = &mut msg {
+                            if let Some(mut tc) = event.trace() {
+                                let now = nanos_since(env.epoch);
+                                env.stats
+                                    .record_queue_wait_ns(now.saturating_sub(tc.published_at));
+                                tc.published_at = now;
+                                tc.last_hop_at = now;
+                                event.set_trace(Some(tc));
+                            }
+                        }
+                    }
+                    let mut ctx = RtCtx {
+                        env,
+                        timers: &mut self.timers,
+                        sampled,
+                        nested_ns: 0,
+                    };
+                    let match_timer = sampled.then(Instant::now);
+                    self.node.on_message(from, msg, &mut ctx);
+                    if let Some(t0) = match_timer {
+                        env.profiler.record(
+                            PipelineStage::Match,
+                            elapsed_ns(t0).saturating_sub(ctx.nested_ns),
+                        );
+                    }
+                    // Counted once handled, after whatever the node sent in
+                    // response: `frames_sent == frames_received` then means no
+                    // frame is queued or being worked on (see `quiesce`).
+                    env.stats.inc_frames_received();
+                }
+                Ok(None) => break,
+                Err(_) => {
+                    env.stats.inc_decode_errors();
+                    self.decoder.reset_framing();
+                    break;
+                }
+            }
+        }
+    }
+
+    pub(crate) fn fire_due_timers(&mut self) {
+        while let Some(&Reverse((deadline, tag))) = self.timers.peek() {
+            if deadline > micros_since(self.env.epoch) {
+                break;
+            }
+            self.timers.pop();
+            self.env.stats.inc_timers_fired();
+            // Timer work is maintenance, not pipeline — never stage-sampled.
+            let (node, mut ctx) = self.ctx(false);
+            node.on_timer(tag, &mut ctx);
+        }
+    }
+}
+
+/// The [`NodeCtx`] a driver hands to its node: wall-clock time in
+/// microseconds since runtime start, sends through the router, timers
+/// into the driver's deadline heap.
+pub(crate) struct RtCtx<'a> {
+    env: &'a NodeEnv,
+    timers: &'a mut BinaryHeap<Reverse<(u64, u64)>>,
+    /// Whether the frame currently being processed was picked by the
+    /// stage sampler.
+    sampled: bool,
+    /// Wall-clock nanoseconds this handler spent inside nested
+    /// `dispatch` calls (encode + egress send). Subtracted from the
+    /// handler's total so the `Match` stage reports pure state-machine
+    /// time rather than re-counting downstream wire costs.
+    nested_ns: u64,
+}
+
+impl NodeCtx for RtCtx<'_> {
+    fn now(&self) -> SimTime {
+        SimTime::from_ticks(micros_since(self.env.epoch))
+    }
+
+    fn me(&self) -> ActorId {
+        self.env.me
+    }
+
+    fn send(&mut self, to: ActorId, msg: OverlayMsg) {
+        let env = self.env;
+        if let (OverlayMsg::DurableBase { class, .. }, Some((shard, count))) = (&msg, env.shard) {
+            // Class-owner shards open durable streams, leaders don't
+            // (see `NodeEnv::shard`) — exactly one replica speaks.
+            if shard_of(class.0, count) != shard {
+                env.stats.inc_suppressed_control();
+                return;
+            }
+        } else if !msg.is_data() && !env.speaks {
+            env.stats.inc_suppressed_control();
+            return;
+        }
+        let timer = self.sampled.then(Instant::now);
+        env.router
+            .dispatch(env.me, to, &msg, &env.stats, self.sampled);
+        if let Some(t0) = timer {
+            self.nested_ns = self.nested_ns.saturating_add(elapsed_ns(t0));
+        }
+    }
+
+    fn set_timer(&mut self, delay: SimDuration, tag: u64) {
+        if !self.env.speaks {
+            return;
+        }
+        let deadline = micros_since(self.env.epoch) + delay.ticks();
+        self.timers.push(Reverse((deadline, tag)));
+    }
+
+    /// Wall-clock trace stamps in nanoseconds since runtime start — the
+    /// resolution hop latencies need to resolve sub-microsecond pipeline
+    /// costs ([`NodeCtx::now`] only ticks in microseconds).
+    fn trace_now(&self) -> u64 {
+        nanos_since(self.env.epoch)
+    }
+
+    fn shard(&self) -> u32 {
+        self.env.shard.map_or(0, |(s, _)| s as u32)
+    }
+
+    fn stage_sampled(&self) -> bool {
+        self.sampled
+    }
+
+    fn record_stage(&self, stage: PipelineStage, ns: u64) {
+        self.env.profiler.record(stage, ns);
+    }
+}

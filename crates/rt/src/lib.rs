@@ -11,10 +11,9 @@
 //! * threads exchange length-prefixed byte frames — over `std::sync::mpsc`
 //!   channels by default, or over real loopback TCP sockets with
 //!   [`TransportKind::Tcp`] — so each hop pays genuine
-//!   serialize/deserialize cost. Frames carry either the compact binary
-//!   codec (the default; varint integers plus an interned attribute
-//!   dictionary) or the legacy self-describing JSON encoding, selected
-//!   per runtime with [`RtConfig::codec`];
+//!   serialize/deserialize cost. Frames carry the compact binary codec
+//!   (varint integers plus an interned attribute dictionary; see
+//!   [`wire`]);
 //! * separate *processes* talk to a broker through the [`remote`]
 //!   protocol: a handshake, a per-connection negotiated attribute
 //!   dictionary, then the same framed binary messages over TCP;
@@ -63,10 +62,10 @@
 //!
 //! See `DESIGN.md` ("Runtime", "Runtime observability") for the
 //! threading model, the leader/follower sharding contract, the shutdown
-//! protocol, and the sim-vs-rt parity argument. The `exp_throughput`
-//! benchmark (E17) measures events/sec and latency percentiles against
-//! the shard count; `exp_observability` (E19) measures per-stage costs
-//! and the overhead of the instrumentation itself.
+//! protocol, and the sim-vs-rt parity argument. The repository's
+//! benchmark (`benchmark/`) measures capacity, CPU per event and latency
+//! through this crate's public API, and reports the stage profile and
+//! what the instruments cost as `rt.stage.*` and `rt.trace_overhead_pct`.
 //!
 //! # Example
 //!
@@ -99,6 +98,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod driver;
 mod error;
 mod fault;
 mod metrics_http;

@@ -116,7 +116,7 @@ fn serve_loop(
     mut stream: TcpStream,
     out_tx: &Sender<OverlayMsg>,
 ) -> Result<(), RtError> {
-    let mut decoder = LinkDecoder::negotiated(WireCodec::Binary);
+    let mut decoder = LinkDecoder::negotiated();
     let mut chunk = vec![0u8; READ_CHUNK];
     loop {
         let n = match stream.read(&mut chunk) {
@@ -216,7 +216,7 @@ impl RemoteClient {
             .map_err(|e| wire_io("handshake", &e))?;
         Ok(Self {
             stream,
-            decoder: LinkDecoder::negotiated(WireCodec::Binary),
+            decoder: LinkDecoder::negotiated(),
             dict: EncodeDict::new(DictMode::Negotiated),
             buf: Vec::with_capacity(1024),
             chunk: vec![0u8; READ_CHUNK],

@@ -56,13 +56,13 @@
 //! events are never lost at shutdown. Subscribers drain last.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -76,8 +76,9 @@ use layercake_overlay::{Broker, Node, NodeCtx, OverlayConfig, OverlayMsg, Subscr
 use layercake_sim::{ActorId, SimDuration, SimTime};
 use layercake_trace::TraceSink;
 
+use crate::driver::{LoopExit, NodeDriver};
 use crate::error::RtError;
-use crate::fault::{FaultAction, FaultState, RtFaultPlan};
+use crate::fault::{FaultState, RtFaultPlan};
 use crate::metrics_http::MetricsServer;
 use crate::snapshot::RtSnapshot;
 use crate::stats::RtStats;
@@ -139,8 +140,7 @@ pub struct RtConfig {
     /// send (plus WAL append/fsync on durable runs) into the telemetry
     /// registry. `0` (the default) turns profiling off; the cost left on
     /// the hot path is then one relaxed atomic load and a branch per
-    /// frame (experiment E19 asserts it stays within noise of a build
-    /// without the instrumentation).
+    /// frame.
     pub stage_sample_every: u64,
     /// When set, serves the telemetry registry in Prometheus text
     /// exposition format on this socket address (e.g. `"127.0.0.1:9464"`;
@@ -155,11 +155,6 @@ pub struct RtConfig {
     /// default) injects nothing and keeps the fault hooks to two hash
     /// probes per frame.
     pub fault_plan: Option<RtFaultPlan>,
-    /// Which payload encoding every link speaks:
-    /// [`WireCodec::Binary`] (the default — varints, tag bytes,
-    /// dictionary-interned attribute names) or [`WireCodec::Json`] (the
-    /// original format, kept as the measured baseline for E17/E21).
-    pub codec: WireCodec,
     /// Which link backend carries frames between node threads:
     /// in-process mpsc channels (the default) or loopback TCP sockets
     /// with per-link writer/reader threads ([`TransportKind::Tcp`]),
@@ -185,7 +180,6 @@ impl RtConfig {
             metrics_addr: None,
             supervision: SupervisionConfig::default(),
             fault_plan: None,
-            codec: WireCodec::default(),
             transport: TransportKind::default(),
         }
     }
@@ -304,9 +298,7 @@ pub(crate) struct Router {
     /// by data volume.
     ctrl: Arc<Vec<Mutex<Vec<Vec<u8>>>>>,
     pub(crate) epoch: Instant,
-    /// The payload codec every link speaks ([`RtConfig::codec`]).
-    pub(crate) codec: WireCodec,
-    profiler: Arc<StageProfiler>,
+    pub(crate) profiler: Arc<StageProfiler>,
     pub(crate) fault: Arc<FaultState>,
     /// Set once teardown begins: send failures stop counting as frame
     /// loss (closed channels are the shutdown protocol, not a fault).
@@ -317,7 +309,6 @@ impl Router {
     fn new(
         capacity: usize,
         epoch: Instant,
-        codec: WireCodec,
         profiler: Arc<StageProfiler>,
         fault: Arc<FaultState>,
     ) -> Self {
@@ -329,7 +320,6 @@ impl Router {
             routes: Arc::new(RwLock::new(routes)),
             ctrl: Arc::new(ctrl),
             epoch,
-            codec,
             profiler,
             fault,
             teardown: Arc::new(AtomicBool::new(false)),
@@ -395,7 +385,7 @@ impl Router {
             return;
         }
         let encode_timer = sampled.then(Instant::now);
-        let bytes = match wire::encode_for_dispatch(self.codec, from, msg) {
+        let bytes = match wire::encode_for_dispatch(from, msg) {
             Ok(bytes) => bytes,
             Err(_) => {
                 // A message that cannot fit the frame cap: accounted and
@@ -775,7 +765,7 @@ impl Router {
 }
 
 /// Nanoseconds elapsed since `t0`, saturating at `u64::MAX`.
-fn elapsed_ns(t0: Instant) -> u64 {
+pub(crate) fn elapsed_ns(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -795,98 +785,9 @@ fn data_class(msg: &OverlayMsg) -> Option<u32> {
 
 /// Maps an event class to a matcher shard. Fibonacci hashing spreads the
 /// small dense class-id space evenly even when `shards` is a power of 2.
-fn shard_of(class: u32, shards: usize) -> usize {
+pub(crate) fn shard_of(class: u32, shards: usize) -> usize {
     let h = u64::from(class).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ((h >> 32) as usize) % shards
-}
-
-/// The [`NodeCtx`] a node thread hands to its state machine: wall-clock
-/// time in microseconds since runtime start, sends through the router,
-/// timers into the thread-local deadline heap.
-struct RtCtx<'a> {
-    me: ActorId,
-    epoch: Instant,
-    router: &'a Router,
-    stats: &'a RtStats,
-    timers: &'a mut BinaryHeap<Reverse<(u64, u64)>>,
-    /// Leader shards (and every subscriber) emit control traffic and arm
-    /// timers; follower shards mutate state silently.
-    speaks: bool,
-    /// `(shard index, shard count)` for broker threads, `None` for
-    /// subscribers. Durable stream-open frames (`DurableBase`) are
-    /// emitted by the shard that owns the class's log slice rather than
-    /// the leader: only the owner knows the stream's real resume offset —
-    /// the leader's replica of a class it does not own has an empty
-    /// history and would open every stream at offset 0.
-    shard: Option<(usize, usize)>,
-    /// The runtime's stage profiler; consulted by the trace/profiling
-    /// default-method overrides below.
-    profiler: &'a StageProfiler,
-    /// Whether the frame currently being processed was picked by the
-    /// stage sampler.
-    sampled: bool,
-    /// Wall-clock nanoseconds this handler spent inside nested
-    /// `dispatch` calls (encode + egress send). Subtracted from the
-    /// handler's total so the `Match` stage reports pure state-machine
-    /// time rather than re-counting downstream wire costs.
-    nested_ns: u64,
-}
-
-impl NodeCtx for RtCtx<'_> {
-    fn now(&self) -> SimTime {
-        SimTime::from_ticks(micros_since(self.epoch))
-    }
-
-    fn me(&self) -> ActorId {
-        self.me
-    }
-
-    fn send(&mut self, to: ActorId, msg: OverlayMsg) {
-        if let (OverlayMsg::DurableBase { class, .. }, Some((shard, count))) = (&msg, self.shard) {
-            // Class-owner shards open durable streams, leaders don't
-            // (see the `shard` field) — exactly one replica speaks.
-            if shard_of(class.0, count) != shard {
-                self.stats.inc_suppressed_control();
-                return;
-            }
-        } else if !msg.is_data() && !self.speaks {
-            self.stats.inc_suppressed_control();
-            return;
-        }
-        let timer = self.sampled.then(Instant::now);
-        self.router
-            .dispatch(self.me, to, &msg, self.stats, self.sampled);
-        if let Some(t0) = timer {
-            self.nested_ns = self.nested_ns.saturating_add(elapsed_ns(t0));
-        }
-    }
-
-    fn set_timer(&mut self, delay: SimDuration, tag: u64) {
-        if !self.speaks {
-            return;
-        }
-        let deadline = micros_since(self.epoch) + delay.ticks();
-        self.timers.push(Reverse((deadline, tag)));
-    }
-
-    /// Wall-clock trace stamps in nanoseconds since runtime start — the
-    /// resolution hop latencies need to resolve sub-microsecond pipeline
-    /// costs ([`NodeCtx::now`] only ticks in microseconds).
-    fn trace_now(&self) -> u64 {
-        nanos_since(self.epoch)
-    }
-
-    fn shard(&self) -> u32 {
-        self.shard.map_or(0, |(s, _)| s as u32)
-    }
-
-    fn stage_sampled(&self) -> bool {
-        self.sampled
-    }
-
-    fn record_stage(&self, stage: PipelineStage, ns: u64) {
-        self.profiler.record(stage, ns);
-    }
 }
 
 /// The muted [`NodeCtx`] used while replaying a rebuilt shard's captured
@@ -917,7 +818,7 @@ pub(crate) fn micros_since(epoch: Instant) -> u64 {
     u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-fn nanos_since(epoch: Instant) -> u64 {
+pub(crate) fn nanos_since(epoch: Instant) -> u64 {
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -1171,7 +1072,7 @@ impl Runtime {
             .expect("validated topology has a root")
             .id;
 
-        let router = Router::new(broker_count, epoch, cfg.codec, Arc::clone(&profiler), fault);
+        let router = Router::new(broker_count, epoch, Arc::clone(&profiler), fault);
         let mut links: Vec<Link> = Vec::new();
         let mut inboxes: Vec<Vec<Receiver<RtEvent>>> = Vec::with_capacity(broker_count);
         for b in 0..broker_count {
@@ -1228,23 +1129,18 @@ impl Runtime {
                 let heartbeat = stats
                     .registry()
                     .gauge(&format!("rt.heartbeat_us.b{b}s{shard}"));
-                heartbeat.set_max(heartbeat_now(epoch));
-                let env = ShardEnv {
-                    b,
-                    shard,
-                    count: cfg.shards,
-                    generation: 0,
-                    speaks: shard == 0,
-                    epoch,
-                    router: router.clone(),
-                    stats: Arc::clone(&stats),
-                    profiler: Arc::clone(&profiler),
-                    fence: Arc::clone(&fence),
-                    heartbeat: Arc::clone(&heartbeat),
-                    idle_tick: idle_tick(&cfg.supervision),
-                    notices: notice_tx.clone(),
-                };
-                let handle = spawn_shard(env, broker, rx).map_err(RtError::Thread)?;
+                let driver = NodeDriver::new(
+                    broker,
+                    ActorId(b),
+                    Some((shard, cfg.shards)),
+                    router.clone(),
+                    Arc::clone(&stats),
+                    Arc::clone(&heartbeat),
+                    idle_tick(&cfg.supervision),
+                )
+                .fenced_by(Arc::clone(&fence));
+                let handle =
+                    spawn_shard(driver, 0, notice_tx.clone(), rx).map_err(RtError::Thread)?;
                 slots.lock().unwrap_or_else(PoisonError::into_inner).insert(
                     (b, shard),
                     ShardSlot {
@@ -1501,21 +1397,24 @@ impl Runtime {
             .stats
             .registry()
             .gauge(&format!("rt.heartbeat_us.sub{index}"));
-        heartbeat.set_max(heartbeat_now(self.epoch));
-        let env = SubEnv {
-            index,
+        let driver = NodeDriver::new(
+            node,
             id,
-            epoch: self.epoch,
-            router: self.router.clone(),
-            stats: Arc::clone(&self.stats),
-            profiler: Arc::clone(&self.profiler),
-            placed: placed_tx,
+            None,
+            self.router.clone(),
+            Arc::clone(&self.stats),
             heartbeat,
-            idle_tick: idle_tick(&self.cfg.supervision),
+            idle_tick(&self.cfg.supervision),
+        );
+        let env = SubEnv {
+            placed: placed_tx,
             notices: self.notice_tx.clone(),
             tap,
         };
-        let handle = spawn_subscriber(env, node, rx).map_err(RtError::Thread)?;
+        let handle = std::thread::Builder::new()
+            .name(format!("lc-sub-{index}"))
+            .spawn(move || subscriber_thread_main(driver, &env, &rx))
+            .map_err(RtError::Thread)?;
         self.subscriber_threads.push(SubscriberThread {
             id,
             label,
@@ -1832,45 +1731,6 @@ impl Runtime {
     }
 }
 
-/// The current wall-clock microsecond tick as a heartbeat gauge value.
-fn heartbeat_now(epoch: Instant) -> i64 {
-    i64::try_from(micros_since(epoch)).unwrap_or(i64::MAX)
-}
-
-/// Everything a broker shard thread needs besides its state machine and
-/// inbox. Rebuilt (with a bumped generation and fresh fence) for every
-/// supervised restart.
-pub(crate) struct ShardEnv {
-    pub(crate) b: usize,
-    pub(crate) shard: usize,
-    pub(crate) count: usize,
-    /// Restart generation of this thread; stale-generation exit notices
-    /// (a fenced zombie waking late) are salvaged, not restarted again.
-    pub(crate) generation: u64,
-    pub(crate) speaks: bool,
-    pub(crate) epoch: Instant,
-    pub(crate) router: Router,
-    pub(crate) stats: Arc<RtStats>,
-    pub(crate) profiler: Arc<StageProfiler>,
-    /// Set by the supervisor's stall detector: the thread must stop
-    /// touching shared state and exit `Fenced` at the next opportunity.
-    pub(crate) fence: Arc<AtomicBool>,
-    /// Liveness gauge (`rt.heartbeat_us.b<b>s<shard>`), raised to the
-    /// current tick every loop iteration — so while the thread is idle
-    /// it reads the time it last went to sleep; monotone (`set_max`) so
-    /// a late write from a replaced generation can't rewind it.
-    pub(crate) heartbeat: Arc<Gauge>,
-    /// See [`idle_tick`].
-    pub(crate) idle_tick: Option<Duration>,
-    pub(crate) notices: Sender<Notice>,
-}
-
-/// How a shard's run loop ended (when it didn't panic).
-enum LoopExit {
-    Clean,
-    Fenced,
-}
-
 /// Publishes one broker's table shape (live filter entries, covered
 /// aggregation bookkeeping) into the runtime-wide gauges as a *delta
 /// contribution*: each loop iteration adds the change since the last
@@ -1889,13 +1749,13 @@ struct TableGauges {
 }
 
 impl TableGauges {
-    fn new(env: &ShardEnv) -> Self {
+    fn new(stats: &RtStats, active: bool) -> Self {
         Self {
-            entries: env.stats.filter_table_entries_gauge(),
-            covered: env.stats.agg_covered_subs_gauge(),
+            entries: stats.filter_table_entries_gauge(),
+            covered: stats.agg_covered_subs_gauge(),
             published_entries: 0,
             published_covered: 0,
-            active: env.speaks,
+            active,
         }
     }
 
@@ -1926,317 +1786,117 @@ impl Drop for TableGauges {
 }
 
 fn spawn_shard(
-    env: ShardEnv,
-    broker: Broker,
+    driver: NodeDriver<Broker>,
+    generation: u64,
+    notices: Sender<Notice>,
     rx: Receiver<RtEvent>,
 ) -> io::Result<JoinHandle<ShardOutcome>> {
+    let (b, shard) = driver.slot();
     std::thread::Builder::new()
-        .name(format!("lc-broker-{}.{}", env.b, env.shard))
-        .spawn(move || shard_thread_main(env, broker, rx))
+        .name(format!("lc-broker-{b}.{shard}"))
+        .spawn(move || shard_thread_main(driver, generation, &notices, rx))
 }
 
 /// The supervised wrapper around one broker shard's run loop: catches
 /// panics, reports the exit over the supervision channel with the
 /// in-flight frame and the (now drainable) inbox receiver, and hands the
-/// state machine back on a clean exit.
-fn shard_thread_main(env: ShardEnv, mut broker: Broker, rx: Receiver<RtEvent>) -> ShardOutcome {
-    let mut current: Option<Frame> = None;
+/// state machine back on a clean exit. `generation` is this thread's
+/// restart generation; stale-generation exit notices (a fenced zombie
+/// waking late) are salvaged, not restarted again.
+fn shard_thread_main(
+    mut driver: NodeDriver<Broker>,
+    generation: u64,
+    notices: &Sender<Notice>,
+    rx: Receiver<RtEvent>,
+) -> ShardOutcome {
     let exit = catch_unwind(AssertUnwindSafe(|| {
-        shard_run_loop(&env, &mut broker, &rx, &mut current)
+        // Declared inside the closure so a panic unwinding to
+        // `catch_unwind` still runs the Drop and retracts this
+        // generation's gauge contribution.
+        let mut table_gauges = TableGauges::new(&driver.env.stats, driver.env.speaks);
+        driver.run(&rx, |broker| table_gauges.publish(broker))
     }));
-    match exit {
-        Ok(LoopExit::Clean) => ShardOutcome::Clean(Box::new(broker)),
-        Ok(LoopExit::Fenced) => {
-            let _ = env.notices.send(Notice::ShardDown {
-                b: env.b,
-                shard: env.shard,
-                generation: env.generation,
-                kind: DownKind::Fence,
-                detail: String::new(),
-                current: current.take(),
-                rx,
-            });
-            ShardOutcome::Fenced
-        }
+    let (kind, detail, outcome) = match exit {
+        Ok(LoopExit::Clean) => return ShardOutcome::Clean(Box::new(driver.into_node())),
+        Ok(LoopExit::Fenced) => (DownKind::Fence, String::new(), ShardOutcome::Fenced),
         Err(payload) => {
+            driver.env.stats.inc_panics();
             let detail = panic_message(payload.as_ref());
-            env.stats.inc_panics();
-            let _ = env.notices.send(Notice::ShardDown {
-                b: env.b,
-                shard: env.shard,
-                generation: env.generation,
-                kind: DownKind::Panic,
-                detail: detail.clone(),
-                current: current.take(),
-                rx,
-            });
-            ShardOutcome::Panicked(detail)
+            (
+                DownKind::Panic,
+                detail.clone(),
+                ShardOutcome::Panicked(detail),
+            )
         }
-    }
+    };
+    let (b, shard) = driver.slot();
+    let _ = notices.send(Notice::ShardDown {
+        b,
+        shard,
+        generation,
+        kind,
+        detail,
+        current: driver.take_current(),
+        rx,
+    });
+    outcome
 }
 
-/// Runs one broker shard: decode frames, drive the state machine, fire
-/// timers, drain on poison. `current` mirrors the frame being processed
-/// so a panic hands it back to the supervisor for requeueing (a
-/// deterministically poisonous frame then re-crashes the replacement —
-/// bounded by the restart budget, which is the intended behavior for a
-/// poison-pill input).
-fn shard_run_loop(
-    env: &ShardEnv,
-    broker: &mut Broker,
-    rx: &Receiver<RtEvent>,
-    current: &mut Option<Frame>,
-) -> LoopExit {
-    let me = ActorId(env.b);
-    let shard = Some((env.shard, env.count));
-    let mut timers: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut decoder = LinkDecoder::new(env.router.codec);
-    let mut frame_counter = 0u64;
-    let mut received = 0u64;
-    // Declared inside the loop fn so a panic unwinding through
-    // `catch_unwind` in `shard_thread_main` still runs the Drop and
-    // retracts this generation's gauge contribution.
-    let mut table_gauges = TableGauges::new(env);
-    loop {
-        env.heartbeat.set_max(heartbeat_now(env.epoch));
-        if env.fence.load(Ordering::Relaxed) {
-            return LoopExit::Fenced;
-        }
-        match recv_until_wakeup(rx, &timers, env.epoch, env.idle_tick) {
-            Ok(RtEvent::Frame(frame)) => {
-                received += 1;
-                let sampled = env.profiler.tick(&mut frame_counter);
-                *current = Some(frame);
-                match env.router.fault.frame_action(env.b, env.shard, received) {
-                    FaultAction::Pass => {}
-                    FaultAction::Panic => {
-                        env.stats.inc_faults_injected();
-                        panic!(
-                            "injected fault: broker {} shard {} panics at frame {received}",
-                            env.b, env.shard
-                        );
-                    }
-                    FaultAction::Stall(dur) => {
-                        env.stats.inc_faults_injected();
-                        std::thread::sleep(dur);
-                        if env.fence.load(Ordering::Relaxed) {
-                            return LoopExit::Fenced;
-                        }
-                    }
-                }
-                if let Some(f) = current.as_ref() {
-                    feed_node(
-                        broker,
-                        &mut decoder,
-                        &f.bytes,
-                        f.enqueued_ns,
-                        sampled,
-                        me,
-                        env.epoch,
-                        &env.router,
-                        &env.stats,
-                        &env.profiler,
-                        env.speaks,
-                        shard,
-                        &mut timers,
-                    );
-                }
-                *current = None;
-            }
-            Ok(RtEvent::Shutdown) => {
-                while let Ok(ev) = rx.try_recv() {
-                    if let RtEvent::Frame(f) = ev {
-                        *current = Some(f);
-                        if let Some(f) = current.as_ref() {
-                            feed_node(
-                                broker,
-                                &mut decoder,
-                                &f.bytes,
-                                f.enqueued_ns,
-                                env.profiler.tick(&mut frame_counter),
-                                me,
-                                env.epoch,
-                                &env.router,
-                                &env.stats,
-                                &env.profiler,
-                                env.speaks,
-                                shard,
-                                &mut timers,
-                            );
-                        }
-                        *current = None;
-                    }
-                }
-                return LoopExit::Clean;
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return LoopExit::Clean,
-        }
-        fire_due_timers(
-            broker,
-            &mut timers,
-            me,
-            env.epoch,
-            &env.router,
-            &env.stats,
-            &env.profiler,
-            env.speaks,
-            shard,
-        );
-        table_gauges.publish(broker);
-    }
-}
-
-/// Everything a subscriber thread needs besides its node and inbox.
+/// What a subscriber thread needs besides its driver and inbox.
 struct SubEnv {
-    index: usize,
-    id: ActorId,
-    epoch: Instant,
-    router: Router,
-    stats: Arc<RtStats>,
-    profiler: Arc<StageProfiler>,
     /// Told once per branch, when it is hosted: what
     /// `add_subscriber_inner` blocks on between placement requests.
     placed: Sender<()>,
-    heartbeat: Arc<Gauge>,
-    idle_tick: Option<Duration>,
     notices: Sender<Notice>,
     /// When set, every accepted delivery is also forwarded here (the
     /// remote-access bridge); see [`Runtime::add_subscriber_tapped`].
     tap: Option<Sender<Envelope>>,
 }
 
-fn spawn_subscriber(
-    env: SubEnv,
-    node: SubscriberNode,
-    rx: Receiver<RtEvent>,
-) -> io::Result<JoinHandle<SubOutcome>> {
-    std::thread::Builder::new()
-        .name(format!("lc-sub-{}", env.index))
-        .spawn(move || subscriber_thread_main(env, node, rx))
-}
-
-/// The supervised wrapper around one subscriber's run loop. Subscriber
-/// panics are isolated and reported, not restarted: the node's volatile
-/// delivery state died with the thread, and re-subscription (durable for
-/// zero loss) is the caller-level recovery path.
+/// The supervised wrapper around one subscriber's run loop: like a
+/// broker shard's, plus placement signalling and per-delivery latency
+/// accounting after each turn. Subscriber panics are isolated and
+/// reported, not restarted: the node's volatile delivery state died with
+/// the thread, and re-subscription (durable for zero loss) is the
+/// caller-level recovery path. Fault plans target a subscriber through
+/// its node id with shard 0 ([`RtSubscriberHandle::node`]).
 fn subscriber_thread_main(
-    env: SubEnv,
-    mut node: SubscriberNode,
-    rx: Receiver<RtEvent>,
+    mut driver: NodeDriver<SubscriberNode>,
+    env: &SubEnv,
+    rx: &Receiver<RtEvent>,
 ) -> SubOutcome {
-    let exit = catch_unwind(AssertUnwindSafe(|| sub_run_loop(&env, &mut node, &rx)));
+    let (stats, epoch) = (Arc::clone(&driver.env.stats), driver.env.epoch);
+    let mut placed = 0usize;
+    let exit = catch_unwind(AssertUnwindSafe(|| {
+        driver.run(rx, |node| {
+            while placed < node.placed_branches() {
+                placed += 1;
+                // Nobody listens once the placement call has timed out.
+                let _ = env.placed.send(());
+            }
+            for env_msg in node.take_inbox() {
+                if let Some(tc) = env_msg.trace() {
+                    stats.record_latency_ns(nanos_since(epoch).saturating_sub(tc.published_at));
+                }
+                stats.inc_delivered();
+                if let Some(tap) = &env.tap {
+                    let _ = tap.send(env_msg);
+                }
+            }
+        })
+    }));
     match exit {
-        Ok(()) => SubOutcome::Clean(Box::new(node)),
+        // Nothing fences a subscriber; either exit hands the node back.
+        Ok(LoopExit::Clean | LoopExit::Fenced) => SubOutcome::Clean(Box::new(driver.into_node())),
         Err(payload) => {
             let detail = panic_message(payload.as_ref());
-            env.stats.inc_panics();
+            stats.inc_panics();
             let _ = env.notices.send(Notice::SubscriberDown {
-                id: env.id,
+                id: driver.env.me,
                 detail: detail.clone(),
             });
             SubOutcome::Panicked(detail)
         }
-    }
-}
-
-/// Runs one subscriber: like a broker shard, plus placement signalling
-/// and per-delivery latency accounting. Fault plans target a subscriber
-/// through its node id with shard 0 ([`RtSubscriberHandle::node`]).
-fn sub_run_loop(env: &SubEnv, node: &mut SubscriberNode, rx: &Receiver<RtEvent>) {
-    let mut timers: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut decoder = LinkDecoder::new(env.router.codec);
-    let mut frame_counter = 0u64;
-    let mut received = 0u64;
-    let mut placed = 0usize;
-    let mut after = |node: &mut SubscriberNode, stats: &RtStats| {
-        while placed < node.placed_branches() {
-            placed += 1;
-            // Nobody listens once the placement call has timed out.
-            let _ = env.placed.send(());
-        }
-        for env_msg in node.take_inbox() {
-            if let Some(tc) = env_msg.trace() {
-                stats.record_latency_ns(nanos_since(env.epoch).saturating_sub(tc.published_at));
-            }
-            stats.inc_delivered();
-            if let Some(tap) = &env.tap {
-                let _ = tap.send(env_msg);
-            }
-        }
-    };
-    loop {
-        env.heartbeat.set_max(heartbeat_now(env.epoch));
-        match recv_until_wakeup(rx, &timers, env.epoch, env.idle_tick) {
-            Ok(RtEvent::Frame(frame)) => {
-                received += 1;
-                match env.router.fault.frame_action(env.id.0, 0, received) {
-                    FaultAction::Pass => {}
-                    FaultAction::Panic => {
-                        env.stats.inc_faults_injected();
-                        panic!(
-                            "injected fault: subscriber {} panics at frame {received}",
-                            env.id.0
-                        );
-                    }
-                    FaultAction::Stall(dur) => {
-                        env.stats.inc_faults_injected();
-                        std::thread::sleep(dur);
-                    }
-                }
-                feed_node(
-                    node,
-                    &mut decoder,
-                    &frame.bytes,
-                    frame.enqueued_ns,
-                    env.profiler.tick(&mut frame_counter),
-                    env.id,
-                    env.epoch,
-                    &env.router,
-                    &env.stats,
-                    &env.profiler,
-                    true,
-                    None,
-                    &mut timers,
-                );
-                after(node, &env.stats);
-            }
-            Ok(RtEvent::Shutdown) => {
-                while let Ok(RtEvent::Frame(frame)) = rx.try_recv() {
-                    feed_node(
-                        node,
-                        &mut decoder,
-                        &frame.bytes,
-                        frame.enqueued_ns,
-                        env.profiler.tick(&mut frame_counter),
-                        env.id,
-                        env.epoch,
-                        &env.router,
-                        &env.stats,
-                        &env.profiler,
-                        true,
-                        None,
-                        &mut timers,
-                    );
-                    after(node, &env.stats);
-                }
-                return;
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-        fire_due_timers(
-            node,
-            &mut timers,
-            env.id,
-            env.epoch,
-            &env.router,
-            &env.stats,
-            &env.profiler,
-            true,
-            None,
-        );
-        after(node, &env.stats);
     }
 }
 
@@ -2276,7 +1936,7 @@ fn rebuild_broker(
     broker.set_stage_profiler(Arc::clone(&shared.profiler));
     let prefix = shared.router.ctrl_prefix(b);
     let replayed = prefix.len() as u64;
-    let mut decoder = LinkDecoder::new(shared.router.codec);
+    let mut decoder = LinkDecoder::new(WireCodec::Binary);
     let mut ctx = MutedCtx {
         me: ActorId(b),
         epoch: shared.router.epoch,
@@ -2307,32 +1967,13 @@ pub(crate) fn perform_restart(
     stranded: Vec<Frame>,
     park_rx: &Receiver<RtEvent>,
 ) -> Result<u64, (String, u64)> {
-    let (mut broker, replayed) = match rebuild_broker(shared, b, shard) {
+    let (broker, replayed) = match rebuild_broker(shared, b, shard) {
         Ok(x) => x,
         Err(e) => {
             let lost = shared.router.fail_shard(b, shard, stranded, park_rx);
             return Err((e, lost));
         }
     };
-    {
-        // Re-open durable streams *before* the new inbox goes live:
-        // mpsc linearizes sends, so every subscriber sees its rebased
-        // `DurableBase` ahead of anything the replacement delivers.
-        let mut timers: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        let mut ctx = RtCtx {
-            me: ActorId(b),
-            epoch: shared.router.epoch,
-            router: &shared.router,
-            stats: &shared.stats,
-            timers: &mut timers,
-            speaks: shard == 0,
-            shard: Some((shard, shared.cfg.shards)),
-            profiler: &shared.profiler,
-            sampled: false,
-            nested_ns: 0,
-        };
-        broker.reopen_durable_streams(&mut ctx);
-    }
     let (generation, fence, heartbeat) = {
         let slots = shared.slots.lock().unwrap_or_else(PoisonError::into_inner);
         let Some(slot) = slots.get(&(b, shard)) else {
@@ -2345,26 +1986,27 @@ pub(crate) fn perform_restart(
             Arc::clone(&slot.heartbeat),
         )
     };
-    heartbeat.set_max(heartbeat_now(shared.router.epoch));
+    let mut driver = NodeDriver::new(
+        broker,
+        ActorId(b),
+        Some((shard, shared.cfg.shards)),
+        shared.router.clone(),
+        Arc::clone(&shared.stats),
+        heartbeat,
+        idle_tick(&shared.cfg.supervision),
+    )
+    .fenced_by(Arc::clone(&fence));
+    {
+        // Re-open durable streams *before* the new inbox goes live:
+        // mpsc linearizes sends, so every subscriber sees its rebased
+        // `DurableBase` ahead of anything the replacement delivers.
+        let (broker, mut ctx) = driver.ctx(false);
+        broker.reopen_durable_streams(&mut ctx);
+    }
     let (live_rx, requeued) = shared
         .router
         .install_shard(b, shard, stranded, park_rx, replayed);
-    let env = ShardEnv {
-        b,
-        shard,
-        count: shared.cfg.shards,
-        generation,
-        speaks: shard == 0,
-        epoch: shared.router.epoch,
-        router: shared.router.clone(),
-        stats: Arc::clone(&shared.stats),
-        profiler: Arc::clone(&shared.profiler),
-        fence: Arc::clone(&fence),
-        heartbeat,
-        idle_tick: idle_tick(&shared.cfg.supervision),
-        notices: shared.notice_tx.clone(),
-    };
-    match spawn_shard(env, broker, live_rx) {
+    match spawn_shard(driver, generation, shared.notice_tx.clone(), live_rx) {
         Ok(handle) => {
             let mut slots = shared.slots.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(slot) = slots.get_mut(&(b, shard)) {
@@ -2387,153 +2029,5 @@ pub(crate) fn perform_restart(
             let lost = shared.router.fail_shard(b, shard, Vec::new(), &dead_rx) + requeued;
             Err((format!("replacement thread spawn failed: {e}"), lost))
         }
-    }
-}
-
-/// Pushes one channel message's bytes through the link decoder and
-/// feeds every complete wire message to the node. Corrupt frames are
-/// counted and the buffered remainder discarded (the learned attribute
-/// dictionary survives the reset — only framing state is poisoned).
-///
-/// On a sampled frame the per-stage pipeline costs are recorded:
-/// ingress wait (sender's enqueue stamp → now), decode (deframe +
-/// deserialize, per wire message), and match (the state-machine step,
-/// minus the time its own sends spent encoding and enqueuing — those
-/// are reported as `Encode`/`EgressSend` by the nested dispatch).
-///
-/// Externally published events are re-stamped here, at root ingress
-/// dequeue: the wait an event spent behind earlier events in the root
-/// inbox goes into `rt.queue_wait_ns`, and the trace context's
-/// `published_at` is rebased to *now* so the end-to-end latency
-/// histogram measures pipeline delivery latency rather than publish
-/// backlog. (Experiment E17's "268 ms p50 at one shard" was backlog —
-/// an open-loop publisher queueing faster than one shard drains.)
-#[allow(clippy::too_many_arguments)]
-fn feed_node<N: Node>(
-    node: &mut N,
-    decoder: &mut LinkDecoder,
-    bytes: &[u8],
-    enqueued_ns: u64,
-    sampled: bool,
-    me: ActorId,
-    epoch: Instant,
-    router: &Router,
-    stats: &RtStats,
-    profiler: &StageProfiler,
-    speaks: bool,
-    shard: Option<(usize, usize)>,
-    timers: &mut BinaryHeap<Reverse<(u64, u64)>>,
-) {
-    if sampled && enqueued_ns != 0 {
-        profiler.record(
-            PipelineStage::IngressWait,
-            nanos_since(epoch).saturating_sub(enqueued_ns),
-        );
-    }
-    decoder.push(bytes);
-    loop {
-        let decode_timer = sampled.then(Instant::now);
-        match decoder.next_msg() {
-            Ok(Some((from, mut msg))) => {
-                if let Some(t0) = decode_timer {
-                    profiler.record(PipelineStage::Decode, elapsed_ns(t0));
-                }
-                if from == EXTERNAL {
-                    if let OverlayMsg::Publish(env) = &mut msg {
-                        if let Some(mut tc) = env.trace() {
-                            let now = nanos_since(epoch);
-                            stats.record_queue_wait_ns(now.saturating_sub(tc.published_at));
-                            tc.published_at = now;
-                            tc.last_hop_at = now;
-                            env.set_trace(Some(tc));
-                        }
-                    }
-                }
-                let mut ctx = RtCtx {
-                    me,
-                    epoch,
-                    router,
-                    stats,
-                    timers: &mut *timers,
-                    speaks,
-                    shard,
-                    profiler,
-                    sampled,
-                    nested_ns: 0,
-                };
-                let match_timer = sampled.then(Instant::now);
-                node.on_message(from, msg, &mut ctx);
-                if let Some(t0) = match_timer {
-                    profiler.record(
-                        PipelineStage::Match,
-                        elapsed_ns(t0).saturating_sub(ctx.nested_ns),
-                    );
-                }
-                // Counted once handled, after whatever the node sent in
-                // response: `frames_sent == frames_received` then means no
-                // frame is queued or being worked on (see `quiesce`).
-                stats.inc_frames_received();
-            }
-            Ok(None) => break,
-            Err(_) => {
-                stats.inc_decode_errors();
-                decoder.reset_framing();
-                break;
-            }
-        }
-    }
-}
-
-/// Waits on a node's inbox until the next event, the next timer
-/// deadline or the next idle tick, whichever comes first; with neither a
-/// timer pending nor a tick configured it blocks until an event arrives.
-fn recv_until_wakeup(
-    rx: &Receiver<RtEvent>,
-    timers: &BinaryHeap<Reverse<(u64, u64)>>,
-    epoch: Instant,
-    idle_tick: Option<Duration>,
-) -> Result<RtEvent, RecvTimeoutError> {
-    let timer = timers.peek().map(|Reverse((deadline, _))| {
-        Duration::from_micros(deadline.saturating_sub(micros_since(epoch)))
-    });
-    match (timer, idle_tick) {
-        (Some(timer), Some(tick)) => rx.recv_timeout(timer.min(tick)),
-        (Some(wait), None) | (None, Some(wait)) => rx.recv_timeout(wait),
-        (None, None) => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fire_due_timers<N: Node>(
-    node: &mut N,
-    timers: &mut BinaryHeap<Reverse<(u64, u64)>>,
-    me: ActorId,
-    epoch: Instant,
-    router: &Router,
-    stats: &RtStats,
-    profiler: &StageProfiler,
-    speaks: bool,
-    shard: Option<(usize, usize)>,
-) {
-    while let Some(&Reverse((deadline, tag))) = timers.peek() {
-        if deadline > micros_since(epoch) {
-            break;
-        }
-        timers.pop();
-        stats.inc_timers_fired();
-        // Timer work is maintenance, not pipeline — never stage-sampled.
-        let mut ctx = RtCtx {
-            me,
-            epoch,
-            router,
-            stats,
-            timers: &mut *timers,
-            speaks,
-            shard,
-            profiler,
-            sampled: false,
-            nested_ns: 0,
-        };
-        node.on_timer(tag, &mut ctx);
     }
 }

@@ -20,9 +20,7 @@ const STAT_SHARDS: usize = 16;
 /// path never bounces a shared cache line. End-to-end latency is fed in
 /// nanoseconds into a [`ShardedHistogram`] with the same log₂ bucketing
 /// the simulator's metrics use, so virtual-time and wall-clock latency
-/// reports share one bucketing scheme. (Earlier revisions funneled every
-/// delivery through a `Mutex<Histogram>`; experiment E19's registry
-/// microbench records the contention gap that motivated the swap.)
+/// reports share one bucketing scheme.
 ///
 /// Every metric is registered in a [`TelemetryRegistry`] under a
 /// `rt.`-prefixed name, so the same figures flow out through
@@ -384,8 +382,8 @@ impl RtStats {
     /// the delivery-latency histogram deliberately *excludes*: publish
     /// stamps are rebased at ingress dequeue so `latency_ns` measures
     /// pipeline delivery latency, and the wait spent behind earlier
-    /// events in the root inbox is accounted here instead (the E17
-    /// "268 ms p50" artifact was this wait, misread as delivery time).
+    /// events in the root inbox is accounted here instead (an early
+    /// "268 ms p50" was this wait, misread as delivery time).
     #[must_use]
     pub fn queue_wait_histogram(&self) -> Histogram {
         self.queue_wait_ns.merged()

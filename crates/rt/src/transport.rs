@@ -29,7 +29,7 @@
 //! struct would have carried in its fields: target shard (or the
 //! broadcast sentinel), requeue tag, and the profiler's enqueue stamp.
 //! The frame payload itself is opaque to this layer — the codec
-//! ([`crate::WireCodec`]) already produced self-contained framed bytes.
+//! ([`crate::wire`]) already produced self-contained framed bytes.
 //!
 //! This backend is the in-process proving ground for the socket path
 //! (sim-vs-rt parity runs over it; see `tests/parity.rs`). Genuinely

@@ -1,18 +1,13 @@
 //! The runtime's wire format: one length-prefixed frame per message.
 //!
-//! Two payload codecs sit behind the same framing ([`WireCodec`]):
-//!
-//! * **Binary** (the default) — a [`layercake_event::KIND_MSG`] byte,
-//!   the sender id as a varint, then the [`BinCodec`] encoding of the
-//!   overlay message. Attribute names travel as interned ids through the
-//!   connection's [`EncodeDict`]/[`DecodeDict`]; in-process links run
-//!   the dictionary in [`DictMode::Shared`] (the global interner *is*
-//!   the dictionary), cross-process links negotiate a dense id space via
-//!   [`layercake_event::KIND_DICT`] frames emitted ahead of the first
-//!   message that references a new name.
-//! * **Json** — the PR 5 format, `{"from": <id>, "msg": <OverlayMsg>}`,
-//!   kept selectable through [`crate::RtConfig`] as the baseline the
-//!   E17/E21 experiments compare against.
+//! A frame's payload is a [`layercake_event::KIND_MSG`] byte, the sender
+//! id as a varint, then the [`BinCodec`] encoding of the overlay message.
+//! Attribute names travel as interned ids through the connection's
+//! [`EncodeDict`]/[`DecodeDict`]; in-process links run the dictionary in
+//! [`DictMode::Shared`] (the global interner *is* the dictionary),
+//! cross-process links negotiate a dense id space via
+//! [`layercake_event::KIND_DICT`] frames emitted ahead of the first
+//! message that references a new name.
 //!
 //! Every hop in the runtime pays the full cycle — serialize, frame,
 //! deframe, deserialize — so the measured throughput includes the real
@@ -34,14 +29,14 @@ use layercake_event::{
 };
 use layercake_overlay::OverlayMsg;
 use layercake_sim::ActorId;
-use serde::{DeError, Deserialize, Serialize, Value};
 
-/// Which payload encoding a runtime's links speak.
+/// The payload encoding, of which there is one. The type survives only
+/// because `benchmark/src/sut.rs` passes `WireCodec::default()` to
+/// [`LinkDecoder::new`] and [`encode_msg_into`] and a change to this crate
+/// may not edit the benchmark; the `benchmark` PR that stops passing it
+/// deletes the type and both parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireCodec {
-    /// Tagged JSON objects — the original wire format, kept as the
-    /// measured baseline.
-    Json,
     /// The compact binary codec: varints, tag bytes, dictionary-interned
     /// attribute names.
     #[default]
@@ -53,8 +48,6 @@ pub enum WireCodec {
 pub enum WireError {
     /// The framing layer rejected the stream (oversized or truncated).
     Frame(FrameError),
-    /// A frame's payload was not a valid JSON wire message.
-    Decode(DeError),
     /// A frame's payload was not a valid binary wire message.
     Codec(CodecError),
 }
@@ -63,7 +56,6 @@ impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WireError::Frame(e) => write!(f, "framing error: {e}"),
-            WireError::Decode(e) => write!(f, "payload decode error: {e}"),
             WireError::Codec(e) => write!(f, "binary codec error: {e}"),
         }
     }
@@ -80,30 +72,6 @@ impl From<FrameError> for WireError {
 impl From<CodecError> for WireError {
     fn from(e: CodecError) -> Self {
         WireError::Codec(e)
-    }
-}
-
-/// The JSON frame payload: a message plus its sender's node id.
-struct WireMsg {
-    from: u64,
-    msg: OverlayMsg,
-}
-
-impl Serialize for WireMsg {
-    fn serialize_value(&self) -> Value {
-        let mut obj = Value::object();
-        obj.insert_field("from", self.from.serialize_value());
-        obj.insert_field("msg", self.msg.serialize_value());
-        obj
-    }
-}
-
-impl Deserialize for WireMsg {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        Ok(WireMsg {
-            from: serde::__field(v, "from")?,
-            msg: serde::__field(v, "msg")?,
-        })
     }
 }
 
@@ -137,53 +105,32 @@ fn close_frame(out: &mut Vec<u8>, header_at: usize) -> Result<(), WireError> {
 /// [`WireError::Frame`] when the payload exceeds the 16 MiB frame cap
 /// (`out` is restored, no partial frame is left behind).
 pub fn encode_msg_into(
-    codec: WireCodec,
+    _codec: WireCodec,
     from: ActorId,
     msg: &OverlayMsg,
     dict: &mut EncodeDict,
     out: &mut Vec<u8>,
 ) -> Result<(), WireError> {
-    let start = out.len();
-    match codec {
-        WireCodec::Json => {
-            let wire = WireMsg {
-                from: from.0 as u64,
-                msg: msg.clone(),
-            };
-            let header_at = out.len();
-            out.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
-            // The JSON stub serializes through an owned Value tree, so
-            // this path keeps its inner allocations — it exists as the
-            // baseline codec, not the fast one.
-            out.extend_from_slice(&serde_json::to_vec(&wire).expect("wire message serializes"));
-            close_frame(out, header_at)
-        }
-        WireCodec::Binary => {
-            let header_at = out.len();
-            out.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
-            out.push(KIND_MSG);
-            write_varint(out, from.0 as u64);
-            msg.encode_bin(out, dict);
-            if let Err(e) = close_frame(out, header_at) {
-                out.truncate(start);
-                return Err(e);
-            }
-            if dict.has_pending() {
-                // First use of some attribute names on this connection:
-                // announce their wire ids in a dictionary frame spliced
-                // *before* the message that references them. Rare by
-                // construction (once per name per connection), so the
-                // O(frame) splice never shows on the hot path.
-                let pending = dict.take_pending();
-                let mut update = Vec::with_capacity(FRAME_HEADER_LEN + 8 * pending.len());
-                update.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
-                layercake_event::encode_dict_update(&pending, &mut update);
-                close_frame(&mut update, 0)?;
-                out.splice(header_at..header_at, update);
-            }
-            Ok(())
-        }
+    let header_at = out.len();
+    out.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
+    out.push(KIND_MSG);
+    write_varint(out, from.0 as u64);
+    msg.encode_bin(out, dict);
+    close_frame(out, header_at)?;
+    if dict.has_pending() {
+        // First use of some attribute names on this connection:
+        // announce their wire ids in a dictionary frame spliced
+        // *before* the message that references them. Rare by
+        // construction (once per name per connection), so the
+        // O(frame) splice never shows on the hot path.
+        let pending = dict.take_pending();
+        let mut update = Vec::with_capacity(FRAME_HEADER_LEN + 8 * pending.len());
+        update.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
+        layercake_event::encode_dict_update(&pending, &mut update);
+        close_frame(&mut update, 0)?;
+        out.splice(header_at..header_at, update);
     }
+    Ok(())
 }
 
 /// Encodes one message into a fresh buffer — the convenience form of
@@ -193,13 +140,12 @@ pub fn encode_msg_into(
 ///
 /// As [`encode_msg_into`].
 pub fn encode_msg(
-    codec: WireCodec,
     from: ActorId,
     msg: &OverlayMsg,
     dict: &mut EncodeDict,
 ) -> Result<Vec<u8>, WireError> {
     let mut out = Vec::new();
-    encode_msg_into(codec, from, msg, dict, &mut out)?;
+    encode_msg_into(WireCodec::Binary, from, msg, dict, &mut out)?;
     Ok(out)
 }
 
@@ -237,15 +183,11 @@ thread_local! {
 /// # Errors
 ///
 /// As [`encode_msg_into`].
-pub(crate) fn encode_for_dispatch(
-    codec: WireCodec,
-    from: ActorId,
-    msg: &OverlayMsg,
-) -> Result<Vec<u8>, WireError> {
+pub(crate) fn encode_for_dispatch(from: ActorId, msg: &OverlayMsg) -> Result<Vec<u8>, WireError> {
     DISPATCH_BUF.with(|cell| {
         let (dict, buf) = &mut *cell.borrow_mut();
         buf.clear();
-        encode_msg_into(codec, from, msg, dict, buf)?;
+        encode_msg_into(WireCodec::Binary, from, msg, dict, buf)?;
         Ok(buf.as_slice().to_vec())
     })
 }
@@ -256,46 +198,35 @@ pub(crate) fn encode_for_dispatch(
 ///
 /// # Errors
 ///
-/// [`WireError::Codec`] / [`WireError::Decode`] on malformed payloads;
-/// a bad handshake magic is rejected as a codec error.
+/// [`WireError::Codec`] on malformed payloads; a bad handshake magic is
+/// rejected as a codec error.
 pub fn decode_payload(
-    codec: WireCodec,
     payload: &[u8],
     dict: &mut DecodeDict,
 ) -> Result<Option<(ActorId, OverlayMsg)>, WireError> {
-    match codec {
-        WireCodec::Json => {
-            let wire: WireMsg = serde_json::from_slice(payload)
-                .map_err(|e| WireError::Decode(DeError::msg(e.to_string())))?;
-            Ok(Some((ActorId(wire.from as usize), wire.msg)))
+    let (&kind, rest) = payload.split_first().ok_or(CodecError::Truncated)?;
+    match kind {
+        KIND_MSG => {
+            let mut r = WireReader::new(rest);
+            let raw = r.varint()?;
+            let from = ActorId(
+                usize::try_from(raw).map_err(|_| CodecError::Invalid("sender id exceeds usize"))?,
+            );
+            let msg = OverlayMsg::decode_bin(&mut r, dict)?;
+            r.expect_end()?;
+            Ok(Some((from, msg)))
         }
-        WireCodec::Binary => {
-            let (&kind, rest) = payload.split_first().ok_or(CodecError::Truncated)?;
-            match kind {
-                KIND_MSG => {
-                    let mut r = WireReader::new(rest);
-                    let raw = r.varint()?;
-                    let from = ActorId(
-                        usize::try_from(raw)
-                            .map_err(|_| CodecError::Invalid("sender id exceeds usize"))?,
-                    );
-                    let msg = OverlayMsg::decode_bin(&mut r, dict)?;
-                    r.expect_end()?;
-                    Ok(Some((from, msg)))
-                }
-                KIND_DICT => {
-                    dict.apply_update(rest)?;
-                    Ok(None)
-                }
-                KIND_HELLO => {
-                    if rest.len() < HELLO_MAGIC.len() || rest[..HELLO_MAGIC.len()] != HELLO_MAGIC {
-                        return Err(CodecError::Invalid("bad handshake magic").into());
-                    }
-                    Ok(None)
-                }
-                t => Err(CodecError::Tag(t).into()),
+        KIND_DICT => {
+            dict.apply_update(rest)?;
+            Ok(None)
+        }
+        KIND_HELLO => {
+            if rest.len() < HELLO_MAGIC.len() || rest[..HELLO_MAGIC.len()] != HELLO_MAGIC {
+                return Err(CodecError::Invalid("bad handshake magic").into());
             }
+            Ok(None)
         }
+        t => Err(CodecError::Tag(t).into()),
     }
 }
 
@@ -305,7 +236,6 @@ pub fn decode_payload(
 /// consumed internally.
 #[derive(Debug)]
 pub struct LinkDecoder {
-    codec: WireCodec,
     dict: DecodeDict,
     frames: FrameDecoder,
 }
@@ -313,9 +243,8 @@ pub struct LinkDecoder {
 impl LinkDecoder {
     /// A decoder for an in-process link (shared dictionary).
     #[must_use]
-    pub fn new(codec: WireCodec) -> Self {
+    pub fn new(_codec: WireCodec) -> Self {
         Self {
-            codec,
             dict: DecodeDict::new(DictMode::Shared),
             frames: FrameDecoder::new(),
         }
@@ -324,9 +253,8 @@ impl LinkDecoder {
     /// A decoder for a cross-process link: attribute ids are learned
     /// from the peer's dictionary-update frames.
     #[must_use]
-    pub fn negotiated(codec: WireCodec) -> Self {
+    pub fn negotiated() -> Self {
         Self {
-            codec,
             dict: DecodeDict::new(DictMode::Negotiated),
             frames: FrameDecoder::new(),
         }
@@ -348,7 +276,7 @@ impl LinkDecoder {
     /// intact, so the caller may count and continue or drop the link.
     pub fn next_msg(&mut self) -> Result<Option<(ActorId, OverlayMsg)>, WireError> {
         while let Some(payload) = self.frames.next_frame()? {
-            if let Some(decoded) = decode_payload(self.codec, &payload, &mut self.dict)? {
+            if let Some(decoded) = decode_payload(&payload, &mut self.dict)? {
                 return Ok(Some(decoded));
             }
         }
@@ -389,33 +317,17 @@ mod tests {
     }
 
     #[test]
-    fn both_codecs_round_trip() {
-        for codec in [WireCodec::Json, WireCodec::Binary] {
-            let msg = OverlayMsg::CreditGrant { consumed_total: 9 };
-            let mut dict = EncodeDict::new(DictMode::Shared);
-            let bytes = encode_msg(codec, ActorId(usize::MAX), &msg, &mut dict).unwrap();
-            let mut dec = LinkDecoder::new(codec);
-            dec.push(&bytes);
-            let (from, back) = dec.next_msg().unwrap().expect("one message");
-            assert_eq!(from, ActorId(usize::MAX));
-            assert_eq!(back, msg);
-            assert!(dec.next_msg().unwrap().is_none());
-            dec.finish().unwrap();
-        }
-    }
-
-    #[test]
-    fn binary_frames_are_smaller_than_json() {
-        let msg = deliver_msg();
+    fn a_message_round_trips_with_its_sender() {
+        let msg = OverlayMsg::CreditGrant { consumed_total: 9 };
         let mut dict = EncodeDict::new(DictMode::Shared);
-        let bin = encode_msg(WireCodec::Binary, ActorId(1), &msg, &mut dict).unwrap();
-        let json = encode_msg(WireCodec::Json, ActorId(1), &msg, &mut dict).unwrap();
-        assert!(
-            bin.len() * 2 <= json.len(),
-            "binary {} vs json {}",
-            bin.len(),
-            json.len()
-        );
+        let bytes = encode_msg(ActorId(usize::MAX), &msg, &mut dict).unwrap();
+        let mut dec = LinkDecoder::new(WireCodec::Binary);
+        dec.push(&bytes);
+        let (from, back) = dec.next_msg().unwrap().expect("one message");
+        assert_eq!(from, ActorId(usize::MAX));
+        assert_eq!(back, msg);
+        assert!(dec.next_msg().unwrap().is_none());
+        dec.finish().unwrap();
     }
 
     #[test]
@@ -450,16 +362,16 @@ mod tests {
     #[test]
     fn negotiated_dict_update_precedes_the_message() {
         let mut dict = EncodeDict::new(DictMode::Negotiated);
-        let bytes = encode_msg(WireCodec::Binary, ActorId(3), &deliver_msg(), &mut dict).unwrap();
+        let bytes = encode_msg(ActorId(3), &deliver_msg(), &mut dict).unwrap();
         // A fresh negotiated decoder can only succeed if the dictionary
         // frame arrives before the message referencing it.
-        let mut dec = LinkDecoder::negotiated(WireCodec::Binary);
+        let mut dec = LinkDecoder::negotiated();
         dec.push(&bytes);
         let (from, msg) = dec.next_msg().unwrap().expect("message after dict update");
         assert_eq!(from, ActorId(3));
         assert_eq!(msg, deliver_msg());
         // Second message re-uses the learned ids: no further dict frame.
-        let again = encode_msg(WireCodec::Binary, ActorId(3), &deliver_msg(), &mut dict).unwrap();
+        let again = encode_msg(ActorId(3), &deliver_msg(), &mut dict).unwrap();
         assert!(again.len() < bytes.len());
         dec.push(&again);
         assert_eq!(dec.next_msg().unwrap().unwrap().1, deliver_msg());
@@ -467,13 +379,11 @@ mod tests {
 
     #[test]
     fn hello_frames_are_absorbed() {
-        let mut dec = LinkDecoder::negotiated(WireCodec::Binary);
+        let mut dec = LinkDecoder::negotiated();
         dec.push(&encode_hello(DictMode::Negotiated));
         assert!(dec.next_msg().unwrap().is_none());
         let mut dict = EncodeDict::new(DictMode::Shared);
-        dec.push(
-            &encode_msg(WireCodec::Binary, ActorId(1), &OverlayMsg::Renew, &mut dict).unwrap(),
-        );
+        dec.push(&encode_msg(ActorId(1), &OverlayMsg::Renew, &mut dict).unwrap());
         assert_eq!(dec.next_msg().unwrap().unwrap().1, OverlayMsg::Renew);
     }
 
@@ -483,22 +393,28 @@ mod tests {
         out.push(KIND_HELLO);
         out.extend_from_slice(b"XX\x01");
         close_frame(&mut out, 0).unwrap();
-        let mut dec = LinkDecoder::negotiated(WireCodec::Binary);
+        let mut dec = LinkDecoder::negotiated();
         dec.push(&out);
         assert!(matches!(dec.next_msg(), Err(WireError::Codec(_))));
     }
 
+    /// Includes a well-framed message in the retired JSON wire format: a
+    /// peer still speaking it is rejected at the kind byte, and the link
+    /// goes on decoding the frames that follow.
     #[test]
-    fn garbage_payload_is_a_decode_error_for_both_codecs() {
-        for (codec, raw) in [
-            (WireCodec::Json, &b"not json"[..]),
-            (WireCodec::Binary, b"\x63\x01"),
-        ] {
-            let framed = layercake_event::encode_frame(raw).unwrap();
-            let mut dec = LinkDecoder::new(codec);
-            dec.push(&framed);
-            assert!(dec.next_msg().is_err());
+    fn garbage_payload_is_a_codec_error_and_costs_the_link_nothing() {
+        let mut dec = LinkDecoder::new(WireCodec::Binary);
+        for raw in [&b"\x63\x01"[..], br#"{"from":1,"msg":{"t":"Renew"}}"#] {
+            dec.push(&layercake_event::encode_frame(raw).unwrap());
+            assert!(matches!(
+                dec.next_msg(),
+                Err(WireError::Codec(CodecError::Tag(t))) if t == raw[0]
+            ));
         }
+        let mut dict = EncodeDict::new(DictMode::Shared);
+        dec.push(&encode_msg(ActorId(1), &OverlayMsg::Renew, &mut dict).unwrap());
+        assert_eq!(dec.next_msg().unwrap().unwrap().1, OverlayMsg::Renew);
+        dec.finish().unwrap();
     }
 
     #[test]
@@ -515,8 +431,7 @@ mod tests {
     #[test]
     fn truncated_stream_is_a_frame_error_on_finish() {
         let mut dict = EncodeDict::new(DictMode::Shared);
-        let bytes =
-            encode_msg(WireCodec::Binary, ActorId(1), &OverlayMsg::Renew, &mut dict).unwrap();
+        let bytes = encode_msg(ActorId(1), &OverlayMsg::Renew, &mut dict).unwrap();
         let mut dec = LinkDecoder::new(WireCodec::Binary);
         dec.push(&bytes[..bytes.len() - 1]);
         assert!(dec.next_msg().unwrap().is_none());
@@ -542,14 +457,11 @@ mod tests {
     #[test]
     fn dispatch_buffer_reuse_matches_fresh_encode() {
         let msg = deliver_msg();
-        let via_tls = encode_for_dispatch(WireCodec::Binary, ActorId(7), &msg).unwrap();
+        let via_tls = encode_for_dispatch(ActorId(7), &msg).unwrap();
         let mut dict = EncodeDict::new(DictMode::Shared);
-        let fresh = encode_msg(WireCodec::Binary, ActorId(7), &msg, &mut dict).unwrap();
+        let fresh = encode_msg(ActorId(7), &msg, &mut dict).unwrap();
         assert_eq!(via_tls, fresh);
         // And again, exercising the cleared-buffer path.
-        assert_eq!(
-            encode_for_dispatch(WireCodec::Binary, ActorId(7), &msg).unwrap(),
-            fresh
-        );
+        assert_eq!(encode_for_dispatch(ActorId(7), &msg).unwrap(), fresh);
     }
 }

@@ -102,6 +102,52 @@ fn sharded_delivery_is_exactly_once_across_classes() {
     );
 }
 
+/// One publisher and FIFO links: a subscriber sees its class's events in
+/// the order they were published, not merely each of them once, and no
+/// frame on the way failed to encode or decode. (The retired
+/// `exp_throughput` asserted this before its timed runs.)
+#[test]
+fn a_single_publishers_order_survives_the_shards() {
+    let mut registry = TypeRegistry::new();
+    let classes = register_classes(&mut registry, 8);
+    let overlay = OverlayConfig {
+        levels: vec![1],
+        ..OverlayConfig::default()
+    };
+    let mut rt = Runtime::start(RtConfig::new(overlay, 2), Arc::new(registry)).unwrap();
+    for &class in &classes {
+        rt.advertise(Advertisement::new(
+            class,
+            StageMap::from_prefixes(&[2]).unwrap(),
+        ));
+    }
+    let handles: Vec<_> = classes
+        .iter()
+        .map(|&class| {
+            rt.add_subscriber(Filter::for_class(class).eq("region", 0i64))
+                .unwrap()
+        })
+        .collect();
+
+    let publisher = rt.publisher();
+    for seq in 0..256u64 {
+        let idx = (seq as usize) % classes.len();
+        publisher.publish(event(classes[idx], idx, seq, 0, seq as i64));
+    }
+    assert!(rt.wait_delivered(256, Duration::from_secs(30)));
+    let report = rt.shutdown();
+
+    for (idx, &handle) in handles.iter().enumerate() {
+        let expected: Vec<EventSeq> = (0..256u64)
+            .filter(|seq| (*seq as usize) % classes.len() == idx)
+            .map(EventSeq)
+            .collect();
+        assert_eq!(report.deliveries(handle), expected, "class {idx}");
+    }
+    assert_eq!(report.stats.decode_errors(), 0);
+    assert_eq!(report.stats.encode_errors(), 0);
+}
+
 #[test]
 fn shutdown_drains_in_flight_events() {
     let mut registry = TypeRegistry::new();
