@@ -15,7 +15,7 @@ use std::sync::Arc;
 use layercake_event::{event_data, Advertisement, ClassId, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::Filter;
 use layercake_metrics::{render_table, RunMetrics};
-use layercake_overlay::{OverlayConfig, OverlaySim, SubscriberHandle};
+use layercake_overlay::{LinkConfig, OverlayConfig, OverlaySim, SubscriberHandle};
 use layercake_sim::{FaultPlan, SimDuration};
 use layercake_workload::BiblioWorkload;
 
@@ -45,17 +45,21 @@ impl Rig {
     fn new(reliability: bool, seed: u64) -> Self {
         let mut registry = TypeRegistry::new();
         let class = BiblioWorkload::register(&mut registry);
-        let mut sim = OverlaySim::new(
+        let mut sim = OverlaySim::with_links(
             OverlayConfig {
                 levels: vec![8, 2, 1],
                 leases_enabled: true,
-                reliability_enabled: reliability,
                 ttl: SimDuration::from_ticks(TTL),
                 seed,
                 ..OverlayConfig::default()
             },
+            LinkConfig {
+                reliable: reliability,
+                ..LinkConfig::default()
+            },
             Arc::new(registry),
-        );
+        )
+        .expect("valid overlay configuration");
         sim.advertise(Advertisement::new(class, BiblioWorkload::stage_map()));
         sim.settle();
         let mut subs = Vec::new();

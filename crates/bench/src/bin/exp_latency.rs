@@ -34,7 +34,7 @@ use std::sync::Arc;
 use layercake_event::{event_data, Advertisement, ClassId, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::Filter;
 use layercake_metrics::{render_histogram, RunMetrics};
-use layercake_overlay::{OverlayConfig, OverlaySim, SubscriberHandle};
+use layercake_overlay::{LinkConfig, OverlayConfig, OverlaySim, SubscriberHandle};
 use layercake_sim::{FaultPlan, SimDuration};
 use layercake_trace::TraceId;
 use layercake_workload::BiblioWorkload;
@@ -56,17 +56,21 @@ impl Rig {
     fn new(trace_sample_every: u64, fault: Option<FaultPlan>, seed: u64) -> Self {
         let mut registry = TypeRegistry::new();
         let class = BiblioWorkload::register(&mut registry);
-        let mut sim = OverlaySim::new(
+        let mut sim = OverlaySim::with_links(
             OverlayConfig {
                 levels: vec![8, 2, 1],
-                reliability_enabled: fault.is_some(),
                 ttl: SimDuration::from_ticks(TTL),
                 seed,
                 trace_sample_every,
                 ..OverlayConfig::default()
             },
+            LinkConfig {
+                reliable: fault.is_some(),
+                ..LinkConfig::default()
+            },
             Arc::new(registry),
-        );
+        )
+        .expect("valid overlay configuration");
         sim.advertise(Advertisement::new(class, BiblioWorkload::stage_map()));
         sim.settle();
         let mut subs = Vec::new();

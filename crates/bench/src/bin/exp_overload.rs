@@ -22,7 +22,7 @@ use std::sync::Arc;
 use layercake_event::{event_data, Advertisement, ClassId, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::Filter;
 use layercake_metrics::{render_table, OverloadStats};
-use layercake_overlay::{OverlayConfig, OverlaySim, SubscriberHandle};
+use layercake_overlay::{LinkConfig, OverlayConfig, OverlaySim, SubscriberHandle};
 use layercake_sim::SimDuration;
 use layercake_workload::BiblioWorkload;
 
@@ -63,17 +63,21 @@ impl Rig {
     fn new(flow: bool) -> Self {
         let mut registry = TypeRegistry::new();
         let class = BiblioWorkload::register(&mut registry);
-        let mut sim = OverlaySim::new(
+        let mut sim = OverlaySim::with_links(
             OverlayConfig {
                 levels: vec![4, 2, 1],
-                flow_control_enabled: flow,
-                queue_capacity: QUEUE_CAPACITY,
                 trace_sample_every: 1,
                 seed: 0xE15,
                 ..OverlayConfig::default()
             },
+            LinkConfig {
+                reliable: false,
+                flow_control: flow,
+                queue_capacity: QUEUE_CAPACITY,
+            },
             Arc::new(registry),
-        );
+        )
+        .expect("valid overlay configuration");
         sim.advertise(Advertisement::new(class, BiblioWorkload::stage_map()));
         sim.settle();
         let subs: Vec<SubscriberHandle> = (0..SUBS)

@@ -3,11 +3,11 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use layercake_event::{Advertisement, ClassId, Envelope, StageMap, TraceContext, TypeRegistry};
+use layercake_event::{Advertisement, ClassId, Envelope, StageMap, TypeRegistry};
 use layercake_filter::{
     weaken_to_stage, AggDelta, AggTable, DestId, Filter, FilterTable, IndexKind,
 };
-use layercake_metrics::{DurabilityStats, NodeRecord, OverloadStats, PipelineStage, StageProfiler};
+use layercake_metrics::{DurabilityStats, NodeRecord, PipelineStage, StageProfiler};
 use layercake_sim::{ActorId, SimDuration, SimTime};
 use layercake_trace::{HopRecord, HopVerdict, TraceSink, EXTERNAL_SOURCE};
 use rand::rngs::StdRng;
@@ -15,19 +15,13 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::PlacementPolicy;
 use crate::ctx::NodeCtx;
-use crate::flow::{FlowRx, FlowTx, Offer, Queued, Tick};
 use crate::msg::{OverlayMsg, SubscriptionReq};
-use crate::reliability::{LinkRx, LinkTx, RxOutcome};
 use crate::wal::{DurableLog, LogConfig, LogStorage};
 
 /// Timer tag: lease expiry sweep (Section 4.3, "REMOVE INVALID FILTERS").
 const TAG_SWEEP: u64 = 1;
 /// Timer tag: renew own filters at the parent ("EXTEND THE VALIDITY").
 const TAG_RENEW: u64 = 2;
-/// Timer tag: flow-control maintenance (stall probes, breaker clock).
-/// Armed on demand — only while some egress queue is non-empty or a
-/// breaker is mid-recovery — so quiescent overlays still drain fully.
-const TAG_FLOW: u64 = 4;
 
 /// Bound on unacknowledged durable deliveries in flight per
 /// `(consumer, class)` stream, counted in deliveries: a selective
@@ -100,6 +94,14 @@ impl DurableStream {
         self.scanned = off;
         self.last_sent = off;
         self.in_flight.push_back(off);
+    }
+
+    /// Takes what the consumer's persisted ack covers out of the
+    /// in-flight window.
+    fn note_acked(&mut self, acked: u64) {
+        while self.in_flight.front().is_some_and(|&off| off <= acked) {
+            self.in_flight.pop_front();
+        }
     }
 
     /// With nothing in flight, every record up to `scanned` was either
@@ -269,38 +271,12 @@ pub struct Broker {
     /// Buffered events for detached durable subscribers.
     parked: HashMap<DestId, Vec<Envelope>>,
     timers_started: bool,
-    reliability_enabled: bool,
-    reliability_window: usize,
-    /// Receiver state of reliable links, keyed by the upstream sender.
-    rx: HashMap<ActorId, LinkRx>,
-    /// Sender state of reliable links, keyed by the downstream receiver.
-    tx: HashMap<ActorId, LinkTx>,
     rng: StdRng,
     received: u64,
     matched: u64,
     evaluations: u64,
     bytes_received: u64,
-    retransmitted: u64,
-    dup_suppressed: u64,
-    nacks_sent: u64,
     scratch: Vec<DestId>,
-    flow_enabled: bool,
-    queue_capacity: usize,
-    flow_tick: SimDuration,
-    breaker_threshold: u32,
-    breaker_backoff: SimDuration,
-    /// Sender-side flow state (credit window, egress queue, breaker) per
-    /// downstream receiving data from this broker.
-    flow_tx: HashMap<ActorId, FlowTx>,
-    /// Receiver-side flow state (consumed counter, grant batching) per
-    /// upstream sending data to this broker.
-    flow_rx: HashMap<ActorId, FlowRx>,
-    flow_timer_armed: bool,
-    /// Per-broker overload counters, aggregated by the facade.
-    overload: OverloadStats,
-    /// Virtual service time charged per data message; models this broker's
-    /// processing capacity (see [`layercake_sim::Actor::service_cost`]).
-    service_time: Option<SimDuration>,
     /// Shared trace collector; `None` when tracing is disabled for the run.
     trace: Option<Arc<TraceSink>>,
     /// The durable segmented event log; `Some` when durability is enabled
@@ -328,13 +304,6 @@ pub(crate) struct BrokerSetup {
     pub wildcard_stage_placement: bool,
     pub leases_enabled: bool,
     pub ttl: SimDuration,
-    pub reliability_enabled: bool,
-    pub reliability_window: usize,
-    pub flow_control_enabled: bool,
-    pub queue_capacity: usize,
-    pub flow_tick: SimDuration,
-    pub breaker_failure_threshold: u32,
-    pub breaker_backoff: SimDuration,
     pub seed: u64,
     pub trace: Option<Arc<TraceSink>>,
 }
@@ -361,28 +330,11 @@ impl Broker {
             leases: HashMap::new(),
             parked: HashMap::new(),
             timers_started: false,
-            reliability_enabled: setup.reliability_enabled,
-            reliability_window: setup.reliability_window,
-            rx: HashMap::new(),
-            tx: HashMap::new(),
             received: 0,
             matched: 0,
             evaluations: 0,
             bytes_received: 0,
-            retransmitted: 0,
-            dup_suppressed: 0,
-            nacks_sent: 0,
             scratch: Vec::new(),
-            flow_enabled: setup.flow_control_enabled,
-            queue_capacity: setup.queue_capacity,
-            flow_tick: setup.flow_tick,
-            breaker_threshold: setup.breaker_failure_threshold,
-            breaker_backoff: setup.breaker_backoff,
-            flow_tx: HashMap::new(),
-            flow_rx: HashMap::new(),
-            flow_timer_armed: false,
-            overload: OverloadStats::default(),
-            service_time: None,
             trace: setup.trace,
             wal: None,
             durable: BTreeMap::new(),
@@ -463,14 +415,20 @@ impl Broker {
     /// acknowledgement. Drivers call this at *graceful* shutdown, after
     /// the wires are down: batched acks still sitting at the subscriber
     /// (waiting on `ACK_EVERY` or the flush timer) would otherwise be
-    /// abandoned and force a spurious replay on the next start. A no-op
-    /// for unregistered consumers, and clamped to the log tail like any
+    /// abandoned and force a spurious replay on the next start; and an
+    /// idle stream is settled as on the live path, or the next start
+    /// would re-scan the tail this consumer was never owed. A no-op for
+    /// unregistered consumers, and clamped to the log tail like any
     /// other ack. Call [`Broker::flush_wal`] afterwards to persist.
     pub fn apply_final_ack(&mut self, subscriber: ActorId, class: ClassId, upto: u64) {
         let dest = dest_of(subscriber);
         if let Some(wal) = self.wal.as_mut() {
             if wal.is_class_consumer(dest, class) {
                 wal.ack(dest, class, upto);
+                if let Some(stream) = self.durable.get_mut(&(class.0, dest.0)) {
+                    stream.note_acked(wal.acked_upto(dest, class));
+                    stream.settle_ack(wal, dest, class);
+                }
             }
         }
     }
@@ -535,52 +493,6 @@ impl Broker {
         }
     }
 
-    /// Events retransmitted in response to downstream NACKs.
-    #[must_use]
-    pub fn retransmitted(&self) -> u64 {
-        self.retransmitted
-    }
-
-    /// Incoming events suppressed as duplicates (by link sequence or by
-    /// `(class, seq)` identity).
-    #[must_use]
-    pub fn dup_suppressed(&self) -> u64 {
-        self.dup_suppressed
-    }
-
-    /// Gap-detection NACKs this broker sent upstream.
-    #[must_use]
-    pub fn nacks_sent(&self) -> u64 {
-        self.nacks_sent
-    }
-
-    /// Overload-protection counters accumulated at this broker (sheds,
-    /// credit stalls, breaker transitions, egress-queue depths).
-    #[must_use]
-    pub fn overload(&self) -> &OverloadStats {
-        &self.overload
-    }
-
-    /// Sets the virtual service time this broker charges per data message
-    /// (`None` = infinitely fast). The engine serializes arrivals behind
-    /// the broker's busy clock, so offered load beyond `1/service_time`
-    /// builds a backlog — the overload the flow layer defends against.
-    pub fn set_service_time(&mut self, d: Option<SimDuration>) {
-        self.service_time = d;
-    }
-
-    /// The engine-facing service cost of one message: data pays the
-    /// configured service time, control is free so grants and leases
-    /// never queue behind a saturated data plane.
-    #[must_use]
-    pub fn service_cost(&self, msg: &OverlayMsg) -> Option<SimDuration> {
-        if msg.is_data() {
-            self.service_time
-        } else {
-            None
-        }
-    }
-
     pub(crate) fn handle(&mut self, from: ActorId, msg: OverlayMsg, ctx: &mut dyn NodeCtx) {
         self.maybe_start_timers(ctx);
         match msg {
@@ -594,81 +506,7 @@ impl Broker {
             OverlayMsg::ReqInsert { filter, child } => self.insert_child_filter(filter, child, ctx),
             OverlayMsg::Publish(env) => {
                 self.bytes_received += env.wire_size() as u64;
-                self.note_data_arrival(from, ctx);
                 self.forward_event(from, &env, ctx);
-            }
-            OverlayMsg::Sequenced { link_seq, env } => {
-                self.bytes_received += env.wire_size() as u64;
-                self.note_data_arrival(from, ctx);
-                let outcome = self.rx.entry(from).or_default().on_event(
-                    link_seq,
-                    env,
-                    self.reliability_window,
-                );
-                self.apply_rx(from, outcome, ctx);
-            }
-            OverlayMsg::Nack { from_seq, to_seq } => {
-                // `from` is the downstream receiver of the link we send on.
-                if let Some(link) = self.tx.get_mut(&from) {
-                    let (resend, advance) = link.handle_nack(from_seq, to_seq);
-                    if self.flow_enabled {
-                        // Retransmissions respect the credit window but
-                        // jump the egress queue: push them to the front in
-                        // reverse so the lowest sequence leads the repair.
-                        for (link_seq, env) in resend.into_iter().rev() {
-                            self.retransmitted += 1;
-                            let queued = self.flow_link(from).push_retransmit(link_seq, env);
-                            if !queued {
-                                self.overload.breaker_shed += 1;
-                                self.overload.add_stage_sheds(self.stage, 1);
-                            }
-                        }
-                        self.drain_flow(from, ctx);
-                        self.ensure_flow_timer(ctx);
-                    } else {
-                        for (link_seq, env) in resend {
-                            self.retransmitted += 1;
-                            ctx.send(from, OverlayMsg::Sequenced { link_seq, env });
-                        }
-                    }
-                    if let Some(to) = advance {
-                        ctx.send(from, OverlayMsg::Advance { to });
-                    }
-                }
-            }
-            OverlayMsg::Credit => {
-                // An upstream sender stalled on zero credit (or a breaker
-                // probing our liveness): answer with the consumed total
-                // immediately, bypassing every queue.
-                if self.flow_enabled {
-                    let consumed_total = self
-                        .flow_rx
-                        .entry(from)
-                        .or_insert_with(|| FlowRx::new(self.queue_capacity))
-                        .grant_now();
-                    self.overload.grants_sent += 1;
-                    ctx.send(from, OverlayMsg::CreditGrant { consumed_total });
-                }
-            }
-            OverlayMsg::CreditGrant { consumed_total } => {
-                // Stray grants (e.g. after a Rejoin reset the link) are
-                // ignored rather than asserted on: the next epoch starts
-                // clean.
-                if let Some(link) = self.flow_tx.get_mut(&from) {
-                    self.overload.grants_received += 1;
-                    if link.on_grant(consumed_total).closed_breaker {
-                        self.overload.breaker_closed += 1;
-                    }
-                    self.drain_flow(from, ctx);
-                }
-            }
-            OverlayMsg::Advance { to } => {
-                let outcome = self
-                    .rx
-                    .entry(from)
-                    .or_default()
-                    .on_advance(to, self.reliability_window);
-                self.apply_rx(from, outcome, ctx);
             }
             OverlayMsg::Renew => {
                 let dest = dest_of(from);
@@ -732,7 +570,7 @@ impl Broker {
                     self.replay_to(subscriber, ctx);
                 } else if let Some(buffered) = buffered {
                     for env in buffered {
-                        self.send_event(subscriber, env, ctx);
+                        self.transmit(subscriber, env, ctx);
                     }
                 }
             }
@@ -746,19 +584,6 @@ impl Broker {
                 self.durable_catch_up(dest, class, ctx);
             }
             OverlayMsg::Rejoin => {
-                // A restarted neighbor: its link sequence and credit state
-                // are gone, so reset ours to match before helping it
-                // rebuild (a fresh credit epoch starts at full window). A
-                // rejoin that supersedes a tripped breaker *is* the
-                // recovery — count it as a close.
-                self.rx.remove(&from);
-                self.tx.remove(&from);
-                if let Some(tx) = self.flow_tx.remove(&from) {
-                    if tx.is_broken() {
-                        self.overload.breaker_closed += 1;
-                    }
-                }
-                self.flow_rx.remove(&from);
                 if self.children_set.contains(&from) {
                     // A restarted child lost its stage maps; re-flood our
                     // advertisements to it (deterministic class order).
@@ -789,6 +614,14 @@ impl Broker {
                     self.label
                 );
             }
+            // Link-layer frames mean something to a `link::Linked` wrapper
+            // only. Bare, they are ignored, not asserted on: a socket can
+            // deliver any variant.
+            OverlayMsg::Sequenced { .. }
+            | OverlayMsg::Nack { .. }
+            | OverlayMsg::Advance { .. }
+            | OverlayMsg::Credit
+            | OverlayMsg::CreditGrant { .. } => {}
         }
     }
 
@@ -812,11 +645,6 @@ impl Broker {
         self.stage_maps.clear();
         self.leases.clear();
         self.parked.clear();
-        self.rx.clear();
-        self.tx.clear();
-        self.flow_tx.clear();
-        self.flow_rx.clear();
-        self.flow_timer_armed = false;
         if self.leases_enabled {
             self.timers_started = true;
             ctx.set_timer(self.ttl, TAG_SWEEP);
@@ -852,162 +680,14 @@ impl Broker {
         }
     }
 
-    /// Applies the receiver-side outcome of one reliable-link arrival:
-    /// forward the released events, NACK any exposed gap.
-    fn apply_rx(&mut self, from: ActorId, outcome: RxOutcome, ctx: &mut dyn NodeCtx) {
-        self.dup_suppressed += outcome.duplicates_suppressed;
-        if let Some((from_seq, to_seq)) = outcome.nack {
-            self.nacks_sent += 1;
-            ctx.send(from, OverlayMsg::Nack { from_seq, to_seq });
-        }
-        for env in outcome.released {
-            self.forward_event(from, &env, ctx);
-        }
-    }
-
-    /// Sends one event to a downstream node. With flow control enabled the
-    /// event passes through the link's credit window and bounded egress
-    /// queue — and may be shed there; otherwise it transmits directly.
-    fn send_event(&mut self, to: ActorId, env: Envelope, ctx: &mut dyn NodeCtx) {
-        if !self.flow_enabled {
-            self.transmit(to, env, ctx);
-            return;
-        }
-        let tc = env.trace();
-        match self.flow_link(to).offer(env) {
-            Offer::Send(env) => self.transmit(to, env, ctx),
-            Offer::Queued { depth } => {
-                self.overload.credit_stalls += 1;
-                self.overload.egress_depth.record(depth as u64);
-                self.overload.peak_egress_depth = self.overload.peak_egress_depth.max(depth as u64);
-                self.record_flow_hop(
-                    tc,
-                    ctx,
-                    HopVerdict::Throttled {
-                        depth: depth.min(u32::MAX as usize) as u32,
-                    },
-                );
-            }
-            Offer::ShedQueueFull(dropped) => {
-                self.overload.data_shed += 1;
-                self.overload.add_stage_sheds(self.stage, 1);
-                self.record_flow_hop(
-                    dropped.trace(),
-                    ctx,
-                    HopVerdict::Shed {
-                        dest: to.0 as u64,
-                        breaker: false,
-                    },
-                );
-            }
-            Offer::ShedBreakerOpen(dropped) => {
-                self.overload.breaker_shed += 1;
-                self.overload.add_stage_sheds(self.stage, 1);
-                self.record_flow_hop(
-                    dropped.trace(),
-                    ctx,
-                    HopVerdict::Shed {
-                        dest: to.0 as u64,
-                        breaker: true,
-                    },
-                );
-            }
-        }
-        self.drain_flow(to, ctx);
-        self.ensure_flow_timer(ctx);
-    }
-
-    /// Puts one event on the wire, under reliable sequencing when enabled
-    /// (the plain `Publish`/`Deliver` forms otherwise). Fresh events are
-    /// stamped here — after any queueing — so link sequence order always
-    /// equals send order.
+    /// Sends one event downstream: `Publish` to a child broker, `Deliver`
+    /// to a directly-attached subscriber.
     fn transmit(&mut self, to: ActorId, env: Envelope, ctx: &mut dyn NodeCtx) {
-        if self.reliability_enabled {
-            let link = self.tx.entry(to).or_default();
-            let link_seq = link.stamp(env.clone(), self.reliability_window);
-            ctx.send(to, OverlayMsg::Sequenced { link_seq, env });
-        } else if self.children_set.contains(&to) {
+        if self.children_set.contains(&to) {
             ctx.send(to, OverlayMsg::Publish(env));
         } else {
             ctx.send(to, OverlayMsg::Deliver(env));
         }
-    }
-
-    /// The sender-side flow state toward `to`, created on first use.
-    fn flow_link(&mut self, to: ActorId) -> &mut FlowTx {
-        self.flow_tx.entry(to).or_insert_with(|| {
-            FlowTx::new(
-                self.queue_capacity,
-                self.breaker_threshold,
-                self.breaker_backoff,
-            )
-        })
-    }
-
-    /// Transmits whatever the credit window allows from `to`'s egress
-    /// queue, repairs (retransmissions) first.
-    fn drain_flow(&mut self, to: ActorId, ctx: &mut dyn NodeCtx) {
-        loop {
-            let Some(entry) = self.flow_tx.get_mut(&to).and_then(FlowTx::pop_ready) else {
-                return;
-            };
-            match entry {
-                Queued::Fresh(env) => self.transmit(to, env, ctx),
-                Queued::Retransmit { link_seq, env } => {
-                    ctx.send(to, OverlayMsg::Sequenced { link_seq, env });
-                }
-            }
-        }
-    }
-
-    /// Counts one consumed data message from an upstream sender and emits
-    /// a batched credit grant when due. External publishers (the facade)
-    /// are not flow-controlled — they *are* the offered load.
-    fn note_data_arrival(&mut self, from: ActorId, ctx: &mut dyn NodeCtx) {
-        if !self.flow_enabled || Some(from) != self.parent {
-            return;
-        }
-        let grant = self
-            .flow_rx
-            .entry(from)
-            .or_insert_with(|| FlowRx::new(self.queue_capacity))
-            .on_data();
-        if let Some(consumed_total) = grant {
-            self.overload.grants_sent += 1;
-            ctx.send(from, OverlayMsg::CreditGrant { consumed_total });
-        }
-    }
-
-    /// Arms the flow-maintenance timer iff some link still needs it.
-    fn ensure_flow_timer(&mut self, ctx: &mut dyn NodeCtx) {
-        if self.flow_timer_armed || !self.flow_tx.values().any(FlowTx::needs_tick) {
-            return;
-        }
-        self.flow_timer_armed = true;
-        ctx.set_timer(self.flow_tick, TAG_FLOW);
-    }
-
-    /// Records a flow event (throttle or shed) on a sampled trace. Flow
-    /// events describe what happened to one *outgoing copy*; the trace
-    /// aggregation layer keeps them out of the arrival statistics.
-    fn record_flow_hop(&self, tc: Option<TraceContext>, ctx: &dyn NodeCtx, verdict: HopVerdict) {
-        let (Some(tc), Some(sink)) = (tc, self.trace.as_ref()) else {
-            return;
-        };
-        let now = ctx.trace_now();
-        sink.record_hop(
-            &tc,
-            HopRecord {
-                node: self.label.clone(),
-                node_id: trace_actor(ctx.me()),
-                from_id: trace_actor(ctx.me()),
-                stage: self.stage,
-                shard: ctx.shard(),
-                arrival: SimTime::from_ticks(now),
-                hop_latency: 0,
-                verdict,
-            },
-        );
     }
 
     pub(crate) fn timer(&mut self, tag: u64, ctx: &mut dyn NodeCtx) {
@@ -1043,61 +723,8 @@ impl Broker {
                 }
                 ctx.set_timer(self.ttl, TAG_RENEW);
             }
-            TAG_FLOW => self.on_flow_tick(ctx),
             _ => debug_assert!(false, "unknown broker timer tag {tag}"),
         }
-    }
-
-    /// One flow-maintenance tick: probe stalled links, advance breaker
-    /// clocks, shed what an opening breaker flushed, and re-arm the timer
-    /// while any link still needs it.
-    fn on_flow_tick(&mut self, ctx: &mut dyn NodeCtx) {
-        self.flow_timer_armed = false;
-        let now = ctx.now();
-        // HashMap iteration order is randomly seeded per process; sends
-        // must happen in a deterministic order for reproducible runs.
-        let mut downs: Vec<ActorId> = self.flow_tx.keys().copied().collect();
-        downs.sort_unstable();
-        for down in downs {
-            let Some(link) = self.flow_tx.get_mut(&down) else {
-                continue;
-            };
-            match link.on_tick(now) {
-                Tick::Idle => {}
-                Tick::Probe => {
-                    self.overload.probes_sent += 1;
-                    ctx.send(down, OverlayMsg::Credit);
-                }
-                Tick::Opened { flushed } => {
-                    self.overload.breaker_opened += 1;
-                    for entry in flushed {
-                        self.overload.breaker_shed += 1;
-                        self.overload.add_stage_sheds(self.stage, 1);
-                        let env = match &entry {
-                            Queued::Fresh(env) | Queued::Retransmit { env, .. } => env,
-                        };
-                        self.record_flow_hop(
-                            env.trace(),
-                            ctx,
-                            HopVerdict::Shed {
-                                dest: down.0 as u64,
-                                breaker: true,
-                            },
-                        );
-                    }
-                }
-                Tick::HalfOpenProbe => {
-                    self.overload.breaker_half_opened += 1;
-                    self.overload.probes_sent += 1;
-                    ctx.send(down, OverlayMsg::Credit);
-                }
-                Tick::Resync => {
-                    // Leaked credit written off: the parked events can go.
-                    self.drain_flow(down, ctx);
-                }
-            }
-        }
-        self.ensure_flow_timer(ctx);
     }
 
     fn maybe_start_timers(&mut self, ctx: &mut dyn NodeCtx) {
@@ -1366,8 +993,8 @@ impl Broker {
         // record now falls behind, and `durable_catch_up` pages it out
         // of the log when acks (or a re-attach) make room — it scans
         // from `scanned`, so a stream already behind is left alone here.
-        // Durable deliveries bypass the flow-control egress queues and
-        // the retransmission ring — loss is repaired by offset replay
+        // Durable deliveries are not `Publish`/`Deliver`, so a simulated
+        // link layer passes them by — loss is repaired by offset replay
         // instead of NACKs. Matching here is as weak as this stage's
         // table; the consumer finishes with its own perfect filtering,
         // exactly like any stage-0 subscriber.
@@ -1427,7 +1054,7 @@ impl Broker {
                 buffer.push(fwd);
                 continue;
             }
-            self.send_event(actor_of(*dest), fwd, ctx);
+            self.transmit(actor_of(*dest), fwd, ctx);
         }
         dests.clear();
         self.scratch = dests;
@@ -1522,10 +1149,7 @@ impl Broker {
         else {
             return;
         };
-        let acked = wal.acked_upto(dest, class);
-        while stream.in_flight.front().is_some_and(|&off| off <= acked) {
-            stream.in_flight.pop_front();
-        }
+        stream.note_acked(wal.acked_upto(dest, class));
         let tail = wal.tail_off(class);
         let mut matched = std::mem::take(&mut self.scratch);
         let (mut sent, mut skipped, mut replayed) = (0u64, 0u64, 0u64);
@@ -1573,7 +1197,7 @@ impl Broker {
     /// Lease-cadence anti-entropy for durable streams: an attached
     /// consumer whose acknowledged offset sat still below the log tail
     /// for a whole sweep interval has lost deliveries or acks on the
-    /// unreliable durable path (e.g. the *last* event of a burst was
+    /// lossy durable path (e.g. the *last* event of a burst was
     /// dropped, which no later arrival can expose as a gap). Restart the
     /// stream from the acknowledged offset; the subscriber's cursor and
     /// `(class, seq)` dedup absorb anything re-sent by a false positive.

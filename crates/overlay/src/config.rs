@@ -4,6 +4,7 @@ use layercake_filter::IndexKind;
 use layercake_sim::SimDuration;
 
 use crate::error::OverlayError;
+use crate::wal::LogConfig;
 
 /// How a broker picks a child for a subscription it cannot place by
 /// covering-filter search (Figure 5(b), step 3).
@@ -59,35 +60,6 @@ pub struct OverlayConfig {
     /// Large batch evaluations disable it to keep timer traffic out of the
     /// message counts.
     pub leases_enabled: bool,
-    /// Whether event forwarding runs under per-link reliable sequencing
-    /// (gap detection, NACK-driven retransmission, duplicate suppression).
-    /// Required for exactly-once delivery over faulty links; fault-free
-    /// batch evaluations leave it off to keep message counts comparable
-    /// with the paper's.
-    pub reliability_enabled: bool,
-    /// Bound, in events, of each link's retransmission ring and `(class,
-    /// seq)` dedup window. Sequence numbers evicted from the ring can no
-    /// longer be retransmitted (the sender concedes them instead).
-    pub reliability_window: usize,
-    /// Whether the overload-protection layer runs: bounded per-link egress
-    /// queues, credit-based hop-by-hop backpressure, priority load
-    /// shedding (data only — control-plane traffic always bypasses the
-    /// queues), and per-downstream circuit breakers.
-    pub flow_control_enabled: bool,
-    /// Bound, in events, of each directed link's egress queue — and the
-    /// link's credit window: a sender never has more than this many
-    /// unconsumed data messages outstanding toward one downstream.
-    pub queue_capacity: usize,
-    /// Period of the flow-maintenance timer: a sender stalled on zero
-    /// credit probes its downstream once per tick, and breaker state
-    /// advances on the same clock.
-    pub flow_tick: SimDuration,
-    /// Consecutive unanswered credit probes before the circuit breaker for
-    /// a downstream trips open. `0` disables the breaker entirely.
-    pub breaker_failure_threshold: u32,
-    /// Initial backoff of an open breaker before the half-open probe; it
-    /// doubles on every failed recovery attempt (capped at 64×).
-    pub breaker_backoff: SimDuration,
     /// Whether brokers keep a durable segmented event log: events matched
     /// for *durable* subscriptions are appended to a per-broker
     /// write-ahead log (CRC-framed records, batched fsync, segment
@@ -129,13 +101,6 @@ impl Default for OverlayConfig {
             wildcard_stage_placement: true,
             ttl: SimDuration::from_ticks(100_000),
             leases_enabled: false,
-            reliability_enabled: false,
-            reliability_window: 256,
-            flow_control_enabled: false,
-            queue_capacity: 64,
-            flow_tick: SimDuration::from_ticks(32),
-            breaker_failure_threshold: 4,
-            breaker_backoff: SimDuration::from_ticks(128),
             durability_enabled: false,
             wal_segment_bytes: 64 * 1024,
             wal_flush_every: 8,
@@ -152,12 +117,19 @@ impl OverlayConfig {
         self.levels.len()
     }
 
+    /// The durable log's parameters, as every driver hands them to
+    /// [`crate::Broker::enable_durability`].
+    #[must_use]
+    pub fn log_config(&self) -> LogConfig {
+        LogConfig {
+            segment_bytes: self.wal_segment_bytes,
+            flush_every: self.wal_flush_every,
+        }
+    }
+
     /// Validates the topology (non-empty, exactly one root, level sizes
-    /// non-growing upward) and the consistency of the overload-protection
-    /// knobs: flow control needs a non-zero queue and maintenance tick, an
-    /// armed breaker needs a positive backoff, and under reliable links
-    /// the egress queue must hold a full retransmission window (NACK
-    /// bursts are never shed, so a smaller queue could grow unboundedly).
+    /// non-growing upward), that at most one table-collapsing strategy is
+    /// on, and the durable log's knobs.
     ///
     /// # Errors
     ///
@@ -184,23 +156,6 @@ impl OverlayConfig {
         }
         if self.aggregation_enabled && self.covering_collapse {
             return Err(OverlayError::AggregationWithCollapse);
-        }
-        if self.flow_control_enabled {
-            if self.queue_capacity == 0 {
-                return Err(OverlayError::ZeroQueueCapacity);
-            }
-            if self.flow_tick.ticks() == 0 {
-                return Err(OverlayError::ZeroFlowTick);
-            }
-            if self.breaker_failure_threshold > 0 && self.breaker_backoff.ticks() == 0 {
-                return Err(OverlayError::ZeroBreakerBackoff);
-            }
-            if self.reliability_enabled && self.reliability_window > self.queue_capacity {
-                return Err(OverlayError::WindowExceedsQueue {
-                    window: self.reliability_window,
-                    capacity: self.queue_capacity,
-                });
-            }
         }
         if self.durability_enabled {
             if self.wal_segment_bytes == 0 {
@@ -284,70 +239,6 @@ mod tests {
             ..OverlayConfig::default()
         };
         assert!(collapse_only.validate().is_ok());
-    }
-
-    #[test]
-    fn validation_rejects_inconsistent_flow_knobs() {
-        use crate::error::OverlayError;
-        let base = OverlayConfig {
-            flow_control_enabled: true,
-            ..OverlayConfig::default()
-        };
-        assert!(base.validate().is_ok());
-
-        let zero_queue = OverlayConfig {
-            queue_capacity: 0,
-            ..base.clone()
-        };
-        assert_eq!(zero_queue.validate(), Err(OverlayError::ZeroQueueCapacity));
-
-        let zero_tick = OverlayConfig {
-            flow_tick: SimDuration::ZERO,
-            ..base.clone()
-        };
-        assert_eq!(zero_tick.validate(), Err(OverlayError::ZeroFlowTick));
-
-        let zero_backoff = OverlayConfig {
-            breaker_backoff: SimDuration::ZERO,
-            ..base.clone()
-        };
-        assert_eq!(
-            zero_backoff.validate(),
-            Err(OverlayError::ZeroBreakerBackoff)
-        );
-        // Threshold 0 disables the breaker; a zero backoff is then fine.
-        let breaker_off = OverlayConfig {
-            breaker_failure_threshold: 0,
-            breaker_backoff: SimDuration::ZERO,
-            ..base.clone()
-        };
-        assert!(breaker_off.validate().is_ok());
-
-        let narrow_queue = OverlayConfig {
-            reliability_enabled: true,
-            reliability_window: 256,
-            queue_capacity: 64,
-            ..base.clone()
-        };
-        assert_eq!(
-            narrow_queue.validate(),
-            Err(OverlayError::WindowExceedsQueue {
-                window: 256,
-                capacity: 64,
-            })
-        );
-        // The same knobs are fine with flow control off…
-        let fc_off = OverlayConfig {
-            flow_control_enabled: false,
-            ..narrow_queue.clone()
-        };
-        assert!(fc_off.validate().is_ok());
-        // …or with a queue wide enough for the window.
-        let wide_queue = OverlayConfig {
-            queue_capacity: 256,
-            ..narrow_queue
-        };
-        assert!(wide_queue.validate().is_ok());
     }
 
     #[test]

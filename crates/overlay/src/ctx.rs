@@ -62,6 +62,10 @@ pub trait NodeCtx {
     /// Records one pipeline-stage duration for a sampled frame. A no-op
     /// everywhere except the wall-clock runtime.
     fn record_stage(&self, _stage: PipelineStage, _ns: u64) {}
+
+    /// The node has given up on `peer` (it stopped answering). A transport
+    /// that keeps per-peer link state drops it; the default has none.
+    fn peer_lost(&mut self, _peer: ActorId) {}
 }
 
 impl NodeCtx for Ctx<'_, OverlayMsg> {
@@ -96,11 +100,4 @@ pub trait Node {
     /// Called once when the node restarts after a crash (volatile state
     /// lost). Default: nothing.
     fn on_restart(&mut self, _ctx: &mut dyn NodeCtx) {}
-
-    /// Per-message processing cost used by the simulator's service-time
-    /// model; the wall-clock runtime pays real costs instead and ignores
-    /// this. Default: free.
-    fn service_cost(&self, _msg: &OverlayMsg) -> Option<SimDuration> {
-        None
-    }
 }

@@ -32,18 +32,11 @@ pub enum OverlayError {
     /// Flow control is enabled but the egress queues hold zero events, so
     /// every data message would be shed immediately.
     ZeroQueueCapacity,
-    /// Flow control is enabled with a zero stall-detection tick, which
-    /// would never fire the credit-probe timer.
-    ZeroFlowTick,
-    /// The circuit breaker is armed (`breaker_failure_threshold > 0`) with
-    /// a zero backoff, so an opened breaker would retry instantly and
-    /// never actually isolate the downstream.
-    ZeroBreakerBackoff,
     /// The reliable-link retransmission window is larger than the egress
     /// queue, so a single NACK burst could overflow the bounded queue with
     /// unsheddable retransmissions.
     WindowExceedsQueue {
-        /// Configured `reliability_window`.
+        /// The link layer's retransmission window.
         window: usize,
         /// Configured `queue_capacity`.
         capacity: usize,
@@ -84,25 +77,13 @@ impl fmt::Display for OverlayError {
             Self::ZeroQueueCapacity => write!(
                 f,
                 "flow control is enabled with queue_capacity = 0, which sheds every event; \
-                 set `queue_capacity` >= 1 or disable `flow_control_enabled`"
-            ),
-            Self::ZeroFlowTick => write!(
-                f,
-                "flow control is enabled with flow_tick = 0, so credit stalls would never \
-                 be probed; set `flow_tick` to a positive duration"
-            ),
-            Self::ZeroBreakerBackoff => write!(
-                f,
-                "breaker_failure_threshold > 0 with breaker_backoff = 0 would re-probe a \
-                 tripped downstream instantly; set a positive `breaker_backoff` or set \
-                 `breaker_failure_threshold` to 0 to disable the breaker"
+                 set `queue_capacity` >= 1 or turn `flow_control` off"
             ),
             Self::WindowExceedsQueue { window, capacity } => write!(
                 f,
-                "reliability_window ({window}) exceeds queue_capacity ({capacity}); \
+                "the retransmission window ({window}) exceeds queue_capacity ({capacity}); \
                  retransmissions are never shed, so the bounded egress queue must be able \
-                 to hold a full NACK burst — raise `queue_capacity` or shrink \
-                 `reliability_window`"
+                 to hold a full NACK burst — raise `queue_capacity`"
             ),
             Self::ZeroSegmentBytes => write!(
                 f,
@@ -145,14 +126,12 @@ mod tests {
                 "must not grow",
             ),
             (OverlayError::ZeroQueueCapacity, "queue_capacity"),
-            (OverlayError::ZeroFlowTick, "flow_tick"),
-            (OverlayError::ZeroBreakerBackoff, "breaker_backoff"),
             (
                 OverlayError::WindowExceedsQueue {
                     window: 256,
                     capacity: 64,
                 },
-                "reliability_window (256)",
+                "window (256)",
             ),
             (OverlayError::ZeroSegmentBytes, "wal_segment_bytes"),
             (OverlayError::ZeroFlushEvery, "wal_flush_every"),

@@ -207,11 +207,11 @@ impl FlowTx {
     /// Queues a retransmission at the *front* (gap repair goes first).
     /// Retransmissions are never shed by overflow — the queue may
     /// transiently exceed `capacity` by up to one reliability window,
-    /// which [`OverlayConfig::validate`] bounds by `queue_capacity`.
+    /// which [`LinkConfig::validate`] bounds by `queue_capacity`.
     /// Returns `false` (dropped) when the breaker is open: the NACK will
     /// recur after recovery.
     ///
-    /// [`OverlayConfig::validate`]: crate::OverlayConfig::validate
+    /// [`LinkConfig::validate`]: crate::LinkConfig::validate
     pub fn push_retransmit(&mut self, link_seq: u64, env: Envelope) -> bool {
         if self.is_broken() {
             return false;

@@ -59,6 +59,7 @@ mod config;
 mod ctx;
 mod error;
 mod flow;
+pub mod link;
 pub mod mesh;
 mod msg;
 mod node;
@@ -72,6 +73,7 @@ pub use broker::Broker;
 pub use config::{OverlayConfig, PlacementPolicy};
 pub use ctx::{Node, NodeCtx};
 pub use error::OverlayError;
+pub use link::{LinkConfig, Linked};
 pub use msg::{OverlayMsg, SubscriptionReq};
 pub use node::NodeActor;
 pub use sim::{OverlaySim, SubscriberHandle};

@@ -105,9 +105,9 @@ pub enum OverlayMsg {
         /// The reconnecting subscriber.
         subscriber: ActorId,
     },
-    /// An event under per-link reliable sequencing (used instead of
-    /// `Publish`/`Deliver` when the overlay runs with
-    /// [`crate::OverlayConfig::reliability_enabled`]).
+    /// An event under per-link reliable sequencing (what a `Publish` or
+    /// `Deliver` travels as on a [`crate::link`] with
+    /// [`crate::LinkConfig::reliable`] set).
     Sequenced {
         /// The sender's sequence number for this `(sender, receiver)` link.
         link_seq: u64,

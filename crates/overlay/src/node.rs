@@ -1,6 +1,6 @@
 //! The heterogeneous actor wrapper dispatching to brokers or subscribers.
 
-use layercake_sim::{Actor, ActorId, Ctx, SimDuration};
+use layercake_sim::ActorId;
 
 use crate::broker::Broker;
 use crate::ctx::{Node, NodeCtx};
@@ -64,10 +64,6 @@ impl Node for Broker {
     fn on_restart(&mut self, ctx: &mut dyn NodeCtx) {
         Broker::on_restart(self, ctx);
     }
-
-    fn service_cost(&self, msg: &OverlayMsg) -> Option<SimDuration> {
-        Broker::service_cost(self, msg)
-    }
 }
 
 impl Node for SubscriberNode {
@@ -80,8 +76,7 @@ impl Node for SubscriberNode {
     }
 
     // Subscribers are leaf runtimes: their subscription state survives
-    // in-process; lease silence handles lost hosts. Filtering at the leaf
-    // is modeled as free: the paper's bottleneck is broker matching.
+    // in-process; lease silence handles lost hosts.
 }
 
 impl Node for NodeActor {
@@ -104,32 +99,5 @@ impl Node for NodeActor {
             NodeActor::Broker(b) => Broker::on_restart(b, ctx),
             NodeActor::Subscriber(_) => {}
         }
-    }
-
-    fn service_cost(&self, msg: &OverlayMsg) -> Option<SimDuration> {
-        match self {
-            NodeActor::Broker(b) => Broker::service_cost(b, msg),
-            NodeActor::Subscriber(_) => None,
-        }
-    }
-}
-
-impl Actor for NodeActor {
-    type Msg = OverlayMsg;
-
-    fn on_message(&mut self, from: ActorId, msg: OverlayMsg, ctx: &mut Ctx<'_, OverlayMsg>) {
-        Node::on_message(self, from, msg, ctx);
-    }
-
-    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, OverlayMsg>) {
-        Node::on_timer(self, tag, ctx);
-    }
-
-    fn on_restart(&mut self, ctx: &mut Ctx<'_, OverlayMsg>) {
-        Node::on_restart(self, ctx);
-    }
-
-    fn service_cost(&self, msg: &OverlayMsg) -> Option<SimDuration> {
-        Node::service_cost(self, msg)
     }
 }

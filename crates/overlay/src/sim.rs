@@ -11,6 +11,7 @@ use layercake_trace::{EventTrace, TraceSink};
 use crate::broker::Broker;
 use crate::config::OverlayConfig;
 use crate::error::OverlayError;
+use crate::link::{LinkConfig, Linked};
 use crate::msg::{OverlayMsg, SubscriptionReq};
 use crate::node::NodeActor;
 use crate::subscriber::{ResidualFilter, SubscriberNode};
@@ -29,9 +30,10 @@ pub struct SubscriberHandle(ActorId);
 /// counters aggregate into the paper's metrics via
 /// [`OverlaySim::metrics`].
 pub struct OverlaySim {
-    world: World<NodeActor>,
+    world: World<Linked<NodeActor>>,
     registry: Arc<TypeRegistry>,
     cfg: OverlayConfig,
+    link: LinkConfig,
     root: ActorId,
     brokers: Vec<ActorId>,
     subscribers: Vec<ActorId>,
@@ -63,10 +65,25 @@ impl OverlaySim {
     ///
     /// # Errors
     ///
-    /// Returns the [`OverlayError`] produced by [`OverlayConfig::validate`]
-    /// (inconsistent topology or flow-control knobs), with a message naming
-    /// the offending knob and how to fix it.
+    /// Returns the [`OverlayError`] produced by [`OverlayConfig::validate`],
+    /// with a message naming the offending knob and how to fix it.
     pub fn try_new(cfg: OverlayConfig, registry: Arc<TypeRegistry>) -> Result<Self, OverlayError> {
+        Self::with_links(cfg, LinkConfig::default(), registry)
+    }
+
+    /// Builds the hierarchy with every node behind the simulator's link
+    /// layer ([`crate::link`]): reliable sequencing and/or credit flow
+    /// control on each hop, as `link` says.
+    ///
+    /// # Errors
+    ///
+    /// As [`OverlaySim::try_new`], plus [`LinkConfig::validate`]'s.
+    pub fn with_links(
+        cfg: OverlayConfig,
+        link: LinkConfig,
+        registry: Arc<TypeRegistry>,
+    ) -> Result<Self, OverlayError> {
+        link.validate()?;
         let trace =
             (cfg.trace_sample_every > 0).then(|| Arc::new(TraceSink::new(cfg.trace_sample_every)));
         let mut world = World::with_latency(SimDuration::from_ticks(1));
@@ -76,26 +93,25 @@ impl OverlaySim {
         // exactly those ids.
         let mut brokers = Vec::new();
         for node in crate::topology::build_brokers(&cfg, &registry, trace.as_ref())? {
-            let id = world.add_actor(NodeActor::Broker(node.broker));
+            let mut broker = node.broker;
+            if cfg.durability_enabled {
+                // Each broker gets a deterministic in-memory log whose
+                // synced/unsynced split models a page cache: crash_restart
+                // loses the unsynced tail, exactly like the file-backed
+                // storage of the wall-clock runtime.
+                broker.enable_durability(Box::new(crate::wal::MemStorage::new()), cfg.log_config());
+            }
+            let label = broker.label().to_owned();
+            let linked = Linked::new(
+                NodeActor::Broker(broker),
+                link,
+                label,
+                node.stage,
+                trace.clone(),
+            );
+            let id = world.add_actor(linked);
             debug_assert_eq!(id, node.id, "world id assignment diverged from topology");
             brokers.push(id);
-        }
-        if cfg.durability_enabled {
-            // Each broker gets a deterministic in-memory log whose
-            // synced/unsynced split models a page cache: crash_restart
-            // loses the unsynced tail, exactly like the file-backed
-            // storage of the wall-clock runtime.
-            for &id in &brokers {
-                if let NodeActor::Broker(b) = world.actor_mut(id) {
-                    b.enable_durability(
-                        Box::new(crate::wal::MemStorage::new()),
-                        crate::wal::LogConfig {
-                            segment_bytes: cfg.wal_segment_bytes,
-                            flush_every: cfg.wal_flush_every,
-                        },
-                    );
-                }
-            }
         }
         let root = *brokers.last().expect("validated topology has a root");
 
@@ -103,6 +119,7 @@ impl OverlaySim {
             world,
             registry,
             cfg,
+            link,
             root,
             brokers,
             subscribers: Vec::new(),
@@ -240,13 +257,16 @@ impl OverlaySim {
             &self.cfg,
             &self.registry,
             self.root,
-            label,
+            label.clone(),
             branches.clone(),
             residual,
             self.trace.as_ref(),
             durable,
         );
-        let actor = self.world.add_actor(NodeActor::Subscriber(node));
+        let node = NodeActor::Subscriber(node);
+        let actor =
+            self.world
+                .add_actor(Linked::new(node, self.link, label, 0, self.trace.clone()));
         self.subscribers.push(actor);
         for (id, filter) in branches {
             self.world.send_external(
@@ -351,6 +371,7 @@ impl OverlaySim {
     pub fn subscriber(&self, handle: SubscriberHandle) -> &SubscriberNode {
         self.world
             .actor(handle.0)
+            .node
             .as_subscriber()
             .expect("handle points at a subscriber")
     }
@@ -358,7 +379,7 @@ impl OverlaySim {
     /// The broker node behind an actor id, if it is a broker.
     #[must_use]
     pub fn broker(&self, id: ActorId) -> Option<&Broker> {
-        self.world.actor(id).as_broker()
+        self.world.actor(id).node.as_broker()
     }
 
     /// Enables envelope buffering for a subscriber, so accepted events can
@@ -370,6 +391,7 @@ impl OverlaySim {
     pub fn set_store_envelopes(&mut self, handle: SubscriberHandle, store: bool) {
         self.world
             .actor_mut(handle.0)
+            .node
             .as_subscriber_mut()
             .expect("handle points at a subscriber")
             .set_store_envelopes(store);
@@ -383,6 +405,7 @@ impl OverlaySim {
     pub fn take_inbox(&mut self, handle: SubscriberHandle) -> Vec<Envelope> {
         self.world
             .actor_mut(handle.0)
+            .node
             .as_subscriber_mut()
             .expect("handle points at a subscriber")
             .take_inbox()
@@ -397,6 +420,7 @@ impl OverlaySim {
     pub fn unsubscribe(&mut self, handle: SubscriberHandle) {
         self.world
             .actor_mut(handle.0)
+            .node
             .as_subscriber_mut()
             .expect("handle points at a subscriber")
             .deactivate();
@@ -415,6 +439,7 @@ impl OverlaySim {
         let node = self
             .world
             .actor_mut(handle.0)
+            .node
             .as_subscriber_mut()
             .expect("handle points at a subscriber");
         if !node.fully_placed() {
@@ -538,7 +563,7 @@ impl OverlaySim {
     }
 
     /// Restarts a crashed broker. Its volatile state (filter table, stage
-    /// maps, leases, link reliability state) is wiped by
+    /// maps, leases, link-layer state) is wiped by
     /// [`Broker::on_restart`]; the rejoin protocol rebuilds it from the
     /// parent's re-advertisements and the children's re-registrations.
     /// When the *root* restarts, the facade replays the externally-injected
@@ -572,9 +597,7 @@ impl OverlaySim {
     /// free so credit grants and probes never queue behind the backlog
     /// they are meant to drain.
     pub fn set_broker_service_time(&mut self, id: ActorId, per_message: Option<SimDuration>) {
-        if let NodeActor::Broker(b) = self.world.actor_mut(id) {
-            b.set_service_time(per_message);
-        }
+        self.world.actor_mut(id).set_service_time(per_message);
     }
 
     /// The actor id behind a subscriber handle (for fault injection).
@@ -589,7 +612,7 @@ impl OverlaySim {
     /// without [`OverlayConfig::durability_enabled`].
     pub fn flush_wals(&mut self) {
         for &id in &self.brokers.clone() {
-            if let NodeActor::Broker(b) = self.world.actor_mut(id) {
+            if let NodeActor::Broker(b) = &mut self.world.actor_mut(id).node {
                 b.flush_wal();
             }
         }
@@ -604,22 +627,16 @@ impl OverlaySim {
         m.chaos.duplicated = self.world.fault_duplicated();
         m.chaos.crash_discarded = self.world.crash_discarded();
         for node in self.world.actors() {
-            match node {
+            node.absorb_into(&mut m);
+            match &node.node {
                 NodeActor::Broker(b) => {
-                    m.chaos.retransmitted += b.retransmitted();
-                    m.chaos.duplicates_suppressed += b.dup_suppressed();
-                    m.chaos.nacks += b.nacks_sent();
-                    m.overload.absorb(b.overload());
                     if let Some(d) = b.durability() {
                         m.durability.absorb(d);
                     }
                     m.push(b.record());
                 }
                 NodeActor::Subscriber(s) => {
-                    m.chaos.duplicates_suppressed += s.dup_suppressed();
-                    m.chaos.nacks += s.nacks_sent();
                     m.chaos.resubscriptions += s.resubscriptions();
-                    m.overload.grants_sent += s.grants_sent();
                     m.push(s.record());
                 }
             }
@@ -699,13 +716,13 @@ impl OverlaySim {
     pub fn dump_tables(&self) -> String {
         let mut out = String::new();
         let label_of = |actor: ActorId| -> String {
-            match self.world.actor(actor) {
+            match &self.world.actor(actor).node {
                 NodeActor::Broker(b) => b.label().to_owned(),
                 NodeActor::Subscriber(s) => format!("sub:{}", s.id()),
             }
         };
         for &id in self.brokers.iter().rev() {
-            let Some(broker) = self.world.actor(id).as_broker() else {
+            let Some(broker) = self.world.actor(id).node.as_broker() else {
                 continue;
             };
             out.push_str(&format!(

@@ -11,9 +11,7 @@ use layercake_sim::{ActorId, SimDuration, SimTime};
 use layercake_trace::{HopRecord, HopVerdict, TraceSink};
 
 use crate::ctx::NodeCtx;
-use crate::flow::FlowRx;
 use crate::msg::{OverlayMsg, SubscriptionReq};
-use crate::reliability::LinkRx;
 
 /// Timer tag: renew the subscription lease at the hosting node.
 const TAG_RENEW: u64 = 3;
@@ -123,7 +121,6 @@ pub struct SubscriberNode {
     root: ActorId,
     leases_enabled: bool,
     ttl: SimDuration,
-    reliability_window: usize,
     active: bool,
     timer_started: bool,
     redirects: u32,
@@ -134,21 +131,11 @@ pub struct SubscriberNode {
     seen: std::collections::HashSet<EventSeq>,
     store_envelopes: bool,
     inbox: Vec<Envelope>,
-    /// Receiver state of reliable links, keyed by the sending host.
-    rx: HashMap<ActorId, LinkRx>,
-    flow_enabled: bool,
-    queue_capacity: usize,
-    /// Flow-control consumption counters per sending host; subscribers
-    /// only ever *receive* data, so they hold no sender-side state.
-    flow_rx: HashMap<ActorId, FlowRx>,
-    grants_sent: u64,
     /// Hosts renewed since the last renewal timer, still unacknowledged.
     unacked: Vec<ActorId>,
     /// Per-branch re-subscription attempt counters (reset on acceptance).
     resub_attempts: Vec<u32>,
     resubscriptions: u64,
-    dup_suppressed: u64,
-    nacks_sent: u64,
     /// Shared trace collector; `None` when tracing is disabled for the run.
     trace: Option<Arc<TraceSink>>,
     /// Whether this subscription is durable: the hosting broker logs the
@@ -192,9 +179,6 @@ pub(crate) struct SubscriberSetup {
     pub index: IndexKind,
     pub leases_enabled: bool,
     pub ttl: SimDuration,
-    pub reliability_window: usize,
-    pub flow_control_enabled: bool,
-    pub queue_capacity: usize,
     pub trace: Option<Arc<TraceSink>>,
     pub durable: bool,
 }
@@ -210,9 +194,6 @@ impl SubscriberNode {
             index,
             leases_enabled,
             ttl,
-            reliability_window,
-            flow_control_enabled,
-            queue_capacity,
             trace,
             durable,
         } = setup;
@@ -244,7 +225,6 @@ impl SubscriberNode {
             root,
             leases_enabled,
             ttl,
-            reliability_window,
             active: true,
             timer_started: false,
             redirects: 0,
@@ -255,16 +235,9 @@ impl SubscriberNode {
             seen: std::collections::HashSet::new(),
             store_envelopes: false,
             inbox: Vec::new(),
-            rx: HashMap::new(),
-            flow_enabled: flow_control_enabled,
-            queue_capacity,
-            flow_rx: HashMap::new(),
-            grants_sent: 0,
             unacked: Vec::new(),
             resub_attempts: vec![0; branch_count],
             resubscriptions: 0,
-            dup_suppressed: 0,
-            nacks_sent: 0,
             trace,
             durable,
             durable_received: 0,
@@ -417,25 +390,6 @@ impl SubscriberNode {
         self.resubscriptions
     }
 
-    /// Incoming events suppressed as duplicates on reliable links.
-    #[must_use]
-    pub fn dup_suppressed(&self) -> u64 {
-        self.dup_suppressed
-    }
-
-    /// Gap-detection NACKs this subscriber sent to its hosts.
-    #[must_use]
-    pub fn nacks_sent(&self) -> u64 {
-        self.nacks_sent
-    }
-
-    /// Credit grants this subscriber sent to its hosts (batched
-    /// consumption reports plus probe answers).
-    #[must_use]
-    pub fn grants_sent(&self) -> u64 {
-        self.grants_sent
-    }
-
     pub(crate) fn handle(&mut self, from: ActorId, msg: OverlayMsg, ctx: &mut dyn NodeCtx) {
         match msg {
             OverlayMsg::JoinAt { req, node } => {
@@ -460,7 +414,6 @@ impl SubscriberNode {
             }
             OverlayMsg::Deliver(env) => {
                 self.bytes_received += env.wire_size() as u64;
-                self.note_data_arrival(from, ctx);
                 self.accept(from, env, ctx);
             }
             OverlayMsg::DurableBase { class, base } => {
@@ -480,10 +433,7 @@ impl SubscriberNode {
                 );
             }
             OverlayMsg::Durable { prev, off, env } => {
-                // Durable deliveries skip flow accounting on purpose: the
-                // broker sends them outside its credit window, so counting
-                // them as consumed credit would corrupt the window. The
-                // ack — per class, cumulative — is what advances the
+                // The ack — per class, cumulative — is what advances the
                 // broker's persisted offset and unpins log segments, so it
                 // must only ever name a delivery received *in chain*:
                 // acking across a hole would let compaction delete a
@@ -532,55 +482,21 @@ impl SubscriberNode {
                     Some(cursor) => self.request_repair(key, cursor, ctx),
                 }
             }
-            OverlayMsg::Sequenced { link_seq, env } => {
-                self.bytes_received += env.wire_size() as u64;
-                self.note_data_arrival(from, ctx);
-                let outcome = self.rx.entry(from).or_default().on_event(
-                    link_seq,
-                    env,
-                    self.reliability_window,
-                );
-                self.dup_suppressed += outcome.duplicates_suppressed;
-                if let Some((from_seq, to_seq)) = outcome.nack {
-                    self.nacks_sent += 1;
-                    ctx.send(from, OverlayMsg::Nack { from_seq, to_seq });
-                }
-                for env in outcome.released {
-                    self.accept(from, env, ctx);
-                }
-            }
-            OverlayMsg::Advance { to } => {
-                let outcome = self
-                    .rx
-                    .entry(from)
-                    .or_default()
-                    .on_advance(to, self.reliability_window);
-                self.dup_suppressed += outcome.duplicates_suppressed;
-                for env in outcome.released {
-                    self.accept(from, env, ctx);
-                }
-            }
             OverlayMsg::RenewAck => {
                 self.unacked.retain(|&h| h != from);
             }
-            OverlayMsg::Credit => {
-                // Our host stalled on zero credit toward us (or its
-                // breaker is probing): answer immediately.
-                if self.flow_enabled {
-                    let consumed_total = self
-                        .flow_rx
-                        .entry(from)
-                        .or_insert_with(|| FlowRx::new(self.queue_capacity))
-                        .grant_now();
-                    self.grants_sent += 1;
-                    ctx.send(from, OverlayMsg::CreditGrant { consumed_total });
-                }
-            }
+            // Link-layer frames mean something to a `link::Linked` wrapper
+            // only. Bare, they are ignored: a socket can deliver anything.
             other => {
                 debug_assert!(
                     matches!(
                         other,
-                        OverlayMsg::Advertise(_) | OverlayMsg::CreditGrant { .. }
+                        OverlayMsg::Advertise(_)
+                            | OverlayMsg::Sequenced { .. }
+                            | OverlayMsg::Nack { .. }
+                            | OverlayMsg::Advance { .. }
+                            | OverlayMsg::Credit
+                            | OverlayMsg::CreditGrant { .. }
                     ),
                     "unexpected message at subscriber {}: {other:?}",
                     self.label
@@ -677,23 +593,6 @@ impl SubscriberNode {
             self.arm_ack_timer(due - ctx.now(), ctx);
         } else if stalled {
             self.arm_ack_timer(self.ttl, ctx);
-        }
-    }
-
-    /// Counts one consumed data message from a host and emits a batched
-    /// credit grant when due.
-    fn note_data_arrival(&mut self, from: ActorId, ctx: &mut dyn NodeCtx) {
-        if !self.flow_enabled {
-            return;
-        }
-        let grant = self
-            .flow_rx
-            .entry(from)
-            .or_insert_with(|| FlowRx::new(self.queue_capacity))
-            .on_data();
-        if let Some(consumed_total) = grant {
-            self.grants_sent += 1;
-            ctx.send(from, OverlayMsg::CreditGrant { consumed_total });
         }
     }
 
@@ -800,8 +699,7 @@ impl SubscriberNode {
     /// A host stopped acknowledging renewals: forget it (and its link
     /// state) and start the re-subscription walk for every branch it held.
     fn suspect_host(&mut self, host: ActorId, ctx: &mut dyn NodeCtx) {
-        self.rx.remove(&host);
-        self.flow_rx.remove(&host);
+        ctx.peer_lost(host);
         // Durable stream state for the dead host is stale: the
         // re-subscription's `DurableBase` re-seeds the cursor from the
         // broker's (possibly recovered-and-regressed) offset table.
@@ -911,9 +809,6 @@ mod tests {
             index: IndexKind::default(),
             leases_enabled: false,
             ttl: SimDuration::from_ticks(100),
-            reliability_window: 64,
-            flow_control_enabled: false,
-            queue_capacity: 64,
             trace: None,
             durable: true,
         });

@@ -104,13 +104,6 @@ pub fn build_brokers(
                 wildcard_stage_placement: cfg.wildcard_stage_placement,
                 leases_enabled: cfg.leases_enabled,
                 ttl: cfg.ttl,
-                reliability_enabled: cfg.reliability_enabled,
-                reliability_window: cfg.reliability_window,
-                flow_control_enabled: cfg.flow_control_enabled,
-                queue_capacity: cfg.queue_capacity,
-                flow_tick: cfg.flow_tick,
-                breaker_failure_threshold: cfg.breaker_failure_threshold,
-                breaker_backoff: cfg.breaker_backoff,
                 seed: cfg.seed ^ (offsets[level] + i) as u64,
                 trace: trace.cloned(),
             });
@@ -178,9 +171,6 @@ pub fn build_subscriber(
         index: cfg.index,
         leases_enabled: cfg.leases_enabled,
         ttl: cfg.ttl,
-        reliability_window: cfg.reliability_window,
-        flow_control_enabled: cfg.flow_control_enabled,
-        queue_capacity: cfg.queue_capacity,
         trace: trace.cloned(),
         durable,
     })

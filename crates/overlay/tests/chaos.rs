@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use layercake_event::{event_data, Advertisement, ClassId, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::Filter;
-use layercake_overlay::{OverlayConfig, OverlaySim, SubscriberHandle};
+use layercake_overlay::{LinkConfig, OverlayConfig, OverlaySim, SubscriberHandle};
 use layercake_sim::{FaultPlan, SimDuration};
 use layercake_workload::BiblioWorkload;
 use proptest::prelude::*;
@@ -32,17 +32,21 @@ impl Chaos {
     fn new(n: usize, seed: u64) -> Self {
         let mut registry = TypeRegistry::new();
         let class = BiblioWorkload::register(&mut registry);
-        let mut sim = OverlaySim::new(
+        let mut sim = OverlaySim::with_links(
             OverlayConfig {
                 levels: vec![4, 2, 1],
                 leases_enabled: true,
-                reliability_enabled: true,
                 ttl: SimDuration::from_ticks(TTL),
                 seed,
                 ..OverlayConfig::default()
             },
+            LinkConfig {
+                reliable: true,
+                ..LinkConfig::default()
+            },
             Arc::new(registry),
-        );
+        )
+        .unwrap();
         sim.advertise(Advertisement::new(class, BiblioWorkload::stage_map()));
         sim.settle();
         let mut subs = Vec::new();
@@ -254,18 +258,22 @@ fn crashes_erase_ring_history_but_not_the_durable_log() {
     let run = |durable: bool| -> Vec<EventSeq> {
         let mut registry = TypeRegistry::new();
         let class = BiblioWorkload::register(&mut registry);
-        let mut sim = OverlaySim::new(
+        let mut sim = OverlaySim::with_links(
             OverlayConfig {
                 levels: vec![1],
                 leases_enabled: true,
-                reliability_enabled: true,
                 durability_enabled: durable,
                 ttl: SimDuration::from_ticks(TTL),
                 seed: 5,
                 ..OverlayConfig::default()
             },
+            LinkConfig {
+                reliable: true,
+                ..LinkConfig::default()
+            },
             Arc::new(registry),
-        );
+        )
+        .unwrap();
         sim.advertise(Advertisement::new(class, BiblioWorkload::stage_map()));
         sim.settle();
         let filter = Filter::for_class(class).eq("year", 2002);

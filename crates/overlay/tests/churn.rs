@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use layercake_event::{event_data, Advertisement, ClassId, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::Filter;
-use layercake_overlay::{OverlayConfig, OverlaySim, SubscriberHandle};
+use layercake_overlay::{LinkConfig, OverlayConfig, OverlaySim, SubscriberHandle};
 use layercake_sim::SimDuration;
 use layercake_workload::BiblioWorkload;
 
@@ -19,16 +19,20 @@ fn build(
 ) -> (OverlaySim, ClassId, Vec<SubscriberHandle>) {
     let mut registry = TypeRegistry::new();
     let class = BiblioWorkload::register(&mut registry);
-    let mut sim = OverlaySim::new(
+    let mut sim = OverlaySim::with_links(
         OverlayConfig {
             levels: vec![4, 2, 1],
             leases_enabled: leases,
-            reliability_enabled: reliability,
             ttl: SimDuration::from_ticks(TTL),
             ..OverlayConfig::default()
         },
+        LinkConfig {
+            reliable: reliability,
+            ..LinkConfig::default()
+        },
         Arc::new(registry),
-    );
+    )
+    .unwrap();
     sim.advertise(Advertisement::new(class, BiblioWorkload::stage_map()));
     sim.settle();
     let mut subs = Vec::new();

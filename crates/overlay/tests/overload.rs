@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use layercake_event::{event_data, Advertisement, ClassId, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::Filter;
-use layercake_overlay::{OverlayConfig, OverlaySim, SubscriberHandle};
+use layercake_overlay::{LinkConfig, OverlayConfig, OverlaySim, SubscriberHandle};
 use layercake_sim::SimDuration;
 use layercake_workload::BiblioWorkload;
 use proptest::prelude::*;
@@ -16,15 +16,18 @@ use proptest::prelude::*;
 /// A `[1, 1]` biblio overlay — one root, one stage-1 broker, one
 /// subscriber matching every published event. The linear path makes
 /// shed/delivery accounting exact.
-fn linear_sim(cfg_mut: impl FnOnce(&mut OverlayConfig)) -> (OverlaySim, ClassId, SubscriberHandle) {
+fn linear_sim(
+    cfg_mut: impl FnOnce(&mut OverlayConfig, &mut LinkConfig),
+) -> (OverlaySim, ClassId, SubscriberHandle) {
     let mut registry = TypeRegistry::new();
     let class = BiblioWorkload::register(&mut registry);
     let mut cfg = OverlayConfig {
         levels: vec![1, 1],
         ..OverlayConfig::default()
     };
-    cfg_mut(&mut cfg);
-    let mut sim = OverlaySim::new(cfg, Arc::new(registry));
+    let mut link = LinkConfig::default();
+    cfg_mut(&mut cfg, &mut link);
+    let mut sim = OverlaySim::with_links(cfg, link, Arc::new(registry)).unwrap();
     sim.advertise(Advertisement::new(class, BiblioWorkload::stage_map()));
     sim.settle();
     // The filter constrains `title`, which only stage 1 can express, so
@@ -63,7 +66,7 @@ fn matching_event(class: ClassId, seq: u64) -> Envelope {
 #[test]
 fn flow_control_is_invisible_under_capacity() {
     let run = |flow: bool| {
-        let (mut sim, class, sub) = linear_sim(|cfg| cfg.flow_control_enabled = flow);
+        let (mut sim, class, sub) = linear_sim(|_, link| link.flow_control = flow);
         for round in 0..30u64 {
             for k in 0..4u64 {
                 sim.publish(matching_event(class, round * 4 + k));
@@ -92,7 +95,7 @@ fn flow_control_is_invisible_under_capacity() {
 /// and the books balance (published = delivered + shed).
 #[test]
 fn slow_stage_sheds_bounded_and_preserves_order() {
-    let (mut sim, class, sub) = linear_sim(|cfg| cfg.flow_control_enabled = true);
+    let (mut sim, class, sub) = linear_sim(|_, link| link.flow_control = true);
     let slow = sim.brokers()[0];
     sim.set_broker_service_time(slow, Some(SimDuration::from_ticks(8)));
 
@@ -133,8 +136,8 @@ fn slow_stage_sheds_bounded_and_preserves_order() {
 #[test]
 fn breaker_isolates_crashed_downstream_and_recovers() {
     const TTL: u64 = 200;
-    let (mut sim, class, sub) = linear_sim(|cfg| {
-        cfg.flow_control_enabled = true;
+    let (mut sim, class, sub) = linear_sim(|cfg, link| {
+        link.flow_control = true;
         cfg.leases_enabled = true;
         cfg.ttl = SimDuration::from_ticks(TTL);
     });
@@ -204,9 +207,9 @@ proptest! {
         burst in 1usize..=8,
         events in 50u64..300,
     ) {
-        let (mut sim, class, sub) = linear_sim(|cfg| {
-            cfg.flow_control_enabled = true;
-            cfg.queue_capacity = queue_capacity;
+        let (mut sim, class, sub) = linear_sim(|cfg, link| {
+            link.flow_control = true;
+            link.queue_capacity = queue_capacity;
             cfg.seed = seed;
         });
         let slow = sim.brokers()[0];

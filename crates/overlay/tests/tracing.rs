@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use layercake_event::{event_data, Advertisement, ClassId, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::Filter;
-use layercake_overlay::{OverlayConfig, OverlaySim, SubscriberHandle};
+use layercake_overlay::{LinkConfig, OverlayConfig, OverlaySim, SubscriberHandle};
 use layercake_sim::{FaultPlan, SimDuration};
 use layercake_trace::HopVerdict;
 use layercake_workload::BiblioWorkload;
@@ -27,17 +27,21 @@ struct Rig {
 fn build(n: usize, trace_sample_every: u64, reliability: bool, seed: u64) -> Rig {
     let mut registry = TypeRegistry::new();
     let class = BiblioWorkload::register(&mut registry);
-    let mut sim = OverlaySim::new(
+    let mut sim = OverlaySim::with_links(
         OverlayConfig {
             levels: vec![4, 2, 1],
-            reliability_enabled: reliability,
             ttl: SimDuration::from_ticks(TTL),
             seed,
             trace_sample_every,
             ..OverlayConfig::default()
         },
+        LinkConfig {
+            reliable: reliability,
+            ..LinkConfig::default()
+        },
         Arc::new(registry),
-    );
+    )
+    .unwrap();
     sim.advertise(Advertisement::new(class, BiblioWorkload::stage_map()));
     sim.settle();
     let mut subs = Vec::new();

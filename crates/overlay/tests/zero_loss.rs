@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use layercake_event::{event_data, Advertisement, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::Filter;
-use layercake_overlay::{OverlayConfig, OverlaySim};
+use layercake_overlay::{LinkConfig, OverlayConfig, OverlaySim};
 use layercake_sim::{FaultPlan, SimDuration};
 use layercake_workload::BiblioWorkload;
 use proptest::prelude::*;
@@ -54,21 +54,24 @@ fn run_zero_loss(
     {
         let mut registry = TypeRegistry::new();
         let class = BiblioWorkload::register(&mut registry);
-        let mut sim = OverlaySim::new(
+        let mut sim = OverlaySim::with_links(
             OverlayConfig {
                 levels: vec![4, 2, 1],
                 leases_enabled: true,
-                reliability_enabled: true,
                 ttl: SimDuration::from_ticks(TTL),
                 seed,
-                flow_control_enabled: flow_control,
+                ..OverlayConfig::default()
+            },
+            LinkConfig {
+                reliable: true,
+                flow_control,
                 // The egress queue must hold a full retransmission window
                 // (`validate()` enforces window <= queue).
                 queue_capacity: 256,
-                ..OverlayConfig::default()
             },
             Arc::new(registry),
-        );
+        )
+        .unwrap();
         sim.advertise(Advertisement::new(class, BiblioWorkload::stage_map()));
         sim.settle();
         let subs: Vec<_> = (0..4)

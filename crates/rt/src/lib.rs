@@ -3,9 +3,9 @@
 //!
 //! The deterministic simulator (`layercake-overlay`) is the reference
 //! implementation of the protocol; this crate runs the *same* broker and
-//! subscriber state machines — via the transport-agnostic
-//! [`layercake_overlay::Node`] / [`layercake_overlay::NodeCtx`] traits —
-//! under real concurrency:
+//! subscriber state machines, bare (no [`layercake_overlay::link`]
+//! wrapper), through the transport-agnostic [`layercake_overlay::Node`] /
+//! [`layercake_overlay::NodeCtx`] traits, under real concurrency:
 //!
 //! * every broker matcher shard and every subscriber is an OS thread;
 //! * threads exchange length-prefixed byte frames — over `std::sync::mpsc`

@@ -71,7 +71,7 @@ use layercake_event::{Advertisement, Envelope, TraceContext, TraceId, TypeRegist
 use layercake_filter::{Filter, FilterId};
 use layercake_metrics::{DurabilityStats, Gauge, HistogramSample, PipelineStage, StageProfiler};
 use layercake_overlay::topology::{self, TopologyNode};
-use layercake_overlay::wal::{FileStorage, LogConfig};
+use layercake_overlay::wal::FileStorage;
 use layercake_overlay::{Broker, Node, NodeCtx, OverlayConfig, OverlayMsg, SubscriberNode};
 use layercake_sim::{ActorId, SimDuration, SimTime};
 use layercake_trace::TraceSink;
@@ -109,14 +109,15 @@ fn idle_tick(supervision: &SupervisionConfig) -> Option<Duration> {
 /// Configuration for [`Runtime::start`].
 #[derive(Debug, Clone)]
 pub struct RtConfig {
-    /// The overlay to run. Soft-state leases, per-link reliability and
-    /// flow control must be disabled: their per-link state lives inside
-    /// each broker replica and would diverge across matcher shards.
-    /// Durability is an exception — the durable log is keyed by event
+    /// The overlay to run. Soft-state leases must be disabled: their
+    /// timers and expiries run per broker replica and would diverge
+    /// across matcher shards. (The simulator's hop-by-hop link layer is
+    /// not an overlay option at all: nothing here can ask for it.)
+    /// Durability does run — the durable log is keyed by event
     /// class, and data frames shard by class too, so each shard's log
     /// covers exactly the classes it matches and replicas never
     /// disagree; enable it with `overlay.durability_enabled` plus
-    /// [`RtConfig::durable_dir`]. Trace sampling is the other exception:
+    /// [`RtConfig::durable_dir`]. So does trace sampling:
     /// `overlay.trace_sample_every = n` samples every n-th published
     /// event into a wall-clock [`TraceSink`] with per-hop provenance
     /// (shard id, covering-filter verdict) matching the simulator's,
@@ -189,16 +190,11 @@ impl RtConfig {
         if self.shards == 0 {
             return Err(RtError::InvalidShards);
         }
-        if self.overlay.leases_enabled
-            || self.overlay.reliability_enabled
-            || self.overlay.flow_control_enabled
-        {
+        if self.overlay.leases_enabled {
             return Err(RtError::UnsupportedFeature(
-                "leases, reliability and flow control hold per-link state \
-                 that would diverge across matcher shards; run them in the \
-                 deterministic simulator (durable subscriptions are the \
-                 runtime's loss-protection path: set durability_enabled \
-                 and durable_dir)",
+                "leases arm timers and expire table entries per replica, \
+                 which would diverge across matcher shards; run them in \
+                 the deterministic simulator",
             ));
         }
         if let Some(addr) = &self.metrics_addr {
@@ -247,6 +243,7 @@ pub(crate) enum FrameTag {
 }
 
 /// One framed wire message in flight between node threads.
+#[derive(Clone)]
 pub(crate) struct Frame {
     pub(crate) bytes: Vec<u8>,
     /// Nanoseconds since runtime start at enqueue time; `0` when the
@@ -258,24 +255,58 @@ pub(crate) struct Frame {
 
 /// What a node thread receives: either one framed wire message or the
 /// shutdown poison pill.
+#[derive(Clone)]
 pub(crate) enum RtEvent {
     Frame(Frame),
     Shutdown,
 }
 
-enum Route {
-    Broker {
-        shards: Vec<Sender<RtEvent>>,
-        /// On the TCP transport, the destination's link writer: frames
-        /// are queued here and the link's reader thread forwards them
-        /// into `shards` after a real socket round trip. `None` on the
-        /// mpsc transport.
-        link: Option<Sender<LinkCmd>>,
-    },
-    Subscriber {
-        tx: Sender<RtEvent>,
-        link: Option<Sender<LinkCmd>>,
-    },
+/// How to reach one node: an inbox per matcher shard. A subscriber is a
+/// one-shard node.
+struct Route {
+    shards: Vec<Sender<RtEvent>>,
+    /// On the TCP transport, the destination's link writer: frames are
+    /// queued here and the link's reader thread forwards them into
+    /// `shards` after a real socket round trip. `None` on the mpsc
+    /// transport.
+    link: Option<Sender<LinkCmd>>,
+}
+
+impl Route {
+    /// Sends `ev` to shard `shard` — a copy to every shard for
+    /// [`SHARD_BROADCAST`] — by way of the link if there is one. `false`
+    /// when a receiving end is gone.
+    fn send(&self, shard: u32, ev: RtEvent) -> bool {
+        let Some(link) = &self.link else {
+            return self.deliver(shard, ev);
+        };
+        // One socket write carries a broadcast; the link reader fans it
+        // out to every shard.
+        let cmd = match ev {
+            RtEvent::Frame(f) => LinkCmd::Frame {
+                shard,
+                tag: f.tag,
+                enqueued_ns: f.enqueued_ns,
+                bytes: f.bytes,
+            },
+            RtEvent::Shutdown => LinkCmd::Shutdown { shard },
+        };
+        link.send(cmd).is_ok()
+    }
+
+    /// Puts `ev` straight into the inbox of shard `shard`, or of each.
+    fn deliver(&self, shard: u32, ev: RtEvent) -> bool {
+        if shard == SHARD_BROADCAST {
+            let mut reached = true;
+            for tx in &self.shards {
+                reached &= tx.send(ev.clone()).is_ok();
+            }
+            reached
+        } else {
+            let tx = self.shards.get(shard as usize);
+            tx.is_some_and(|tx| tx.send(ev).is_ok())
+        }
+    }
 }
 
 /// The routing table: node id → channel(s). Subscribers register after
@@ -407,110 +438,33 @@ impl Router {
         let Some(Some(route)) = routes.get(to.0) else {
             return;
         };
-        match route {
-            Route::Subscriber { tx, link } => {
-                stats.note_frame_sent(bytes.len());
-                let tag = if msg.is_data() {
-                    FrameTag::Data
-                } else {
-                    FrameTag::Ack
-                };
-                let sent = match link {
-                    // Over TCP the subscriber is a one-shard node; the
-                    // link reader forwards into `tx` on arrival.
-                    Some(link) => link
-                        .send(LinkCmd::Frame {
-                            shard: 0,
-                            tag,
-                            enqueued_ns,
-                            bytes,
-                        })
-                        .is_ok(),
-                    None => tx
-                        .send(RtEvent::Frame(Frame {
-                            bytes,
-                            enqueued_ns,
-                            tag,
-                        }))
-                        .is_ok(),
-                };
-                if !sent {
-                    self.note_send_failure(stats, tag == FrameTag::Data);
-                }
+        let (shard, tag) = match (data_class(msg), self.ctrl.get(to.0)) {
+            (Some(class), _) => (shard_of(class, route.shards.len()) as u32, FrameTag::Data),
+            // A broker's control broadcast is captured for restart replay;
+            // acks are not, and neither is anything subscriber-bound.
+            (None, Some(log)) if !matches!(msg, OverlayMsg::AckUpto { .. }) => {
+                let mut log = log.lock().unwrap_or_else(PoisonError::into_inner);
+                log.push(bytes.clone());
+                (SHARD_BROADCAST, FrameTag::Ctrl(log.len() as u64 - 1))
             }
-            Route::Broker { shards, link } => {
-                if let Some(class) = data_class(msg) {
-                    let shard = shard_of(class, shards.len());
-                    stats.note_frame_sent(bytes.len());
-                    let sent = match link {
-                        Some(link) => link
-                            .send(LinkCmd::Frame {
-                                shard: shard as u32,
-                                tag: FrameTag::Data,
-                                enqueued_ns,
-                                bytes,
-                            })
-                            .is_ok(),
-                        None => shards[shard]
-                            .send(RtEvent::Frame(Frame {
-                                bytes,
-                                enqueued_ns,
-                                tag: FrameTag::Data,
-                            }))
-                            .is_ok(),
-                    };
-                    if !sent {
-                        self.note_send_failure(stats, true);
-                    }
-                } else {
-                    let tag = if matches!(msg, OverlayMsg::AckUpto { .. }) {
-                        FrameTag::Ack
-                    } else {
-                        let mut log = self.ctrl[to.0]
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner);
-                        log.push(bytes.clone());
-                        FrameTag::Ctrl(log.len() as u64 - 1)
-                    };
-                    match link {
-                        Some(link) => {
-                            // One socket write carries the broadcast; the
-                            // link reader fans it out to every shard, but
-                            // the accounting stays per shard copy so both
-                            // transports report identical frame counts.
-                            for _ in shards {
-                                stats.note_frame_sent(bytes.len());
-                            }
-                            if link
-                                .send(LinkCmd::Frame {
-                                    shard: SHARD_BROADCAST,
-                                    tag,
-                                    enqueued_ns,
-                                    bytes,
-                                })
-                                .is_err()
-                            {
-                                self.note_send_failure(stats, false);
-                            }
-                        }
-                        None => {
-                            for tx in shards {
-                                stats.note_frame_sent(bytes.len());
-                                if tx
-                                    .send(RtEvent::Frame(Frame {
-                                        bytes: bytes.clone(),
-                                        enqueued_ns,
-                                        tag,
-                                    }))
-                                    .is_err()
-                                {
-                                    self.note_send_failure(stats, false);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            (None, _) => (SHARD_BROADCAST, FrameTag::Ack),
+        };
+        // Accounting is per shard copy, so both transports report
+        // identical frame counts.
+        let copies = match shard {
+            SHARD_BROADCAST => route.shards.len(),
+            _ => 1,
+        };
+        for _ in 0..copies {
+            stats.note_frame_sent(bytes.len());
+        }
+        let frame = Frame {
+            bytes,
+            enqueued_ns,
+            tag,
+        };
+        if !route.send(shard, RtEvent::Frame(frame)) {
+            self.note_send_failure(stats, tag == FrameTag::Data);
         }
         if let Some(t0) = send_timer {
             self.profiler
@@ -531,69 +485,26 @@ impl Router {
         payload: &[u8],
         stats: &RtStats,
     ) {
+        let frame = Frame {
+            bytes: payload.to_vec(),
+            enqueued_ns,
+            tag,
+        };
         let routes = self.read_routes();
-        match routes.get(dest) {
-            Some(Some(Route::Subscriber { tx, .. })) => {
-                if tx
-                    .send(RtEvent::Frame(Frame {
-                        bytes: payload.to_vec(),
-                        enqueued_ns,
-                        tag,
-                    }))
-                    .is_err()
-                {
-                    self.note_send_failure(stats, tag == FrameTag::Data);
-                }
-            }
-            Some(Some(Route::Broker { shards, .. })) => {
-                if shard == SHARD_BROADCAST {
-                    for tx in shards {
-                        if tx
-                            .send(RtEvent::Frame(Frame {
-                                bytes: payload.to_vec(),
-                                enqueued_ns,
-                                tag,
-                            }))
-                            .is_err()
-                        {
-                            self.note_send_failure(stats, false);
-                        }
-                    }
-                } else if let Some(tx) = shards.get(shard as usize) {
-                    if tx
-                        .send(RtEvent::Frame(Frame {
-                            bytes: payload.to_vec(),
-                            enqueued_ns,
-                            tag,
-                        }))
-                        .is_err()
-                    {
-                        self.note_send_failure(stats, tag == FrameTag::Data);
-                    }
-                }
-            }
-            _ => self.note_send_failure(stats, tag == FrameTag::Data),
+        let reached = match routes.get(dest) {
+            Some(Some(route)) => route.deliver(shard, RtEvent::Frame(frame)),
+            _ => false,
+        };
+        if !reached {
+            self.note_send_failure(stats, tag == FrameTag::Data);
         }
     }
 
     /// Delivers a link-arrived shutdown pill into node `dest`'s inbox
     /// sender(s).
     pub(crate) fn forward_link_shutdown(&self, dest: usize, shard: u32) {
-        let routes = self.read_routes();
-        match routes.get(dest) {
-            Some(Some(Route::Subscriber { tx, .. })) => {
-                let _ = tx.send(RtEvent::Shutdown);
-            }
-            Some(Some(Route::Broker { shards, .. })) => {
-                if shard == SHARD_BROADCAST {
-                    for tx in shards {
-                        let _ = tx.send(RtEvent::Shutdown);
-                    }
-                } else if let Some(tx) = shards.get(shard as usize) {
-                    let _ = tx.send(RtEvent::Shutdown);
-                }
-            }
-            _ => {}
+        if let Some(Some(route)) = self.read_routes().get(dest) {
+            let _ = route.deliver(shard, RtEvent::Shutdown);
         }
     }
 
@@ -614,8 +525,8 @@ impl Router {
     pub(crate) fn park_shard(&self, b: usize, shard: usize) -> Receiver<RtEvent> {
         let (tx, rx) = channel();
         let mut routes = self.write_routes();
-        if let Some(Some(Route::Broker { shards, .. })) = routes.get_mut(b) {
-            shards[shard] = tx;
+        if let Some(Some(route)) = routes.get_mut(b) {
+            route.shards[shard] = tx;
         }
         rx
     }
@@ -672,8 +583,8 @@ impl Router {
                 }
             }
         }
-        if let Some(Some(Route::Broker { shards, .. })) = routes.get_mut(b) {
-            shards[shard] = tx;
+        if let Some(Some(route)) = routes.get_mut(b) {
+            route.shards[shard] = tx;
         }
         drop(routes);
         (rx, requeued)
@@ -695,8 +606,8 @@ impl Router {
         let (tx, _dead_rx) = channel();
         {
             let mut routes = self.write_routes();
-            if let Some(Some(Route::Broker { shards, .. })) = routes.get_mut(b) {
-                shards[shard] = tx;
+            if let Some(Some(route)) = routes.get_mut(b) {
+                route.shards[shard] = tx;
             }
         }
         let mut lost = 0u64;
@@ -730,7 +641,7 @@ impl Router {
     ) -> (u64, u64) {
         let routes = self.read_routes();
         let tx = match routes.get(b) {
-            Some(Some(Route::Broker { shards, .. })) => shards.get(shard).cloned(),
+            Some(Some(route)) => route.shards.get(shard).cloned(),
             _ => None,
         };
         drop(routes);
@@ -1093,7 +1004,7 @@ impl Runtime {
                     Some(tx)
                 }
             };
-            router.set(ActorId(b), Route::Broker { shards: txs, link });
+            router.set(ActorId(b), Route { shards: txs, link });
             inboxes.push(rxs);
         }
 
@@ -1108,23 +1019,7 @@ impl Runtime {
                 let b = node.id.0;
                 let rx = inboxes[b].pop().expect("one receiver per shard");
                 let stage = node.stage;
-                let mut broker = node.broker;
-                if let Some(dir) = &cfg.durable_dir {
-                    // Each shard owns a disjoint class slice, so shard
-                    // logs never overlap; recovery happens inside
-                    // `DurableLog::open` (torn-tail truncation, offset
-                    // table reload) before the thread takes traffic.
-                    let storage =
-                        FileStorage::open(dir.join(format!("b{b}")).join(format!("s{shard}")))?;
-                    broker.enable_durability(
-                        Box::new(storage),
-                        LogConfig {
-                            segment_bytes: cfg.overlay.wal_segment_bytes,
-                            flush_every: cfg.overlay.wal_flush_every,
-                        },
-                    );
-                }
-                broker.set_stage_profiler(Arc::clone(&profiler));
+                let (broker, _) = equip(node.broker, &cfg, &profiler, &router, b, shard)?;
                 let fence = Arc::new(AtomicBool::new(false));
                 let heartbeat = stats
                     .registry()
@@ -1391,7 +1286,8 @@ impl Runtime {
                 Some(link_tx)
             }
         };
-        self.router.set(id, Route::Subscriber { tx, link });
+        let shards = vec![tx];
+        self.router.set(id, Route { shards, link });
         let (placed_tx, placed) = channel();
         let heartbeat = self
             .stats
@@ -1706,27 +1602,8 @@ impl Runtime {
     /// already queued there, preserving the drain-before-exit teardown
     /// invariant the mpsc channels give for free.
     fn poison(&self, id: ActorId, shard: usize) {
-        let routes = self.router.read_routes();
-        match routes.get(id.0) {
-            Some(Some(Route::Broker { shards, link })) => match link {
-                Some(link) => {
-                    let _ = link.send(LinkCmd::Shutdown {
-                        shard: shard as u32,
-                    });
-                }
-                None => {
-                    let _ = shards[shard].send(RtEvent::Shutdown);
-                }
-            },
-            Some(Some(Route::Subscriber { tx, link })) => match link {
-                Some(link) => {
-                    let _ = link.send(LinkCmd::Shutdown { shard: 0 });
-                }
-                None => {
-                    let _ = tx.send(RtEvent::Shutdown);
-                }
-            },
-            _ => {}
+        if let Some(Some(route)) = self.router.read_routes().get(id.0) {
+            let _ = route.send(shard as u32, RtEvent::Shutdown);
         }
     }
 }
@@ -1900,14 +1777,49 @@ fn subscriber_thread_main(
     }
 }
 
+/// Makes a freshly built state machine of broker `b` into its shard
+/// `shard`: recovers the shard's durable log slice under
+/// `<durable_dir>/b{b}/s{shard}` (each shard owns a disjoint class slice,
+/// so shard logs never overlap; torn-tail truncation and the offset table
+/// reload happen inside `DurableLog::open`, before the thread takes
+/// traffic), then replays the broker's captured control prefix *mutedly*
+/// so the filter table, placement decisions and RNG position converge
+/// with the surviving replicas. At start the prefix is empty: generation
+/// 0 is a restart with nothing to replay. Returns the broker and the
+/// replayed prefix length (the requeue filter's cutoff).
+fn equip(
+    mut broker: Broker,
+    cfg: &RtConfig,
+    profiler: &Arc<StageProfiler>,
+    router: &Router,
+    b: usize,
+    shard: usize,
+) -> io::Result<(Broker, u64)> {
+    if let Some(dir) = &cfg.durable_dir {
+        let storage = FileStorage::open(dir.join(format!("b{b}")).join(format!("s{shard}")))?;
+        broker.enable_durability(Box::new(storage), cfg.overlay.log_config());
+    }
+    broker.set_stage_profiler(Arc::clone(profiler));
+    let prefix = router.ctrl_prefix(b);
+    let replayed = prefix.len() as u64;
+    let mut decoder = LinkDecoder::new(WireCodec::Binary);
+    let mut ctx = MutedCtx {
+        me: ActorId(b),
+        epoch: router.epoch,
+    };
+    for bytes in prefix {
+        decoder.push(&bytes);
+        while let Ok(Some((from, msg))) = decoder.next_msg() {
+            broker.on_message(from, msg, &mut ctx);
+        }
+    }
+    Ok((broker, replayed))
+}
+
 /// Rebuilds broker `b`'s shard `shard` state machine from scratch:
 /// deterministic topology construction (seeded `cfg.seed ^ node_index`,
-/// so the RNG stream matches the crashed instance's), durable-log
-/// recovery over the same per-shard directory, then a *muted* replay of
-/// the broker's captured control prefix so the filter table, placement
-/// decisions and RNG position converge with the surviving replicas.
-/// Returns the broker and the replayed prefix length (the requeue
-/// filter's cutoff).
+/// so the RNG stream matches the crashed instance's), then [`equip`]
+/// over the same per-shard directory.
 fn rebuild_broker(
     shared: &SupervisorShared,
     b: usize,
@@ -1921,33 +1833,8 @@ fn rebuild_broker(
     }
     // Nodes are indexed by id, so this takes exactly broker `b`.
     let node = nodes.swap_remove(b);
-    let mut broker = node.broker;
-    if let Some(dir) = &cfg.durable_dir {
-        let storage = FileStorage::open(dir.join(format!("b{b}")).join(format!("s{shard}")))
-            .map_err(|e| format!("durable log reopen failed: {e}"))?;
-        broker.enable_durability(
-            Box::new(storage),
-            LogConfig {
-                segment_bytes: cfg.overlay.wal_segment_bytes,
-                flush_every: cfg.overlay.wal_flush_every,
-            },
-        );
-    }
-    broker.set_stage_profiler(Arc::clone(&shared.profiler));
-    let prefix = shared.router.ctrl_prefix(b);
-    let replayed = prefix.len() as u64;
-    let mut decoder = LinkDecoder::new(WireCodec::Binary);
-    let mut ctx = MutedCtx {
-        me: ActorId(b),
-        epoch: shared.router.epoch,
-    };
-    for bytes in prefix {
-        decoder.push(&bytes);
-        while let Ok(Some((from, msg))) = decoder.next_msg() {
-            broker.on_message(from, msg, &mut ctx);
-        }
-    }
-    Ok((broker, replayed))
+    equip(node.broker, cfg, &shared.profiler, &shared.router, b, shard)
+        .map_err(|e| format!("durable log reopen failed: {e}"))
 }
 
 /// Replaces a crashed (or fenced) broker shard in place: rebuild the

@@ -279,6 +279,54 @@ fn restart_replays_to_each_selective_consumer_only_its_own_matches() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A selective consumer's class log ends in records it was never owed
+/// (they were logged for the class's other consumer). A graceful shutdown
+/// applies its final cursor *and* settles the idle stream over that tail,
+/// so the next start's catch-up has nothing to read back.
+#[test]
+fn graceful_shutdown_settles_a_selective_consumers_unowed_tail() {
+    let dir = scratch_dir("settle");
+    let (reg, class) = registry();
+    let start = || {
+        let mut rt = Runtime::start(durable_config(&dir), Arc::clone(&reg)).unwrap();
+        rt.advertise(Advertisement::new(
+            class,
+            StageMap::from_prefixes(&[1]).unwrap(),
+        ));
+        // Always the first subscriber, so both runs give it the same id.
+        let one_in_four = rt
+            .add_durable_subscriber(Filter::for_class(class).eq("region", 0i64))
+            .unwrap();
+        (rt, one_in_four)
+    };
+
+    let (mut rt, one_in_four) = start();
+    rt.add_durable_subscriber(Filter::for_class(class).ge("region", 1i64))
+        .unwrap();
+    let publisher = rt.publisher();
+    for seq in 0..80u64 {
+        let mut meta = EventData::new();
+        meta.insert("region", (seq % 4) as i64);
+        meta.insert("level", seq as i64);
+        publisher.publish(Envelope::from_meta(class, "Sensor", EventSeq(seq), meta));
+    }
+    assert!(rt.wait_delivered(80, Duration::from_secs(30)));
+    let report = rt.shutdown();
+    assert_eq!(report.deliveries(one_in_four).len(), 20);
+    assert_eq!(report.durability().records_appended, 80);
+
+    // The last three records (seq 77..=79) belong to the other consumer,
+    // which does not come back: whatever is read now is read for this one.
+    let (rt, one_in_four) = start();
+    let report = rt.shutdown();
+    let d = report.durability();
+    assert_eq!(d.records_decoded, 0, "the unowed tail was re-scanned");
+    assert_eq!(d.records_replayed, 0);
+    assert!(report.deliveries(one_in_four).is_empty());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn durable_dir_and_durability_flag_must_agree() {
     let (reg, _) = registry();

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use layercake::event::{event_data, Advertisement};
-use layercake::overlay::{OverlayConfig, OverlaySim, SubscriberHandle};
+use layercake::overlay::{LinkConfig, OverlayConfig, OverlaySim, SubscriberHandle};
 use layercake::workload::{BiblioConfig, BiblioWorkload};
 use layercake::{Envelope, EventSeq, Filter, TypeRegistry};
 use proptest::prelude::*;
@@ -169,14 +169,18 @@ fn isolated_broker_heals_without_losing_events() {
     let mut registry = TypeRegistry::new();
     let class = BiblioWorkload::register(&mut registry);
     let registry = Arc::new(registry);
-    let mut sim = OverlaySim::new(
+    let mut sim = OverlaySim::with_links(
         OverlayConfig {
             levels: vec![4, 1],
-            reliability_enabled: true,
             ..OverlayConfig::default()
         },
+        LinkConfig {
+            reliable: true,
+            ..LinkConfig::default()
+        },
         Arc::clone(&registry),
-    );
+    )
+    .unwrap();
     sim.advertise(Advertisement::new(class, BiblioWorkload::stage_map()));
     sim.settle();
 
