@@ -41,7 +41,7 @@ fn bench_per_hop_cost(c: &mut Criterion) {
     group.throughput(Throughput::Elements(envs.len() as u64));
 
     // What our brokers do: evaluate the weakened filter on the envelope's
-    // meta-data; the payload stays opaque.
+    // meta-data; no typed object is built.
     group.bench_function("meta_prefilter", |b| {
         b.iter(|| {
             let mut hits = 0u32;
@@ -54,13 +54,13 @@ fn bench_per_hop_cost(c: &mut Criterion) {
         });
     });
 
-    // The strawman: instantiate the typed object at the hop and run
+    // The strawman: rebuild the typed object at the hop and run
     // accessor-based filtering code.
     group.bench_function("object_instantiate_and_filter", |b| {
         b.iter(|| {
             let mut hits = 0u32;
             for env in &envs {
-                let quote: Stock = black_box(env).decode().expect("payload decodes");
+                let quote: Stock = black_box(env).decode().expect("meta-data rebuilds a Stock");
                 if quote.symbol() == "SYM000" && *quote.price() < 10.0 {
                     hits += 1;
                 }

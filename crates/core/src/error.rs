@@ -20,8 +20,8 @@ pub enum CoreError {
     /// for it; call [`crate::EventSystem::advertise`] first.
     NotAdvertised(String),
     /// A subscription filter's class is not the subscribed event type or a
-    /// subtype of it, so delivered payloads could not decode to the
-    /// requested type.
+    /// subtype of it, so delivered events could not rebuild the requested
+    /// type.
     ClassMismatch {
         /// The type the subscriber asked for.
         subscribed: String,

@@ -247,8 +247,9 @@ impl EventSystem {
     /// )?;
     /// ```
     ///
-    /// Events whose payload fails to decode as `E` are rejected by the
-    /// residual stage.
+    /// Events whose meta-data does not rebuild an `E`
+    /// ([`layercake_event::Envelope::decode`]) are rejected by the residual
+    /// stage.
     ///
     /// # Errors
     ///
@@ -358,14 +359,15 @@ impl EventSystem {
     }
 
     /// Publishes a typed event: its meta-data is extracted once at this
-    /// edge, the object is serialized for opaque transport, and the
-    /// envelope enters the hierarchy at the root.
+    /// edge — it is all that travels; subscribers rebuild the object from
+    /// it — and the envelope enters the hierarchy at the root.
     ///
     /// # Errors
     ///
     /// * [`CoreError::NotRegistered`] / [`CoreError::NotAdvertised`] if the
     ///   type is unknown or was never advertised.
-    /// * Encoding failures via [`CoreError::Event`].
+    /// * [`CoreError::Event`] with `EventError::NonFiniteAttr` when a float
+    ///   field is NaN or infinite.
     pub fn publish<E: TypedEvent>(&mut self, event: &E) -> Result<EventSeq, CoreError> {
         let class = self.class_of::<E>()?;
         if !self.advertised.contains(&class) {
@@ -400,8 +402,8 @@ impl EventSystem {
     ///
     /// # Errors
     ///
-    /// Returns a decode error if a delivered payload is not a valid `E`
-    /// encoding (cannot happen for events published through
+    /// Returns a decode error if a delivered event's meta-data does not
+    /// rebuild an `E` (cannot happen for events published through
     /// [`EventSystem::publish`] with a correctly-registered hierarchy).
     pub fn poll<E: TypedEvent>(&mut self, sub: &Subscription<E>) -> Result<Vec<E>, CoreError> {
         self.sim

@@ -1,10 +1,8 @@
 //! Compact binary wire codec: varint primitives, bounds-checked reading,
 //! and the per-connection attribute dictionary.
 //!
-//! The JSON wire format (tagged objects, attribute *names* spelled out on
-//! every hop) is what E17 measured as the system's scaling ceiling: the
-//! marshalling cost dominates matching. This module replaces it with a
-//! compact binary encoding:
+//! Every hop encodes and decodes the envelopes it forwards, so the format
+//! keeps both small:
 //!
 //! * **varints** — LEB128 for unsigned integers, zigzag for signed, so
 //!   sequence numbers, offsets and ids cost 1–2 bytes instead of a JSON
@@ -23,6 +21,14 @@
 //! Types encode themselves via [`BinCodec`]; the overlay message enum and
 //! the filter language implement it in their own crates on top of these
 //! primitives.
+//!
+//! An envelope encodes as its class id, class name, sequence number,
+//! meta-data, a length-prefixed opaque payload and an optional trace
+//! context. A typed event travels as its meta-data alone — the subscriber
+//! rebuilds the object from it — so its payload length is 0 and the
+//! name/value pairs are the whole event. A non-empty payload is carried
+//! byte for byte, for gateways and for records written when typed events
+//! still shipped a serialised copy of themselves.
 
 use crate::intern::AttrId;
 
@@ -660,8 +666,9 @@ impl BinCodec for Envelope {
         let class_name = dict.read_name(r)?;
         let seq = EventSeq::decode_bin(r, dict)?;
         let meta = EventData::decode_bin(r, dict)?;
-        let payload = Bytes::from(r.len_bytes()?.to_vec());
-        let mut env = Envelope::from_parts(class, class_name, seq, meta, payload);
+        let payload = r.len_bytes()?;
+        let payload = (!payload.is_empty()).then(|| Bytes::from(payload));
+        let mut env = Envelope::new(class, class_name, seq, meta, payload);
         match r.u8()? {
             0 => {}
             1 => env.set_trace(Some(TraceContext::decode_bin(r, dict)?)),

@@ -1,6 +1,7 @@
 //! Event envelopes: what travels through the broker overlay.
 
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -8,6 +9,7 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use crate::class::ClassId;
 use crate::data::EventData;
 use crate::error::EventError;
+use crate::intern::AttrId;
 use crate::trace_ctx::TraceContext;
 use crate::typed::TypedEvent;
 
@@ -26,24 +28,30 @@ pub struct EventSeq(pub u64);
 #[derive(Debug, PartialEq)]
 struct EnvelopeBody {
     class: ClassId,
-    class_name: String,
+    class_name: &'static str,
     seq: EventSeq,
     meta: EventData,
-    payload: Bytes,
+    /// `None` for the usual empty payload, so building or decoding an
+    /// envelope allocates no buffer for it.
+    payload: Option<Bytes>,
 }
 
 /// A published event as seen by the broker network.
 ///
-/// An envelope carries two representations of the same event, realizing the
-/// paper's end-to-end safety argument (Section 3.4):
+/// The envelope's [`meta`](Envelope::meta) — the extracted name/value
+/// meta-data, the covering event `e'` of the paper's Section 3.4 — is all
+/// that intermediate brokers ever inspect, and for a typed event it is
+/// also all that travels: [`typed_event!`](crate::typed_event) makes every
+/// field an attribute, so the meta-data *is* the object, and the
+/// subscriber runtime rebuilds the typed view from it
+/// ([`Envelope::decode`]). Brokers still never see the type itself, only
+/// a class id and name/value pairs, so per-hop filtering cost is
+/// independent of the richness of the event type.
 ///
-/// * [`meta`](Envelope::meta) — the extracted name/value meta-data (the
-///   covering event `e'`), which is all intermediate brokers ever inspect;
-/// * [`payload`](Envelope::payload) — the serialized, *opaque* event object,
-///   decoded back into the application type only at the subscriber runtime.
-///
-/// Brokers never deserialize the payload, so encapsulation is preserved and
-/// per-hop filtering cost is independent of the richness of the event type.
+/// [`payload`](Envelope::payload) is an optional opaque byte string beside
+/// the meta-data, for gateways that re-wrap a foreign encoding
+/// ([`Envelope::from_parts`]) and for records written before typed events
+/// travelled as meta-data alone. Nothing in the overlay reads it.
 ///
 /// # Sharing contract
 ///
@@ -75,77 +83,91 @@ const _: () = {
     _assert_send_sync::<EnvelopeBody>();
 };
 
+/// A class name that lives as long as the envelope: a literal as it is,
+/// any other name interned (leaked once per distinct name).
+fn static_name(name: Cow<'static, str>) -> &'static str {
+    match name {
+        Cow::Borrowed(name) => name,
+        Cow::Owned(name) => AttrId::intern(&name).name(),
+    }
+}
+
 impl Envelope {
-    fn from_body(body: EnvelopeBody) -> Self {
+    /// The one constructor; `payload` is `None` when empty.
+    pub(crate) fn new(
+        class: ClassId,
+        class_name: &'static str,
+        seq: EventSeq,
+        meta: EventData,
+        payload: Option<Bytes>,
+    ) -> Self {
         Self {
-            body: Arc::new(body),
+            body: Arc::new(EnvelopeBody {
+                class,
+                class_name,
+                seq,
+                meta,
+                payload,
+            }),
             trace: None,
         }
     }
 
-    /// Encodes a typed event for publication: extracts its meta-data and
-    /// serializes the object for opaque transport.
+    /// Encodes a typed event for publication: extracts its meta-data,
+    /// which is all that travels.
     ///
     /// # Errors
     ///
-    /// Returns [`EventError::PayloadEncode`] if serialization fails.
+    /// Returns [`EventError::NonFiniteAttr`] if a float field is NaN or
+    /// infinite: meta-data would not carry it unchanged (NaN becomes
+    /// `0.0`), and an event must not arrive as something the publisher did
+    /// not send.
     pub fn encode<E: TypedEvent>(
         class: ClassId,
         seq: EventSeq,
         event: &E,
     ) -> Result<Self, EventError> {
-        let payload =
-            serde_json::to_vec(event).map_err(|e| EventError::PayloadEncode(e.to_string()))?;
-        Ok(Self::from_body(EnvelopeBody {
-            class,
-            class_name: E::CLASS_NAME.to_owned(),
-            seq,
-            meta: event.extract(),
-            payload: Bytes::from(payload),
-        }))
+        if let Some(attr) = event.non_finite_attr() {
+            return Err(EventError::NonFiniteAttr {
+                class: E::CLASS_NAME,
+                attr,
+            });
+        }
+        Ok(Self::new(class, E::CLASS_NAME, seq, event.extract(), None))
     }
 
     /// Creates an envelope from bare meta-data, with an empty payload.
     ///
     /// This supports simulation workloads that model only the routing layer
     /// (the paper's Section 5 setup publishes name/value "dummy" events).
+    /// A `String` class name is interned; a literal is kept as it is.
     #[must_use]
     pub fn from_meta(
         class: ClassId,
-        class_name: impl Into<String>,
+        class_name: impl Into<Cow<'static, str>>,
         seq: EventSeq,
         meta: EventData,
     ) -> Self {
-        Self::from_body(EnvelopeBody {
-            class,
-            class_name: class_name.into(),
-            seq,
-            meta,
-            payload: Bytes::new(),
-        })
+        Self::new(class, static_name(class_name.into()), seq, meta, None)
     }
 
     /// Creates an envelope from explicit parts, including an opaque
-    /// payload. Benchmarks and gateways that re-wrap foreign encodings use
-    /// this; typed publication goes through [`Envelope::encode`].
+    /// payload. Gateways that re-wrap foreign encodings use this; typed
+    /// publication goes through [`Envelope::encode`].
     #[must_use]
     pub fn from_parts(
         class: ClassId,
-        class_name: impl Into<String>,
+        class_name: impl Into<Cow<'static, str>>,
         seq: EventSeq,
         meta: EventData,
         payload: Bytes,
     ) -> Self {
-        Self::from_body(EnvelopeBody {
-            class,
-            class_name: class_name.into(),
-            seq,
-            meta,
-            payload,
-        })
+        let payload = (!payload.is_empty()).then_some(payload);
+        Self::new(class, static_name(class_name.into()), seq, meta, payload)
     }
 
-    /// Decodes the encapsulated payload into a typed event.
+    /// Rebuilds the typed event from the meta-data
+    /// ([`TypedEvent::from_meta`]); the payload, if any, is not read.
     ///
     /// Decoding into a *supertype* of the published class is allowed (the
     /// extra attributes of the subtype are ignored), which is how
@@ -153,17 +175,11 @@ impl Envelope {
     ///
     /// # Errors
     ///
-    /// Returns [`EventError::PayloadDecode`] if the payload is empty or not
-    /// a valid encoding of `E`.
+    /// Returns [`EventError::AttrDecode`] if a required attribute of `E` is
+    /// absent, or a value does not fit its field (another kind, or an
+    /// integer outside the field type's range).
     pub fn decode<E: TypedEvent>(&self) -> Result<E, EventError> {
-        if self.body.payload.is_empty() {
-            return Err(EventError::PayloadDecode(format!(
-                "event {} of class {:?} carries no payload",
-                self.body.seq.0, self.body.class_name
-            )));
-        }
-        serde_json::from_slice(&self.body.payload)
-            .map_err(|e| EventError::PayloadDecode(e.to_string()))
+        E::from_meta(&self.body.meta)
     }
 
     /// The event class id.
@@ -174,8 +190,8 @@ impl Envelope {
 
     /// The event class name.
     #[must_use]
-    pub fn class_name(&self) -> &str {
-        &self.body.class_name
+    pub fn class_name(&self) -> &'static str {
+        self.body.class_name
     }
 
     /// The publisher-assigned sequence number.
@@ -190,10 +206,15 @@ impl Envelope {
         &self.body.meta
     }
 
-    /// The opaque serialized event object.
+    /// The opaque payload: empty unless the envelope was built by
+    /// [`Envelope::from_parts`] with one.
     #[must_use]
     pub fn payload(&self) -> &Bytes {
-        &self.body.payload
+        static EMPTY: OnceLock<Bytes> = OnceLock::new();
+        self.body
+            .payload
+            .as_ref()
+            .unwrap_or_else(|| EMPTY.get_or_init(Bytes::new))
     }
 
     /// Whether two envelopes share one body allocation (true for clones of
@@ -236,7 +257,7 @@ impl Envelope {
             .iter()
             .map(|(n, v)| n.len() + std::mem::size_of_val(v))
             .sum();
-        meta + self.body.payload.len() + self.body.class_name.len() + 16
+        meta + self.payload().len() + self.body.class_name.len() + 16
     }
 }
 
@@ -250,7 +271,7 @@ impl Serialize for Envelope {
         obj.insert_field("class_name", self.body.class_name.serialize_value());
         obj.insert_field("seq", self.body.seq.serialize_value());
         obj.insert_field("meta", self.body.meta.serialize_value());
-        obj.insert_field("payload", self.body.payload.serialize_value());
+        obj.insert_field("payload", self.payload().serialize_value());
         obj.insert_field("trace", self.trace.serialize_value());
         obj
     }
@@ -258,13 +279,13 @@ impl Serialize for Envelope {
 
 impl Deserialize for Envelope {
     fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let mut env = Envelope::from_body(EnvelopeBody {
-            class: serde::__field(v, "class")?,
-            class_name: serde::__field(v, "class_name")?,
-            seq: serde::__field(v, "seq")?,
-            meta: serde::__field(v, "meta")?,
-            payload: serde::__field(v, "payload")?,
-        });
+        let mut env = Envelope::from_parts(
+            serde::__field(v, "class")?,
+            serde::__field::<String>(v, "class_name")?,
+            serde::__field(v, "seq")?,
+            serde::__field(v, "meta")?,
+            serde::__field(v, "payload")?,
+        );
         env.trace = serde::__field(v, "trace")?;
         Ok(env)
     }
@@ -273,6 +294,7 @@ impl Deserialize for Envelope {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{BinCodec, DictMode, EncodeDict};
     use crate::typed_event;
     use crate::value::AttrValue;
 
@@ -284,15 +306,56 @@ mod tests {
     }
 
     #[test]
-    fn encode_extracts_meta_and_payload() {
+    fn encode_extracts_meta_and_no_payload() {
         let s = Stock::new("Foo".to_owned(), 9.0);
         let env = Envelope::encode(ClassId(1), EventSeq(7), &s).unwrap();
         assert_eq!(env.class(), ClassId(1));
         assert_eq!(env.class_name(), "Stock");
         assert_eq!(env.seq(), EventSeq(7));
         assert_eq!(env.meta().get("symbol"), Some(&AttrValue::from("Foo")));
-        assert!(!env.payload().is_empty());
-        assert!(env.wire_size() > env.payload().len());
+        assert!(env.payload().is_empty());
+        assert!(env.wire_size() > 0);
+    }
+
+    #[test]
+    fn typed_stock_frame_is_meta_only_and_small() {
+        let s = Stock::new("SYM042".to_owned(), 10.25);
+        let env = Envelope::encode(ClassId(1), EventSeq(123_456), &s).unwrap();
+        assert!(env.payload().is_empty());
+        let mut buf = Vec::new();
+        env.encode_bin(&mut buf, &mut EncodeDict::new(DictMode::Shared));
+        assert!(buf.len() <= 40, "{} bytes", buf.len());
+    }
+
+    #[test]
+    fn non_finite_floats_are_refused_at_encode() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = Envelope::encode(ClassId(1), EventSeq(0), &Stock::new("X".to_owned(), bad))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                EventError::NonFiniteAttr {
+                    class: "Stock",
+                    attr: "price"
+                }
+            );
+        }
+        // Extremes that are finite travel unchanged, -0.0 included.
+        for ok in [f64::MAX, f64::MIN_POSITIVE, -0.0] {
+            let env =
+                Envelope::encode(ClassId(1), EventSeq(0), &Stock::new("X".to_owned(), ok)).unwrap();
+            let back: Stock = env.decode().unwrap();
+            assert_eq!(back.price().to_bits(), ok.to_bits());
+        }
+    }
+
+    #[test]
+    fn string_class_names_are_interned() {
+        let name = format!("Sensor{}", 7);
+        let a = Envelope::from_meta(ClassId(3), name.clone(), EventSeq(1), EventData::new());
+        let b = Envelope::from_meta(ClassId(3), name, EventSeq(2), EventData::new());
+        assert_eq!(a.class_name(), "Sensor7");
+        assert!(std::ptr::eq(a.class_name(), b.class_name()));
     }
 
     #[test]
@@ -311,7 +374,14 @@ mod tests {
         let env = Envelope::from_meta(ClassId(3), "Biblio", EventSeq(1), meta);
         assert!(env.payload().is_empty());
         let err = env.decode::<Stock>().unwrap_err();
-        assert!(matches!(err, EventError::PayloadDecode(_)));
+        assert_eq!(
+            err,
+            EventError::AttrDecode {
+                class: "Stock",
+                attr: "symbol",
+                found: None
+            }
+        );
     }
 
     #[test]
@@ -324,8 +394,19 @@ mod tests {
         assert_eq!(*Strict::new(3).mandatory(), 3);
         let s = Stock::new("Foo".to_owned(), 1.0);
         let env = Envelope::encode(ClassId(0), EventSeq(0), &s).unwrap();
-        // `Strict` requires a field the Stock payload lacks.
+        // `Strict` requires a field the Stock meta-data lacks.
         assert!(env.decode::<Strict>().is_err());
+        // A slot of another kind is refused, not coerced.
+        let meta = crate::event_data! { "mandatory" => "3" };
+        let env = Envelope::from_meta(ClassId(0), "Strict", EventSeq(0), meta);
+        assert_eq!(
+            env.decode::<Strict>().unwrap_err(),
+            EventError::AttrDecode {
+                class: "Strict",
+                attr: "mandatory",
+                found: Some(AttrValue::from("3"))
+            }
+        );
     }
 
     #[test]

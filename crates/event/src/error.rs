@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::class::ClassId;
+use crate::value::AttrValue;
 
 /// Errors produced by the event model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,10 +25,25 @@ pub enum EventError {
     },
     /// A stage map is structurally invalid (see [`crate::StageMap::new`]).
     InvalidStageMap(String),
-    /// The encapsulated payload could not be decoded into the requested type.
-    PayloadDecode(String),
-    /// The event object could not be encoded for transport.
-    PayloadEncode(String),
+    /// A typed event could not be rebuilt from an envelope's meta-data.
+    AttrDecode {
+        /// Class of the requested type.
+        class: &'static str,
+        /// The attribute that did not fit its field.
+        attr: &'static str,
+        /// The attribute's value: `None` when a required attribute is
+        /// absent, otherwise a value of another kind or an integer outside
+        /// the field type's range.
+        found: Option<AttrValue>,
+    },
+    /// A typed event holds a NaN or infinite float, which its meta-data
+    /// cannot carry unchanged, so it is not published.
+    NonFiniteAttr {
+        /// Class of the event.
+        class: &'static str,
+        /// The float attribute.
+        attr: &'static str,
+    },
 }
 
 impl fmt::Display for EventError {
@@ -46,8 +62,23 @@ impl fmt::Display for EventError {
                 "class {class:?} redeclares inherited attribute {attr:?} with a different kind"
             ),
             EventError::InvalidStageMap(msg) => write!(f, "invalid stage map: {msg}"),
-            EventError::PayloadDecode(msg) => write!(f, "payload decode failed: {msg}"),
-            EventError::PayloadEncode(msg) => write!(f, "payload encode failed: {msg}"),
+            EventError::AttrDecode {
+                class,
+                attr,
+                found: None,
+            } => write!(f, "cannot rebuild {class:?}: attribute {attr:?} is absent"),
+            EventError::AttrDecode {
+                class,
+                attr,
+                found: Some(v),
+            } => write!(
+                f,
+                "cannot rebuild {class:?}: attribute {attr:?} holds {v} ({}), which its field cannot take",
+                v.kind()
+            ),
+            EventError::NonFiniteAttr { class, attr } => {
+                write!(f, "{class:?} attribute {attr:?} is NaN or infinite")
+            }
         }
     }
 }
@@ -67,6 +98,21 @@ mod tests {
             attr: "price".to_owned(),
         };
         assert!(e.to_string().contains("redeclares"));
+        let e = EventError::AttrDecode {
+            class: "Stock",
+            attr: "price",
+            found: None,
+        };
+        assert_eq!(
+            e.to_string(),
+            "cannot rebuild \"Stock\": attribute \"price\" is absent"
+        );
+        let e = EventError::AttrDecode {
+            class: "Stock",
+            attr: "price",
+            found: Some(AttrValue::from("x")),
+        };
+        assert!(e.to_string().contains("(str)"));
     }
 
     #[test]

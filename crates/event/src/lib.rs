@@ -21,11 +21,11 @@
 //!   advertisements (Section 4.1).
 //! * [`TypedEvent`] and the [`typed_event!`] macro — the Rust substitute for
 //!   the paper's reflection over `get`-prefixed accessors: a declarative
-//!   derivation of the class name, the attribute schema, and the meta-data
-//!   extraction for a plain struct.
+//!   derivation of the class name, the attribute schema, the meta-data
+//!   extraction for a plain struct, and its inverse.
 //! * [`Envelope`] — what actually travels through the broker overlay: the
-//!   extracted meta-data for filtering plus the serialized, *opaque* event
-//!   object for end-to-end typed delivery.
+//!   extracted meta-data, which brokers filter on and from which the
+//!   subscriber rebuilds the typed event.
 //!
 //! # Example
 //!
@@ -57,6 +57,7 @@ extern crate self as layercake_event;
 
 #[doc(hidden)]
 pub mod __private {
+    pub use crate::typed::read_field;
     pub use serde;
 }
 

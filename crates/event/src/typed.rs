@@ -1,10 +1,9 @@
 //! The [`TypedEvent`] trait and the [`typed_event!`] reflection macro.
 
-use serde::de::DeserializeOwned;
-use serde::Serialize;
-
 use crate::class::AttributeDecl;
 use crate::data::EventData;
+use crate::error::EventError;
+use crate::intern::AttrId;
 use crate::value::{AttrValue, ValueKind};
 
 /// A scalar type that can serve as an event attribute.
@@ -12,37 +11,89 @@ use crate::value::{AttrValue, ValueKind};
 /// This is the bridge the [`typed_event!`](crate::typed_event) macro uses to map Rust field
 /// types onto the event model's [`ValueKind`]s; it plays the role of the
 /// paper's reflective inspection of accessor return types.
-pub trait AttrScalar {
+pub trait AttrScalar: Sized {
     /// The attribute kind this Rust type maps to.
     const KIND: ValueKind;
 
     /// Extracts the attribute value (cloning where needed).
     fn to_attr_value(&self) -> AttrValue;
+
+    /// Rebuilds a field value from an attribute value — the inverse of
+    /// [`to_attr_value`](AttrScalar::to_attr_value). `None` when the value
+    /// cannot be this type: another kind, or an integer outside the type's
+    /// range. A float field also takes an `Int` value.
+    fn from_attr_value(value: &AttrValue) -> Option<Self>;
+
+    /// Whether meta-data carries this value unchanged: `false` for a NaN
+    /// or infinite float, which [`Envelope::encode`](crate::Envelope::encode)
+    /// refuses.
+    fn is_finite(&self) -> bool {
+        true
+    }
 }
 
-macro_rules! impl_attr_scalar {
-    ($($ty:ty => $kind:expr, $conv:expr;)*) => {
+macro_rules! impl_attr_scalar_int {
+    ($($ty:ty),*) => {
         $(
             impl AttrScalar for $ty {
-                const KIND: ValueKind = $kind;
+                const KIND: ValueKind = ValueKind::Int;
                 fn to_attr_value(&self) -> AttrValue {
-                    #[allow(clippy::redundant_closure_call)]
-                    ($conv)(self)
+                    AttrValue::Int(i64::from(*self))
+                }
+                fn from_attr_value(value: &AttrValue) -> Option<Self> {
+                    match value {
+                        AttrValue::Int(i) => <$ty>::try_from(*i).ok(),
+                        _ => None,
+                    }
                 }
             }
         )*
     };
 }
 
-impl_attr_scalar! {
-    i64 => ValueKind::Int, |v: &i64| AttrValue::Int(*v);
-    i32 => ValueKind::Int, |v: &i32| AttrValue::Int(i64::from(*v));
-    u32 => ValueKind::Int, |v: &u32| AttrValue::Int(i64::from(*v));
-    u16 => ValueKind::Int, |v: &u16| AttrValue::Int(i64::from(*v));
-    f64 => ValueKind::Float, |v: &f64| AttrValue::from(*v);
-    f32 => ValueKind::Float, |v: &f32| AttrValue::from(*v);
-    bool => ValueKind::Bool, |v: &bool| AttrValue::Bool(*v);
-    String => ValueKind::Str, |v: &String| AttrValue::Str(v.clone());
+impl_attr_scalar_int!(i64, i32, u32, u16);
+
+macro_rules! impl_attr_scalar_float {
+    ($($ty:ty),*) => {
+        $(
+            impl AttrScalar for $ty {
+                const KIND: ValueKind = ValueKind::Float;
+                fn to_attr_value(&self) -> AttrValue {
+                    AttrValue::from(*self)
+                }
+                fn from_attr_value(value: &AttrValue) -> Option<Self> {
+                    // Through f64 (an `f32` field narrows it), as a JSON
+                    // number would.
+                    value.as_f64().map(|f| f as $ty)
+                }
+                fn is_finite(&self) -> bool {
+                    <$ty>::is_finite(*self)
+                }
+            }
+        )*
+    };
+}
+
+impl_attr_scalar_float!(f64, f32);
+
+impl AttrScalar for bool {
+    const KIND: ValueKind = ValueKind::Bool;
+    fn to_attr_value(&self) -> AttrValue {
+        AttrValue::Bool(*self)
+    }
+    fn from_attr_value(value: &AttrValue) -> Option<Self> {
+        value.as_bool()
+    }
+}
+
+impl AttrScalar for String {
+    const KIND: ValueKind = ValueKind::Str;
+    fn to_attr_value(&self) -> AttrValue {
+        AttrValue::Str(self.clone())
+    }
+    fn from_attr_value(value: &AttrValue) -> Option<Self> {
+        value.as_str().map(str::to_owned)
+    }
 }
 
 /// A field type usable in a [`typed_event!`](crate::typed_event) declaration: either a scalar
@@ -52,20 +103,38 @@ impl_attr_scalar! {
 /// paper's `e1' = (symbol, "Foo") (price, 10.0)` missing `volume`
 /// (Example 3). A `None` field is simply absent from the extracted
 /// meta-data, so `(attr, ∃)` filters select exactly the events that carry
-/// it.
-pub trait AttrField {
+/// it, and an absent slot reads back as `None`.
+pub trait AttrField: Sized {
     /// The attribute kind this field maps to.
     const KIND: ValueKind;
 
     /// Appends the attribute to the meta-data, if present.
     fn append_to(&self, name: &str, data: &mut EventData);
+
+    /// Rebuilds the field from its meta-data slot — the inverse of
+    /// [`append_to`](AttrField::append_to). `None` when the slot cannot be
+    /// this field: a required attribute is absent, or
+    /// [`AttrScalar::from_attr_value`] refuses the value.
+    fn from_slot(slot: Option<&AttrValue>) -> Option<Self>;
+
+    /// Whether meta-data carries the field unchanged (see
+    /// [`AttrScalar::is_finite`]); an absent optional value is.
+    fn is_finite(&self) -> bool;
 }
 
 impl<T: AttrScalar> AttrField for T {
     const KIND: ValueKind = T::KIND;
 
     fn append_to(&self, name: &str, data: &mut EventData) {
-        data.insert(name, self.to_attr_value());
+        data.insert_id(AttrId::intern(name), self.to_attr_value());
+    }
+
+    fn from_slot(slot: Option<&AttrValue>) -> Option<Self> {
+        T::from_attr_value(slot?)
+    }
+
+    fn is_finite(&self) -> bool {
+        AttrScalar::is_finite(self)
     }
 }
 
@@ -74,9 +143,36 @@ impl<T: AttrScalar> AttrField for Option<T> {
 
     fn append_to(&self, name: &str, data: &mut EventData) {
         if let Some(v) = self {
-            data.insert(name, v.to_attr_value());
+            v.append_to(name, data);
         }
     }
+
+    fn from_slot(slot: Option<&AttrValue>) -> Option<Self> {
+        match slot {
+            None => Some(None),
+            Some(value) => T::from_attr_value(value).map(Some),
+        }
+    }
+
+    fn is_finite(&self) -> bool {
+        self.as_ref().is_none_or(AttrScalar::is_finite)
+    }
+}
+
+/// Reads field `attr` of class `class` from meta-data: what
+/// [`typed_event!`](crate::typed_event)'s `from_meta` runs per field.
+#[doc(hidden)]
+pub fn read_field<F: AttrField>(
+    meta: &EventData,
+    class: &'static str,
+    attr: &'static str,
+) -> Result<F, EventError> {
+    let slot = meta.get(attr);
+    F::from_slot(slot).ok_or_else(|| EventError::AttrDecode {
+        class,
+        attr,
+        found: slot.cloned(),
+    })
 }
 
 /// An application-defined event type.
@@ -86,9 +182,9 @@ impl<T: AttrScalar> AttrField for Option<T> {
 /// (used for filtering), the type offers an access method (used for
 /// expressing filters)". The event system uses this trait to infer the
 /// low-level meta-data representation — the covering event — from the
-/// high-level typed view, without exposing the type's representation to
-/// brokers.
-pub trait TypedEvent: Serialize + DeserializeOwned + Send + Sync + 'static {
+/// high-level typed view, and to rebuild the typed view from it at the
+/// subscriber, without exposing the type's representation to brokers.
+pub trait TypedEvent: Sized + Send + Sync + 'static {
     /// The event class name, e.g. `"Stock"`.
     const CLASS_NAME: &'static str;
 
@@ -106,6 +202,22 @@ pub trait TypedEvent: Serialize + DeserializeOwned + Send + Sync + 'static {
     /// Extracts the flat meta-data used for broker-side filtering — the
     /// paper's event transformation `e → e'` (Proposition 2).
     fn extract(&self) -> EventData;
+
+    /// Rebuilds the object from meta-data — the inverse of
+    /// [`extract`](TypedEvent::extract). Only this type's own attributes
+    /// are read, so the meta-data of a subtype event rebuilds its
+    /// supertype view.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EventError::AttrDecode`] for the first field whose slot is
+    /// absent (unless the field is an `Option`), of another kind, or an
+    /// integer outside the field type's range.
+    fn from_meta(meta: &EventData) -> Result<Self, EventError>;
+
+    /// The first attribute whose value meta-data cannot carry unchanged —
+    /// a NaN or infinite float — if any.
+    fn non_finite_attr(&self) -> Option<&'static str>;
 }
 
 /// Declares an event type: a struct with private fields, getters, a `new`
@@ -114,8 +226,11 @@ pub trait TypedEvent: Serialize + DeserializeOwned + Send + Sync + 'static {
 /// This macro is the Rust substitute for the paper's runtime reflection over
 /// `get`-prefixed accessors: from a single declaration it derives the event
 /// class name, the attribute schema (fields in declaration order = most
-/// general first), the meta-data extraction, and serde-based encapsulated
-/// transport.
+/// general first), the meta-data extraction, and its inverse. Every field
+/// is an attribute, so the meta-data is the whole object: it travels as
+/// meta-data alone and the subscriber rebuilds it field by field. The
+/// struct also derives serde's `Serialize` / `Deserialize`, for
+/// applications that store or log events; the event path does not use them.
 ///
 /// # Examples
 ///
@@ -143,6 +258,10 @@ pub trait TypedEvent: Serialize + DeserializeOwned + Send + Sync + 'static {
 /// assert_eq!(s.symbol(), "Foo");
 /// assert_eq!(Stock::CLASS_NAME, "Stock");
 /// assert_eq!(TechStock::parent_class(), Some("Stock"));
+///
+/// // A subtype's meta-data rebuilds its supertype view.
+/// let t = TechStock::new("Neo".to_owned(), 42.0, "ai".to_owned());
+/// assert_eq!(Stock::from_meta(&t.extract()).unwrap(), Stock::new("Neo".to_owned(), 42.0));
 /// ```
 #[macro_export]
 macro_rules! typed_event {
@@ -168,6 +287,8 @@ macro_rules! typed_event {
         impl $name {
             /// Creates a new event instance.
             #[must_use]
+            // One argument per field, however many fields the event has.
+            #[allow(clippy::too_many_arguments)]
             $vis fn new($( $field: $fty ),*) -> Self {
                 Self { $( $field ),* }
             }
@@ -211,6 +332,23 @@ macro_rules! typed_event {
                     );
                 )*
                 data
+            }
+
+            fn from_meta(
+                meta: &$crate::EventData,
+            ) -> ::std::result::Result<Self, $crate::EventError> {
+                ::std::result::Result::Ok(Self {
+                    $( $field: $crate::__private::read_field(meta, $class, stringify!($field))?, )*
+                })
+            }
+
+            fn non_finite_attr(&self) -> ::std::option::Option<&'static str> {
+                $(
+                    if !$crate::AttrField::is_finite(&self.$field) {
+                        return ::std::option::Option::Some(stringify!($field));
+                    }
+                )*
+                ::std::option::Option::None
             }
         }
     };
@@ -313,6 +451,34 @@ mod tests {
         assert_eq!(*as_stock.price(), 42.0);
     }
 
+    #[test]
+    fn from_meta_inverts_extract() {
+        let s = Stock::new("Bar".to_owned(), 15.0);
+        assert_eq!(Stock::from_meta(&s.extract()).unwrap(), s);
+        let a = Auction::new("Vehicle".to_owned(), "Car".to_owned(), -7, 0.5);
+        assert_eq!(Auction::from_meta(&a.extract()).unwrap(), a);
+    }
+
+    #[test]
+    fn subtype_meta_rebuilds_supertype_view() {
+        // Polymorphic delivery: a subscriber typed at `Stock` rebuilds a
+        // `TechStock` event — the extra attribute is simply not read.
+        let t = TechStock::new("Neo".to_owned(), 42.0, "ai".to_owned());
+        let as_stock = Stock::from_meta(&t.extract()).unwrap();
+        assert_eq!(as_stock.symbol(), "Neo");
+        assert_eq!(*as_stock.price(), 42.0);
+        // The other way round the subtype's own attribute is missing.
+        let err = TechStock::from_meta(&as_stock.extract()).unwrap_err();
+        assert_eq!(
+            err,
+            crate::EventError::AttrDecode {
+                class: "TechStock",
+                attr: "sector",
+                found: None
+            }
+        );
+    }
+
     typed_event! {
         /// Optional attributes: `volume` may be absent (paper Example 3).
         pub struct Trade: "Trade" {
@@ -356,6 +522,24 @@ mod tests {
     }
 
     #[test]
+    fn optional_fields_round_trip_through_meta() {
+        for vol in [Some(5i64), None] {
+            let t = Trade::new("X".to_owned(), 1.0, vol);
+            assert_eq!(Trade::from_meta(&t.extract()).unwrap(), t);
+        }
+        // Meta-data lacking the optional attribute rebuilds it as None —
+        // this is what lets supertype views drop subtype attributes.
+        let meta = crate::event_data! { "symbol" => "Y", "price" => 2.0 };
+        let t = Trade::from_meta(&meta).unwrap();
+        assert_eq!(t.symbol(), "Y");
+        assert_eq!(*t.price(), 2.0);
+        assert_eq!(*t.volume(), None);
+        // A present optional attribute of the wrong kind is an error.
+        let meta = crate::event_data! { "symbol" => "Y", "price" => 2.0, "volume" => "many" };
+        assert!(Trade::from_meta(&meta).is_err());
+    }
+
+    #[test]
     fn attr_scalar_kinds() {
         assert_eq!(<i64 as AttrScalar>::KIND, ValueKind::Int);
         assert_eq!(<f32 as AttrScalar>::KIND, ValueKind::Float);
@@ -363,5 +547,27 @@ mod tests {
         assert_eq!(<bool as AttrScalar>::KIND, ValueKind::Bool);
         assert_eq!(42i32.to_attr_value(), AttrValue::Int(42));
         assert_eq!(2.5f64.to_attr_value(), AttrValue::Float(2.5));
+    }
+
+    #[test]
+    fn attr_scalar_reads_check_kind_and_range() {
+        let big = AttrValue::Int(i64::from(i32::MAX) + 1);
+        assert_eq!(i64::from_attr_value(&big), Some(i64::from(i32::MAX) + 1));
+        assert_eq!(i32::from_attr_value(&big), None);
+        assert_eq!(u16::from_attr_value(&AttrValue::Int(-1)), None);
+        assert_eq!(u32::from_attr_value(&AttrValue::Int(7)), Some(7));
+        assert_eq!(i64::from_attr_value(&AttrValue::Float(1.0)), None);
+        // Floats take integers, as a JSON number would.
+        assert_eq!(f64::from_attr_value(&AttrValue::Int(3)), Some(3.0));
+        assert_eq!(f32::from_attr_value(&AttrValue::Float(0.5)), Some(0.5));
+        assert_eq!(bool::from_attr_value(&AttrValue::Int(1)), None);
+        assert_eq!(
+            String::from_attr_value(&AttrValue::from("é")),
+            Some("é".to_owned())
+        );
+        assert!(!AttrScalar::is_finite(&f32::NAN));
+        assert!(!AttrScalar::is_finite(&f64::NEG_INFINITY));
+        assert!(AttrScalar::is_finite(&-0.0f64));
+        assert!(AttrField::is_finite(&None::<f64>));
     }
 }

@@ -559,8 +559,7 @@ impl PipelineStage {
 /// Each node thread calls [`StageProfiler::tick`] once per received
 /// frame; every `sample_every`-th frame is timed through all its
 /// pipeline stages. With sampling off (`sample_every == 0`) the entire
-/// cost on the hot path is that one relaxed load and branch — measured
-/// at ≈zero overhead by experiment E19.
+/// cost on the hot path is that one relaxed load and branch.
 #[derive(Debug)]
 pub struct StageProfiler {
     sample_every: AtomicU64,
