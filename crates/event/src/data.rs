@@ -21,8 +21,9 @@ use crate::value::AttrValue;
 /// Internally names are stored as interned [`AttrId`]s, so the per-hop
 /// matching path compares dense `u32`s instead of scanning strings; the
 /// string-based API interns (on insertion) or looks up (on query) behind
-/// the scenes. On the wire attributes still travel as `(name, value)`
-/// pairs — ids are process-local.
+/// the scenes. On the wire the names and kinds travel once per connection,
+/// as a shape, and the values positionally behind a reference to it (see
+/// the codec).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EventData {
     attrs: Vec<(AttrId, AttrValue)>,
@@ -66,6 +67,13 @@ impl EventData {
         }
         self.attrs.push((id, value));
         None
+    }
+
+    /// Appends an attribute the caller knows is absent: the decoder's, whose
+    /// shape was checked for repeated attributes when it was learned.
+    pub(crate) fn push_new(&mut self, id: AttrId, value: AttrValue) {
+        debug_assert!(self.get_id(id).is_none(), "{id} is already present");
+        self.attrs.push((id, value));
     }
 
     /// Looks up an attribute value by name.

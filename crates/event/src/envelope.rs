@@ -1,6 +1,7 @@
 //! Event envelopes: what travels through the broker overlay.
 
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
@@ -10,6 +11,7 @@ use crate::class::ClassId;
 use crate::data::EventData;
 use crate::error::EventError;
 use crate::intern::AttrId;
+use crate::shape::ShapeId;
 use crate::trace_ctx::TraceContext;
 use crate::typed::TypedEvent;
 
@@ -25,7 +27,7 @@ pub struct EventSeq(pub u64);
 /// only per-copy state lives in the envelope header ([`Envelope::trace`]).
 /// Nothing may mutate a body after construction — there is deliberately no
 /// `&mut` accessor.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 struct EnvelopeBody {
     class: ClassId,
     class_name: &'static str,
@@ -34,6 +36,30 @@ struct EnvelopeBody {
     /// `None` for the usual empty payload, so building or decoding an
     /// envelope allocates no buffer for it.
     payload: Option<Bytes>,
+    /// The interned shape id of `meta`, or [`NO_SHAPE`]: set by the
+    /// decoder that read it, or by the first encode's lookup. Every later
+    /// encode of the body — each hop's forward — reads it without a lock.
+    /// A plain atomic, not a `OnceLock`: the id is a pure function of the
+    /// other fields, so a racing second store writes the same value, and
+    /// decoding — which knows the id — pays no initialization protocol.
+    /// The lookup's store is `Release` and the read `Acquire`, so a thread
+    /// that reads an id also sees the shape-table slot it names.
+    shape: AtomicU32,
+}
+
+/// The shape cache of a body whose shape was not looked up yet.
+const NO_SHAPE: u32 = u32::MAX;
+
+/// The shape cache is derived from the other fields, so it takes no part
+/// in equality.
+impl PartialEq for EnvelopeBody {
+    fn eq(&self, other: &Self) -> bool {
+        self.class == other.class
+            && self.class_name == other.class_name
+            && self.seq == other.seq
+            && self.meta == other.meta
+            && self.payload == other.payload
+    }
 }
 
 /// A published event as seen by the broker network.
@@ -60,14 +86,22 @@ struct EnvelopeBody {
 /// bumps a reference count — its cost is independent of meta and payload
 /// size — so per-downstream fan-out copies, retransmission-ring entries and
 /// queued envelopes all share one body. The body is never mutated after
-/// construction; the tracing context is the only per-copy mutable state
-/// ([`Envelope::set_trace`] / [`Envelope::touch_trace`]), which is how each
-/// hop re-stamps `last_hop_at` on its own copy without disturbing siblings.
+/// construction (its shape cache only ever receives the value derived
+/// from the rest); the tracing context is the only per-copy
+/// mutable state ([`Envelope::set_trace`] / [`Envelope::touch_trace`]),
+/// which is how each hop re-stamps `last_hop_at` on its own copy without
+/// disturbing siblings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     body: Arc<EnvelopeBody>,
-    /// Sampled-tracing context; `None` (the default) for the unsampled
-    /// majority of events, which therefore pay nothing for observability.
+    /// Tracing context, per copy. `None` (the default) is one cleared flag
+    /// bit on the wire. Which events carry one is the publisher's choice:
+    /// the simulator stamps only sampled events, and so does the runtime
+    /// with a trace sink; the runtime's `Publisher::publish` without a
+    /// sink stamps *every* event, because the stamp feeds its latency
+    /// histogram. A stamp costs its publish time (≈5 bytes of nanoseconds
+    /// in the runtime) plus the hop delta (1–3 bytes) on every hop; its id
+    /// is free when it equals the sequence number, as the runtime's does.
     trace: Option<TraceContext>,
 }
 
@@ -93,13 +127,15 @@ fn static_name(name: Cow<'static, str>) -> &'static str {
 }
 
 impl Envelope {
-    /// The one constructor; `payload` is `None` when empty.
+    /// The one constructor; `payload` is `None` when empty, and `shape`
+    /// is the interned shape of `meta` when the caller already knows it.
     pub(crate) fn new(
         class: ClassId,
         class_name: &'static str,
         seq: EventSeq,
         meta: EventData,
         payload: Option<Bytes>,
+        shape: Option<ShapeId>,
     ) -> Self {
         Self {
             body: Arc::new(EnvelopeBody {
@@ -108,8 +144,24 @@ impl Envelope {
                 seq,
                 meta,
                 payload,
+                shape: AtomicU32::new(shape.map_or(NO_SHAPE, |id| id.0)),
             }),
             trace: None,
+        }
+    }
+
+    /// The interned shape of the meta-data, looked up once per body (two
+    /// threads encoding one fresh body at once may both look; they find
+    /// the same id).
+    pub(crate) fn shape_id(&self) -> ShapeId {
+        let body = &*self.body;
+        match body.shape.load(Ordering::Acquire) {
+            NO_SHAPE => {
+                let id = ShapeId::of(body.class, body.class_name, &body.meta);
+                body.shape.store(id.0, Ordering::Release);
+                id
+            }
+            known => ShapeId(known),
         }
     }
 
@@ -133,7 +185,14 @@ impl Envelope {
                 attr,
             });
         }
-        Ok(Self::new(class, E::CLASS_NAME, seq, event.extract(), None))
+        Ok(Self::new(
+            class,
+            E::CLASS_NAME,
+            seq,
+            event.extract(),
+            None,
+            None,
+        ))
     }
 
     /// Creates an envelope from bare meta-data, with an empty payload.
@@ -148,7 +207,7 @@ impl Envelope {
         seq: EventSeq,
         meta: EventData,
     ) -> Self {
-        Self::new(class, static_name(class_name.into()), seq, meta, None)
+        Self::new(class, static_name(class_name.into()), seq, meta, None, None)
     }
 
     /// Creates an envelope from explicit parts, including an opaque
@@ -163,7 +222,14 @@ impl Envelope {
         payload: Bytes,
     ) -> Self {
         let payload = (!payload.is_empty()).then_some(payload);
-        Self::new(class, static_name(class_name.into()), seq, meta, payload)
+        Self::new(
+            class,
+            static_name(class_name.into()),
+            seq,
+            meta,
+            payload,
+            None,
+        )
     }
 
     /// Rebuilds the typed event from the meta-data
@@ -225,7 +291,8 @@ impl Envelope {
         Arc::ptr_eq(&self.body, &other.body)
     }
 
-    /// The sampled-tracing context, if this event was selected for tracing.
+    /// The tracing context, if the publisher stamped one (see the field
+    /// docs for who stamps what).
     #[must_use]
     pub fn trace(&self) -> Option<TraceContext> {
         self.trace
@@ -247,17 +314,13 @@ impl Envelope {
         }
     }
 
-    /// Approximate wire size in bytes (meta names/values + payload), used by
-    /// bandwidth accounting in the simulator.
+    /// The exact length of this envelope's encoding on an in-process
+    /// ([`DictMode::Shared`](crate::DictMode::Shared)) connection, counted
+    /// without allocating: what the simulator books as bytes received, so
+    /// that it and the runtime's byte counters measure the same thing.
     #[must_use]
     pub fn wire_size(&self) -> usize {
-        let meta: usize = self
-            .body
-            .meta
-            .iter()
-            .map(|(n, v)| n.len() + std::mem::size_of_val(v))
-            .sum();
-        meta + self.payload().len() + self.body.class_name.len() + 16
+        crate::codec::shared_len(self)
     }
 }
 

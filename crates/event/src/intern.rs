@@ -39,14 +39,9 @@ fn by_name() -> &'static RwLock<HashMap<&'static str, AttrId>> {
     BY_NAME.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-/// Id → name: chunk `k` holds `FIRST_CHUNK << k` write-once slots, so the
-/// 27 chunks cover every `u32` id and a slot never moves once written.
-static NAMES: [OnceLock<Box<[OnceLock<&'static str>]>>; CHUNKS] =
-    [const { OnceLock::new() }; CHUNKS];
-/// Number of names published so far. Stored with `Release` after the slot
-/// is written and loaded with `Acquire`, so an id below the length always
-/// finds its slot filled.
-static LEN: AtomicUsize = AtomicUsize::new(0);
+/// Id → name.
+static NAMES: SlotTable<&'static str> = SlotTable::new();
+
 const CHUNKS: usize = 27;
 const FIRST_CHUNK: usize = 64;
 
@@ -55,6 +50,59 @@ fn locate(i: usize) -> (usize, usize) {
     let n = i / FIRST_CHUNK + 1;
     let chunk = n.ilog2() as usize;
     (chunk, i - FIRST_CHUNK * ((1 << chunk) - 1))
+}
+
+/// A dense, append-only, process-global table that readers index without
+/// a lock: chunk `k` holds `FIRST_CHUNK << k` write-once slots, so the 27
+/// chunks cover every `u32` index and a slot never moves once written.
+/// The interner's id → name direction and the codec's shape table are
+/// both one of these.
+pub(crate) struct SlotTable<T: 'static> {
+    chunks: [OnceLock<Box<[OnceLock<T>]>>; CHUNKS],
+    /// Number of slots published so far. Stored with `Release` after the
+    /// slot is written and loaded with `Acquire`, so an index below the
+    /// length always finds its slot filled.
+    len: AtomicUsize,
+}
+
+impl<T> SlotTable<T> {
+    pub(crate) const fn new() -> Self {
+        Self {
+            chunks: [const { OnceLock::new() }; CHUNKS],
+            len: AtomicUsize::new(0),
+        }
+    }
+
+    /// Number of slots published so far.
+    pub(crate) fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
+    }
+
+    /// The value at index `i`, if one was published there.
+    pub(crate) fn get(&self, i: usize) -> Option<&T> {
+        if i >= self.len() {
+            return None;
+        }
+        let (chunk, offset) = locate(i);
+        self.chunks[chunk]
+            .get()
+            .and_then(|slots| slots[offset].get())
+    }
+
+    /// Publishes `value` at index [`SlotTable::len`]. Callers serialize
+    /// pushes under a lock of their own, which is what keeps the indices
+    /// dense.
+    pub(crate) fn push(&self, value: T) {
+        let len = self.len.load(Ordering::Relaxed);
+        let (chunk, offset) = locate(len);
+        let slots = self.chunks[chunk]
+            .get_or_init(|| (0..FIRST_CHUNK << chunk).map(|_| OnceLock::new()).collect());
+        assert!(
+            slots[offset].set(value).is_ok(),
+            "a slot at the table's length is vacant"
+        );
+        self.len.store(len + 1, Ordering::Release);
+    }
 }
 
 impl AttrId {
@@ -70,16 +118,8 @@ impl AttrId {
             return id; // raced with another writer
         }
         let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        // Only writers change the length, and they hold the lock.
-        let len = LEN.load(Ordering::Relaxed);
-        let id = AttrId(u32::try_from(len).expect("attribute names fit in u32"));
-        let (chunk, offset) = locate(len);
-        let slots = NAMES[chunk]
-            .get_or_init(|| (0..FIRST_CHUNK << chunk).map(|_| OnceLock::new()).collect());
-        slots[offset]
-            .set(leaked)
-            .expect("a slot at the table's length is vacant");
-        LEN.store(len + 1, Ordering::Release);
+        let id = AttrId(u32::try_from(NAMES.len()).expect("attribute names fit in u32"));
+        NAMES.push(leaked);
         guard.insert(leaked, id);
         id
     }
@@ -106,11 +146,8 @@ impl AttrId {
     /// process.
     #[must_use]
     pub fn name(self) -> &'static str {
-        let (chunk, offset) = locate(self.0 as usize);
         NAMES
-            .get(chunk)
-            .and_then(OnceLock::get)
-            .and_then(|slots| slots[offset].get())
+            .get(self.0 as usize)
             .copied()
             .unwrap_or_else(|| panic!("AttrId({}) was never interned", self.0))
     }
@@ -120,7 +157,7 @@ impl AttrId {
     /// needs.
     #[must_use]
     pub fn universe_size() -> usize {
-        LEN.load(Ordering::Acquire)
+        NAMES.len()
     }
 }
 

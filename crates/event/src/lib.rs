@@ -70,6 +70,7 @@ mod frame;
 mod intern;
 mod record;
 mod registry;
+mod shape;
 mod stage;
 mod trace_ctx;
 mod typed;
@@ -78,8 +79,8 @@ mod value;
 pub use bytes::Bytes;
 pub use class::{AttributeDecl, ClassId, EventClass};
 pub use codec::{
-    encode_dict_update, write_bytes, write_str, write_varint, write_zigzag, BinCodec, CodecError,
-    DecodeDict, DictMode, EncodeDict, WireReader, HELLO_MAGIC, KIND_DICT, KIND_HELLO, KIND_MSG,
+    write_bytes, write_str, write_varint, write_zigzag, BinCodec, CodecError, DecodeDict, DictMode,
+    EncodeDict, WireReader, HELLO_MAGIC, KIND_DICT, KIND_HELLO, KIND_MSG,
 };
 pub use data::EventData;
 pub use envelope::{Envelope, EventSeq};

@@ -1,14 +1,25 @@
-//! Sampled per-event trace context carried on [`Envelope`].
+//! Per-event trace context carried on [`Envelope`].
 //!
 //! The context itself is deliberately tiny and `Copy`: three `u64`s that
-//! ride along with a sampled envelope so every hop can (a) find the trace
+//! ride along with a stamped envelope so every hop can (a) find the trace
 //! it belongs to and (b) compute its own hop latency without any lookup.
 //! The per-hop records live in the observer (`layercake-trace`'s
 //! `TraceSink`), not on the wire — an envelope never grows with path
-//! length. Unsampled envelopes carry `None` and allocate nothing.
+//! length.
 //!
-//! Times are raw virtual-time ticks (`SimTime::ticks`) rather than
-//! `SimTime` values so this crate stays independent of the simulator.
+//! Which envelopes carry one is up to the publisher. The simulator, and
+//! the runtime with a trace sink, stamp the sampled events only; the rest
+//! carry `None`, allocate nothing and cost one cleared flag bit on the
+//! wire. The runtime's `Publisher::publish` *without* a sink stamps every
+//! event — the stamp feeds its end-to-end latency histogram — with the
+//! sequence number as the id. On the wire that id is free (a flag bit),
+//! and a stamp costs its publish time (≈5 bytes: nanoseconds since the
+//! runtime started) plus the last hop's offset from it (1–3 bytes) in
+//! every frame.
+//!
+//! Times are raw ticks (`SimTime::ticks` in the simulator, nanoseconds in
+//! the runtime) rather than `SimTime` values so this crate stays
+//! independent of the simulator.
 //!
 //! [`Envelope`]: crate::Envelope
 
@@ -26,7 +37,7 @@ impl std::fmt::Display for TraceId {
     }
 }
 
-/// The trace context stamped onto a sampled envelope at publish time.
+/// The trace context stamped onto an envelope at publish time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct TraceContext {
     /// The trace this envelope belongs to.

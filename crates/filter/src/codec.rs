@@ -194,15 +194,14 @@ mod tests {
         let mut enc = EncodeDict::new(DictMode::Negotiated);
         let mut buf = Vec::new();
         f.encode_bin(&mut buf, &mut enc);
-        let pending = enc.take_pending();
-        assert_eq!(pending.len(), 2, "both attribute names announced");
+        let mut update = Vec::new();
+        assert_eq!(
+            enc.write_update(&mut update),
+            2,
+            "both attribute names announced"
+        );
 
         let mut dec = DecodeDict::new(DictMode::Negotiated);
-        let mut update = Vec::new();
-        layercake_event::encode_dict_update(
-            &pending.iter().map(|(w, n)| (*w, *n)).collect::<Vec<_>>(),
-            &mut update,
-        );
         dec.apply_update(&update[1..]).unwrap();
         let mut r = WireReader::new(&buf);
         assert_eq!(Filter::decode_bin(&mut r, &dec).unwrap(), f);

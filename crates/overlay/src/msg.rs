@@ -656,13 +656,8 @@ mod tests {
         for msg in one_of_each() {
             let mut buf = Vec::new();
             msg.encode_bin(&mut buf, &mut enc);
-            let pending = enc.take_pending();
-            if !pending.is_empty() {
-                let mut update = Vec::new();
-                layercake_event::encode_dict_update(
-                    &pending.iter().map(|(w, n)| (*w, *n)).collect::<Vec<_>>(),
-                    &mut update,
-                );
+            let mut update = Vec::new();
+            if enc.write_update(&mut update) > 0 {
                 dec.apply_update(&update[1..]).unwrap();
             }
             let mut r = WireReader::new(&buf);

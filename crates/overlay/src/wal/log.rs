@@ -5,8 +5,9 @@
 use std::collections::BTreeMap;
 
 use layercake_event::{
-    encode_record_into, read_record, write_varint, BinCodec, ClassId, CodecError, DecodeDict,
-    DictMode, EncodeDict, Envelope, WireReader, RECORD_HEADER_LEN,
+    encode_record_into, read_record, write_varint, AttrValue, BinCodec, Bytes, ClassId, CodecError,
+    DecodeDict, DictMode, EncodeDict, Envelope, EventData, EventSeq, TraceContext, TraceId,
+    WireReader, RECORD_HEADER_LEN,
 };
 use layercake_filter::DestId;
 use layercake_metrics::{DurabilityStats, PipelineStage, StageProfiler};
@@ -34,19 +35,20 @@ impl Default for LogConfig {
     }
 }
 
-/// First payload byte of a binary record: the format version.
+/// First payload byte of a record in the retired first binary format,
+/// which stays readable ([`decode_v1`]).
 const RECORD_V1: u8 = 1;
+/// First payload byte of every record written now.
+const RECORD_V2: u8 = 2;
 
 /// Writes one record payload: the version byte, the per-class durable
-/// offset (1-based, monotone per class) under its class, then the
-/// envelope with every name spelled out ([`DictMode::Inline`]), so the
+/// offset (1-based, monotone per class), then the envelope with its shape
+/// spelled out ([`DictMode::Inline`]) — which names the class — so the
 /// record decodes from any position with no other record's help.
 fn encode_payload(out: &mut Vec<u8>, off: u64, env: &Envelope) {
-    let mut dict = EncodeDict::new(DictMode::Inline);
-    out.push(RECORD_V1);
-    env.class().encode_bin(out, &mut dict);
+    out.push(RECORD_V2);
     write_varint(out, off);
-    env.encode_bin(out, &mut dict);
+    env.encode_bin(out, &mut EncodeDict::new(DictMode::Inline));
 }
 
 /// One record as it lives in the log: the event plus its class's offset.
@@ -56,26 +58,62 @@ struct LogRecord {
     env: Envelope,
 }
 
-/// Reads a record payload of either format: the binary one by its
-/// version byte, or the JSON object logs carried before it (first byte
-/// `{`), which stays readable so an existing log directory opens intact.
+/// Reads a record payload of any format the log ever wrote, by its first
+/// byte: the current binary one, the first binary one, or the JSON object
+/// before that (`{`) — so an existing log directory opens intact.
 fn decode_payload(payload: &[u8]) -> Result<LogRecord, CodecError> {
     match payload.first() {
-        Some(&RECORD_V1) => {
-            let dict = DecodeDict::new(DictMode::Inline);
+        Some(&RECORD_V2) => {
             let mut r = WireReader::new(&payload[1..]);
-            let class = ClassId::decode_bin(&mut r, &dict)?;
             let off = r.varint()?;
-            let env = Envelope::decode_bin(&mut r, &dict)?;
+            let env = Envelope::decode_bin(&mut r, &DecodeDict::new(DictMode::Inline))?;
             r.expect_end()?;
-            Ok(LogRecord { class, off, env })
+            Ok(LogRecord {
+                class: env.class(),
+                off,
+                env,
+            })
         }
+        Some(&RECORD_V1) => decode_v1(&payload[1..]),
         Some(b'{') => {
             serde_json::from_slice(payload).map_err(|_| CodecError::Invalid("JSON log record"))
         }
         Some(&other) => Err(CodecError::Tag(other)),
         None => Err(CodecError::Truncated),
     }
+}
+
+/// Reads the body of a first-format record, which nothing writes any
+/// more: class, offset, then the envelope as format 1 laid it out — class
+/// again, class name, sequence number, a count of `(name, tagged value)`
+/// pairs, a length-prefixed payload, and a trace behind a 0/1 marker.
+fn decode_v1(body: &[u8]) -> Result<LogRecord, CodecError> {
+    let dict = DecodeDict::new(DictMode::Inline);
+    let mut r = WireReader::new(body);
+    let class = ClassId::decode_bin(&mut r, &dict)?;
+    let off = r.varint()?;
+    let env_class = ClassId::decode_bin(&mut r, &dict)?;
+    let class_name = dict.read_attr(&mut r)?.name();
+    let seq = EventSeq(r.varint()?);
+    let n = r.count()?;
+    let mut meta = EventData::with_capacity(n);
+    for _ in 0..n {
+        let attr = dict.read_attr(&mut r)?;
+        meta.insert_id(attr, AttrValue::decode_bin(&mut r, &dict)?);
+    }
+    let payload = Bytes::from(r.len_bytes()?);
+    let mut env = Envelope::from_parts(env_class, class_name, seq, meta, payload);
+    match r.u8()? {
+        0 => {}
+        1 => env.set_trace(Some(TraceContext {
+            id: TraceId(r.varint()?),
+            published_at: r.varint()?,
+            last_hop_at: r.varint()?,
+        })),
+        t => return Err(CodecError::Tag(t)),
+    }
+    r.expect_end()?;
+    Ok(LogRecord { class, off, env })
 }
 
 impl Deserialize for LogRecord {
@@ -810,7 +848,7 @@ mod tests {
         let mut log = DurableLog::open(
             Box::new(MemStorage::new()),
             LogConfig {
-                segment_bytes: 128,
+                segment_bytes: 64, // three 19-byte records a segment
                 flush_every: 1,
             },
         );

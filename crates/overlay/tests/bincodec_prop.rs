@@ -7,9 +7,9 @@
 //! framing layer's own error paths are tested in `event/src/frame.rs`).
 
 use layercake_event::{
-    encode_dict_update, encode_frame, Advertisement, BinCodec, ClassId, CodecError, DecodeDict,
-    DictMode, EncodeDict, Envelope, EventData, EventSeq, FrameDecoder, StageMap, TraceContext,
-    TraceId, WireReader,
+    encode_frame, Advertisement, BinCodec, Bytes, ClassId, CodecError, DecodeDict, DictMode,
+    EncodeDict, Envelope, EventData, EventSeq, FrameDecoder, StageMap, TraceContext, TraceId,
+    WireReader,
 };
 use layercake_filter::{Filter, FilterId};
 use layercake_overlay::{OverlayMsg, SubscriptionReq};
@@ -166,10 +166,9 @@ fn bin_round_trip_negotiated(msg: &OverlayMsg) -> OverlayMsg {
     let mut bytes = Vec::new();
     msg.encode_bin(&mut bytes, &mut dict);
     let mut ddict = DecodeDict::new(DictMode::Negotiated);
-    if dict.has_pending() {
-        let mut update = Vec::new();
-        encode_dict_update(&dict.take_pending(), &mut update);
-        // encode_dict_update emits the payload-kind discriminator first;
+    let mut update = Vec::new();
+    if dict.write_update(&mut update) > 0 {
+        // write_update emits the payload-kind discriminator first;
         // apply_update takes the body behind it.
         ddict
             .apply_update(&update[1..])
@@ -205,9 +204,8 @@ proptest! {
         for m in &msgs {
             let mut bytes = Vec::new();
             m.encode_bin(&mut bytes, &mut dict);
-            if dict.has_pending() {
-                let mut update = Vec::new();
-                encode_dict_update(&dict.take_pending(), &mut update);
+            let mut update = Vec::new();
+            if dict.write_update(&mut update) > 0 {
                 ddict.apply_update(&update[1..]).expect("dict update applies");
             }
             let mut r = WireReader::new(&bytes);
@@ -272,16 +270,22 @@ proptest! {
 /// not trusted into an allocation.
 #[test]
 fn oversized_declared_lengths_are_rejected() {
-    let env = Envelope::from_meta(ClassId(1), "BinTest", EventSeq(7), EventData::new());
+    let env = Envelope::from_parts(
+        ClassId(1),
+        "BinTest",
+        EventSeq(7),
+        EventData::new(),
+        Bytes::from(vec![7u8; 3]),
+    );
     let msg = OverlayMsg::Publish(env);
     let mut dict = EncodeDict::new(DictMode::Shared);
     let mut bytes = Vec::new();
     msg.encode_bin(&mut bytes, &mut dict);
-    // The envelope's payload length varint sits right before the final
-    // trace marker byte (empty payload → single 0x00 varint). Replace it
-    // with a 5-byte varint declaring ~4 GiB.
-    let at = bytes.len() - 2;
-    assert_eq!(bytes[at], 0, "expected the empty-payload length varint");
+    // An untraced envelope ends with its payload: the length varint, then
+    // the three bytes. Replace the length with a 5-byte varint declaring
+    // ~4 GiB.
+    let at = bytes.len() - 4;
+    assert_eq!(bytes[at], 3, "expected the payload length varint");
     bytes.splice(at..=at, [0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
     let ddict = DecodeDict::new(DictMode::Shared);
     let err = OverlayMsg::decode_bin(&mut WireReader::new(&bytes), &ddict)

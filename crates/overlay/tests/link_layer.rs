@@ -11,7 +11,9 @@ use layercake_event::{
 use layercake_filter::{Filter, FilterId};
 use layercake_metrics::RunMetrics;
 use layercake_overlay::topology::{build_brokers, build_subscriber};
-use layercake_overlay::{LinkConfig, Linked, Node, NodeCtx, OverlayConfig, OverlayMsg};
+use layercake_overlay::{
+    LinkConfig, Linked, Node, NodeCtx, OverlayConfig, OverlayMsg, SubscriberNode,
+};
 use layercake_sim::{ActorId, FaultPlan, SimDuration, SimTime, World};
 
 const FORWARDER: ActorId = ActorId(0);
@@ -139,6 +141,106 @@ fn faulty_wire_still_releases_in_order_exactly_once() {
     }
     assert!(retransmitted > 0, "the storm dropped nothing");
     assert!(suppressed > 0, "the storm duplicated nothing");
+}
+
+/// A forwarder in front of a real subscriber node.
+#[allow(clippy::large_enum_variant)]
+enum Hop {
+    Forwarder,
+    Subscriber(SubscriberNode),
+}
+
+impl Node for Hop {
+    fn on_message(&mut self, from: ActorId, msg: OverlayMsg, ctx: &mut dyn NodeCtx) {
+        match (self, msg) {
+            (Hop::Forwarder, OverlayMsg::Publish(env)) => {
+                ctx.send(RECORDER, OverlayMsg::Deliver(env));
+            }
+            (Hop::Subscriber(sub), msg) => sub.on_message(from, msg, ctx),
+            (Hop::Forwarder, other) => panic!("the forwarder was handed {other:?}"),
+        }
+    }
+
+    fn on_timer(&mut self, tag: u64, ctx: &mut dyn NodeCtx) {
+        if let Hop::Subscriber(sub) = self {
+            sub.on_timer(tag, ctx);
+        }
+    }
+}
+
+/// What a subscriber books as bytes received is the wire size of each
+/// event the link layer hands it: the duplicates a storm makes are
+/// suppressed below the node, so they cost its byte count nothing, and
+/// the count equals what the runtime would have put on the wire for the
+/// events received — once each.
+#[test]
+fn suppressed_duplicates_are_not_bytes_received() {
+    let mut registry = TypeRegistry::new();
+    let class = registry
+        .register("C", None, vec![AttributeDecl::new("x", ValueKind::Int)])
+        .unwrap();
+    let registry = Arc::new(registry);
+    let cfg = OverlayConfig {
+        levels: vec![1],
+        ..OverlayConfig::default()
+    };
+    let link = LinkConfig {
+        reliable: true,
+        ..LinkConfig::default()
+    };
+    let subscriber = build_subscriber(
+        &cfg,
+        &registry,
+        FORWARDER,
+        "sub".into(),
+        vec![(FilterId(0), Filter::for_class(class))],
+        None,
+        None,
+        false,
+    );
+    let mut world = World::with_latency(SimDuration::from_ticks(1));
+    world.add_actor(Linked::new(Hop::Forwarder, link, "fwd".into(), 1, None));
+    world.add_actor(Linked::new(
+        Hop::Subscriber(subscriber),
+        link,
+        "sub".into(),
+        0,
+        None,
+    ));
+    world.set_fault_seed(7);
+    world.set_default_fault_plan(Some(FaultPlan {
+        drop_probability: 0.1,
+        dup_probability: 0.3,
+        max_jitter: SimDuration::from_ticks(3),
+    }));
+    let events: Vec<Envelope> = (0..300u64)
+        .map(|seq| {
+            let mut meta = EventData::new();
+            meta.insert("x", seq as i64 * 1_000);
+            Envelope::from_meta(class, "C", EventSeq(seq), meta)
+        })
+        .collect();
+    for (i, env) in events.iter().enumerate() {
+        let at = SimTime::from_ticks(1 + i as u64 / 4);
+        world.send_external_at(FORWARDER, OverlayMsg::Publish(env.clone()), at);
+    }
+    world.run();
+    world.clear_fault_plans();
+    world.run();
+
+    let mut link_metrics = RunMetrics::new(0, 0);
+    world.actor(RECORDER).absorb_into(&mut link_metrics);
+    assert!(
+        link_metrics.chaos.duplicates_suppressed > 0,
+        "the storm duplicated nothing"
+    );
+    let Hop::Subscriber(sub) = &world.actor(RECORDER).node else {
+        unreachable!()
+    };
+    let record = sub.record();
+    assert_eq!(record.received, events.len() as u64, "each event once");
+    let sizes: u64 = events.iter().map(|e| e.wire_size() as u64).sum();
+    assert_eq!(record.bytes_received, sizes);
 }
 
 /// Credit flow toward a recorder eight times too slow: never more than

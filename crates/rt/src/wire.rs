@@ -1,13 +1,16 @@
 //! The runtime's wire format: one length-prefixed frame per message.
 //!
 //! A frame's payload is a [`layercake_event::KIND_MSG`] byte, the sender
-//! id as a varint, then the [`BinCodec`] encoding of the overlay message.
-//! Attribute names travel as interned ids through the connection's
+//! id plus one as a varint (so the external sender, `usize::MAX`, costs
+//! one byte), then the [`BinCodec`] encoding of the overlay message.
+//! Names and event shapes travel as interned ids through the connection's
 //! [`EncodeDict`]/[`DecodeDict`]; in-process links run the dictionary in
-//! [`DictMode::Shared`] (the global interner *is* the dictionary),
-//! cross-process links negotiate a dense id space via
+//! [`DictMode::Shared`] (the global interner and shape table *are* the
+//! dictionary), cross-process links negotiate a dense id space via
 //! [`layercake_event::KIND_DICT`] frames emitted ahead of the first
-//! message that references a new name.
+//! message that references a new name or shape, and open with a
+//! [`layercake_event::KIND_HELLO`] handshake that pins the format
+//! version and the dictionary mode.
 //!
 //! Every hop in the runtime pays the full cycle — serialize, frame,
 //! deframe, deserialize — so the measured throughput includes the real
@@ -114,19 +117,17 @@ pub fn encode_msg_into(
     let header_at = out.len();
     out.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
     out.push(KIND_MSG);
-    write_varint(out, from.0 as u64);
+    write_varint(out, from.0.wrapping_add(1) as u64);
     msg.encode_bin(out, dict);
     close_frame(out, header_at)?;
     if dict.has_pending() {
-        // First use of some attribute names on this connection:
+        // First use of some names or shapes on this connection:
         // announce their wire ids in a dictionary frame spliced
         // *before* the message that references them. Rare by
-        // construction (once per name per connection), so the
+        // construction (once per name or shape per connection), so the
         // O(frame) splice never shows on the hot path.
-        let pending = dict.take_pending();
-        let mut update = Vec::with_capacity(FRAME_HEADER_LEN + 8 * pending.len());
-        update.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
-        layercake_event::encode_dict_update(&pending, &mut update);
+        let mut update = vec![0u8; FRAME_HEADER_LEN];
+        dict.write_update(&mut update);
         close_frame(&mut update, 0)?;
         out.splice(header_at..header_at, update);
     }
@@ -149,21 +150,41 @@ pub fn encode_msg(
     Ok(out)
 }
 
-/// A framed connection handshake: magic bytes plus the sender's
-/// dictionary mode, sent once at connection open by cross-process peers.
+/// A framed connection handshake: magic bytes (which end in the format
+/// version) plus the sender's dictionary mode, sent once at connection
+/// open by cross-process peers.
 #[must_use]
 pub fn encode_hello(mode: DictMode) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + 5);
     out.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
     out.push(KIND_HELLO);
     out.extend_from_slice(&HELLO_MAGIC);
-    out.push(match mode {
-        DictMode::Shared => 0,
-        DictMode::Negotiated => 1,
-        DictMode::Inline => 2,
-    });
+    out.push(mode.wire_byte());
     close_frame(&mut out, 0).expect("hello frame is 5 bytes");
     out
+}
+
+/// Checks a handshake body (the bytes after [`KIND_HELLO`]) against the
+/// receiving end: the magic, then the format version, then the peer's
+/// dictionary mode, each failing with its own error.
+fn check_hello(body: &[u8], mode: DictMode) -> Result<(), CodecError> {
+    let mut r = WireReader::new(body);
+    let magic_len = HELLO_MAGIC.len() - 1;
+    if r.bytes(magic_len).ok() != Some(&HELLO_MAGIC[..magic_len]) {
+        return Err(CodecError::Invalid("bad handshake magic"));
+    }
+    let version = r.u8()?;
+    if version != HELLO_MAGIC[magic_len] {
+        return Err(CodecError::Version(version));
+    }
+    let found = r.u8()?;
+    if found != mode.wire_byte() {
+        return Err(CodecError::ModeMismatch {
+            expected: mode,
+            found,
+        });
+    }
+    r.expect_end()
 }
 
 thread_local! {
@@ -198,8 +219,10 @@ pub(crate) fn encode_for_dispatch(from: ActorId, msg: &OverlayMsg) -> Result<Vec
 ///
 /// # Errors
 ///
-/// [`WireError::Codec`] on malformed payloads; a bad handshake magic is
-/// rejected as a codec error.
+/// [`WireError::Codec`] on malformed payloads. A handshake is rejected
+/// as a codec error for a bad magic, with [`CodecError::Version`] for
+/// another format version, and with [`CodecError::ModeMismatch`] for a
+/// dictionary mode other than `dict`'s.
 pub fn decode_payload(
     payload: &[u8],
     dict: &mut DecodeDict,
@@ -209,21 +232,19 @@ pub fn decode_payload(
         KIND_MSG => {
             let mut r = WireReader::new(rest);
             let raw = r.varint()?;
-            let from = ActorId(
-                usize::try_from(raw).map_err(|_| CodecError::Invalid("sender id exceeds usize"))?,
-            );
+            let from = usize::try_from(raw)
+                .map_err(|_| CodecError::Invalid("sender id exceeds usize"))?
+                .wrapping_sub(1);
             let msg = OverlayMsg::decode_bin(&mut r, dict)?;
             r.expect_end()?;
-            Ok(Some((from, msg)))
+            Ok(Some((ActorId(from), msg)))
         }
         KIND_DICT => {
             dict.apply_update(rest)?;
             Ok(None)
         }
         KIND_HELLO => {
-            if rest.len() < HELLO_MAGIC.len() || rest[..HELLO_MAGIC.len()] != HELLO_MAGIC {
-                return Err(CodecError::Invalid("bad handshake magic").into());
-            }
+            check_hello(rest, dict.mode())?;
             Ok(None)
         }
         t => Err(CodecError::Tag(t).into()),
@@ -328,6 +349,9 @@ mod tests {
         assert_eq!(back, msg);
         assert!(dec.next_msg().unwrap().is_none());
         dec.finish().unwrap();
+        // The external sender is the cheapest one to name: header, kind,
+        // one sender byte, then the message's tag and varint.
+        assert_eq!(bytes.len(), FRAME_HEADER_LEN + 4);
     }
 
     #[test]
@@ -396,6 +420,82 @@ mod tests {
         let mut dec = LinkDecoder::negotiated();
         dec.push(&out);
         assert!(matches!(dec.next_msg(), Err(WireError::Codec(_))));
+    }
+
+    fn hello(body: &[u8]) -> Vec<u8> {
+        let mut out = vec![0u8; FRAME_HEADER_LEN];
+        out.push(KIND_HELLO);
+        out.extend_from_slice(body);
+        close_frame(&mut out, 0).unwrap();
+        out
+    }
+
+    #[test]
+    fn a_hello_of_another_version_or_mode_is_a_typed_error() {
+        // A format-1 peer: same magic, version byte 1, negotiated mode.
+        let mut dec = LinkDecoder::negotiated();
+        dec.push(&hello(b"LC\x01\x01"));
+        assert!(matches!(
+            dec.next_msg(),
+            Err(WireError::Codec(CodecError::Version(1)))
+        ));
+        // The right version from a peer running another dictionary mode.
+        dec.push(&encode_hello(DictMode::Shared));
+        assert!(matches!(
+            dec.next_msg(),
+            Err(WireError::Codec(CodecError::ModeMismatch {
+                expected: DictMode::Negotiated,
+                found: 0
+            }))
+        ));
+        // A handshake cut short of its mode byte.
+        dec.push(&hello(&HELLO_MAGIC));
+        assert!(matches!(
+            dec.next_msg(),
+            Err(WireError::Codec(CodecError::Truncated))
+        ));
+        // None of it cost the link its state.
+        dec.push(&encode_hello(DictMode::Negotiated));
+        let mut dict = EncodeDict::new(DictMode::Negotiated);
+        dec.push(&encode_msg(ActorId(1), &deliver_msg(), &mut dict).unwrap());
+        assert_eq!(dec.next_msg().unwrap().unwrap().1, deliver_msg());
+    }
+
+    /// The bytes of the frames a `Stock { symbol, price }` event costs on
+    /// an in-process link at sequence number 300 000, five seconds into a
+    /// run: the publisher's `Publish` (external sender, trace freshly
+    /// stamped) and a broker's `Deliver` (the hop 3 µs later). A field
+    /// that widens fails here.
+    #[test]
+    fn stock_frames_keep_their_size() {
+        use layercake_event::{typed_event, TraceContext, TraceId};
+        typed_event! {
+            pub struct Stock: "Stock" {
+                symbol: String,
+                price: f64,
+            }
+        }
+        const SEQ: u64 = 300_000;
+        const T: u64 = 5_000_000_000;
+        let stock = Stock::new("SYM042".to_owned(), 10.25);
+        let mut env = Envelope::encode(ClassId(0), EventSeq(SEQ), &stock).unwrap();
+        env.set_trace(Some(TraceContext::new(TraceId(SEQ), T)));
+        let mut dict = EncodeDict::new(DictMode::Shared);
+        let external = ActorId(usize::MAX);
+        let publish = encode_msg(external, &OverlayMsg::Publish(env.clone()), &mut dict).unwrap();
+        // header 4 · kind 1 · sender 1 · tag 1 · shape 1 · seq 3 · flags 1
+        // · symbol 7 · price 8 · published_at 5 · hop 1
+        assert_eq!(publish.len(), 33);
+        env.touch_trace(T + 3_000);
+        let deliver = encode_msg(ActorId(1), &OverlayMsg::Deliver(env.clone()), &mut dict).unwrap();
+        // … the same, with a 2-byte hop delta
+        assert_eq!(deliver.len(), 34);
+        let mut dec = LinkDecoder::new(WireCodec::Binary);
+        dec.push(&publish);
+        dec.push(&deliver);
+        assert_eq!(dec.next_msg().unwrap().unwrap().0, external);
+        let (from, back) = dec.next_msg().unwrap().unwrap();
+        assert_eq!((from, back), (ActorId(1), OverlayMsg::Deliver(env)));
     }
 
     /// Includes a well-framed message in the retired JSON wire format: a
