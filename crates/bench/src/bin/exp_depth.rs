@@ -88,8 +88,8 @@ fn main() {
     println!("added stage cuts the hottest node's load, paying one extra hop per event.");
 
     // A single broker approximates the centralized server (slightly below
-    // RLC 1 because covering-based collapse dedups identical weakened
-    // filters even there).
+    // RLC 1 because identical weakened filters share one table entry
+    // even there).
     assert!(
         max_rlcs[0] > 0.8,
         "single broker ≈ centralized: {max_rlcs:?}"

@@ -34,10 +34,10 @@ const SUBS: usize = 8;
 const ROUNDS: u64 = 75;
 const QUEUE_CAPACITY: usize = 64;
 /// Round interval at which the bottleneck stage-1 broker is exactly
-/// saturated. Covering collapse coarsens the stage-2 egress filter
-/// toward a leaf whose subscribers differ in `year` and `author` down to
-/// `conference` alone, so the busiest leaf receives *every* published
-/// event — `SUBS` arrivals per round against a service rate of
+/// saturated. Stage weakening leaves the stage-2 broker only the `year`
+/// and `conference` of each filter it holds for a leaf, and the busiest
+/// leaf hosts subscribers of both years, so it receives *every*
+/// published event — `SUBS` arrivals per round against a service rate of
 /// `1 / SERVICE`.
 const SUSTAINABLE_INTERVAL: u64 = SUBS as u64 * SERVICE;
 
@@ -134,8 +134,8 @@ impl Rig {
 }
 
 /// One load × flow-control cell. `interval` is the gap between rounds of
-/// `SUBS` events; the bottleneck stage-1 broker sees all of them (its
-/// upstream link's covering filter collapsed to `conference` alone), so
+/// `SUBS` events; the bottleneck stage-1 broker sees all of them (stage
+/// weakening dropped the `author` its subscribers differ in), so
 /// `interval = SUSTAINABLE_INTERVAL` is the saturation point.
 fn run_cell(interval: u64, flow: bool) -> Run {
     let mut rig = Rig::new(flow);

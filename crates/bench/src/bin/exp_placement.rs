@@ -85,13 +85,13 @@ fn main() {
     println!("reading guide: with similar subscriptions, similarity placement stores fewer");
     println!("covering filters and forwards each event along fewer paths (Section 4.2).");
 
-    // Part 2 — covering collapse (paper Example 5's "keep only g1") on a
-    // workload with covering *chains*: stock subscriptions share symbols but
-    // differ in price ceilings, so weaker ceilings cover stronger ones.
-    println!("\ncovering collapse on range-filter subscriptions (Example 5):");
+    // Part 2 — subscription aggregation (paper Example 5's "keep only g1")
+    // on a workload with covering *chains*: stock subscriptions share symbols
+    // but differ in price ceilings, so weaker ceilings cover stronger ones.
+    println!("\nsubscription aggregation on range-filter subscriptions (Example 5):");
     let mut rows2 = Vec::new();
     let mut counts = Vec::new();
-    for collapse in [false, true] {
+    for aggregation in [false, true] {
         let mut registry = layercake_event::TypeRegistry::new();
         let workload = layercake_workload::stock::StockWorkload::new(
             layercake_workload::stock::StockConfig {
@@ -104,7 +104,7 @@ fn main() {
         let mut sim = layercake_overlay::OverlaySim::new(
             OverlayConfig {
                 levels: vec![10, 1],
-                covering_collapse: collapse,
+                aggregation_enabled: aggregation,
                 ..OverlayConfig::default()
             },
             std::sync::Arc::new(registry),
@@ -141,10 +141,10 @@ fn main() {
         let matched: u64 = m.stage_records(0).map(|r| r.matched).sum();
         counts.push((broker_filters, matched));
         rows2.push(vec![
-            if collapse {
-                "collapse on"
+            if aggregation {
+                "aggregation on"
             } else {
-                "collapse off"
+                "aggregation off"
             }
             .to_owned(),
             broker_filters.to_string(),
@@ -164,11 +164,11 @@ fn main() {
             &rows2,
         )
     );
-    println!("reading guide: collapse folds stronger price ceilings into weaker stored");
-    println!("ones — fewer filters, some extra deliveries, identical accepted sets.");
+    println!("reading guide: aggregation folds stronger price ceilings under the weaker");
+    println!("covering roots — fewer filters, some extra deliveries, identical accepted sets.");
     assert!(
         counts[1].0 < counts[0].0,
-        "collapse must shrink broker tables: {counts:?}"
+        "aggregation must shrink broker tables: {counts:?}"
     );
     assert_eq!(
         counts[1].1, counts[0].1,

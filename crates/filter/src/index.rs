@@ -223,27 +223,6 @@ impl FilterTable {
         true
     }
 
-    /// Removes a destination from the first entry whose filter *covers*
-    /// `filter` — the removal counterpart of covering-collapse insertion,
-    /// where a subscription may have been folded into a weaker stored
-    /// filter. Returns `true` if a pair was removed.
-    pub fn remove_covering(
-        &mut self,
-        filter: &Filter,
-        dest: DestId,
-        registry: &TypeRegistry,
-    ) -> bool {
-        let covers = self.cover_slots(filter, registry);
-        let Some(&slot) = covers
-            .iter()
-            .find(|&&slot| self.entry(slot).dests.contains(&dest))
-        else {
-            return false;
-        };
-        self.remove_pair(slot, dest, None);
-        true
-    }
-
     /// Removes a destination from every entry (e.g. on lease expiry of a
     /// child), dropping entries whose id-lists empty. Returns the number of
     /// pairs removed.

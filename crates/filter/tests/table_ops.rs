@@ -155,14 +155,6 @@ impl Reference {
         found.map(|idx| self.drop_pair(idx, dest)).is_some()
     }
 
-    fn remove_covering(&mut self, filter: &Filter, dest: DestId, r: &TypeRegistry) -> bool {
-        let found = self
-            .entries
-            .iter()
-            .position(|(f, ds)| ds.contains(&dest) && f.covers(filter, r));
-        found.map(|idx| self.drop_pair(idx, dest)).is_some()
-    }
-
     fn remove_dest(&mut self, dest: DestId) -> usize {
         let before: usize = self.entries.iter().map(|(_, ds)| ds.len()).sum();
         for (_, ds) in &mut self.entries {
@@ -201,7 +193,6 @@ impl Reference {
 enum Op {
     Insert((Vec<(&'static str, Predicate)>, u8), u64),
     Remove(usize, u64),
-    RemoveCovering(usize, u64),
     RemoveDest(u64),
 }
 
@@ -211,7 +202,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (arb_filter(), 0u64..4).prop_map(|(f, d)| Op::Insert(f, d)),
         (arb_filter(), 0u64..4).prop_map(|(f, d)| Op::Insert(f, d)),
         (0usize..64, 0u64..4).prop_map(|(i, d)| Op::Remove(i, d)),
-        (0usize..64, 0u64..4).prop_map(|(i, d)| Op::RemoveCovering(i, d)),
         (0u64..4).prop_map(Op::RemoveDest),
     ]
 }
@@ -262,22 +252,13 @@ proptest! {
                         prop_assert_eq!(t.remove(f, DestId(*d)), removed, "{:?}", t.kind());
                     }
                 }
-                Op::RemoveCovering(pick, d) if !inserted.is_empty() => {
-                    let f = &inserted[pick % inserted.len()];
-                    let removed = reference.remove_covering(f, DestId(*d), r);
-                    for t in &mut tables {
-                        prop_assert_eq!(
-                            t.remove_covering(f, DestId(*d), r), removed, "{:?}", t.kind()
-                        );
-                    }
-                }
                 Op::RemoveDest(d) => {
                     let removed = reference.remove_dest(DestId(*d));
                     for t in &mut tables {
                         prop_assert_eq!(t.remove_dest(DestId(*d)), removed, "{:?}", t.kind());
                     }
                 }
-                Op::Remove(..) | Op::RemoveCovering(..) => {}
+                Op::Remove(..) => {}
             }
             for t in &mut tables {
                 let kind = t.kind();

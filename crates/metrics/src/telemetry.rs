@@ -399,6 +399,12 @@ impl TelemetrySnapshot {
             .map(|c| c.value)
     }
 
+    /// The value of the gauge named `name`, if registered.
+    #[must_use]
+    pub fn gauge(&self, name: &str) -> Option<i64> {
+        self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
+    }
+
     /// The merged histogram named `name`, if registered.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
@@ -703,7 +709,8 @@ mod tests {
         assert_eq!(snap.counter("b.two"), Some(2));
         assert_eq!(snap.counter("missing"), None);
         assert_eq!(snap.histogram("lat").unwrap().count(), 1);
-        assert_eq!(snap.gauges[0].value, -4);
+        assert_eq!(snap.gauge("depth"), Some(-4));
+        assert_eq!(snap.gauge("lat"), None, "a histogram is not a gauge");
     }
 
     #[test]

@@ -144,9 +144,7 @@ pub(crate) fn trace_actor(actor: ActorId) -> u64 {
 /// live-entry deltas instead of a created/removed bool.
 #[derive(Debug)]
 enum BrokerTable {
-    /// Per-subscription entries (optionally collapsed by covering on
-    /// insert — the `covering_collapse` knob, which discards the covered
-    /// filter instead of keeping it as recoverable bookkeeping).
+    /// Per-subscription entries.
     Plain(Box<FilterTable>),
     /// The refcounted cover forest: covered subscriptions are bookkeeping
     /// attached to their covering root and only roots are live entries.
@@ -263,7 +261,6 @@ pub struct Broker {
     up_refs: HashMap<Filter, u32>,
     index: IndexKind,
     placement: PlacementPolicy,
-    covering_collapse: bool,
     wildcard_stage_placement: bool,
     leases_enabled: bool,
     ttl: SimDuration,
@@ -299,7 +296,6 @@ pub(crate) struct BrokerSetup {
     pub registry: Arc<TypeRegistry>,
     pub placement: PlacementPolicy,
     pub index: IndexKind,
-    pub covering_collapse: bool,
     pub aggregation_enabled: bool,
     pub wildcard_stage_placement: bool,
     pub leases_enabled: bool,
@@ -323,7 +319,6 @@ impl Broker {
             up_refs: HashMap::new(),
             index: setup.index,
             placement: setup.placement,
-            covering_collapse: setup.covering_collapse,
             wildcard_stage_placement: setup.wildcard_stage_placement,
             leases_enabled: setup.leases_enabled,
             ttl: setup.ttl,
@@ -529,16 +524,6 @@ impl Broker {
                 let dest = dest_of(subscriber);
                 let weakened = self.weaken(&filter, self.stage);
                 self.remove_with_upstream(&weakened, dest, ctx);
-                if self.covering_collapse {
-                    // The subscription may have been folded into a stored
-                    // covering filter; sweep those too. (Mutually exclusive
-                    // with aggregation — the forest tracks covered pairs
-                    // itself, so `remove` above already found them.)
-                    if let BrokerTable::Plain(table) = &mut self.table {
-                        let registry = Arc::clone(&self.registry);
-                        while table.remove_covering(&weakened, dest, &registry) {}
-                    }
-                }
                 if !self.table.has_dest(dest) {
                     self.leases.remove(&dest);
                     self.parked.remove(&dest);
@@ -614,14 +599,6 @@ impl Broker {
                     self.label
                 );
             }
-            // Link-layer frames mean something to a `link::Linked` wrapper
-            // only. Bare, they are ignored, not asserted on: a socket can
-            // deliver any variant.
-            OverlayMsg::Sequenced { .. }
-            | OverlayMsg::Nack { .. }
-            | OverlayMsg::Advance { .. }
-            | OverlayMsg::Credit
-            | OverlayMsg::CreditGrant { .. } => {}
         }
     }
 
@@ -800,24 +777,6 @@ impl Broker {
         g.top_stage_using(attr_mg)
     }
 
-    /// Per-subscription mode: inserts a `<filter, dest>` pair, optionally
-    /// collapsing into a stored covering filter (paper Example 5's "keep
-    /// only g1"). Returns whether a new entry was created.
-    fn table_insert(&mut self, filter: Filter, dest: DestId) -> bool {
-        let BrokerTable::Plain(table) = &mut self.table else {
-            debug_assert!(false, "table_insert is the per-subscription path");
-            return false;
-        };
-        if self.covering_collapse {
-            if let Some((cover, _)) = table.find_cover(&filter, &self.registry) {
-                let cover = cover.clone();
-                table.insert(cover, dest);
-                return false;
-            }
-        }
-        table.insert(filter, dest)
-    }
-
     /// Stores a `<filter, dest>` pair (already weakened to this stage) and
     /// sends the parent whatever announcements the insertion requires. `up`
     /// is the parent-stage form the per-subscription path announces when a
@@ -831,16 +790,14 @@ impl Broker {
         dest: DestId,
         ctx: &mut dyn NodeCtx,
     ) {
-        if matches!(self.table, BrokerTable::Agg(_)) {
-            let registry = Arc::clone(&self.registry);
-            let BrokerTable::Agg(table) = &mut self.table else {
-                unreachable!()
-            };
-            let delta = table.insert(filter, dest, &registry);
-            self.apply_agg_delta(delta, ctx);
-            return;
-        }
-        let created = self.table_insert(filter, dest);
+        let created = match &mut self.table {
+            BrokerTable::Agg(table) => {
+                let delta = table.insert(filter, dest, &self.registry);
+                self.apply_agg_delta(delta, ctx);
+                return;
+            }
+            BrokerTable::Plain(table) => table.insert(filter, dest),
+        };
         if created {
             if let Some(parent) = self.parent {
                 ctx.send(
@@ -1232,12 +1189,8 @@ impl Broker {
         dest: DestId,
         ctx: &mut dyn NodeCtx,
     ) -> bool {
-        if matches!(self.table, BrokerTable::Agg(_)) {
-            let registry = Arc::clone(&self.registry);
-            let BrokerTable::Agg(table) = &mut self.table else {
-                unreachable!()
-            };
-            let delta = table.remove(filter, dest, &registry);
+        if let BrokerTable::Agg(table) = &mut self.table {
+            let delta = table.remove(filter, dest, &self.registry);
             let removed = delta.changed;
             self.apply_agg_delta(delta, ctx);
             return removed;

@@ -32,22 +32,15 @@ pub struct OverlayConfig {
     pub placement: PlacementPolicy,
     /// Matching strategy of broker filter tables.
     pub index: IndexKind,
-    /// Covering-collapse insertion (paper Example 5: on the common path,
-    /// "we can now ignore filter f1 … and keep only filter g1"): when a
-    /// stored filter already covers an incoming one, the new subscription
-    /// joins the stored filter's id-list instead of adding an entry.
-    /// Smaller tables, coarser pre-filtering; end-to-end delivery stays
-    /// exact thanks to subscriber-side perfect filtering.
-    pub covering_collapse: bool,
-    /// Subscription aggregation (`layercake_filter::AggTable`): broker
-    /// tables keep a refcounted cover forest where filters subsumed by an
-    /// existing cover become bookkeeping children of one shared live entry,
-    /// maintained incrementally under churn and lease expiry. Match cost
-    /// and upstream announcements scale with the number of cover *roots*
+    /// Subscription aggregation (`layercake_filter::AggTable`), the paper's
+    /// Example 5 fold ("we can now ignore filter f1 … and keep only filter
+    /// g1"): broker tables keep a refcounted cover forest where filters
+    /// subsumed by an existing cover become bookkeeping children of one
+    /// shared live entry, maintained incrementally under churn and lease
+    /// expiry, and re-promoted when their cover leaves. Match cost and
+    /// upstream announcements scale with the number of cover *roots*
     /// instead of subscriptions; end-to-end delivery stays exact thanks to
-    /// subscriber-side perfect filtering. Mutually exclusive with
-    /// `covering_collapse`, which is the coarser entry-merging strategy
-    /// this subsumes.
+    /// subscriber-side perfect filtering.
     pub aggregation_enabled: bool,
     /// Whether stage-aware wildcard placement (Section 4.4/4.5) is enabled.
     /// When disabled, wildcard subscriptions descend to stage-1 nodes like
@@ -96,7 +89,6 @@ impl Default for OverlayConfig {
             levels: vec![100, 10, 1],
             placement: PlacementPolicy::Similarity,
             index: IndexKind::Compiled,
-            covering_collapse: false,
             aggregation_enabled: false,
             wildcard_stage_placement: true,
             ttl: SimDuration::from_ticks(100_000),
@@ -128,8 +120,7 @@ impl OverlayConfig {
     }
 
     /// Validates the topology (non-empty, exactly one root, level sizes
-    /// non-growing upward), that at most one table-collapsing strategy is
-    /// on, and the durable log's knobs.
+    /// non-growing upward) and the durable log's knobs.
     ///
     /// # Errors
     ///
@@ -153,9 +144,6 @@ impl OverlayConfig {
                     above: w[1],
                 });
             }
-        }
-        if self.aggregation_enabled && self.covering_collapse {
-            return Err(OverlayError::AggregationWithCollapse);
         }
         if self.durability_enabled {
             if self.wal_segment_bytes == 0 {
@@ -217,28 +205,6 @@ mod tests {
                 above: 10
             })
         );
-    }
-
-    #[test]
-    fn validation_rejects_aggregation_with_collapse() {
-        use crate::error::OverlayError;
-        let both = OverlayConfig {
-            aggregation_enabled: true,
-            covering_collapse: true,
-            ..OverlayConfig::default()
-        };
-        assert_eq!(both.validate(), Err(OverlayError::AggregationWithCollapse));
-        // Either strategy alone is fine.
-        let agg_only = OverlayConfig {
-            aggregation_enabled: true,
-            ..OverlayConfig::default()
-        };
-        assert!(agg_only.validate().is_ok());
-        let collapse_only = OverlayConfig {
-            covering_collapse: true,
-            ..OverlayConfig::default()
-        };
-        assert!(collapse_only.validate().is_ok());
     }
 
     #[test]

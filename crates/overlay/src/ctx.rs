@@ -2,15 +2,16 @@
 //!
 //! Broker and subscriber protocol logic is written against [`NodeCtx`] — a
 //! minimal clock + outbox capability — instead of the simulator's concrete
-//! [`Ctx`]. The deterministic simulator and the wall-clock runtime
-//! (`layercake-rt`) each provide their own implementation, so the *same*
+//! [`layercake_sim::Ctx`]. The deterministic simulator (through the
+//! [`crate::link`] wrapper) and the wall-clock runtime (`layercake-rt`)
+//! each provide their own implementation, so the *same*
 //! state machines run under virtual time (byte-identical, reproducible)
 //! and under real threads with framed wire messages. This is the parity
 //! contract: any behavioral divergence between sim and runtime must come
 //! from the transport, never from the protocol logic.
 
 use layercake_metrics::PipelineStage;
-use layercake_sim::{ActorId, Ctx, SimDuration, SimTime};
+use layercake_sim::{ActorId, SimDuration, SimTime};
 
 use crate::msg::OverlayMsg;
 
@@ -66,24 +67,6 @@ pub trait NodeCtx {
     /// The node has given up on `peer` (it stopped answering). A transport
     /// that keeps per-peer link state drops it; the default has none.
     fn peer_lost(&mut self, _peer: ActorId) {}
-}
-
-impl NodeCtx for Ctx<'_, OverlayMsg> {
-    fn now(&self) -> SimTime {
-        Ctx::now(self)
-    }
-
-    fn me(&self) -> ActorId {
-        Ctx::me(self)
-    }
-
-    fn send(&mut self, to: ActorId, msg: OverlayMsg) {
-        Ctx::send(self, to, msg);
-    }
-
-    fn set_timer(&mut self, delay: SimDuration, tag: u64) {
-        Ctx::set_timer(self, delay, tag);
-    }
 }
 
 /// A transport-agnostic overlay node: the handler surface shared by the

@@ -48,10 +48,6 @@ pub enum OverlayError {
     /// after every `wal_flush_every` appended records, so zero would
     /// never flush at all.
     ZeroFlushEvery,
-    /// Subscription aggregation and covering-collapse insertion are both
-    /// enabled; they are alternative table-collapsing strategies and the
-    /// aggregation forest already subsumes covering-collapse.
-    AggregationWithCollapse,
 }
 
 impl fmt::Display for OverlayError {
@@ -96,12 +92,6 @@ impl fmt::Display for OverlayError {
                 "durability is enabled with wal_flush_every = 0, so the log would never \
                  fsync; set `wal_flush_every` >= 1 (1 = sync every append)"
             ),
-            Self::AggregationWithCollapse => write!(
-                f,
-                "aggregation_enabled and covering_collapse are both set; the aggregation \
-                 cover forest already subsumes covering-collapse — disable \
-                 `covering_collapse` (or turn off `aggregation_enabled`)"
-            ),
         }
     }
 }
@@ -135,7 +125,6 @@ mod tests {
             ),
             (OverlayError::ZeroSegmentBytes, "wal_segment_bytes"),
             (OverlayError::ZeroFlushEvery, "wal_flush_every"),
-            (OverlayError::AggregationWithCollapse, "covering_collapse"),
         ];
         for (err, needle) in cases {
             let msg = err.to_string();

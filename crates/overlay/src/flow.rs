@@ -5,7 +5,7 @@
 //! Each directed link `(sender, receiver)` carrying event traffic gets a
 //! [`FlowTx`] on the sender and a [`FlowRx`] on the receiver. The credit
 //! protocol is *absolute*: the receiver reports the cumulative count of
-//! data messages it has consumed ([`OverlayMsg::CreditGrant`]), and the
+//! data messages it has consumed ([`LinkMsg::CreditGrant`]), and the
 //! sender's window is `capacity − (sent − consumed)`. Absolute grants are
 //! idempotent under the simulator's fault plans — a duplicated or
 //! reordered grant merges via `max`, and a lost grant is subsumed by the
@@ -27,7 +27,7 @@
 //! queued at the *front* and never shed by overflow; control-plane
 //! messages never enter the queue at all.
 //!
-//! [`OverlayMsg::CreditGrant`]: crate::msg::OverlayMsg::CreditGrant
+//! [`LinkMsg::CreditGrant`]: crate::link::LinkMsg::CreditGrant
 
 use std::collections::VecDeque;
 
@@ -78,7 +78,7 @@ pub(crate) enum Tick {
     Idle,
     /// Stalled on zero credit: send a [`Credit`] probe downstream.
     ///
-    /// [`Credit`]: crate::msg::OverlayMsg::Credit
+    /// [`Credit`]: crate::link::LinkMsg::Credit
     Probe,
     /// The breaker tripped; everything queued was flushed for shedding.
     Opened {

@@ -73,7 +73,7 @@ pub use broker::Broker;
 pub use config::{OverlayConfig, PlacementPolicy};
 pub use ctx::{Node, NodeCtx};
 pub use error::OverlayError;
-pub use link::{LinkConfig, Linked};
+pub use link::{LinkConfig, LinkMsg, Linked};
 pub use msg::{OverlayMsg, SubscriptionReq};
 pub use node::NodeActor;
 pub use sim::{OverlaySim, SubscriberHandle};

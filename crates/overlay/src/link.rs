@@ -8,19 +8,20 @@
 //! knowing. On the way **out** it intercepts the node's `Publish` /
 //! `Deliver` sends, passes them through the downstream's credit window
 //! and bounded egress queue (`flow.rs`) — where they may be shed — and
-//! stamps them `Sequenced` into the retransmission ring
-//! (`reliability.rs`). On the way **in** it consumes `Sequenced` / `Nack`
-//! / `Advance` / `Credit` / `CreditGrant`: repairs gaps, suppresses
-//! duplicates, grants credit, and hands released envelopes to the node as
-//! the plain `Publish` (stage ≥ 1) or `Deliver` (stage 0) it expects.
-//! Everything else passes through untouched — durable deliveries too: the
+//! stamps them [`LinkMsg::Sequenced`] into the retransmission ring
+//! (`reliability.rs`). On the way **in** it consumes the rest of
+//! [`LinkMsg`]'s own vocabulary: repairs gaps, suppresses duplicates,
+//! grants credit, and hands released envelopes to the node as the plain
+//! `Publish` (stage ≥ 1) or `Deliver` (stage 0) it expects. Every
+//! [`OverlayMsg`] passes through untouched — durable deliveries too: the
 //! log is their buffer and offset replay their repair.
 //!
 //! This is the experiment baseline of E13 (chaos) and E15 (overload).
 //! Only [`crate::OverlaySim::with_links`] turns it on; the wall-clock
 //! runtime never builds a `Linked` node (per-link state would diverge
-//! across matcher shards), and a bare node ignores the link-layer
-//! message variants.
+//! across matcher shards), and the link vocabulary is not part of the
+//! production protocol: [`OverlayMsg`] has no variant for it and the wire
+//! no tag.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -104,6 +105,69 @@ impl LinkConfig {
             });
         }
         Ok(())
+    }
+}
+
+/// What travels between two [`Linked`] nodes: a message of the production
+/// protocol, or the link layer's own vocabulary, which no bare node ever
+/// sees.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LinkMsg {
+    /// A production message, for the wrapped node.
+    Overlay(OverlayMsg),
+    /// An event under per-link reliable sequencing (what a `Publish` or
+    /// `Deliver` travels as on a link with [`LinkConfig::reliable`] set).
+    Sequenced {
+        /// The sender's sequence number for this `(sender, receiver)` link.
+        link_seq: u64,
+        /// The event itself.
+        env: Envelope,
+    },
+    /// The receiver of a reliable link detected a gap: it asks the sender
+    /// to retransmit link sequence numbers in `from_seq..to_seq`.
+    Nack {
+        /// First missing link sequence number.
+        from_seq: u64,
+        /// One past the last missing link sequence number.
+        to_seq: u64,
+    },
+    /// The sender of a reliable link concedes that everything below `to`
+    /// was evicted from its retransmission buffer; the receiver should
+    /// skip ahead rather than stall on the unrecoverable gap.
+    Advance {
+        /// The new lower bound for the receiver's expected link sequence.
+        to: u64,
+    },
+    /// Credit probe: a sender stalled on zero flow-control credit asks its
+    /// downstream for an immediate [`LinkMsg::CreditGrant`]. Also the
+    /// liveness probe of a half-open circuit breaker.
+    Credit,
+    /// Credit grant: the receiver reports how many data messages it has
+    /// consumed from this link **in total**. Grants are absolute (not
+    /// deltas), so duplicated, reordered or lost grants never corrupt the
+    /// sender's credit window — the sender simply keeps the maximum.
+    CreditGrant {
+        /// Cumulative count of data messages the receiver has consumed on
+        /// this directed link.
+        consumed_total: u64,
+    },
+}
+
+impl From<OverlayMsg> for LinkMsg {
+    fn from(msg: OverlayMsg) -> Self {
+        LinkMsg::Overlay(msg)
+    }
+}
+
+impl LinkMsg {
+    /// Whether this message carries an event: a data-plane
+    /// [`OverlayMsg`], or one under reliable sequencing.
+    fn is_data(&self) -> bool {
+        match self {
+            LinkMsg::Overlay(msg) => msg.is_data(),
+            LinkMsg::Sequenced { .. } => true,
+            _ => false,
+        }
     }
 }
 
@@ -192,18 +256,18 @@ impl<N: Node> Linked<N> {
     }
 
     /// Runs `f` on the node with its data sends entering the link layer.
-    fn with_node(&mut self, raw: &mut dyn NodeCtx, f: impl FnOnce(&mut N, &mut dyn NodeCtx)) {
+    fn with_node(&mut self, raw: &mut Ctx<'_, LinkMsg>, f: impl FnOnce(&mut N, &mut dyn NodeCtx)) {
         let link = &mut self.link;
         f(&mut self.node, &mut LinkCtx { link, raw });
     }
 
     /// Applies the receiver-side outcome of one reliable-link arrival:
     /// NACK any exposed gap, hand the released events to the node.
-    fn apply_rx(&mut self, from: ActorId, outcome: RxOutcome, ctx: &mut dyn NodeCtx) {
+    fn apply_rx(&mut self, from: ActorId, outcome: RxOutcome, ctx: &mut Ctx<'_, LinkMsg>) {
         self.link.duplicates_suppressed += outcome.duplicates_suppressed;
         if let Some((from_seq, to_seq)) = outcome.nack {
             self.link.nacks_sent += 1;
-            ctx.send(from, OverlayMsg::Nack { from_seq, to_seq });
+            ctx.send(from, LinkMsg::Nack { from_seq, to_seq });
         }
         let release: Plain = match self.link.stage {
             0 => OverlayMsg::Deliver,
@@ -216,30 +280,33 @@ impl<N: Node> Linked<N> {
 }
 
 impl<N: Node> Actor for Linked<N> {
-    type Msg = OverlayMsg;
+    type Msg = LinkMsg;
 
-    fn on_message(&mut self, from: ActorId, msg: OverlayMsg, ctx: &mut Ctx<'_, OverlayMsg>) {
+    fn on_message(&mut self, from: ActorId, msg: LinkMsg, ctx: &mut Ctx<'_, LinkMsg>) {
         let link = &mut self.link;
-        match msg {
-            OverlayMsg::Publish(_) | OverlayMsg::Deliver(_) => link.note_data_arrival(from, ctx),
-            OverlayMsg::Sequenced { link_seq, env } => {
+        let msg = match msg {
+            LinkMsg::Overlay(msg) => msg,
+            LinkMsg::Sequenced { link_seq, env } => {
                 link.note_data_arrival(from, ctx);
                 let rx = link.rx.entry(from).or_default();
                 let outcome = rx.on_event(link_seq, env, RELIABILITY_WINDOW);
                 return self.apply_rx(from, outcome, ctx);
             }
-            OverlayMsg::Advance { to } => {
+            LinkMsg::Advance { to } => {
                 let rx = link.rx.entry(from).or_default();
                 let outcome = rx.on_advance(to, RELIABILITY_WINDOW);
                 return self.apply_rx(from, outcome, ctx);
             }
-            OverlayMsg::Nack { from_seq, to_seq } => {
+            LinkMsg::Nack { from_seq, to_seq } => {
                 return link.on_nack(from, from_seq, to_seq, ctx);
             }
-            OverlayMsg::Credit => return link.on_probe(from, ctx),
-            OverlayMsg::CreditGrant { consumed_total } => {
+            LinkMsg::Credit => return link.on_probe(from, ctx),
+            LinkMsg::CreditGrant { consumed_total } => {
                 return link.on_grant(from, consumed_total, ctx);
             }
+        };
+        match msg {
+            OverlayMsg::Publish(_) | OverlayMsg::Deliver(_) => link.note_data_arrival(from, ctx),
             // A restarted neighbor: its link sequence and credit state
             // are gone, so reset ours to match before the node helps it
             // rebuild (a fresh credit epoch starts at full window).
@@ -249,7 +316,7 @@ impl<N: Node> Actor for Linked<N> {
         self.with_node(ctx, |n, c| n.on_message(from, msg, c));
     }
 
-    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, OverlayMsg>) {
+    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, LinkMsg>) {
         if tag == TAG_FLOW {
             self.link.on_flow_tick(ctx);
         } else {
@@ -257,7 +324,7 @@ impl<N: Node> Actor for Linked<N> {
         }
     }
 
-    fn on_restart(&mut self, ctx: &mut Ctx<'_, OverlayMsg>) {
+    fn on_restart(&mut self, ctx: &mut Ctx<'_, LinkMsg>) {
         // A crash wipes every link's state (and purged the flow timer);
         // the node's `Rejoin`s tell the neighbors to reset theirs.
         let link = &mut self.link;
@@ -269,7 +336,7 @@ impl<N: Node> Actor for Linked<N> {
         self.with_node(ctx, |n, c| n.on_restart(c));
     }
 
-    fn service_cost(&self, msg: &OverlayMsg) -> Option<SimDuration> {
+    fn service_cost(&self, msg: &LinkMsg) -> Option<SimDuration> {
         self.service_time.filter(|_| msg.is_data())
     }
 }
@@ -277,12 +344,12 @@ impl<N: Node> Actor for Linked<N> {
 /// The [`NodeCtx`] a wrapped node runs under: data sends enter the link
 /// layer, everything else goes to the transport as is. (A simulator
 /// context: the runtime's profiling hooks keep their off defaults.)
-struct LinkCtx<'a> {
+struct LinkCtx<'a, 'w> {
     link: &'a mut LinkState,
-    raw: &'a mut dyn NodeCtx,
+    raw: &'a mut Ctx<'w, LinkMsg>,
 }
 
-impl NodeCtx for LinkCtx<'_> {
+impl NodeCtx for LinkCtx<'_, '_> {
     fn now(&self) -> SimTime {
         self.raw.now()
     }
@@ -296,20 +363,12 @@ impl NodeCtx for LinkCtx<'_> {
         match msg {
             OverlayMsg::Publish(env) => link.send_event(to, env, OverlayMsg::Publish, raw),
             OverlayMsg::Deliver(env) => link.send_event(to, env, OverlayMsg::Deliver, raw),
-            other => raw.send(to, other),
+            other => raw.send(to, LinkMsg::Overlay(other)),
         }
     }
 
     fn set_timer(&mut self, delay: SimDuration, tag: u64) {
         self.raw.set_timer(delay, tag);
-    }
-
-    fn trace_now(&self) -> u64 {
-        self.raw.trace_now()
-    }
-
-    fn shard(&self) -> u32 {
-        self.raw.shard()
     }
 
     fn peer_lost(&mut self, peer: ActorId) {
@@ -334,7 +393,7 @@ impl LinkState {
     /// the event passes through the link's credit window and bounded
     /// egress queue — and may be shed there; otherwise it transmits
     /// directly.
-    fn send_event(&mut self, to: ActorId, env: Envelope, plain: Plain, ctx: &mut dyn NodeCtx) {
+    fn send_event(&mut self, to: ActorId, env: Envelope, plain: Plain, ctx: &mut Ctx<'_, LinkMsg>) {
         if !self.cfg.flow_control {
             return self.transmit(to, env, plain, ctx);
         }
@@ -364,7 +423,7 @@ impl LinkState {
 
     /// Books one shed event — to a full queue, or to a `breaker` that is
     /// not closed — under this node's stage and on its sampled trace.
-    fn shed(&mut self, to: ActorId, dropped: &Envelope, breaker: bool, ctx: &dyn NodeCtx) {
+    fn shed(&mut self, to: ActorId, dropped: &Envelope, breaker: bool, ctx: &Ctx<'_, LinkMsg>) {
         if breaker {
             self.overload.breaker_shed += 1;
         } else {
@@ -378,26 +437,26 @@ impl LinkState {
     /// Puts one event on the wire, under reliable sequencing when enabled
     /// (its plain form otherwise). Fresh events are stamped here — after
     /// any queueing — so link sequence order always equals send order.
-    fn transmit(&mut self, to: ActorId, env: Envelope, plain: Plain, ctx: &mut dyn NodeCtx) {
+    fn transmit(&mut self, to: ActorId, env: Envelope, plain: Plain, ctx: &mut Ctx<'_, LinkMsg>) {
         if self.cfg.reliable {
             let link = self.tx.entry(to).or_default();
             let link_seq = link.stamp(env.clone(), RELIABILITY_WINDOW);
-            ctx.send(to, OverlayMsg::Sequenced { link_seq, env });
+            ctx.send(to, LinkMsg::Sequenced { link_seq, env });
         } else {
-            ctx.send(to, plain(env));
+            ctx.send(to, LinkMsg::Overlay(plain(env)));
         }
     }
 
     /// Transmits whatever the credit window allows from `to`'s egress
     /// queue, repairs (retransmissions) first.
-    fn drain_flow(&mut self, to: ActorId, ctx: &mut dyn NodeCtx) {
+    fn drain_flow(&mut self, to: ActorId, ctx: &mut Ctx<'_, LinkMsg>) {
         while let Some((link, plain)) = self.flow_tx.get_mut(&to) {
             let plain = *plain;
             match link.pop_ready() {
                 None => return,
                 Some(Queued::Fresh(env)) => self.transmit(to, env, plain, ctx),
                 Some(Queued::Retransmit { link_seq, env }) => {
-                    ctx.send(to, OverlayMsg::Sequenced { link_seq, env });
+                    ctx.send(to, LinkMsg::Sequenced { link_seq, env });
                 }
             }
         }
@@ -406,7 +465,7 @@ impl LinkState {
     /// Counts one consumed data message from an upstream sender and emits
     /// a batched credit grant when due. External publishers (the facade)
     /// are not flow-controlled — they *are* the offered load.
-    fn note_data_arrival(&mut self, from: ActorId, ctx: &mut dyn NodeCtx) {
+    fn note_data_arrival(&mut self, from: ActorId, ctx: &mut Ctx<'_, LinkMsg>) {
         if self.cfg.flow_control && from.0 != usize::MAX {
             if let Some(consumed_total) = self.flow_rx(from).on_data() {
                 self.grant(from, consumed_total, ctx);
@@ -422,15 +481,15 @@ impl LinkState {
             .or_insert_with(|| FlowRx::new(capacity))
     }
 
-    fn grant(&mut self, to: ActorId, consumed_total: u64, ctx: &mut dyn NodeCtx) {
+    fn grant(&mut self, to: ActorId, consumed_total: u64, ctx: &mut Ctx<'_, LinkMsg>) {
         self.overload.grants_sent += 1;
-        ctx.send(to, OverlayMsg::CreditGrant { consumed_total });
+        ctx.send(to, LinkMsg::CreditGrant { consumed_total });
     }
 
     /// An upstream sender stalled on zero credit (or a breaker probing
     /// our liveness): answer with the consumed total immediately,
     /// bypassing every queue.
-    fn on_probe(&mut self, from: ActorId, ctx: &mut dyn NodeCtx) {
+    fn on_probe(&mut self, from: ActorId, ctx: &mut Ctx<'_, LinkMsg>) {
         if self.cfg.flow_control {
             let consumed_total = self.flow_rx(from).grant_now();
             self.grant(from, consumed_total, ctx);
@@ -440,7 +499,7 @@ impl LinkState {
     /// Merges a downstream's grant and sends what it freed. Stray grants
     /// (e.g. after a `Rejoin` reset the link) are ignored rather than
     /// asserted on: the next epoch starts clean.
-    fn on_grant(&mut self, from: ActorId, consumed_total: u64, ctx: &mut dyn NodeCtx) {
+    fn on_grant(&mut self, from: ActorId, consumed_total: u64, ctx: &mut Ctx<'_, LinkMsg>) {
         if let Some((link, _)) = self.flow_tx.get_mut(&from) {
             self.overload.grants_received += 1;
             let closed = link.on_grant(consumed_total).closed_breaker;
@@ -451,7 +510,7 @@ impl LinkState {
 
     /// Serves the NACK of `from`, the downstream receiver of a link we
     /// send on: retransmit what the ring still holds, concede the rest.
-    fn on_nack(&mut self, from: ActorId, from_seq: u64, to_seq: u64, ctx: &mut dyn NodeCtx) {
+    fn on_nack(&mut self, from: ActorId, from_seq: u64, to_seq: u64, ctx: &mut Ctx<'_, LinkMsg>) {
         let Some(link) = self.tx.get_mut(&from) else {
             return;
         };
@@ -471,16 +530,16 @@ impl LinkState {
             self.ensure_flow_timer(ctx);
         } else {
             for (link_seq, env) in resend {
-                ctx.send(from, OverlayMsg::Sequenced { link_seq, env });
+                ctx.send(from, LinkMsg::Sequenced { link_seq, env });
             }
         }
         if let Some(to) = advance {
-            ctx.send(from, OverlayMsg::Advance { to });
+            ctx.send(from, LinkMsg::Advance { to });
         }
     }
 
     /// Arms the flow-maintenance timer iff some link still needs it.
-    fn ensure_flow_timer(&mut self, ctx: &mut dyn NodeCtx) {
+    fn ensure_flow_timer(&mut self, ctx: &mut Ctx<'_, LinkMsg>) {
         if !self.flow_timer_armed && self.flow_tx.values().any(|l| l.0.needs_tick()) {
             self.flow_timer_armed = true;
             ctx.set_timer(SimDuration::from_ticks(FLOW_TICK), TAG_FLOW);
@@ -490,7 +549,7 @@ impl LinkState {
     /// One flow-maintenance tick: probe stalled links, advance breaker
     /// clocks, shed what an opening breaker flushed, and re-arm the timer
     /// while any link still needs it.
-    fn on_flow_tick(&mut self, ctx: &mut dyn NodeCtx) {
+    fn on_flow_tick(&mut self, ctx: &mut Ctx<'_, LinkMsg>) {
         self.flow_timer_armed = false;
         let now = ctx.now();
         // HashMap iteration order is randomly seeded per process; sends
@@ -506,7 +565,7 @@ impl LinkState {
                 Tick::Idle => {}
                 Tick::Probe => {
                     overload.probes_sent += 1;
-                    ctx.send(down, OverlayMsg::Credit);
+                    ctx.send(down, LinkMsg::Credit);
                 }
                 Tick::Opened { flushed } => {
                     overload.breaker_opened += 1;
@@ -518,7 +577,7 @@ impl LinkState {
                 Tick::HalfOpenProbe => {
                     overload.breaker_half_opened += 1;
                     overload.probes_sent += 1;
-                    ctx.send(down, OverlayMsg::Credit);
+                    ctx.send(down, LinkMsg::Credit);
                 }
                 // Leaked credit written off: the parked events can go.
                 Tick::Resync => self.drain_flow(down, ctx),
@@ -530,7 +589,12 @@ impl LinkState {
     /// Records a flow event (throttle or shed) on a sampled trace. Flow
     /// events describe what happened to one *outgoing copy*; the trace
     /// aggregation layer keeps them out of the arrival statistics.
-    fn record_flow_hop(&self, tc: Option<TraceContext>, ctx: &dyn NodeCtx, verdict: HopVerdict) {
+    fn record_flow_hop(
+        &self,
+        tc: Option<TraceContext>,
+        ctx: &Ctx<'_, LinkMsg>,
+        verdict: HopVerdict,
+    ) {
         let (Some(tc), Some(sink)) = (tc, self.trace.as_ref()) else {
             return;
         };
@@ -539,8 +603,8 @@ impl LinkState {
             node_id: trace_actor(ctx.me()),
             from_id: trace_actor(ctx.me()),
             stage: self.stage,
-            shard: ctx.shard(),
-            arrival: SimTime::from_ticks(ctx.trace_now()),
+            shard: 0,
+            arrival: ctx.now(),
             hop_latency: 0,
             verdict,
         };

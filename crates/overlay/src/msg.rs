@@ -105,30 +105,6 @@ pub enum OverlayMsg {
         /// The reconnecting subscriber.
         subscriber: ActorId,
     },
-    /// An event under per-link reliable sequencing (what a `Publish` or
-    /// `Deliver` travels as on a [`crate::link`] with
-    /// [`crate::LinkConfig::reliable`] set).
-    Sequenced {
-        /// The sender's sequence number for this `(sender, receiver)` link.
-        link_seq: u64,
-        /// The event itself.
-        env: Envelope,
-    },
-    /// The receiver of a reliable link detected a gap: it asks the sender
-    /// to retransmit link sequence numbers in `from_seq..to_seq`.
-    Nack {
-        /// First missing link sequence number.
-        from_seq: u64,
-        /// One past the last missing link sequence number.
-        to_seq: u64,
-    },
-    /// The sender of a reliable link concedes that everything below `to`
-    /// was evicted from its retransmission buffer; the receiver should
-    /// skip ahead rather than stall on the unrecoverable gap.
-    Advance {
-        /// The new lower bound for the receiver's expected link sequence.
-        to: u64,
-    },
     /// Positive acknowledgement of a [`OverlayMsg::Renew`]: the hosting
     /// node confirms it still holds filters for the renewing subscriber.
     /// A renewal that goes unacknowledged tells the subscriber its host
@@ -141,24 +117,11 @@ pub enum OverlayMsg {
     /// needs stored here (sent by a restarted broker rebuilding its table,
     /// and to children whose renewals reference unknown filters).
     Reannounce,
-    /// Credit probe: a sender stalled on zero flow-control credit asks its
-    /// downstream for an immediate [`OverlayMsg::CreditGrant`]. Also the
-    /// liveness probe of a half-open circuit breaker.
-    Credit,
-    /// Credit grant: the receiver reports how many data messages it has
-    /// consumed from this link **in total**. Grants are absolute (not
-    /// deltas), so duplicated, reordered or lost grants never corrupt the
-    /// sender's credit window — the sender simply keeps the maximum.
-    CreditGrant {
-        /// Cumulative count of data messages the receiver has consumed on
-        /// this directed link.
-        consumed_total: u64,
-    },
     /// An event delivered from a broker's durable log to a durable
     /// subscriber, stamped with its per-class log offset. Durable
-    /// deliveries bypass the flow-control egress queues and the
-    /// retransmission ring: the log itself is the buffer, and loss is
-    /// repaired by offset replay rather than NACKs.
+    /// deliveries bypass the simulator's flow-control egress queues and
+    /// retransmission ring ([`crate::link`]): the log itself is the
+    /// buffer, and loss is repaired by offset replay rather than NACKs.
     ///
     /// A stream carries only the records the consumer's filters match,
     /// so its offsets are not dense. `prev` chains each delivery to the
@@ -206,19 +169,16 @@ pub enum OverlayMsg {
 
 impl OverlayMsg {
     /// Whether this message carries event payload (the *data plane*).
-    /// Data messages are subject to flow control: they consume link
-    /// credit, wait in bounded egress queues, and may be shed under
-    /// overload. Everything else is *control plane* — placement,
-    /// leases, reliability NACKs, credit itself — and always bypasses
-    /// the queues, so the overlay can heal while saturated.
+    /// Data messages are what injected faults drop and what the
+    /// simulator's flow control queues and sheds under overload.
+    /// Everything else is *control plane* — placement, leases,
+    /// acknowledgements — and always bypasses the queues, so the overlay
+    /// can heal while saturated.
     #[must_use]
     pub fn is_data(&self) -> bool {
         matches!(
             self,
-            OverlayMsg::Publish(_)
-                | OverlayMsg::Deliver(_)
-                | OverlayMsg::Sequenced { .. }
-                | OverlayMsg::Durable { .. }
+            OverlayMsg::Publish(_) | OverlayMsg::Deliver(_) | OverlayMsg::Durable { .. }
         )
     }
 }
@@ -269,7 +229,9 @@ impl BinCodec for SubscriptionReq {
     }
 }
 
-// Variant tag bytes. Stable wire constants: append, never renumber.
+// Variant tag bytes. Stable wire constants: append, never renumber. Tags
+// 12, 13, 14, 18 and 19 named the simulator's link-layer frames (now
+// `link::LinkMsg`, which never reaches a wire) and stay unassigned.
 const T_ADVERTISE: u8 = 0;
 const T_SUBSCRIBE: u8 = 1;
 const T_JOIN_AT: u8 = 2;
@@ -282,14 +244,9 @@ const T_UNSUBSCRIBE: u8 = 8;
 const T_REQ_REMOVE: u8 = 9;
 const T_DETACH: u8 = 10;
 const T_ATTACH: u8 = 11;
-const T_SEQUENCED: u8 = 12;
-const T_NACK: u8 = 13;
-const T_ADVANCE: u8 = 14;
 const T_RENEW_ACK: u8 = 15;
 const T_REJOIN: u8 = 16;
 const T_REANNOUNCE: u8 = 17;
-const T_CREDIT: u8 = 18;
-const T_CREDIT_GRANT: u8 = 19;
 const T_DURABLE: u8 = 20;
 const T_ACK_UPTO: u8 = 21;
 const T_DURABLE_BASE: u8 = 22;
@@ -347,28 +304,9 @@ impl BinCodec for OverlayMsg {
                 out.push(T_ATTACH);
                 write_actor(out, *subscriber);
             }
-            OverlayMsg::Sequenced { link_seq, env } => {
-                out.push(T_SEQUENCED);
-                write_varint(out, *link_seq);
-                env.encode_bin(out, dict);
-            }
-            OverlayMsg::Nack { from_seq, to_seq } => {
-                out.push(T_NACK);
-                write_varint(out, *from_seq);
-                write_varint(out, *to_seq);
-            }
-            OverlayMsg::Advance { to } => {
-                out.push(T_ADVANCE);
-                write_varint(out, *to);
-            }
             OverlayMsg::RenewAck => out.push(T_RENEW_ACK),
             OverlayMsg::Rejoin => out.push(T_REJOIN),
             OverlayMsg::Reannounce => out.push(T_REANNOUNCE),
-            OverlayMsg::Credit => out.push(T_CREDIT),
-            OverlayMsg::CreditGrant { consumed_total } => {
-                out.push(T_CREDIT_GRANT);
-                write_varint(out, *consumed_total);
-            }
             OverlayMsg::Durable { prev, off, env } => {
                 // `prev` travels as its distance below `off`: one byte
                 // for any stream that is not extremely sparse.
@@ -423,22 +361,9 @@ impl BinCodec for OverlayMsg {
             T_ATTACH => OverlayMsg::Attach {
                 subscriber: read_actor(r)?,
             },
-            T_SEQUENCED => OverlayMsg::Sequenced {
-                link_seq: r.varint()?,
-                env: Envelope::decode_bin(r, dict)?,
-            },
-            T_NACK => OverlayMsg::Nack {
-                from_seq: r.varint()?,
-                to_seq: r.varint()?,
-            },
-            T_ADVANCE => OverlayMsg::Advance { to: r.varint()? },
             T_RENEW_ACK => OverlayMsg::RenewAck,
             T_REJOIN => OverlayMsg::Rejoin,
             T_REANNOUNCE => OverlayMsg::Reannounce,
-            T_CREDIT => OverlayMsg::Credit,
-            T_CREDIT_GRANT => OverlayMsg::CreditGrant {
-                consumed_total: r.varint()?,
-            },
             T_DURABLE => {
                 let off = r.varint()?;
                 OverlayMsg::Durable {
@@ -498,8 +423,6 @@ mod tests {
                 EventData::new(),
             )),
             OverlayMsg::Renew,
-            OverlayMsg::Credit,
-            OverlayMsg::CreditGrant { consumed_total: 7 },
         ];
         for m in &msgs {
             let copy = m.clone();
@@ -512,11 +435,6 @@ mod tests {
         let env = Envelope::from_meta(ClassId(0), "X", EventSeq(0), EventData::new());
         assert!(OverlayMsg::Publish(env.clone()).is_data());
         assert!(OverlayMsg::Deliver(env.clone()).is_data());
-        assert!(OverlayMsg::Sequenced {
-            link_seq: 0,
-            env: env.clone(),
-        }
-        .is_data());
         assert!(OverlayMsg::Durable {
             prev: 0,
             off: 1,
@@ -528,13 +446,6 @@ mod tests {
             OverlayMsg::RenewAck,
             OverlayMsg::Rejoin,
             OverlayMsg::Reannounce,
-            OverlayMsg::Credit,
-            OverlayMsg::CreditGrant { consumed_total: 0 },
-            OverlayMsg::Nack {
-                from_seq: 0,
-                to_seq: 1,
-            },
-            OverlayMsg::Advance { to: 1 },
             OverlayMsg::AckUpto {
                 class: ClassId(0),
                 upto: 3,
@@ -600,22 +511,9 @@ mod tests {
             OverlayMsg::Attach {
                 subscriber: ActorId(7),
             },
-            OverlayMsg::Sequenced {
-                link_seq: 19,
-                env: env.clone(),
-            },
-            OverlayMsg::Nack {
-                from_seq: 3,
-                to_seq: 8,
-            },
-            OverlayMsg::Advance { to: 11 },
             OverlayMsg::RenewAck,
             OverlayMsg::Rejoin,
             OverlayMsg::Reannounce,
-            OverlayMsg::Credit,
-            OverlayMsg::CreditGrant {
-                consumed_total: u64::MAX,
-            },
             OverlayMsg::Durable {
                 prev: 19,
                 off: 23,

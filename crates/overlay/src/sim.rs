@@ -174,7 +174,7 @@ impl OverlaySim {
             .expect("stage map fits the class schema");
         self.advertisements.push(adv.clone());
         self.world
-            .send_external(self.root, OverlayMsg::Advertise(adv));
+            .send_external(self.root, OverlayMsg::Advertise(adv).into());
     }
 
     /// Adds a subscriber with a declarative filter only.
@@ -276,7 +276,8 @@ impl OverlaySim {
                     filter,
                     subscriber: actor,
                     durable,
-                }),
+                })
+                .into(),
             );
         }
         Ok(SubscriberHandle(actor))
@@ -293,7 +294,7 @@ impl OverlaySim {
             }
         }
         self.world
-            .send_external(self.root, OverlayMsg::Publish(env));
+            .send_external(self.root, OverlayMsg::Publish(env).into());
     }
 
     /// Publishes a batch of events.
@@ -457,7 +458,8 @@ impl OverlaySim {
                 OverlayMsg::Unsubscribe {
                     filter,
                     subscriber: handle.0,
-                },
+                }
+                .into(),
             );
         }
         true
@@ -502,7 +504,7 @@ impl OverlaySim {
         hosts.sort();
         hosts.dedup();
         for host in hosts {
-            self.world.send_external(host, make(handle.0));
+            self.world.send_external(host, make(handle.0).into());
         }
         true
     }
@@ -578,7 +580,7 @@ impl OverlaySim {
         if id == self.root {
             for adv in self.advertisements.clone() {
                 self.world
-                    .send_external(self.root, OverlayMsg::Advertise(adv));
+                    .send_external(self.root, OverlayMsg::Advertise(adv).into());
             }
         }
         true

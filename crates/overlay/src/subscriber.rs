@@ -485,19 +485,9 @@ impl SubscriberNode {
             OverlayMsg::RenewAck => {
                 self.unacked.retain(|&h| h != from);
             }
-            // Link-layer frames mean something to a `link::Linked` wrapper
-            // only. Bare, they are ignored: a socket can deliver anything.
             other => {
                 debug_assert!(
-                    matches!(
-                        other,
-                        OverlayMsg::Advertise(_)
-                            | OverlayMsg::Sequenced { .. }
-                            | OverlayMsg::Nack { .. }
-                            | OverlayMsg::Advance { .. }
-                            | OverlayMsg::Credit
-                            | OverlayMsg::CreditGrant { .. }
-                    ),
+                    matches!(other, OverlayMsg::Advertise(_)),
                     "unexpected message at subscriber {}: {other:?}",
                     self.label
                 );

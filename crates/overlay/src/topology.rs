@@ -99,7 +99,6 @@ pub fn build_brokers(
                 registry: Arc::clone(registry),
                 placement: cfg.placement,
                 index: cfg.index,
-                covering_collapse: cfg.covering_collapse,
                 aggregation_enabled: cfg.aggregation_enabled,
                 wildcard_stage_placement: cfg.wildcard_stage_placement,
                 leases_enabled: cfg.leases_enabled,

@@ -105,16 +105,9 @@ fn arb_msg() -> impl Strategy<Value = OverlayMsg> {
             .prop_map(|(filter, child)| OverlayMsg::ReqRemove { filter, child }),
         arb_actor().prop_map(|subscriber| OverlayMsg::Detach { subscriber }),
         arb_actor().prop_map(|subscriber| OverlayMsg::Attach { subscriber }),
-        (any::<u64>(), arb_envelope())
-            .prop_map(|(link_seq, env)| OverlayMsg::Sequenced { link_seq, env }),
-        (any::<u64>(), any::<u64>())
-            .prop_map(|(from_seq, to_seq)| OverlayMsg::Nack { from_seq, to_seq }),
-        any::<u64>().prop_map(|to| OverlayMsg::Advance { to }),
         Just(OverlayMsg::RenewAck),
         Just(OverlayMsg::Rejoin),
         Just(OverlayMsg::Reannounce),
-        Just(OverlayMsg::Credit),
-        any::<u64>().prop_map(|consumed_total| OverlayMsg::CreditGrant { consumed_total }),
         (any::<u64>(), any::<u64>(), arb_envelope())
             .prop_map(|(prev, off, env)| OverlayMsg::Durable { prev, off, env }),
         (0u32..8, any::<u64>()).prop_map(|(class, upto)| OverlayMsg::AckUpto {

@@ -128,14 +128,3 @@ fn similarity_placement_is_unchanged_with_aggregation() {
         1126,
     );
 }
-
-#[test]
-fn similarity_placement_is_unchanged_with_covering_collapse() {
-    check(
-        OverlayConfig {
-            covering_collapse: true,
-            ..config()
-        },
-        1143,
-    );
-}

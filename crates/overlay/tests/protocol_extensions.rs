@@ -214,11 +214,11 @@ fn detach_does_not_affect_other_subscribers() {
 }
 
 #[test]
-fn covering_collapse_shrinks_tables_and_keeps_delivery_exact() {
-    let build = |collapse: bool| {
+fn aggregation_shrinks_tables_and_keeps_delivery_exact() {
+    let build = |aggregation: bool| {
         let (mut s, class) = sim(OverlayConfig {
             levels: vec![1],
-            covering_collapse: collapse,
+            aggregation_enabled: aggregation,
             ..OverlayConfig::default()
         });
         // The paper's Example 5 shape: g-covering chains on one node.
@@ -247,14 +247,14 @@ fn covering_collapse_shrinks_tables_and_keeps_delivery_exact() {
     };
 
     let (mut plain, class, plain_subs) = build(false);
-    let (mut collapsed, _, collapsed_subs) = build(true);
-    // Collapse folds the stronger filters into the earlier covering ones.
+    let (mut aggregated, _, aggregated_subs) = build(true);
+    // Aggregation folds the stronger filters under the covering one: the
+    // paper's "keep only g1".
     let plain_filters = plain.broker(plain.root()).unwrap().filter_count();
-    let collapsed_filters = collapsed.broker(collapsed.root()).unwrap().filter_count();
-    assert!(
-        collapsed_filters < plain_filters,
-        "collapse must shrink the table ({collapsed_filters} vs {plain_filters})"
-    );
+    let root = aggregated.broker(aggregated.root()).unwrap();
+    assert_eq!(plain_filters, 3);
+    assert_eq!(root.filter_count(), 1, "one live root");
+    assert_eq!(root.covered_subs(), 2, "two covered subscriptions");
 
     // Delivery stays exact either way.
     for (i, (year, conf, author)) in [
@@ -268,26 +268,35 @@ fn covering_collapse_shrinks_tables_and_keeps_delivery_exact() {
     {
         let e = ev(year, conf, author, "t");
         plain.publish(env(class, i as u64, e.clone()));
-        collapsed.publish(env(class, i as u64, e));
+        aggregated.publish(env(class, i as u64, e));
     }
     plain.settle();
-    collapsed.settle();
-    for (p, c) in plain_subs.iter().zip(&collapsed_subs) {
-        assert_eq!(plain.deliveries(*p), collapsed.deliveries(*c));
+    aggregated.settle();
+    for (p, a) in plain_subs.iter().zip(&aggregated_subs) {
+        assert_eq!(plain.deliveries(*p), aggregated.deliveries(*a));
     }
 
-    // Collapsed unsubscription removes the folded subscription only.
-    assert!(collapsed.unsubscribe_now(collapsed_subs[2]));
-    collapsed.settle();
-    collapsed.publish(env(class, 10, ev(2000, "icdcs", "eugster", "t")));
-    collapsed.settle();
+    // Unsubscribing a covered subscription removes it only.
+    assert!(aggregated.unsubscribe_now(aggregated_subs[2]));
+    aggregated.settle();
+    aggregated.publish(env(class, 10, ev(2000, "icdcs", "eugster", "t")));
+    aggregated.settle();
     assert_eq!(
-        collapsed.deliveries(collapsed_subs[2]).len(),
+        aggregated.deliveries(aggregated_subs[2]).len(),
         1,
         "only the pre-unsubscription delivery remains"
     );
-    let before = collapsed.deliveries(collapsed_subs[1]).len();
-    assert!(before >= 3, "other folded subscriptions keep flowing");
+    let before = aggregated.deliveries(aggregated_subs[1]).len();
+    assert!(before >= 3, "other covered subscriptions keep flowing");
+
+    // Unsubscribing the cover re-promotes what it covered.
+    assert!(aggregated.unsubscribe_now(aggregated_subs[0]));
+    aggregated.settle();
+    let root = aggregated.broker(aggregated.root()).unwrap();
+    assert_eq!((root.filter_count(), root.covered_subs()), (1, 0));
+    aggregated.publish(env(class, 11, ev(2000, "icdcs", "felber", "t")));
+    aggregated.settle();
+    assert_eq!(aggregated.deliveries(aggregated_subs[1]).len(), before + 1);
 }
 
 #[test]

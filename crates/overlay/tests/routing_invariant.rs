@@ -47,7 +47,7 @@ proptest! {
         unsubscribe_mask in proptest::collection::vec(any::<bool>(), 1..25),
         wildcard_rate in prop_oneof![Just(0.0), Just(0.4)],
         random_placement in any::<bool>(),
-        collapse in any::<bool>(),
+        aggregation in any::<bool>(),
     ) {
         let mut registry = TypeRegistry::new();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -68,7 +68,7 @@ proptest! {
             OverlayConfig {
                 levels: vec![6, 3, 1],
                 placement: if random_placement { PlacementPolicy::Random } else { PlacementPolicy::Similarity },
-                covering_collapse: collapse,
+                aggregation_enabled: aggregation,
                 seed,
                 ..OverlayConfig::default()
             },

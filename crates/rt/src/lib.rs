@@ -25,18 +25,21 @@
 //!
 //! # Observability
 //!
-//! Every counter and histogram lives in a sharded, lock-free
-//! [`layercake_metrics::TelemetryRegistry`] ([`RtStats::registry`]) and
-//! flows out three ways from one merged read:
+//! Every counter, gauge and histogram lives in a sharded, lock-free
+//! [`layercake_metrics::TelemetryRegistry`] ([`RtStats::registry`]) under
+//! one name, and flows out of one merged read, the registry's
+//! [`layercake_metrics::TelemetrySnapshot`]:
 //!
-//! * [`Runtime::snapshot`] — a structured [`RtSnapshot`] with stable
-//!   serde JSON and a `Display` table renderer;
-//! * a Prometheus text-exposition endpoint
-//!   ([`RtConfig::metrics_addr`], scrape with `curl`);
-//! * `overlay.trace_sample_every = n` samples every n-th published event
-//!   into a wall-clock [`layercake_trace::TraceSink`] whose per-hop
-//!   provenance (shard id, covering-filter verdict) and JSONL schema
-//!   match the simulator's traces.
+//! * [`Runtime::snapshot`] returns it: stable serde JSON, looked up by
+//!   name, rendered as tables by [`layercake_metrics::telemetry_table`];
+//! * a Prometheus text-exposition endpoint serves it
+//!   ([`RtConfig::metrics_addr`], scrape with `curl`).
+//!
+//! Event traces are the other instrument: `overlay.trace_sample_every =
+//! n` samples every n-th published event into a wall-clock
+//! [`layercake_trace::TraceSink`] whose per-hop provenance (shard id,
+//! covering-filter verdict) and JSONL schema match the simulator's
+//! traces.
 //!
 //! `RtConfig::stage_sample_every` additionally times sampled frames
 //! through the pipeline stages (ingress wait → decode → match → encode
@@ -104,7 +107,6 @@ mod fault;
 mod metrics_http;
 pub mod remote;
 mod runtime;
-mod snapshot;
 mod stats;
 mod supervisor;
 mod transport;
@@ -113,7 +115,6 @@ pub mod wire;
 pub use error::RtError;
 pub use fault::RtFaultPlan;
 pub use runtime::{Publisher, RtConfig, RtReport, RtSubscriberHandle, Runtime};
-pub use snapshot::RtSnapshot;
 pub use stats::RtStats;
 pub use supervisor::{CrashEntry, CrashKind, SupervisionConfig};
 pub use transport::TransportKind;

@@ -11,7 +11,7 @@
 //! # Sharding contract (leader/follower)
 //!
 //! Each broker is replicated across `shards` matcher threads. Data
-//! frames (`Publish`/`Deliver`/`Sequenced`) are routed to exactly one
+//! frames (`Publish`/`Deliver`/`Durable`) are routed to exactly one
 //! shard by a hash of the event class, so each class's matching work
 //! runs on one thread per broker and distinct classes spread across
 //! shards. Control frames are broadcast to *all* shards so every
@@ -69,7 +69,7 @@ use std::time::{Duration, Instant};
 
 use layercake_event::{Advertisement, Envelope, TraceContext, TraceId, TypeRegistry};
 use layercake_filter::{Filter, FilterId};
-use layercake_metrics::{DurabilityStats, Gauge, HistogramSample, PipelineStage, StageProfiler};
+use layercake_metrics::{DurabilityStats, Gauge, PipelineStage, StageProfiler, TelemetrySnapshot};
 use layercake_overlay::topology::{self, TopologyNode};
 use layercake_overlay::wal::FileStorage;
 use layercake_overlay::{Broker, Node, NodeCtx, OverlayConfig, OverlayMsg, SubscriberNode};
@@ -80,7 +80,6 @@ use crate::driver::{LoopExit, NodeDriver};
 use crate::error::RtError;
 use crate::fault::{FaultState, RtFaultPlan};
 use crate::metrics_http::MetricsServer;
-use crate::snapshot::RtSnapshot;
 use crate::stats::RtStats;
 use crate::supervisor::{
     panic_message, CrashEntry, CrashKind, DownKind, Notice, ShardOutcome, ShardSlot, Slots,
@@ -517,6 +516,14 @@ impl Router {
             .clone()
     }
 
+    /// Points broker `b` shard `shard` at `tx`, dropping the sender it
+    /// replaces — which closes that inbox once every clone is gone.
+    fn set_shard_sender(routes: &mut [Option<Route>], b: usize, shard: usize, tx: Sender<RtEvent>) {
+        if let Some(Some(route)) = routes.get_mut(b) {
+            route.shards[shard] = tx;
+        }
+    }
+
     /// Swaps broker `b` shard `shard`'s inbox sender for a fresh *park*
     /// channel and returns its receiver: frames sent during the restart
     /// window buffer there instead of vanishing into the dead channel.
@@ -524,20 +531,53 @@ impl Router {
     /// channel, so the crashed thread's receiver drains completely.
     pub(crate) fn park_shard(&self, b: usize, shard: usize) -> Receiver<RtEvent> {
         let (tx, rx) = channel();
-        let mut routes = self.write_routes();
-        if let Some(Some(route)) = routes.get_mut(b) {
-            route.shards[shard] = tx;
-        }
+        Self::set_shard_sender(&mut self.write_routes(), b, shard, tx);
         rx
     }
 
-    /// Whether `frame` should be requeued into a rebuilt shard that
-    /// already replayed `replayed` captured control broadcasts.
-    fn keep_frame(frame: &Frame, replayed: u64) -> bool {
-        match frame.tag {
-            FrameTag::Data | FrameTag::Ack => true,
-            FrameTag::Ctrl(seq) => seq >= replayed,
+    /// Moves a crashed generation's backlog — `stranded`, then whatever
+    /// `rx` still holds — into `tx`, leaving out the control frames a
+    /// rebuilt shard already replayed (the first `replayed` captured
+    /// broadcasts). A poison pill racing the restart is passed on only
+    /// when `pass_shutdown`. Returns `(data frames delivered, data frames
+    /// lost)`; with no `tx`, every data frame is lost.
+    fn drain_backlog(
+        tx: Option<&Sender<RtEvent>>,
+        stranded: impl IntoIterator<Item = Frame>,
+        rx: Option<&Receiver<RtEvent>>,
+        replayed: u64,
+        pass_shutdown: bool,
+    ) -> (u64, u64) {
+        let (mut delivered, mut lost) = (0u64, 0u64);
+        let backlog = stranded
+            .into_iter()
+            .map(RtEvent::Frame)
+            .chain(rx.into_iter().flat_map(Receiver::try_iter));
+        for ev in backlog {
+            match ev {
+                RtEvent::Frame(frame) => {
+                    if let FrameTag::Ctrl(seq) = frame.tag {
+                        if seq < replayed {
+                            continue;
+                        }
+                    }
+                    let data = frame.tag == FrameTag::Data;
+                    let sent = tx.is_some_and(|tx| tx.send(RtEvent::Frame(frame)).is_ok());
+                    if data && sent {
+                        delivered += 1;
+                    } else if data {
+                        lost += 1;
+                    }
+                }
+                RtEvent::Shutdown if pass_shutdown => {
+                    if let Some(tx) = tx {
+                        let _ = tx.send(RtEvent::Shutdown);
+                    }
+                }
+                RtEvent::Shutdown => {}
+            }
         }
+        (delivered, lost)
     }
 
     /// Installs a fresh live channel for broker `b` shard `shard`,
@@ -556,37 +596,11 @@ impl Router {
         replayed: u64,
     ) -> (Receiver<RtEvent>, u64) {
         let (tx, rx) = channel();
-        let mut requeued = 0u64;
         let mut routes = self.write_routes();
-        for frame in stranded {
-            if Self::keep_frame(&frame, replayed) {
-                if frame.tag == FrameTag::Data {
-                    requeued += 1;
-                }
-                let _ = tx.send(RtEvent::Frame(frame));
-            }
-        }
-        while let Ok(ev) = park_rx.try_recv() {
-            match ev {
-                RtEvent::Frame(frame) => {
-                    if Self::keep_frame(&frame, replayed) {
-                        if frame.tag == FrameTag::Data {
-                            requeued += 1;
-                        }
-                        let _ = tx.send(RtEvent::Frame(frame));
-                    }
-                }
-                // A poison pill racing the restart still shuts the
-                // replacement down.
-                RtEvent::Shutdown => {
-                    let _ = tx.send(RtEvent::Shutdown);
-                }
-            }
-        }
-        if let Some(Some(route)) = routes.get_mut(b) {
-            route.shards[shard] = tx;
-        }
-        drop(routes);
+        // A poison pill racing the restart still shuts the replacement
+        // down.
+        let (requeued, _) = Self::drain_backlog(Some(&tx), stranded, Some(park_rx), replayed, true);
+        Self::set_shard_sender(&mut routes, b, shard, tx);
         (rx, requeued)
     }
 
@@ -594,36 +608,19 @@ impl Router {
     /// receiver is already dropped): the restart budget is spent, and
     /// from now on every data frame sent to this shard fails soft into
     /// the loss ledger. Counts and discards the backlog (`stranded` plus
-    /// whatever `extra` still holds); returns the number of data frames
+    /// whatever `rx` still holds); returns the number of data frames
     /// lost.
     pub(crate) fn fail_shard(
         &self,
         b: usize,
         shard: usize,
-        stranded: Vec<Frame>,
-        extra: &Receiver<RtEvent>,
+        stranded: impl IntoIterator<Item = Frame>,
+        rx: Option<&Receiver<RtEvent>>,
     ) -> u64 {
         let (tx, _dead_rx) = channel();
-        {
-            let mut routes = self.write_routes();
-            if let Some(Some(route)) = routes.get_mut(b) {
-                route.shards[shard] = tx;
-            }
-        }
-        let mut lost = 0u64;
-        for frame in stranded {
-            if frame.tag == FrameTag::Data {
-                lost += 1;
-            }
-        }
-        while let Ok(ev) = extra.try_recv() {
-            if let RtEvent::Frame(frame) = ev {
-                if frame.tag == FrameTag::Data {
-                    lost += 1;
-                }
-            }
-        }
-        lost
+        Self::set_shard_sender(&mut self.write_routes(), b, shard, tx);
+        // Nothing was replayed, so every data frame counts.
+        Self::drain_backlog(None, stranded, rx, 0, false).1
     }
 
     /// Salvages a late-exiting zombie's trapped backlog into whatever
@@ -639,39 +636,11 @@ impl Router {
         rx: &Receiver<RtEvent>,
         replayed: u64,
     ) -> (u64, u64) {
-        let routes = self.read_routes();
-        let tx = match routes.get(b) {
+        let tx = match self.read_routes().get(b) {
             Some(Some(route)) => route.shards.get(shard).cloned(),
             _ => None,
         };
-        drop(routes);
-        let mut requeued = 0u64;
-        let mut lost = 0u64;
-        let mut feed = |frame: Frame| {
-            if !Self::keep_frame(&frame, replayed) {
-                return;
-            }
-            let data = frame.tag == FrameTag::Data;
-            let delivered = tx
-                .as_ref()
-                .is_some_and(|tx| tx.send(RtEvent::Frame(frame)).is_ok());
-            if data {
-                if delivered {
-                    requeued += 1;
-                } else {
-                    lost += 1;
-                }
-            }
-        };
-        if let Some(frame) = current {
-            feed(frame);
-        }
-        while let Ok(ev) = rx.try_recv() {
-            if let RtEvent::Frame(frame) = ev {
-                feed(frame);
-            }
-        }
-        (requeued, lost)
+        Self::drain_backlog(tx.as_ref(), current, Some(rx), replayed, false)
     }
 }
 
@@ -687,9 +656,9 @@ pub(crate) fn elapsed_ns(t0: Instant) -> u64 {
 /// own the class the ack is a no-op against an empty class history.
 fn data_class(msg: &OverlayMsg) -> Option<u32> {
     match msg {
-        OverlayMsg::Publish(env) | OverlayMsg::Deliver(env) => Some(env.class().0),
-        OverlayMsg::Sequenced { env, .. } => Some(env.class().0),
-        OverlayMsg::Durable { env, .. } => Some(env.class().0),
+        OverlayMsg::Publish(env) | OverlayMsg::Deliver(env) | OverlayMsg::Durable { env, .. } => {
+            Some(env.class().0)
+        }
         _ => None,
     }
 }
@@ -731,50 +700,6 @@ pub(crate) fn micros_since(epoch: Instant) -> u64 {
 
 pub(crate) fn nanos_since(epoch: Instant) -> u64 {
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Builds an [`RtSnapshot`] from the live metric sources. Stage entries
-/// are emitted for every pipeline stage, in pipeline order, whether or
-/// not they have samples — a stable shape is worth more than a few empty
-/// histograms.
-fn snapshot_from(
-    stats: &RtStats,
-    profiler: &StageProfiler,
-    trace: Option<&TraceSink>,
-    uptime_us: u64,
-) -> RtSnapshot {
-    RtSnapshot {
-        uptime_us,
-        published: stats.published(),
-        delivered: stats.delivered(),
-        frames_sent: stats.frames_sent(),
-        bytes_sent: stats.bytes_sent(),
-        frames_received: stats.frames_received(),
-        suppressed_control: stats.suppressed_control(),
-        decode_errors: stats.decode_errors(),
-        encode_errors: stats.encode_errors(),
-        timers_fired: stats.timers_fired(),
-        panics: stats.panics(),
-        restarts: stats.restarts(),
-        stalls: stats.stalls(),
-        gave_up: stats.gave_up(),
-        frames_dropped: stats.frames_dropped(),
-        frames_requeued: stats.frames_requeued(),
-        faults_injected: stats.faults_injected(),
-        traced: trace.map_or(0, TraceSink::traced_count),
-        filter_table_entries: stats.filter_table_entries(),
-        agg_covered_subs: stats.agg_covered_subs(),
-        latency_ns: stats.latency_histogram(),
-        queue_wait_ns: stats.queue_wait_histogram(),
-        restart_ns: stats.restart_histogram(),
-        stages: PipelineStage::ALL
-            .iter()
-            .map(|&s| HistogramSample {
-                name: s.metric_name().to_string(),
-                hist: profiler.stage_histogram(s),
-            })
-            .collect(),
-    }
 }
 
 /// A cloneable publisher edge. Each clone is meant to be driven by its
@@ -1134,18 +1059,16 @@ impl Runtime {
         &self.profiler
     }
 
-    /// A merged point-in-time view of every runtime metric: counters,
-    /// end-to-end latency, and per-stage pipeline histograms. The same
-    /// data serializes to stable JSON (`serde`) and renders as aligned
-    /// tables (`Display`).
+    /// A merged point-in-time view of every runtime metric, by its
+    /// registered name: counters (`rt.published`, ...), gauges
+    /// (`rt.filter_table_entries`, ...), the latency histograms and one
+    /// histogram per pipeline stage (`stage.match_ns`, ...). It is what
+    /// the Prometheus endpoint serves; it serializes to stable JSON
+    /// (`serde`) and [`layercake_metrics::telemetry_table`] renders it as
+    /// aligned tables.
     #[must_use]
-    pub fn snapshot(&self) -> RtSnapshot {
-        snapshot_from(
-            &self.stats,
-            &self.profiler,
-            self.trace.as_deref(),
-            micros_since(self.epoch),
-        )
+    pub fn snapshot(&self) -> TelemetrySnapshot {
+        self.stats.registry().snapshot()
     }
 
     /// The root broker's node id.
@@ -1461,36 +1384,26 @@ impl Runtime {
                     // entry was recorded when the supervisor gave up.
                     continue;
                 };
-                match handle.join() {
-                    Ok(ShardOutcome::Clean(broker)) => {
+                let joined = handle.join();
+                match joined.unwrap_or_else(|p| ShardOutcome::Panicked(panic_message(p.as_ref()))) {
+                    ShardOutcome::Clean(broker) => {
                         brokers.push(((ActorId(*b), *shard), *broker));
                     }
-                    Ok(ShardOutcome::Panicked(detail)) => {
-                        // A panic after the supervisor stopped: the exit
-                        // notice had nobody to process it.
-                        crashes.push(CrashEntry {
-                            node: ActorId(*b),
-                            shard: *shard,
-                            kind: CrashKind::Panic,
+                    // A panic after the supervisor stopped: the exit
+                    // notice had nobody to process it.
+                    ShardOutcome::Panicked(detail) => {
+                        crashes.push(CrashEntry::unrecovered(
+                            ActorId(*b),
+                            *shard,
+                            CrashKind::Panic,
                             detail,
-                            restarts: slot.restarts,
-                            recovered: false,
-                        });
+                            slot.restarts,
+                        ));
                     }
                     // A fenced zombie this generation never replaced
                     // (cannot normally happen — fencing always installs
                     // a successor handle); nothing to report.
-                    Ok(ShardOutcome::Fenced) => {}
-                    Err(payload) => {
-                        crashes.push(CrashEntry {
-                            node: ActorId(*b),
-                            shard: *shard,
-                            kind: CrashKind::Panic,
-                            detail: panic_message(payload.as_ref()),
-                            restarts: slot.restarts,
-                            recovered: false,
-                        });
-                    }
+                    ShardOutcome::Fenced => {}
                 }
             }
             i = j;
@@ -1502,35 +1415,20 @@ impl Runtime {
         }
         let mut subscribers = Vec::with_capacity(subs.len());
         for t in subs {
-            let outcome = t.handle.join();
-            match outcome {
-                Ok(SubOutcome::Clean(node)) => subscribers.push(*node),
-                Ok(SubOutcome::Panicked(detail)) => {
+            let joined = t.handle.join();
+            match joined.unwrap_or_else(|p| SubOutcome::Panicked(panic_message(p.as_ref()))) {
+                SubOutcome::Clean(node) => subscribers.push(*node),
+                SubOutcome::Panicked(detail) => {
                     // The supervisor usually recorded this from the exit
                     // notice already; don't double-count.
                     if !crashes.iter().any(|c| c.node == t.id) {
-                        crashes.push(CrashEntry {
-                            node: t.id,
-                            shard: 0,
-                            kind: CrashKind::Panic,
+                        crashes.push(CrashEntry::unrecovered(
+                            t.id,
+                            0,
+                            CrashKind::Panic,
                             detail,
-                            restarts: 0,
-                            recovered: false,
-                        });
-                    }
-                    subscribers
-                        .push(self.rebuild_subscriber_shell(&t.label, t.branches, t.durable));
-                }
-                Err(payload) => {
-                    if !crashes.iter().any(|c| c.node == t.id) {
-                        crashes.push(CrashEntry {
-                            node: t.id,
-                            shard: 0,
-                            kind: CrashKind::Panic,
-                            detail: panic_message(payload.as_ref()),
-                            restarts: 0,
-                            recovered: false,
-                        });
+                            0,
+                        ));
                     }
                     subscribers
                         .push(self.rebuild_subscriber_shell(&t.label, t.branches, t.durable));
@@ -1857,14 +1755,14 @@ pub(crate) fn perform_restart(
     let (broker, replayed) = match rebuild_broker(shared, b, shard) {
         Ok(x) => x,
         Err(e) => {
-            let lost = shared.router.fail_shard(b, shard, stranded, park_rx);
+            let lost = shared.router.fail_shard(b, shard, stranded, Some(park_rx));
             return Err((e, lost));
         }
     };
     let (generation, fence, heartbeat) = {
         let slots = shared.slots.lock().unwrap_or_else(PoisonError::into_inner);
         let Some(slot) = slots.get(&(b, shard)) else {
-            let lost = shared.router.fail_shard(b, shard, stranded, park_rx);
+            let lost = shared.router.fail_shard(b, shard, stranded, Some(park_rx));
             return Err(("supervision slot vanished".to_string(), lost));
         };
         (
@@ -1912,8 +1810,7 @@ pub(crate) fn perform_restart(
             // The spawn closure consumed the live inbox, taking the
             // freshly requeued backlog with it — count those frames as
             // lost alongside dead-ending the route.
-            let (_dead_tx, dead_rx) = channel();
-            let lost = shared.router.fail_shard(b, shard, Vec::new(), &dead_rx) + requeued;
+            let lost = shared.router.fail_shard(b, shard, [], None) + requeued;
             Err((format!("replacement thread spawn failed: {e}"), lost))
         }
     }

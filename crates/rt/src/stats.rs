@@ -244,22 +244,6 @@ impl RtStats {
         Arc::clone(&self.agg_covered_subs)
     }
 
-    /// Live filter-table entries across all broker leaders — the sum of
-    /// the filters each broker's match loop evaluates per event. Tracks
-    /// the `rt.filter_table_entries` gauge.
-    #[must_use]
-    pub fn filter_table_entries(&self) -> u64 {
-        u64::try_from(self.filter_table_entries.get()).unwrap_or(0)
-    }
-
-    /// Subscriptions currently held as covered aggregation bookkeeping
-    /// (no live entry of their own) across all broker leaders. Zero with
-    /// `aggregation_enabled` off. Tracks the `rt.agg_covered_subs` gauge.
-    #[must_use]
-    pub fn agg_covered_subs(&self) -> u64 {
-        u64::try_from(self.agg_covered_subs.get()).unwrap_or(0)
-    }
-
     /// Events handed to [`crate::Publisher::publish`].
     #[must_use]
     pub fn published(&self) -> u64 {
@@ -310,12 +294,6 @@ impl RtStats {
     #[must_use]
     pub fn encode_errors(&self) -> u64 {
         self.encode_errors.get()
-    }
-
-    /// Node timers that fired.
-    #[must_use]
-    pub fn timers_fired(&self) -> u64 {
-        self.timers_fired.get()
     }
 
     /// Node-thread panics caught by the supervision wrappers (broker

@@ -120,6 +120,26 @@ pub struct CrashEntry {
     pub recovered: bool,
 }
 
+impl CrashEntry {
+    /// A failure no replacement took over from.
+    pub(crate) fn unrecovered(
+        node: ActorId,
+        shard: usize,
+        kind: CrashKind,
+        detail: String,
+        restarts: u32,
+    ) -> Self {
+        Self {
+            node,
+            shard,
+            kind,
+            detail,
+            restarts,
+            recovered: false,
+        }
+    }
+}
+
 /// Why a shard thread exited through the notice channel.
 pub(crate) enum DownKind {
     Panic,
@@ -322,6 +342,33 @@ fn push_crash(shared: &SupervisorShared, entry: CrashEntry) {
         .push(entry);
 }
 
+/// Dead-ends broker `b` shard `shard` for good once its route fails soft
+/// (`Router::fail_shard`): marks the slot failed, counts the give-up and
+/// the `lost` data frames, and records the crash as unrecovered. The
+/// thread handle is detached — a stalled zombie may sleep forever, and
+/// joining it would wedge teardown.
+fn give_up(
+    shared: &SupervisorShared,
+    b: usize,
+    shard: usize,
+    kind: CrashKind,
+    detail: String,
+    lost: u64,
+) {
+    let restarts = lock_slots(shared).get_mut(&(b, shard)).map_or(0, |slot| {
+        slot.failed = true;
+        slot.restarting = false;
+        slot.handle = None;
+        slot.restarts
+    });
+    shared.stats.inc_gave_up();
+    shared.stats.add_frames_dropped(lost);
+    push_crash(
+        shared,
+        CrashEntry::unrecovered(ActorId(b), shard, kind, detail, restarts),
+    );
+}
+
 fn on_notice(shared: &SupervisorShared, notice: Notice, pending: &mut Vec<PendingRestart>) {
     match notice {
         Notice::ShardDown {
@@ -360,32 +407,8 @@ fn on_notice(shared: &SupervisorShared, notice: Notice, pending: &mut Vec<Pendin
             }
             // A current-generation panic.
             if !budget_left {
-                {
-                    let mut slots = lock_slots(shared);
-                    if let Some(slot) = slots.get_mut(&(b, shard)) {
-                        slot.failed = true;
-                        slot.handle = None;
-                    }
-                }
-                let mut stranded = Vec::new();
-                if let Some(frame) = current {
-                    stranded.push(frame);
-                }
-                let lost = shared.router.fail_shard(b, shard, stranded, &rx);
-                shared.stats.inc_gave_up();
-                shared.stats.add_frames_dropped(lost);
-                push_crash(
-                    shared,
-                    CrashEntry {
-                        node: ActorId(b),
-                        shard,
-                        kind: CrashKind::Panic,
-                        detail,
-                        restarts,
-                        recovered: false,
-                    },
-                );
-                return;
+                let lost = shared.router.fail_shard(b, shard, current, Some(&rx));
+                return give_up(shared, b, shard, CrashKind::Panic, detail, lost);
             }
             {
                 let mut slots = lock_slots(shared);
@@ -421,14 +444,7 @@ fn on_notice(shared: &SupervisorShared, notice: Notice, pending: &mut Vec<Pendin
         Notice::SubscriberDown { id, detail } => {
             push_crash(
                 shared,
-                CrashEntry {
-                    node: id,
-                    shard: 0,
-                    kind: CrashKind::Panic,
-                    detail,
-                    restarts: 0,
-                    recovered: false,
-                },
+                CrashEntry::unrecovered(id, 0, CrashKind::Panic, detail, 0),
             );
         }
     }
@@ -487,31 +503,8 @@ fn complete_restart(shared: &SupervisorShared, restart: PendingRestart) {
             );
         }
         Err((err, lost)) => {
-            let restarts = {
-                let mut slots = lock_slots(shared);
-                match slots.get_mut(&(b, shard)) {
-                    Some(slot) => {
-                        slot.failed = true;
-                        slot.restarting = false;
-                        slot.handle = None;
-                        slot.restarts
-                    }
-                    None => 0,
-                }
-            };
-            shared.stats.inc_gave_up();
-            shared.stats.add_frames_dropped(lost);
-            push_crash(
-                shared,
-                CrashEntry {
-                    node: ActorId(b),
-                    shard,
-                    kind,
-                    detail: format!("{detail}; restart failed: {err}"),
-                    restarts,
-                    recovered: false,
-                },
-            );
+            let detail = format!("{detail}; restart failed: {err}");
+            give_up(shared, b, shard, kind, detail, lost);
         }
     }
 }
@@ -524,11 +517,11 @@ fn complete_restart(shared: &SupervisorShared, restart: PendingRestart) {
 fn scan_stalls(shared: &SupervisorShared, timeout: Duration, pending: &mut Vec<PendingRestart>) {
     let now_us = micros_since(shared.router.epoch);
     let timeout_us = u64::try_from(timeout.as_micros()).unwrap_or(u64::MAX);
-    // (b, shard, restarts, heartbeat age µs) to restart; (b, shard,
-    // restarts, age) to give up on. Route edits happen after the slots
-    // lock drops — the router write lock is never nested inside it.
+    // (b, shard, restarts, heartbeat age µs) to restart; (b, shard, age)
+    // to give up on. Route edits happen after the slots lock drops — the
+    // router write lock is never nested inside it.
     let mut to_restart: Vec<(usize, usize, u32, u64)> = Vec::new();
-    let mut to_fail: Vec<(usize, usize, u32, u64)> = Vec::new();
+    let mut to_fail: Vec<(usize, usize, u64)> = Vec::new();
     {
         let mut slots = lock_slots(shared);
         for (&(b, shard), slot) in slots.iter_mut() {
@@ -546,12 +539,9 @@ fn scan_stalls(shared: &SupervisorShared, timeout: Duration, pending: &mut Vec<P
                 slot.restarting = true;
                 to_restart.push((b, shard, slot.restarts, age));
             } else {
-                slot.failed = true;
-                // Detach: the zombie may sleep forever; joining it would
-                // wedge teardown. If it ever wakes, its fence notice is
-                // salvaged against the dead-end route (counted loss).
-                slot.handle = None;
-                to_fail.push((b, shard, slot.restarts, age));
+                // If the zombie ever wakes, its fence notice is salvaged
+                // against the dead-end route (counted loss).
+                to_fail.push((b, shard, age));
             }
         }
     }
@@ -569,22 +559,10 @@ fn scan_stalls(shared: &SupervisorShared, timeout: Duration, pending: &mut Vec<P
             park_rx,
         });
     }
-    for (b, shard, restarts, age) in to_fail {
-        let (_dead_tx, dead_rx) = std::sync::mpsc::channel();
-        let lost = shared.router.fail_shard(b, shard, Vec::new(), &dead_rx);
-        shared.stats.inc_gave_up();
-        shared.stats.add_frames_dropped(lost);
-        push_crash(
-            shared,
-            CrashEntry {
-                node: ActorId(b),
-                shard,
-                kind: CrashKind::Stall,
-                detail: format!("heartbeat stalled for {age}µs; restart budget spent"),
-                restarts,
-                recovered: false,
-            },
-        );
+    for (b, shard, age) in to_fail {
+        let lost = shared.router.fail_shard(b, shard, [], None);
+        let detail = format!("heartbeat stalled for {age}µs; restart budget spent");
+        give_up(shared, b, shard, CrashKind::Stall, detail, lost);
     }
 }
 

@@ -339,7 +339,10 @@ mod tests {
 
     #[test]
     fn a_message_round_trips_with_its_sender() {
-        let msg = OverlayMsg::CreditGrant { consumed_total: 9 };
+        let msg = OverlayMsg::AckUpto {
+            class: ClassId(2),
+            upto: 9,
+        };
         let mut dict = EncodeDict::new(DictMode::Shared);
         let bytes = encode_msg(ActorId(usize::MAX), &msg, &mut dict).unwrap();
         let mut dec = LinkDecoder::new(WireCodec::Binary);
@@ -350,8 +353,25 @@ mod tests {
         assert!(dec.next_msg().unwrap().is_none());
         dec.finish().unwrap();
         // The external sender is the cheapest one to name: header, kind,
-        // one sender byte, then the message's tag and varint.
-        assert_eq!(bytes.len(), FRAME_HEADER_LEN + 4);
+        // one sender byte, then the message's tag and two varints.
+        assert_eq!(bytes.len(), FRAME_HEADER_LEN + 5);
+    }
+
+    /// Tag 12 named the simulator's `Sequenced` link frame. The link
+    /// layer's vocabulary is not part of the production protocol, so a
+    /// peer still sending one is rejected at the tag, like any unknown
+    /// variant.
+    #[test]
+    fn a_retired_link_layer_tag_is_a_codec_error() {
+        let mut payload = vec![KIND_MSG];
+        write_varint(&mut payload, 1);
+        payload.extend_from_slice(&[12, 3]);
+        let mut dec = LinkDecoder::new(WireCodec::Binary);
+        dec.push(&layercake_event::encode_frame(&payload).unwrap());
+        assert!(matches!(
+            dec.next_msg(),
+            Err(WireError::Codec(CodecError::Tag(12)))
+        ));
     }
 
     #[test]

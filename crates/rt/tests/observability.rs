@@ -17,8 +17,9 @@ use std::time::Duration;
 
 use layercake_event::{Advertisement, TypeRegistry};
 use layercake_filter::Filter;
+use layercake_metrics::{telemetry_table, TelemetrySnapshot};
 use layercake_overlay::{OverlayConfig, OverlaySim};
-use layercake_rt::{RtConfig, RtError, RtSnapshot, Runtime};
+use layercake_rt::{RtConfig, RtError, Runtime};
 use layercake_trace::EventTrace;
 use layercake_workload::{BiblioConfig, BiblioWorkload, StockConfig, StockWorkload};
 use rand::rngs::StdRng;
@@ -289,22 +290,27 @@ fn metrics_endpoint_serves_prometheus_exposition() {
             >= prom_value(body, "layercake_rt_frames_sent ")
     );
 
-    // The structured snapshot reads the same registry.
+    // The structured snapshot is the registry's: the endpoint's numbers,
+    // by the names they are registered under.
     let snap = rt.snapshot();
-    assert_eq!(snap.published, 40);
-    assert!(snap.stage("stage.match_ns").unwrap().count() > 0);
-    assert!(snap.stage("stage.decode_ns").unwrap().count() > 0);
-    assert!(snap.stage("stage.encode_ns").unwrap().count() > 0);
-    assert!(snap.stage("stage.egress_send_ns").unwrap().count() > 0);
-    assert!(snap.stage("stage.ingress_wait_ns").unwrap().count() > 0);
+    assert_eq!(snap.counter("rt.published"), Some(40));
+    for stage in [
+        "stage.match_ns",
+        "stage.decode_ns",
+        "stage.encode_ns",
+        "stage.egress_send_ns",
+        "stage.ingress_wait_ns",
+    ] {
+        assert!(snap.histogram(stage).unwrap().count() > 0, "{stage}");
+    }
 
     // Stable serde shape round-trips.
     let json = serde_json::to_string(&snap).unwrap();
-    let back: RtSnapshot = serde_json::from_str(&json).unwrap();
+    let back: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
     assert_eq!(snap, back);
-    // And the Display table names what it shows.
-    let table = snap.to_string();
-    assert!(table.contains("published"));
+    // And the table names what it shows.
+    let table = telemetry_table(&snap);
+    assert!(table.contains("rt.published"));
     assert!(table.contains("stage.match_ns"));
 
     let _ = rt.shutdown();
@@ -341,16 +347,18 @@ fn snapshot_and_prometheus_expose_table_shape_gauges() {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     let snap = loop {
         let snap = rt.snapshot();
-        if snap.filter_table_entries >= 2 && snap.agg_covered_subs >= 1 {
+        let entries = snap.gauge("rt.filter_table_entries").unwrap();
+        if entries >= 2 && snap.gauge("rt.agg_covered_subs").unwrap() >= 1 {
             break snap;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "table-shape gauges never published:\n{snap}"
+            "table-shape gauges never published:\n{}",
+            telemetry_table(&snap)
         );
         std::thread::sleep(Duration::from_millis(20));
     };
-    assert!(snap.to_string().contains("filter_table_entries"));
+    assert!(telemetry_table(&snap).contains("rt.filter_table_entries"));
 
     let response = scrape(addr);
     let body = response.split_once("\r\n\r\n").unwrap().1;

@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use layercake_event::{typed_event, Advertisement, Envelope, EventSeq, StageMap, TypeRegistry};
 use layercake_filter::Filter;
+use layercake_metrics::telemetry_table;
 use layercake_overlay::OverlayConfig;
 use layercake_rt::{RtConfig, Runtime};
 
@@ -55,10 +56,11 @@ fn main() {
     let expected = (0..400u64).filter(|s| (s % 300) + 1 >= 100).count() as u64;
     assert!(rt.wait_delivered(expected, Duration::from_secs(10)));
 
-    // 1. Structured snapshot: serde-stable JSON plus a table renderer.
+    // 1. Structured snapshot: every registered metric by name, serde-stable
+    //    JSON, rendered here as tables.
     let snap = rt.snapshot();
     println!("--- snapshot ---------------------------------------------\n");
-    println!("{snap}");
+    println!("{}", telemetry_table(&snap));
 
     // 2. Live Prometheus endpoint, scraped the way a collector would:
     //    curl http://<addr>/metrics

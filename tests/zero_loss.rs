@@ -26,7 +26,7 @@ fn check_zero_loss(
     subs: usize,
     events: u64,
     seed: u64,
-    covering_collapse: bool,
+    aggregation_enabled: bool,
 ) -> Result<(), TestCaseError> {
     let mut registry = TypeRegistry::new();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -50,7 +50,7 @@ fn check_zero_loss(
             placement,
             index,
             seed,
-            covering_collapse,
+            aggregation_enabled,
             ..OverlayConfig::default()
         },
         Arc::clone(&registry),
@@ -94,7 +94,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Zero loss / zero spurious delivery across random topologies,
-    /// placement policies, index kinds and wildcard rates.
+    /// placement policies, index kinds, wildcard rates and aggregation.
     #[test]
     fn delivery_equals_oracle(
         levels_ix in 0usize..4,
@@ -104,7 +104,7 @@ proptest! {
         subs in 1usize..30,
         events in 20u64..120,
         seed in 0u64..1_000,
-        collapse in any::<bool>(),
+        aggregation in any::<bool>(),
     ) {
         let levels = match levels_ix {
             0 => vec![1],
@@ -114,7 +114,7 @@ proptest! {
         };
         let placement = if placement_random { PlacementPolicy::Random } else { PlacementPolicy::Similarity };
         let index = if counting { IndexKind::Counting } else { IndexKind::Naive };
-        check_zero_loss(levels, placement, index, wildcard_rate, subs, events, seed, collapse)?;
+        check_zero_loss(levels, placement, index, wildcard_rate, subs, events, seed, aggregation)?;
     }
 }
 
@@ -135,9 +135,9 @@ fn paper_scale_delivery_equals_oracle() {
     .expect("paper-scale zero-loss check");
 }
 
-/// The same invariant with covering collapse enabled everywhere.
+/// The same invariant with subscription aggregation enabled everywhere.
 #[test]
-fn paper_scale_zero_loss_with_collapse() {
+fn paper_scale_zero_loss_with_aggregation() {
     check_zero_loss(
         vec![20, 4, 1],
         PlacementPolicy::Similarity,
@@ -148,7 +148,7 @@ fn paper_scale_zero_loss_with_collapse() {
         7,
         true,
     )
-    .expect("collapse zero-loss check");
+    .expect("aggregation zero-loss check");
 }
 
 /// Identical subscriptions from many subscribers all receive the stream.
