@@ -107,6 +107,7 @@ mod fault;
 mod metrics_http;
 pub mod remote;
 mod runtime;
+mod snapshot;
 mod stats;
 mod supervisor;
 mod transport;
