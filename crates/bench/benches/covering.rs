@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use layercake_event::TypeRegistry;
-use layercake_filter::{DestId, FilterTable, IndexKind};
+use layercake_filter::{DestId, FilterTable};
 use layercake_workload::{BiblioConfig, BiblioWorkload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,7 +50,7 @@ fn bench_find_cover(c: &mut Criterion) {
         );
         let class = registry.class(workload.class()).unwrap().clone();
         let g = BiblioWorkload::stage_map();
-        let mut table = FilterTable::new(IndexKind::Naive);
+        let mut table = FilterTable::default();
         for (i, f) in workload.subscriptions().iter().enumerate() {
             // Store stage-2 weakened forms, as a stage-2 broker would.
             table.insert(

@@ -9,7 +9,7 @@
 //! the full publish→deliver pipeline of the typed facade.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use layercake_core::{EventSystem, IndexKind};
+use layercake_core::EventSystem;
 use layercake_event::{ClassId, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::Filter;
 use layercake_workload::stock::{Stock, StockConfig, StockWorkload};
@@ -74,45 +74,42 @@ fn bench_per_hop_cost(c: &mut Criterion) {
 fn bench_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("typed_end_to_end");
     group.sample_size(20);
-    for kind in [IndexKind::Naive, IndexKind::Counting] {
-        group.bench_function(format!("publish_1000_{kind:?}"), |b| {
-            b.iter_batched(
-                || {
-                    let mut system = EventSystem::builder()
-                        .levels(&[8, 2, 1])
-                        .index(kind)
-                        .with_event::<Stock>()
-                        .expect("register")
-                        .build();
+    group.bench_function("publish_1000", |b| {
+        b.iter_batched(
+            || {
+                let mut system = EventSystem::builder()
+                    .levels(&[8, 2, 1])
+                    .with_event::<Stock>()
+                    .expect("register")
+                    .build();
+                system
+                    .advertise::<Stock>(Some(StockWorkload::stage_map()))
+                    .expect("advertise");
+                for i in 0..50 {
                     system
-                        .advertise::<Stock>(Some(StockWorkload::stage_map()))
-                        .expect("advertise");
-                    for i in 0..50 {
-                        system
-                            .subscribe::<Stock>(|f| {
-                                f.eq("symbol", StockWorkload::symbol_name(i))
-                                    .lt("price", 10.5)
-                            })
-                            .expect("subscribe");
-                    }
-                    let mut registry = TypeRegistry::new();
-                    let mut workload = StockWorkload::new(StockConfig::default(), &mut registry);
-                    let mut rng = StdRng::seed_from_u64(3);
-                    let quotes: Vec<Stock> =
-                        (0..1_000).map(|_| workload.next_quote(&mut rng)).collect();
-                    (system, quotes)
-                },
-                |(mut system, quotes)| {
-                    for q in &quotes {
-                        system.publish(black_box(q)).expect("publish");
-                    }
-                    system.settle();
-                    black_box(system.published())
-                },
-                criterion::BatchSize::LargeInput,
-            );
-        });
-    }
+                        .subscribe::<Stock>(|f| {
+                            f.eq("symbol", StockWorkload::symbol_name(i))
+                                .lt("price", 10.5)
+                        })
+                        .expect("subscribe");
+                }
+                let mut registry = TypeRegistry::new();
+                let mut workload = StockWorkload::new(StockConfig::default(), &mut registry);
+                let mut rng = StdRng::seed_from_u64(3);
+                let quotes: Vec<Stock> =
+                    (0..1_000).map(|_| workload.next_quote(&mut rng)).collect();
+                (system, quotes)
+            },
+            |(mut system, quotes)| {
+                for q in &quotes {
+                    system.publish(black_box(q)).expect("publish");
+                }
+                system.settle();
+                black_box(system.published())
+            },
+            criterion::BatchSize::LargeInput,
+        );
+    });
     group.finish();
 }
 

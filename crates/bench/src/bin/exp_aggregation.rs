@@ -37,7 +37,7 @@
 use std::time::Instant;
 
 use layercake_event::{ClassId, EventData, TypeRegistry};
-use layercake_filter::{AggTable, DestId, Filter, FilterTable, IndexKind};
+use layercake_filter::{AggTable, DestId, Filter, FilterTable};
 use layercake_metrics::render_table;
 use layercake_workload::{StockConfig, StockWorkload, SubsConfig, Zipf, ZipfSubs};
 use rand::rngs::StdRng;
@@ -105,14 +105,14 @@ fn run_scale(subs: usize, class: ClassId, registry: &TypeRegistry) -> ScaleResul
     );
 
     // ---- ingest -------------------------------------------------------
-    let mut plain = FilterTable::new(IndexKind::Counting);
+    let mut plain = FilterTable::default();
     let start = Instant::now();
     for (i, &rank) in draws.iter().enumerate() {
         plain.insert(pool[rank].clone(), DestId(i as u64));
     }
     let plain_insert_ns = start.elapsed().as_nanos() as f64 / subs as f64;
 
-    let mut agg = AggTable::new(IndexKind::Counting);
+    let mut agg = AggTable::default();
     let start = Instant::now();
     for (i, &rank) in draws.iter().enumerate() {
         agg.insert(pool[rank].clone(), DestId(i as u64), registry);

@@ -115,7 +115,6 @@ fn main() {
         MeshConfig {
             brokers: BROKERS,
             edges,
-            index: layercake_filter::IndexKind::Counting,
         }
     };
     for (name, cfg) in [

@@ -66,7 +66,7 @@ pub use layercake_event::{
     typed_event, Advertisement, AttrValue, AttributeDecl, ClassId, Envelope, EventData, EventSeq,
     StageMap, TypeRegistry, TypedEvent, ValueKind,
 };
-pub use layercake_filter::{Filter, FilterId, IndexKind, Predicate};
+pub use layercake_filter::{Filter, FilterId, Predicate};
 pub use layercake_metrics::RunMetrics;
 pub use layercake_overlay::{OverlayConfig, PlacementPolicy};
 pub use layercake_sim::SimDuration;

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use layercake_event::{
     Advertisement, ClassId, Envelope, EventSeq, StageMap, TypeRegistry, TypedEvent,
 };
-use layercake_filter::{Filter, IndexKind};
+use layercake_filter::Filter;
 use layercake_metrics::RunMetrics;
 use layercake_overlay::{OverlayConfig, OverlaySim, PlacementPolicy, SubscriberHandle};
 use layercake_sim::SimDuration;
@@ -67,13 +67,6 @@ impl EventSystemBuilder {
     #[must_use]
     pub fn placement(mut self, placement: PlacementPolicy) -> Self {
         self.overlay.placement = placement;
-        self
-    }
-
-    /// Sets the broker filter-table matching strategy.
-    #[must_use]
-    pub fn index(mut self, index: IndexKind) -> Self {
-        self.overlay.index = index;
         self
     }
 
@@ -232,7 +225,8 @@ impl EventSystem {
         &mut self,
         build: impl FnOnce(Filter) -> Filter,
     ) -> Result<Subscription<E>, CoreError> {
-        self.subscribe_inner::<E>(build, None)
+        let class = self.class_of::<E>()?;
+        self.subscribe_any_with::<E>(vec![build(Filter::for_class(class))], None)
     }
 
     /// Subscribes with a declarative filter *plus* a stateful typed residual
@@ -265,7 +259,11 @@ impl EventSystem {
         let wrapped = move |env: &Envelope| -> bool {
             env.decode::<E>().map(|e| residual(&e)).unwrap_or(false)
         };
-        self.subscribe_inner::<E>(build, Some(Box::new(wrapped)))
+        let class = self.class_of::<E>()?;
+        self.subscribe_any_with::<E>(
+            vec![build(Filter::for_class(class))],
+            Some(Box::new(wrapped)),
+        )
     }
 
     /// Subscribes with a *disjunction* of declarative filters: an event is
@@ -326,31 +324,6 @@ impl EventSystem {
             scoped.push(branch);
         }
         let handle = self.sim.add_subscriber_any(scoped, residual)?;
-        self.sim.set_store_envelopes(handle, true);
-        self.sim.settle();
-        Ok(Subscription::new(handle))
-    }
-
-    fn subscribe_inner<E: TypedEvent>(
-        &mut self,
-        build: impl FnOnce(Filter) -> Filter,
-        residual: Option<Box<dyn layercake_overlay::ResidualFilter>>,
-    ) -> Result<Subscription<E>, CoreError> {
-        let class = self.class_of::<E>()?;
-        let filter = build(Filter::for_class(class));
-        match filter.class() {
-            Some(c) if self.registry().is_subtype(c, class) => {}
-            other => {
-                let filter_class = other
-                    .and_then(|c| self.registry().class(c).map(|cl| cl.name().to_owned()))
-                    .unwrap_or_else(|| "<none>".to_owned());
-                return Err(CoreError::ClassMismatch {
-                    subscribed: E::CLASS_NAME.to_owned(),
-                    filter_class,
-                });
-            }
-        }
-        let handle = self.sim.add_subscriber_with(filter, residual)?;
         self.sim.set_store_envelopes(handle, true);
         // Complete the placement walk before returning so that the
         // subscription is immediately effective for subsequent publishes.
@@ -655,7 +628,6 @@ mod tests {
         let system = EventSystem::builder()
             .levels(&[2, 1])
             .placement(PlacementPolicy::Random)
-            .index(IndexKind::Naive)
             .wildcard_stage_placement(false)
             .seed(7)
             .with_event::<Stock>()

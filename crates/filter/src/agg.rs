@@ -143,7 +143,7 @@ fn filter_mask(f: &Filter) -> u64 {
 /// [`FilterTable`] its roots project into. Drop-in for the per-subscription
 /// table on the broker's hot path — [`AggTable::matches`] only ever
 /// evaluates the (much smaller) live index.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AggTable {
     /// Live index over root filters. Each entry's id-list is a single
     /// sentinel: the root's slab index, expanded to real destinations from
@@ -163,22 +163,10 @@ pub struct AggTable {
 }
 
 impl AggTable {
-    /// An empty forest whose live index uses the given strategy.
+    /// An empty forest; the same as [`AggTable::default`].
     #[must_use]
-    pub fn new(kind: IndexKind) -> Self {
-        AggTable {
-            live: FilterTable::new(kind),
-            nodes: Vec::new(),
-            free: Vec::new(),
-            by_key: HashMap::new(),
-            roots: BTreeSet::new(),
-            covered_pairs: 0,
-            total_pairs: 0,
-            dest_pairs: HashMap::new(),
-            match_scratch: Vec::new(),
-            merges: 0,
-            merge_enabled: false,
-        }
+    pub fn new(_index: IndexKind) -> Self {
+        Self::default()
     }
 
     /// Enables or disables bounded-weakening merges of near-identical
@@ -189,12 +177,6 @@ impl AggTable {
     /// over-forwards.
     pub fn set_merge(&mut self, enabled: bool) {
         self.merge_enabled = enabled;
-    }
-
-    /// The matching strategy of the live index.
-    #[must_use]
-    pub fn kind(&self) -> IndexKind {
-        self.live.kind()
     }
 
     /// Adds a `<filter, dest>` subscription pair to the forest.
@@ -801,7 +783,7 @@ mod tests {
     #[test]
     fn covered_insert_shares_the_root_entry() {
         let (r, stock) = registry();
-        let mut t = AggTable::new(IndexKind::Compiled);
+        let mut t = AggTable::default();
         let d1 = t.insert(sym(stock, "A"), DestId(1), &r);
         assert_eq!(d1.added, vec![sym(stock, "A").normalized()]);
         let d2 = t.insert(sym_lt(stock, "A", 10.0), DestId(2), &r);
@@ -824,7 +806,7 @@ mod tests {
     #[test]
     fn weaker_insert_demotes_existing_roots() {
         let (r, stock) = registry();
-        let mut t = AggTable::new(IndexKind::Compiled);
+        let mut t = AggTable::default();
         t.insert(sym_lt(stock, "A", 10.0), DestId(1), &r);
         t.insert(sym_lt(stock, "A", 20.0), DestId(2), &r);
         // 20.0 covers 10.0: one root, one covered child.
@@ -842,7 +824,7 @@ mod tests {
     #[test]
     fn removing_covering_root_repromotes_children() {
         let (r, stock) = registry();
-        let mut t = AggTable::new(IndexKind::Compiled);
+        let mut t = AggTable::default();
         t.insert(sym(stock, "A"), DestId(1), &r);
         t.insert(sym_lt(stock, "A", 10.0), DestId(2), &r);
         t.insert(sym_lt(stock, "A", 20.0), DestId(3), &r);
@@ -872,7 +854,7 @@ mod tests {
     #[test]
     fn refcounts_survive_duplicate_coverage() {
         let (r, stock) = registry();
-        let mut t = AggTable::new(IndexKind::Compiled);
+        let mut t = AggTable::default();
         // One destination holds both the root filter and a covered one.
         t.insert(sym(stock, "A"), DestId(1), &r);
         t.insert(sym_lt(stock, "A", 10.0), DestId(1), &r);
@@ -897,7 +879,7 @@ mod tests {
     #[test]
     fn unrelated_filters_stay_separate_roots() {
         let (r, stock) = registry();
-        let mut t = AggTable::new(IndexKind::Compiled);
+        let mut t = AggTable::default();
         t.insert(sym(stock, "A"), DestId(1), &r);
         t.insert(sym(stock, "B"), DestId(2), &r);
         assert_eq!(t.live_entries(), 2);
@@ -908,7 +890,7 @@ mod tests {
     #[test]
     fn remove_unknown_pair_is_a_noop() {
         let (r, stock) = registry();
-        let mut t = AggTable::new(IndexKind::Compiled);
+        let mut t = AggTable::default();
         t.insert(sym(stock, "A"), DestId(1), &r);
         let d = t.remove(&sym(stock, "B"), DestId(1), &r);
         assert!(!d.changed);
@@ -921,7 +903,7 @@ mod tests {
     #[test]
     fn find_cover_and_iter_expand_real_destinations() {
         let (r, stock) = registry();
-        let mut t = AggTable::new(IndexKind::Compiled);
+        let mut t = AggTable::default();
         t.insert(sym(stock, "A"), DestId(7), &r);
         t.insert(sym_lt(stock, "A", 10.0), DestId(3), &r);
         let (f, ds) = t.find_cover(&sym_lt(stock, "A", 5.0), &r).unwrap();
@@ -937,7 +919,7 @@ mod tests {
     #[test]
     fn filters_for_reports_original_filters() {
         let (r, stock) = registry();
-        let mut t = AggTable::new(IndexKind::Compiled);
+        let mut t = AggTable::default();
         t.insert(sym(stock, "A"), DestId(1), &r);
         t.insert(sym_lt(stock, "A", 10.0), DestId(2), &r);
         let fs: Vec<&Filter> = t.filters_for(DestId(2)).collect();
@@ -949,7 +931,7 @@ mod tests {
     #[test]
     fn bounded_weakening_merge_fuses_near_identical_siblings() {
         let (r, stock) = registry();
-        let mut t = AggTable::new(IndexKind::Compiled);
+        let mut t = AggTable::default();
         t.set_merge(true);
         t.insert(sym(stock, "A"), DestId(1), &r);
         let d = t.insert(sym(stock, "B"), DestId(2), &r);
@@ -981,7 +963,7 @@ mod tests {
     #[test]
     fn merge_rejects_unbounded_weakening() {
         let (r, stock) = registry();
-        let mut t = AggTable::new(IndexKind::Compiled);
+        let mut t = AggTable::default();
         t.set_merge(true);
         // Different attribute sets: no merge candidate at all.
         t.insert(sym(stock, "A"), DestId(1), &r);
@@ -997,8 +979,8 @@ mod tests {
         let mut rng = Lcg(0xA66_5EED);
         let symbols = ["A", "B", "C"];
         for round in 0..8 {
-            let mut agg = AggTable::new(IndexKind::Compiled);
-            let mut plain = FilterTable::new(IndexKind::Compiled);
+            let mut agg = AggTable::default();
+            let mut plain = FilterTable::default();
             let mut pairs: Vec<(Filter, DestId)> = Vec::new();
             for op in 0..120 {
                 let s = symbols[rng.below(3) as usize];

@@ -1,21 +1,19 @@
-//! Per-node filter tables and matching indexes.
+//! Per-node filter tables and their matching index.
 //!
 //! The paper's Figure 6 keeps, at every node, a table of
 //! `<filter, id-list>` pairs and evaluates each incoming event against every
-//! filter — the *naive* strategy. It notes that "efficient indexing and
-//! matching techniques can be used" but leaves them out of scope; we provide
-//! two such techniques:
+//! filter. It notes that "efficient indexing and matching techniques can be
+//! used" but leaves them out of scope; every [`FilterTable`] here runs one
+//! such technique, a predicate **counting index** in the style of
+//! Gryphon/Siena/Le Subscribe: identical predicates across filters are
+//! evaluated once per event, and a filter fires when all of its predicates
+//! have been counted. Equality predicates — by far the most common shape in
+//! content-based workloads — are *compiled* into a per-attribute table
+//! sorted by value, so the cost of an attribute with `k` distinct equality
+//! constants is one binary search (`O(log k)`) instead of `k` predicate
+//! evaluations.
 //!
-//! * a predicate **counting index** in the style of Gryphon/Siena/Le
-//!   Subscribe: identical predicates across filters are evaluated once per
-//!   event, and a filter fires when all of its predicates have been counted;
-//! * a **compiled** variant of the counting index that additionally resolves
-//!   equality predicates — by far the most common shape in content-based
-//!   workloads — through a per-attribute table sorted by value, so the cost
-//!   of an attribute with `k` distinct equality constants is one binary
-//!   search (`O(log k)`) instead of `k` predicate evaluations.
-//!
-//! Both indexes key predicate groups by interned
+//! The index keys predicate groups by interned
 //! [`AttrId`](layercake_event::AttrId)s in a dense vector, so dispatching an
 //! event attribute to its groups is an array index, with no string hashing
 //! on the hot path.
@@ -42,14 +40,15 @@ impl fmt::Display for DestId {
     }
 }
 
-/// Matching strategy used by a [`FilterTable`].
+/// The matching strategy of a [`FilterTable`], of which there is one. The
+/// type survives only because `benchmark/src/sut.rs` passes
+/// `OverlayConfig::default().index` to [`FilterTable::new`] and
+/// [`AggTable::new`](crate::AggTable::new), and the benchmark changes only
+/// on its own; the benchmark change that stops passing it deletes the type,
+/// both parameters and the `OverlayConfig` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexKind {
-    /// Scan every filter per event (the paper's Figure 6 algorithm).
-    Naive,
-    /// Counting index: shared predicates evaluated once per event.
-    Counting,
-    /// Counting index with equality predicates compiled into sorted
+    /// The counting index with equality predicates compiled into sorted
     /// per-attribute tables resolved by binary search.
     #[default]
     Compiled,
@@ -63,28 +62,27 @@ struct Entry {
     seq: u64,
 }
 
-/// A node's `<filter, id-list>` table (Figure 6) with pluggable matching
-/// strategy.
+/// A node's `<filter, id-list>` table (Figure 6), matched through a
+/// counting index.
 ///
 /// Inserting an existing filter (up to constraint reordering) for a new
 /// destination extends the id-list instead of duplicating the filter, as in
 /// the paper's insertion algorithm.
 ///
-/// Every operation on an indexed table ([`IndexKind::Counting`],
-/// [`IndexKind::Compiled`]) is answered from the one index it maintains:
+/// Every operation is answered from the one index the table maintains:
 /// matching, the covering search of subscription placement
 /// ([`find_cover`](FilterTable::find_cover)) and removal, which un-indexes
-/// the one entry it drops. [`IndexKind::Naive`] scans for all of them and is
-/// the reference the indexed strategies are tested against.
+/// the one entry it drops. The tests hold it to a linear scan of the stored
+/// filters, the paper's Figure 6 algorithm.
 ///
 /// # Example
 ///
 /// ```
 /// use layercake_event::{event_data, TypeRegistry, ClassId};
-/// use layercake_filter::{Filter, FilterTable, DestId, IndexKind};
+/// use layercake_filter::{Filter, FilterTable, DestId};
 ///
 /// let registry = TypeRegistry::new();
-/// let mut table = FilterTable::new(IndexKind::Counting);
+/// let mut table = FilterTable::default();
 /// table.insert(Filter::any().eq("symbol", "Foo"), DestId(1));
 /// table.insert(Filter::any().gt("price", 5.0), DestId(2));
 ///
@@ -94,9 +92,8 @@ struct Entry {
 /// out.sort();
 /// assert_eq!(out, vec![DestId(1), DestId(2)]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FilterTable {
-    kind: IndexKind,
     /// Entries by slot. A slot is the entry's number in `counting`; a
     /// removed entry's slot is reused, so the vector is as long as the table
     /// was at its largest.
@@ -116,32 +113,11 @@ pub struct FilterTable {
     slot_scratch: Vec<u32>,
 }
 
-impl Default for FilterTable {
-    fn default() -> Self {
-        Self::new(IndexKind::default())
-    }
-}
-
 impl FilterTable {
-    /// Creates an empty table with the given matching strategy.
+    /// Creates an empty table; the same as [`FilterTable::default`].
     #[must_use]
-    pub fn new(kind: IndexKind) -> Self {
-        Self {
-            kind,
-            entries: Vec::new(),
-            free: Vec::new(),
-            order: BTreeMap::new(),
-            next_seq: 0,
-            by_key: HashMap::new(),
-            counting: CountingIndex::with_compilation(kind == IndexKind::Compiled),
-            slot_scratch: Vec::new(),
-        }
-    }
-
-    /// The matching strategy in use.
-    #[must_use]
-    pub fn kind(&self) -> IndexKind {
-        self.kind
+    pub fn new(_index: IndexKind) -> Self {
+        Self::default()
     }
 
     fn entry(&self, slot: u32) -> &Entry {
@@ -173,9 +149,7 @@ impl FilterTable {
             self.entries.push(None);
             u32::try_from(self.entries.len() - 1).expect("filter table fits in u32")
         });
-        if self.kind != IndexKind::Naive {
-            self.counting.add(slot, &filter);
-        }
+        self.counting.add(slot, &filter);
         self.by_key.insert(key, slot);
         self.order.insert(self.next_seq, slot);
         self.entries[slot as usize] = Some(Entry {
@@ -200,9 +174,7 @@ impl FilterTable {
             return;
         }
         let entry = self.entries[slot as usize].take().expect("checked above");
-        if self.kind != IndexKind::Naive {
-            self.counting.remove(slot, &entry.filter);
-        }
+        self.counting.remove(slot, &entry.filter);
         self.by_key
             .remove(&key.unwrap_or_else(|| entry.filter.normalized()));
         self.order.remove(&entry.seq);
@@ -240,7 +212,7 @@ impl FilterTable {
 
     /// Collects the destinations of all filters matching the event, without
     /// duplicates, in ascending [`DestId`] order. (`&mut self` because the
-    /// counting strategy keeps per-call scratch state.)
+    /// index keeps per-call scratch state.)
     pub fn matches(
         &mut self,
         class: ClassId,
@@ -249,23 +221,12 @@ impl FilterTable {
         out: &mut Vec<DestId>,
     ) {
         out.clear();
-        match self.kind {
-            IndexKind::Naive => {
-                for e in self.entries.iter().flatten() {
-                    if e.filter.matches(class, meta, registry) {
-                        out.extend_from_slice(&e.dests);
-                    }
-                }
-            }
-            IndexKind::Counting | IndexKind::Compiled => {
-                let mut slots = std::mem::take(&mut self.slot_scratch);
-                self.counting.matches(class, meta, registry, &mut slots);
-                for &slot in &slots {
-                    out.extend_from_slice(&self.entry(slot).dests);
-                }
-                self.slot_scratch = slots;
-            }
+        let mut slots = std::mem::take(&mut self.slot_scratch);
+        self.counting.matches(class, meta, registry, &mut slots);
+        for &slot in &slots {
+            out.extend_from_slice(&self.entry(slot).dests);
         }
+        self.slot_scratch = slots;
         out.sort_unstable();
         out.dedup();
     }
@@ -280,36 +241,17 @@ impl FilterTable {
         meta: &EventData,
         registry: &TypeRegistry,
     ) -> bool {
-        match self.kind {
-            // Entries never have empty id-lists, so a matching filter
-            // implies a destination.
-            IndexKind::Naive => self
-                .entries
-                .iter()
-                .flatten()
-                .any(|e| e.filter.matches(class, meta, registry)),
-            IndexKind::Counting | IndexKind::Compiled => {
-                self.counting.matches_any(class, meta, registry)
-            }
-        }
+        // Entries never have empty id-lists, so a matching filter implies a
+        // destination.
+        self.counting.matches_any(class, meta, registry)
     }
 
     /// The slots of the entries whose filter covers `f`, in entry order.
     fn cover_slots(&mut self, f: &Filter, registry: &TypeRegistry) -> Vec<u32> {
-        match self.kind {
-            IndexKind::Naive => self
-                .order
-                .values()
-                .copied()
-                .filter(|&slot| self.entry(slot).filter.covers(f, registry))
-                .collect(),
-            IndexKind::Counting | IndexKind::Compiled => {
-                let mut slots = Vec::new();
-                self.counting.covers_of(f, registry, &mut slots);
-                slots.sort_unstable_by_key(|&slot| self.entry(slot).seq);
-                slots
-            }
-        }
+        let mut slots = Vec::new();
+        self.counting.covers_of(f, registry, &mut slots);
+        slots.sort_unstable_by_key(|&slot| self.entry(slot).seq);
+        slots
     }
 
     /// Every stored entry whose filter covers `f`, in entry order.
@@ -354,18 +296,14 @@ impl FilterTable {
 
     /// Stored entries whose filter is covered by `f`, in entry order — what
     /// a new aggregation root takes over. Sound, and deliberately not
-    /// exhaustive on an indexed table: when `f` carries equality constraints
-    /// only the entries repeating one of them are examined (every entry when
-    /// it carries none), so an entry that pins the same value another way
+    /// exhaustive: when `f` carries equality constraints only the entries
+    /// repeating one of them are examined (every entry when it carries
+    /// none), so an entry that pins the same value another way
     /// (`x ≥ 5 ∧ x ≤ 5` under `x = 5`) is missed. A miss leaves two entries
     /// where one would do; it never loses a match.
     #[must_use]
     pub fn covered_by(&self, f: &Filter, registry: &TypeRegistry) -> Vec<(&Filter, &[DestId])> {
-        let candidates = match self.kind {
-            IndexKind::Naive => None,
-            IndexKind::Counting | IndexKind::Compiled => self.counting.sharing_an_equality(f),
-        };
-        let mut found: Vec<&Entry> = match candidates {
+        let mut found: Vec<&Entry> = match self.counting.sharing_an_equality(f) {
             Some(slots) => slots.into_iter().map(|slot| self.entry(slot)).collect(),
             None => self.entries.iter().flatten().collect(),
         };
@@ -518,23 +456,18 @@ impl<'a> EqKeyRef<'a> {
 /// whose class constraint admits the event's class). Identical predicates
 /// shared by many filters are evaluated once per event.
 ///
-/// When built with compilation enabled
-/// ([`with_compilation`](CountingIndex::with_compilation)), equality
-/// predicates are additionally keyed by value in a sorted per-attribute
-/// table, so all equality constraints on one attribute cost a single binary
-/// search per event instead of one evaluation each.
+/// Equality predicates are keyed by value in a sorted per-attribute table,
+/// so all equality constraints on one attribute cost a single binary search
+/// per event instead of one evaluation each.
 ///
 /// The same groups answer the *covering* question
 /// ([`covers_of`](CountingIndex::covers_of)): with a filter in the event's
 /// place, a stored predicate counts when the filter's constraints on its
 /// attribute imply it.
 #[derive(Debug, Clone, Default)]
-pub struct CountingIndex {
-    /// Whether equality predicates compile to sorted lookup tables.
-    compiled: bool,
+pub(crate) struct CountingIndex {
     /// Per-slot requirements; `None` for a slot holding no filter.
     slots: Vec<Option<SlotInfo>>,
-    len: usize,
     /// Slots with no counted predicates (class-only or wildcard-only).
     zero_required: Vec<u32>,
     /// Distinct predicates grouped by interned attribute id; the vector is
@@ -554,10 +487,10 @@ struct SlotInfo {
 /// The predicate groups of one attribute.
 #[derive(Debug, Clone, Default)]
 struct AttrGroups {
-    /// Equality groups sorted by key, resolved by binary search (compiled
-    /// indexes only; empty otherwise).
+    /// Equality groups sorted by key, resolved by binary search.
     eq: Vec<EqGroup>,
-    /// Every other predicate shape, evaluated by linear scan.
+    /// Every other predicate shape (and an equality on NaN, which has no
+    /// key), evaluated by linear scan.
     scan: Vec<PredGroup>,
 }
 
@@ -656,19 +589,6 @@ impl AttrGroups {
         eq_hit.into_iter().chain(scan_hits)
     }
 
-    /// The posting lists of the groups whose predicate is an equality with a
-    /// value equal to `v`. Where equalities are not compiled they are scan
-    /// groups, one per spelling of the value (`5` and `5.0` are two).
-    fn demanding<'g>(&'g self, v: &'g AttrValue) -> impl Iterator<Item = &'g Vec<u32>> {
-        let compiled = EqKeyRef::of(v).and_then(|key| self.eq_group(&key));
-        let scanned = self
-            .scan
-            .iter()
-            .filter(move |g| matches!(&g.pred, Predicate::Eq(w) if w.value_eq(v)))
-            .map(|g| &g.slots);
-        compiled.into_iter().chain(scanned)
-    }
-
     /// The posting lists of the groups whose predicate is implied by
     /// `on_attr`, a filter's constraints on this attribute.
     ///
@@ -707,34 +627,17 @@ impl AttrGroups {
     }
 }
 
+/// The equality class a constraint is grouped under, when it has one. An
+/// `Eq` on NaN has none (it matches nothing); the scan path preserves that
+/// semantics.
+fn eq_key(pred: &Predicate) -> Option<EqKey> {
+    match pred {
+        Predicate::Eq(v) => EqKey::of(v),
+        _ => None,
+    }
+}
+
 impl CountingIndex {
-    /// Creates an empty index without equality compilation (the plain
-    /// counting strategy).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty index, compiling equality predicates into sorted
-    /// lookup tables when `compiled` is set.
-    #[must_use]
-    pub fn with_compilation(compiled: bool) -> Self {
-        Self {
-            compiled,
-            ..Self::default()
-        }
-    }
-
-    /// The equality class a constraint is grouped under, when this index
-    /// keeps equality groups and the predicate has one. An `Eq` on NaN has
-    /// none (it matches nothing); the scan path preserves that semantics.
-    fn eq_key(&self, pred: &Predicate) -> Option<EqKey> {
-        match pred {
-            Predicate::Eq(v) if self.compiled => EqKey::of(v),
-            _ => None,
-        }
-    }
-
     /// Registers a filter under a vacant slot.
     ///
     /// # Panics
@@ -756,7 +659,7 @@ impl CountingIndex {
                 continue; // wildcards are always satisfied
             }
             required += 1;
-            let key = self.eq_key(c.predicate());
+            let key = eq_key(c.predicate());
             let attr = c.id().0 as usize;
             if attr >= self.by_attr.len() {
                 self.by_attr.resize_with(attr + 1, AttrGroups::default);
@@ -794,7 +697,6 @@ impl CountingIndex {
             required,
             class: filter.class(),
         });
-        self.len += 1;
     }
 
     /// Unregisters the filter held by `slot`, touching only the groups of
@@ -808,7 +710,6 @@ impl CountingIndex {
         let info = self.slots[slot as usize]
             .take()
             .expect("counting index slot holds a filter");
-        self.len -= 1;
         if info.required == 0 {
             unpost(&mut self.zero_required, slot);
         }
@@ -816,7 +717,7 @@ impl CountingIndex {
             if matches!(c.predicate(), Predicate::Any) {
                 continue;
             }
-            let key = self.eq_key(c.predicate());
+            let key = eq_key(c.predicate());
             let groups = &mut self.by_attr[c.id().0 as usize];
             if let Some(key) = key {
                 let pos = groups
@@ -951,36 +852,22 @@ impl CountingIndex {
     /// constraint fewest filters share. `None` when `f` has no equality
     /// constraint, and every slot is a candidate.
     fn sharing_an_equality(&self, f: &Filter) -> Option<Vec<u32>> {
-        let posted = |lists: &[&Vec<u32>]| lists.iter().map(|l| l.len()).sum::<usize>();
-        let mut fewest: Option<Vec<&Vec<u32>>> = None;
+        let mut fewest: Option<&[u32]> = None;
         for c in f.constraints() {
             let Predicate::Eq(v) = c.predicate() else {
                 continue;
             };
-            let lists: Vec<&Vec<u32>> = self
+            let posted = self
                 .by_attr
                 .get(c.id().0 as usize)
-                .map_or_else(Vec::new, |groups| groups.demanding(v).collect());
-            if fewest
-                .as_ref()
-                .is_none_or(|best| posted(&lists) < posted(best))
-            {
-                fewest = Some(lists);
+                .zip(EqKeyRef::of(v))
+                .and_then(|(groups, key)| groups.eq_group(&key))
+                .map_or(&[][..], Vec::as_slice);
+            if fewest.is_none_or(|best| posted.len() < best.len()) {
+                fewest = Some(posted);
             }
         }
-        fewest.map(|lists| lists.into_iter().flatten().copied().collect())
-    }
-
-    /// Number of registered filters.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no filters are registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+        fewest.map(<[u32]>::to_vec)
     }
 }
 
@@ -996,41 +883,26 @@ mod tests {
         (r, stock, auction)
     }
 
-    fn check_all(build: impl Fn(&mut FilterTable)) -> Vec<Vec<DestId>> {
-        let (r, stock, _) = registry();
-        let meta = event_data! { "symbol" => "Foo", "price" => 10.0 };
-        let mut results = Vec::new();
-        for kind in [IndexKind::Naive, IndexKind::Counting, IndexKind::Compiled] {
-            let mut t = FilterTable::new(kind);
-            build(&mut t);
-            let mut out = Vec::new();
-            t.matches(stock, &meta, &r, &mut out);
-            out.sort();
-            results.push(out);
-        }
-        results
-    }
-
     #[test]
-    fn all_strategies_agree() {
-        let results = check_all(|t| {
-            t.insert(Filter::any().eq("symbol", "Foo"), DestId(1));
-            t.insert(Filter::any().gt("price", 5.0), DestId(2));
-            t.insert(Filter::any().eq("symbol", "Bar"), DestId(3));
-            t.insert(
-                Filter::any().eq("symbol", "Foo").lt("price", 9.0),
-                DestId(4),
-            );
-            t.insert(
-                Filter::any().eq("symbol", "Foo").le("price", 10.0),
-                DestId(5),
-            );
-            t.insert(Filter::any(), DestId(6));
-        });
-        let expect = vec![DestId(1), DestId(2), DestId(5), DestId(6)];
-        for out in results {
-            assert_eq!(out, expect);
-        }
+    fn matches_collects_every_matching_destination() {
+        let (r, stock, _) = registry();
+        let mut t = FilterTable::default();
+        t.insert(Filter::any().eq("symbol", "Foo"), DestId(1));
+        t.insert(Filter::any().gt("price", 5.0), DestId(2));
+        t.insert(Filter::any().eq("symbol", "Bar"), DestId(3));
+        t.insert(
+            Filter::any().eq("symbol", "Foo").lt("price", 9.0),
+            DestId(4),
+        );
+        t.insert(
+            Filter::any().eq("symbol", "Foo").le("price", 10.0),
+            DestId(5),
+        );
+        t.insert(Filter::any(), DestId(6));
+        let meta = event_data! { "symbol" => "Foo", "price" => 10.0 };
+        let mut out = Vec::new();
+        t.matches(stock, &meta, &r, &mut out);
+        assert_eq!(out, vec![DestId(1), DestId(2), DestId(5), DestId(6)]);
     }
 
     #[test]
@@ -1038,7 +910,7 @@ mod tests {
         // Int and Float equality constants land in one numeric key; an Int
         // event value must hit a Float-written constraint and vice versa.
         let (r, stock, _) = registry();
-        let mut t = FilterTable::new(IndexKind::Compiled);
+        let mut t = FilterTable::default();
         t.insert(Filter::any().eq("price", 5.0), DestId(1));
         t.insert(Filter::any().eq("price", 5_i64), DestId(2));
         t.insert(Filter::any().eq("price", 6_i64), DestId(3));
@@ -1058,35 +930,33 @@ mod tests {
     #[test]
     fn compiled_mixes_eq_and_range_constraints() {
         let (r, stock, _) = registry();
-        for kind in [IndexKind::Counting, IndexKind::Compiled] {
-            let mut t = FilterTable::new(kind);
-            t.insert(
-                Filter::any().eq("symbol", "Foo").gt("price", 5.0),
-                DestId(1),
-            );
-            t.insert(Filter::any().eq("symbol", "Foo"), DestId(2));
-            let mut out = Vec::new();
-            t.matches(
-                stock,
-                &event_data! { "symbol" => "Foo", "price" => 7.0 },
-                &r,
-                &mut out,
-            );
-            assert_eq!(out, vec![DestId(1), DestId(2)], "kind {kind:?}");
-            t.matches(
-                stock,
-                &event_data! { "symbol" => "Foo", "price" => 3.0 },
-                &r,
-                &mut out,
-            );
-            assert_eq!(out, vec![DestId(2)], "kind {kind:?}");
-        }
+        let mut t = FilterTable::default();
+        t.insert(
+            Filter::any().eq("symbol", "Foo").gt("price", 5.0),
+            DestId(1),
+        );
+        t.insert(Filter::any().eq("symbol", "Foo"), DestId(2));
+        let mut out = Vec::new();
+        t.matches(
+            stock,
+            &event_data! { "symbol" => "Foo", "price" => 7.0 },
+            &r,
+            &mut out,
+        );
+        assert_eq!(out, vec![DestId(1), DestId(2)]);
+        t.matches(
+            stock,
+            &event_data! { "symbol" => "Foo", "price" => 3.0 },
+            &r,
+            &mut out,
+        );
+        assert_eq!(out, vec![DestId(2)]);
     }
 
     #[test]
     fn negative_zero_equality_class() {
         let (r, stock, _) = registry();
-        let mut t = FilterTable::new(IndexKind::Compiled);
+        let mut t = FilterTable::default();
         t.insert(Filter::any().eq("x", -0.0), DestId(1));
         let mut out = Vec::new();
         t.matches(stock, &event_data! { "x" => 0.0 }, &r, &mut out);
@@ -1096,25 +966,23 @@ mod tests {
     #[test]
     fn matches_any_early_exit_agrees_with_full_match() {
         let (r, stock, auction) = registry();
-        for kind in [IndexKind::Naive, IndexKind::Counting, IndexKind::Compiled] {
-            let mut t = FilterTable::new(kind);
-            t.insert(Filter::for_class(stock).eq("symbol", "Foo"), DestId(1));
-            t.insert(Filter::any().gt("price", 100.0), DestId(2));
-            let hit = event_data! { "symbol" => "Foo" };
-            let miss = event_data! { "symbol" => "Bar", "price" => 10.0 };
-            assert!(t.matches_any(stock, &hit, &r,), "kind {kind:?}");
-            assert!(!t.matches_any(stock, &miss, &r), "kind {kind:?}");
-            // The class-constrained filter must not fire for Auction.
-            assert!(!t.matches_any(auction, &hit, &r), "kind {kind:?}");
-            // A zero-required (class-only) filter answers immediately.
-            t.insert(Filter::for_class(auction), DestId(3));
-            assert!(t.matches_any(auction, &hit, &r), "kind {kind:?}");
-        }
+        let mut t = FilterTable::default();
+        t.insert(Filter::for_class(stock).eq("symbol", "Foo"), DestId(1));
+        t.insert(Filter::any().gt("price", 100.0), DestId(2));
+        let hit = event_data! { "symbol" => "Foo" };
+        let miss = event_data! { "symbol" => "Bar", "price" => 10.0 };
+        assert!(t.matches_any(stock, &hit, &r,));
+        assert!(!t.matches_any(stock, &miss, &r));
+        // The class-constrained filter must not fire for Auction.
+        assert!(!t.matches_any(auction, &hit, &r));
+        // A zero-required (class-only) filter answers immediately.
+        t.insert(Filter::for_class(auction), DestId(3));
+        assert!(t.matches_any(auction, &hit, &r));
     }
 
     #[test]
     fn duplicate_filters_extend_id_list() {
-        let mut t = FilterTable::new(IndexKind::Naive);
+        let mut t = FilterTable::default();
         let f = Filter::any().eq("a", 1).eq("b", 2);
         // Same filter modulo constraint order.
         let f_reordered = Filter::any().eq("b", 2).eq("a", 1);
@@ -1130,25 +998,23 @@ mod tests {
         let mut r = TypeRegistry::new();
         let base = r.register("Quote", None, vec![]).unwrap();
         let stock = r.register("Stock", Some("Quote"), vec![]).unwrap();
-        for kind in [IndexKind::Naive, IndexKind::Counting, IndexKind::Compiled] {
-            let mut t = FilterTable::new(kind);
-            t.insert(Filter::for_class(base), DestId(1));
-            t.insert(Filter::for_class(stock), DestId(2));
-            let meta = EventData::new();
-            let mut out = Vec::new();
-            t.matches(stock, &meta, &r, &mut out);
-            out.sort();
-            assert_eq!(out, vec![DestId(1), DestId(2)], "kind {kind:?}");
-            t.matches(base, &meta, &r, &mut out);
-            assert_eq!(out, vec![DestId(1)]);
-        }
+        let mut t = FilterTable::default();
+        t.insert(Filter::for_class(base), DestId(1));
+        t.insert(Filter::for_class(stock), DestId(2));
+        let meta = EventData::new();
+        let mut out = Vec::new();
+        t.matches(stock, &meta, &r, &mut out);
+        out.sort();
+        assert_eq!(out, vec![DestId(1), DestId(2)]);
+        t.matches(base, &meta, &r, &mut out);
+        assert_eq!(out, vec![DestId(1)]);
     }
 
     #[test]
     fn removal_unindexes_in_place() {
         let (r, stock, _) = registry();
         let meta = event_data! { "symbol" => "Foo" };
-        let mut t = FilterTable::new(IndexKind::Counting);
+        let mut t = FilterTable::default();
         let f = Filter::any().eq("symbol", "Foo");
         t.insert(f.clone(), DestId(1));
         t.insert(f.clone(), DestId(2));
@@ -1166,56 +1032,52 @@ mod tests {
     #[test]
     fn freed_slots_are_reused_without_disturbing_entry_order() {
         let (r, stock, _) = registry();
-        for kind in [IndexKind::Naive, IndexKind::Counting, IndexKind::Compiled] {
-            let mut t = FilterTable::new(kind);
-            let sym = |s: &str| Filter::for_class(stock).eq("symbol", s);
-            for (i, s) in ["A", "B", "C"].into_iter().enumerate() {
-                t.insert(sym(s), DestId(i as u64));
-            }
-            assert!(t.remove(&sym("A"), DestId(0)));
-            // "D" takes over A's slot but stands last in entry order.
-            t.insert(sym("D"), DestId(3));
-            let order: Vec<Filter> = t.iter().map(|(f, _)| f.clone()).collect();
-            assert_eq!(order, vec![sym("B"), sym("C"), sym("D")], "kind {kind:?}");
-            let mut out = Vec::new();
-            t.matches(stock, &event_data! { "symbol" => "D" }, &r, &mut out);
-            assert_eq!(out, vec![DestId(3)], "kind {kind:?}");
-            t.matches(stock, &event_data! { "symbol" => "A" }, &r, &mut out);
-            assert!(out.is_empty(), "kind {kind:?}");
+        let mut t = FilterTable::default();
+        let sym = |s: &str| Filter::for_class(stock).eq("symbol", s);
+        for (i, s) in ["A", "B", "C"].into_iter().enumerate() {
+            t.insert(sym(s), DestId(i as u64));
         }
+        assert!(t.remove(&sym("A"), DestId(0)));
+        // "D" takes over A's slot but stands last in entry order.
+        t.insert(sym("D"), DestId(3));
+        let order: Vec<Filter> = t.iter().map(|(f, _)| f.clone()).collect();
+        assert_eq!(order, vec![sym("B"), sym("C"), sym("D")]);
+        let mut out = Vec::new();
+        t.matches(stock, &event_data! { "symbol" => "D" }, &r, &mut out);
+        assert_eq!(out, vec![DestId(3)]);
+        t.matches(stock, &event_data! { "symbol" => "A" }, &r, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
-    fn find_cover_breaks_ties_by_entry_order_on_every_strategy() {
+    fn find_cover_breaks_ties_by_entry_order() {
         let (r, stock, _) = registry();
         // Two incomparable covers of the probe: the first stored wins, and
         // after it is removed and stored again, the other one does.
         let by_symbol = Filter::for_class(stock).eq("symbol", "A");
         let by_price = Filter::for_class(stock).lt("price", 20.0);
         let probe = Filter::for_class(stock).eq("symbol", "A").lt("price", 10.0);
-        for kind in [IndexKind::Naive, IndexKind::Counting, IndexKind::Compiled] {
-            let mut t = FilterTable::new(kind);
-            t.insert(by_symbol.clone(), DestId(1));
-            t.insert(by_price.clone(), DestId(2));
-            assert_eq!(t.find_cover(&probe, &r).unwrap().0, &by_symbol, "{kind:?}");
-            t.remove(&by_symbol, DestId(1));
-            t.insert(by_symbol.clone(), DestId(1));
-            assert_eq!(t.find_cover(&probe, &r).unwrap().0, &by_price, "{kind:?}");
-            // A cover of both earlier covers never wins over them...
-            t.insert(Filter::for_class(stock), DestId(3));
-            assert_eq!(t.find_cover(&probe, &r).unwrap().0, &by_price, "{kind:?}");
-            // ...and a stronger cover stored later does.
-            let strong = Filter::for_class(stock).eq("symbol", "A").lt("price", 20.0);
-            t.insert(strong.clone(), DestId(4));
-            assert_eq!(t.find_cover(&probe, &r).unwrap().0, &strong, "{kind:?}");
-        }
+        let mut t = FilterTable::default();
+        t.insert(by_symbol.clone(), DestId(1));
+        t.insert(by_price.clone(), DestId(2));
+        assert_eq!(t.find_cover(&probe, &r).unwrap().0, &by_symbol);
+        t.remove(&by_symbol, DestId(1));
+        t.insert(by_symbol.clone(), DestId(1));
+        assert_eq!(t.find_cover(&probe, &r).unwrap().0, &by_price);
+        // A cover of both earlier covers never wins over them...
+        t.insert(Filter::for_class(stock), DestId(3));
+        assert_eq!(t.find_cover(&probe, &r).unwrap().0, &by_price);
+        // ...and a stronger cover stored later does.
+        let strong = Filter::for_class(stock).eq("symbol", "A").lt("price", 20.0);
+        t.insert(strong.clone(), DestId(4));
+        assert_eq!(t.find_cover(&probe, &r).unwrap().0, &strong);
     }
 
     #[test]
     fn find_cover_checks_candidates_not_entries() {
         use crate::cover::IMPLIED_CHECKS;
         let (r, stock, _) = registry();
-        let mut t = FilterTable::new(IndexKind::Compiled);
+        let mut t = FilterTable::default();
         // 1 000 entries on distinct symbols, every tenth with one of four
         // price ceilings: 1 000 equality groups, 4 distinct scan predicates.
         for i in 0..1_000u32 {
@@ -1259,18 +1121,16 @@ mod tests {
             "{n} covering checks for 1 000 distinct constants"
         );
         // The scan, for scale: the rule runs for every entry.
-        let mut naive = FilterTable::new(IndexKind::Naive);
-        for (f, ds) in t.iter() {
-            naive.insert(f.clone(), ds[0]);
-        }
-        let (found, n) = checks(&mut naive, &probe);
-        assert!(found.is_some());
+        let before = IMPLIED_CHECKS.with(std::cell::Cell::get);
+        let scanned = t.iter().filter(|(f, _)| f.covers(&probe, &r)).count();
+        let n = IMPLIED_CHECKS.with(std::cell::Cell::get) - before;
+        assert!(scanned > 0);
         assert!(n >= 1_000, "the scan made only {n} checks");
     }
 
     #[test]
     fn remove_dest_sweeps_all_entries() {
-        let mut t = FilterTable::new(IndexKind::Counting);
+        let mut t = FilterTable::default();
         t.insert(Filter::any().eq("a", 1), DestId(9));
         t.insert(Filter::any().eq("b", 2), DestId(9));
         t.insert(Filter::any().eq("b", 2), DestId(3));
@@ -1282,7 +1142,7 @@ mod tests {
     #[test]
     fn find_cover_picks_strongest() {
         let (r, stock, _) = registry();
-        let mut t = FilterTable::new(IndexKind::Naive);
+        let mut t = FilterTable::default();
         let weak = Filter::for_class(stock);
         let mid = Filter::for_class(stock).eq("symbol", "DEF");
         let strong = Filter::for_class(stock)
@@ -1308,36 +1168,32 @@ mod tests {
     #[test]
     fn wildcard_only_filters_match_everything_of_class() {
         let (r, stock, auction) = registry();
-        for kind in [IndexKind::Naive, IndexKind::Counting, IndexKind::Compiled] {
-            let mut t = FilterTable::new(kind);
-            t.insert(Filter::for_class(stock).wildcard("symbol"), DestId(1));
-            let meta = event_data! { "symbol" => "Anything" };
-            let mut out = Vec::new();
-            t.matches(stock, &meta, &r, &mut out);
-            assert_eq!(out, vec![DestId(1)]);
-            t.matches(auction, &meta, &r, &mut out);
-            assert!(out.is_empty());
-        }
+        let mut t = FilterTable::default();
+        t.insert(Filter::for_class(stock).wildcard("symbol"), DestId(1));
+        let meta = event_data! { "symbol" => "Anything" };
+        let mut out = Vec::new();
+        t.matches(stock, &meta, &r, &mut out);
+        assert_eq!(out, vec![DestId(1)]);
+        t.matches(auction, &meta, &r, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
     fn counting_handles_repeated_attr_constraints() {
         let (r, stock, _) = registry();
-        for kind in [IndexKind::Naive, IndexKind::Counting, IndexKind::Compiled] {
-            let mut t = FilterTable::new(kind);
-            t.insert(Filter::any().ge("price", 5.0).le("price", 10.0), DestId(1));
-            let mut out = Vec::new();
-            t.matches(stock, &event_data! { "price" => 7.0 }, &r, &mut out);
-            assert_eq!(out, vec![DestId(1)], "kind {kind:?}");
-            t.matches(stock, &event_data! { "price" => 12.0 }, &r, &mut out);
-            assert!(out.is_empty());
-        }
+        let mut t = FilterTable::default();
+        t.insert(Filter::any().ge("price", 5.0).le("price", 10.0), DestId(1));
+        let mut out = Vec::new();
+        t.matches(stock, &event_data! { "price" => 7.0 }, &r, &mut out);
+        assert_eq!(out, vec![DestId(1)]);
+        t.matches(stock, &event_data! { "price" => 12.0 }, &r, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
     fn shared_predicates_fire_all_slots() {
         let (r, stock, _) = registry();
-        let mut t = FilterTable::new(IndexKind::Counting);
+        let mut t = FilterTable::default();
         for i in 0u32..10 {
             t.insert(
                 Filter::any().eq("symbol", "Foo").gt("price", f64::from(i)),
@@ -1356,7 +1212,7 @@ mod tests {
 
     #[test]
     fn filters_for_lists_by_dest() {
-        let mut t = FilterTable::new(IndexKind::Naive);
+        let mut t = FilterTable::default();
         t.insert(Filter::any().eq("a", 1), DestId(1));
         t.insert(Filter::any().eq("b", 2), DestId(1));
         t.insert(Filter::any().eq("c", 3), DestId(2));
@@ -1367,7 +1223,7 @@ mod tests {
     #[test]
     fn matches_any_shortcut() {
         let (r, stock, _) = registry();
-        let mut t = FilterTable::new(IndexKind::Naive);
+        let mut t = FilterTable::default();
         t.insert(Filter::any().eq("symbol", "Foo"), DestId(1));
         assert!(t.matches_any(stock, &event_data! { "symbol" => "Foo" }, &r));
         assert!(!t.matches_any(stock, &event_data! { "symbol" => "Bar" }, &r));

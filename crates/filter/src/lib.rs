@@ -18,9 +18,9 @@
 //!   conservative single filter covering a set of filters, used when a
 //!   parent node summarizes its children's subscriptions).
 //! * **Indexing** — [`FilterTable`], the per-node `<filter, id-list>` table
-//!   of Figure 6, with a naive scan strategy (the paper's algorithm) and a
-//!   counting-index strategy (the "efficient indexing and matching
-//!   techniques" the paper defers to related work).
+//!   of Figure 6, matched through a counting index (one of the "efficient
+//!   indexing and matching techniques" the paper defers to related work)
+//!   instead of the paper's per-filter scan.
 //! * **Aggregation** — [`AggTable`], a refcounted cover forest that
 //!   collapses filters subsumed by an existing cover into shared live
 //!   entries, maintained incrementally under churn (see `agg`).
@@ -60,6 +60,6 @@ pub use agg::{AggDelta, AggStats, AggTable};
 pub use cover::{event_covers_for, merge_cover};
 pub use error::FilterError;
 pub use filter::{Filter, FilterId};
-pub use index::{CountingIndex, DestId, FilterTable, IndexKind};
+pub use index::{DestId, FilterTable, IndexKind};
 pub use predicate::{AttrFilter, Predicate};
 pub use weaken::{standardize, weaken_for_parent, weaken_to_stage};

@@ -7,13 +7,13 @@
 //! * Proposition 1 (weakened filters cover originals),
 //! * covering merges are upper bounds,
 //! * standardization preserves semantics (Section 4.4),
-//! * the naive and counting match strategies agree.
+//! * the filter table's index agrees with a linear scan of its filters.
 
 use layercake_event::{
     AttrValue, AttributeDecl, ClassId, EventData, StageMap, TypeRegistry, ValueKind,
 };
 use layercake_filter::{
-    merge_cover, standardize, weaken_to_stage, DestId, Filter, FilterTable, IndexKind, Predicate,
+    merge_cover, standardize, weaken_to_stage, DestId, Filter, FilterTable, Predicate,
 };
 use proptest::prelude::*;
 
@@ -88,6 +88,24 @@ fn registry_with_subtype() -> (TypeRegistry, ClassId, ClassId) {
     let base = r.register("Biblio", None, biblio_attrs()).unwrap();
     let sub = r.register("Journal", Some("Biblio"), vec![]).unwrap();
     (r, base, sub)
+}
+
+/// The destinations a linear scan of the stored pairs (the paper's Figure 6
+/// algorithm) sends `e` to, ascending and without duplicates.
+fn scan(
+    pairs: &[(Filter, DestId)],
+    class: ClassId,
+    e: &EventData,
+    r: &TypeRegistry,
+) -> Vec<DestId> {
+    let mut out: Vec<DestId> = pairs
+        .iter()
+        .filter(|(f, _)| f.matches(class, e, r))
+        .map(|(_, d)| *d)
+        .collect();
+    out.sort();
+    out.dedup();
+    out
 }
 
 fn biblio_attrs() -> Vec<AttributeDecl> {
@@ -236,8 +254,8 @@ proptest! {
         }
     }
 
-    /// The naive scan, the counting index, and the compiled index always
-    /// return the same destinations — over random filter tables and events,
+    /// The table's index and a scan over the inserted pairs always return
+    /// the same destinations — over random filter tables and events,
     /// including subtyped class constraints, wildcards, and repeated
     /// range constraints on one attribute (all generated by `arb_filter`'s
     /// attribute-pool sampling with replacement).
@@ -247,11 +265,8 @@ proptest! {
         events in proptest::collection::vec((arb_event(), any::<bool>()), 1..6),
     ) {
         let (r, base, sub) = registry_with_subtype();
-        let mut tables = [
-            FilterTable::new(IndexKind::Naive),
-            FilterTable::new(IndexKind::Counting),
-            FilterTable::new(IndexKind::Compiled),
-        ];
+        let mut t = FilterTable::default();
+        let mut pairs = Vec::new();
         for (i, (f, class_pick)) in filters.iter().enumerate() {
             let class = match class_pick {
                 0 => None,
@@ -259,26 +274,15 @@ proptest! {
                 _ => Some(sub),
             };
             let f = f.clone().with_class(class);
-            for t in &mut tables {
-                t.insert(f.clone(), DestId(i as u64));
-            }
+            t.insert(f.clone(), DestId(i as u64));
+            pairs.push((f, DestId(i as u64)));
         }
         for (e, publish_sub) in &events {
             let class = if *publish_sub { sub } else { base };
-            let mut outs: Vec<Vec<DestId>> = Vec::new();
-            let mut anys = Vec::new();
-            for t in &mut tables {
-                let mut out = Vec::new();
-                t.matches(class, e, &r, &mut out);
-                out.sort();
-                anys.push(t.matches_any(class, e, &r));
-                outs.push(out);
-            }
-            prop_assert_eq!(&outs[0], &outs[1], "naive vs counting disagree on {}", e);
-            prop_assert_eq!(&outs[0], &outs[2], "naive vs compiled disagree on {}", e);
-            for (out, any) in outs.iter().zip(&anys) {
-                prop_assert_eq!(!out.is_empty(), *any, "matches_any disagrees on {}", e);
-            }
+            let mut out = Vec::new();
+            t.matches(class, e, &r, &mut out);
+            prop_assert_eq!(&out, &scan(&pairs, class, e, &r), "index vs scan disagree on {}", e);
+            prop_assert_eq!(!out.is_empty(), t.matches_any(class, e, &r), "matches_any disagrees on {}", e);
         }
     }
 
@@ -290,34 +294,22 @@ proptest! {
         e in arb_event(),
     ) {
         let (r, class) = empty_registry_and_class();
-        let mut naive = FilterTable::new(IndexKind::Naive);
-        let mut counting = FilterTable::new(IndexKind::Counting);
-        let mut compiled = FilterTable::new(IndexKind::Compiled);
+        let mut t = FilterTable::default();
+        for (i, f) in filters.iter().enumerate() {
+            t.insert(f.clone(), DestId(i as u64));
+        }
+        let mut pairs = Vec::new();
         for (i, f) in filters.iter().enumerate() {
             let dest = DestId(i as u64);
-            naive.insert(f.clone(), dest);
-            counting.insert(f.clone(), dest);
-            compiled.insert(f.clone(), dest);
-        }
-        for (i, (f, rm)) in filters.iter().zip(remove_mask.iter()).enumerate() {
-            if *rm {
-                let dest = DestId(i as u64);
-                let removed = naive.remove(f, dest);
-                assert_eq!(removed, counting.remove(f, dest));
-                assert_eq!(removed, compiled.remove(f, dest));
+            if remove_mask.get(i).copied().unwrap_or(false) {
+                prop_assert!(t.remove(f, dest));
+            } else {
+                pairs.push((f.clone(), dest));
             }
         }
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        let mut c = Vec::new();
-        naive.matches(class, &e, &r, &mut a);
-        counting.matches(class, &e, &r, &mut b);
-        compiled.matches(class, &e, &r, &mut c);
-        a.sort();
-        b.sort();
-        c.sort();
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&a, &c);
+        let mut out = Vec::new();
+        t.matches(class, &e, &r, &mut out);
+        prop_assert_eq!(&out, &scan(&pairs, class, &e, &r));
     }
 
     /// find_cover returns a filter that indeed covers the probe.
@@ -327,7 +319,7 @@ proptest! {
         probe in arb_filter(),
     ) {
         let (r, _) = empty_registry_and_class();
-        let mut t = FilterTable::new(IndexKind::Naive);
+        let mut t = FilterTable::default();
         for (i, f) in filters.iter().enumerate() {
             t.insert(f.clone(), DestId(i as u64));
         }

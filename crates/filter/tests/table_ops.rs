@@ -1,12 +1,12 @@
 //! Every `FilterTable` operation against a linear reference.
 //!
-//! The indexed strategies answer the covering search, removal and matching
-//! from one predicate index; `Reference` below answers them the way the
-//! table did before it had one — a vector of entries, scanned. Random
-//! populations and random interleavings of inserts and removals must leave
-//! all three [`IndexKind`]s indistinguishable from it: the same entries in
-//! the same order, the same cover for every probe *including which of
-//! several covering entries wins*, the same matches for every event.
+//! The table answers the covering search, removal and matching from one
+//! predicate index; `Reference` below answers them the way the table did
+//! before it had one — a vector of entries, scanned. Random populations and
+//! random interleavings of inserts and removals must leave the table
+//! indistinguishable from it: the same entries in the same order, the same
+//! cover for every probe *including which of several covering entries
+//! wins*, the same matches for every event.
 //!
 //! The value pool is chosen to hit the places where the index keys
 //! predicates differently from how they compare: `Int` against `Float`,
@@ -15,10 +15,9 @@
 //! the interval rule can judge.
 
 use layercake_event::{AttrValue, ClassId, EventData, TypeRegistry};
-use layercake_filter::{AttrFilter, DestId, Filter, FilterTable, IndexKind, Predicate};
+use layercake_filter::{AttrFilter, DestId, Filter, FilterTable, Predicate};
 use proptest::prelude::*;
 
-const KINDS: [IndexKind; 3] = [IndexKind::Naive, IndexKind::Counting, IndexKind::Compiled];
 const ATTRS: &[&str] = &["tbl-a", "tbl-b", "tbl-c"];
 const STRINGS: &[&str] = &["", "x", "xy", "xyz", "y"];
 
@@ -219,13 +218,13 @@ fn entries_of(t: &FilterTable) -> Vec<(Filter, Vec<DestId>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(384))]
 
-    /// (a) and (b): after every step of a random interleaving the three
-    /// strategies hold the reference's entries in its order, name the
-    /// reference's cover — the same entry, not merely some cover — for every
-    /// probe, and match every event as the reference and as a table built
-    /// afresh from the surviving entries do.
+    /// (a) and (b): after every step of a random interleaving the table
+    /// holds the reference's entries in its order, names the reference's
+    /// cover — the same entry, not merely some cover — for every probe, and
+    /// matches every event as the reference and as a table built afresh
+    /// from the surviving entries do.
     #[test]
-    fn every_strategy_tracks_the_linear_reference(
+    fn the_table_tracks_the_linear_reference(
         ops in proptest::collection::vec(arb_op(), 1..40),
         probes in proptest::collection::vec(arb_filter(), 1..6),
         events in proptest::collection::vec(arb_event(), 1..4),
@@ -233,7 +232,7 @@ proptest! {
         let w = World::new();
         let r = &w.registry;
         let mut reference = Reference::default();
-        let mut tables = KINDS.map(FilterTable::new);
+        let mut t = FilterTable::default();
         let mut inserted: Vec<Filter> = Vec::new();
         for op in &ops {
             match op {
@@ -241,72 +240,60 @@ proptest! {
                     let f = w.filter(f);
                     inserted.push(f.clone());
                     let created = reference.insert(f.clone(), DestId(*d));
-                    for t in &mut tables {
-                        prop_assert_eq!(t.insert(f.clone(), DestId(*d)), created);
-                    }
+                    prop_assert_eq!(t.insert(f.clone(), DestId(*d)), created);
                 }
                 Op::Remove(pick, d) if !inserted.is_empty() => {
                     let f = &inserted[pick % inserted.len()];
                     let removed = reference.remove(f, DestId(*d));
-                    for t in &mut tables {
-                        prop_assert_eq!(t.remove(f, DestId(*d)), removed, "{:?}", t.kind());
-                    }
+                    prop_assert_eq!(t.remove(f, DestId(*d)), removed);
                 }
                 Op::RemoveDest(d) => {
                     let removed = reference.remove_dest(DestId(*d));
-                    for t in &mut tables {
-                        prop_assert_eq!(t.remove_dest(DestId(*d)), removed, "{:?}", t.kind());
-                    }
+                    prop_assert_eq!(t.remove_dest(DestId(*d)), removed);
                 }
                 Op::Remove(..) => {}
             }
-            for t in &mut tables {
-                let kind = t.kind();
-                // Which entry a removal hit shows here: same entries, same
-                // id-lists, same order.
+            // Which entry a removal hit shows here: same entries, same
+            // id-lists, same order.
+            prop_assert_eq!(show(entries_of(&t)), show(&reference.entries), "after {:?}", op);
+            prop_assert_eq!(t.filter_count(), reference.entries.len());
+            for probe in probes.iter().map(|p| w.filter(p)).chain(inserted.iter().cloned()) {
+                let found = t.find_cover(&probe, r).map(|(f, ds)| (f.clone(), ds.to_vec()));
                 prop_assert_eq!(
-                    show(entries_of(t)), show(&reference.entries), "{:?} after {:?}", kind, op
+                    show(found), show(reference.find_cover(&probe, r)),
+                    "cover of {} after {:?}", probe, op
                 );
-                prop_assert_eq!(t.filter_count(), reference.entries.len());
-                for probe in probes.iter().map(|p| w.filter(p)).chain(inserted.iter().cloned()) {
-                    let found = t.find_cover(&probe, r).map(|(f, ds)| (f.clone(), ds.to_vec()));
-                    prop_assert_eq!(
-                        show(found), show(reference.find_cover(&probe, r)),
-                        "{:?} cover of {} after {:?}", kind, probe, op
-                    );
-                    let all: Vec<Filter> =
-                        t.covers_of(&probe, r).into_iter().map(|(f, _)| f.clone()).collect();
-                    let want: Vec<Filter> = reference
-                        .entries
-                        .iter()
-                        .filter(|(f, _)| f.covers(&probe, r))
-                        .map(|(f, _)| f.clone())
-                        .collect();
-                    prop_assert_eq!(show(all), show(want), "{:?} covers of {}", kind, probe);
+                let all: Vec<Filter> =
+                    t.covers_of(&probe, r).into_iter().map(|(f, _)| f.clone()).collect();
+                let want: Vec<Filter> = reference
+                    .entries
+                    .iter()
+                    .filter(|(f, _)| f.covers(&probe, r))
+                    .map(|(f, _)| f.clone())
+                    .collect();
+                prop_assert_eq!(show(all), show(want), "covers of {}", probe);
+            }
+            let mut fresh = FilterTable::default();
+            for (f, ds) in &reference.entries {
+                for d in ds {
+                    fresh.insert(f.clone(), *d);
                 }
-                let mut fresh = FilterTable::new(kind);
-                for (f, ds) in &reference.entries {
-                    for d in ds {
-                        fresh.insert(f.clone(), *d);
-                    }
-                }
-                for (class, meta) in events.iter().map(|e| w.event(e)) {
-                    let want = reference.matches(class, &meta, r);
-                    let (mut got, mut rebuilt) = (Vec::new(), Vec::new());
-                    t.matches(class, &meta, r, &mut got);
-                    fresh.matches(class, &meta, r, &mut rebuilt);
-                    prop_assert_eq!(&got, &want, "{:?} on {} after {:?}", kind, meta, op);
-                    prop_assert_eq!(&rebuilt, &want, "fresh {:?} on {}", kind, meta);
-                    prop_assert_eq!(t.matches_any(class, &meta, r), !want.is_empty());
-                }
+            }
+            for (class, meta) in events.iter().map(|e| w.event(e)) {
+                let want = reference.matches(class, &meta, r);
+                let (mut got, mut rebuilt) = (Vec::new(), Vec::new());
+                t.matches(class, &meta, r, &mut got);
+                fresh.matches(class, &meta, r, &mut rebuilt);
+                prop_assert_eq!(&got, &want, "on {} after {:?}", meta, op);
+                prop_assert_eq!(&rebuilt, &want, "fresh on {}", meta);
+                prop_assert_eq!(t.matches_any(class, &meta, r), !want.is_empty());
             }
         }
     }
 
     /// What an aggregation root takes over: every entry `covered_by` names
-    /// is covered, in entry order; the scan names all of them, and the
-    /// indexed strategies all of those repeating one of the filter's
-    /// equality constants.
+    /// is covered, in entry order, and so is every covered entry repeating
+    /// each of the filter's equality constants.
     #[test]
     fn covered_by_is_sound_and_finds_shared_equalities(
         filters in proptest::collection::vec(arb_filter(), 1..16),
@@ -316,12 +303,10 @@ proptest! {
         let r = &w.registry;
         let probe = w.filter(&probe);
         let mut reference = Reference::default();
-        let mut tables = KINDS.map(FilterTable::new);
+        let mut t = FilterTable::default();
         for f in filters.iter().map(|f| w.filter(f)) {
             reference.insert(f.clone(), DestId(0));
-            for t in &mut tables {
-                t.insert(f.clone(), DestId(0));
-            }
+            t.insert(f.clone(), DestId(0));
         }
         let covered: Vec<&Filter> = reference
             .entries
@@ -343,17 +328,15 @@ proptest! {
                 })
             })
         };
-        for t in &tables {
-            let got: Vec<String> =
-                t.covered_by(&probe, r).into_iter().map(|(f, _)| show(f)).collect();
-            let mut rest = covered_shown.iter();
-            for f in &got {
-                prop_assert!(rest.any(|c| c == f), "{:?}: {} out of order or not covered", t.kind(), f);
-            }
-            for (f, shown) in covered.iter().zip(&covered_shown) {
-                if t.kind() == IndexKind::Naive || repeats_every_equality(f) {
-                    prop_assert!(got.contains(shown), "{:?} missed {} under {}", t.kind(), f, probe);
-                }
+        let got: Vec<String> =
+            t.covered_by(&probe, r).into_iter().map(|(f, _)| show(f)).collect();
+        let mut rest = covered_shown.iter();
+        for f in &got {
+            prop_assert!(rest.any(|c| c == f), "{} out of order or not covered", f);
+        }
+        for (f, shown) in covered.iter().zip(&covered_shown) {
+            if repeats_every_equality(f) {
+                prop_assert!(got.contains(shown), "missed {} under {}", f, probe);
             }
         }
     }

@@ -4,9 +4,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use layercake_event::{Advertisement, ClassId, Envelope, StageMap, TypeRegistry};
-use layercake_filter::{
-    weaken_to_stage, AggDelta, AggTable, DestId, Filter, FilterTable, IndexKind,
-};
+use layercake_filter::{weaken_to_stage, AggDelta, AggTable, DestId, Filter, FilterTable};
 use layercake_metrics::{DurabilityStats, NodeRecord, PipelineStage, StageProfiler};
 use layercake_sim::{ActorId, SimDuration, SimTime};
 use layercake_trace::{HopRecord, HopVerdict, TraceSink, EXTERNAL_SOURCE};
@@ -152,11 +150,11 @@ enum BrokerTable {
 }
 
 impl BrokerTable {
-    fn new(kind: IndexKind, aggregation: bool) -> Self {
+    fn new(aggregation: bool) -> Self {
         if aggregation {
-            BrokerTable::Agg(Box::new(AggTable::new(kind)))
+            BrokerTable::Agg(Box::default())
         } else {
-            BrokerTable::Plain(Box::new(FilterTable::new(kind)))
+            BrokerTable::Plain(Box::default())
         }
     }
 
@@ -259,7 +257,6 @@ pub struct Broker {
     /// withdrawn on the 1→0 edge — the aggregated analogue of the plain
     /// table's `parent_needs` set difference.
     up_refs: HashMap<Filter, u32>,
-    index: IndexKind,
     placement: PlacementPolicy,
     wildcard_stage_placement: bool,
     leases_enabled: bool,
@@ -295,7 +292,6 @@ pub(crate) struct BrokerSetup {
     pub children: Vec<ActorId>,
     pub registry: Arc<TypeRegistry>,
     pub placement: PlacementPolicy,
-    pub index: IndexKind,
     pub aggregation_enabled: bool,
     pub wildcard_stage_placement: bool,
     pub leases_enabled: bool,
@@ -315,9 +311,8 @@ impl Broker {
             children: setup.children,
             registry: setup.registry,
             stage_maps: HashMap::new(),
-            table: BrokerTable::new(setup.index, setup.aggregation_enabled),
+            table: BrokerTable::new(setup.aggregation_enabled),
             up_refs: HashMap::new(),
-            index: setup.index,
             placement: setup.placement,
             wildcard_stage_placement: setup.wildcard_stage_placement,
             leases_enabled: setup.leases_enabled,
@@ -616,7 +611,7 @@ impl Broker {
         if let Some(wal) = self.wal.as_mut() {
             wal.crash_restart();
         }
-        self.table = BrokerTable::new(self.index, matches!(self.table, BrokerTable::Agg(_)));
+        self.table = BrokerTable::new(matches!(self.table, BrokerTable::Agg(_)));
         self.recover_durable_streams();
         self.up_refs.clear();
         self.stage_maps.clear();

@@ -30,7 +30,10 @@ pub struct OverlayConfig {
     pub levels: Vec<usize>,
     /// Subscription placement policy.
     pub placement: PlacementPolicy,
-    /// Matching strategy of broker filter tables.
+    /// The matching strategy, of which there is one; nothing reads this
+    /// field. It survives only because `benchmark/src/sut.rs` passes
+    /// `OverlayConfig::default().index` to `FilterTable::new` and
+    /// `AggTable::new`, and goes with [`IndexKind`] once the benchmark stops.
     pub index: IndexKind,
     /// Subscription aggregation (`layercake_filter::AggTable`), the paper's
     /// Example 5 fold ("we can now ignore filter f1 … and keep only filter
@@ -82,8 +85,8 @@ pub struct OverlayConfig {
 }
 
 impl Default for OverlayConfig {
-    /// The paper's Section 5 topology with similarity placement, compiled
-    /// counting indexes, stage-aware wildcard handling, and leases off.
+    /// The paper's Section 5 topology with similarity placement,
+    /// stage-aware wildcard handling, and leases off.
     fn default() -> Self {
         Self {
             levels: vec![100, 10, 1],

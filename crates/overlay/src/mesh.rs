@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use layercake_event::{Advertisement, ClassId, Envelope, EventSeq, StageMap, TypeRegistry};
 use layercake_filter::{
-    standardize, weaken_to_stage, DestId, Filter, FilterError, FilterId, FilterTable, IndexKind,
+    standardize, weaken_to_stage, DestId, Filter, FilterError, FilterId, FilterTable,
 };
 use layercake_metrics::{NodeRecord, RunMetrics};
 use layercake_sim::{Actor, ActorId, Ctx, SimDuration, World};
@@ -79,7 +79,6 @@ pub struct MeshBroker {
     links: HashMap<ActorId, FilterTable>,
     /// Filters of locally attached subscribers.
     local: FilterTable,
-    index: IndexKind,
     received: u64,
     matched: u64,
     evaluations: u64,
@@ -90,15 +89,14 @@ pub struct MeshBroker {
 }
 
 impl MeshBroker {
-    fn new(label: String, registry: Arc<TypeRegistry>, index: IndexKind) -> Self {
+    fn new(label: String, registry: Arc<TypeRegistry>) -> Self {
         Self {
             label,
             neighbors: Vec::new(),
             registry,
             stage_maps: HashMap::new(),
             links: HashMap::new(),
-            local: FilterTable::new(index),
-            index,
+            local: FilterTable::default(),
             received: 0,
             matched: 0,
             evaluations: 0,
@@ -187,10 +185,7 @@ impl MeshBroker {
                 }
             }
             MeshMsg::Propagate { filter, distance } => {
-                let table = self
-                    .links
-                    .entry(from)
-                    .or_insert_with(|| FilterTable::new(self.index));
+                let table = self.links.entry(from).or_default();
                 let created = table.insert(filter.clone(), dest_of(from));
                 if created {
                     let next = self.weaken(&filter, distance + 1);
@@ -335,8 +330,6 @@ pub struct MeshConfig {
     /// Undirected broker-graph edges; the graph must be connected and
     /// acyclic (a free tree — no designated root).
     pub edges: Vec<(usize, usize)>,
-    /// Matching strategy of the filter tables.
-    pub index: IndexKind,
 }
 
 impl MeshConfig {
@@ -346,7 +339,6 @@ impl MeshConfig {
         Self {
             brokers: n,
             edges: (1..n).map(|i| (i - 1, i)).collect(),
-            index: IndexKind::Compiled,
         }
     }
 
@@ -356,7 +348,6 @@ impl MeshConfig {
         Self {
             brokers: n,
             edges: (1..n).map(|i| (0, i)).collect(),
-            index: IndexKind::Compiled,
         }
     }
 
@@ -429,7 +420,6 @@ impl MeshSim {
                 world.add_actor(MeshNode::Broker(MeshBroker::new(
                     format!("P{i}"),
                     Arc::clone(&registry),
-                    cfg.index,
                 )))
             })
             .collect();
@@ -597,14 +587,12 @@ mod tests {
         assert!(MeshConfig {
             brokers: 0,
             edges: vec![],
-            index: IndexKind::Naive
         }
         .validate()
         .is_err());
         let oob = MeshConfig {
             brokers: 2,
             edges: vec![(0, 5)],
-            index: IndexKind::Naive,
         };
         assert!(oob.validate().is_err());
     }

@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use layercake_event::{ClassId, Envelope, EventSeq, TypeRegistry};
-use layercake_filter::{DestId, Filter, FilterId, FilterTable, IndexKind};
+use layercake_filter::{DestId, Filter, FilterId, FilterTable};
 use layercake_metrics::NodeRecord;
 use layercake_sim::{ActorId, SimDuration, SimTime};
 use layercake_trace::{HopRecord, HopVerdict, TraceSink};
@@ -176,7 +176,6 @@ pub(crate) struct SubscriberSetup {
     pub residual: Option<Box<dyn ResidualFilter>>,
     pub registry: Arc<TypeRegistry>,
     pub root: ActorId,
-    pub index: IndexKind,
     pub leases_enabled: bool,
     pub ttl: SimDuration,
     pub trace: Option<Arc<TraceSink>>,
@@ -191,7 +190,6 @@ impl SubscriberNode {
             residual,
             registry,
             root,
-            index,
             leases_enabled,
             ttl,
             trace,
@@ -202,7 +200,7 @@ impl SubscriberNode {
             "a subscription needs at least one branch"
         );
         let branch_count = branches.len();
-        let mut table = FilterTable::new(index);
+        let mut table = FilterTable::default();
         for (_, filter) in &branches {
             // Only "does any branch match" is ever asked, so every branch
             // stands for the same destination: the subscriber.
@@ -796,7 +794,6 @@ mod tests {
             residual: None,
             registry: Arc::new(registry),
             root: HOST,
-            index: IndexKind::default(),
             leases_enabled: false,
             ttl: SimDuration::from_ticks(100),
             trace: None,

@@ -98,7 +98,6 @@ pub fn build_brokers(
                 children: children.clone(),
                 registry: Arc::clone(registry),
                 placement: cfg.placement,
-                index: cfg.index,
                 aggregation_enabled: cfg.aggregation_enabled,
                 wildcard_stage_placement: cfg.wildcard_stage_placement,
                 leases_enabled: cfg.leases_enabled,
@@ -167,7 +166,6 @@ pub fn build_subscriber(
         residual,
         registry: Arc::clone(registry),
         root,
-        index: cfg.index,
         leases_enabled: cfg.leases_enabled,
         ttl: cfg.ttl,
         trace: trace.cloned(),

@@ -5,7 +5,6 @@
 use std::sync::Arc;
 
 use layercake_event::{Advertisement, Envelope, EventSeq, TypeRegistry};
-use layercake_filter::IndexKind;
 use layercake_overlay::mesh::{MeshConfig, MeshSim};
 use layercake_workload::{BiblioConfig, BiblioWorkload};
 use proptest::prelude::*;
@@ -18,11 +17,7 @@ fn arb_tree(max: usize) -> impl Strategy<Value = MeshConfig> {
     (2usize..=max, any::<u64>()).prop_map(|(n, seed)| {
         let mut rng = StdRng::seed_from_u64(seed);
         let edges = (1..n).map(|i| (rng.gen_range(0..i), i)).collect();
-        MeshConfig {
-            brokers: n,
-            edges,
-            index: IndexKind::Counting,
-        }
+        MeshConfig { brokers: n, edges }
     })
 }
 

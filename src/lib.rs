@@ -62,8 +62,7 @@ pub use layercake_workload as workload;
 
 pub use layercake_core::{
     typed_event, Advertisement, AttrValue, AttributeDecl, ClassId, CoreError, Envelope, EventData,
-    EventSeq, EventSystem, EventSystemBuilder, Filter, FilterId, IndexKind, OverlayConfig,
-    Predicate, RunMetrics, SimDuration, StageMap, Subscription, TypeRegistry, TypedEvent,
-    ValueKind,
+    EventSeq, EventSystem, EventSystemBuilder, Filter, FilterId, OverlayConfig, Predicate,
+    RunMetrics, SimDuration, StageMap, Subscription, TypeRegistry, TypedEvent, ValueKind,
 };
 pub use layercake_overlay::{OverlaySim, PlacementPolicy, SubscriberHandle};

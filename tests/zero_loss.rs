@@ -10,18 +10,16 @@ use std::sync::Arc;
 use layercake::event::Advertisement;
 use layercake::overlay::{OverlayConfig, OverlaySim};
 use layercake::workload::{BiblioConfig, BiblioWorkload};
-use layercake::{EventSeq, Filter, IndexKind, PlacementPolicy, TypeRegistry};
+use layercake::{EventSeq, Filter, PlacementPolicy, TypeRegistry};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Runs a random bibliographic workload over a given topology/policy
 /// combination and checks delivered == oracle for every subscriber.
-#[allow(clippy::too_many_arguments)]
 fn check_zero_loss(
     levels: Vec<usize>,
     placement: PlacementPolicy,
-    index: IndexKind,
     wildcard_rate: f64,
     subs: usize,
     events: u64,
@@ -48,7 +46,6 @@ fn check_zero_loss(
         OverlayConfig {
             levels,
             placement,
-            index,
             seed,
             aggregation_enabled,
             ..OverlayConfig::default()
@@ -94,12 +91,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Zero loss / zero spurious delivery across random topologies,
-    /// placement policies, index kinds, wildcard rates and aggregation.
+    /// placement policies, wildcard rates and aggregation.
     #[test]
     fn delivery_equals_oracle(
         levels_ix in 0usize..4,
         placement_random in any::<bool>(),
-        counting in any::<bool>(),
         wildcard_rate in prop_oneof![Just(0.0), Just(0.3), Just(1.0)],
         subs in 1usize..30,
         events in 20u64..120,
@@ -113,8 +109,7 @@ proptest! {
             _ => vec![8, 4, 2, 1],
         };
         let placement = if placement_random { PlacementPolicy::Random } else { PlacementPolicy::Similarity };
-        let index = if counting { IndexKind::Counting } else { IndexKind::Naive };
-        check_zero_loss(levels, placement, index, wildcard_rate, subs, events, seed, aggregation)?;
+        check_zero_loss(levels, placement, wildcard_rate, subs, events, seed, aggregation)?;
     }
 }
 
@@ -125,7 +120,6 @@ fn paper_scale_delivery_equals_oracle() {
     check_zero_loss(
         vec![20, 4, 1],
         PlacementPolicy::Similarity,
-        IndexKind::Counting,
         0.1,
         80,
         2_000,
@@ -141,7 +135,6 @@ fn paper_scale_zero_loss_with_aggregation() {
     check_zero_loss(
         vec![20, 4, 1],
         PlacementPolicy::Similarity,
-        IndexKind::Counting,
         0.2,
         60,
         1_500,
