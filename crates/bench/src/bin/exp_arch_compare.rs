@@ -1,138 +1,3 @@
-//! E3 — architecture comparison (Sections 2.1 and 5.1).
-//!
-//! Runs the same bibliographic workload through the three architectures
-//! the paper discusses: a centralized filtering server (RLC ≡ 1),
-//! broadcast-with-local-filtering, and the multi-stage hierarchy. Reports
-//! the per-node load and the traffic each subscriber has to process.
-//!
-//! Run with: `cargo run --release -p layercake-bench --bin exp_arch_compare`
-
-use std::sync::Arc;
-
-use layercake_bench::{paper_biblio, paper_overlay, run_biblio};
-use layercake_event::{Envelope, TypeRegistry};
-use layercake_metrics::{format_ratio, render_table, RunMetrics};
-use layercake_overlay::baseline::{broadcast_run, centralized_run};
-use layercake_workload::BiblioWorkload;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-struct Row {
-    arch: &'static str,
-    metrics: RunMetrics,
-}
-
-fn main() {
-    let events: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_000);
-    eprintln!("running E3: three architectures, 150 subscriptions, {events} events…");
-
-    // Multi-stage run (also yields the workload we replay on the baselines).
-    let run = run_biblio(paper_overlay(), paper_biblio(), events, 2002);
-
-    // Replay the identical subscription set and an identically-distributed
-    // event stream through the baselines.
-    let mut registry = TypeRegistry::new();
-    let mut rng = StdRng::seed_from_u64(2002);
-    let workload = BiblioWorkload::new(paper_biblio(), &mut registry, &mut rng);
-    let registry = Arc::new(registry);
-    let stream: Vec<Envelope> = (0..events)
-        .map(|seq| workload.envelope(seq, &mut rng))
-        .collect();
-    let subs = workload.subscriptions().to_vec();
-
-    let rows = [
-        Row {
-            arch: "centralized",
-            metrics: centralized_run(&subs, &stream, &registry),
-        },
-        Row {
-            arch: "broadcast",
-            metrics: broadcast_run(&subs, &stream, &registry),
-        },
-        Row {
-            arch: "multi-stage",
-            metrics: run.metrics,
-        },
-    ];
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|row| {
-            let m = &row.metrics;
-            let max_rlc = m
-                .records
-                .iter()
-                .filter(|r| r.stage > 0)
-                .map(|r| r.rlc(m.total_events, m.total_subs))
-                .fold(0.0f64, f64::max);
-            let (sub_recv_avg, sub_kb_avg) = {
-                let recs: Vec<_> = m.stage_records(0).collect();
-                let n = recs.len().max(1) as f64;
-                (
-                    recs.iter().map(|r| r.received as f64).sum::<f64>() / n,
-                    recs.iter().map(|r| r.bytes_received as f64).sum::<f64>() / n / 1024.0,
-                )
-            };
-            vec![
-                row.arch.to_owned(),
-                format_ratio(max_rlc),
-                format_ratio(m.global_rlc_total()),
-                format!("{sub_recv_avg:.1}"),
-                format!("{sub_kb_avg:.1}"),
-                format!("{:.3}", m.avg_mr_at(0)),
-            ]
-        })
-        .collect();
-
-    println!(
-        "{}",
-        render_table(
-            &[
-                "Architecture",
-                "Max broker-node RLC",
-                "Global RLC total",
-                "Avg events/subscriber",
-                "Avg KiB/subscriber",
-                "Subscriber MR",
-            ],
-            &table,
-        )
-    );
-    println!("reading guide:");
-    println!("  · centralized: one node carries RLC = 1 (the bottleneck of Section 2.1);");
-    println!("  · broadcast: no broker load, but every subscriber downloads and filters the full stream;");
-    println!(
-        "  · multi-stage: every node far below 1, subscribers see almost only relevant events."
-    );
-
-    // Shape assertions.
-    let max_rlc = |i: usize| -> f64 {
-        let m = &rows[i].metrics;
-        m.records
-            .iter()
-            .filter(|r| r.stage > 0)
-            .map(|r| r.rlc(m.total_events, m.total_subs))
-            .fold(0.0f64, f64::max)
-    };
-    assert!(
-        (max_rlc(0) - 1.0).abs() < 1e-9,
-        "centralized server RLC must be 1"
-    );
-    assert!(
-        max_rlc(2) < 0.5,
-        "multi-stage max node RLC must be well below centralized"
-    );
-    let broadcast_sub_recv = rows[1].metrics.stage_records(0).next().unwrap().received;
-    assert_eq!(
-        broadcast_sub_recv, events,
-        "broadcast floods every subscriber"
-    );
-    assert!(
-        rows[2].metrics.avg_mr_at(0) > 0.5,
-        "multi-stage subscribers mostly see relevant events"
-    );
-    println!("\nshape checks passed.");
+fn main() -> std::process::ExitCode {
+    layercake_bench::arch_compare::report().emit()
 }

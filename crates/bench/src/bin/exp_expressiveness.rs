@@ -1,146 +1,3 @@
-//! E9 (extension) — subscription expressiveness vs delivered irrelevant
-//! traffic (Section 2.2: "As expressiveness increases, so does selectivity
-//! and less irrelevant events have to be delivered to subscribers").
-//!
-//! The same subscriber interest ("papers by my author at my conference in
-//! my year") is expressed at the paper's increasing expressiveness levels —
-//! type-only (topic-based), one equality, full conjunction — and we measure
-//! what reaches the subscriber runtime versus what it actually wants.
-//!
-//! Run with: `cargo run --release -p layercake-bench --bin exp_expressiveness`
-
-use std::sync::Arc;
-
-use layercake_event::{Advertisement, TypeRegistry};
-use layercake_filter::Filter;
-use layercake_metrics::render_table;
-use layercake_overlay::{OverlayConfig, OverlaySim};
-use layercake_workload::{BiblioConfig, BiblioWorkload};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-fn main() {
-    let events: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
-    eprintln!("running E9: expressiveness levels vs delivered traffic, {events} events…");
-
-    let mut registry = TypeRegistry::new();
-    let mut rng = StdRng::seed_from_u64(17);
-    let workload = BiblioWorkload::new(
-        BiblioConfig {
-            subscriptions: 50,
-            ..BiblioConfig::default()
-        },
-        &mut registry,
-        &mut rng,
-    );
-    let class = workload.class();
-    let registry = Arc::new(registry);
-
-    let mut sim = OverlaySim::new(
-        OverlayConfig {
-            levels: vec![20, 4, 1],
-            ..OverlayConfig::default()
-        },
-        Arc::clone(&registry),
-    );
-    sim.advertise(Advertisement::new(class, BiblioWorkload::stage_map()));
-    sim.settle();
-
-    // The interest, expressed at four levels. The most expressive filter is
-    // the "ground truth" of what the subscriber wants.
-    let year = 2000i64;
-    let conf = "conf-000";
-    let author = "author-0000";
-    let levels: Vec<(&str, Filter)> = vec![
-        ("type-only (topic)", Filter::for_class(class)),
-        ("+ year equality", Filter::for_class(class).eq("year", year)),
-        (
-            "+ conference",
-            Filter::for_class(class)
-                .eq("year", year)
-                .eq("conference", conf),
-        ),
-        (
-            "+ author (full)",
-            Filter::for_class(class)
-                .eq("year", year)
-                .eq("conference", conf)
-                .eq("author", author),
-        ),
-    ];
-    let truth = levels.last().unwrap().1.clone();
-
-    let handles: Vec<_> = levels
-        .iter()
-        .map(|(_, f)| {
-            let h = sim.add_subscriber(f.clone()).expect("valid filter");
-            sim.settle();
-            h
-        })
-        .collect();
-    // Background population so the event stream is realistic.
-    for f in workload.subscriptions() {
-        sim.add_subscriber(f.clone()).expect("valid filter");
-        sim.settle();
-    }
-
-    let stream: Vec<_> = (0..events)
-        .map(|seq| workload.envelope(seq, &mut rng))
-        .collect();
-    let wanted = stream
-        .iter()
-        .filter(|e| truth.matches_envelope(e, &registry))
-        .count() as u64;
-    for env in &stream {
-        sim.publish(env.clone());
-    }
-    sim.settle();
-
-    let mut rows = Vec::new();
-    let mut received_by_level = Vec::new();
-    for ((name, _), h) in levels.iter().zip(&handles) {
-        let rec = sim.subscriber(*h).record();
-        let irrelevant = rec.received.saturating_sub(wanted);
-        received_by_level.push(rec.received);
-        rows.push(vec![
-            (*name).to_owned(),
-            rec.received.to_string(),
-            wanted.to_string(),
-            irrelevant.to_string(),
-            format!("{:.4}", wanted as f64 / rec.received.max(1) as f64),
-        ]);
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "Expressiveness level",
-                "Events delivered",
-                "Events wanted",
-                "Irrelevant deliveries",
-                "Useful fraction",
-            ],
-            &rows,
-        )
-    );
-    println!("reading guide: every added constraint cuts the irrelevant traffic a");
-    println!("low-bandwidth subscriber (the paper's wireless phones and pagers) must absorb.");
-
-    assert!(
-        received_by_level.windows(2).all(|w| w[1] <= w[0]),
-        "delivered traffic must shrink as expressiveness grows: {received_by_level:?}"
-    );
-    assert_eq!(
-        *received_by_level.first().unwrap(),
-        events,
-        "the topic subscriber receives the full class stream"
-    );
-    assert!(
-        *received_by_level.last().unwrap() < events / 10,
-        "the full filter must cut traffic by more than 10x"
-    );
-    println!("\nshape checks passed.");
+fn main() -> std::process::ExitCode {
+    layercake_bench::expressiveness::report().emit()
 }

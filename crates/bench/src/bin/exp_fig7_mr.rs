@@ -1,61 +1,3 @@
-//! E2 — Figure 7: "Matching rate of the nodes".
-//!
-//! Same setup as E1; plots the per-node matching rate for level-0
-//! (subscribers), level-1 and level-2 nodes, and prints the CSV behind the
-//! plot.
-//!
-//! Run with: `cargo run --release -p layercake-bench --bin exp_fig7_mr [events] [--csv]`
-
-use layercake_bench::{paper_biblio, paper_overlay, run_biblio};
-use layercake_metrics::{Scatter, Series};
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let events: u64 = args.iter().find_map(|a| a.parse().ok()).unwrap_or(20_000);
-    let want_csv = args.iter().any(|a| a == "--csv");
-
-    eprintln!("running E2: 100/10/1 hierarchy, 150 subscribers, {events} events…");
-    let run = run_biblio(paper_overlay(), paper_biblio(), events, 2002);
-
-    // The paper plots 150 level-0, 100 level-1 and 10 level-2 processes on
-    // a shared process-id axis.
-    let mut plot = Scatter::new("Matching rate of the nodes (Figure 7)", 75, 18)
-        .with_axes("Process Id", "Matching Rate (MR)")
-        .with_y_range(0.0, 1.2);
-    for (stage, marker) in [(2usize, 'x'), (1, '+'), (0, '*')] {
-        // Idle nodes (received = 0) have no matching rate — pre-filtering
-        // kept them entirely out of the event flow — so only active nodes
-        // are plotted, as in the paper's figure.
-        let points: Vec<(f64, f64)> = run
-            .metrics
-            .stage_records(stage)
-            .filter(|r| r.received > 0)
-            .enumerate()
-            .map(|(i, r)| (i as f64, r.mr()))
-            .collect();
-        plot = plot.with_series(Series::new(
-            format!("MR of Level {stage} Nodes"),
-            marker,
-            points,
-        ));
-    }
-    println!("{}", plot.render());
-
-    for stage in [0usize, 1, 2] {
-        println!(
-            "average MR of level-{stage} nodes: {:.3}",
-            run.metrics.avg_mr_at(stage)
-        );
-    }
-    println!("paper: average subscriber MR = 0.87, lower-stage nodes close to 1.");
-
-    let sub_mr = run.metrics.avg_mr_at(0);
-    assert!(
-        (0.80..=0.95).contains(&sub_mr),
-        "subscriber MR {sub_mr} should sit near the paper's 0.87"
-    );
-
-    if want_csv {
-        println!("\n{}", run.metrics.mr_csv());
-    }
+fn main() -> std::process::ExitCode {
+    layercake_bench::fig7_mr::report().emit()
 }

@@ -1,89 +1,3 @@
-//! E1 — Section 5.3 RLC table at the paper's scale.
-//!
-//! Topology: 1 stage-3 root, 10 stage-2 nodes, 100 stage-1 nodes,
-//! 150 subscribers; bibliographic workload. Prints the per-stage RLC table
-//! next to the paper's reported values.
-//!
-//! Run with: `cargo run --release -p layercake-bench --bin exp_rlc_table`
-
-use layercake_bench::{paper_biblio, paper_overlay, run_biblio};
-use layercake_metrics::{format_ratio, render_table};
-
-fn main() {
-    let events: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_000);
-    eprintln!("running E1: 100/10/1 hierarchy, 150 subscribers, {events} events…");
-    let run = run_biblio(paper_overlay(), paper_biblio(), events, 2002);
-
-    // The paper's reported values (Section 5.3).
-    let paper: &[(usize, &str, &str)] = &[
-        (0, "2e-7", "2e-4"),
-        (1, "2e-4", "2e-1"),
-        (2, "0.1", "1"),
-        (3, "0.02", "0.02"),
-    ];
-
-    let summary = run.metrics.stage_summary();
-    let rows: Vec<Vec<String>> = summary
-        .iter()
-        .map(|s| {
-            let (p_avg, p_tot) = paper
-                .iter()
-                .find(|(st, ..)| *st == s.stage)
-                .map_or(("-", "-"), |(_, a, t)| (*a, *t));
-            vec![
-                s.stage.to_string(),
-                s.nodes.to_string(),
-                format_ratio(s.avg_rlc),
-                format_ratio(s.total_rlc),
-                p_avg.to_owned(),
-                p_tot.to_owned(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "Stage",
-                "Nodes",
-                "Node avg. RLC (measured)",
-                "Stage total RLC (measured)",
-                "Node avg. RLC (paper)",
-                "Stage total RLC (paper)",
-            ],
-            &rows,
-        )
-    );
-    println!(
-        "global RLC total (measured) = {}   — paper: ≈ 1 (no more total work than a centralized server)",
-        format_ratio(run.metrics.global_rlc_total())
-    );
-    println!(
-        "average subscriber MR = {:.2}        — paper: 0.87",
-        run.metrics.avg_mr_at(0)
-    );
-
-    // Shape assertions the reproduction stands on.
-    let by_stage = |s: usize| {
-        summary
-            .iter()
-            .find(|x| x.stage == s)
-            .expect("stage present")
-    };
-    assert!(
-        by_stage(0).avg_rlc < by_stage(1).avg_rlc,
-        "per-node load must shrink towards the subscribers"
-    );
-    assert!(
-        by_stage(1).avg_rlc < by_stage(2).avg_rlc,
-        "stage-2 nodes carry more load per node than stage-1 nodes"
-    );
-    assert!(
-        summary.iter().all(|s| s.avg_rlc < 1.0),
-        "every node must be loaded below the centralized server"
-    );
-    println!("\nshape checks passed: per-node RLC ≪ 1 and decreasing towards stage 0.");
+fn main() -> std::process::ExitCode {
+    layercake_bench::rlc_table::report().emit()
 }

@@ -1,102 +1,3 @@
-//! E6 — scalability in the number of subscribers (Section 5.3 claim).
-//!
-//! "By adding a few intermediate nodes, the number of subscribers can be
-//! increased significantly without increasing the required computational
-//! power at any node." This experiment grows the subscriber population,
-//! first on a fixed hierarchy (per-node load creeps up), then on a
-//! proportionally grown hierarchy (per-node load stays flat), always
-//! comparing against the centralized server whose load is the full
-//! `events × subscriptions` product.
-//!
-//! Run with: `cargo run --release -p layercake-bench --bin exp_scaling`
-
-use layercake_bench::run_biblio;
-use layercake_metrics::render_table;
-use layercake_overlay::OverlayConfig;
-use layercake_workload::BiblioConfig;
-
-fn main() {
-    let events: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5_000);
-    eprintln!("running E6: subscriber sweep on fixed vs grown hierarchies, {events} events…");
-
-    // (subs, levels) pairs: the first three share a topology, the last two
-    // grow it with the population.
-    let sweeps: &[(usize, &[usize], &str)] = &[
-        (150, &[50, 5, 1], "fixed"),
-        (600, &[50, 5, 1], "fixed"),
-        (2_400, &[50, 5, 1], "fixed"),
-        (600, &[200, 20, 1], "grown"),
-        (2_400, &[800, 80, 1], "grown"),
-    ];
-
-    let mut rows = Vec::new();
-    let mut max_lc_grown = Vec::new();
-    let mut max_lc_fixed = Vec::new();
-    for &(subs, levels, kind) in sweeps {
-        let overlay = OverlayConfig {
-            levels: levels.to_vec(),
-            ..OverlayConfig::default()
-        };
-        let biblio = BiblioConfig {
-            subscriptions: subs,
-            authors: 200,
-            ..BiblioConfig::default()
-        };
-        let run = run_biblio(overlay, biblio, events, 11);
-        // Per-event filtering work at the hottest non-root broker: the
-        // "computational power requirement" the paper talks about.
-        let hottest: f64 = run
-            .metrics
-            .records
-            .iter()
-            .filter(|r| r.stage >= 1 && r.stage < levels.len())
-            .map(|r| r.evaluations as f64 / events as f64)
-            .fold(0.0, f64::max);
-        let central = subs as f64; // centralized server: filters/event = subs
-        if kind == "grown" {
-            max_lc_grown.push((subs, hottest));
-        } else if subs > 150 {
-            max_lc_fixed.push((subs, hottest));
-        }
-        rows.push(vec![
-            subs.to_string(),
-            format!("{levels:?}"),
-            kind.to_owned(),
-            format!("{hottest:.2}"),
-            format!("{central:.0}"),
-        ]);
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "Subscribers",
-                "Hierarchy",
-                "Scaling",
-                "Max broker LC per event (below root)",
-                "Centralized LC per event",
-            ],
-            &rows,
-        )
-    );
-    println!("reading guide: the centralized server's per-event work grows linearly with the");
-    println!("population; growing the hierarchy keeps the hottest broker's work flat.");
-
-    // Shape checks: at equal population, the grown hierarchy's hottest node
-    // does less work than the fixed one's, and stays far below centralized.
-    for ((subs_f, fixed), (subs_g, grown)) in max_lc_fixed.iter().zip(&max_lc_grown) {
-        assert_eq!(subs_f, subs_g);
-        assert!(
-            grown <= fixed,
-            "grown hierarchy must not be hotter ({grown} vs {fixed} at {subs_f} subs)"
-        );
-        assert!(
-            *grown < *subs_g as f64 / 10.0,
-            "hottest broker must stay an order of magnitude below centralized"
-        );
-    }
-    println!("\nshape checks passed.");
+fn main() -> std::process::ExitCode {
+    layercake_bench::scaling::report().emit()
 }

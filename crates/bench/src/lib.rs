@@ -1,32 +1,114 @@
 //! Shared experiment harness for regenerating the paper's evaluation.
 //!
-//! Every table and figure in the paper's Section 5 (and the qualitative
-//! claims of Sections 2 and 4) has a binary in `src/bin/` that rebuilds it:
+//! Every deterministic experiment (E1–E6, E8–E11, E13–E15) is a module
+//! here, named after its binary `exp_<module>` and documented by its
+//! experiment id and paper artifact. Its `report()` runs it at its
+//! documented settings and returns a [`Report`]: the exact text of its
+//! results file in `docs/results/` and the shape checks that failed. Its
+//! binary in `src/bin/` prints that report, and the golden test
+//! (`tests/goldens.rs`) compares it with the committed file.
 //!
-//! | id | artifact | binary |
-//! |----|----------|--------|
-//! | E1 | Section 5.3 RLC table | `exp_rlc_table` |
-//! | E2 | Figure 7 matching-rate scatter | `exp_fig7_mr` |
-//! | E3 | Section 2.1/5.1 architecture comparison | `exp_arch_compare` |
-//! | E4 | Section 4.2 placement-policy claim | `exp_placement` |
-//! | E5 | Section 4.4 wildcard-placement claim | `exp_wildcard` |
-//! | E6 | Section 5.3 scalability-in-subscribers claim | `exp_scaling` |
-//!
-//! Micro-benchmarks (Criterion, `cargo bench`) cover the mechanisms:
-//! matching strategies, weakening/merging, covering checks, and the typed
-//! end-to-end path (E7/M1–M4 in `DESIGN.md`).
+//! The wall-clock experiments (`exp_aggregation`, `exp_durability`,
+//! `exp_selfheal`) measure the host, so they stay binaries with their own
+//! settings. Micro-benchmarks (Criterion, `cargo bench`) cover the
+//! mechanisms: weakening/merging, covering checks, and the typed
+//! end-to-end path (E7/M1, M2, M4 in `DESIGN.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt;
+use std::path::Path;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-use layercake_event::{Advertisement, TypeRegistry};
+use layercake_event::{Advertisement, Envelope, TypeRegistry};
 use layercake_metrics::RunMetrics;
 use layercake_overlay::{OverlayConfig, OverlaySim, SubscriberHandle};
 use layercake_workload::{BiblioConfig, BiblioWorkload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+pub mod arch_compare;
+pub mod chaos;
+pub mod depth;
+pub mod expressiveness;
+pub mod fig7_mr;
+pub mod latency;
+pub mod lease;
+pub mod mesh;
+pub mod overload;
+pub mod placement;
+pub mod rlc_table;
+pub mod scaling;
+pub mod wildcard;
+
+/// What one deterministic experiment produced.
+#[must_use]
+#[derive(Default)]
+pub struct Report {
+    /// The experiment's binary, and the stem of its results file.
+    pub name: &'static str,
+    /// The exact text of `docs/results/<name>.txt`.
+    pub text: String,
+    /// Further results files, as `(file name, contents)`.
+    pub files: Vec<(&'static str, String)>,
+    /// One line per failed shape check; empty when the reproduction holds.
+    pub failed: Vec<String>,
+}
+
+impl Report {
+    fn new(name: &'static str) -> Self {
+        Report {
+            name,
+            ..Report::default()
+        }
+    }
+
+    /// Appends to the text, so `writeln!(report, …)` reads like
+    /// `println!` and cannot fail.
+    fn write_fmt(&mut self, args: fmt::Arguments<'_>) {
+        self.text += &args.to_string();
+    }
+
+    /// Records a shape check; `what` names it when it fails.
+    fn check(&mut self, ok: bool, what: impl Into<String>) {
+        if !ok {
+            self.failed.push(what.into());
+        }
+    }
+
+    /// Ends the text with `passed`, or with one line per failed check.
+    fn finish(mut self, passed: &str) -> Self {
+        writeln!(self);
+        if self.failed.is_empty() {
+            writeln!(self, "{passed}");
+        }
+        for what in &self.failed {
+            self.text += &format!("shape check failed: {what}\n");
+        }
+        self
+    }
+
+    /// Prints the text, writes the further files into [`RESULTS_DIR`], and
+    /// fails when a shape check did.
+    #[must_use]
+    pub fn emit(&self) -> ExitCode {
+        for (file, contents) in &self.files {
+            std::fs::write(Path::new(RESULTS_DIR).join(file), contents)
+                .expect("write results file");
+        }
+        print!("{}", self.text);
+        if self.failed.is_empty() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The repository's `docs/results/`, wherever the binary runs from.
+pub const RESULTS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/results");
 
 /// Everything produced by one bibliographic-workload overlay run.
 pub struct BiblioRun {
@@ -34,10 +116,24 @@ pub struct BiblioRun {
     pub metrics: RunMetrics,
     /// The simulation, for further inspection.
     pub sim: OverlaySim,
-    /// The workload that drove it.
-    pub workload: BiblioWorkload,
     /// Subscriber handles, in creation order.
     pub handles: Vec<SubscriberHandle>,
+}
+
+/// The bibliographic workload `seed` draws, with its class registered, and
+/// the first `events` events it publishes.
+fn biblio_stream(
+    biblio: BiblioConfig,
+    events: u64,
+    seed: u64,
+) -> (TypeRegistry, BiblioWorkload, Vec<Envelope>) {
+    let mut registry = TypeRegistry::new();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let workload = BiblioWorkload::new(biblio, &mut registry, &mut rng);
+    let stream = (0..events)
+        .map(|seq| workload.envelope(seq, &mut rng))
+        .collect();
+    (registry, workload, stream)
 }
 
 /// Runs the paper's Section 5 experiment: build the hierarchy, advertise
@@ -50,9 +146,7 @@ pub fn run_biblio(
     events: u64,
     seed: u64,
 ) -> BiblioRun {
-    let mut registry = TypeRegistry::new();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let workload = BiblioWorkload::new(biblio, &mut registry, &mut rng);
+    let (registry, workload, stream) = biblio_stream(biblio, events, seed);
     let class = workload.class();
 
     let mut sim = OverlaySim::new(overlay, Arc::new(registry));
@@ -68,16 +162,50 @@ pub fn run_biblio(
         handles.push(h);
     }
 
-    for seq in 0..events {
-        sim.publish(workload.envelope(seq, &mut rng));
+    for env in stream {
+        sim.publish(env);
     }
     sim.settle();
 
     BiblioRun {
         metrics: sim.metrics(),
         sim,
-        workload,
         handles,
+    }
+}
+
+/// The hottest broker's RLC (stage 0 is the subscribers).
+fn max_broker_rlc(m: &RunMetrics) -> f64 {
+    m.records
+        .iter()
+        .filter(|r| r.stage > 0)
+        .map(|r| r.rlc(m.total_events, m.total_subs))
+        .fold(0.0, f64::max)
+}
+
+/// Filters stored across all brokers.
+fn broker_filters(m: &RunMetrics) -> usize {
+    m.records
+        .iter()
+        .filter(|r| r.stage > 0)
+        .map(|r| r.filters)
+        .sum()
+}
+
+/// Broker receptions per subscriber delivery: the hops a delivered event
+/// travels.
+fn broker_hops(m: &RunMetrics) -> f64 {
+    let broker_recv: u64 = m
+        .records
+        .iter()
+        .filter(|r| r.stage > 0)
+        .map(|r| r.received)
+        .sum();
+    let delivered: u64 = m.stage_records(0).map(|r| r.received).sum();
+    if delivered == 0 {
+        0.0
+    } else {
+        broker_recv as f64 / delivered as f64
     }
 }
 

@@ -413,24 +413,6 @@ impl RunMetrics {
             &rows,
         )
     }
-
-    /// Renders per-node matching rates as CSV (`node,stage,mr`), the data
-    /// behind Figure 7.
-    #[must_use]
-    pub fn mr_csv(&self) -> String {
-        let mut out = String::from("node,stage,received,matched,mr\n");
-        for r in &self.records {
-            out.push_str(&format!(
-                "{},{},{},{},{:.4}\n",
-                r.node,
-                r.stage,
-                r.received,
-                r.matched,
-                r.mr()
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -500,15 +482,6 @@ mod tests {
         assert!(table.contains("Stage"));
         assert!(table.contains("global RLC total"));
         assert!(table.lines().count() >= 4);
-    }
-
-    #[test]
-    fn mr_csv_lists_each_node() {
-        let mut m = RunMetrics::new(10, 1);
-        m.push(rec("x", 0, 1, 10, 5));
-        let csv = m.mr_csv();
-        assert!(csv.starts_with("node,stage,"));
-        assert!(csv.contains("x,0,10,5,0.5000"));
     }
 
     #[test]
