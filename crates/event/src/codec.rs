@@ -147,7 +147,8 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// The number of bytes [`write_varint`] spends on `v`.
-fn varint_len(v: u64) -> usize {
+#[must_use]
+pub fn varint_len(v: u64) -> usize {
     (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 

@@ -79,8 +79,8 @@ mod value;
 pub use bytes::Bytes;
 pub use class::{AttributeDecl, ClassId, EventClass};
 pub use codec::{
-    write_bytes, write_str, write_varint, write_zigzag, BinCodec, CodecError, DecodeDict, DictMode,
-    EncodeDict, WireReader, HELLO_MAGIC, KIND_DICT, KIND_HELLO, KIND_MSG,
+    varint_len, write_bytes, write_str, write_varint, write_zigzag, BinCodec, CodecError,
+    DecodeDict, DictMode, EncodeDict, WireReader, HELLO_MAGIC, KIND_DICT, KIND_HELLO, KIND_MSG,
 };
 pub use data::EventData;
 pub use envelope::{Envelope, EventSeq};

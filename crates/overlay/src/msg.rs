@@ -1,8 +1,8 @@
 //! The overlay's wire protocol (Figures 5 and 6).
 //!
 //! Besides the in-memory message enum, this module defines its *wire
-//! encoding* ([`BinCodec`]), used by the wall-clock runtime to put every
-//! hop through a real serialize → frame → deframe → deserialize cycle.
+//! encoding* ([`BinCodec`]), which the wall-clock runtime writes and reads
+//! wherever a message crosses a socket.
 //! Node addresses ([`ActorId`]) travel as plain integers — the id space
 //! is runtime-local, exactly as in the simulator — and all payload types
 //! (filters, advertisements, envelopes) reuse their own binary

@@ -410,6 +410,7 @@ impl OverlaySim {
             .as_subscriber_mut()
             .expect("handle points at a subscriber")
             .take_inbox()
+            .collect()
     }
 
     /// Soft-state unsubscription (Section 4.3): the subscriber stops

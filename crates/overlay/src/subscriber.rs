@@ -294,9 +294,10 @@ impl SubscriberNode {
         self.store_envelopes = store;
     }
 
-    /// Drains the buffered envelopes accepted since the last call.
-    pub fn take_inbox(&mut self) -> Vec<Envelope> {
-        std::mem::take(&mut self.inbox)
+    /// Drains the buffered envelopes accepted since the last call, in
+    /// place: the buffer keeps its capacity for the next deliveries.
+    pub fn take_inbox(&mut self) -> std::vec::Drain<'_, Envelope> {
+        self.inbox.drain(..)
     }
 
     /// The buffered envelopes accepted so far, without draining them.

@@ -1,9 +1,9 @@
 //! The one loop every node thread runs.
 //!
 //! A broker matcher shard and a subscriber are the same thing to the
-//! runtime: a [`Node`] state machine fed framed wire messages from an
-//! inbox, with a heap of timer deadlines. [`NodeDriver`] owns the node
-//! and everything needed to run it. Its unit of work is the *turn* —
+//! runtime: a [`Node`] state machine fed messages from an inbox, with a
+//! heap of timer deadlines. [`NodeDriver`] owns the node and everything
+//! needed to run it. Its unit of work is the *turn* —
 //! [`NodeDriver::turn`] runs the node for one frame — and
 //! [`NodeDriver::run`] is the blocking loop that takes frames off an
 //! inbox and spends a turn on each. What differs between the two kinds of
@@ -28,7 +28,6 @@ use crate::runtime::{
     elapsed_ns, micros_since, nanos_since, shard_of, Frame, Router, RtEvent, EXTERNAL,
 };
 use crate::stats::RtStats;
-use crate::wire::{LinkDecoder, WireCodec};
 
 /// The current wall-clock microsecond tick as a heartbeat gauge value.
 fn heartbeat_now(epoch: Instant) -> i64 {
@@ -79,7 +78,6 @@ pub(crate) struct NodeDriver<N: Node> {
     /// How often the idle thread wakes with no timer due; see
     /// `runtime::idle_tick`.
     idle_tick: Option<Duration>,
-    decoder: LinkDecoder,
     /// `(deadline in µs since epoch, tag)`.
     timers: BinaryHeap<Reverse<(u64, u64)>>,
     /// The stage sampler's position in its every-n-th cycle.
@@ -119,7 +117,6 @@ impl<N: Node> NodeDriver<N> {
             fence: None,
             heartbeat,
             idle_tick,
-            decoder: LinkDecoder::new(WireCodec::Binary),
             timers: BinaryHeap::new(),
             frame_counter: 0,
             received: 0,
@@ -217,10 +214,10 @@ impl<N: Node> NodeDriver<N> {
         }
     }
 
-    /// Runs the node for one frame: consults the fault plan, then decodes
-    /// the frame and hands each message in it to the node. Breaks when an
-    /// injected stall outlasted the supervisor's patience and the thread
-    /// came back fenced — the frame then stays in `current`, unhandled.
+    /// Runs the node for one frame: consults the fault plan, then hands the
+    /// frame's message to the node. Breaks when an injected stall outlasted
+    /// the supervisor's patience and the thread came back fenced — the
+    /// frame then stays in `current`, unhandled.
     pub(crate) fn turn(&mut self, frame: Frame) -> ControlFlow<LoopExit> {
         self.received += 1;
         let sampled = self.env.profiler.tick(&mut self.frame_counter);
@@ -253,16 +250,16 @@ impl<N: Node> NodeDriver<N> {
         ControlFlow::Continue(())
     }
 
-    /// Pushes the current frame's bytes through the link decoder and
-    /// feeds every complete wire message to the node. Corrupt frames are
-    /// counted and the buffered remainder discarded (the learned attribute
-    /// dictionary survives the reset — only framing state is poisoned).
+    /// Hands a copy of the current frame's message to the node (for an
+    /// event, an `Arc` bump), keeping the frame itself for the supervisor
+    /// until the node has handled it.
     ///
     /// On a sampled frame the per-stage pipeline costs are recorded:
-    /// ingress wait (sender's enqueue stamp → now), decode (deframe +
-    /// deserialize, per wire message), and match (the state-machine step,
-    /// minus the time its own sends spent encoding and enqueuing — those
-    /// are reported as `Encode`/`EgressSend` by the nested dispatch).
+    /// ingress wait (sender's enqueue stamp → now) and match (the
+    /// state-machine step, minus the time its own sends spent routing —
+    /// reported as `EgressSend` by the nested dispatch). `Encode` and
+    /// `Decode` are recorded where bytes are made and read: the TCP link
+    /// threads.
     ///
     /// Externally published events are re-stamped here, at root ingress
     /// dequeue: the wait an event spent behind earlier events in the root
@@ -282,53 +279,35 @@ impl<N: Node> NodeDriver<N> {
                 nanos_since(env.epoch).saturating_sub(frame.enqueued_ns),
             );
         }
-        self.decoder.push(&frame.bytes);
-        loop {
-            let decode_timer = sampled.then(Instant::now);
-            match self.decoder.next_msg() {
-                Ok(Some((from, mut msg))) => {
-                    if let Some(t0) = decode_timer {
-                        env.profiler.record(PipelineStage::Decode, elapsed_ns(t0));
-                    }
-                    if from == EXTERNAL {
-                        if let OverlayMsg::Publish(event) = &mut msg {
-                            if let Some(mut tc) = event.trace() {
-                                let now = nanos_since(env.epoch);
-                                env.stats
-                                    .record_queue_wait_ns(now.saturating_sub(tc.published_at));
-                                tc.published_at = now;
-                                tc.last_hop_at = now;
-                                event.set_trace(Some(tc));
-                            }
-                        }
-                    }
-                    let mut ctx = RtCtx {
-                        env,
-                        timers: &mut self.timers,
-                        sampled,
-                        nested_ns: 0,
-                    };
-                    let match_timer = sampled.then(Instant::now);
-                    self.node.on_message(from, msg, &mut ctx);
-                    if let Some(t0) = match_timer {
-                        env.profiler.record(
-                            PipelineStage::Match,
-                            elapsed_ns(t0).saturating_sub(ctx.nested_ns),
-                        );
-                    }
-                    // Counted once handled, after whatever the node sent in
-                    // response: `frames_sent == frames_received` then means no
-                    // frame is queued or being worked on (see `quiesce`).
-                    env.stats.inc_frames_received();
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    env.stats.inc_decode_errors();
-                    self.decoder.reset_framing();
-                    break;
-                }
+        let (from, mut msg) = (frame.from, frame.msg.clone());
+        if let (EXTERNAL, OverlayMsg::Publish(event)) = (from, &mut msg) {
+            if let Some(mut tc) = event.trace() {
+                let now = nanos_since(env.epoch);
+                env.stats
+                    .record_queue_wait_ns(now.saturating_sub(tc.published_at));
+                tc.published_at = now;
+                tc.last_hop_at = now;
+                event.set_trace(Some(tc));
             }
         }
+        let mut ctx = RtCtx {
+            env,
+            timers: &mut self.timers,
+            sampled,
+            nested_ns: 0,
+        };
+        let match_timer = sampled.then(Instant::now);
+        self.node.on_message(from, msg, &mut ctx);
+        if let Some(t0) = match_timer {
+            env.profiler.record(
+                PipelineStage::Match,
+                elapsed_ns(t0).saturating_sub(ctx.nested_ns),
+            );
+        }
+        // Counted once handled, after whatever the node sent in response:
+        // `frames_sent == frames_received` then means no frame is queued
+        // or being worked on (see `quiesce`).
+        env.stats.inc_frames_received();
     }
 
     pub(crate) fn fire_due_timers(&mut self) {
@@ -355,9 +334,9 @@ pub(crate) struct RtCtx<'a> {
     /// stage sampler.
     sampled: bool,
     /// Wall-clock nanoseconds this handler spent inside nested
-    /// `dispatch` calls (encode + egress send). Subtracted from the
-    /// handler's total so the `Match` stage reports pure state-machine
-    /// time rather than re-counting downstream wire costs.
+    /// `dispatch` calls (frame counting + egress send). Subtracted from
+    /// the handler's total so the `Match` stage reports pure
+    /// state-machine time rather than re-counting downstream send costs.
     nested_ns: u64,
 }
 
@@ -385,7 +364,7 @@ impl NodeCtx for RtCtx<'_> {
         }
         let timer = self.sampled.then(Instant::now);
         env.router
-            .dispatch(env.me, to, &msg, &env.stats, self.sampled);
+            .dispatch(env.me, to, msg, &env.stats, self.sampled);
         if let Some(t0) = timer {
             self.nested_ns = self.nested_ns.saturating_add(elapsed_ns(t0));
         }

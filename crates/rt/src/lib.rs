@@ -8,18 +8,16 @@
 //! [`layercake_overlay::NodeCtx`] traits, under real concurrency:
 //!
 //! * every broker matcher shard and every subscriber is an OS thread;
-//! * threads exchange length-prefixed byte frames — over `std::sync::mpsc`
-//!   channels by default, or over real loopback TCP sockets with
-//!   [`TransportKind::Tcp`] — so each hop pays genuine
-//!   serialize/deserialize cost. Frames carry the compact binary codec
-//!   (varint integers plus an interned attribute dictionary; see
-//!   [`wire`]);
+//! * threads exchange messages — over `std::sync::mpsc` channels by
+//!   default, an event crossing a hop as an `Arc` bump of its envelope, or
+//!   over loopback TCP sockets ([`TransportKind::Tcp`]), whose link threads
+//!   encode and decode the compact binary codec (see [`wire`]);
 //! * separate *processes* talk to a broker through the [`remote`]
 //!   protocol: a handshake, a per-connection negotiated attribute
 //!   dictionary, then the same framed binary messages over TCP;
 //! * events are hashed by class across `shards` matcher threads per
-//!   broker, scaling the dominant per-event cost (deserialize + match +
-//!   re-serialize) across cores;
+//!   broker, scaling the dominant per-event cost (matching) across
+//!   cores;
 //! * wall-clock end-to-end latency is stamped at publish and recorded at
 //!   delivery into the shared log₂ [`layercake_metrics::Histogram`].
 //!
@@ -42,9 +40,9 @@
 //! traces.
 //!
 //! `RtConfig::stage_sample_every` additionally times sampled frames
-//! through the pipeline stages (ingress wait → decode → match → encode
-//! → egress send, plus WAL append/fsync on durable runs); with the knob
-//! at 0 the hot path pays one relaxed load and a branch per frame.
+//! through the pipeline stages (ingress wait → match → egress send, the
+//! TCP link threads' encode and decode, WAL append/fsync on durable runs);
+//! with the knob at 0 the hot path pays one relaxed load and a branch.
 //!
 //! # Self-healing
 //!

@@ -2,11 +2,13 @@
 //!
 //! Every overlay node — each matcher shard of each broker, and each
 //! subscriber — runs as its own OS thread owning the node state machine
-//! outright; threads exchange *byte frames* over `std::sync::mpsc`
-//! channels, so every hop pays real serialize/frame/deframe/deserialize
-//! cost. Zero-copy `Arc` envelope sharing therefore happens only inside
-//! a shard (fan-out clones within one matcher thread), exactly as it
-//! would across real sockets.
+//! outright. Threads exchange *messages*: an inbox holds the
+//! [`OverlayMsg`] and its sender, so an event crosses an in-process hop as
+//! an `Arc` bump of its envelope body, with no encode and no decode. Bytes
+//! exist only where a message crosses a socket: the TCP transport's link
+//! threads and the [`crate::remote`] protocol encode and decode there, and
+//! `rt.bytes_sent` counts every hop's frame ([`wire::frame_len`]) either
+//! way.
 //!
 //! # Sharding contract (leader/follower)
 //!
@@ -67,7 +69,10 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGua
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use layercake_event::{Advertisement, Envelope, TraceContext, TraceId, TypeRegistry};
+use layercake_event::{
+    Advertisement, AttrValue, DictMode, EncodeDict, Envelope, TraceContext, TraceId, TypeRegistry,
+    FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
+};
 use layercake_filter::{Filter, FilterId};
 use layercake_metrics::{DurabilityStats, Gauge, PipelineStage, StageProfiler, TelemetrySnapshot};
 use layercake_overlay::topology::{self, TopologyNode};
@@ -136,11 +141,11 @@ pub struct RtConfig {
     /// place.
     pub durable_dir: Option<PathBuf>,
     /// Pipeline stage profiling: every n-th frame a node thread receives
-    /// is timed through ingress wait → decode → match → encode → egress
-    /// send (plus WAL append/fsync on durable runs) into the telemetry
-    /// registry. `0` (the default) turns profiling off; the cost left on
-    /// the hot path is then one relaxed atomic load and a branch per
-    /// frame.
+    /// is timed through ingress wait → match → egress send (every n-th a
+    /// TCP link carries through encode and decode; WAL append/fsync on
+    /// durable runs) into the telemetry registry. `0` (the default) turns
+    /// profiling off; the cost left on the hot path is then one relaxed
+    /// atomic load and a branch per frame.
     pub stage_sample_every: u64,
     /// When set, serves the telemetry registry in Prometheus text
     /// exposition format on this socket address (e.g. `"127.0.0.1:9464"`;
@@ -241,10 +246,12 @@ pub(crate) enum FrameTag {
     Ack,
 }
 
-/// One framed wire message in flight between node threads.
+/// One message in flight between node threads, with its sender: OS
+/// channels, unlike the simulator's scheduler, carry no provenance.
 #[derive(Clone)]
 pub(crate) struct Frame {
-    pub(crate) bytes: Vec<u8>,
+    pub(crate) from: ActorId,
+    pub(crate) msg: OverlayMsg,
     /// Nanoseconds since runtime start at enqueue time; `0` when the
     /// stage profiler is off (the receiver then skips the ingress-wait
     /// stage rather than misreading an unstamped frame).
@@ -252,13 +259,18 @@ pub(crate) struct Frame {
     pub(crate) tag: FrameTag,
 }
 
-/// What a node thread receives: either one framed wire message or the
-/// shutdown poison pill.
+/// What a node thread receives: either one message or the shutdown
+/// poison pill.
 #[derive(Clone)]
 pub(crate) enum RtEvent {
     Frame(Frame),
     Shutdown,
 }
+
+// An inbox slot is one `RtEvent`; a capacity burst queues up to 30 000 in
+// one inbox, so its size shows in peak RSS: 120 bytes raised lcbench's
+// `match-zipf`/`churn-mixed` `peak_rss_mb` 8–11%, 96 bytes 3–5.5% (bound 15%).
+const _: () = assert!(std::mem::size_of::<RtEvent>() <= 96);
 
 /// How to reach one node: an inbox per matcher shard. A subscriber is a
 /// one-shard node.
@@ -276,21 +288,11 @@ impl Route {
     /// [`SHARD_BROADCAST`] — by way of the link if there is one. `false`
     /// when a receiving end is gone.
     fn send(&self, shard: u32, ev: RtEvent) -> bool {
-        let Some(link) = &self.link else {
-            return self.deliver(shard, ev);
-        };
-        // One socket write carries a broadcast; the link reader fans it
-        // out to every shard.
-        let cmd = match ev {
-            RtEvent::Frame(f) => LinkCmd::Frame {
-                shard,
-                tag: f.tag,
-                enqueued_ns: f.enqueued_ns,
-                bytes: f.bytes,
-            },
-            RtEvent::Shutdown => LinkCmd::Shutdown { shard },
-        };
-        link.send(cmd).is_ok()
+        match &self.link {
+            // One socket write carries a broadcast; the reader fans it out.
+            Some(link) => link.send(LinkCmd::Send { shard, ev }).is_ok(),
+            None => self.deliver(shard, ev),
+        }
     }
 
     /// Puts `ev` straight into the inbox of shard `shard`, or of each.
@@ -388,21 +390,23 @@ impl Router {
         self.teardown.store(true, Ordering::Relaxed);
     }
 
-    /// Serializes `msg` and delivers it: data frames go to the class
-    /// shard, control frames are broadcast to every shard. Sends to
+    /// Delivers `msg`: data to the class shard, control to every shard;
+    /// an mpsc inbox takes the message itself, a TCP link's writer encodes
+    /// it. Either way its frame is counted ([`wire::frame_len`]) and one
+    /// over the frame cap is refused into `rt.encode_errors`. Sends to
     /// already-exited nodes fail soft (counted for data, silent for
     /// control/teardown).
     ///
-    /// When `sampled`, the encode and the routed send are timed into the
-    /// `Encode` / `EgressSend` pipeline stages. Independently of the
-    /// sample, frames are stamped with an enqueue timestamp whenever the
-    /// profiler is enabled at all, so the *receiver's* sampler can
-    /// measure ingress wait on frames whose send was not itself sampled.
+    /// When `sampled`, the routed send is timed into the `EgressSend`
+    /// pipeline stage. Independently of the sample, frames are stamped
+    /// with an enqueue timestamp whenever the profiler is enabled at all,
+    /// so the *receiver's* sampler can measure ingress wait on frames
+    /// whose send was not itself sampled.
     pub(crate) fn dispatch(
         &self,
         from: ActorId,
         to: ActorId,
-        msg: &OverlayMsg,
+        msg: OverlayMsg,
         stats: &RtStats,
         sampled: bool,
     ) {
@@ -414,18 +418,12 @@ impl Router {
             stats.inc_frames_dropped();
             return;
         }
-        let encode_timer = sampled.then(Instant::now);
-        let bytes = match wire::encode_for_dispatch(from, msg) {
-            Ok(bytes) => bytes,
-            Err(_) => {
-                // A message that cannot fit the frame cap: accounted and
-                // dropped here, never a panic in a node thread.
-                stats.inc_encode_errors();
-                return;
-            }
-        };
-        if let Some(t0) = encode_timer {
-            self.profiler.record(PipelineStage::Encode, elapsed_ns(t0));
+        let len = wire::frame_len(from, &msg);
+        if len - FRAME_HEADER_LEN > MAX_FRAME_PAYLOAD {
+            // A message that cannot fit the frame cap: accounted and
+            // dropped here, never a panic in a node thread.
+            stats.inc_encode_errors();
+            return;
         }
         let enqueued_ns = if self.profiler.enabled() {
             nanos_since(self.epoch)
@@ -437,13 +435,15 @@ impl Router {
         let Some(Some(route)) = routes.get(to.0) else {
             return;
         };
-        let (shard, tag) = match (data_class(msg), self.ctrl.get(to.0)) {
+        let (shard, tag) = match (data_class(&msg), self.ctrl.get(to.0)) {
             (Some(class), _) => (shard_of(class, route.shards.len()) as u32, FrameTag::Data),
             // A broker's control broadcast is captured for restart replay;
             // acks are not, and neither is anything subscriber-bound.
             (None, Some(log)) if !matches!(msg, OverlayMsg::AckUpto { .. }) => {
+                // As bytes: smaller than the message, and kept for the runtime's life.
+                let bytes = wire::encode_msg(from, &msg, &mut EncodeDict::new(DictMode::Shared));
                 let mut log = log.lock().unwrap_or_else(PoisonError::into_inner);
-                log.push(bytes.clone());
+                log.push(bytes.expect("the frame cap was checked above"));
                 (SHARD_BROADCAST, FrameTag::Ctrl(log.len() as u64 - 1))
             }
             (None, _) => (SHARD_BROADCAST, FrameTag::Ack),
@@ -455,10 +455,11 @@ impl Router {
             _ => 1,
         };
         for _ in 0..copies {
-            stats.note_frame_sent(bytes.len());
+            stats.note_frame_sent(len);
         }
         let frame = Frame {
-            bytes,
+            from,
+            msg,
             enqueued_ns,
             tag,
         };
@@ -471,39 +472,19 @@ impl Router {
         }
     }
 
-    /// Delivers one link-arrived frame into node `dest`'s *current* inbox
-    /// sender(s) — called by the TCP link reader thread. Looking the
-    /// route up per message means supervised shard restarts re-wire the
-    /// link exactly as they re-wire in-process senders.
-    pub(crate) fn forward_link_frame(
-        &self,
-        dest: usize,
-        shard: u32,
-        tag: FrameTag,
-        enqueued_ns: u64,
-        payload: &[u8],
-        stats: &RtStats,
-    ) {
-        let frame = Frame {
-            bytes: payload.to_vec(),
-            enqueued_ns,
-            tag,
-        };
-        let routes = self.read_routes();
-        let reached = match routes.get(dest) {
-            Some(Some(route)) => route.deliver(shard, RtEvent::Frame(frame)),
+    /// Delivers one link-arrived event — a decoded frame or the shutdown
+    /// pill — into node `dest`'s *current* inbox sender(s); called by the
+    /// TCP link reader thread. Looking the route up per message means
+    /// supervised shard restarts re-wire the link exactly as they re-wire
+    /// in-process senders.
+    pub(crate) fn forward_link(&self, dest: usize, shard: u32, ev: RtEvent, stats: &RtStats) {
+        let data = matches!(&ev, RtEvent::Frame(f) if f.tag == FrameTag::Data);
+        let reached = match self.read_routes().get(dest) {
+            Some(Some(route)) => route.deliver(shard, ev),
             _ => false,
         };
         if !reached {
-            self.note_send_failure(stats, tag == FrameTag::Data);
-        }
-    }
-
-    /// Delivers a link-arrived shutdown pill into node `dest`'s inbox
-    /// sender(s).
-    pub(crate) fn forward_link_shutdown(&self, dest: usize, shard: u32) {
-        if let Some(Some(route)) = self.read_routes().get(dest) {
-            let _ = route.deliver(shard, RtEvent::Shutdown);
+            self.note_send_failure(stats, data);
         }
     }
 
@@ -721,8 +702,15 @@ pub struct Publisher {
 }
 
 impl Publisher {
-    /// Publishes one event at the root.
+    /// Publishes one event at the root. An event holding a NaN float is
+    /// refused into `rt.encode_errors`: no hop would decode it.
     pub fn publish(&self, mut env: Envelope) {
+        self.stats.inc_published();
+        let nan = |(_, v): (_, &AttrValue)| matches!(v, AttrValue::Float(f) if f.is_nan());
+        if env.meta().iter_ids().any(nan) {
+            self.stats.inc_encode_errors();
+            return;
+        }
         let now = nanos_since(self.epoch);
         match &self.trace {
             Some(sink) => env.set_trace(sink.begin_trace(
@@ -732,11 +720,10 @@ impl Publisher {
             )),
             None => env.set_trace(Some(TraceContext::new(TraceId(env.seq().0), now))),
         }
-        self.stats.inc_published();
         self.router.dispatch(
             EXTERNAL,
             self.root,
-            &OverlayMsg::Publish(env),
+            OverlayMsg::Publish(env),
             &self.stats,
             false,
         );
@@ -1095,7 +1082,7 @@ impl Runtime {
         self.router.dispatch(
             EXTERNAL,
             self.root,
-            &OverlayMsg::Advertise(adv),
+            OverlayMsg::Advertise(adv),
             &self.stats,
             false,
         );
@@ -1250,7 +1237,7 @@ impl Runtime {
             self.router.dispatch(
                 EXTERNAL,
                 self.root,
-                &OverlayMsg::Subscribe(layercake_overlay::SubscriptionReq {
+                OverlayMsg::Subscribe(layercake_overlay::SubscriptionReq {
                     id: fid,
                     filter,
                     subscriber: id,
@@ -1813,5 +1800,25 @@ pub(crate) fn perform_restart(
             let lost = shared.router.fail_shard(b, shard, [], None) + requeued;
             Err((format!("replacement thread spawn failed: {e}"), lost))
         }
+    }
+}
+
+#[cfg(test)]
+impl Router {
+    /// A router that knows one node, `dest`: a single inbox, no link.
+    pub(crate) fn with_inbox(
+        dest: usize,
+        tx: Sender<RtEvent>,
+        profiler: Arc<StageProfiler>,
+    ) -> Self {
+        let router = Self::new(
+            dest + 1,
+            Instant::now(),
+            profiler,
+            Arc::new(FaultState::new(None)),
+        );
+        let shards = vec![tx];
+        router.set(ActorId(dest), Route { shards, link: None });
+        router
     }
 }

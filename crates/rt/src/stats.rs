@@ -263,7 +263,8 @@ impl RtStats {
         self.frames_sent.get()
     }
 
-    /// Total framed bytes sent — every one of them paid serialization.
+    /// Total bytes of the frames sent, on either transport (an mpsc hop
+    /// moves the message; its frame is counted, not written).
     #[must_use]
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent.get()

@@ -2,34 +2,29 @@
 //!
 //! The runtime's routing fabric is transport-agnostic: [`crate::Router`]
 //! decides *where* a frame goes (which broker, which matcher shard,
-//! broadcast or class-routed) and this module decides *how* the bytes
-//! travel there. Two backends implement the same contract:
+//! broadcast or class-routed) and this module decides *how* it travels
+//! there. Two backends implement the same contract:
 //!
-//! * [`TransportKind::Mpsc`] (the default) — frames are handed straight
-//!   to the destination shard's in-process `std::sync::mpsc` channel, as
-//!   in every revision since PR 5. Zero extra threads, zero copies
-//!   beyond the channel hand-off.
+//! * [`TransportKind::Mpsc`] (the default) — the message itself is
+//!   moved into the destination shard's in-process `std::sync::mpsc`
+//!   channel. Zero extra threads, no bytes: an event crosses as an `Arc`
+//!   bump of its envelope body.
 //! * [`TransportKind::Tcp`] — every node (each broker, each subscriber)
-//!   gets a real loopback TCP socket in front of its inbox channels: a
-//!   per-link **writer thread** owns the connected stream and drains a
-//!   command queue (so senders never block on socket I/O and the queue
-//!   preserves the mpsc backend's FIFO semantics; everything queued when
-//!   it wakes leaves in one `write`), and a per-link **reader thread**
-//!   deframes the socket through a buffer and forwards each frame into
-//!   the destination's *current* inbox sender via the router — looked
-//!   up per message, so supervised shard restarts re-wire the link
-//!   automatically, exactly as they re-wire in-process senders.
+//!   gets a real loopback TCP socket in front of its inbox channels. A
+//!   per-link **writer thread** drains a command queue (senders never
+//!   block on socket I/O; the queue keeps mpsc's FIFO order), encoding
+//!   what it finds into one `write`. A per-link **reader thread** decodes
+//!   each frame and forwards the message into the destination's *current*
+//!   inbox sender via the router — looked up per message, so supervised
+//!   shard restarts re-wire the link as they re-wire in-process senders.
+//!   These threads sample the `Encode` and `Decode` pipeline stages.
 //!
-//! The shutdown poison pill also rides the link ([`LinkCmd::Shutdown`]):
-//! poisoning through the same FIFO the data frames took preserves the
-//! teardown invariant that a joined upstream stage's frames are already
-//! enqueued downstream before the downstream node drains.
-//!
-//! A link message carries the routing metadata the in-process `Frame`
-//! struct would have carried in its fields: target shard (or the
-//! broadcast sentinel), requeue tag, and the profiler's enqueue stamp.
-//! The frame payload itself is opaque to this layer — the codec
-//! ([`crate::wire`]) already produced self-contained framed bytes.
+//! The shutdown poison pill rides the link too: poisoning through the
+//! FIFO the data frames took keeps the teardown invariant that a joined
+//! upstream stage's frames are enqueued downstream before the downstream
+//! node drains. A link message carries the in-process `Frame`'s routing
+//! metadata — target shard (or the broadcast sentinel), requeue tag,
+//! enqueue stamp — then the message's [`crate::wire`] frame.
 //!
 //! This backend is the in-process proving ground for the socket path
 //! (sim-vs-rt parity runs over it; see `tests/parity.rs`). Genuinely
@@ -42,9 +37,14 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
-use crate::runtime::{FrameTag, Router};
+use layercake_event::{DecodeDict, DictMode, EncodeDict, MAX_FRAME_PAYLOAD};
+use layercake_metrics::{PipelineStage, StageProfiler};
+
+use crate::runtime::{elapsed_ns, Frame, FrameTag, Router, RtEvent};
 use crate::stats::RtStats;
+use crate::wire::{self, WireCodec};
 
 /// Which link backend carries frames between node threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,16 +63,9 @@ pub(crate) const SHARD_BROADCAST: u32 = u32::MAX;
 
 /// What a link writer thread is asked to put on the socket.
 pub(crate) enum LinkCmd {
-    /// One framed message for the destination's shard (or all shards).
-    Frame {
-        shard: u32,
-        tag: FrameTag,
-        enqueued_ns: u64,
-        bytes: Vec<u8>,
-    },
-    /// The shutdown poison pill for one shard (or all shards), ordered
-    /// behind every frame already queued on this link.
-    Shutdown { shard: u32 },
+    /// A message or the shutdown pill for the destination's shard (or
+    /// all shards), in FIFO order.
+    Send { shard: u32, ev: RtEvent },
     /// Close the socket and exit the writer thread.
     Close,
 }
@@ -124,9 +117,10 @@ pub(crate) fn spawn_link(dest: usize, router: Router, stats: Arc<RtStats>) -> io
     inc.set_nodelay(true)?;
 
     let (tx, rx) = channel();
+    let (profiler, writer_stats) = (Arc::clone(&router.profiler), Arc::clone(&stats));
     let writer = std::thread::Builder::new()
         .name(format!("lc-link-w-{dest}"))
-        .spawn(move || writer_loop(out, &rx))?;
+        .spawn(move || writer_loop(out, &rx, &profiler, &writer_stats))?;
     let reader = std::thread::Builder::new()
         .name(format!("lc-link-r-{dest}"))
         .spawn(move || reader_loop(inc, dest, &router, &stats))?;
@@ -143,37 +137,56 @@ pub(crate) fn spawn_link(dest: usize, router: Router, stats: Arc<RtStats>) -> io
 const LINK_BATCH_BYTES: usize = 64 * 1024;
 
 /// Drains the link's command queue onto the socket. Whatever is already
-/// queued when the writer wakes is assembled into one reused buffer, in
-/// queue order, and leaves in a single `write_all` — under load that is
+/// queued when the writer wakes is encoded, in queue order, into one
+/// reused buffer that leaves in a single `write_all` — under load that is
 /// one syscall (and, with `TCP_NODELAY`, as few segments as the bytes
 /// need) for many frames; an idle link still sends each frame at once.
-fn writer_loop(mut stream: impl Write, rx: &Receiver<LinkCmd>) {
+fn writer_loop(
+    mut stream: impl Write,
+    rx: &Receiver<LinkCmd>,
+    profiler: &StageProfiler,
+    stats: &RtStats,
+) {
+    let mut dict = EncodeDict::new(DictMode::Shared);
+    let mut sampler = 0u64;
     let mut buf: Vec<u8> = Vec::with_capacity(4096);
     while let Ok(first) = rx.recv() {
         buf.clear();
         let mut closed = false;
         for cmd in std::iter::once(first).chain(rx.try_iter()) {
             match cmd {
-                LinkCmd::Frame {
+                LinkCmd::Send {
                     shard,
-                    tag,
-                    enqueued_ns,
-                    bytes,
+                    ev: RtEvent::Frame(frame),
                 } => {
-                    let (tag_byte, ctrl_seq) = match tag {
+                    let (tag_byte, ctrl_seq) = match frame.tag {
                         FrameTag::Data => (TAG_DATA, 0),
                         FrameTag::Ack => (TAG_ACK, 0),
                         FrameTag::Ctrl(seq) => (TAG_CTRL, seq),
                     };
+                    let head = buf.len();
                     buf.push(MSG_FRAME);
                     buf.extend_from_slice(&shard.to_le_bytes());
                     buf.push(tag_byte);
                     buf.extend_from_slice(&ctrl_seq.to_le_bytes());
-                    buf.extend_from_slice(&enqueued_ns.to_le_bytes());
-                    buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(&bytes);
+                    buf.extend_from_slice(&frame.enqueued_ns.to_le_bytes());
+                    // The frame's length header doubles as the link's.
+                    let timer = profiler.tick(&mut sampler).then(Instant::now);
+                    let (from, msg) = (frame.from, &frame.msg);
+                    if wire::encode_msg_into(WireCodec::Binary, from, msg, &mut dict, &mut buf)
+                        .is_err()
+                    {
+                        // Dispatch refused over-cap frames already.
+                        buf.truncate(head);
+                        stats.inc_encode_errors();
+                    } else if let Some(t0) = timer {
+                        profiler.record(PipelineStage::Encode, elapsed_ns(t0));
+                    }
                 }
-                LinkCmd::Shutdown { shard } => {
+                LinkCmd::Send {
+                    shard,
+                    ev: RtEvent::Shutdown,
+                } => {
                     buf.push(MSG_SHUTDOWN);
                     buf.extend_from_slice(&shard.to_le_bytes());
                 }
@@ -211,7 +224,7 @@ enum LinkMsg {
     },
 }
 
-/// Reads the next link message, a frame's bytes into `payload`. `None`
+/// Reads the next link message, a frame's payload into `payload`. `None`
 /// ends the stream: EOF (teardown), a dead peer, or bytes that are not
 /// a link message — an unknown kind or tag, a length beyond the frame
 /// cap — after which nothing that follows can be trusted.
@@ -234,7 +247,7 @@ fn read_link_msg(stream: &mut impl Read, payload: &mut Vec<u8>) -> Option<LinkMs
             };
             let enqueued_ns = u64::from_le_bytes(head[13..21].try_into().expect("8 bytes"));
             let len = u32::from_le_bytes(head[21..25].try_into().expect("4 bytes")) as usize;
-            if len > layercake_event::MAX_FRAME_PAYLOAD + layercake_event::FRAME_HEADER_LEN {
+            if len > MAX_FRAME_PAYLOAD {
                 return None;
             }
             payload.resize(len, 0);
@@ -256,35 +269,85 @@ fn read_link_msg(stream: &mut impl Read, payload: &mut Vec<u8>) -> Option<LinkMs
     }
 }
 
-/// Reads link messages off the socket and forwards each into the
-/// destination's current inbox sender(s) through the router. The socket
-/// is read through a buffer, so the three parts of a frame (kind,
-/// header, payload) — and every frame the writer batched behind it —
-/// cost one `read` between them.
-fn reader_loop(stream: TcpStream, dest: usize, router: &Router, stats: &RtStats) {
+/// Reads link messages off the socket (through a buffer: a frame's kind,
+/// header and payload, and every frame batched behind it, cost one `read`
+/// between them), decodes each frame with every check
+/// [`wire::decode_payload`] makes and forwards it through the router. A
+/// frame that does not decode is counted in `rt.decode_errors` and
+/// dropped; its length was sound, so the next one starts clean.
+fn reader_loop(stream: impl Read, dest: usize, router: &Router, stats: &RtStats) {
     let mut stream = BufReader::with_capacity(LINK_BATCH_BYTES, stream);
+    let profiler = &router.profiler;
+    let mut dict = DecodeDict::new(DictMode::Shared);
+    let mut sampler = 0u64;
     let mut payload: Vec<u8> = Vec::new();
     while let Some(msg) = read_link_msg(&mut stream, &mut payload) {
-        match msg {
+        let (shard, ev) = match msg {
+            LinkMsg::Shutdown { shard } => (shard, RtEvent::Shutdown),
             LinkMsg::Frame {
                 shard,
                 tag,
                 enqueued_ns,
-            } => router.forward_link_frame(dest, shard, tag, enqueued_ns, &payload, stats),
-            LinkMsg::Shutdown { shard } => router.forward_link_shutdown(dest, shard),
-        }
+            } => {
+                let timer = profiler.tick(&mut sampler).then(Instant::now);
+                let (from, msg) = match wire::decode_payload(&payload, &mut dict) {
+                    Ok(Some(decoded)) => decoded,
+                    // A dictionary or handshake frame: absorbed.
+                    Ok(None) => continue,
+                    Err(_) => {
+                        stats.inc_decode_errors();
+                        continue;
+                    }
+                };
+                if let Some(t0) = timer {
+                    profiler.record(PipelineStage::Decode, elapsed_ns(t0));
+                }
+                let frame = Frame {
+                    from,
+                    msg,
+                    enqueued_ns,
+                    tag,
+                };
+                (shard, RtEvent::Frame(frame))
+            }
+        };
+        router.forward_link(dest, shard, ev, stats);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::encode_msg;
+    use layercake_event::{Bytes, ClassId, Envelope, EventData, EventSeq, FRAME_HEADER_LEN};
+    use layercake_overlay::OverlayMsg;
+    use layercake_sim::ActorId;
 
     /// What the test expects the reader to see for one queued command.
     #[derive(Debug, PartialEq, Eq)]
     struct Seen {
         msg: LinkMsg,
         payload: Vec<u8>,
+    }
+
+    /// An unsampled profiler and the stats it reports into.
+    fn instruments() -> (StageProfiler, RtStats) {
+        let stats = RtStats::new();
+        (StageProfiler::new(stats.registry(), 0), stats)
+    }
+
+    /// Event `i` from node `i`, with an opaque payload of up to a few
+    /// hundred bytes.
+    fn event_msg(i: u32) -> (ActorId, OverlayMsg) {
+        let bytes: Vec<u8> = (0..(i * 37) % 400).map(|b| (b ^ i) as u8).collect();
+        let env = Envelope::from_parts(
+            ClassId(0),
+            "LinkTest",
+            EventSeq(u64::from(i)),
+            EventData::new(),
+            Bytes::from(bytes),
+        );
+        (ActorId(i as usize), OverlayMsg::Publish(env))
     }
 
     fn frame(i: u32) -> (LinkCmd, Seen) {
@@ -299,22 +362,27 @@ mod tests {
             i % 4
         };
         let enqueued_ns = 1_000_000 + u64::from(i);
-        // Sizes from empty to a few hundred bytes: the batch cap falls
+        // Sizes from a few bytes to a few hundred: the batch cap falls
         // mid-queue several times.
-        let bytes: Vec<u8> = (0..(i * 37) % 400).map(|b| (b ^ i) as u8).collect();
+        let (from, msg) = event_msg(i);
+        let framed = encode_msg(from, &msg, &mut EncodeDict::new(DictMode::Shared)).unwrap();
         let seen = Seen {
             msg: LinkMsg::Frame {
                 shard,
                 tag,
                 enqueued_ns,
             },
-            payload: bytes.clone(),
+            payload: framed[FRAME_HEADER_LEN..].to_vec(),
         };
-        let cmd = LinkCmd::Frame {
-            shard,
-            tag,
+        let frame = Frame {
+            from,
+            msg,
             enqueued_ns,
-            bytes,
+            tag,
+        };
+        let cmd = LinkCmd::Send {
+            shard,
+            ev: RtEvent::Frame(frame),
         };
         (cmd, seen)
     }
@@ -324,7 +392,24 @@ mod tests {
             msg: LinkMsg::Shutdown { shard },
             payload: Vec::new(),
         };
-        (LinkCmd::Shutdown { shard }, seen)
+        let cmd = LinkCmd::Send {
+            shard,
+            ev: RtEvent::Shutdown,
+        };
+        (cmd, seen)
+    }
+
+    /// The bytes the writer puts on the socket for `cmds`.
+    fn written(cmds: impl IntoIterator<Item = LinkCmd>) -> Vec<u8> {
+        let (tx, rx) = channel();
+        for cmd in cmds {
+            tx.send(cmd).unwrap();
+        }
+        tx.send(LinkCmd::Close).unwrap();
+        let (profiler, stats) = instruments();
+        let mut wire = Vec::new();
+        writer_loop(&mut wire, &rx, &profiler, &stats);
+        wire
     }
 
     #[test]
@@ -355,7 +440,10 @@ mod tests {
         tx.send(LinkCmd::Close).unwrap();
         // Queued behind the close: must never reach the socket.
         tx.send(frame(9_999).0).unwrap();
-        let writer = std::thread::spawn(move || writer_loop(out, &rx));
+        let writer = std::thread::spawn(move || {
+            let (profiler, stats) = instruments();
+            writer_loop(out, &rx, &profiler, &stats);
+        });
 
         let mut stream = BufReader::with_capacity(LINK_BATCH_BYTES, inc);
         let mut payload = Vec::new();
@@ -392,7 +480,8 @@ mod tests {
         }
         tx.send(LinkCmd::Close).unwrap();
         let mut sink = Counting(Vec::new(), 0);
-        writer_loop(&mut sink, &rx);
+        let (profiler, stats) = instruments();
+        writer_loop(&mut sink, &rx, &profiler, &stats);
         assert_eq!(sink.1, 1, "twenty queued frames, one write");
         let mut bytes = &sink.0[..];
         let mut payload = Vec::new();
@@ -405,11 +494,7 @@ mod tests {
 
     #[test]
     fn corrupt_link_bytes_end_the_stream() {
-        let mut wire = Vec::new();
-        let (tx, rx) = channel();
-        tx.send(frame(5).0).unwrap();
-        tx.send(LinkCmd::Close).unwrap();
-        writer_loop(&mut wire, &rx);
+        let wire = written([frame(5).0]);
         let mut payload = Vec::new();
         assert!(read_link_msg(&mut &wire[..], &mut payload).is_some());
 
@@ -428,5 +513,44 @@ mod tests {
         // A frame cut short by a dead peer.
         let cut = &wire[..wire.len() - 1];
         assert_eq!(read_link_msg(&mut &cut[..], &mut payload), None);
+    }
+
+    /// A payload that passes framing but not the codec costs its frame
+    /// and one `rt.decode_errors`, nothing more: the frames behind it on
+    /// the link are decoded and delivered in order.
+    #[test]
+    fn a_mangled_payload_is_one_decode_error_and_the_link_goes_on() {
+        let data = |i: u32| {
+            let (from, msg) = event_msg(i);
+            let frame = Frame {
+                from,
+                msg,
+                enqueued_ns: 0,
+                tag: FrameTag::Data,
+            };
+            written([LinkCmd::Send {
+                shard: 0,
+                ev: RtEvent::Frame(frame),
+            }])
+        };
+        let mut mangled = data(2);
+        // The payload's kind byte, after the link header and the frame's
+        // length: no message kind has this value.
+        mangled[22 + FRAME_HEADER_LEN] = 0xEE;
+        let wire = [data(1), mangled, data(3)].concat();
+
+        let (profiler, stats) = instruments();
+        let (tx, rx) = channel();
+        let router = Router::with_inbox(0, tx, Arc::new(profiler));
+        reader_loop(&wire[..], 0, &router, &stats);
+        assert_eq!(stats.decode_errors(), 1);
+        let got: Vec<(ActorId, OverlayMsg)> = rx
+            .try_iter()
+            .map(|ev| match ev {
+                RtEvent::Frame(f) => (f.from, f.msg),
+                RtEvent::Shutdown => panic!("no pill was sent"),
+            })
+            .collect();
+        assert_eq!(got, vec![event_msg(1), event_msg(3)]);
     }
 }

@@ -12,23 +12,24 @@
 //! [`layercake_event::KIND_HELLO`] handshake that pins the format
 //! version and the dictionary mode.
 //!
-//! Every hop in the runtime pays the full cycle — serialize, frame,
-//! deframe, deserialize — so the measured throughput includes the real
-//! marshalling cost the deterministic simulator only models. The sender
-//! id rides inside the frame because OS channels and sockets, unlike the
-//! simulator's scheduler, do not carry provenance.
+//! Bytes exist only where a message crosses a socket. An in-process link
+//! hands the [`OverlayMsg`] itself to the destination's inbox (for an
+//! envelope, an `Arc` bump); the TCP transport's link threads and the
+//! [`crate::remote`] protocol encode and decode at the socket. The sender
+//! id rides inside the frame because sockets, unlike the simulator's
+//! scheduler, do not carry provenance. [`frame_len`] counts the frame a
+//! message takes without writing it, so `rt.bytes_sent` and the frame cap
+//! mean the same on every transport.
 //!
 //! Encoding appends into a caller-supplied buffer ([`encode_msg_into`])
-//! so per-connection writers and the dispatch hot path reuse one
-//! allocation across messages; nothing on the encode path panics — the
-//! frame-cap check that used to `expect()` now surfaces as a
+//! so per-connection writers reuse one allocation across messages;
+//! nothing on the encode path panics — a frame over the cap surfaces as a
 //! [`WireError`].
 
-use std::cell::RefCell;
-
 use layercake_event::{
-    write_varint, BinCodec, CodecError, DecodeDict, DictMode, EncodeDict, FrameDecoder, FrameError,
-    WireReader, FRAME_HEADER_LEN, HELLO_MAGIC, KIND_DICT, KIND_HELLO, KIND_MSG, MAX_FRAME_PAYLOAD,
+    varint_len, write_varint, BinCodec, CodecError, DecodeDict, DictMode, EncodeDict, FrameDecoder,
+    FrameError, WireReader, FRAME_HEADER_LEN, HELLO_MAGIC, KIND_DICT, KIND_HELLO, KIND_MSG,
+    MAX_FRAME_PAYLOAD,
 };
 use layercake_overlay::OverlayMsg;
 use layercake_sim::ActorId;
@@ -150,6 +151,26 @@ pub fn encode_msg(
     Ok(out)
 }
 
+/// The length of the frame [`encode_msg`] writes for `msg` from `from` on a
+/// [`DictMode::Shared`] link, header included: an event message is counted
+/// without allocating, by [`layercake_event::Envelope::wire_size`]'s dry
+/// run of the encoder; a control message (setup traffic) by encoding it.
+#[must_use]
+pub fn frame_len(from: ActorId, msg: &OverlayMsg) -> usize {
+    let body = match msg {
+        OverlayMsg::Publish(env) | OverlayMsg::Deliver(env) => 1 + env.wire_size(),
+        OverlayMsg::Durable { prev, off, env } => {
+            1 + varint_len(*off) + varint_len(off.wrapping_sub(*prev)) + env.wire_size()
+        }
+        control => {
+            let mut out = Vec::new();
+            control.encode_bin(&mut out, &mut EncodeDict::new(DictMode::Shared));
+            out.len()
+        }
+    };
+    FRAME_HEADER_LEN + 1 + varint_len(from.0.wrapping_add(1) as u64) + body
+}
+
 /// A framed connection handshake: magic bytes (which end in the format
 /// version) plus the sender's dictionary mode, sent once at connection
 /// open by cross-process peers.
@@ -185,32 +206,6 @@ fn check_hello(body: &[u8], mode: DictMode) -> Result<(), CodecError> {
         });
     }
     r.expect_end()
-}
-
-thread_local! {
-    /// Per-thread reusable encode state for the in-process dispatch hot
-    /// path: dispatch is called from every node thread, and in-process
-    /// links always run the shared dictionary, so one `(dict, buffer)`
-    /// pair per thread serves every destination without locking.
-    static DISPATCH_BUF: RefCell<(EncodeDict, Vec<u8>)> =
-        RefCell::new((EncodeDict::new(DictMode::Shared), Vec::with_capacity(256)));
-}
-
-/// Encodes one message for the router's dispatch path, reusing a
-/// thread-local buffer for the encode itself; the returned `Vec` is
-/// sized exactly to the frame (channel ownership needs an owned buffer,
-/// but the working buffer's growth is amortized away).
-///
-/// # Errors
-///
-/// As [`encode_msg_into`].
-pub(crate) fn encode_for_dispatch(from: ActorId, msg: &OverlayMsg) -> Result<Vec<u8>, WireError> {
-    DISPATCH_BUF.with(|cell| {
-        let (dict, buf) = &mut *cell.borrow_mut();
-        buf.clear();
-        encode_msg_into(WireCodec::Binary, from, msg, dict, buf)?;
-        Ok(buf.as_slice().to_vec())
-    })
 }
 
 /// Decodes one frame payload back into `(sender, message)`, or consumes
@@ -262,7 +257,8 @@ pub struct LinkDecoder {
 }
 
 impl LinkDecoder {
-    /// A decoder for an in-process link (shared dictionary).
+    /// A decoder for a link between threads of one process (shared
+    /// dictionary).
     #[must_use]
     pub fn new(_codec: WireCodec) -> Self {
         Self {
@@ -314,9 +310,8 @@ impl LinkDecoder {
     }
 
     /// Drops buffered framing state after an error, keeping the learned
-    /// dictionary (in-process channels deliver whole frames, so the next
-    /// channel message starts clean; sockets drop the connection
-    /// instead).
+    /// dictionary (for a caller that pushes whole frames, so the next push
+    /// starts clean; sockets drop the connection instead).
     pub fn reset_framing(&mut self) {
         self.frames = FrameDecoder::new();
     }
@@ -572,16 +567,5 @@ mod tests {
             dec.next_msg(),
             Err(WireError::Codec(CodecError::Trailing))
         ));
-    }
-
-    #[test]
-    fn dispatch_buffer_reuse_matches_fresh_encode() {
-        let msg = deliver_msg();
-        let via_tls = encode_for_dispatch(ActorId(7), &msg).unwrap();
-        let mut dict = EncodeDict::new(DictMode::Shared);
-        let fresh = encode_msg(ActorId(7), &msg, &mut dict).unwrap();
-        assert_eq!(via_tls, fresh);
-        // And again, exercising the cleared-buffer path.
-        assert_eq!(encode_for_dispatch(ActorId(7), &msg).unwrap(), fresh);
     }
 }

@@ -19,7 +19,7 @@ use layercake_event::{Advertisement, TypeRegistry};
 use layercake_filter::Filter;
 use layercake_metrics::{telemetry_table, TelemetrySnapshot};
 use layercake_overlay::{OverlayConfig, OverlaySim};
-use layercake_rt::{RtConfig, RtError, Runtime};
+use layercake_rt::{RtConfig, RtError, Runtime, TransportKind};
 use layercake_trace::EventTrace;
 use layercake_workload::{BiblioConfig, BiblioWorkload, StockConfig, StockWorkload};
 use rand::rngs::StdRng;
@@ -296,12 +296,15 @@ fn metrics_endpoint_serves_prometheus_exposition() {
     assert_eq!(snap.counter("rt.published"), Some(40));
     for stage in [
         "stage.match_ns",
-        "stage.decode_ns",
-        "stage.encode_ns",
         "stage.egress_send_ns",
         "stage.ingress_wait_ns",
     ] {
         assert!(snap.histogram(stage).unwrap().count() > 0, "{stage}");
+    }
+    // An mpsc inbox takes the message itself: nothing is encoded or
+    // decoded (`stages_on_a_tcp_run_include_encode_and_decode`).
+    for stage in ["stage.decode_ns", "stage.encode_ns"] {
+        assert_eq!(snap.histogram(stage).unwrap().count(), 0, "{stage}");
     }
 
     // Stable serde shape round-trips.
@@ -314,6 +317,44 @@ fn metrics_endpoint_serves_prometheus_exposition() {
     assert!(table.contains("stage.match_ns"));
 
     let _ = rt.shutdown();
+}
+
+/// Bytes exist on the TCP transport's links, and so do the stages that
+/// make and read them: the writer thread samples `Encode`, the reader
+/// `Decode`, beside the stages every transport records.
+#[test]
+fn stages_on_a_tcp_run_include_encode_and_decode() {
+    let mut registry = TypeRegistry::new();
+    let mut rng = StdRng::seed_from_u64(0x3A12);
+    let workload = BiblioWorkload::new(BiblioConfig::default(), &mut registry, &mut rng);
+    let class = workload.class();
+    let overlay = OverlayConfig {
+        levels: vec![1],
+        ..OverlayConfig::default()
+    };
+    let mut cfg = RtConfig::new(overlay, 1);
+    cfg.stage_sample_every = 1;
+    cfg.transport = TransportKind::Tcp;
+    let mut rt = Runtime::start(cfg, Arc::new(registry)).unwrap();
+    rt.advertise(Advertisement::new(class, BiblioWorkload::stage_map()));
+    rt.add_subscriber(workload.subscriptions()[0].clone())
+        .unwrap();
+    let publisher = rt.publisher();
+    for i in 0..20 {
+        publisher.publish(workload.envelope(i, &mut rng));
+    }
+    let report = rt.shutdown();
+    let snap = report.stats.registry().snapshot();
+    for stage in [
+        "stage.match_ns",
+        "stage.decode_ns",
+        "stage.encode_ns",
+        "stage.egress_send_ns",
+        "stage.ingress_wait_ns",
+    ] {
+        assert!(snap.histogram(stage).unwrap().count() > 0, "{stage}");
+    }
+    assert_eq!(report.stats.decode_errors(), 0);
 }
 
 #[test]

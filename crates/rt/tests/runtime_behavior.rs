@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use layercake_event::{
-    Advertisement, AttributeDecl, ClassId, Envelope, EventData, EventSeq, StageMap, TypeRegistry,
-    ValueKind,
+    Advertisement, AttrValue, AttributeDecl, Bytes, ClassId, Envelope, EventData, EventSeq,
+    StageMap, TypeRegistry, ValueKind, MAX_FRAME_PAYLOAD,
 };
 use layercake_filter::Filter;
 use layercake_overlay::OverlayConfig;
@@ -306,6 +306,82 @@ fn a_durable_delivery_costs_one_frame_per_matching_consumer() {
         );
         assert_eq!(report.durability().durable_sent, 1700);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Publishes three events of a one-float class, the middle one built by
+/// `make` instead, on `transport`; returns the report and the subscriber's
+/// deliveries.
+fn publish_around(
+    transport: TransportKind,
+    make: impl FnOnce(ClassId) -> Envelope,
+) -> (layercake_rt::RtReport, Vec<EventSeq>) {
+    let mut registry = TypeRegistry::new();
+    let class = registry
+        .register(
+            "Gauge",
+            None,
+            vec![AttributeDecl::new("reading", ValueKind::Float)],
+        )
+        .unwrap();
+    let overlay = OverlayConfig {
+        levels: vec![1],
+        ..OverlayConfig::default()
+    };
+    let mut cfg = RtConfig::new(overlay, 1);
+    cfg.transport = transport;
+    let mut rt = Runtime::start(cfg, Arc::new(registry)).unwrap();
+    rt.advertise(Advertisement::new(
+        class,
+        StageMap::from_prefixes(&[1]).unwrap(),
+    ));
+    let handle = rt.add_subscriber(Filter::for_class(class)).unwrap();
+    let gauge = |seq: u64| {
+        let mut meta = EventData::new();
+        meta.insert("reading", 1.5);
+        Envelope::from_meta(class, "Gauge", EventSeq(seq), meta)
+    };
+    let publisher = rt.publisher();
+    publisher.publish(gauge(0));
+    publisher.publish(make(class));
+    publisher.publish(gauge(2));
+    assert!(rt.wait_delivered(2, Duration::from_secs(30)));
+    let report = rt.shutdown();
+    let delivered = report.deliveries(handle).to_vec();
+    (report, delivered)
+}
+
+/// A NaN float can be put into meta-data directly (`AttrValue::Float`),
+/// but no hop may carry it: the publisher refuses the event into
+/// `rt.encode_errors`, and it is never delivered.
+#[test]
+fn a_nan_event_is_refused_at_the_publisher() {
+    for transport in [TransportKind::Mpsc, TransportKind::Tcp] {
+        let (report, delivered) = publish_around(transport, |class| {
+            let mut meta = EventData::new();
+            meta.insert("reading", AttrValue::Float(f64::NAN));
+            Envelope::from_meta(class, "Gauge", EventSeq(1), meta)
+        });
+        assert_eq!(delivered, [EventSeq(0), EventSeq(2)], "{transport:?}");
+        assert_eq!(report.stats.encode_errors(), 1, "{transport:?}");
+        assert_eq!(report.stats.decode_errors(), 0, "{transport:?}");
+    }
+}
+
+/// A message whose frame would exceed the frame cap is refused where it is
+/// sent, into `rt.encode_errors`, and the events around it flow on.
+#[test]
+fn an_over_cap_event_is_an_encode_error_and_is_not_delivered() {
+    for transport in [TransportKind::Mpsc, TransportKind::Tcp] {
+        let (report, delivered) = publish_around(transport, |class| {
+            let mut meta = EventData::new();
+            meta.insert("reading", 1.5);
+            let payload = Bytes::from(vec![0u8; MAX_FRAME_PAYLOAD]);
+            Envelope::from_parts(class, "Gauge", EventSeq(1), meta, payload)
+        });
+        assert_eq!(delivered, [EventSeq(0), EventSeq(2)], "{transport:?}");
+        assert_eq!(report.stats.encode_errors(), 1, "{transport:?}");
+        assert_eq!(report.stats.frames_sent(), report.stats.frames_received());
     }
 }
 
