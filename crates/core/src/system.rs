@@ -186,8 +186,7 @@ impl EventSystem {
                 m.check_arity(arity)?;
                 m
             }
-            None => StageMap::stepped(arity, self.sim.registry().len().max(1))
-                .and_then(|_| StageMap::stepped(arity, self.stages() + 1))?,
+            None => StageMap::stepped(arity, self.stages() + 1)?,
         };
         self.sim.advertise(Advertisement::new(class, map));
         self.sim.settle();

@@ -21,13 +21,6 @@
 //!   last own-subscription of a covering root dissolves it: each child is
 //!   re-homed under another covering root or *re-promoted* to a root of its
 //!   own — never a full rebuild.
-//! - **Optional merge.** With [`AggTable::set_merge`] enabled, an uncovered
-//!   insert may fuse with a near-identical sibling root into a synthetic
-//!   root built by [`merge_cover`] — bounded weakening: the merged filter
-//!   must still constrain every attribute the inputs did and verifiably
-//!   cover both. Synthetic roots widen the live filter, so deliveries can
-//!   gain false positives; [`AggTable::merges`] counts them so the
-//!   expressiveness cost is measured, not hidden.
 //!
 //! The forest is depth-1 by construction (children never have children), so
 //! every structural operation touches a bounded neighbourhood. Two
@@ -44,7 +37,6 @@ use std::collections::{BTreeSet, HashMap};
 
 use layercake_event::{ClassId, EventData, TypeRegistry};
 
-use crate::cover::merge_cover;
 use crate::filter::Filter;
 use crate::index::{DestId, FilterTable, IndexKind};
 
@@ -83,21 +75,6 @@ impl AggDelta {
     }
 }
 
-/// A point-in-time summary of the forest's shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AggStats {
-    /// Distinct filters in the live match index (= forest roots).
-    pub live_entries: usize,
-    /// `<filter, dest>` pairs held in covered children (bookkeeping only).
-    pub covered_subs: usize,
-    /// Total `<filter, dest>` pairs tracked, covered or not.
-    pub total_subs: usize,
-    /// Synthetic roots currently live (created by bounded-weakening merge).
-    pub merged_roots: usize,
-    /// Cumulative bounded-weakening merges performed.
-    pub merges: u64,
-}
-
 #[derive(Debug)]
 struct AggNode {
     /// Normalized filter — the node's identity in `by_key`.
@@ -112,31 +89,18 @@ struct AggNode {
     /// destinations the root's live entry stands for are exactly
     /// `counts.keys()`.
     counts: HashMap<DestId, u32>,
-    /// Created by a bounded-weakening merge; nobody subscribed this filter
-    /// verbatim, so it dissolves once it covers fewer than two children.
-    synthetic: bool,
 }
 
 impl AggNode {
-    fn new(filter: Filter, synthetic: bool) -> Self {
+    fn new(filter: Filter) -> Self {
         AggNode {
             filter,
             parent: None,
             children: Vec::new(),
             own: Vec::new(),
             counts: HashMap::new(),
-            synthetic,
         }
     }
-}
-
-/// The set of attributes a filter constrains (wildcards aside), as a bit
-/// per attribute id modulo 64: what a bounded-weakening merge must keep.
-fn filter_mask(f: &Filter) -> u64 {
-    f.constraints()
-        .iter()
-        .filter(|c| !c.is_wildcard())
-        .fold(0, |m, c| m | 1u64 << (c.id().0 % 64))
 }
 
 /// An aggregated subscription table: the cover forest plus the live
@@ -158,8 +122,6 @@ pub struct AggTable {
     total_pairs: usize,
     dest_pairs: HashMap<DestId, u32>,
     match_scratch: Vec<DestId>,
-    merges: u64,
-    merge_enabled: bool,
 }
 
 impl AggTable {
@@ -167,16 +129,6 @@ impl AggTable {
     #[must_use]
     pub fn new(_index: IndexKind) -> Self {
         Self::default()
-    }
-
-    /// Enables or disables bounded-weakening merges of near-identical
-    /// sibling roots. Off by default: with merging off the live index is an
-    /// exact cover of the subscription set, so after stage-0 re-filtering
-    /// deliveries are identical to the per-subscription table's and even
-    /// the raw forwarding sets only differ where a child's root
-    /// over-forwards.
-    pub fn set_merge(&mut self, enabled: bool) {
-        self.merge_enabled = enabled;
     }
 
     /// Adds a `<filter, dest>` subscription pair to the forest.
@@ -200,7 +152,7 @@ impl AggTable {
             return delta;
         }
 
-        let mut node = AggNode::new(key.clone(), false);
+        let mut node = AggNode::new(key.clone());
         node.own.push(dest);
         let idx = self.alloc(node);
         self.by_key.insert(key, idx);
@@ -210,7 +162,7 @@ impl AggTable {
 
         if let Some(r) = self.find_covering_root(idx, registry) {
             self.attach(idx, r, &mut delta);
-        } else if !(self.merge_enabled && self.try_merge(idx, registry, &mut delta)) {
+        } else {
             self.make_root(idx, registry, &mut delta);
         }
         delta.settle();
@@ -250,9 +202,9 @@ impl AggTable {
     }
 
     /// Collects the destinations of all subscriptions whose *root* filter
-    /// matches the event (ascending, deduped). With merging off every
-    /// destination returned holds an original filter whose root covers it,
-    /// so stage-0 re-filtering restores the exact per-subscription set.
+    /// matches the event (ascending, deduped). Every destination returned
+    /// holds an original filter whose root covers it, so stage-0
+    /// re-filtering restores the exact per-subscription set.
     pub fn matches(
         &mut self,
         class: ClassId,
@@ -327,28 +279,6 @@ impl AggTable {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.total_pairs == 0
-    }
-
-    /// Cumulative bounded-weakening merges performed.
-    #[must_use]
-    pub fn merges(&self) -> u64 {
-        self.merges
-    }
-
-    /// A point-in-time shape summary.
-    #[must_use]
-    pub fn stats(&self) -> AggStats {
-        AggStats {
-            live_entries: self.live.filter_count(),
-            covered_subs: self.covered_pairs,
-            total_subs: self.total_pairs,
-            merged_roots: self
-                .roots
-                .iter()
-                .filter(|&&r| self.node(r).synthetic)
-                .count(),
-            merges: self.merges,
-        }
     }
 
     // ---- forest internals -------------------------------------------------
@@ -507,39 +437,25 @@ impl AggTable {
             *self.node_mut(new_root).counts.entry(d).or_insert(0) += n;
         }
 
-        // `r` itself becomes a child — unless it is an empty synthetic
-        // shell, which simply dissolves into the new root.
-        if self.node(r).synthetic && self.node(r).own.is_empty() {
-            self.delete_node(r);
-        } else {
-            self.covered_pairs += self.node(r).own.len();
-            self.node_mut(r).parent = Some(new_root);
-            self.node_mut(new_root).children.push(r);
-        }
+        // `r` itself becomes a child.
+        self.covered_pairs += self.node(r).own.len();
+        self.node_mut(r).parent = Some(new_root);
+        self.node_mut(new_root).children.push(r);
     }
 
     /// Handles a node whose own-subscription list just emptied.
     fn dissolve(&mut self, idx: usize, registry: &TypeRegistry, delta: &mut AggDelta) {
         if let Some(p) = self.node(idx).parent {
-            // A childless covered node: drop it and let a synthetic parent
-            // collapse if it no longer earns its keep.
+            // A childless covered node: drop it.
             self.node_mut(p).children.retain(|&c| c != idx);
             self.delete_node(idx);
-            self.maybe_collapse_synthetic(p, registry, delta);
+        } else if self.node(idx).children.is_empty() {
+            // A leaf root; refcounts (and the live entry) are already gone
+            // via unbump.
+            self.roots.remove(&idx);
+            self.delete_node(idx);
         } else {
-            let n = self.node(idx);
-            if n.synthetic && n.children.len() >= 2 {
-                // A merge cover still collapsing several children stays.
-                return;
-            }
-            if n.children.is_empty() {
-                // A leaf root; refcounts (and the live entry) are already
-                // gone via unbump.
-                self.roots.remove(&idx);
-                self.delete_node(idx);
-            } else {
-                self.dissolve_root(idx, registry, delta);
-            }
+            self.dissolve_root(idx, registry, delta);
         }
     }
 
@@ -574,28 +490,6 @@ impl AggTable {
         }
     }
 
-    /// Collapses a synthetic root that no longer covers at least two
-    /// children: the merge buys nothing, so the survivor (if any) gets its
-    /// exact filter back in the live index.
-    fn maybe_collapse_synthetic(
-        &mut self,
-        p: usize,
-        registry: &TypeRegistry,
-        delta: &mut AggDelta,
-    ) {
-        let n = self.node(p);
-        if !n.synthetic || !n.own.is_empty() || n.children.len() >= 2 {
-            return;
-        }
-        if n.children.is_empty() {
-            // Refcounts emptied with the last child, so no live entry left.
-            self.roots.remove(&p);
-            self.delete_node(p);
-        } else {
-            self.dissolve_root(p, registry, delta);
-        }
-    }
-
     /// Bumps the root's refcount for `dest`, materializing the live entry
     /// with the root's first destination.
     fn bump(&mut self, root: usize, dest: DestId, delta: &mut AggDelta) {
@@ -626,48 +520,6 @@ impl AggTable {
                 delta.removed.push(filter);
             }
         }
-    }
-
-    /// Attempts a bounded-weakening merge of the fresh uncovered node `idx`
-    /// with a near-identical sibling root (same class, same constrained
-    /// attributes). The merged filter must still constrain every attribute
-    /// the inputs did and must verifiably cover both — otherwise the merge
-    /// is rejected and `idx` becomes a plain root.
-    fn try_merge(&mut self, idx: usize, registry: &TypeRegistry, delta: &mut AggDelta) -> bool {
-        let filter = self.node(idx).filter.clone();
-        let mask = filter_mask(&filter);
-        let class = filter.class();
-        let cands: Vec<usize> = self
-            .roots
-            .iter()
-            .copied()
-            .filter(|&r| {
-                let n = self.node(r);
-                !n.synthetic && filter_mask(&n.filter) == mask && n.filter.class() == class
-            })
-            .collect();
-        for r in cands {
-            let rf = self.node(r).filter.clone();
-            let merged = merge_cover(&[&filter, &rf], registry).normalized();
-            if merged.is_match_all()
-                || filter_mask(&merged) != mask
-                || self.by_key.contains_key(&merged)
-                || !merged.covers(&filter, registry)
-                || !merged.covers(&rf, registry)
-            {
-                continue;
-            }
-            let m = self.alloc(AggNode::new(merged.clone(), true));
-            self.by_key.insert(merged, m);
-            self.merges += 1;
-            // Root-ify the synthetic cover first: its demotion scan folds
-            // `r` (and anything else it covers) in, then the fresh node
-            // attaches as one more child.
-            self.make_root(m, registry, delta);
-            self.attach(idx, m, delta);
-            return true;
-        }
-        false
     }
 
     /// Exhaustively validates the forest invariants (tests only).
@@ -926,51 +778,6 @@ mod tests {
         assert_eq!(fs, vec![&sym_lt(stock, "A", 10.0).normalized()]);
         assert!(t.has_dest(DestId(2)));
         assert!(!t.has_dest(DestId(3)));
-    }
-
-    #[test]
-    fn bounded_weakening_merge_fuses_near_identical_siblings() {
-        let (r, stock) = registry();
-        let mut t = AggTable::default();
-        t.set_merge(true);
-        t.insert(sym(stock, "A"), DestId(1), &r);
-        let d = t.insert(sym(stock, "B"), DestId(2), &r);
-        // Equality union: one synthetic root `symbol ∈ {A, B}` covers both.
-        assert_eq!(t.live_entries(), 1);
-        assert_eq!(t.merges(), 1);
-        assert_eq!(t.stats().merged_roots, 1);
-        assert_eq!(t.covered_subs(), 2);
-        assert_eq!(d.added.len(), 1);
-        assert_eq!(d.removed, vec![sym(stock, "A").normalized()]);
-        t.check(&r);
-
-        // The widened root may over-forward between the originals — that is
-        // the measured expressiveness cost.
-        let mut out = Vec::new();
-        t.matches(stock, &event_data! { "symbol" => "B" }, &r, &mut out);
-        assert_eq!(out, vec![DestId(1), DestId(2)]);
-
-        // Dropping one child collapses the synthetic root back to the
-        // survivor's exact filter.
-        let d = t.remove(&sym(stock, "B"), DestId(2), &r);
-        assert_eq!(d.added, vec![sym(stock, "A").normalized()]);
-        assert_eq!(t.live_entries(), 1);
-        assert_eq!(t.stats().merged_roots, 0);
-        assert_eq!(t.covered_subs(), 0);
-        t.check(&r);
-    }
-
-    #[test]
-    fn merge_rejects_unbounded_weakening() {
-        let (r, stock) = registry();
-        let mut t = AggTable::default();
-        t.set_merge(true);
-        // Different attribute sets: no merge candidate at all.
-        t.insert(sym(stock, "A"), DestId(1), &r);
-        t.insert(Filter::for_class(stock).lt("price", 5.0), DestId(2), &r);
-        assert_eq!(t.live_entries(), 2);
-        assert_eq!(t.merges(), 0);
-        t.check(&r);
     }
 
     #[test]

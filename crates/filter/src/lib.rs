@@ -56,7 +56,7 @@ mod index;
 mod predicate;
 mod weaken;
 
-pub use agg::{AggDelta, AggStats, AggTable};
+pub use agg::{AggDelta, AggTable};
 pub use cover::{event_covers_for, merge_cover};
 pub use error::FilterError;
 pub use filter::{Filter, FilterId};

@@ -565,10 +565,10 @@ impl PipelineStage {
 /// Each node thread calls [`StageProfiler::tick`] once per received
 /// frame; every `sample_every`-th frame is timed through all its
 /// pipeline stages. With sampling off (`sample_every == 0`) the entire
-/// cost on the hot path is that one relaxed load and branch.
+/// cost on the hot path is one branch.
 #[derive(Debug)]
 pub struct StageProfiler {
-    sample_every: AtomicU64,
+    sample_every: u64,
     stages: Vec<Arc<ShardedHistogram>>,
 }
 
@@ -579,7 +579,7 @@ impl StageProfiler {
     #[must_use]
     pub fn new(registry: &TelemetryRegistry, sample_every: u64) -> Self {
         Self {
-            sample_every: AtomicU64::new(sample_every),
+            sample_every,
             stages: PipelineStage::ALL
                 .iter()
                 .map(|s| registry.histogram(s.metric_name()))
@@ -590,28 +590,22 @@ impl StageProfiler {
     /// The sampling period (`0` = off).
     #[must_use]
     pub fn sample_every(&self) -> u64 {
-        self.sample_every.load(Ordering::Relaxed)
+        self.sample_every
     }
 
-    /// Changes the sampling period at runtime (`0` turns profiling off).
-    pub fn set_sample_every(&self, every: u64) {
-        self.sample_every.store(every, Ordering::Relaxed);
-    }
-
-    /// `true` when any sampling is configured — the one-relaxed-load
-    /// fast check for optional work like enqueue timestamps.
+    /// `true` when any sampling is configured — the fast check for
+    /// optional work like enqueue timestamps.
     #[inline]
     #[must_use]
     pub fn enabled(&self) -> bool {
-        self.sample_every.load(Ordering::Relaxed) != 0
+        self.sample_every != 0
     }
 
     /// Advances a caller-owned per-thread frame counter and decides
-    /// whether this frame is sampled. The off path is one relaxed load
-    /// and a branch.
+    /// whether this frame is sampled. The off path is one branch.
     #[inline]
     pub fn tick(&self, counter: &mut u64) -> bool {
-        let every = self.sample_every.load(Ordering::Relaxed);
+        let every = self.sample_every;
         if every == 0 {
             return false;
         }

@@ -41,7 +41,6 @@ pub struct OverlaySim {
     next_filter: u64,
     published: u64,
     delivered_messages: u64,
-    fired_timers: u64,
     /// Shared trace collector, created when
     /// [`OverlayConfig::trace_sample_every`] is non-zero.
     trace: Option<Arc<TraceSink>>,
@@ -127,7 +126,6 @@ impl OverlaySim {
             next_filter: 0,
             published: 0,
             delivered_messages: 0,
-            fired_timers: 0,
             trace,
         })
     }
@@ -330,7 +328,6 @@ impl OverlaySim {
 
     fn account(&mut self, report: layercake_sim::RunReport) {
         self.delivered_messages += report.delivered_messages;
-        self.fired_timers += report.fired_timers;
     }
 
     /// Total protocol messages delivered so far (subscription walks, filter
@@ -339,12 +336,6 @@ impl OverlaySim {
     #[must_use]
     pub fn network_messages(&self) -> u64 {
         self.delivered_messages
-    }
-
-    /// Total timer firings (lease sweeps and renewal clocks).
-    #[must_use]
-    pub fn fired_timers(&self) -> u64 {
-        self.fired_timers
     }
 
     /// Current virtual time.

@@ -74,9 +74,7 @@ struct MemSegment {
     synced: usize,
 }
 
-/// Deterministic in-memory [`LogStorage`] for the simulator and for
-/// corruption tests (which mutate segment bytes directly through
-/// [`MemStorage::segment_bytes_mut`]).
+/// Deterministic in-memory [`LogStorage`] for the simulator.
 #[derive(Debug, Default)]
 pub struct MemStorage {
     segments: BTreeMap<u64, MemSegment>,
@@ -88,15 +86,6 @@ impl MemStorage {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Direct mutable access to a segment's raw bytes — the fault-
-    /// injection hook corruption tests flip bits and splice garbage
-    /// through. Mutations count as synced (the corruption is "on disk").
-    pub fn segment_bytes_mut(&mut self, seg: u64) -> Option<&mut Vec<u8>> {
-        let s = self.segments.get_mut(&seg)?;
-        s.synced = usize::MAX; // keep whatever the test writes
-        Some(&mut s.bytes)
     }
 }
 

@@ -255,7 +255,7 @@ impl<N: Node> NodeDriver<N> {
     /// until the node has handled it.
     ///
     /// On a sampled frame the per-stage pipeline costs are recorded:
-    /// ingress wait (sender's enqueue stamp → now) and match (the
+    /// ingress wait (inbox-entry stamp → now) and match (the
     /// state-machine step, minus the time its own sends spent routing —
     /// reported as `EgressSend` by the nested dispatch). `Encode` and
     /// `Decode` are recorded where bytes are made and read: the TCP link

@@ -10,8 +10,11 @@
 //! * every broker matcher shard and every subscriber is an OS thread;
 //! * threads exchange messages — over `std::sync::mpsc` channels by
 //!   default, an event crossing a hop as an `Arc` bump of its envelope, or
-//!   over loopback TCP sockets ([`TransportKind::Tcp`]), whose link threads
-//!   encode and decode the compact binary codec (see [`wire`]);
+//!   over loopback TCP sockets ([`TransportKind::Tcp`]) that carry plain
+//!   [`wire`] frames and nothing else, end of stream being the shutdown
+//!   pill; on either transport a message enters its destination's inbox
+//!   through the same router path, which picks the shard and captures
+//!   control for restart replay;
 //! * separate *processes* talk to a broker through the [`remote`]
 //!   protocol: a handshake, a per-connection negotiated attribute
 //!   dictionary, then the same framed binary messages over TCP;
@@ -42,7 +45,7 @@
 //! `RtConfig::stage_sample_every` additionally times sampled frames
 //! through the pipeline stages (ingress wait → match → egress send, the
 //! TCP link threads' encode and decode, WAL append/fsync on durable runs);
-//! with the knob at 0 the hot path pays one relaxed load and a branch.
+//! with the knob at 0 the hot path pays one branch.
 //!
 //! # Self-healing
 //!

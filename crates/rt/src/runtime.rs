@@ -6,9 +6,12 @@
 //! [`OverlayMsg`] and its sender, so an event crosses an in-process hop as
 //! an `Arc` bump of its envelope body, with no encode and no decode. Bytes
 //! exist only where a message crosses a socket: the TCP transport's link
-//! threads and the [`crate::remote`] protocol encode and decode there, and
-//! `rt.bytes_sent` counts every hop's frame ([`wire::frame_len`]) either
-//! way.
+//! threads and the [`crate::remote`] protocol encode and decode plain
+//! [`wire`] frames there, and `rt.bytes_sent` counts every hop's frame
+//! ([`wire::frame_len`]) either way. Whichever way a message travels, it
+//! enters an inbox through one router function, `Router::enter`, which
+//! picks the shard, tags the frame for requeueing and captures control
+//! for restart replay.
 //!
 //! # Sharding contract (leader/follower)
 //!
@@ -55,7 +58,10 @@
 //! in its inbox, then exits. Since a stage is joined before the next one
 //! down is poisoned, every data frame forwarded downward is already
 //! enqueued at its destination when that destination drains — published
-//! events are never lost at shutdown. Subscribers drain last.
+//! events are never lost at shutdown. Subscribers drain last. On the TCP
+//! transport the pill is the end of the link's stream: poisoning closes
+//! the link behind every frame queued on it, and its reader hands each
+//! shard the pill at EOF.
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -90,12 +96,16 @@ use crate::supervisor::{
     panic_message, CrashEntry, CrashKind, DownKind, Notice, ShardOutcome, ShardSlot, Slots,
     SubOutcome, SupervisionConfig, Supervisor, SupervisorShared,
 };
-use crate::transport::{self, Link, LinkCmd, TransportKind, SHARD_BROADCAST};
+use crate::transport::{self, Link, LinkCmd, TransportKind};
 use crate::wire::{self, LinkDecoder, WireCodec};
 
 /// The external-publisher sentinel: same value the simulator uses for
 /// `send_external`, so provenance on the wire matches sim traces.
 pub(crate) const EXTERNAL: ActorId = ActorId(usize::MAX);
+
+/// How long [`Runtime::add_subscriber_any`] waits for a placement walk,
+/// and [`Runtime::advertise`] for the flood to settle, before giving up.
+const PLACEMENT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How often an idle node thread wakes with no timer due. Never, by
 /// default: it blocks on its inbox, and its heartbeat gauge is the time
@@ -104,10 +114,7 @@ pub(crate) const EXTERNAL: ActorId = ActorId(usize::MAX);
 /// does an idle thread tick — several times per timeout, refreshing the
 /// gauge and checking its fence.
 fn idle_tick(supervision: &SupervisionConfig) -> Option<Duration> {
-    supervision
-        .stall_timeout
-        .filter(|_| supervision.enabled)
-        .map(|timeout| timeout / 4)
+    supervision.stall_timeout.map(|timeout| timeout / 4)
 }
 
 /// Configuration for [`Runtime::start`].
@@ -129,9 +136,6 @@ pub struct RtConfig {
     pub overlay: OverlayConfig,
     /// Matcher shards (threads) per broker; ≥ 1.
     pub shards: usize,
-    /// How long [`Runtime::add_subscriber_any`] waits for the placement
-    /// walk to finish before giving up.
-    pub placement_timeout: Duration,
     /// Root directory for the per-broker durable logs, required when
     /// `overlay.durability_enabled` is set. Broker `b`'s shard `s` logs
     /// under `<durable_dir>/b<b>/s<s>`; restarting a runtime over the
@@ -144,8 +148,8 @@ pub struct RtConfig {
     /// is timed through ingress wait → match → egress send (every n-th a
     /// TCP link carries through encode and decode; WAL append/fsync on
     /// durable runs) into the telemetry registry. `0` (the default) turns
-    /// profiling off; the cost left on the hot path is then one relaxed
-    /// atomic load and a branch per frame.
+    /// profiling off; the cost left on the hot path is then one branch
+    /// per frame.
     pub stage_sample_every: u64,
     /// When set, serves the telemetry registry in Prometheus text
     /// exposition format on this socket address (e.g. `"127.0.0.1:9464"`;
@@ -171,15 +175,14 @@ pub struct RtConfig {
 
 impl RtConfig {
     /// A runtime config over `overlay` with `shards` matcher threads per
-    /// broker, a generous placement timeout, default supervision, no
-    /// fault injection, and all observability (stage profiling, metrics
+    /// broker, default supervision, no fault injection, the mpsc
+    /// transport, and all observability (stage profiling, metrics
     /// endpoint) off.
     #[must_use]
     pub fn new(overlay: OverlayConfig, shards: usize) -> Self {
         Self {
             overlay,
             shards,
-            placement_timeout: Duration::from_secs(10),
             durable_dir: None,
             stage_sample_every: 0,
             metrics_addr: None,
@@ -229,7 +232,7 @@ impl RtConfig {
 }
 
 /// How a frame sitting in a shard inbox relates to the restart replay,
-/// decided at send time by the router. When the supervisor requeues a
+/// decided by [`Router::enter`] on both transports. When the supervisor requeues a
 /// crashed shard's backlog into its replacement, data frames and ack
 /// broadcasts are always kept, while a control frame is kept only if the
 /// rebuilt state machine did *not* already absorb it from the captured
@@ -252,9 +255,9 @@ pub(crate) enum FrameTag {
 pub(crate) struct Frame {
     pub(crate) from: ActorId,
     pub(crate) msg: OverlayMsg,
-    /// Nanoseconds since runtime start at enqueue time; `0` when the
-    /// stage profiler is off (the receiver then skips the ingress-wait
-    /// stage rather than misreading an unstamped frame).
+    /// Nanoseconds since runtime start when the frame entered its inbox;
+    /// `0` when the stage profiler is off (the receiver then skips the
+    /// ingress-wait stage rather than misreading an unstamped frame).
     pub(crate) enqueued_ns: u64,
     pub(crate) tag: FrameTag,
 }
@@ -274,39 +277,28 @@ const _: () = assert!(std::mem::size_of::<RtEvent>() <= 96);
 
 /// How to reach one node: an inbox per matcher shard. A subscriber is a
 /// one-shard node.
-struct Route {
+pub(crate) struct Route {
     shards: Vec<Sender<RtEvent>>,
-    /// On the TCP transport, the destination's link writer: frames are
-    /// queued here and the link's reader thread forwards them into
-    /// `shards` after a real socket round trip. `None` on the mpsc
-    /// transport.
+    /// On the TCP transport, the destination's link writer: messages are
+    /// queued here and the link's reader thread enters them into `shards`
+    /// after a real socket round trip. `None` on the mpsc transport.
     link: Option<Sender<LinkCmd>>,
 }
 
 impl Route {
-    /// Sends `ev` to shard `shard` — a copy to every shard for
-    /// [`SHARD_BROADCAST`] — by way of the link if there is one. `false`
-    /// when a receiving end is gone.
-    fn send(&self, shard: u32, ev: RtEvent) -> bool {
-        match &self.link {
-            // One socket write carries a broadcast; the reader fans it out.
-            Some(link) => link.send(LinkCmd::Send { shard, ev }).is_ok(),
-            None => self.deliver(shard, ev),
+    /// Puts a copy of `ev` into every shard's inbox; `false` when a
+    /// receiving end is gone.
+    fn broadcast(&self, ev: &RtEvent) -> bool {
+        let mut reached = true;
+        for tx in &self.shards {
+            reached &= tx.send(ev.clone()).is_ok();
         }
+        reached
     }
 
-    /// Puts `ev` straight into the inbox of shard `shard`, or of each.
-    fn deliver(&self, shard: u32, ev: RtEvent) -> bool {
-        if shard == SHARD_BROADCAST {
-            let mut reached = true;
-            for tx in &self.shards {
-                reached &= tx.send(ev.clone()).is_ok();
-            }
-            reached
-        } else {
-            let tx = self.shards.get(shard as usize);
-            tx.is_some_and(|tx| tx.send(ev).is_ok())
-        }
+    /// Hands every shard the shutdown pill.
+    pub(crate) fn shut_down(&self) {
+        self.broadcast(&RtEvent::Shutdown);
     }
 }
 
@@ -322,12 +314,12 @@ impl Route {
 #[derive(Clone)]
 pub(crate) struct Router {
     routes: Arc<RwLock<Vec<Option<Route>>>>,
-    /// Captured control broadcasts per broker id (framed bytes, in send
-    /// order), excluding the high-rate idempotent `AckUpto`. Replayed
-    /// mutedly into a rebuilt shard so its filter table and placement
-    /// RNG stream converge with the surviving replicas. Growth is
-    /// bounded by setup traffic (advertisements + placement walks), not
-    /// by data volume.
+    /// Captured control broadcasts per broker id (framed bytes, in the
+    /// order every shard's inbox took them), excluding the high-rate
+    /// idempotent `AckUpto`. Replayed mutedly into a rebuilt shard so its
+    /// filter table and placement RNG stream converge with the surviving
+    /// replicas. Growth is bounded by setup traffic (advertisements +
+    /// placement walks), not by data volume.
     ctrl: Arc<Vec<Mutex<Vec<Vec<u8>>>>>,
     pub(crate) epoch: Instant,
     pub(crate) profiler: Arc<StageProfiler>,
@@ -361,7 +353,7 @@ impl Router {
     /// Lock poisoning cannot corrupt the table (writers only swap whole
     /// `Sender` slots), and the supervisor must keep routing around a
     /// panicked peer — so every lock acquisition survives poison.
-    fn read_routes(&self) -> RwLockReadGuard<'_, Vec<Option<Route>>> {
+    pub(crate) fn read_routes(&self) -> RwLockReadGuard<'_, Vec<Option<Route>>> {
         self.routes.read().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -390,18 +382,15 @@ impl Router {
         self.teardown.store(true, Ordering::Relaxed);
     }
 
-    /// Delivers `msg`: data to the class shard, control to every shard;
-    /// an mpsc inbox takes the message itself, a TCP link's writer encodes
-    /// it. Either way its frame is counted ([`wire::frame_len`]) and one
+    /// Sends `msg` to node `to`: an mpsc inbox takes the message itself
+    /// ([`Router::enter`]), a TCP link's writer encodes it. Either way its
+    /// frame is counted ([`wire::frame_len`]), once per shard copy, and one
     /// over the frame cap is refused into `rt.encode_errors`. Sends to
     /// already-exited nodes fail soft (counted for data, silent for
     /// control/teardown).
     ///
     /// When `sampled`, the routed send is timed into the `EgressSend`
-    /// pipeline stage. Independently of the sample, frames are stamped
-    /// with an enqueue timestamp whenever the profiler is enabled at all,
-    /// so the *receiver's* sampler can measure ingress wait on frames
-    /// whose send was not itself sampled.
+    /// pipeline stage.
     pub(crate) fn dispatch(
         &self,
         from: ActorId,
@@ -410,7 +399,8 @@ impl Router {
         stats: &RtStats,
         sampled: bool,
     ) {
-        if msg.is_data() && self.fault.should_drop(from.0, to.0) {
+        let data = msg.is_data();
+        if data && self.fault.should_drop(from.0, to.0) {
             // An injected link drop: unlike a panic (whose in-flight
             // frames the supervisor requeues), this frame is really
             // gone, so it lands in both ledgers.
@@ -425,46 +415,24 @@ impl Router {
             stats.inc_encode_errors();
             return;
         }
-        let enqueued_ns = if self.profiler.enabled() {
-            nanos_since(self.epoch)
-        } else {
-            0
-        };
         let send_timer = sampled.then(Instant::now);
         let routes = self.read_routes();
         let Some(Some(route)) = routes.get(to.0) else {
             return;
         };
-        let (shard, tag) = match (data_class(&msg), self.ctrl.get(to.0)) {
-            (Some(class), _) => (shard_of(class, route.shards.len()) as u32, FrameTag::Data),
-            // A broker's control broadcast is captured for restart replay;
-            // acks are not, and neither is anything subscriber-bound.
-            (None, Some(log)) if !matches!(msg, OverlayMsg::AckUpto { .. }) => {
-                // As bytes: smaller than the message, and kept for the runtime's life.
-                let bytes = wire::encode_msg(from, &msg, &mut EncodeDict::new(DictMode::Shared));
-                let mut log = log.lock().unwrap_or_else(PoisonError::into_inner);
-                log.push(bytes.expect("the frame cap was checked above"));
-                (SHARD_BROADCAST, FrameTag::Ctrl(log.len() as u64 - 1))
-            }
-            (None, _) => (SHARD_BROADCAST, FrameTag::Ack),
-        };
         // Accounting is per shard copy, so both transports report
         // identical frame counts.
-        let copies = match shard {
-            SHARD_BROADCAST => route.shards.len(),
-            _ => 1,
-        };
+        let copies = if data { 1 } else { route.shards.len() };
         for _ in 0..copies {
             stats.note_frame_sent(len);
         }
-        let frame = Frame {
-            from,
-            msg,
-            enqueued_ns,
-            tag,
-        };
-        if !route.send(shard, RtEvent::Frame(frame)) {
-            self.note_send_failure(stats, tag == FrameTag::Data);
+        match &route.link {
+            Some(link) => {
+                if link.send(LinkCmd::Send { from, msg }).is_err() {
+                    self.note_send_failure(stats, data);
+                }
+            }
+            None => self.enter(&routes, to.0, from, msg, stats),
         }
         if let Some(t0) = send_timer {
             self.profiler
@@ -472,19 +440,58 @@ impl Router {
         }
     }
 
-    /// Delivers one link-arrived event — a decoded frame or the shutdown
-    /// pill — into node `dest`'s *current* inbox sender(s); called by the
-    /// TCP link reader thread. Looking the route up per message means
-    /// supervised shard restarts re-wire the link exactly as they re-wire
-    /// in-process senders.
-    pub(crate) fn forward_link(&self, dest: usize, shard: u32, ev: RtEvent, stats: &RtStats) {
-        let data = matches!(&ev, RtEvent::Frame(f) if f.tag == FrameTag::Data);
-        let reached = match self.read_routes().get(dest) {
-            Some(Some(route)) => route.deliver(shard, ev),
-            _ => false,
+    /// Enters `msg` into node `to`'s inboxes: the one place a frame gets
+    /// its shard and its [`FrameTag`], called by [`Router::dispatch`] on
+    /// the mpsc transport and by the link reader on TCP. Data goes to the
+    /// class shard, control to every shard. A broker's control broadcast
+    /// is captured into its replay log, whose lock is held across the
+    /// shard sends, so every shard's inbox takes captured control in log
+    /// order; acks are idempotent, never captured, and take no lock, and
+    /// nothing subscriber-bound is captured. The frame is stamped for the
+    /// ingress-wait stage whenever the profiler is enabled at all, so the
+    /// *receiver's* sampler can measure frames whose send was not sampled.
+    pub(crate) fn enter(
+        &self,
+        routes: &[Option<Route>],
+        to: usize,
+        from: ActorId,
+        msg: OverlayMsg,
+        stats: &RtStats,
+    ) {
+        let class = data_class(&msg);
+        let Some(Some(route)) = routes.get(to) else {
+            return self.note_send_failure(stats, class.is_some());
+        };
+        let enqueued_ns = if self.profiler.enabled() {
+            nanos_since(self.epoch)
+        } else {
+            0
+        };
+        let frame = |msg: OverlayMsg, tag: FrameTag| {
+            RtEvent::Frame(Frame {
+                from,
+                msg,
+                enqueued_ns,
+                tag,
+            })
+        };
+        let reached = match (class, self.ctrl.get(to)) {
+            (Some(class), _) => {
+                let tx = &route.shards[shard_of(class, route.shards.len())];
+                tx.send(frame(msg, FrameTag::Data)).is_ok()
+            }
+            (None, Some(log)) if !matches!(msg, OverlayMsg::AckUpto { .. }) => {
+                // As bytes: smaller than the message, and kept for the runtime's life.
+                let bytes = wire::encode_msg(from, &msg, &mut EncodeDict::new(DictMode::Shared))
+                    .expect("dispatch checked the frame cap");
+                let mut log = log.lock().unwrap_or_else(PoisonError::into_inner);
+                log.push(bytes);
+                route.broadcast(&frame(msg, FrameTag::Ctrl(log.len() as u64 - 1)))
+            }
+            (None, _) => route.broadcast(&frame(msg, FrameTag::Ack)),
         };
         if !reached {
-            self.note_send_failure(stats, data);
+            self.note_send_failure(stats, class.is_some());
         }
     }
 
@@ -841,7 +848,7 @@ pub struct Runtime {
     /// Per-shard supervision bookkeeping, shared with the supervisor.
     slots: Slots,
     crashes: Arc<Mutex<Vec<CrashEntry>>>,
-    supervisor: Option<Supervisor>,
+    supervisor: Supervisor,
     notice_tx: Sender<Notice>,
     subscriber_threads: Vec<SubscriberThread>,
     /// Live TCP links (one per node) when `cfg.transport` is
@@ -850,14 +857,12 @@ pub struct Runtime {
     links: Vec<Link>,
     next_filter: u64,
     trace: Option<Arc<TraceSink>>,
-    profiler: Arc<StageProfiler>,
     metrics: Option<MetricsServer>,
 }
 
 impl Runtime {
     /// Builds the broker hierarchy from the shared topology and spawns
-    /// `shards` matcher threads per broker, plus the supervisor thread
-    /// (unless `cfg.supervision.enabled` is off).
+    /// `shards` matcher threads per broker, plus the supervisor thread.
     ///
     /// # Errors
     ///
@@ -965,24 +970,18 @@ impl Runtime {
             }
         }
 
-        let supervisor = if cfg.supervision.enabled {
-            let shared = SupervisorShared {
-                cfg: cfg.clone(),
-                registry: Arc::clone(&registry),
-                trace: trace.clone(),
-                router: router.clone(),
-                stats: Arc::clone(&stats),
-                profiler: Arc::clone(&profiler),
-                slots: Arc::clone(&slots),
-                crashes: Arc::clone(&crashes),
-                notice_tx: notice_tx.clone(),
-            };
-            Some(Supervisor::start(shared, notice_rx).map_err(RtError::Thread)?)
-        } else {
-            // Without a supervisor the notice receiver is dropped and
-            // exit notices fail soft; crashes still surface at teardown.
-            None
+        let shared = SupervisorShared {
+            cfg: cfg.clone(),
+            registry: Arc::clone(&registry),
+            trace: trace.clone(),
+            router: router.clone(),
+            stats: Arc::clone(&stats),
+            profiler: Arc::clone(&profiler),
+            slots: Arc::clone(&slots),
+            crashes: Arc::clone(&crashes),
+            notice_tx: notice_tx.clone(),
         };
+        let supervisor = Supervisor::start(shared, notice_rx).map_err(RtError::Thread)?;
 
         Ok(Self {
             cfg,
@@ -1000,7 +999,6 @@ impl Runtime {
             links,
             next_filter: 0,
             trace,
-            profiler,
             metrics,
         })
     }
@@ -1037,13 +1035,6 @@ impl Runtime {
     #[must_use]
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
         self.metrics.as_ref().map(MetricsServer::addr)
-    }
-
-    /// The stage profiler driving per-frame pipeline sampling; exposed
-    /// so callers can retune [`RtConfig::stage_sample_every`] live.
-    #[must_use]
-    pub fn stage_profiler(&self) -> &Arc<StageProfiler> {
-        &self.profiler
     }
 
     /// A merged point-in-time view of every runtime metric, by its
@@ -1247,7 +1238,7 @@ impl Runtime {
                 false,
             );
             placed
-                .recv_timeout(self.cfg.placement_timeout)
+                .recv_timeout(PLACEMENT_TIMEOUT)
                 .map_err(|_| RtError::PlacementTimeout)?;
         }
         Ok(RtSubscriberHandle { id, index })
@@ -1279,7 +1270,7 @@ impl Runtime {
     /// it reaches a socket). Gives up after the placement timeout — a link
     /// that dropped a frame keeps the counters apart for good.
     fn quiesce(&self) {
-        let deadline = Instant::now() + self.cfg.placement_timeout;
+        let deadline = Instant::now() + PLACEMENT_TIMEOUT;
         // `received` first: it never exceeds `sent`, so reading it first
         // cannot make frames still in flight look handled.
         while self.stats.frames_received() != self.stats.frames_sent() {
@@ -1339,9 +1330,7 @@ impl Runtime {
         // Stop the supervisor first: it force-completes pending restarts
         // (skipping the remaining backoff) so every shard is either live
         // or permanently dead-ended before the poison sweep starts.
-        if let Some(mut sup) = self.supervisor.take() {
-            sup.stop_and_join();
-        }
+        self.supervisor.stop_and_join();
 
         let mut entries: Vec<((usize, usize), ShardSlot)> = {
             let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
@@ -1361,8 +1350,9 @@ impl Runtime {
             while j < entries.len() && entries[j].1.stage == stage {
                 j += 1;
             }
-            for e in &entries[i..j] {
-                self.poison(ActorId(e.0 .0), e.0 .1);
+            // One pill per node reaches every shard.
+            for e in entries[i..j].iter().filter(|e| e.0 .1 == 0) {
+                self.poison(ActorId(e.0 .0));
             }
             for e in &mut entries[i..j] {
                 let ((b, shard), slot) = e;
@@ -1398,7 +1388,7 @@ impl Runtime {
 
         let subs = std::mem::take(&mut self.subscriber_threads);
         for t in &subs {
-            self.poison(t.id, 0);
+            self.poison(t.id);
         }
         let mut subscribers = Vec::with_capacity(subs.len());
         for t in subs {
@@ -1482,13 +1472,19 @@ impl Runtime {
         node
     }
 
-    /// Sends the shutdown poison pill to one node shard. On the TCP
-    /// transport the pill rides the link's FIFO behind every frame
-    /// already queued there, preserving the drain-before-exit teardown
-    /// invariant the mpsc channels give for free.
-    fn poison(&self, id: ActorId, shard: usize) {
+    /// Sends the shutdown poison pill to every shard of node `id`. On the
+    /// TCP transport that closes the node's link: the writer puts every
+    /// frame queued ahead on the socket first, and the reader hands each
+    /// shard the pill at EOF — the drain-before-exit teardown invariant
+    /// the mpsc channels give for free.
+    fn poison(&self, id: ActorId) {
         if let Some(Some(route)) = self.router.read_routes().get(id.0) {
-            let _ = route.send(shard as u32, RtEvent::Shutdown);
+            match &route.link {
+                Some(link) => {
+                    let _ = link.send(LinkCmd::Close);
+                }
+                None => route.shut_down(),
+            }
         }
     }
 }
@@ -1805,10 +1801,11 @@ pub(crate) fn perform_restart(
 
 #[cfg(test)]
 impl Router {
-    /// A router that knows one node, `dest`: a single inbox, no link.
-    pub(crate) fn with_inbox(
+    /// A router that knows one node, `dest`, with one inbox per sender in
+    /// `shards` and no link.
+    pub(crate) fn with_node(
         dest: usize,
-        tx: Sender<RtEvent>,
+        shards: Vec<Sender<RtEvent>>,
         profiler: Arc<StageProfiler>,
     ) -> Self {
         let router = Self::new(
@@ -1817,8 +1814,56 @@ impl Router {
             profiler,
             Arc::new(FaultState::new(None)),
         );
-        let shards = vec![tx];
         router.set(ActorId(dest), Route { shards, link: None });
         router
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two senders broadcast control to a 4-shard broker at once: the
+    /// replay log's order is every shard's inbox order, and each frame's
+    /// tag is its position in the log.
+    #[test]
+    fn concurrent_control_enters_every_shard_in_log_order() {
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..4).map(|_| channel()).unzip();
+        let stats = RtStats::new();
+        let profiler = Arc::new(StageProfiler::new(stats.registry(), 0));
+        let router = Router::with_node(0, txs, profiler);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 1..=2 {
+                let (router, stats, start) = (&router, &stats, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..500 {
+                        let msg = OverlayMsg::AcceptedAt {
+                            id: FilterId(i),
+                            node: ActorId(t),
+                        };
+                        router.dispatch(ActorId(t), ActorId(0), msg, stats, false);
+                    }
+                });
+            }
+        });
+        let log = router.ctrl_prefix(0);
+        assert_eq!(log.len(), 1_000);
+        for rx in &rxs {
+            let inbox: Vec<Vec<u8>> = rx
+                .try_iter()
+                .enumerate()
+                .map(|(i, ev)| match ev {
+                    RtEvent::Frame(f) => {
+                        assert_eq!(f.tag, FrameTag::Ctrl(i as u64));
+                        let mut dict = EncodeDict::new(DictMode::Shared);
+                        wire::encode_msg(f.from, &f.msg, &mut dict).unwrap()
+                    }
+                    RtEvent::Shutdown => panic!("no pill was sent"),
+                })
+                .collect();
+            assert!(inbox == log, "a shard's inbox takes control in log order");
+        }
     }
 }

@@ -57,10 +57,6 @@ const MAX_BACKOFF_SHIFT: u32 = 6;
 /// [`crate::RtConfig::supervision`].
 #[derive(Debug, Clone)]
 pub struct SupervisionConfig {
-    /// Whether to run the supervisor thread at all. Off, node panics are
-    /// still *isolated* (caught per thread, reported at shutdown) but
-    /// nothing restarts.
-    pub enabled: bool,
     /// How many restarts each broker shard gets over the runtime's
     /// lifetime before the supervisor gives up and dead-ends its route.
     pub max_restarts: u32,
@@ -82,7 +78,6 @@ pub struct SupervisionConfig {
 impl Default for SupervisionConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             max_restarts: 8,
             backoff_base: Duration::from_millis(10),
             stall_timeout: None,

@@ -15,7 +15,7 @@ use layercake_event::{
 };
 use layercake_filter::Filter;
 use layercake_overlay::OverlayConfig;
-use layercake_rt::{CrashKind, RtConfig, RtError, RtFaultPlan, Runtime};
+use layercake_rt::{CrashKind, RtConfig, RtError, RtFaultPlan, Runtime, TransportKind};
 
 fn registry() -> (Arc<TypeRegistry>, ClassId) {
     let mut registry = TypeRegistry::new();
@@ -83,8 +83,15 @@ fn wait_for(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 /// before processing), and every published event still arrives.
 #[test]
 fn induced_panic_is_isolated_and_healed_in_place() {
+    for transport in [TransportKind::Mpsc, TransportKind::Tcp] {
+        induced_panic_heals(transport);
+    }
+}
+
+fn induced_panic_heals(transport: TransportKind) {
     let (reg, class) = registry();
     let mut cfg = volatile_config(2);
+    cfg.transport = transport;
     // Class 0 hashes to shard 0 of 2 (see runtime::shard_of). The shard
     // sees advertise + filter-add control first, so frame 5 is mid-data.
     cfg.fault_plan = Some(RtFaultPlan::new(1).panic_shard(0, 0, 5));
@@ -141,9 +148,16 @@ fn induced_panic_is_isolated_and_healed_in_place() {
 /// to exactly-once in the report.
 #[test]
 fn restart_storm_keeps_durable_delivery_exactly_once() {
-    let dir = scratch_dir("storm");
+    for transport in [TransportKind::Mpsc, TransportKind::Tcp] {
+        restart_storm_stays_exactly_once(transport);
+    }
+}
+
+fn restart_storm_stays_exactly_once(transport: TransportKind) {
+    let dir = scratch_dir(&format!("storm-{transport:?}"));
     let (reg, class) = registry();
     let mut cfg = durable_config(&dir);
+    cfg.transport = transport;
     cfg.fault_plan = Some(RtFaultPlan::new(2).panic_shard_every(0, 0, 25));
     cfg.supervision.max_restarts = 500;
     cfg.supervision.backoff_base = Duration::from_millis(1);
