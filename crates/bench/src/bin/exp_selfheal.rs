@@ -16,7 +16,7 @@
 //!      every restarted generation while events keep flowing: restart
 //!      count, MTTR distribution over many samples, and exactly-once
 //!      durable delivery through repeated WAL-backed recoveries.
-//!   3. **stall** — a shard frozen (sleeping, heartbeat flat) long
+//!   3. **stall** — a shard frozen (sleeping inside one turn) long
 //!      enough for the stall detector to fence and replace it; the
 //!      frames trapped in the zombie are salvaged when it wakes.
 //!
@@ -278,7 +278,7 @@ struct StallResult {
     delivered: u64,
 }
 
-/// Scenario 3: a frozen (not dead) shard is fenced on a flat heartbeat
+/// Scenario 3: a frozen (not dead) shard is fenced on its stuck turn
 /// and replaced while it sleeps; its trapped frames are salvaged when
 /// it wakes.
 fn run_stall(events: u64) -> StallResult {

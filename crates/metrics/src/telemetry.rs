@@ -121,15 +121,6 @@ impl Gauge {
         self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Raises the value to `v` unless it is already higher — a monotone
-    /// `set` for gauges that track an increasing series under racing
-    /// writers (e.g. liveness heartbeats written by overlapping thread
-    /// generations after a supervised restart: a late write from the
-    /// replaced generation can never move the gauge backwards).
-    pub fn set_max(&self, v: i64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// The current value.
     #[must_use]
     pub fn get(&self) -> i64 {
@@ -562,7 +553,7 @@ impl PipelineStage {
 
 /// Per-stage wall-clock profiling behind a sampling knob.
 ///
-/// Each node thread calls [`StageProfiler::tick`] once per received
+/// Each node calls [`StageProfiler::tick`] once per received
 /// frame; every `sample_every`-th frame is timed through all its
 /// pipeline stages. With sampling off (`sample_every == 0`) the entire
 /// cost on the hot path is one branch.

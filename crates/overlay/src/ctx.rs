@@ -71,7 +71,7 @@ pub trait NodeCtx {
 
 /// A transport-agnostic overlay node: the handler surface shared by the
 /// deterministic simulator (via the `Actor` adapter on
-/// [`crate::NodeActor`]) and the wall-clock runtime's node threads.
+/// [`crate::NodeActor`]) and the wall-clock runtime's node driver.
 pub trait Node {
     /// Handles one incoming message.
     fn on_message(&mut self, from: ActorId, msg: OverlayMsg, ctx: &mut dyn NodeCtx);

@@ -8,7 +8,7 @@
 //! deterministic simulation. This module is the single source of that
 //! construction; [`crate::OverlaySim`] consumes it by inserting each
 //! [`TopologyNode`] into the discrete-event world in order, and
-//! `layercake-rt` consumes it by spawning one thread per node.
+//! `layercake-rt` consumes it by hosting each node as a task on a worker.
 
 use std::sync::Arc;
 

@@ -1,40 +1,36 @@
-//! The one loop every node thread runs.
+//! The one way every node is run.
 //!
 //! A broker matcher shard and a subscriber are the same thing to the
 //! runtime: a [`Node`] state machine fed messages from an inbox, with a
 //! heap of timer deadlines. [`NodeDriver`] owns the node and everything
 //! needed to run it. Its unit of work is the *turn* —
 //! [`NodeDriver::turn`] runs the node for one frame — and
-//! [`NodeDriver::run`] is the blocking loop that takes frames off an
-//! inbox and spends a turn on each. What differs between the two kinds of
-//! node (table gauges for a broker; placement signals, the delivery
-//! drain and the tap for a subscriber) is the closure `run` calls after
-//! each turn, and the exit report in the thread's main function.
+//! [`NodeDriver::slice`] is what a worker runs each time it picks the node:
+//! a bounded number of turns off the inbox, then the timers that fell due.
+//! What differs between the two kinds of node (table gauges for a broker;
+//! placement signals, the delivery drain and the tap for a subscriber) is
+//! the runtime's step after each slice, and its exit report.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use layercake_metrics::{Gauge, PipelineStage, StageProfiler};
+use layercake_metrics::{PipelineStage, StageProfiler};
 use layercake_overlay::{Node, NodeCtx, OverlayMsg};
 use layercake_sim::{ActorId, SimDuration, SimTime};
 
+use crate::executor::{Slice, SLICE_FRAMES};
 use crate::fault::FaultAction;
 use crate::runtime::{
     elapsed_ns, micros_since, nanos_since, shard_of, Frame, Router, RtEvent, EXTERNAL,
 };
 use crate::stats::RtStats;
 
-/// The current wall-clock microsecond tick as a heartbeat gauge value.
-fn heartbeat_now(epoch: Instant) -> i64 {
-    i64::try_from(micros_since(epoch)).unwrap_or(i64::MAX)
-}
-
-/// How a node's run loop ended (when it didn't panic).
+/// How a node's run ended (when it didn't panic).
 pub(crate) enum LoopExit {
     Clean,
     Fenced,
@@ -44,7 +40,7 @@ pub(crate) enum LoopExit {
 /// a driver that its [`RtCtx`] reads and no frame changes.
 pub(crate) struct NodeEnv {
     pub(crate) me: ActorId,
-    /// `(shard index, shard count)` for broker threads, `None` for
+    /// `(shard index, shard count)` for broker shards, `None` for
     /// subscribers. Durable stream-open frames (`DurableBase`) are emitted
     /// by the shard that owns the class's log slice rather than the
     /// leader: only the owner knows the stream's real resume offset — the
@@ -60,24 +56,15 @@ pub(crate) struct NodeEnv {
     profiler: Arc<StageProfiler>,
 }
 
-/// One node, who it is, and the thread-local state it is run with.
-/// Rebuilt (around a rebuilt node, with a fresh fence) for every
-/// supervised restart.
+/// One node, who it is, and the state it is run with. Rebuilt (around a
+/// rebuilt node, with a fresh fence) for every supervised restart.
 pub(crate) struct NodeDriver<N: Node> {
-    node: N,
+    pub(crate) node: N,
     pub(crate) env: NodeEnv,
-    /// Set by the supervisor's stall detector: the thread must stop
+    /// Set by the supervisor's stall detector: the node must stop
     /// touching shared state and exit `Fenced` at the next opportunity.
     /// Subscribers are not restarted, so nothing fences them.
     fence: Option<Arc<AtomicBool>>,
-    /// Liveness gauge (`rt.heartbeat_us.*`), raised to the current tick
-    /// every loop iteration — so while the thread is idle it reads the
-    /// time it last went to sleep; monotone (`set_max`) so a late write
-    /// from a replaced generation can't rewind it.
-    heartbeat: Arc<Gauge>,
-    /// How often the idle thread wakes with no timer due; see
-    /// `runtime::idle_tick`.
-    idle_tick: Option<Duration>,
     /// `(deadline in µs since epoch, tag)`.
     timers: BinaryHeap<Reverse<(u64, u64)>>,
     /// The stage sampler's position in its every-n-th cycle.
@@ -90,6 +77,12 @@ pub(crate) struct NodeDriver<N: Node> {
     /// the replacement — bounded by the restart budget, which is the
     /// intended behavior for a poison-pill input).
     current: Option<Frame>,
+    /// An event the worker's re-check took off the inbox: the next
+    /// slice's first.
+    next: Option<RtEvent>,
+    /// Set by the shutdown pill: what is queued is still handled, timers
+    /// no longer fire, and an empty inbox ends the node.
+    draining: bool,
 }
 
 impl<N: Node> NodeDriver<N> {
@@ -99,10 +92,7 @@ impl<N: Node> NodeDriver<N> {
         shard: Option<(usize, usize)>,
         router: Router,
         stats: Arc<RtStats>,
-        heartbeat: Arc<Gauge>,
-        idle_tick: Option<Duration>,
     ) -> Self {
-        heartbeat.set_max(heartbeat_now(router.epoch));
         Self {
             node,
             env: NodeEnv {
@@ -115,12 +105,12 @@ impl<N: Node> NodeDriver<N> {
                 stats,
             },
             fence: None,
-            heartbeat,
-            idle_tick,
             timers: BinaryHeap::new(),
             frame_counter: 0,
             received: 0,
             current: None,
+            next: None,
+            draining: false,
         }
     }
 
@@ -162,61 +152,57 @@ impl<N: Node> NodeDriver<N> {
         (&mut self.node, ctx)
     }
 
-    /// Blocks on the inbox, spending one turn on each frame and firing
-    /// the timers that fall due in between, until the shutdown pill (then
-    /// everything already queued is still handled, and nothing further is
-    /// waited for), a hang-up, or a fence. `after_turn` is the per-kind
-    /// step, called with the node once per wake-up.
-    pub(crate) fn run(
-        &mut self,
-        rx: &Receiver<RtEvent>,
-        mut after_turn: impl FnMut(&mut N),
-    ) -> LoopExit {
-        let mut draining = false;
-        loop {
-            self.heartbeat.set_max(heartbeat_now(self.env.epoch));
+    /// Spends a turn on each frame off the inbox, at most
+    /// [`SLICE_FRAMES`] of them, then fires the timers that fell due.
+    /// After the shutdown pill everything already queued is still handled
+    /// and nothing further is waited for: the inbox running dry (or
+    /// hanging up) then ends the node.
+    pub(crate) fn slice(&mut self, rx: &Receiver<RtEvent>) -> Slice {
+        let mut end = Slice::More;
+        for _ in 0..SLICE_FRAMES {
             if self.fenced() {
-                return LoopExit::Fenced;
+                return Slice::Exit(LoopExit::Fenced);
             }
-            let event = if draining {
-                rx.try_recv().map_err(|_| RecvTimeoutError::Disconnected)
-            } else {
-                self.recv_until_wakeup(rx)
-            };
-            match event {
+            match self.next.take().map_or_else(|| rx.try_recv(), Ok) {
                 Ok(RtEvent::Frame(frame)) => {
                     if let ControlFlow::Break(exit) = self.turn(frame) {
-                        return exit;
+                        return Slice::Exit(exit);
                     }
                 }
-                Ok(RtEvent::Shutdown) => draining = true,
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return LoopExit::Clean,
+                Ok(RtEvent::Shutdown) => self.draining = true,
+                Err(TryRecvError::Empty) if !self.draining => {
+                    end = Slice::Drained;
+                    break;
+                }
+                Err(_) => return Slice::Exit(LoopExit::Clean),
             }
-            if !draining {
-                self.fire_due_timers();
-            }
-            after_turn(&mut self.node);
         }
+        if !self.draining {
+            self.fire_due_timers();
+        }
+        end
     }
 
-    /// Waits on the inbox until the next event, the next timer deadline
-    /// or the next idle tick, whichever comes first; with neither a timer
-    /// pending nor a tick configured it blocks until an event arrives.
-    fn recv_until_wakeup(&self, rx: &Receiver<RtEvent>) -> Result<RtEvent, RecvTimeoutError> {
-        let timer = self.timers.peek().map(|Reverse((deadline, _))| {
-            Duration::from_micros(deadline.saturating_sub(micros_since(self.env.epoch)))
-        });
-        match (timer, self.idle_tick) {
-            (Some(timer), Some(tick)) => rx.recv_timeout(timer.min(tick)),
-            (Some(wait), None) | (None, Some(wait)) => rx.recv_timeout(wait),
-            (None, None) => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+    /// Takes the next event off the inbox for the next slice, if one came
+    /// in; `true` when the node has work (a hung-up inbox counts: the next
+    /// slice ends the node).
+    pub(crate) fn recheck(&mut self, rx: &Receiver<RtEvent>) -> bool {
+        match rx.try_recv() {
+            Ok(ev) => self.next = Some(ev),
+            Err(e) => return e == TryRecvError::Disconnected,
         }
+        true
+    }
+
+    /// The earliest timer deadline, while timers still fire.
+    pub(crate) fn deadline(&self) -> Option<u64> {
+        let next = self.timers.peek().map(|Reverse((at, _))| *at);
+        next.filter(|_| !self.draining)
     }
 
     /// Runs the node for one frame: consults the fault plan, then hands the
     /// frame's message to the node. Breaks when an injected stall outlasted
-    /// the supervisor's patience and the thread came back fenced — the
+    /// the supervisor's patience and the node came back fenced — the
     /// frame then stays in `current`, unhandled.
     pub(crate) fn turn(&mut self, frame: Frame) -> ControlFlow<LoopExit> {
         self.received += 1;

@@ -27,7 +27,7 @@ pub enum RtError {
         /// What went wrong (parse failure, bind error, ...).
         reason: String,
     },
-    /// A node thread exited unrecovered (panic with no restart, or a
+    /// A node exited unrecovered (panic with no restart, or a
     /// spent restart budget); the message carries the node, shard and
     /// panic payload. Produced by `RtReport::into_result` — the
     /// structured replacement for the panicking `shutdown()` of earlier
@@ -57,7 +57,7 @@ impl std::fmt::Display for RtError {
                  port 0 binds an ephemeral port reported by \
                  Runtime::metrics_addr)"
             ),
-            RtError::NodePanic(detail) => write!(f, "node thread exited unrecovered: {detail}"),
+            RtError::NodePanic(detail) => write!(f, "node exited unrecovered: {detail}"),
             RtError::Thread(e) => write!(f, "cannot spawn runtime thread: {e}"),
             RtError::Wire(detail) => write!(f, "wire protocol failure: {detail}"),
         }

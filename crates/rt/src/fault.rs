@@ -5,12 +5,12 @@
 //! giving the supervised runtime reproducible *failure inputs* even
 //! though thread interleavings stay nondeterministic:
 //!
-//! * **panic-at-nth-frame** per broker shard — the shard thread panics
+//! * **panic-at-nth-frame** per broker shard — the shard panics
 //!   when its generation-local received-frame count reaches `n`; a
 //!   repeating variant re-arms on every supervised restart (a crash
 //!   storm that exercises the restart budget);
-//! * **stalled-shard injection** — the shard thread sleeps in place at
-//!   the nth frame, freezing its heartbeat so the supervisor's stall
+//! * **stalled-shard injection** — the shard's worker thread sleeps in
+//!   place at the nth frame, one turn stuck, so the supervisor's stall
 //!   detector (not the panic path) has to replace it;
 //! * **frame drops on intra-process links** — data frames from node
 //!   `from` to node `to` are dropped with a seeded Bernoulli stream
@@ -70,7 +70,7 @@ impl RtFaultPlan {
     }
 
     /// Panics broker `broker`'s matcher shard `shard` once, when the
-    /// thread's received-frame count reaches `nth_frame` (1-based).
+    /// shard's received-frame count reaches `nth_frame` (1-based).
     /// Restarted generations run clean.
     #[must_use]
     pub fn panic_shard(mut self, broker: usize, shard: usize, nth_frame: u64) -> Self {
@@ -92,8 +92,8 @@ impl RtFaultPlan {
     }
 
     /// Stalls broker `broker`'s shard `shard` once at its `nth_frame`:
-    /// the thread sleeps `dur` in place with the frame unprocessed,
-    /// freezing its heartbeat. With
+    /// its worker thread sleeps `dur` in place with the frame
+    /// unprocessed, one turn stuck. With
     /// [`crate::SupervisionConfig::stall_timeout`] below `dur`, the
     /// supervisor fences and replaces the shard while it sleeps; the
     /// fenced zombie hands its trapped frames back when it wakes.
@@ -140,7 +140,7 @@ impl RtFaultPlan {
     }
 }
 
-/// What [`FaultState::frame_action`] tells a shard thread to do with the
+/// What [`FaultState::frame_action`] tells a shard to do with the
 /// frame it just received.
 pub(crate) enum FaultAction {
     /// Process normally.
@@ -217,7 +217,7 @@ impl FaultState {
         !self.shards.is_empty()
     }
 
-    /// Consulted by a broker shard thread for each received frame
+    /// Consulted by a broker shard for each received frame
     /// (`count` is the generation-local 1-based frame number).
     pub(crate) fn frame_action(&self, broker: usize, shard: usize, count: u64) -> FaultAction {
         if self.disarmed.load(Ordering::Relaxed) {

@@ -7,20 +7,23 @@
 //! wrapper), through the transport-agnostic [`layercake_overlay::Node`] /
 //! [`layercake_overlay::NodeCtx`] traits, under real concurrency:
 //!
-//! * every broker matcher shard and every subscriber is an OS thread;
-//! * threads exchange messages — over `std::sync::mpsc` channels by
+//! * every broker matcher shard and every subscriber is a task, and a few
+//!   worker threads run them: volatile nodes share at most one worker per
+//!   core, and a broker shard with a durable log, whose turns fsync, has a
+//!   worker of its own;
+//! * nodes exchange messages — over `std::sync::mpsc` channels by
 //!   default, an event crossing a hop as an `Arc` bump of its envelope, or
 //!   over loopback TCP sockets ([`TransportKind::Tcp`]) that carry plain
 //!   [`wire`] frames and nothing else, end of stream being the shutdown
 //!   pill; on either transport a message enters its destination's inbox
-//!   through the same router path, which picks the shard and captures
-//!   control for restart replay;
+//!   through the same router path, which picks the shard, captures
+//!   control for restart replay and schedules the node on its worker;
 //! * separate *processes* talk to a broker through the [`remote`]
 //!   protocol: a handshake, a per-connection negotiated attribute
 //!   dictionary, then the same framed binary messages over TCP;
-//! * events are hashed by class across `shards` matcher threads per
-//!   broker, scaling the dominant per-event cost (matching) across
-//!   cores;
+//! * events are hashed by class across `shards` matcher shards per
+//!   broker, which the workers spread across cores, scaling the dominant
+//!   per-event cost (matching);
 //! * wall-clock end-to-end latency is stamped at publish and recorded at
 //!   delivery into the shared log₂ [`layercake_metrics::Histogram`].
 //!
@@ -49,14 +52,16 @@
 //!
 //! # Self-healing
 //!
-//! Every node thread runs under a supervision wrapper: a panicking
-//! broker shard is restarted in place by the `lc-supervisor` thread —
+//! Every node runs under supervision: its worker catches a panic around
+//! each slice of it and runs its other nodes on. A panicking broker
+//! shard is restarted in place by the `lc-supervisor` thread —
 //! state machine rebuilt deterministically, durable log recovered from
 //! [`RtConfig::durable_dir`], `DurableBase` re-emitted so durable
 //! subscribers rebase and lose nothing, inbox backlog requeued — under
 //! a bounded, exponentially backed-off restart budget
-//! ([`SupervisionConfig`]). Stalled shards are fenced and replaced when
-//! [`SupervisionConfig::stall_timeout`] is set. Crashes never panic
+//! ([`SupervisionConfig`]). When [`SupervisionConfig::stall_timeout`] is
+//! set, a worker stuck in one slice hands its other nodes to a fresh
+//! thread, and a broker shard stuck there is fenced and replaced. Crashes never panic
 //! [`Runtime::shutdown`]; they surface as [`CrashEntry`] values in
 //! [`RtReport::crashes`], and volatile loss lands in the
 //! `rt.frames_dropped` ledger instead of disappearing. [`RtFaultPlan`]
@@ -65,7 +70,7 @@
 //! MTTR and durable-loss behavior under it.
 //!
 //! See `DESIGN.md` ("Runtime", "Runtime observability") for the
-//! threading model, the leader/follower sharding contract, the shutdown
+//! threading model (nodes as tasks on workers), the leader/follower sharding contract, the shutdown
 //! protocol, and the sim-vs-rt parity argument. The repository's
 //! benchmark (`benchmark/`) measures capacity, CPU per event and latency
 //! through this crate's public API, and reports the stage profile and
@@ -104,6 +109,7 @@
 
 mod driver;
 mod error;
+mod executor;
 mod fault;
 mod metrics_http;
 pub mod remote;

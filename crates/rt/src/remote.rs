@@ -78,7 +78,7 @@ pub fn serve_one(rt: &mut Runtime, listener: &TcpListener) -> Result<(), RtError
     let write_half = stream.try_clone().map_err(|e| wire_io("clone", &e))?;
     let root = rt.root();
     // Deliberately detached: the tap forwarders spawned per subscription
-    // hold clones of `out_tx` until the runtime's subscriber threads shut
+    // hold clones of `out_tx` until the runtime's subscribers shut
     // down, which happens only after this call returns — joining the
     // writer here would deadlock on that chain. It exits on its own once
     // the last sender drops (or the socket dies).
@@ -152,8 +152,8 @@ fn handle_client_msg(
         OverlayMsg::Subscribe(req) => {
             let (tap_tx, tap_rx) = channel::<Envelope>();
             let handle = rt.add_subscriber_tapped(req.filter, tap_tx)?;
-            // Forward accepted deliveries until the subscriber thread
-            // drops the tap at teardown.
+            // Forward accepted deliveries until the subscriber drops the
+            // tap at teardown.
             let fwd_out = out_tx.clone();
             std::thread::Builder::new()
                 .name("lc-remote-tap".to_string())

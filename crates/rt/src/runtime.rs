@@ -1,8 +1,10 @@
 //! The multi-threaded wall-clock runtime.
 //!
 //! Every overlay node — each matcher shard of each broker, and each
-//! subscriber — runs as its own OS thread owning the node state machine
-//! outright. Threads exchange *messages*: an inbox holds the
+//! subscriber — is a task owning its node state machine outright, run by
+//! one of a few worker threads ([`crate::executor`]): volatile nodes share
+//! at most one worker per core, and a broker shard with a durable log has a
+//! worker of its own. Nodes exchange *messages*: an inbox holds the
 //! [`OverlayMsg`] and its sender, so an event crosses an in-process hop as
 //! an `Arc` bump of its envelope body, with no encode and no decode. Bytes
 //! exist only where a message crosses a socket: the TCP transport's link
@@ -10,15 +12,15 @@
 //! [`wire`] frames there, and `rt.bytes_sent` counts every hop's frame
 //! ([`wire::frame_len`]) either way. Whichever way a message travels, it
 //! enters an inbox through one router function, `Router::enter`, which
-//! picks the shard, tags the frame for requeueing and captures control
-//! for restart replay.
+//! picks the shard, tags the frame for requeueing, captures control for
+//! restart replay and schedules the receiving node on its worker.
 //!
 //! # Sharding contract (leader/follower)
 //!
-//! Each broker is replicated across `shards` matcher threads. Data
+//! Each broker is replicated across `shards` matcher shards. Data
 //! frames (`Publish`/`Deliver`/`Durable`) are routed to exactly one
 //! shard by a hash of the event class, so each class's matching work
-//! runs on one thread per broker and distinct classes spread across
+//! runs on one shard per broker and distinct classes spread across
 //! shards. Control frames are broadcast to *all* shards so every
 //! replica's filter table stays identical — but only shard 0 (the
 //! leader) emits outgoing control messages or arms timers; followers
@@ -32,33 +34,25 @@
 //!
 //! # Supervision
 //!
-//! Every node thread body runs under `catch_unwind`. A panicking or
-//! stalled broker shard does not abort the process: the thread reports
-//! its exit over a supervision channel (carrying the in-flight frame and
-//! its drained inbox receiver), and the supervisor thread restarts the
-//! shard in place — rebuilding the deterministic node state machine,
-//! replaying the captured control prefix mutedly so the filter table and
-//! RNG stream converge, recovering the shard's durable log slice from
-//! [`RtConfig::durable_dir`] and re-emitting `DurableBase` so durable
-//! subscribers rebase their contiguity cursors, and swapping the shard's
-//! inbox sender inside the shared router so peers never hold a dead
-//! channel. Restarts run under a bounded budget with exponential
-//! backoff; a shard that exhausts it is routed to a dead end and every
-//! subsequently dropped data frame is counted in `rt.frames_dropped`
-//! (see [`crate::SupervisionConfig`] and `DESIGN.md`'s runtime fault
-//! model). Subscriber panics are isolated and reported in
-//! [`RtReport::crashes`], not restarted: their node state died with the
-//! thread and durable re-subscription is the caller's recovery path.
+//! A worker catches a node's panic around each slice and runs its other
+//! nodes on; the `lc-supervisor` thread restarts a crashed or stalled
+//! broker shard in place on the same worker — state machine rebuilt,
+//! control prefix replayed mutedly, durable log recovered, `DurableBase`
+//! re-emitted, its inbox swapped inside the router so peers never hold a
+//! dead channel — under a bounded, backed-off budget; subscriber panics
+//! are reported in [`RtReport::crashes`], not restarted (see
+//! [`crate::SupervisionConfig`] and `DESIGN.md`'s runtime fault model).
 //!
 //! # Shutdown protocol
 //!
 //! [`Runtime::shutdown`] stops the supervisor (force-completing pending
-//! restarts), then poisons and joins stage by stage from the root down:
-//! each thread receiving the poison pill drains everything still queued
-//! in its inbox, then exits. Since a stage is joined before the next one
-//! down is poisoned, every data frame forwarded downward is already
-//! enqueued at its destination when that destination drains — published
-//! events are never lost at shutdown. Subscribers drain last. On the TCP
+//! restarts), then poisons stage by stage from the root down: each node
+//! receiving the poison pill drains everything still queued in its inbox,
+//! then exits and its worker hands back the final state machine. Since a
+//! stage has exited before the next one down is poisoned, every data
+//! frame forwarded downward is already enqueued at its destination when
+//! that destination drains — published events are never lost at
+//! shutdown. Subscribers drain last, then the workers stop. On the TCP
 //! transport the pill is the end of the link's stream: poisoning closes
 //! the link behind every frame queued on it, and its reader hands each
 //! shard the pill at EOF.
@@ -67,12 +61,10 @@ use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use layercake_event::{
@@ -89,12 +81,13 @@ use layercake_trace::TraceSink;
 
 use crate::driver::{LoopExit, NodeDriver};
 use crate::error::RtError;
+use crate::executor::{Executor, Inbox, Slice, Task, Worker};
 use crate::fault::{FaultState, RtFaultPlan};
 use crate::metrics_http::MetricsServer;
 use crate::stats::RtStats;
 use crate::supervisor::{
-    panic_message, CrashEntry, CrashKind, DownKind, Notice, ShardOutcome, ShardSlot, Slots,
-    SubOutcome, SupervisionConfig, Supervisor, SupervisorShared,
+    CrashEntry, CrashKind, ShardDown, ShardSlot, Slots, SupervisionConfig, Supervisor,
+    SupervisorShared,
 };
 use crate::transport::{self, Link, LinkCmd, TransportKind};
 use crate::wire::{self, LinkDecoder, WireCodec};
@@ -106,16 +99,6 @@ pub(crate) const EXTERNAL: ActorId = ActorId(usize::MAX);
 /// How long [`Runtime::add_subscriber_any`] waits for a placement walk,
 /// and [`Runtime::advertise`] for the flood to settle, before giving up.
 const PLACEMENT_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// How often an idle node thread wakes with no timer due. Never, by
-/// default: it blocks on its inbox, and its heartbeat gauge is the time
-/// it last went to sleep. Only the supervisor's stall scan reads
-/// heartbeats, so only when [`SupervisionConfig::stall_timeout`] is set
-/// does an idle thread tick — several times per timeout, refreshing the
-/// gauge and checking its fence.
-fn idle_tick(supervision: &SupervisionConfig) -> Option<Duration> {
-    supervision.stall_timeout.map(|timeout| timeout / 4)
-}
 
 /// Configuration for [`Runtime::start`].
 #[derive(Debug, Clone)]
@@ -134,7 +117,9 @@ pub struct RtConfig {
     /// (shard id, covering-filter verdict) matching the simulator's,
     /// exported as the same JSONL schema.
     pub overlay: OverlayConfig,
-    /// Matcher shards (threads) per broker; ≥ 1.
+    /// Matcher shards per broker; ≥ 1. Each is a node of its own, with its
+    /// own inbox and filter table; shards share the workers with every
+    /// other volatile node, at most one worker per core.
     pub shards: usize,
     /// Root directory for the per-broker durable logs, required when
     /// `overlay.durability_enabled` is set. Broker `b`'s shard `s` logs
@@ -144,7 +129,7 @@ pub struct RtConfig {
     /// reuses the same layout when it restarts a single crashed shard in
     /// place.
     pub durable_dir: Option<PathBuf>,
-    /// Pipeline stage profiling: every n-th frame a node thread receives
+    /// Pipeline stage profiling: every n-th frame a node receives
     /// is timed through ingress wait → match → egress send (every n-th a
     /// TCP link carries through encode and decode; WAL append/fsync on
     /// durable runs) into the telemetry registry. `0` (the default) turns
@@ -164,7 +149,7 @@ pub struct RtConfig {
     /// default) injects nothing and keeps the fault hooks to two hash
     /// probes per frame.
     pub fault_plan: Option<RtFaultPlan>,
-    /// Which link backend carries frames between node threads:
+    /// Which link backend carries frames between nodes:
     /// in-process mpsc channels (the default) or loopback TCP sockets
     /// with per-link writer/reader threads ([`TransportKind::Tcp`]),
     /// which makes every hop pay real socket I/O — the in-process
@@ -174,7 +159,7 @@ pub struct RtConfig {
 }
 
 impl RtConfig {
-    /// A runtime config over `overlay` with `shards` matcher threads per
+    /// A runtime config over `overlay` with `shards` matcher shards per
     /// broker, default supervision, no fault injection, the mpsc
     /// transport, and all observability (stage profiling, metrics
     /// endpoint) off.
@@ -249,8 +234,8 @@ pub(crate) enum FrameTag {
     Ack,
 }
 
-/// One message in flight between node threads, with its sender: OS
-/// channels, unlike the simulator's scheduler, carry no provenance.
+/// One message in flight between nodes, with its sender: inbox channels,
+/// unlike the simulator's scheduler, carry no provenance.
 #[derive(Clone)]
 pub(crate) struct Frame {
     pub(crate) from: ActorId,
@@ -262,8 +247,7 @@ pub(crate) struct Frame {
     pub(crate) tag: FrameTag,
 }
 
-/// What a node thread receives: either one message or the shutdown
-/// poison pill.
+/// What a node receives: either one message or the shutdown poison pill.
 #[derive(Clone)]
 pub(crate) enum RtEvent {
     Frame(Frame),
@@ -278,7 +262,7 @@ const _: () = assert!(std::mem::size_of::<RtEvent>() <= 96);
 /// How to reach one node: an inbox per matcher shard. A subscriber is a
 /// one-shard node.
 pub(crate) struct Route {
-    shards: Vec<Sender<RtEvent>>,
+    shards: Vec<Inbox>,
     /// On the TCP transport, the destination's link writer: messages are
     /// queued here and the link's reader thread enters them into `shards`
     /// after a real socket round trip. `None` on the mpsc transport.
@@ -290,8 +274,8 @@ impl Route {
     /// receiving end is gone.
     fn broadcast(&self, ev: &RtEvent) -> bool {
         let mut reached = true;
-        for tx in &self.shards {
-            reached &= tx.send(ev.clone()).is_ok();
+        for inbox in &self.shards {
+            reached &= inbox.push(ev.clone());
         }
         reached
     }
@@ -302,9 +286,9 @@ impl Route {
     }
 }
 
-/// The routing table: node id → channel(s). Subscribers register after
-/// broker threads are already running, hence the lock; sends take a read
-/// lock, which is uncontended in steady state.
+/// The routing table: node id → inbox(es). Subscribers register after
+/// brokers are already running, hence the lock; sends take a read lock,
+/// which is uncontended in steady state.
 ///
 /// The router is also the supervisor's re-wiring seam: a crashed shard's
 /// sender is swapped under the write lock (park → live replacement, or a
@@ -351,7 +335,7 @@ impl Router {
     }
 
     /// Lock poisoning cannot corrupt the table (writers only swap whole
-    /// `Sender` slots), and the supervisor must keep routing around a
+    /// `Inbox` slots), and the supervisor must keep routing around a
     /// panicked peer — so every lock acquisition survives poison.
     pub(crate) fn read_routes(&self) -> RwLockReadGuard<'_, Vec<Option<Route>>> {
         self.routes.read().unwrap_or_else(PoisonError::into_inner)
@@ -369,7 +353,7 @@ impl Router {
         routes[id.0] = Some(route);
     }
 
-    /// A send hitting a closed channel: the receiving thread is dead (or
+    /// A send hitting a closed channel: the receiving node is dead (or
     /// deliberately dead-ended after give-up). Data frames count in the
     /// loss ledger unless the runtime is tearing down.
     fn note_send_failure(&self, stats: &RtStats, data: bool) {
@@ -411,7 +395,7 @@ impl Router {
         let len = wire::frame_len(from, &msg);
         if len - FRAME_HEADER_LEN > MAX_FRAME_PAYLOAD {
             // A message that cannot fit the frame cap: accounted and
-            // dropped here, never a panic in a node thread.
+            // dropped here, never a panic in a node.
             stats.inc_encode_errors();
             return;
         }
@@ -441,7 +425,8 @@ impl Router {
     }
 
     /// Enters `msg` into node `to`'s inboxes: the one place a frame gets
-    /// its shard and its [`FrameTag`], called by [`Router::dispatch`] on
+    /// its shard and its [`FrameTag`] and the receiving node is scheduled
+    /// on its worker ([`Inbox::push`]), called by [`Router::dispatch`] on
     /// the mpsc transport and by the link reader on TCP. Data goes to the
     /// class shard, control to every shard. A broker's control broadcast
     /// is captured into its replay log, whose lock is held across the
@@ -477,8 +462,7 @@ impl Router {
         };
         let reached = match (class, self.ctrl.get(to)) {
             (Some(class), _) => {
-                let tx = &route.shards[shard_of(class, route.shards.len())];
-                tx.send(frame(msg, FrameTag::Data)).is_ok()
+                route.shards[shard_of(class, route.shards.len())].push(frame(msg, FrameTag::Data))
             }
             (None, Some(log)) if !matches!(msg, OverlayMsg::AckUpto { .. }) => {
                 // As bytes: smaller than the message, and kept for the runtime's life.
@@ -504,22 +488,23 @@ impl Router {
             .clone()
     }
 
-    /// Points broker `b` shard `shard` at `tx`, dropping the sender it
-    /// replaces — which closes that inbox once every clone is gone.
-    fn set_shard_sender(routes: &mut [Option<Route>], b: usize, shard: usize, tx: Sender<RtEvent>) {
+    /// Points broker `b` shard `shard` at `inbox`, dropping the one it
+    /// replaces — which closes that channel once every clone is gone.
+    fn set_shard_inbox(routes: &mut [Option<Route>], b: usize, shard: usize, inbox: Inbox) {
         if let Some(Some(route)) = routes.get_mut(b) {
-            route.shards[shard] = tx;
+            route.shards[shard] = inbox;
         }
     }
 
-    /// Swaps broker `b` shard `shard`'s inbox sender for a fresh *park*
-    /// channel and returns its receiver: frames sent during the restart
-    /// window buffer there instead of vanishing into the dead channel.
-    /// Dropping the old sender under the write lock also closes the dead
-    /// channel, so the crashed thread's receiver drains completely.
+    /// Swaps broker `b` shard `shard`'s inbox for a fresh *park* channel,
+    /// which no worker runs, and returns its receiver: frames sent during
+    /// the restart window buffer there instead of vanishing into the dead
+    /// channel. Dropping the old sender under the write lock also closes
+    /// the dead channel, so the crashed generation's receiver drains
+    /// completely.
     pub(crate) fn park_shard(&self, b: usize, shard: usize) -> Receiver<RtEvent> {
         let (tx, rx) = channel();
-        Self::set_shard_sender(&mut self.write_routes(), b, shard, tx);
+        Self::set_shard_inbox(&mut self.write_routes(), b, shard, Inbox::unhosted(tx));
         rx
     }
 
@@ -530,7 +515,7 @@ impl Router {
     /// when `pass_shutdown`. Returns `(data frames delivered, data frames
     /// lost)`; with no `tx`, every data frame is lost.
     fn drain_backlog(
-        tx: Option<&Sender<RtEvent>>,
+        tx: Option<&Inbox>,
         stranded: impl IntoIterator<Item = Frame>,
         rx: Option<&Receiver<RtEvent>>,
         replayed: u64,
@@ -550,7 +535,7 @@ impl Router {
                         }
                     }
                     let data = frame.tag == FrameTag::Data;
-                    let sent = tx.is_some_and(|tx| tx.send(RtEvent::Frame(frame)).is_ok());
+                    let sent = tx.is_some_and(|tx| tx.push(RtEvent::Frame(frame)));
                     if data && sent {
                         delivered += 1;
                     } else if data {
@@ -559,7 +544,7 @@ impl Router {
                 }
                 RtEvent::Shutdown if pass_shutdown => {
                     if let Some(tx) = tx {
-                        let _ = tx.send(RtEvent::Shutdown);
+                        tx.push(RtEvent::Shutdown);
                     }
                 }
                 RtEvent::Shutdown => {}
@@ -568,28 +553,29 @@ impl Router {
         (delivered, lost)
     }
 
-    /// Installs a fresh live channel for broker `b` shard `shard`,
-    /// requeuing the crashed generation's backlog — `stranded` (the dead
-    /// inbox's drained frames, in order) then everything parked during
-    /// the restart — filtered against the rebuilt state machine's
-    /// control replay. Runs under the write lock so no new frame can
-    /// overtake the requeued backlog. Returns the new receiver and the
+    /// Makes `inbox`, the hosted replacement's, live for broker `b` shard
+    /// `shard`, requeuing the crashed generation's backlog into it —
+    /// `stranded` (the dead inbox's drained frames, in order) then
+    /// everything parked during the restart — filtered against the
+    /// rebuilt state machine's control replay. Runs under the write lock
+    /// so no new frame can overtake the requeued backlog. Returns the
     /// number of data frames requeued.
     pub(crate) fn install_shard(
         &self,
         b: usize,
         shard: usize,
+        inbox: Inbox,
         stranded: Vec<Frame>,
         park_rx: &Receiver<RtEvent>,
         replayed: u64,
-    ) -> (Receiver<RtEvent>, u64) {
-        let (tx, rx) = channel();
+    ) -> u64 {
         let mut routes = self.write_routes();
         // A poison pill racing the restart still shuts the replacement
         // down.
-        let (requeued, _) = Self::drain_backlog(Some(&tx), stranded, Some(park_rx), replayed, true);
-        Self::set_shard_sender(&mut routes, b, shard, tx);
-        (rx, requeued)
+        let (requeued, _) =
+            Self::drain_backlog(Some(&inbox), stranded, Some(park_rx), replayed, true);
+        Self::set_shard_inbox(&mut routes, b, shard, inbox);
+        requeued
     }
 
     /// Routes broker `b` shard `shard` to a dead end (a sender whose
@@ -606,14 +592,14 @@ impl Router {
         rx: Option<&Receiver<RtEvent>>,
     ) -> u64 {
         let (tx, _dead_rx) = channel();
-        Self::set_shard_sender(&mut self.write_routes(), b, shard, tx);
+        Self::set_shard_inbox(&mut self.write_routes(), b, shard, Inbox::unhosted(tx));
         // Nothing was replayed, so every data frame counts.
         Self::drain_backlog(None, stranded, rx, 0, false).1
     }
 
     /// Salvages a late-exiting zombie's trapped backlog into whatever
     /// route is *currently* live for broker `b` shard `shard` (a fenced
-    /// thread waking after its replacement already took over, or frames
+    /// node waking after its replacement already took over, or frames
     /// from a stale generation). Returns `(data frames requeued, data
     /// frames lost)`.
     pub(crate) fn requeue_stranded(
@@ -737,7 +723,7 @@ impl Publisher {
     }
 }
 
-/// Handle to a subscriber thread, returned by
+/// Handle to a subscriber, returned by
 /// [`Runtime::add_subscriber_any`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RtSubscriberHandle {
@@ -747,8 +733,8 @@ pub struct RtSubscriberHandle {
 
 impl RtSubscriberHandle {
     /// The subscriber's overlay node id — the value an
-    /// [`RtFaultPlan`] targets to inject faults into this subscriber's
-    /// thread (with shard `0`).
+    /// [`RtFaultPlan`] targets to inject faults into this subscriber
+    /// (with shard `0`).
     #[must_use]
     pub fn node(&self) -> ActorId {
         self.id
@@ -760,10 +746,9 @@ pub struct RtReport {
     /// The runtime's counters and latency distribution.
     pub stats: Arc<RtStats>,
     /// Each subscriber's final node state (deliveries, inbox, labels),
-    /// in the order the subscribers were added. A subscriber whose
-    /// thread panicked is represented by an empty rebuilt node (its
-    /// volatile state died with the thread) and a [`RtReport::crashes`]
-    /// entry.
+    /// in the order the subscribers were added. A subscriber that
+    /// panicked is represented by an empty rebuilt node (its volatile
+    /// state died with the panic) and a [`RtReport::crashes`] entry.
     pub subscribers: Vec<SubscriberNode>,
     /// Each broker shard's final state, keyed by `(broker id, shard)`.
     /// Shards that died unrecovered are absent here and present in
@@ -824,19 +809,20 @@ impl RtReport {
     }
 }
 
-/// Everything needed to rebuild a subscriber's node shell if its thread
-/// panics: the report must keep one entry per subscriber index.
-struct SubscriberThread {
+/// Everything needed to rebuild a subscriber's node shell if it panics:
+/// the report must keep one entry per subscriber index.
+struct SubscriberSlot {
     id: ActorId,
     label: String,
     branches: Vec<(FilterId, Filter)>,
     durable: bool,
-    handle: JoinHandle<SubOutcome>,
+    /// Where its worker hands back the final node (`None` after a panic).
+    done: Receiver<Option<Box<SubscriberNode>>>,
 }
 
-/// A running wall-clock overlay: broker shard threads wired per the
-/// shared topology, ready to accept advertisements, subscribers and
-/// published events.
+/// A running wall-clock overlay: broker shards wired per the shared
+/// topology, ready to accept advertisements, subscribers and published
+/// events.
 pub struct Runtime {
     cfg: RtConfig,
     registry: Arc<TypeRegistry>,
@@ -849,11 +835,11 @@ pub struct Runtime {
     slots: Slots,
     crashes: Arc<Mutex<Vec<CrashEntry>>>,
     supervisor: Supervisor,
-    notice_tx: Sender<Notice>,
-    subscriber_threads: Vec<SubscriberThread>,
+    executor: Arc<Executor>,
+    subscribers: Vec<SubscriberSlot>,
     /// Live TCP links (one per node) when `cfg.transport` is
     /// [`TransportKind::Tcp`]; empty on the mpsc transport. Closed and
-    /// joined at teardown after every node thread has drained.
+    /// joined at teardown after every node has drained.
     links: Vec<Link>,
     next_filter: u64,
     trace: Option<Arc<TraceSink>>,
@@ -861,8 +847,9 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Builds the broker hierarchy from the shared topology and spawns
-    /// `shards` matcher threads per broker, plus the supervisor thread.
+    /// Builds the broker hierarchy from the shared topology and hosts
+    /// `shards` matcher shards per broker on the workers, then starts the
+    /// supervisor thread.
     ///
     /// # Errors
     ///
@@ -891,7 +878,7 @@ impl Runtime {
 
         // One full replica of the hierarchy per shard; replica s of every
         // broker handles the same class slice end to end.
-        let mut replicas: Vec<Vec<TopologyNode>> = (0..cfg.shards)
+        let replicas: Vec<Vec<TopologyNode>> = (0..cfg.shards)
             .map(|_| topology::build_brokers(&cfg.overlay, &registry, trace.as_ref()))
             .collect::<Result<_, _>>()?;
         let broker_count = replicas[0].len();
@@ -901,16 +888,51 @@ impl Runtime {
             .id;
 
         let router = Router::new(broker_count, epoch, Arc::clone(&profiler), fault);
-        let mut links: Vec<Link> = Vec::new();
-        let mut inboxes: Vec<Vec<Receiver<RtEvent>>> = Vec::with_capacity(broker_count);
-        for b in 0..broker_count {
-            let mut txs = Vec::with_capacity(cfg.shards);
-            let mut rxs = Vec::with_capacity(cfg.shards);
-            for _ in 0..cfg.shards {
-                let (tx, rx) = channel();
-                txs.push(tx);
-                rxs.push(rx);
+        let executor = Arc::new(Executor::new(epoch, stats.registry()));
+        let (notice_tx, notice_rx) = channel();
+        let slots: Slots = Arc::new(Mutex::new(HashMap::new()));
+        let crashes: Arc<Mutex<Vec<CrashEntry>>> = Arc::new(Mutex::new(Vec::new()));
+        let mut inboxes: Vec<Vec<Inbox>> = (0..broker_count).map(|_| Vec::new()).collect();
+        // Shard-major, so consecutive volatile nodes — and a broker's
+        // shards — land on different workers.
+        for (shard, replica) in replicas.into_iter().enumerate() {
+            for node in replica {
+                let b = node.id.0;
+                let (broker, _) = equip(node.broker, &cfg, &profiler, &router, b, shard)?;
+                let fence = Arc::new(AtomicBool::new(false));
+                let driver = NodeDriver::new(
+                    broker,
+                    ActorId(b),
+                    Some((shard, cfg.shards)),
+                    router.clone(),
+                    Arc::clone(&stats),
+                )
+                .fenced_by(Arc::clone(&fence));
+                // A shard with a log fsyncs in its turns: a worker of its
+                // own overlaps that with every other node's work.
+                let worker = executor
+                    .worker(driver.node.wal().is_some())
+                    .map_err(RtError::Thread)?;
+                let (inbox, done) = host_shard(&worker, driver, 0, &notice_tx);
+                inboxes[b].push(inbox);
+                slots.lock().unwrap_or_else(PoisonError::into_inner).insert(
+                    (b, shard),
+                    ShardSlot {
+                        stage: node.stage,
+                        generation: 0,
+                        restarts: 0,
+                        replayed: 0,
+                        fence,
+                        worker,
+                        done: Some(done),
+                        failed: false,
+                        restarting: false,
+                    },
+                );
             }
+        }
+        let mut links: Vec<Link> = Vec::new();
+        for (b, shards) in inboxes.into_iter().enumerate() {
             let link = match cfg.transport {
                 TransportKind::Mpsc => None,
                 TransportKind::Tcp => {
@@ -921,53 +943,7 @@ impl Runtime {
                     Some(tx)
                 }
             };
-            router.set(ActorId(b), Route { shards: txs, link });
-            inboxes.push(rxs);
-        }
-
-        let (notice_tx, notice_rx) = channel();
-        let slots: Slots = Arc::new(Mutex::new(HashMap::new()));
-        let crashes: Arc<Mutex<Vec<CrashEntry>>> = Arc::new(Mutex::new(Vec::new()));
-        // Consume replicas back to front so each broker's receiver list
-        // (also popped from the back) pairs with the right shard index.
-        for shard in (0..cfg.shards).rev() {
-            let replica = replicas.pop().expect("one replica per shard");
-            for node in replica {
-                let b = node.id.0;
-                let rx = inboxes[b].pop().expect("one receiver per shard");
-                let stage = node.stage;
-                let (broker, _) = equip(node.broker, &cfg, &profiler, &router, b, shard)?;
-                let fence = Arc::new(AtomicBool::new(false));
-                let heartbeat = stats
-                    .registry()
-                    .gauge(&format!("rt.heartbeat_us.b{b}s{shard}"));
-                let driver = NodeDriver::new(
-                    broker,
-                    ActorId(b),
-                    Some((shard, cfg.shards)),
-                    router.clone(),
-                    Arc::clone(&stats),
-                    Arc::clone(&heartbeat),
-                    idle_tick(&cfg.supervision),
-                )
-                .fenced_by(Arc::clone(&fence));
-                let handle =
-                    spawn_shard(driver, 0, notice_tx.clone(), rx).map_err(RtError::Thread)?;
-                slots.lock().unwrap_or_else(PoisonError::into_inner).insert(
-                    (b, shard),
-                    ShardSlot {
-                        stage,
-                        generation: 0,
-                        restarts: 0,
-                        replayed: 0,
-                        fence,
-                        heartbeat,
-                        handle: Some(handle),
-                        failed: false,
-                        restarting: false,
-                    },
-                );
-            }
+            router.set(ActorId(b), Route { shards, link });
         }
 
         let shared = SupervisorShared {
@@ -979,7 +955,8 @@ impl Runtime {
             profiler: Arc::clone(&profiler),
             slots: Arc::clone(&slots),
             crashes: Arc::clone(&crashes),
-            notice_tx: notice_tx.clone(),
+            notice_tx,
+            executor: Arc::clone(&executor),
         };
         let supervisor = Supervisor::start(shared, notice_rx).map_err(RtError::Thread)?;
 
@@ -994,8 +971,8 @@ impl Runtime {
             slots,
             crashes,
             supervisor,
-            notice_tx,
-            subscriber_threads: Vec::new(),
+            executor,
+            subscribers: Vec::new(),
             links,
             next_filter: 0,
             trace,
@@ -1132,8 +1109,8 @@ impl Runtime {
         self.add_subscriber_inner(vec![filter], true, None)
     }
 
-    /// Adds a subscriber with a disjunctive subscription, spawns its
-    /// thread and places its branches one at a time, blocking until every
+    /// Adds a subscriber with a disjunctive subscription, hosts it on a
+    /// worker and places its branches one at a time, blocking until every
     /// branch is hosted. Sequential placement is what keeps follower shards
     /// convergent with their leader (see the module docs), and what makes
     /// placement a function of the subscriptions alone: a branch's
@@ -1160,7 +1137,7 @@ impl Runtime {
         let branches = topology::standardize_branches(&self.registry, filters, self.next_filter)
             .map_err(RtError::Filter)?;
         self.next_filter += branches.len() as u64;
-        let index = self.subscriber_threads.len();
+        let index = self.subscribers.len();
         let id = ActorId(self.broker_count + index);
         let label = format!("sub-{index:04}");
         let mut node = topology::build_subscriber(
@@ -1175,7 +1152,6 @@ impl Runtime {
         );
         node.set_store_envelopes(true);
 
-        let (tx, rx) = channel();
         let link = match self.cfg.transport {
             TransportKind::Mpsc => None,
             TransportKind::Tcp => {
@@ -1187,43 +1163,39 @@ impl Runtime {
                 Some(link_tx)
             }
         };
-        let shards = vec![tx];
-        self.router.set(id, Route { shards, link });
+        let worker = self.executor.worker(false).map_err(RtError::Thread)?;
         let (placed_tx, placed) = channel();
-        let heartbeat = self
-            .stats
-            .registry()
-            .gauge(&format!("rt.heartbeat_us.sub{index}"));
-        let driver = NodeDriver::new(
-            node,
-            id,
-            None,
-            self.router.clone(),
-            Arc::clone(&self.stats),
-            heartbeat,
-            idle_tick(&self.cfg.supervision),
-        );
-        let env = SubEnv {
-            placed: placed_tx,
-            notices: self.notice_tx.clone(),
-            tap,
+        let (done_tx, done) = channel();
+        let (tx, rx) = channel();
+        let task = SubscriberTask {
+            driver: NodeDriver::new(node, id, None, self.router.clone(), Arc::clone(&self.stats)),
+            rx,
+            placed: 0,
+            placed_tx,
+            crashes: Arc::clone(&self.crashes),
+            tap: tap.map(|tap| (tap, Arc::clone(&worker))),
+            done: done_tx,
         };
-        let handle = std::thread::Builder::new()
-            .name(format!("lc-sub-{index}"))
-            .spawn(move || subscriber_thread_main(driver, &env, &rx))
-            .map_err(RtError::Thread)?;
-        self.subscriber_threads.push(SubscriberThread {
+        let inbox = worker.host(tx, None, Box::new(task));
+        self.router.set(
+            id,
+            Route {
+                shards: vec![inbox],
+                link,
+            },
+        );
+        self.subscribers.push(SubscriberSlot {
             id,
             label,
             branches: branches.clone(),
             durable,
-            handle,
+            done,
         });
 
         // The subscriber itself initiates the walk, with external
-        // provenance for the initial requests — as in the simulator. Its
-        // thread signals each branch's acceptance; a thread that died
-        // first hangs up instead.
+        // provenance for the initial requests — as in the simulator. It
+        // signals each branch's acceptance; a subscriber that died first
+        // hangs up instead.
         for (fid, filter) in branches {
             self.router.dispatch(
                 EXTERNAL,
@@ -1282,13 +1254,14 @@ impl Runtime {
     }
 
     /// Stops the runtime: stops the supervisor (force-completing any
-    /// pending restart), poisons and joins broker stages from the root
-    /// down (each thread drains its inbox before exiting), then the
-    /// subscribers, and returns the final node states plus stats. Each
+    /// pending restart), poisons broker stages from the root down and
+    /// waits for each to exit (each node drains its inbox first), then the
+    /// subscribers, stops the workers, and returns the final node states
+    /// plus stats. Each
     /// broker's durable log gets a final flush, so every appended record
     /// and acknowledged offset is on disk when this returns.
     ///
-    /// Node threads that panicked do **not** panic this call: they
+    /// Nodes that panicked do **not** panic this call: they
     /// surface as [`RtReport::crashes`] entries (see
     /// [`RtReport::failure`] / [`RtReport::into_result`]).
     ///
@@ -1309,7 +1282,7 @@ impl Runtime {
     /// way: in-process, only a power failure can lose written-but-
     /// unsynced file data.
     ///
-    /// Like [`Runtime::shutdown`], never panics on crashed node threads.
+    /// Like [`Runtime::shutdown`], never panics on crashed nodes.
     #[must_use]
     pub fn kill(self) -> RtReport {
         self.teardown(false)
@@ -1317,7 +1290,7 @@ impl Runtime {
 
     fn teardown(mut self, flush_wals: bool) -> RtReport {
         // Stop scraping before the metrics become a half-drained mix of
-        // live and joined threads.
+        // live and exited nodes.
         drop(self.metrics.take());
         // Closed channels are expected from here on — stop counting
         // them as loss.
@@ -1340,81 +1313,65 @@ impl Runtime {
         // within a stage.
         entries.sort_by_key(|e| (Reverse(e.1.stage), e.0));
 
-        let mut crashes =
-            std::mem::take(&mut *self.crashes.lock().unwrap_or_else(PoisonError::into_inner));
+        // Crashes found here go after those the supervision layer recorded.
+        let mut found = Vec::new();
         let mut brokers = Vec::with_capacity(entries.len());
-        let mut i = 0;
-        while i < entries.len() {
-            let stage = entries[i].1.stage;
-            let mut j = i;
-            while j < entries.len() && entries[j].1.stage == stage {
-                j += 1;
-            }
+        for stage in entries.chunk_by_mut(|x, y| x.1.stage == y.1.stage) {
             // One pill per node reaches every shard.
-            for e in entries[i..j].iter().filter(|e| e.0 .1 == 0) {
+            for e in stage.iter().filter(|e| e.0 .1 == 0) {
                 self.poison(ActorId(e.0 .0));
             }
-            for e in &mut entries[i..j] {
-                let ((b, shard), slot) = e;
-                let Some(handle) = slot.handle.take() else {
+            for ((b, shard), slot) in stage {
+                let Some(done) = slot.done.take() else {
                     // Dead-ended after a spent restart budget; its crash
                     // entry was recorded when the supervisor gave up.
                     continue;
                 };
-                let joined = handle.join();
-                match joined.unwrap_or_else(|p| ShardOutcome::Panicked(panic_message(p.as_ref()))) {
-                    ShardOutcome::Clean(broker) => {
-                        brokers.push(((ActorId(*b), *shard), *broker));
-                    }
+                match done.recv().unwrap_or_else(|_| Err(LOST_NODE.to_string())) {
+                    Ok(broker) => brokers.push(((ActorId(*b), *shard), *broker)),
                     // A panic after the supervisor stopped: the exit
                     // notice had nobody to process it.
-                    ShardOutcome::Panicked(detail) => {
-                        crashes.push(CrashEntry::unrecovered(
-                            ActorId(*b),
-                            *shard,
-                            CrashKind::Panic,
-                            detail,
-                            slot.restarts,
-                        ));
-                    }
-                    // A fenced zombie this generation never replaced
-                    // (cannot normally happen — fencing always installs
-                    // a successor handle); nothing to report.
-                    ShardOutcome::Fenced => {}
+                    Err(detail) => found.push(CrashEntry::unrecovered(
+                        ActorId(*b),
+                        *shard,
+                        CrashKind::Panic,
+                        detail,
+                        slot.restarts,
+                    )),
                 }
             }
-            i = j;
         }
 
-        let subs = std::mem::take(&mut self.subscriber_threads);
+        let subs = std::mem::take(&mut self.subscribers);
         for t in &subs {
             self.poison(t.id);
         }
         let mut subscribers = Vec::with_capacity(subs.len());
         for t in subs {
-            let joined = t.handle.join();
-            match joined.unwrap_or_else(|p| SubOutcome::Panicked(panic_message(p.as_ref()))) {
-                SubOutcome::Clean(node) => subscribers.push(*node),
-                SubOutcome::Panicked(detail) => {
-                    // The supervisor usually recorded this from the exit
-                    // notice already; don't double-count.
-                    if !crashes.iter().any(|c| c.node == t.id) {
-                        crashes.push(CrashEntry::unrecovered(
-                            t.id,
-                            0,
-                            CrashKind::Panic,
-                            detail,
-                            0,
-                        ));
-                    }
-                    subscribers
-                        .push(self.rebuild_subscriber_shell(&t.label, t.branches, t.durable));
-                }
-            }
+            // A subscriber that panicked recorded its crash itself.
+            let node = t.done.recv().unwrap_or_else(|_| {
+                let detail = LOST_NODE.to_string();
+                found.push(CrashEntry::unrecovered(
+                    t.id,
+                    0,
+                    CrashKind::Panic,
+                    detail,
+                    0,
+                ));
+                None
+            });
+            subscribers.push(match node {
+                Some(node) => *node,
+                None => self.rebuild_subscriber_shell(&t.label, t.branches, t.durable),
+            });
         }
+        let mut crashes =
+            std::mem::take(&mut *self.crashes.lock().unwrap_or_else(PoisonError::into_inner));
+        crashes.extend(found);
 
-        // Every node thread has drained and joined; nothing useful can
-        // still be in flight on a link socket.
+        // Every node has drained and exited; nothing useful can still be
+        // in flight on a link socket.
+        self.executor.stop();
         for link in std::mem::take(&mut self.links) {
             link.close();
         }
@@ -1449,7 +1406,7 @@ impl Runtime {
         }
     }
 
-    /// An empty stand-in node for a subscriber whose thread panicked:
+    /// An empty stand-in node for a subscriber that panicked:
     /// keeps [`RtReport::subscribers`] aligned with subscriber indices
     /// (its deliveries read empty; the crash entry carries the story).
     fn rebuild_subscriber_shell(
@@ -1543,118 +1500,159 @@ impl Drop for TableGauges {
     }
 }
 
-fn spawn_shard(
+/// What a teardown reads when a node's worker dropped it without a report.
+const LOST_NODE: &str = "the node was dropped without an exit report";
+
+/// A broker shard as its worker runs it: table gauges after each slice;
+/// on exit the final state machine back to teardown — or, for a panic or
+/// a fence, a notice to the supervisor with the in-flight frame and the
+/// inbox receiver.
+struct ShardTask {
+    driver: NodeDriver<Broker>,
+    rx: Receiver<RtEvent>,
+    /// Stale-generation notices (a fenced zombie waking late) are
+    /// salvaged, not restarted again.
+    generation: u64,
+    gauges: TableGauges,
+    notices: Sender<ShardDown>,
+    /// The final state machine, or the panic message; a fenced
+    /// generation sends nothing, its successor's channel having replaced
+    /// this one.
+    done: Sender<Result<Box<Broker>, String>>,
+}
+
+impl Task for ShardTask {
+    fn slice(&mut self) -> Slice {
+        let end = self.driver.slice(&self.rx);
+        self.gauges.publish(&self.driver.node);
+        end
+    }
+
+    fn recheck(&mut self) -> bool {
+        self.driver.recheck(&self.rx)
+    }
+
+    fn deadline(&self) -> Option<u64> {
+        self.driver.deadline()
+    }
+
+    fn exit(mut self: Box<Self>, exit: Result<LoopExit, String>) {
+        let (fenced, detail) = match exit {
+            Ok(LoopExit::Clean) => {
+                let _ = self.done.send(Ok(Box::new(self.driver.into_node())));
+                return;
+            }
+            Ok(LoopExit::Fenced) => (true, String::new()),
+            Err(detail) => {
+                self.driver.env.stats.inc_panics();
+                let _ = self.done.send(Err(detail.clone()));
+                (false, detail)
+            }
+        };
+        let (b, shard) = self.driver.slot();
+        let _ = self.notices.send(ShardDown {
+            b,
+            shard,
+            generation: self.generation,
+            fenced,
+            detail,
+            current: self.driver.take_current(),
+            rx: self.rx,
+        });
+    }
+}
+
+/// Hosts generation `generation` of a broker shard on `worker`: returns
+/// its inbox and where its exit outcome arrives.
+fn host_shard(
+    worker: &Arc<Worker>,
     driver: NodeDriver<Broker>,
     generation: u64,
-    notices: Sender<Notice>,
-    rx: Receiver<RtEvent>,
-) -> io::Result<JoinHandle<ShardOutcome>> {
-    let (b, shard) = driver.slot();
-    std::thread::Builder::new()
-        .name(format!("lc-broker-{b}.{shard}"))
-        .spawn(move || shard_thread_main(driver, generation, &notices, rx))
-}
-
-/// The supervised wrapper around one broker shard's run loop: catches
-/// panics, reports the exit over the supervision channel with the
-/// in-flight frame and the (now drainable) inbox receiver, and hands the
-/// state machine back on a clean exit. `generation` is this thread's
-/// restart generation; stale-generation exit notices (a fenced zombie
-/// waking late) are salvaged, not restarted again.
-fn shard_thread_main(
-    mut driver: NodeDriver<Broker>,
-    generation: u64,
-    notices: &Sender<Notice>,
-    rx: Receiver<RtEvent>,
-) -> ShardOutcome {
-    let exit = catch_unwind(AssertUnwindSafe(|| {
-        // Declared inside the closure so a panic unwinding to
-        // `catch_unwind` still runs the Drop and retracts this
-        // generation's gauge contribution.
-        let mut table_gauges = TableGauges::new(&driver.env.stats, driver.env.speaks);
-        driver.run(&rx, |broker| table_gauges.publish(broker))
-    }));
-    let (kind, detail, outcome) = match exit {
-        Ok(LoopExit::Clean) => return ShardOutcome::Clean(Box::new(driver.into_node())),
-        Ok(LoopExit::Fenced) => (DownKind::Fence, String::new(), ShardOutcome::Fenced),
-        Err(payload) => {
-            driver.env.stats.inc_panics();
-            let detail = panic_message(payload.as_ref());
-            (
-                DownKind::Panic,
-                detail.clone(),
-                ShardOutcome::Panicked(detail),
-            )
-        }
-    };
-    let (b, shard) = driver.slot();
-    let _ = notices.send(Notice::ShardDown {
-        b,
-        shard,
-        generation,
-        kind,
-        detail,
-        current: driver.take_current(),
+    notices: &Sender<ShardDown>,
+) -> (Inbox, Receiver<Result<Box<Broker>, String>>) {
+    let (tx, rx) = channel();
+    let (done_tx, done) = channel();
+    let slot = driver.slot();
+    let task = ShardTask {
+        gauges: TableGauges::new(&driver.env.stats, driver.env.speaks),
+        driver,
         rx,
-    });
-    outcome
+        generation,
+        notices: notices.clone(),
+        done: done_tx,
+    };
+    (worker.host(tx, Some(slot), Box::new(task)), done)
 }
 
-/// What a subscriber thread needs besides its driver and inbox.
-struct SubEnv {
-    /// Told once per branch, when it is hosted: what
+/// A subscriber as its worker runs it: placement signals, latency and the
+/// tap after each slice. Subscriber panics are isolated and reported, not
+/// restarted: the node's volatile delivery state died with the slice, and
+/// re-subscription (durable for zero loss) is the caller-level recovery
+/// path. Fault plans target a subscriber through its node id with shard 0
+/// ([`RtSubscriberHandle::node`]).
+struct SubscriberTask {
+    driver: NodeDriver<SubscriberNode>,
+    rx: Receiver<RtEvent>,
+    /// Branches signalled as hosted so far, on `placed_tx`: what
     /// `add_subscriber_inner` blocks on between placement requests.
-    placed: Sender<()>,
-    notices: Sender<Notice>,
+    placed: usize,
+    placed_tx: Sender<()>,
+    /// Where a panic is recorded: nothing restarts a subscriber.
+    crashes: Arc<Mutex<Vec<CrashEntry>>>,
     /// When set, every accepted delivery is also forwarded here (the
-    /// remote-access bridge); see [`Runtime::add_subscriber_tapped`].
-    tap: Option<Sender<Envelope>>,
+    /// remote-access bridge; see [`Runtime::add_subscriber_tapped`]), in
+    /// batches its worker hands on.
+    tap: Option<(Sender<Envelope>, Arc<Worker>)>,
+    /// The final node, or `None` after a panic.
+    done: Sender<Option<Box<SubscriberNode>>>,
 }
 
-/// The supervised wrapper around one subscriber's run loop: like a
-/// broker shard's, plus placement signalling and per-delivery latency
-/// accounting after each turn. Subscriber panics are isolated and
-/// reported, not restarted: the node's volatile delivery state died with
-/// the thread, and re-subscription (durable for zero loss) is the
-/// caller-level recovery path. Fault plans target a subscriber through
-/// its node id with shard 0 ([`RtSubscriberHandle::node`]).
-fn subscriber_thread_main(
-    mut driver: NodeDriver<SubscriberNode>,
-    env: &SubEnv,
-    rx: &Receiver<RtEvent>,
-) -> SubOutcome {
-    let (stats, epoch) = (Arc::clone(&driver.env.stats), driver.env.epoch);
-    let mut placed = 0usize;
-    let exit = catch_unwind(AssertUnwindSafe(|| {
-        driver.run(rx, |node| {
-            while placed < node.placed_branches() {
-                placed += 1;
-                // Nobody listens once the placement call has timed out.
-                let _ = env.placed.send(());
-            }
-            for env_msg in node.take_inbox() {
-                if let Some(tc) = env_msg.trace() {
-                    stats.record_latency_ns(nanos_since(epoch).saturating_sub(tc.published_at));
-                }
-                stats.inc_delivered();
-                if let Some(tap) = &env.tap {
-                    let _ = tap.send(env_msg);
-                }
-            }
-        })
-    }));
-    match exit {
-        // Nothing fences a subscriber; either exit hands the node back.
-        Ok(LoopExit::Clean | LoopExit::Fenced) => SubOutcome::Clean(Box::new(driver.into_node())),
-        Err(payload) => {
-            let detail = panic_message(payload.as_ref());
-            stats.inc_panics();
-            let _ = env.notices.send(Notice::SubscriberDown {
-                id: driver.env.me,
-                detail: detail.clone(),
-            });
-            SubOutcome::Panicked(detail)
+impl Task for SubscriberTask {
+    fn slice(&mut self) -> Slice {
+        let end = self.driver.slice(&self.rx);
+        let (node, env) = (&mut self.driver.node, &self.driver.env);
+        while self.placed < node.placed_branches() {
+            self.placed += 1;
+            // Nobody listens once the placement call has timed out.
+            let _ = self.placed_tx.send(());
         }
+        let accepted: Vec<Envelope> = node.take_inbox().collect();
+        for tc in accepted.iter().filter_map(Envelope::trace) {
+            let now = nanos_since(env.epoch);
+            env.stats
+                .record_latency_ns(now.saturating_sub(tc.published_at));
+        }
+        env.stats.add_delivered(accepted.len() as u64);
+        if let Some((tap, worker)) = self.tap.as_ref().filter(|_| !accepted.is_empty()) {
+            worker.hold(tap, accepted);
+        }
+        end
+    }
+
+    fn recheck(&mut self) -> bool {
+        self.driver.recheck(&self.rx)
+    }
+
+    fn deadline(&self) -> Option<u64> {
+        self.driver.deadline()
+    }
+
+    fn exit(self: Box<Self>, exit: Result<LoopExit, String>) {
+        let node = match exit {
+            // Nothing fences a subscriber; either exit hands the node back.
+            Ok(_) => Some(Box::new(self.driver.into_node())),
+            Err(detail) => {
+                self.driver.env.stats.inc_panics();
+                let crash =
+                    CrashEntry::unrecovered(self.driver.env.me, 0, CrashKind::Panic, detail, 0);
+                self.crashes
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(crash);
+                None
+            }
+        };
+        let _ = self.done.send(node);
     }
 }
 
@@ -1662,7 +1660,7 @@ fn subscriber_thread_main(
 /// `shard`: recovers the shard's durable log slice under
 /// `<durable_dir>/b{b}/s{shard}` (each shard owns a disjoint class slice,
 /// so shard logs never overlap; torn-tail truncation and the offset table
-/// reload happen inside `DurableLog::open`, before the thread takes
+/// reload happen inside `DurableLog::open`, before the shard takes
 /// traffic), then replays the broker's captured control prefix *mutedly*
 /// so the filter table, placement decisions and RNG position converge
 /// with the surviving replicas. At start the prefix is empty: generation
@@ -1721,9 +1719,9 @@ fn rebuild_broker(
 /// Replaces a crashed (or fenced) broker shard in place: rebuild the
 /// state machine ([`rebuild_broker`]), re-open its durable streams so
 /// durable subscribers receive a fresh `DurableBase` (rebasing their
-/// contiguity cursors) plus any unacked replay, requeue the crashed
-/// generation's surviving backlog into a fresh inbox, and spawn the
-/// replacement thread under a bumped generation.
+/// contiguity cursors) plus any unacked replay, host the replacement
+/// under a bumped generation on the worker the crashed one ran on, and
+/// requeue the crashed generation's surviving backlog into its inbox.
 ///
 /// On success returns the number of data frames requeued. On failure the
 /// shard has already been routed to a dead end and the error carries the
@@ -1742,7 +1740,7 @@ pub(crate) fn perform_restart(
             return Err((e, lost));
         }
     };
-    let (generation, fence, heartbeat) = {
+    let (generation, fence, worker) = {
         let slots = shared.slots.lock().unwrap_or_else(PoisonError::into_inner);
         let Some(slot) = slots.get(&(b, shard)) else {
             let lost = shared.router.fail_shard(b, shard, stranded, Some(park_rx));
@@ -1751,7 +1749,7 @@ pub(crate) fn perform_restart(
         (
             slot.generation + 1,
             Arc::new(AtomicBool::new(false)),
-            Arc::clone(&slot.heartbeat),
+            Arc::clone(&slot.worker),
         )
     };
     let mut driver = NodeDriver::new(
@@ -1760,8 +1758,6 @@ pub(crate) fn perform_restart(
         Some((shard, shared.cfg.shards)),
         shared.router.clone(),
         Arc::clone(&shared.stats),
-        heartbeat,
-        idle_tick(&shared.cfg.supervision),
     )
     .fenced_by(Arc::clone(&fence));
     {
@@ -1771,32 +1767,22 @@ pub(crate) fn perform_restart(
         let (broker, mut ctx) = driver.ctx(false);
         broker.reopen_durable_streams(&mut ctx);
     }
-    let (live_rx, requeued) = shared
+    let (inbox, done) = host_shard(&worker, driver, generation, &shared.notice_tx);
+    let requeued = shared
         .router
-        .install_shard(b, shard, stranded, park_rx, replayed);
-    match spawn_shard(driver, generation, shared.notice_tx.clone(), live_rx) {
-        Ok(handle) => {
-            let mut slots = shared.slots.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(slot) = slots.get_mut(&(b, shard)) {
-                slot.generation = generation;
-                slot.restarts += 1;
-                slot.replayed = replayed;
-                slot.fence = fence;
-                // Drop (detach) the dead generation's handle: it already
-                // reported its outcome through the notice channel.
-                slot.handle = Some(handle);
-                slot.restarting = false;
-            }
-            Ok(requeued)
-        }
-        Err(e) => {
-            // The spawn closure consumed the live inbox, taking the
-            // freshly requeued backlog with it — count those frames as
-            // lost alongside dead-ending the route.
-            let lost = shared.router.fail_shard(b, shard, [], None) + requeued;
-            Err((format!("replacement thread spawn failed: {e}"), lost))
-        }
+        .install_shard(b, shard, inbox, stranded, park_rx, replayed);
+    let mut slots = shared.slots.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(slot) = slots.get_mut(&(b, shard)) {
+        slot.generation = generation;
+        slot.restarts += 1;
+        slot.replayed = replayed;
+        slot.fence = fence;
+        // The dead generation already reported through the notice
+        // channel; its outcome receiver goes.
+        slot.done = Some(done);
+        slot.restarting = false;
     }
+    Ok(requeued)
 }
 
 #[cfg(test)]
@@ -1814,6 +1800,7 @@ impl Router {
             profiler,
             Arc::new(FaultState::new(None)),
         );
+        let shards = shards.into_iter().map(Inbox::unhosted).collect();
         router.set(ActorId(dest), Route { shards, link: None });
         router
     }

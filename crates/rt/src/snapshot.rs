@@ -18,7 +18,7 @@ mod tests {
             stats.inc_published();
         }
         for _ in 0..8 {
-            stats.inc_delivered();
+            stats.add_delivered(1);
         }
         stats.note_frame_sent(4096);
         stats.record_latency_ns(1500);

@@ -6,16 +6,16 @@ use std::time::{Duration, Instant};
 
 use layercake_metrics::{Gauge, Histogram, ShardedCounter, ShardedHistogram, TelemetryRegistry};
 
-/// How many cache-padded slots each runtime metric shards across. Node
+/// How many cache-padded slots each runtime metric shards across. Writer
 /// threads pick distinct slots round-robin, so this bounds the writer
-/// parallelism before two threads share a slot; 16 covers a root + two
-/// fan-in levels at 8 matcher shards.
+/// parallelism before two threads share a slot; 16 covers a worker per
+/// core, the link threads of a small TCP deployment and the publishers.
 const STAT_SHARDS: usize = 16;
 
 /// Shared counters for a runtime instance.
 ///
 /// All counters are monotone and sharded across cache-padded atomic
-/// slots ([`ShardedCounter`]) — each node thread increments its own slot
+/// slots ([`ShardedCounter`]) — each writer thread increments its own slot
 /// with a relaxed `fetch_add` and readers merge on demand, so the hot
 /// path never bounces a shared cache line. End-to-end latency is fed in
 /// nanoseconds into a [`ShardedHistogram`] with the same log₂ bucketing
@@ -58,8 +58,8 @@ pub struct RtStats {
     /// Subscriptions held as covered (non-live) aggregation bookkeeping,
     /// summed over all broker leaders; zero with aggregation disabled.
     agg_covered_subs: Arc<Gauge>,
-    /// Callers blocked in [`RtStats::wait_delivered`]. Subscriber threads
-    /// read it after every delivery and touch the lock only when it is
+    /// Callers blocked in [`RtStats::wait_delivered`]. Subscribers read
+    /// it after every delivery and touch the lock only when it is
     /// non-zero, so an unobserved delivery costs one load.
     delivery_waiters: AtomicUsize,
     delivery_lock: Mutex<()>,
@@ -118,8 +118,11 @@ impl RtStats {
         self.published.inc();
     }
 
-    pub(crate) fn inc_delivered(&self) {
-        self.delivered.inc();
+    pub(crate) fn add_delivered(&self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.delivered.add(n);
         // Pairs with the fence in `wait_delivered`: either this thread sees
         // the waiter and wakes it, or the waiter's check sees this delivery.
         fence(Ordering::SeqCst);
@@ -270,7 +273,7 @@ impl RtStats {
         self.bytes_sent.get()
     }
 
-    /// Frames decoded by node threads.
+    /// Frames handled by nodes.
     #[must_use]
     pub fn frames_received(&self) -> u64 {
         self.frames_received.get()
@@ -297,8 +300,8 @@ impl RtStats {
         self.encode_errors.get()
     }
 
-    /// Node-thread panics caught by the supervision wrappers (broker
-    /// shards and subscribers alike), injected or organic.
+    /// Node panics caught by the workers (broker shards and subscribers
+    /// alike), injected or organic.
     #[must_use]
     pub fn panics(&self) -> u64 {
         self.panics.get()
@@ -311,7 +314,7 @@ impl RtStats {
         self.restarts.get()
     }
 
-    /// Shards the supervisor's heartbeat scan fenced for stalling.
+    /// Shards the supervisor's stall scan fenced for a stuck turn.
     #[must_use]
     pub fn stalls(&self) -> u64 {
         self.stalls.get()
@@ -335,7 +338,7 @@ impl RtStats {
     }
 
     /// Data frames salvaged from crashed shard inboxes and requeued into
-    /// the replacement thread.
+    /// the replacement generation.
     #[must_use]
     pub fn frames_requeued(&self) -> u64 {
         self.frames_requeued.get()
@@ -369,7 +372,7 @@ impl RtStats {
     }
 
     /// Distribution of supervised restart durations (crash noticed →
-    /// replacement thread live, backoff included), in nanoseconds — the
+    /// replacement live, backoff included), in nanoseconds — the
     /// runtime's MTTR measurement (experiment E20).
     #[must_use]
     pub fn restart_histogram(&self) -> Histogram {

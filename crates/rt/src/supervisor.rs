@@ -2,9 +2,10 @@
 //! shard restarts.
 //!
 //! A dedicated `lc-supervisor` thread listens on a supervision channel
-//! for node-thread exit notices (panic or fence, carrying the in-flight
-//! frame and the dead inbox receiver) and additionally scans per-shard
-//! heartbeat gauges for stalls when
+//! for broker shard exit notices (panic or fence, carrying the in-flight
+//! frame and the dead inbox receiver), sent by the worker that ran the
+//! shard, and
+//! additionally scans every worker's busy stamp for stalls when
 //! [`SupervisionConfig::stall_timeout`] is set. A crashed broker shard
 //! is restarted in place under a bounded budget with exponential
 //! backoff (the PR 3 breaker shape: the delay doubles per consecutive
@@ -17,10 +18,11 @@
 //! soft into the `rt.frames_dropped` ledger instead of wedging
 //! publishers.
 //!
-//! Subscriber threads are supervised for *isolation only*: a subscriber
-//! panic is recorded as a [`CrashEntry`] and never takes the process
-//! down, but the thread is not restarted — its volatile delivery state
-//! died with it, and durable re-subscription is the recovery path.
+//! Subscribers are supervised for *isolation only*: a subscriber panic is
+//! recorded as a [`CrashEntry`] and never takes the process or its
+//! worker's other nodes down, but the subscriber is not restarted — its
+//! volatile delivery state died with it, and durable re-subscription is
+//! the recovery path.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,11 +32,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use layercake_event::TypeRegistry;
-use layercake_metrics::{Gauge, StageProfiler};
-use layercake_overlay::{Broker, SubscriberNode};
+use layercake_metrics::StageProfiler;
+use layercake_overlay::Broker;
 use layercake_sim::ActorId;
 use layercake_trace::TraceSink;
 
+use crate::executor::{Executor, Worker};
 use crate::runtime::{micros_since, perform_restart, Frame, Router, RtConfig, RtEvent};
 use crate::stats::RtStats;
 
@@ -63,15 +66,14 @@ pub struct SupervisionConfig {
     /// Base restart delay; consecutive restarts of the same shard double
     /// it, capped at 64× (`base * 2^min(restarts, 6)`).
     pub backoff_base: Duration,
-    /// When set, a broker shard whose heartbeat gauge lags the wall
-    /// clock by more than this is fenced and replaced like a crash.
-    /// `None` (the default) disables stall detection — appropriate when
-    /// matcher work may legitimately block (e.g. cold-cache durable
-    /// replay under memory pressure). It also decides whether idle node
-    /// threads tick: with `None` they block on their inboxes, and the
-    /// `rt.heartbeat_us.*` gauge of an idle thread reads the time it
-    /// last went to sleep; with a timeout they wake four times per
-    /// timeout to refresh it.
+    /// When set, a worker whose running slice began more than this long
+    /// ago is stalled: its other nodes and its run-queue move to a fresh
+    /// worker thread, and a broker shard stuck in that slice is fenced and
+    /// replaced like a crash. The scan reads each worker's
+    /// `rt.worker_busy_since_us.w{n}` stamp, 0 while it is idle, so an idle
+    /// runtime never wakes for it. `None` (the default) disables stall
+    /// detection — appropriate when matcher work may legitimately block
+    /// (e.g. cold-cache durable replay under memory pressure).
     pub stall_timeout: Option<Duration>,
 }
 
@@ -88,14 +90,14 @@ impl Default for SupervisionConfig {
 /// How a supervised node failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashKind {
-    /// The thread body panicked.
+    /// The node panicked.
     Panic,
-    /// The thread's heartbeat stalled past
+    /// One turn of the node ran past
     /// [`SupervisionConfig::stall_timeout`] and it was fenced.
     Stall,
 }
 
-/// One observed node-thread failure, recovered or not; collected in
+/// One observed node failure, recovered or not; collected in
 /// [`crate::RtReport::crashes`].
 #[derive(Debug, Clone)]
 pub struct CrashEntry {
@@ -105,12 +107,11 @@ pub struct CrashEntry {
     pub shard: usize,
     /// Panic or stall.
     pub kind: CrashKind,
-    /// The panic payload message, or a heartbeat-age description for
-    /// stalls.
+    /// The panic payload message, or the stall timeout a turn ran past.
     pub detail: String,
     /// The shard's cumulative restart count *after* handling this crash.
     pub restarts: u32,
-    /// Whether a replacement thread took over (`false` for spent
+    /// Whether a replacement took over (`false` for spent
     /// budgets, subscriber panics, and teardown-time findings).
     pub recovered: bool,
 }
@@ -135,51 +136,23 @@ impl CrashEntry {
     }
 }
 
-/// Why a shard thread exited through the notice channel.
-pub(crate) enum DownKind {
-    Panic,
-    /// The supervisor's stall detector fenced it (or a fenced zombie
-    /// woke late and is handing its trapped frames back).
-    Fence,
-}
-
-/// An exit notice from a supervised node thread.
-pub(crate) enum Notice {
-    ShardDown {
-        b: usize,
-        shard: usize,
-        /// The sender's restart generation; stale notices (from already
-        /// replaced generations) are salvaged, not restarted again.
-        generation: u64,
-        kind: DownKind,
-        detail: String,
-        /// The frame being processed at the moment of death, if any.
-        current: Option<Frame>,
-        /// The dead inbox: once the router swaps the shard's sender the
-        /// channel closes and the supervisor drains every frame that
-        /// made it in — nothing in flight is lost to the race.
-        rx: Receiver<RtEvent>,
-    },
-    SubscriberDown {
-        id: ActorId,
-        detail: String,
-    },
-}
-
-/// What a broker shard thread returns through its join handle.
-pub(crate) enum ShardOutcome {
-    /// Clean exit (poison pill or disconnect) with the final state.
-    Clean(Box<Broker>),
-    Panicked(String),
-    /// Exited because its fence was raised; the replacement owns the
-    /// shard now.
-    Fenced,
-}
-
-/// What a subscriber thread returns through its join handle.
-pub(crate) enum SubOutcome {
-    Clean(Box<SubscriberNode>),
-    Panicked(String),
+/// A broker shard's exit notice, from the worker that ran it.
+pub(crate) struct ShardDown {
+    pub(crate) b: usize,
+    pub(crate) shard: usize,
+    /// The sender's restart generation; stale notices (from already
+    /// replaced generations) are salvaged, not restarted again.
+    pub(crate) generation: u64,
+    /// The stall detector fenced it (or a fenced zombie woke late and is
+    /// handing its trapped frames back); otherwise it panicked.
+    pub(crate) fenced: bool,
+    pub(crate) detail: String,
+    /// The frame being processed at the moment of death, if any.
+    pub(crate) current: Option<Frame>,
+    /// The dead inbox: once the router swaps the shard's sender the
+    /// channel closes and the supervisor drains every frame that made it
+    /// in — nothing in flight is lost to the race.
+    pub(crate) rx: Receiver<RtEvent>,
 }
 
 /// Supervision bookkeeping for one broker shard, keyed `(broker id,
@@ -194,10 +167,11 @@ pub(crate) struct ShardSlot {
     /// control frames.
     pub(crate) replayed: u64,
     pub(crate) fence: Arc<AtomicBool>,
-    pub(crate) heartbeat: Arc<Gauge>,
-    /// `None` once the shard is dead-ended (budget spent / spawn
-    /// failure).
-    pub(crate) handle: Option<JoinHandle<ShardOutcome>>,
+    /// The worker every generation of the shard runs on.
+    pub(crate) worker: Arc<Worker>,
+    /// Where the current generation's exit outcome arrives; `None` once
+    /// the shard is dead-ended (budget spent / failed restart).
+    pub(crate) done: Option<Receiver<Result<Box<Broker>, String>>>,
     /// Permanently given up.
     pub(crate) failed: bool,
     /// A restart is parked/pending; further notices for this shard are
@@ -217,9 +191,11 @@ pub(crate) struct SupervisorShared {
     pub(crate) profiler: Arc<StageProfiler>,
     pub(crate) slots: Slots,
     pub(crate) crashes: Arc<Mutex<Vec<CrashEntry>>>,
-    /// Keeps the notice channel open (threads' sends never disconnect)
-    /// and arms replacement threads with a sender.
-    pub(crate) notice_tx: Sender<Notice>,
+    /// Keeps the notice channel open (workers' sends never disconnect)
+    /// and arms replacement generations with a sender.
+    pub(crate) notice_tx: Sender<ShardDown>,
+    /// Whose workers the stall scan reads.
+    pub(crate) executor: Arc<Executor>,
 }
 
 /// A restart waiting out its backoff delay.
@@ -245,7 +221,7 @@ pub(crate) struct Supervisor {
 impl Supervisor {
     pub(crate) fn start(
         shared: SupervisorShared,
-        notices: Receiver<Notice>,
+        notices: Receiver<ShardDown>,
     ) -> std::io::Result<Self> {
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
@@ -269,7 +245,7 @@ impl Supervisor {
     }
 }
 
-fn supervisor_main(shared: &SupervisorShared, notices: &Receiver<Notice>, stop: &AtomicBool) {
+fn supervisor_main(shared: &SupervisorShared, notices: &Receiver<ShardDown>, stop: &AtomicBool) {
     let mut pending: Vec<PendingRestart> = Vec::new();
     loop {
         let stopping = stop.load(Ordering::Acquire);
@@ -339,9 +315,9 @@ fn push_crash(shared: &SupervisorShared, entry: CrashEntry) {
 
 /// Dead-ends broker `b` shard `shard` for good once its route fails soft
 /// (`Router::fail_shard`): marks the slot failed, counts the give-up and
-/// the `lost` data frames, and records the crash as unrecovered. The
-/// thread handle is detached — a stalled zombie may sleep forever, and
-/// joining it would wedge teardown.
+/// the `lost` data frames, and records the crash as unrecovered. Its
+/// outcome receiver goes — a stalled zombie may sleep forever, and
+/// waiting for it would wedge teardown.
 fn give_up(
     shared: &SupervisorShared,
     b: usize,
@@ -353,7 +329,7 @@ fn give_up(
     let restarts = lock_slots(shared).get_mut(&(b, shard)).map_or(0, |slot| {
         slot.failed = true;
         slot.restarting = false;
-        slot.handle = None;
+        slot.done = None;
         slot.restarts
     });
     shared.stats.inc_gave_up();
@@ -364,85 +340,70 @@ fn give_up(
     );
 }
 
-fn on_notice(shared: &SupervisorShared, notice: Notice, pending: &mut Vec<PendingRestart>) {
-    match notice {
-        Notice::ShardDown {
-            b,
-            shard,
-            generation,
-            kind,
-            detail,
-            current,
-            rx,
-        } => {
-            let (stale, replayed, restarts, budget_left) = {
-                let slots = lock_slots(shared);
-                let Some(slot) = slots.get(&(b, shard)) else {
-                    return;
-                };
-                (
-                    generation != slot.generation || slot.restarting || slot.failed,
-                    slot.replayed,
-                    slot.restarts,
-                    slot.restarts < shared.cfg.supervision.max_restarts,
-                )
-            };
-            if stale || matches!(kind, DownKind::Fence) {
-                // A fenced zombie waking after its replacement took over
-                // (or any stale-generation exit): salvage its trapped
-                // frames into whatever route is currently live. During a
-                // pending restart that route is the park channel, so the
-                // frames still reach the eventual replacement.
-                let (requeued, lost) = shared
-                    .router
-                    .requeue_stranded(b, shard, current, &rx, replayed);
-                shared.stats.add_frames_requeued(requeued);
-                shared.stats.add_frames_dropped(lost);
-                return;
-            }
-            // A current-generation panic.
-            if !budget_left {
-                let lost = shared.router.fail_shard(b, shard, current, Some(&rx));
-                return give_up(shared, b, shard, CrashKind::Panic, detail, lost);
-            }
-            {
-                let mut slots = lock_slots(shared);
-                if let Some(slot) = slots.get_mut(&(b, shard)) {
-                    slot.restarting = true;
-                }
-            }
-            // Park the route first (closing the dead channel), then
-            // drain the dead inbox completely — the order guarantees no
-            // in-flight frame slips between drain and swap.
-            let park_rx = shared.router.park_shard(b, shard);
-            let mut stranded = Vec::new();
-            if let Some(frame) = current {
-                stranded.push(frame);
-            }
-            while let Ok(ev) = rx.try_recv() {
-                if let RtEvent::Frame(frame) = ev {
-                    stranded.push(frame);
-                }
-            }
-            let now = Instant::now();
-            pending.push(PendingRestart {
-                b,
-                shard,
-                due: now + backoff(shared.cfg.supervision.backoff_base, restarts),
-                noticed_at: now,
-                kind: CrashKind::Panic,
-                detail,
-                stranded,
-                park_rx,
-            });
-        }
-        Notice::SubscriberDown { id, detail } => {
-            push_crash(
-                shared,
-                CrashEntry::unrecovered(id, 0, CrashKind::Panic, detail, 0),
-            );
-        }
+fn on_notice(shared: &SupervisorShared, notice: ShardDown, pending: &mut Vec<PendingRestart>) {
+    let ShardDown {
+        b,
+        shard,
+        generation,
+        fenced,
+        detail,
+        current,
+        rx,
+    } = notice;
+    let (stale, replayed, restarts, budget_left) = {
+        let slots = lock_slots(shared);
+        let Some(slot) = slots.get(&(b, shard)) else {
+            return;
+        };
+        (
+            generation != slot.generation || slot.restarting || slot.failed,
+            slot.replayed,
+            slot.restarts,
+            slot.restarts < shared.cfg.supervision.max_restarts,
+        )
+    };
+    if stale || fenced {
+        // A fenced zombie waking after its replacement took over (or any
+        // stale-generation exit): salvage its trapped frames into whatever
+        // route is currently live. During a pending restart that route is
+        // the park channel, so the frames still reach the eventual
+        // replacement.
+        let (requeued, lost) = shared
+            .router
+            .requeue_stranded(b, shard, current, &rx, replayed);
+        shared.stats.add_frames_requeued(requeued);
+        shared.stats.add_frames_dropped(lost);
+        return;
     }
+    // A current-generation panic.
+    if !budget_left {
+        let lost = shared.router.fail_shard(b, shard, current, Some(&rx));
+        return give_up(shared, b, shard, CrashKind::Panic, detail, lost);
+    }
+    if let Some(slot) = lock_slots(shared).get_mut(&(b, shard)) {
+        slot.restarting = true;
+    }
+    // Park the route first (closing the dead channel), then drain the dead
+    // inbox completely — the order guarantees no in-flight frame slips
+    // between drain and swap.
+    let park_rx = shared.router.park_shard(b, shard);
+    let stranded = current
+        .into_iter()
+        .chain(rx.try_iter().filter_map(|ev| match ev {
+            RtEvent::Frame(frame) => Some(frame),
+            RtEvent::Shutdown => None,
+        }));
+    let now = Instant::now();
+    pending.push(PendingRestart {
+        b,
+        shard,
+        due: now + backoff(shared.cfg.supervision.backoff_base, restarts),
+        noticed_at: now,
+        kind: CrashKind::Panic,
+        detail,
+        stranded: stranded.collect(),
+        park_rx,
+    });
 }
 
 /// `base * 2^min(restarts, 6)` — doubling backoff capped at 64× base,
@@ -504,60 +465,56 @@ fn complete_restart(shared: &SupervisorShared, restart: PendingRestart) {
     }
 }
 
-/// Fences and schedules replacement for any shard whose heartbeat gauge
-/// lags the wall clock by more than `timeout`. The stalled thread still
-/// owns its inbox; replacement starts with an empty backlog, and the
-/// zombie's trapped frames are salvaged when (if) it wakes and exits
-/// through the fence path.
+/// Hands every worker whose running slice began more than `timeout` ago
+/// to a fresh thread, and fences and schedules replacement for the broker
+/// shard stuck in that slice. The stuck node still owns its inbox;
+/// replacement starts with an empty backlog, and the zombie's trapped
+/// frames are salvaged when (if) it wakes and exits through the fence
+/// path. A stuck subscriber is not fenced: it rejoins its worker when its
+/// slice returns.
 fn scan_stalls(shared: &SupervisorShared, timeout: Duration, pending: &mut Vec<PendingRestart>) {
-    let now_us = micros_since(shared.router.epoch);
     let timeout_us = u64::try_from(timeout.as_micros()).unwrap_or(u64::MAX);
-    // (b, shard, restarts, heartbeat age µs) to restart; (b, shard, age)
-    // to give up on. Route edits happen after the slots lock drops — the
-    // router write lock is never nested inside it.
-    let mut to_restart: Vec<(usize, usize, u32, u64)> = Vec::new();
-    let mut to_fail: Vec<(usize, usize, u64)> = Vec::new();
-    {
-        let mut slots = lock_slots(shared);
-        for (&(b, shard), slot) in slots.iter_mut() {
-            if slot.failed || slot.restarting || slot.handle.is_none() {
+    let cutoff = micros_since(shared.router.epoch).saturating_sub(timeout_us);
+    for worker in shared.executor.workers() {
+        let Some((b, shard)) = worker.replace_if_stalled(cutoff) else {
+            continue;
+        };
+        // Route edits happen after the slots lock drops — the router
+        // write lock is never nested inside it.
+        let restarts = {
+            let mut slots = lock_slots(shared);
+            let Some(slot) = slots.get_mut(&(b, shard)) else {
                 continue;
-            }
-            let hb = u64::try_from(slot.heartbeat.get()).unwrap_or(0);
-            let age = now_us.saturating_sub(hb);
-            if age <= timeout_us {
+            };
+            if slot.failed || slot.restarting || slot.done.is_none() {
                 continue;
             }
             shared.stats.inc_stalls();
             slot.fence.store(true, Ordering::Relaxed);
-            if slot.restarts < shared.cfg.supervision.max_restarts {
-                slot.restarting = true;
-                to_restart.push((b, shard, slot.restarts, age));
-            } else {
-                // If the zombie ever wakes, its fence notice is salvaged
-                // against the dead-end route (counted loss).
-                to_fail.push((b, shard, age));
-            }
+            slot.restarting = slot.restarts < shared.cfg.supervision.max_restarts;
+            slot.restarts
+        };
+        if restarts < shared.cfg.supervision.max_restarts {
+            let park_rx = shared.router.park_shard(b, shard);
+            let now = Instant::now();
+            pending.push(PendingRestart {
+                b,
+                shard,
+                due: now + backoff(shared.cfg.supervision.backoff_base, restarts),
+                noticed_at: now,
+                kind: CrashKind::Stall,
+                detail: format!("a turn ran past the {timeout:?} stall timeout"),
+                stranded: Vec::new(),
+                park_rx,
+            });
+        } else {
+            // If the zombie ever wakes, its fence notice is salvaged
+            // against the dead-end route (counted loss).
+            let lost = shared.router.fail_shard(b, shard, [], None);
+            let detail =
+                format!("a turn ran past the {timeout:?} stall timeout; restart budget spent");
+            give_up(shared, b, shard, CrashKind::Stall, detail, lost);
         }
-    }
-    for (b, shard, restarts, age) in to_restart {
-        let park_rx = shared.router.park_shard(b, shard);
-        let now = Instant::now();
-        pending.push(PendingRestart {
-            b,
-            shard,
-            due: now + backoff(shared.cfg.supervision.backoff_base, restarts),
-            noticed_at: now,
-            kind: CrashKind::Stall,
-            detail: format!("heartbeat stalled for {age}µs"),
-            stranded: Vec::new(),
-            park_rx,
-        });
-    }
-    for (b, shard, age) in to_fail {
-        let lost = shared.router.fail_shard(b, shard, [], None);
-        let detail = format!("heartbeat stalled for {age}µs; restart budget spent");
-        give_up(shared, b, shard, CrashKind::Stall, detail, lost);
     }
 }
 

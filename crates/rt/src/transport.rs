@@ -50,7 +50,7 @@ use crate::runtime::{elapsed_ns, Router};
 use crate::stats::RtStats;
 use crate::wire::{self, WireCodec};
 
-/// Which link backend carries frames between node threads.
+/// Which link backend carries frames between nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// In-process `std::sync::mpsc` channels — the default for tests
@@ -81,7 +81,7 @@ pub(crate) struct Link {
 
 impl Link {
     /// Closes the socket (a no-op when poisoning already did) and joins
-    /// both threads. Called after every node thread has drained, so
+    /// both threads. Called after every node has drained, so
     /// nothing useful can still be in flight.
     pub(crate) fn close(mut self) {
         let _ = self.tx.send(LinkCmd::Close);

@@ -307,6 +307,16 @@ fn metrics_endpoint_serves_prometheus_exposition() {
         assert_eq!(snap.histogram(stage).unwrap().count(), 0, "{stage}");
     }
 
+    // Liveness is per worker: how many there are, and when each one's
+    // running slice began — 0 while it is idle, as every worker is here.
+    let workers = snap.gauge("rt.workers").expect("rt.workers");
+    assert!(workers >= 1, "{workers} workers");
+    for n in 0..workers {
+        let name = format!("rt.worker_busy_since_us.w{n}");
+        assert_eq!(snap.gauge(&name), Some(0), "{name}");
+    }
+    assert!(body2.contains("# TYPE layercake_rt_workers gauge"));
+
     // Stable serde shape round-trips.
     let json = serde_json::to_string(&snap).unwrap();
     let back: TelemetrySnapshot = serde_json::from_str(&json).unwrap();

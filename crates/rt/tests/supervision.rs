@@ -210,14 +210,16 @@ fn restart_storm_stays_exactly_once(transport: TransportKind) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A stalled shard (frozen heartbeat, thread alive but stuck) is fenced
-/// and replaced by the stall detector; the frames trapped in the zombie
-/// are salvaged into the replacement when it finally wakes.
+/// A stalled shard (one turn stuck, its worker thread alive but busy) is
+/// fenced and replaced by the stall detector; the frames trapped in the
+/// zombie are salvaged into the replacement when it finally wakes. While
+/// the zombie still sleeps, the replacement — and every node that shared
+/// the stuck worker — runs on a fresh worker thread.
 #[test]
 fn stalled_shard_is_fenced_and_replaced() {
     let (reg, class) = registry();
     let mut cfg = volatile_config(1);
-    cfg.fault_plan = Some(RtFaultPlan::new(3).stall_shard(0, 0, 4, Duration::from_millis(700)));
+    cfg.fault_plan = Some(RtFaultPlan::new(3).stall_shard(0, 0, 4, Duration::from_secs(3)));
     cfg.supervision.stall_timeout = Some(Duration::from_millis(100));
     cfg.supervision.backoff_base = Duration::from_millis(1);
     let mut rt = Runtime::start(cfg, Arc::clone(&reg)).unwrap();
@@ -233,14 +235,37 @@ fn stalled_shard_is_fenced_and_replaced() {
     for seq in 0..10 {
         publisher.publish(event(class, seq));
     }
+    let stats = Arc::clone(rt.stats());
     assert!(
-        rt.wait_delivered(10, Duration::from_secs(30)),
-        "delivered only {} of 10 (stalls={}, restarts={})",
+        wait_for(Duration::from_secs(10), || stats.stalls() >= 1
+            && stats.restarts() >= 1),
+        "stall never healed (stalls={}, restarts={})",
+        stats.stalls(),
+        stats.restarts(),
+    );
+    // The zombie sleeps on with the first ten events; the next ten go
+    // straight through its replacement.
+    let before = stats.delivered();
+    let replaced = Instant::now();
+    for seq in 10..20 {
+        publisher.publish(event(class, seq));
+    }
+    assert!(
+        wait_for(Duration::from_secs(1), || stats.delivered() >= before + 10),
+        "the replacement delivered {} of 10 within 1 s",
+        stats.delivered() - before,
+    );
+    assert!(
+        replaced.elapsed() < Duration::from_secs(2),
+        "the zombie has woken: the check proves nothing"
+    );
+    assert!(
+        rt.wait_delivered(20, Duration::from_secs(30)),
+        "delivered only {} of 20 (stalls={}, restarts={})",
         rt.stats().delivered(),
         rt.stats().stalls(),
         rt.stats().restarts(),
     );
-    let stats = Arc::clone(rt.stats());
     assert!(stats.stalls() >= 1, "stall was never detected");
     assert!(stats.restarts() >= 1, "fenced shard was never replaced");
     assert_eq!(stats.panics(), 0, "a stall is not a panic");
@@ -253,13 +278,14 @@ fn stalled_shard_is_fenced_and_replaced() {
         .collect();
     assert!(!crashes.is_empty() && crashes.iter().all(|c| c.recovered));
     let got: BTreeSet<EventSeq> = report.deliveries(sub).iter().copied().collect();
-    assert_eq!(got, (0..10).map(EventSeq).collect::<BTreeSet<_>>());
+    assert_eq!(got, (0..20).map(EventSeq).collect::<BTreeSet<_>>());
 }
 
 /// A panicking *subscriber* is reported, not restarted — and it must
-/// not take `shutdown()` down with it. The structured failure surfaces
-/// through `RtReport::into_result`, replacing the aborting join of
-/// earlier revisions.
+/// not take `shutdown()` down with it, nor the subscribers that share its
+/// worker. The structured failure surfaces through
+/// `RtReport::into_result`, replacing the aborting join of earlier
+/// revisions.
 #[test]
 fn subscriber_panic_is_reported_not_fatal_to_shutdown() {
     let (reg, class) = registry();
@@ -276,6 +302,15 @@ fn subscriber_panic_is_reported_not_fatal_to_shutdown() {
         .add_subscriber(Filter::for_class(class).eq("region", 0i64))
         .unwrap();
     assert_eq!(sub.node().0, 1, "subscriber id drifted; retarget the plan");
+    // More subscribers than workers: at least one shares the panicking
+    // subscriber's worker.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let others: Vec<_> = (0..cores)
+        .map(|_| {
+            rt.add_subscriber(Filter::for_class(class).eq("region", 0i64))
+                .unwrap()
+        })
+        .collect();
 
     let publisher = rt.publisher();
     for seq in 0..6 {
@@ -286,9 +321,20 @@ fn subscriber_panic_is_reported_not_fatal_to_shutdown() {
         wait_for(Duration::from_secs(10), || stats.panics() >= 1),
         "injected subscriber panic never fired"
     );
+    for seq in 6..12 {
+        publisher.publish(event(class, seq));
+    }
 
     // The whole point: this neither aborts nor panics.
     let report = rt.shutdown();
+    for other in others {
+        let got: BTreeSet<EventSeq> = report.deliveries(other).iter().copied().collect();
+        assert!(
+            (6..12).map(EventSeq).all(|seq| got.contains(&seq)),
+            "subscriber {} missed events published after the panic: {got:?}",
+            other.node().0
+        );
+    }
     let failure = report.failure().expect("dead subscriber is a failure");
     assert_eq!(failure.node.0, 1);
     assert!(!failure.recovered);

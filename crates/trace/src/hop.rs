@@ -131,7 +131,7 @@ pub struct HopRecord {
     pub stage: usize,
     /// Matcher-shard provenance: which replica of the node observed the
     /// event. Always 0 in the simulator (one replica per broker); the
-    /// sharded wall-clock runtime records the shard thread that matched
+    /// sharded wall-clock runtime records the matcher shard that matched
     /// the event's class.
     pub shard: u32,
     /// Virtual time at which the event arrived at this node (wall-clock
