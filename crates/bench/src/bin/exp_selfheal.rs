@@ -18,7 +18,8 @@
 //!      durable delivery through repeated WAL-backed recoveries.
 //!   3. **stall** — a shard frozen (sleeping inside one turn) long
 //!      enough for the stall detector to fence and replace it; the
-//!      frames trapped in the zombie are salvaged when it wakes.
+//!      replacement reads the shard's inbox while the zombie sleeps, and
+//!      the zombie hands its in-flight frame back when it wakes.
 //!
 //! Shape checks (the binary exits non-zero on violation): every induced
 //! fault is healed (`gave_up == 0` everywhere), durable delivery covers
@@ -279,7 +280,7 @@ struct StallResult {
 }
 
 /// Scenario 3: a frozen (not dead) shard is fenced on its stuck turn
-/// and replaced while it sleeps; its trapped frames are salvaged when
+/// and replaced while it sleeps; it hands its in-flight frame back when
 /// it wakes.
 fn run_stall(events: u64) -> StallResult {
     let overlay = OverlayConfig {
@@ -407,9 +408,10 @@ fn main() {
         "reading guide: MTTR is crash-noticed → replacement-live (restart\n\
          backoff included). Durable subscribers ride the WAL through every\n\
          crash with zero loss; volatile subscribers lose exactly what the\n\
-         rt.frames_dropped ledger says they lost ({} + {} = {} here), and\n\
-         requeued backlogs ({} + {} frames) are why panics alone cost no\n\
-         deliveries at all.\n",
+         rt.frames_dropped ledger says they lost ({} + {} = {} here). Panics\n\
+         alone cost no deliveries at all: a restart keeps the shard's inbox,\n\
+         and the crashed generation's in-flight frames ({} + {}) go to its\n\
+         successor first.\n",
         heal.volatile_delivered,
         heal.frames_dropped,
         events,

@@ -16,7 +16,7 @@ use std::collections::BinaryHeap;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use layercake_metrics::{PipelineStage, StageProfiler};
@@ -29,6 +29,11 @@ use crate::runtime::{
     elapsed_ns, micros_since, nanos_since, shard_of, Frame, Router, RtEvent, EXTERNAL,
 };
 use crate::stats::RtStats;
+
+/// A node's inbox as its drivers read it. Every generation of a broker
+/// shard reads the same one, each `try_recv` under the lock and never a
+/// turn: a stalled zombie sleeping in its turn leaves it to its successor.
+pub(crate) type SharedRx = Arc<Mutex<Receiver<RtEvent>>>;
 
 /// How a node's run ended (when it didn't panic).
 pub(crate) enum LoopExit {
@@ -51,13 +56,14 @@ pub(crate) struct NodeEnv {
     /// timers; follower shards mutate state silently.
     pub(crate) speaks: bool,
     pub(crate) epoch: Instant,
-    router: Router,
+    pub(crate) router: Router,
     pub(crate) stats: Arc<RtStats>,
     profiler: Arc<StageProfiler>,
 }
 
 /// One node, who it is, and the state it is run with. Rebuilt (around a
-/// rebuilt node, with a fresh fence) for every supervised restart.
+/// rebuilt node, with a fresh fence) for every supervised restart; the
+/// inbox it reads is the node's for the runtime's life.
 pub(crate) struct NodeDriver<N: Node> {
     pub(crate) node: N,
     pub(crate) env: NodeEnv,
@@ -72,14 +78,17 @@ pub(crate) struct NodeDriver<N: Node> {
     /// Frames taken off the inbox; what fault plans count in.
     received: u64,
     /// The frame being worked on, from before the fault hooks until the
-    /// node has handled it: a panic or a fence hands it to the supervisor
-    /// for requeueing (a deterministically poisonous frame then re-crashes
-    /// the replacement — bounded by the restart budget, which is the
-    /// intended behavior for a poison-pill input).
+    /// node has handled it: a panic hands it to the successor as its first
+    /// frame, a fence back to the inbox (a deterministically poisonous
+    /// frame then re-crashes the replacement — bounded by the restart
+    /// budget, which is the intended behavior for a poison-pill input).
     current: Option<Frame>,
-    /// An event the worker's re-check took off the inbox: the next
-    /// slice's first.
+    /// An event the worker's re-check took off the inbox, or a crashed
+    /// generation's in-flight frame: the next slice's first.
     next: Option<RtEvent>,
+    /// How much of its broker's control log the node was rebuilt from (0
+    /// for generation 0): a frame captured before that is skipped.
+    replayed: u64,
     /// Set by the shutdown pill: what is queued is still handled, timers
     /// no longer fire, and an empty inbox ends the node.
     draining: bool,
@@ -110,6 +119,7 @@ impl<N: Node> NodeDriver<N> {
             received: 0,
             current: None,
             next: None,
+            replayed: 0,
             draining: false,
         }
     }
@@ -117,6 +127,15 @@ impl<N: Node> NodeDriver<N> {
     /// Puts the driver under the supervisor's stall detector.
     pub(crate) fn fenced_by(mut self, fence: Arc<AtomicBool>) -> Self {
         self.fence = Some(fence);
+        self
+    }
+
+    /// Makes the driver a successor: its node replayed the first
+    /// `replayed` captured control frames, and `first` is the crashed
+    /// generation's in-flight frame.
+    pub(crate) fn resume(mut self, replayed: u64, first: Option<RtEvent>) -> Self {
+        self.replayed = replayed;
+        self.next = first;
         self
     }
 
@@ -130,9 +149,10 @@ impl<N: Node> NodeDriver<N> {
         self.node
     }
 
-    /// The frame a panicked or fenced turn left unhandled, if any.
-    pub(crate) fn take_current(&mut self) -> Option<Frame> {
-        self.current.take()
+    /// What a panicked or fenced generation took off the inbox and left
+    /// unhandled, if anything.
+    pub(crate) fn take_in_flight(&mut self) -> Option<RtEvent> {
+        self.current.take().map(RtEvent::Frame).or(self.next.take())
     }
 
     fn fenced(&self) -> bool {
@@ -157,13 +177,20 @@ impl<N: Node> NodeDriver<N> {
     /// After the shutdown pill everything already queued is still handled
     /// and nothing further is waited for: the inbox running dry (or
     /// hanging up) then ends the node.
-    pub(crate) fn slice(&mut self, rx: &Receiver<RtEvent>) -> Slice {
+    pub(crate) fn slice(&mut self, rx: &Mutex<Receiver<RtEvent>>) -> Slice {
         let mut end = Slice::More;
         for _ in 0..SLICE_FRAMES {
             if self.fenced() {
                 return Slice::Exit(LoopExit::Fenced);
             }
-            match self.next.take().map_or_else(|| rx.try_recv(), Ok) {
+            match self.next.take().map_or_else(|| try_recv(rx), Ok) {
+                Ok(RtEvent::Frame(frame))
+                    if frame.ctrl_seq.is_some_and(|seq| seq < self.replayed) =>
+                {
+                    // Replayed from the control log into the rebuilt node.
+                    // It still counts as handled: `quiesce` waits for it.
+                    self.env.stats.inc_frames_received();
+                }
                 Ok(RtEvent::Frame(frame)) => {
                     if let ControlFlow::Break(exit) = self.turn(frame) {
                         return Slice::Exit(exit);
@@ -186,8 +213,8 @@ impl<N: Node> NodeDriver<N> {
     /// Takes the next event off the inbox for the next slice, if one came
     /// in; `true` when the node has work (a hung-up inbox counts: the next
     /// slice ends the node).
-    pub(crate) fn recheck(&mut self, rx: &Receiver<RtEvent>) -> bool {
-        match rx.try_recv() {
+    pub(crate) fn recheck(&mut self, rx: &Mutex<Receiver<RtEvent>>) -> bool {
+        match try_recv(rx) {
             Ok(ev) => self.next = Some(ev),
             Err(e) => return e == TryRecvError::Disconnected,
         }
@@ -308,6 +335,10 @@ impl<N: Node> NodeDriver<N> {
             node.on_timer(tag, &mut ctx);
         }
     }
+}
+
+fn try_recv(rx: &Mutex<Receiver<RtEvent>>) -> Result<RtEvent, TryRecvError> {
+    rx.lock().unwrap_or_else(PoisonError::into_inner).try_recv()
 }
 
 /// The [`NodeCtx`] a driver hands to its node: wall-clock time in

@@ -13,6 +13,11 @@
 //! lock; a node with frames left is queued again, and one whose inbox ran
 //! dry clears its flag and then looks at the inbox once more, so no push
 //! is lost. An idle worker parks until its earliest deadline or a push.
+//!
+//! A node's slot outlives the node: a restarted broker shard's successor
+//! is stored in the crashed generation's slot ([`Worker::rehost`]), so its
+//! inbox and its waker never change. A slot's `scheduled` flag stays set
+//! from the crash until then, and pushes meanwhile only queue frames.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -62,7 +67,7 @@ pub(crate) trait Task: Send {
 #[derive(Clone)]
 pub(crate) struct Inbox {
     tx: Sender<RtEvent>,
-    /// `None` for a channel no worker runs (a park channel, a dead end).
+    /// `None` for a channel no worker runs (a dead end).
     waker: Option<Arc<Waker>>,
 }
 
@@ -98,6 +103,10 @@ struct Entry {
     waker: Arc<Waker>,
     /// `(broker, shard)` of a broker shard: what a stall fences.
     shard: Option<(usize, usize)>,
+    /// Bumped when a stall revokes the running task's hold on the slot and
+    /// when a successor is hosted in it: a slice that returns under an
+    /// older lease is a zombie's.
+    lease: u64,
     /// The earliest deadline of this slot in the heap.
     armed: Option<u64>,
 }
@@ -141,10 +150,7 @@ impl State {
     /// Hosts `task` again after a slice, queues it if it has work, and
     /// arms its next deadline.
     fn put_back(&mut self, slot: usize, mut task: Box<dyn Task>, more: bool) {
-        // Gone only if a replaced thread returns after the worker stopped.
-        let Some(entry) = self.entries.get_mut(slot) else {
-            return;
-        };
+        let entry = &mut self.entries[slot];
         let mut again = more;
         if !again {
             entry.waker.scheduled.store(false, Ordering::SeqCst);
@@ -203,29 +209,43 @@ impl Worker {
             .spawn(move || worker.run(owner))
     }
 
-    /// Hosts `task`, whose inbox `tx` is, and schedules it once in case
-    /// the inbox already holds a backlog.
+    /// Hosts `task`, whose inbox `tx` is, in a new slot, and schedules it
+    /// once in case the inbox already holds a backlog. Returns the inbox
+    /// and the slot.
     pub(crate) fn host(
         self: &Arc<Self>,
         tx: Sender<RtEvent>,
         shard: Option<(usize, usize)>,
         task: Box<dyn Task>,
-    ) -> Inbox {
+    ) -> (Inbox, usize) {
         let mut state = self.lock();
+        let slot = state.entries.len();
         let waker = Arc::new(Waker {
             scheduled: AtomicBool::new(true),
             worker: Arc::clone(self),
-            slot: state.entries.len(),
+            slot,
         });
         state.entries.push(Entry {
             task: Some(task),
             waker: Arc::clone(&waker),
             shard,
+            lease: 0,
             armed: None,
         });
-        state.queue(&self.wake, waker.slot);
+        state.queue(&self.wake, slot);
         let waker = Some(waker);
-        Inbox { tx, waker }
+        (Inbox { tx, waker }, slot)
+    }
+
+    /// Hosts `task`, a crashed or fenced node's successor, in its slot and
+    /// schedules it: the slot's flag has stayed set since the crash, so
+    /// what was pushed meanwhile waits in the inbox.
+    pub(crate) fn rehost(&self, slot: usize, task: Box<dyn Task>) {
+        let mut state = self.lock();
+        let entry = &mut state.entries[slot];
+        entry.task = Some(task);
+        entry.lease += 1;
+        state.queue(&self.wake, slot);
     }
 
     /// Holds tap deliveries until the worker hands them on.
@@ -272,6 +292,7 @@ impl Worker {
             let Some(mut task) = state.entries[slot].task.take() else {
                 continue;
             };
+            let lease = state.entries[slot].lease;
             state.running = Some(slot);
             self.busy_since
                 .set(i64::try_from(now.max(1)).unwrap_or(i64::MAX));
@@ -282,17 +303,21 @@ impl Worker {
                 state.running = None;
                 self.busy_since.set(0);
             }
+            // A stall revoked the slot, or a successor holds it: the zombie
+            // leaves, whatever its slice said.
+            let zombie = state.entries.get(slot).is_none_or(|e| e.lease != lease);
+            let end = match end {
+                _ if zombie => Err(Ok(LoopExit::Fenced)),
+                Ok(Slice::Drained) => Ok(false),
+                Ok(Slice::More) => Ok(true),
+                Ok(Slice::Exit(exit)) => Err(Ok(exit)),
+                Err(payload) => Err(Err(panic_message(payload.as_ref()))),
+            };
             match end {
-                Ok(Slice::Drained) => state.put_back(slot, task, false),
-                Ok(Slice::More) => state.put_back(slot, task, true),
-                Ok(Slice::Exit(exit)) => {
+                Ok(more) => state.put_back(slot, task, more),
+                Err(exit) => {
                     drop(state);
-                    task.exit(Ok(exit));
-                    state = self.lock();
-                }
-                Err(payload) => {
-                    drop(state);
-                    task.exit(Err(panic_message(payload.as_ref())));
+                    task.exit(exit);
                     state = self.lock();
                 }
             }
@@ -326,8 +351,9 @@ impl Worker {
 
     /// When the running slice began at or before `cutoff` (µs since the
     /// epoch), hands the worker to a fresh thread; the stuck thread keeps
-    /// its node until the slice returns. Returns the stuck node's
-    /// `(broker, shard)` when it is a broker shard.
+    /// its node until the slice returns. A stuck subscriber then rejoins
+    /// the worker; a stuck broker shard has lost its slot and leaves
+    /// fenced, and its `(broker, shard)` is returned for a restart.
     pub(crate) fn replace_if_stalled(self: &Arc<Self>, cutoff: u64) -> Option<(usize, usize)> {
         let mut state = self.lock();
         // Stamped and cleared under the lock, so it is `running`'s.
@@ -339,7 +365,9 @@ impl Worker {
         state.owner += 1;
         state.running = None;
         self.busy_since.set(0);
-        state.entries[slot].shard
+        let entry = &mut state.entries[slot];
+        entry.lease += u64::from(entry.shard.is_some());
+        entry.shard
     }
 }
 
@@ -407,6 +435,152 @@ impl Executor {
             if let Some(thread) = thread {
                 let _ = thread.join();
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc::{channel, Receiver};
+
+    use super::*;
+
+    const WAIT: Duration = Duration::from_secs(5);
+
+    /// A node that reports each slice and its exit on `seen`, waits for
+    /// `gate` in its slices while it has one, and has work when its inbox
+    /// holds an event.
+    struct Probe {
+        name: &'static str,
+        seen: Sender<String>,
+        gate: Option<Receiver<()>>,
+        inbox: Option<Receiver<RtEvent>>,
+        panics: bool,
+    }
+
+    impl Probe {
+        fn new(name: &'static str, seen: &Sender<String>) -> Box<Self> {
+            Box::new(Self {
+                name,
+                seen: seen.clone(),
+                gate: None,
+                inbox: None,
+                panics: false,
+            })
+        }
+
+        fn gated(mut self: Box<Self>, gate: Receiver<()>) -> Box<Self> {
+            self.gate = Some(gate);
+            self
+        }
+
+        fn reading(mut self: Box<Self>, inbox: Receiver<RtEvent>) -> Box<Self> {
+            self.inbox = Some(inbox);
+            self
+        }
+    }
+
+    impl Task for Probe {
+        fn slice(&mut self) -> Slice {
+            let _ = self.seen.send(format!("{} slice", self.name));
+            if let Some(gate) = &self.gate {
+                let _ = gate.recv();
+            }
+            assert!(!self.panics, "{} panics", self.name);
+            Slice::Drained
+        }
+
+        fn recheck(&mut self) -> bool {
+            self.inbox.as_ref().is_some_and(|rx| rx.try_recv().is_ok())
+        }
+
+        fn deadline(&self) -> Option<u64> {
+            None
+        }
+
+        fn exit(self: Box<Self>, exit: Result<LoopExit, String>) {
+            let how = match exit {
+                Ok(LoopExit::Clean) => "clean",
+                Ok(LoopExit::Fenced) => "fenced",
+                Err(_) => "panicked",
+            };
+            let _ = self.seen.send(format!("{} {how}", self.name));
+        }
+    }
+
+    fn worker() -> (Executor, Arc<Worker>) {
+        let executor = Executor::new(Instant::now(), &Arc::new(TelemetryRegistry::new(1)));
+        let worker = executor.worker(true).unwrap();
+        (executor, worker)
+    }
+
+    #[track_caller]
+    fn next(seen: &Receiver<String>) -> String {
+        seen.recv_timeout(WAIT).expect("the worker went quiet")
+    }
+
+    /// Every restart stores its successor in the crashed node's slot: the
+    /// worker's slots do not grow, and pushes reach the successor.
+    #[test]
+    fn rehost_reuses_the_slot() {
+        let (executor, worker) = worker();
+        let (seen_tx, seen) = channel();
+        let panicking = |name| {
+            let mut probe = Probe::new(name, &seen_tx);
+            probe.panics = true;
+            probe
+        };
+        let (tx, rx) = channel();
+        let (inbox, slot) = worker.host(tx, Some((0, 0)), panicking("g0"));
+        assert_eq!(next(&seen), "g0 slice");
+        assert_eq!(next(&seen), "g0 panicked");
+        worker.rehost(slot, panicking("g1"));
+        assert_eq!(next(&seen), "g1 slice");
+        assert_eq!(next(&seen), "g1 panicked");
+        worker.rehost(slot, Probe::new("g2", &seen_tx).reading(rx));
+        assert_eq!(next(&seen), "g2 slice");
+        assert_eq!(worker.lock().entries.len(), 1);
+        assert!(inbox.push(RtEvent::Shutdown));
+        assert_eq!(next(&seen), "g2 slice");
+        executor.stop();
+    }
+
+    /// A stalled node whose slice returns `Drained` after its slot was
+    /// re-hosted leaves fenced, whether or not the successor has run a
+    /// slice yet, and never takes the slot back from the successor.
+    #[test]
+    fn a_zombie_returning_after_rehost_ends_fenced() {
+        for successor_ran in [false, true] {
+            let (executor, worker) = worker();
+            let (seen_tx, seen) = channel();
+            let (release_zombie, zombie_gate) = channel();
+            let (tx, rx) = channel();
+            let zombie = Probe::new("zombie", &seen_tx).gated(zombie_gate);
+            let (inbox, slot) = worker.host(tx, Some((0, 0)), zombie);
+            assert_eq!(next(&seen), "zombie slice");
+            // Holds the fresh thread, so the successor waits its turn.
+            let (release_blocker, blocker_gate) = channel();
+            if !successor_ran {
+                let blocker = Probe::new("blocker", &seen_tx).gated(blocker_gate);
+                worker.host(channel().0, None, blocker);
+            }
+            assert_eq!(worker.replace_if_stalled(u64::MAX), Some((0, 0)));
+            worker.rehost(slot, Probe::new("successor", &seen_tx).reading(rx));
+            if successor_ran {
+                assert_eq!(next(&seen), "successor slice");
+            } else {
+                assert_eq!(next(&seen), "blocker slice");
+            }
+            release_zombie.send(()).unwrap();
+            assert_eq!(next(&seen), "zombie fenced");
+            if !successor_ran {
+                release_blocker.send(()).unwrap();
+                assert_eq!(next(&seen), "successor slice");
+            }
+            assert!(inbox.push(RtEvent::Shutdown));
+            assert_eq!(next(&seen), "successor slice");
+            assert_eq!(worker.lock().entries.len(), 1 + usize::from(!successor_ran));
+            executor.stop();
         }
     }
 }

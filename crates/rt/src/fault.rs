@@ -22,8 +22,8 @@
 //! Injected faults are counted in `rt.faults_injected`
 //! ([`crate::RtStats::faults_injected`]); injected link drops also add
 //! to the `rt.frames_dropped` loss ledger, since unlike panics and
-//! stalls (whose in-flight frames the supervisor requeues) a dropped
-//! frame is really gone.
+//! stalls (whose in-flight frames go to the successor) a dropped frame
+//! is really gone.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

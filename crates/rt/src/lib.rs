@@ -57,7 +57,7 @@
 //! shard is restarted in place by the `lc-supervisor` thread —
 //! state machine rebuilt deterministically, durable log recovered from
 //! [`RtConfig::durable_dir`], `DurableBase` re-emitted so durable
-//! subscribers rebase and lose nothing, inbox backlog requeued — under
+//! subscribers rebase and lose nothing, the inbox kept — under
 //! a bounded, exponentially backed-off restart budget
 //! ([`SupervisionConfig`]). When [`SupervisionConfig::stall_timeout`] is
 //! set, a worker stuck in one slice hands its other nodes to a fresh

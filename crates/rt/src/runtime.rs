@@ -12,8 +12,9 @@
 //! [`wire`] frames there, and `rt.bytes_sent` counts every hop's frame
 //! ([`wire::frame_len`]) either way. Whichever way a message travels, it
 //! enters an inbox through one router function, `Router::enter`, which
-//! picks the shard, tags the frame for requeueing, captures control for
-//! restart replay and schedules the receiving node on its worker.
+//! picks the shard, captures control for restart replay (tagging the frame
+//! with its place in the log) and schedules the receiving node on its
+//! worker.
 //!
 //! # Sharding contract (leader/follower)
 //!
@@ -36,10 +37,12 @@
 //!
 //! A worker catches a node's panic around each slice and runs its other
 //! nodes on; the `lc-supervisor` thread restarts a crashed or stalled
-//! broker shard in place on the same worker — state machine rebuilt,
-//! control prefix replayed mutedly, durable log recovered, `DurableBase`
-//! re-emitted, its inbox swapped inside the router so peers never hold a
-//! dead channel — under a bounded, backed-off budget; subscriber panics
+//! broker shard in place — state machine rebuilt, control prefix replayed
+//! mutedly, durable log recovered, `DurableBase` re-emitted, the successor
+//! stored in the crashed generation's worker slot — under a bounded,
+//! backed-off budget. A shard's inbox and slot are made once, at start: the
+//! frames sent while it was down wait in that inbox, in order, and no
+//! route changes until a spent budget dead-ends it. Subscriber panics
 //! are reported in [`RtReport::crashes`], not restarted (see
 //! [`crate::SupervisionConfig`] and `DESIGN.md`'s runtime fault model).
 //!
@@ -79,7 +82,7 @@ use layercake_overlay::{Broker, Node, NodeCtx, OverlayConfig, OverlayMsg, Subscr
 use layercake_sim::{ActorId, SimDuration, SimTime};
 use layercake_trace::TraceSink;
 
-use crate::driver::{LoopExit, NodeDriver};
+use crate::driver::{LoopExit, NodeDriver, SharedRx};
 use crate::error::RtError;
 use crate::executor::{Executor, Inbox, Slice, Task, Worker};
 use crate::fault::{FaultState, RtFaultPlan};
@@ -216,24 +219,6 @@ impl RtConfig {
     }
 }
 
-/// How a frame sitting in a shard inbox relates to the restart replay,
-/// decided by [`Router::enter`] on both transports. When the supervisor requeues a
-/// crashed shard's backlog into its replacement, data frames and ack
-/// broadcasts are always kept, while a control frame is kept only if the
-/// rebuilt state machine did *not* already absorb it from the captured
-/// control prefix (its capture sequence is `>=` the replayed length).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FrameTag {
-    /// A class-routed data frame; counted in the loss/requeue ledgers.
-    Data,
-    /// A captured control broadcast with its position in the broker's
-    /// control log.
-    Ctrl(u64),
-    /// An `AckUpto` broadcast (or subscriber-bound control): idempotent,
-    /// never captured, always requeued, never counted as data loss.
-    Ack,
-}
-
 /// One message in flight between nodes, with its sender: inbox channels,
 /// unlike the simulator's scheduler, carry no provenance.
 #[derive(Clone)]
@@ -244,7 +229,11 @@ pub(crate) struct Frame {
     /// `0` when the stage profiler is off (the receiver then skips the
     /// ingress-wait stage rather than misreading an unstamped frame).
     pub(crate) enqueued_ns: u64,
-    pub(crate) tag: FrameTag,
+    /// A captured control broadcast's position in its broker's control
+    /// log, set by [`Router::enter`]: a shard rebuilt from the first `n`
+    /// entries skips the frames before `n`. `None` for data, acks and
+    /// subscriber-bound control.
+    pub(crate) ctrl_seq: Option<u64>,
 }
 
 /// What a node receives: either one message or the shutdown poison pill.
@@ -252,6 +241,13 @@ pub(crate) struct Frame {
 pub(crate) enum RtEvent {
     Frame(Frame),
     Shutdown,
+}
+
+impl RtEvent {
+    /// A data frame: what the loss and requeue ledgers count.
+    pub(crate) fn is_data(&self) -> bool {
+        matches!(self, RtEvent::Frame(frame) if frame.msg.is_data())
+    }
 }
 
 // An inbox slot is one `RtEvent`; a capacity burst queues up to 30 000 in
@@ -288,13 +284,9 @@ impl Route {
 
 /// The routing table: node id → inbox(es). Subscribers register after
 /// brokers are already running, hence the lock; sends take a read lock,
-/// which is uncontended in steady state.
-///
-/// The router is also the supervisor's re-wiring seam: a crashed shard's
-/// sender is swapped under the write lock (park → live replacement, or a
-/// dead end once the restart budget is spent), so peers holding the
-/// router never see a closed channel — their sends either reach the
-/// replacement's backlog or fail soft into the loss ledger.
+/// which is uncontended in steady state. A broker shard's inbox is written
+/// at start and, if its restart budget runs out, once more to dead-end it
+/// ([`Router::dead_end`]); a restart leaves it alone.
 #[derive(Clone)]
 pub(crate) struct Router {
     routes: Arc<RwLock<Vec<Option<Route>>>>,
@@ -335,7 +327,7 @@ impl Router {
     }
 
     /// Lock poisoning cannot corrupt the table (writers only swap whole
-    /// `Inbox` slots), and the supervisor must keep routing around a
+    /// routes or inboxes), and the supervisor must keep routing around a
     /// panicked peer — so every lock acquisition survives poison.
     pub(crate) fn read_routes(&self) -> RwLockReadGuard<'_, Vec<Option<Route>>> {
         self.routes.read().unwrap_or_else(PoisonError::into_inner)
@@ -386,8 +378,8 @@ impl Router {
         let data = msg.is_data();
         if data && self.fault.should_drop(from.0, to.0) {
             // An injected link drop: unlike a panic (whose in-flight
-            // frames the supervisor requeues), this frame is really
-            // gone, so it lands in both ledgers.
+            // frame goes to the successor), this frame is really gone,
+            // so it lands in both ledgers.
             stats.inc_faults_injected();
             stats.inc_frames_dropped();
             return;
@@ -425,7 +417,7 @@ impl Router {
     }
 
     /// Enters `msg` into node `to`'s inboxes: the one place a frame gets
-    /// its shard and its [`FrameTag`] and the receiving node is scheduled
+    /// its shard and its `ctrl_seq` and the receiving node is scheduled
     /// on its worker ([`Inbox::push`]), called by [`Router::dispatch`] on
     /// the mpsc transport and by the link reader on TCP. Data goes to the
     /// class shard, control to every shard. A broker's control broadcast
@@ -452,17 +444,17 @@ impl Router {
         } else {
             0
         };
-        let frame = |msg: OverlayMsg, tag: FrameTag| {
+        let frame = |msg: OverlayMsg, ctrl_seq: Option<u64>| {
             RtEvent::Frame(Frame {
                 from,
                 msg,
                 enqueued_ns,
-                tag,
+                ctrl_seq,
             })
         };
         let reached = match (class, self.ctrl.get(to)) {
             (Some(class), _) => {
-                route.shards[shard_of(class, route.shards.len())].push(frame(msg, FrameTag::Data))
+                route.shards[shard_of(class, route.shards.len())].push(frame(msg, None))
             }
             (None, Some(log)) if !matches!(msg, OverlayMsg::AckUpto { .. }) => {
                 // As bytes: smaller than the message, and kept for the runtime's life.
@@ -470,9 +462,9 @@ impl Router {
                     .expect("dispatch checked the frame cap");
                 let mut log = log.lock().unwrap_or_else(PoisonError::into_inner);
                 log.push(bytes);
-                route.broadcast(&frame(msg, FrameTag::Ctrl(log.len() as u64 - 1)))
+                route.broadcast(&frame(msg, Some(log.len() as u64 - 1)))
             }
-            (None, _) => route.broadcast(&frame(msg, FrameTag::Ack)),
+            (None, _) => route.broadcast(&frame(msg, None)),
         };
         if !reached {
             self.note_send_failure(stats, class.is_some());
@@ -488,133 +480,30 @@ impl Router {
             .clone()
     }
 
-    /// Points broker `b` shard `shard` at `inbox`, dropping the one it
-    /// replaces — which closes that channel once every clone is gone.
-    fn set_shard_inbox(routes: &mut [Option<Route>], b: usize, shard: usize, inbox: Inbox) {
-        if let Some(Some(route)) = routes.get_mut(b) {
-            route.shards[shard] = inbox;
+    /// Hands a fenced zombie's in-flight `ev` back to broker `b` shard
+    /// `shard`'s inbox: its successor takes it, or, on a dead end, the loss
+    /// ledger. A data frame counts as requeued or as dropped.
+    pub(crate) fn push_back(&self, b: usize, shard: usize, ev: RtEvent, stats: &RtStats) {
+        let data = ev.is_data();
+        let pushed =
+            matches!(self.read_routes().get(b), Some(Some(route)) if route.shards[shard].push(ev));
+        if data && pushed {
+            stats.add_frames_requeued(1);
+        } else if data {
+            stats.inc_frames_dropped();
         }
     }
 
-    /// Swaps broker `b` shard `shard`'s inbox for a fresh *park* channel,
-    /// which no worker runs, and returns its receiver: frames sent during
-    /// the restart window buffer there instead of vanishing into the dead
-    /// channel. Dropping the old sender under the write lock also closes
-    /// the dead channel, so the crashed generation's receiver drains
-    /// completely.
-    pub(crate) fn park_shard(&self, b: usize, shard: usize) -> Receiver<RtEvent> {
-        let (tx, rx) = channel();
-        Self::set_shard_inbox(&mut self.write_routes(), b, shard, Inbox::unhosted(tx));
-        rx
-    }
-
-    /// Moves a crashed generation's backlog — `stranded`, then whatever
-    /// `rx` still holds — into `tx`, leaving out the control frames a
-    /// rebuilt shard already replayed (the first `replayed` captured
-    /// broadcasts). A poison pill racing the restart is passed on only
-    /// when `pass_shutdown`. Returns `(data frames delivered, data frames
-    /// lost)`; with no `tx`, every data frame is lost.
-    fn drain_backlog(
-        tx: Option<&Inbox>,
-        stranded: impl IntoIterator<Item = Frame>,
-        rx: Option<&Receiver<RtEvent>>,
-        replayed: u64,
-        pass_shutdown: bool,
-    ) -> (u64, u64) {
-        let (mut delivered, mut lost) = (0u64, 0u64);
-        let backlog = stranded
-            .into_iter()
-            .map(RtEvent::Frame)
-            .chain(rx.into_iter().flat_map(Receiver::try_iter));
-        for ev in backlog {
-            match ev {
-                RtEvent::Frame(frame) => {
-                    if let FrameTag::Ctrl(seq) = frame.tag {
-                        if seq < replayed {
-                            continue;
-                        }
-                    }
-                    let data = frame.tag == FrameTag::Data;
-                    let sent = tx.is_some_and(|tx| tx.push(RtEvent::Frame(frame)));
-                    if data && sent {
-                        delivered += 1;
-                    } else if data {
-                        lost += 1;
-                    }
-                }
-                RtEvent::Shutdown if pass_shutdown => {
-                    if let Some(tx) = tx {
-                        tx.push(RtEvent::Shutdown);
-                    }
-                }
-                RtEvent::Shutdown => {}
-            }
+    /// Routes broker `b` shard `shard` to a dead end for good, once its
+    /// restart budget is spent: its inbox becomes a sender whose receiver
+    /// is gone, so later data frames fail soft into the loss ledger, and
+    /// the data frames its inbox `rx` still holds are counted there too.
+    pub(crate) fn dead_end(&self, b: usize, shard: usize, rx: &SharedRx, stats: &RtStats) {
+        if let Some(Some(route)) = self.write_routes().get_mut(b) {
+            route.shards[shard] = Inbox::unhosted(channel().0);
         }
-        (delivered, lost)
-    }
-
-    /// Makes `inbox`, the hosted replacement's, live for broker `b` shard
-    /// `shard`, requeuing the crashed generation's backlog into it —
-    /// `stranded` (the dead inbox's drained frames, in order) then
-    /// everything parked during the restart — filtered against the
-    /// rebuilt state machine's control replay. Runs under the write lock
-    /// so no new frame can overtake the requeued backlog. Returns the
-    /// number of data frames requeued.
-    pub(crate) fn install_shard(
-        &self,
-        b: usize,
-        shard: usize,
-        inbox: Inbox,
-        stranded: Vec<Frame>,
-        park_rx: &Receiver<RtEvent>,
-        replayed: u64,
-    ) -> u64 {
-        let mut routes = self.write_routes();
-        // A poison pill racing the restart still shuts the replacement
-        // down.
-        let (requeued, _) =
-            Self::drain_backlog(Some(&inbox), stranded, Some(park_rx), replayed, true);
-        Self::set_shard_inbox(&mut routes, b, shard, inbox);
-        requeued
-    }
-
-    /// Routes broker `b` shard `shard` to a dead end (a sender whose
-    /// receiver is already dropped): the restart budget is spent, and
-    /// from now on every data frame sent to this shard fails soft into
-    /// the loss ledger. Counts and discards the backlog (`stranded` plus
-    /// whatever `rx` still holds); returns the number of data frames
-    /// lost.
-    pub(crate) fn fail_shard(
-        &self,
-        b: usize,
-        shard: usize,
-        stranded: impl IntoIterator<Item = Frame>,
-        rx: Option<&Receiver<RtEvent>>,
-    ) -> u64 {
-        let (tx, _dead_rx) = channel();
-        Self::set_shard_inbox(&mut self.write_routes(), b, shard, Inbox::unhosted(tx));
-        // Nothing was replayed, so every data frame counts.
-        Self::drain_backlog(None, stranded, rx, 0, false).1
-    }
-
-    /// Salvages a late-exiting zombie's trapped backlog into whatever
-    /// route is *currently* live for broker `b` shard `shard` (a fenced
-    /// node waking after its replacement already took over, or frames
-    /// from a stale generation). Returns `(data frames requeued, data
-    /// frames lost)`.
-    pub(crate) fn requeue_stranded(
-        &self,
-        b: usize,
-        shard: usize,
-        current: Option<Frame>,
-        rx: &Receiver<RtEvent>,
-        replayed: u64,
-    ) -> (u64, u64) {
-        let tx = match self.read_routes().get(b) {
-            Some(Some(route)) => route.shards.get(shard).cloned(),
-            _ => None,
-        };
-        Self::drain_backlog(tx.as_ref(), current, Some(rx), replayed, false)
+        let rx = rx.lock().unwrap_or_else(PoisonError::into_inner);
+        stats.add_frames_dropped(rx.try_iter().filter(RtEvent::is_data).count() as u64);
     }
 }
 
@@ -623,7 +512,8 @@ pub(crate) fn elapsed_ns(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The event class a data frame is keyed on, `None` for control.
+/// The event class a data frame is keyed on, `None` for control: `Some`
+/// exactly when [`OverlayMsg::is_data`].
 ///
 /// `AckUpto` deliberately stays control: broadcasting acks keeps every
 /// replica's consumer-offset table identical, and on shards that do not
@@ -913,20 +803,24 @@ impl Runtime {
                 let worker = executor
                     .worker(driver.node.wal().is_some())
                     .map_err(RtError::Thread)?;
-                let (inbox, done) = host_shard(&worker, driver, 0, &notice_tx);
+                // The inbox and the worker slot every generation uses.
+                let (tx, rx) = channel();
+                let rx: SharedRx = Arc::new(Mutex::new(rx));
+                let (done_tx, done) = channel();
+                let task = ShardTask::new(driver, &rx, &notice_tx, &done_tx);
+                let (inbox, worker_slot) = worker.host(tx, Some((b, shard)), task);
                 inboxes[b].push(inbox);
                 slots.lock().unwrap_or_else(PoisonError::into_inner).insert(
                     (b, shard),
                     ShardSlot {
                         stage: node.stage,
-                        generation: 0,
                         restarts: 0,
-                        replayed: 0,
                         fence,
+                        rx,
                         worker,
+                        worker_slot,
+                        done_tx,
                         done: Some(done),
-                        failed: false,
-                        restarting: false,
                     },
                 );
             }
@@ -1169,14 +1063,14 @@ impl Runtime {
         let (tx, rx) = channel();
         let task = SubscriberTask {
             driver: NodeDriver::new(node, id, None, self.router.clone(), Arc::clone(&self.stats)),
-            rx,
+            rx: Arc::new(Mutex::new(rx)),
             placed: 0,
             placed_tx,
             crashes: Arc::clone(&self.crashes),
             tap: tap.map(|tap| (tap, Arc::clone(&worker))),
             done: done_tx,
         };
-        let inbox = worker.host(tx, None, Box::new(task));
+        let (inbox, _) = worker.host(tx, None, Box::new(task));
         self.router.set(
             id,
             Route {
@@ -1305,24 +1199,29 @@ impl Runtime {
         // or permanently dead-ended before the poison sweep starts.
         self.supervisor.stop_and_join();
 
-        let mut entries: Vec<((usize, usize), ShardSlot)> = {
+        // Only what teardown reads: the slots' own exit senders go, so a
+        // node dropped without a report cannot leave a wait hanging.
+        let mut shards: Vec<_> = {
             let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-            slots.drain().collect()
+            let slots = slots.drain();
+            slots
+                .map(|(k, s)| (s.stage, k, s.restarts, s.done))
+                .collect()
         };
         // Top-down: the root's stage is the highest; deterministic order
         // within a stage.
-        entries.sort_by_key(|e| (Reverse(e.1.stage), e.0));
+        shards.sort_by_key(|&(stage, key, ..)| (Reverse(stage), key));
 
         // Crashes found here go after those the supervision layer recorded.
         let mut found = Vec::new();
-        let mut brokers = Vec::with_capacity(entries.len());
-        for stage in entries.chunk_by_mut(|x, y| x.1.stage == y.1.stage) {
+        let mut brokers = Vec::with_capacity(shards.len());
+        for stage in shards.chunk_by(|x, y| x.0 == y.0) {
             // One pill per node reaches every shard.
-            for e in stage.iter().filter(|e| e.0 .1 == 0) {
-                self.poison(ActorId(e.0 .0));
+            for (_, (b, _), ..) in stage.iter().filter(|e| e.1 .1 == 0) {
+                self.poison(ActorId(*b));
             }
-            for ((b, shard), slot) in stage {
-                let Some(done) = slot.done.take() else {
+            for (_, (b, shard), restarts, done) in stage {
+                let Some(done) = done else {
                     // Dead-ended after a spent restart budget; its crash
                     // entry was recorded when the supervisor gave up.
                     continue;
@@ -1336,7 +1235,7 @@ impl Runtime {
                         *shard,
                         CrashKind::Panic,
                         detail,
-                        slot.restarts,
+                        *restarts,
                     )),
                 }
             }
@@ -1503,22 +1402,34 @@ impl Drop for TableGauges {
 /// What a teardown reads when a node's worker dropped it without a report.
 const LOST_NODE: &str = "the node was dropped without an exit report";
 
-/// A broker shard as its worker runs it: table gauges after each slice;
-/// on exit the final state machine back to teardown — or, for a panic or
-/// a fence, a notice to the supervisor with the in-flight frame and the
-/// inbox receiver.
+/// One generation of a broker shard as its worker runs it: table gauges
+/// after each slice; on exit the final state machine back to teardown —
+/// or, for a panic, a notice to the supervisor with the in-flight frame.
+/// A fenced zombie hands its in-flight frame back to the inbox.
 struct ShardTask {
     driver: NodeDriver<Broker>,
-    rx: Receiver<RtEvent>,
-    /// Stale-generation notices (a fenced zombie waking late) are
-    /// salvaged, not restarted again.
-    generation: u64,
+    rx: SharedRx,
     gauges: TableGauges,
     notices: Sender<ShardDown>,
-    /// The final state machine, or the panic message; a fenced
-    /// generation sends nothing, its successor's channel having replaced
-    /// this one.
+    /// The final state machine, or the panic message.
     done: Sender<Result<Box<Broker>, String>>,
+}
+
+impl ShardTask {
+    fn new(
+        driver: NodeDriver<Broker>,
+        rx: &SharedRx,
+        notices: &Sender<ShardDown>,
+        done: &Sender<Result<Box<Broker>, String>>,
+    ) -> Box<Self> {
+        Box::new(Self {
+            gauges: TableGauges::new(&driver.env.stats, driver.env.speaks),
+            driver,
+            rx: Arc::clone(rx),
+            notices: notices.clone(),
+            done: done.clone(),
+        })
+    }
 }
 
 impl Task for ShardTask {
@@ -1537,51 +1448,33 @@ impl Task for ShardTask {
     }
 
     fn exit(mut self: Box<Self>, exit: Result<LoopExit, String>) {
-        let (fenced, detail) = match exit {
+        let (b, shard) = self.driver.slot();
+        let current = self.driver.take_in_flight();
+        let detail = match exit {
             Ok(LoopExit::Clean) => {
                 let _ = self.done.send(Ok(Box::new(self.driver.into_node())));
                 return;
             }
-            Ok(LoopExit::Fenced) => (true, String::new()),
-            Err(detail) => {
-                self.driver.env.stats.inc_panics();
-                let _ = self.done.send(Err(detail.clone()));
-                (false, detail)
+            Ok(LoopExit::Fenced) => {
+                if let Some(ev) = current {
+                    let env = &self.driver.env;
+                    env.router.push_back(b, shard, ev, &env.stats);
+                }
+                return;
             }
+            Err(detail) => detail,
         };
-        let (b, shard) = self.driver.slot();
+        self.driver.env.stats.inc_panics();
+        // Read by teardown if nobody restarts the shard; a restart
+        // discards it.
+        let _ = self.done.send(Err(detail.clone()));
         let _ = self.notices.send(ShardDown {
             b,
             shard,
-            generation: self.generation,
-            fenced,
             detail,
-            current: self.driver.take_current(),
-            rx: self.rx,
+            current,
         });
     }
-}
-
-/// Hosts generation `generation` of a broker shard on `worker`: returns
-/// its inbox and where its exit outcome arrives.
-fn host_shard(
-    worker: &Arc<Worker>,
-    driver: NodeDriver<Broker>,
-    generation: u64,
-    notices: &Sender<ShardDown>,
-) -> (Inbox, Receiver<Result<Box<Broker>, String>>) {
-    let (tx, rx) = channel();
-    let (done_tx, done) = channel();
-    let slot = driver.slot();
-    let task = ShardTask {
-        gauges: TableGauges::new(&driver.env.stats, driver.env.speaks),
-        driver,
-        rx,
-        generation,
-        notices: notices.clone(),
-        done: done_tx,
-    };
-    (worker.host(tx, Some(slot), Box::new(task)), done)
 }
 
 /// A subscriber as its worker runs it: placement signals, latency and the
@@ -1592,7 +1485,7 @@ fn host_shard(
 /// ([`RtSubscriberHandle::node`]).
 struct SubscriberTask {
     driver: NodeDriver<SubscriberNode>,
-    rx: Receiver<RtEvent>,
+    rx: SharedRx,
     /// Branches signalled as hosted so far, on `placed_tx`: what
     /// `add_subscriber_inner` blocks on between placement requests.
     placed: usize,
@@ -1665,7 +1558,7 @@ impl Task for SubscriberTask {
 /// so the filter table, placement decisions and RNG position converge
 /// with the surviving replicas. At start the prefix is empty: generation
 /// 0 is a restart with nothing to replay. Returns the broker and the
-/// replayed prefix length (the requeue filter's cutoff).
+/// replayed prefix length (its driver's replay cut-off).
 fn equip(
     mut broker: Broker,
     cfg: &RtConfig,
@@ -1719,39 +1612,23 @@ fn rebuild_broker(
 /// Replaces a crashed (or fenced) broker shard in place: rebuild the
 /// state machine ([`rebuild_broker`]), re-open its durable streams so
 /// durable subscribers receive a fresh `DurableBase` (rebasing their
-/// contiguity cursors) plus any unacked replay, host the replacement
-/// under a bumped generation on the worker the crashed one ran on, and
-/// requeue the crashed generation's surviving backlog into its inbox.
+/// contiguity cursors) plus any unacked replay, and store the successor in
+/// the crashed generation's worker slot, with `current`, the crashed
+/// generation's in-flight frame, as its first. Everything sent to the
+/// shard meanwhile waits in its inbox, in order.
 ///
-/// On success returns the number of data frames requeued. On failure the
-/// shard has already been routed to a dead end and the error carries the
-/// number of data frames lost with it; the caller marks the slot failed.
+/// Returns the shard's restart count; on failure, the error and `current`.
 pub(crate) fn perform_restart(
     shared: &SupervisorShared,
     b: usize,
     shard: usize,
-    stranded: Vec<Frame>,
-    park_rx: &Receiver<RtEvent>,
-) -> Result<u64, (String, u64)> {
+    current: Option<RtEvent>,
+) -> Result<u32, (String, Option<RtEvent>)> {
     let (broker, replayed) = match rebuild_broker(shared, b, shard) {
         Ok(x) => x,
-        Err(e) => {
-            let lost = shared.router.fail_shard(b, shard, stranded, Some(park_rx));
-            return Err((e, lost));
-        }
+        Err(e) => return Err((e, current)),
     };
-    let (generation, fence, worker) = {
-        let slots = shared.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(slot) = slots.get(&(b, shard)) else {
-            let lost = shared.router.fail_shard(b, shard, stranded, Some(park_rx));
-            return Err(("supervision slot vanished".to_string(), lost));
-        };
-        (
-            slot.generation + 1,
-            Arc::new(AtomicBool::new(false)),
-            Arc::clone(&slot.worker),
-        )
-    };
+    let fence = Arc::new(AtomicBool::new(false));
     let mut driver = NodeDriver::new(
         broker,
         ActorId(b),
@@ -1759,30 +1636,27 @@ pub(crate) fn perform_restart(
         shared.router.clone(),
         Arc::clone(&shared.stats),
     )
-    .fenced_by(Arc::clone(&fence));
+    .fenced_by(Arc::clone(&fence))
+    .resume(replayed, current);
     {
-        // Re-open durable streams *before* the new inbox goes live:
+        // Re-open durable streams before the successor takes a frame:
         // mpsc linearizes sends, so every subscriber sees its rebased
-        // `DurableBase` ahead of anything the replacement delivers.
+        // `DurableBase` ahead of anything the successor delivers.
         let (broker, mut ctx) = driver.ctx(false);
         broker.reopen_durable_streams(&mut ctx);
     }
-    let (inbox, done) = host_shard(&worker, driver, generation, &shared.notice_tx);
-    let requeued = shared
-        .router
-        .install_shard(b, shard, inbox, stranded, park_rx, replayed);
     let mut slots = shared.slots.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(slot) = slots.get_mut(&(b, shard)) {
-        slot.generation = generation;
-        slot.restarts += 1;
-        slot.replayed = replayed;
-        slot.fence = fence;
-        // The dead generation already reported through the notice
-        // channel; its outcome receiver goes.
-        slot.done = Some(done);
-        slot.restarting = false;
-    }
-    Ok(requeued)
+    let Some(slot) = slots.get_mut(&(b, shard)) else {
+        return Err((
+            "supervision slot vanished".to_string(),
+            driver.take_in_flight(),
+        ));
+    };
+    slot.restarts += 1;
+    slot.fence = fence;
+    let task = ShardTask::new(driver, &slot.rx, &shared.notice_tx, &slot.done_tx);
+    slot.worker.rehost(slot.worker_slot, task);
+    Ok(slot.restarts)
 }
 
 #[cfg(test)]
@@ -1843,7 +1717,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, ev)| match ev {
                     RtEvent::Frame(f) => {
-                        assert_eq!(f.tag, FrameTag::Ctrl(i as u64));
+                        assert_eq!(f.ctrl_seq, Some(i as u64));
                         let mut dict = EncodeDict::new(DictMode::Shared);
                         wire::encode_msg(f.from, &f.msg, &mut dict).unwrap()
                     }

@@ -308,7 +308,7 @@ impl RtStats {
     }
 
     /// Supervised shard restarts completed (state machine rebuilt,
-    /// durable log recovered, route re-wired).
+    /// durable log recovered, successor hosted in the shard's slot).
     #[must_use]
     pub fn restarts(&self) -> u64 {
         self.restarts.get()
@@ -328,17 +328,18 @@ impl RtStats {
     }
 
     /// The volatile loss ledger: data frames dropped by injected link
-    /// faults, sends to dead-ended shards, crash backlogs that could not
-    /// be requeued. Durable subscribers recover these through log
-    /// replay; volatile subscribers see exactly this count as potential
-    /// loss — accounted, never silent.
+    /// faults, sends to dead-ended shards, and the frames a shard's inbox
+    /// held when it was dead-ended. Durable subscribers recover these
+    /// through log replay; volatile subscribers see exactly this count as
+    /// potential loss — accounted, never silent.
     #[must_use]
     pub fn frames_dropped(&self) -> u64 {
         self.frames_dropped.get()
     }
 
-    /// Data frames salvaged from crashed shard inboxes and requeued into
-    /// the replacement generation.
+    /// In-flight data frames a crashed or fenced shard generation handed
+    /// to its successor. The rest of a crashed shard's backlog never
+    /// moves: it waits in the inbox the successor reads.
     #[must_use]
     pub fn frames_requeued(&self) -> u64 {
         self.frames_requeued.get()

@@ -2,21 +2,20 @@
 //! shard restarts.
 //!
 //! A dedicated `lc-supervisor` thread listens on a supervision channel
-//! for broker shard exit notices (panic or fence, carrying the in-flight
-//! frame and the dead inbox receiver), sent by the worker that ran the
-//! shard, and
-//! additionally scans every worker's busy stamp for stalls when
-//! [`SupervisionConfig::stall_timeout`] is set. A crashed broker shard
-//! is restarted in place under a bounded budget with exponential
-//! backoff (the PR 3 breaker shape: the delay doubles per consecutive
-//! restart, capped at 64× the base); the restart itself —
+//! for broker shard panic notices (carrying the in-flight frame), sent by
+//! the worker that ran the shard, and additionally scans every worker's
+//! busy stamp for stalls when [`SupervisionConfig::stall_timeout`] is set.
+//! A crashed broker shard is restarted in place under a bounded budget
+//! with exponential backoff (the PR 3 breaker shape: the delay doubles per
+//! consecutive restart, capped at 64× the base). A shard keeps its inbox
+//! and its worker slot for the runtime's life, so the restart itself —
 //! deterministic state-machine rebuild, muted control-prefix replay,
-//! durable-log recovery, `DurableBase` re-emission, router re-wiring
-//! and backlog requeue — lives in `runtime.rs`
-//! ([`crate::runtime`]'s `perform_restart`). A shard that exhausts its
-//! budget is routed to a dead end; from then on its data frames fail
-//! soft into the `rt.frames_dropped` ledger instead of wedging
-//! publishers.
+//! durable-log recovery, `DurableBase` re-emission, the successor stored
+//! in the crashed generation's slot — touches no route; it lives in
+//! `runtime.rs` ([`crate::runtime`]'s `perform_restart`). A shard that
+//! exhausts its budget is routed to a dead end; from then on its data
+//! frames fail soft into the `rt.frames_dropped` ledger instead of
+//! wedging publishers.
 //!
 //! Subscribers are supervised for *isolation only*: a subscriber panic is
 //! recorded as a [`CrashEntry`] and never takes the process or its
@@ -37,8 +36,9 @@ use layercake_overlay::Broker;
 use layercake_sim::ActorId;
 use layercake_trace::TraceSink;
 
+use crate::driver::SharedRx;
 use crate::executor::{Executor, Worker};
-use crate::runtime::{micros_since, perform_restart, Frame, Router, RtConfig, RtEvent};
+use crate::runtime::{micros_since, perform_restart, Router, RtConfig, RtEvent};
 use crate::stats::RtStats;
 
 /// How often the supervisor wakes without notices (to run due restarts
@@ -136,23 +136,15 @@ impl CrashEntry {
     }
 }
 
-/// A broker shard's exit notice, from the worker that ran it.
+/// A broker shard's panic notice, from the worker that ran it. Only the
+/// live generation sends one: a zombie's slice ends fenced.
 pub(crate) struct ShardDown {
     pub(crate) b: usize,
     pub(crate) shard: usize,
-    /// The sender's restart generation; stale notices (from already
-    /// replaced generations) are salvaged, not restarted again.
-    pub(crate) generation: u64,
-    /// The stall detector fenced it (or a fenced zombie woke late and is
-    /// handing its trapped frames back); otherwise it panicked.
-    pub(crate) fenced: bool,
     pub(crate) detail: String,
-    /// The frame being processed at the moment of death, if any.
-    pub(crate) current: Option<Frame>,
-    /// The dead inbox: once the router swaps the shard's sender the
-    /// channel closes and the supervisor drains every frame that made it
-    /// in — nothing in flight is lost to the race.
-    pub(crate) rx: Receiver<RtEvent>,
+    /// What it took off the inbox and left unhandled: its successor's
+    /// first frame.
+    pub(crate) current: Option<RtEvent>,
 }
 
 /// Supervision bookkeeping for one broker shard, keyed `(broker id,
@@ -160,23 +152,19 @@ pub(crate) struct ShardDown {
 pub(crate) struct ShardSlot {
     /// Topology stage, for teardown ordering (root = highest).
     pub(crate) stage: usize,
-    pub(crate) generation: u64,
     pub(crate) restarts: u32,
-    /// Control-prefix length the current generation was rebuilt from
-    /// (0 for the original); the requeue filter's cutoff for salvaged
-    /// control frames.
-    pub(crate) replayed: u64,
+    /// The live generation's; the stall detector sets it.
     pub(crate) fence: Arc<AtomicBool>,
-    /// The worker every generation of the shard runs on.
+    /// The inbox every generation reads.
+    pub(crate) rx: SharedRx,
+    /// The worker, and the slot on it, that every generation runs in.
     pub(crate) worker: Arc<Worker>,
-    /// Where the current generation's exit outcome arrives; `None` once
-    /// the shard is dead-ended (budget spent / failed restart).
+    pub(crate) worker_slot: usize,
+    /// Where every generation reports its exit.
+    pub(crate) done_tx: Sender<Result<Box<Broker>, String>>,
+    /// Where teardown reads it; `None` once the shard is dead-ended
+    /// (budget spent / failed restart).
     pub(crate) done: Option<Receiver<Result<Box<Broker>, String>>>,
-    /// Permanently given up.
-    pub(crate) failed: bool,
-    /// A restart is parked/pending; further notices for this shard are
-    /// salvage-only until it completes.
-    pub(crate) restarting: bool,
 }
 
 pub(crate) type Slots = Arc<Mutex<HashMap<(usize, usize), ShardSlot>>>;
@@ -208,8 +196,8 @@ struct PendingRestart {
     noticed_at: Instant,
     kind: CrashKind,
     detail: String,
-    stranded: Vec<Frame>,
-    park_rx: Receiver<RtEvent>,
+    /// The crashed generation's in-flight frame.
+    current: Option<RtEvent>,
 }
 
 /// Handle to the running supervisor thread.
@@ -313,96 +301,87 @@ fn push_crash(shared: &SupervisorShared, entry: CrashEntry) {
         .push(entry);
 }
 
-/// Dead-ends broker `b` shard `shard` for good once its route fails soft
-/// (`Router::fail_shard`): marks the slot failed, counts the give-up and
-/// the `lost` data frames, and records the crash as unrecovered. Its
-/// outcome receiver goes — a stalled zombie may sleep forever, and
-/// waiting for it would wedge teardown.
+/// Dead-ends broker `b` shard `shard` for good ([`Router::dead_end`]):
+/// counts the give-up, the in-flight frame `current` and the inbox's data
+/// frames as dropped, and records the crash as unrecovered. Its outcome
+/// receiver goes — a stalled zombie may sleep forever, and waiting for it
+/// would wedge teardown.
 fn give_up(
     shared: &SupervisorShared,
     b: usize,
     shard: usize,
     kind: CrashKind,
     detail: String,
-    lost: u64,
+    current: Option<RtEvent>,
 ) {
-    let restarts = lock_slots(shared).get_mut(&(b, shard)).map_or(0, |slot| {
-        slot.failed = true;
-        slot.restarting = false;
+    let Some((rx, restarts)) = lock_slots(shared).get_mut(&(b, shard)).map(|slot| {
         slot.done = None;
-        slot.restarts
-    });
+        (Arc::clone(&slot.rx), slot.restarts)
+    }) else {
+        return;
+    };
+    // The router's write lock is never taken under the slots lock.
+    shared.router.dead_end(b, shard, &rx, &shared.stats);
     shared.stats.inc_gave_up();
-    shared.stats.add_frames_dropped(lost);
+    shared
+        .stats
+        .add_frames_dropped(u64::from(current.as_ref().is_some_and(RtEvent::is_data)));
     push_crash(
         shared,
         CrashEntry::unrecovered(ActorId(b), shard, kind, detail, restarts),
     );
 }
 
+/// Schedules the restart of a panicked shard.
 fn on_notice(shared: &SupervisorShared, notice: ShardDown, pending: &mut Vec<PendingRestart>) {
     let ShardDown {
         b,
         shard,
-        generation,
-        fenced,
         detail,
         current,
-        rx,
     } = notice;
-    let (stale, replayed, restarts, budget_left) = {
-        let slots = lock_slots(shared);
-        let Some(slot) = slots.get(&(b, shard)) else {
-            return;
-        };
-        (
-            generation != slot.generation || slot.restarting || slot.failed,
-            slot.replayed,
-            slot.restarts,
-            slot.restarts < shared.cfg.supervision.max_restarts,
-        )
-    };
-    if stale || fenced {
-        // A fenced zombie waking after its replacement took over (or any
-        // stale-generation exit): salvage its trapped frames into whatever
-        // route is currently live. During a pending restart that route is
-        // the park channel, so the frames still reach the eventual
-        // replacement.
-        let (requeued, lost) = shared
-            .router
-            .requeue_stranded(b, shard, current, &rx, replayed);
-        shared.stats.add_frames_requeued(requeued);
-        shared.stats.add_frames_dropped(lost);
+    let Some(restarts) = lock_slots(shared).get(&(b, shard)).map(|slot| {
+        // The panic's exit report: a successor sends its own.
+        let _ = slot.done.as_ref().map(Receiver::try_recv);
+        slot.restarts
+    }) else {
         return;
+    };
+    schedule(
+        shared,
+        pending,
+        (b, shard),
+        restarts,
+        CrashKind::Panic,
+        detail,
+        current,
+    );
+}
+
+/// Restarts broker `b` shard `shard` once its backoff is over, or gives
+/// it up at once when its budget is spent.
+fn schedule(
+    shared: &SupervisorShared,
+    pending: &mut Vec<PendingRestart>,
+    (b, shard): (usize, usize),
+    restarts: u32,
+    kind: CrashKind,
+    detail: String,
+    current: Option<RtEvent>,
+) {
+    if restarts >= shared.cfg.supervision.max_restarts {
+        let detail = format!("{detail}; restart budget spent");
+        return give_up(shared, b, shard, kind, detail, current);
     }
-    // A current-generation panic.
-    if !budget_left {
-        let lost = shared.router.fail_shard(b, shard, current, Some(&rx));
-        return give_up(shared, b, shard, CrashKind::Panic, detail, lost);
-    }
-    if let Some(slot) = lock_slots(shared).get_mut(&(b, shard)) {
-        slot.restarting = true;
-    }
-    // Park the route first (closing the dead channel), then drain the dead
-    // inbox completely — the order guarantees no in-flight frame slips
-    // between drain and swap.
-    let park_rx = shared.router.park_shard(b, shard);
-    let stranded = current
-        .into_iter()
-        .chain(rx.try_iter().filter_map(|ev| match ev {
-            RtEvent::Frame(frame) => Some(frame),
-            RtEvent::Shutdown => None,
-        }));
     let now = Instant::now();
     pending.push(PendingRestart {
         b,
         shard,
         due: now + backoff(shared.cfg.supervision.backoff_base, restarts),
         noticed_at: now,
-        kind: CrashKind::Panic,
+        kind,
         detail,
-        stranded: stranded.collect(),
-        park_rx,
+        current,
     });
 }
 
@@ -432,20 +411,17 @@ fn complete_restart(shared: &SupervisorShared, restart: PendingRestart) {
         noticed_at,
         kind,
         detail,
-        stranded,
-        park_rx,
+        current,
         ..
     } = restart;
-    match perform_restart(shared, b, shard, stranded, &park_rx) {
-        Ok(requeued) => {
+    let requeued = u64::from(current.as_ref().is_some_and(RtEvent::is_data));
+    match perform_restart(shared, b, shard, current) {
+        Ok(restarts) => {
             shared.stats.inc_restarts();
             shared.stats.add_frames_requeued(requeued);
             shared.stats.record_restart_ns(
                 u64::try_from(noticed_at.elapsed().as_nanos()).unwrap_or(u64::MAX),
             );
-            let restarts = lock_slots(shared)
-                .get(&(b, shard))
-                .map_or(0, |slot| slot.restarts);
             push_crash(
                 shared,
                 CrashEntry {
@@ -458,20 +434,19 @@ fn complete_restart(shared: &SupervisorShared, restart: PendingRestart) {
                 },
             );
         }
-        Err((err, lost)) => {
+        Err((err, current)) => {
             let detail = format!("{detail}; restart failed: {err}");
-            give_up(shared, b, shard, kind, detail, lost);
+            give_up(shared, b, shard, kind, detail, current);
         }
     }
 }
 
 /// Hands every worker whose running slice began more than `timeout` ago
 /// to a fresh thread, and fences and schedules replacement for the broker
-/// shard stuck in that slice. The stuck node still owns its inbox;
-/// replacement starts with an empty backlog, and the zombie's trapped
-/// frames are salvaged when (if) it wakes and exits through the fence
-/// path. A stuck subscriber is not fenced: it rejoins its worker when its
-/// slice returns.
+/// shard stuck in that slice. The successor reads the shard's inbox while
+/// the zombie sleeps; a zombie that wakes hands its in-flight frame back
+/// to the inbox and leaves. A stuck subscriber is not fenced: it rejoins
+/// its worker when its slice returns.
 fn scan_stalls(shared: &SupervisorShared, timeout: Duration, pending: &mut Vec<PendingRestart>) {
     let timeout_us = u64::try_from(timeout.as_micros()).unwrap_or(u64::MAX);
     let cutoff = micros_since(shared.router.epoch).saturating_sub(timeout_us);
@@ -479,42 +454,23 @@ fn scan_stalls(shared: &SupervisorShared, timeout: Duration, pending: &mut Vec<P
         let Some((b, shard)) = worker.replace_if_stalled(cutoff) else {
             continue;
         };
-        // Route edits happen after the slots lock drops — the router
-        // write lock is never nested inside it.
-        let restarts = {
-            let mut slots = lock_slots(shared);
-            let Some(slot) = slots.get_mut(&(b, shard)) else {
-                continue;
-            };
-            if slot.failed || slot.restarting || slot.done.is_none() {
-                continue;
-            }
-            shared.stats.inc_stalls();
+        let Some(restarts) = lock_slots(shared).get(&(b, shard)).map(|slot| {
             slot.fence.store(true, Ordering::Relaxed);
-            slot.restarting = slot.restarts < shared.cfg.supervision.max_restarts;
             slot.restarts
+        }) else {
+            continue;
         };
-        if restarts < shared.cfg.supervision.max_restarts {
-            let park_rx = shared.router.park_shard(b, shard);
-            let now = Instant::now();
-            pending.push(PendingRestart {
-                b,
-                shard,
-                due: now + backoff(shared.cfg.supervision.backoff_base, restarts),
-                noticed_at: now,
-                kind: CrashKind::Stall,
-                detail: format!("a turn ran past the {timeout:?} stall timeout"),
-                stranded: Vec::new(),
-                park_rx,
-            });
-        } else {
-            // If the zombie ever wakes, its fence notice is salvaged
-            // against the dead-end route (counted loss).
-            let lost = shared.router.fail_shard(b, shard, [], None);
-            let detail =
-                format!("a turn ran past the {timeout:?} stall timeout; restart budget spent");
-            give_up(shared, b, shard, CrashKind::Stall, detail, lost);
-        }
+        shared.stats.inc_stalls();
+        let detail = format!("a turn ran past the {timeout:?} stall timeout");
+        schedule(
+            shared,
+            pending,
+            (b, shard),
+            restarts,
+            CrashKind::Stall,
+            detail,
+            None,
+        );
     }
 }
 

@@ -1,9 +1,10 @@
 //! Pluggable link transport for the runtime.
 //!
 //! The runtime's routing fabric is transport-agnostic: [`crate::Router`]
-//! decides *where* a message goes — which shard of which node, under which
-//! requeue tag — in one function, `Router::enter`, and this module decides
-//! *how* it travels there. Two backends implement the same contract:
+//! decides *where* a message goes — which shard of which node, at which
+//! control-log position — in one function, `Router::enter`, and this
+//! module decides *how* it travels there. Two backends implement the
+//! same contract:
 //!
 //! * [`TransportKind::Mpsc`] (the default) — the sender enters the message
 //!   into the destination's in-process `std::sync::mpsc` inboxes itself.
@@ -14,9 +15,9 @@
 //!   **writer thread** drains a command queue (senders never block on
 //!   socket I/O; the queue keeps mpsc's FIFO order), encoding what it finds
 //!   into one `write`. A per-link **reader thread** decodes each frame and
-//!   enters it into the destination's *current* inboxes through the same
-//!   `Router::enter` — routes are looked up per message, so supervised
-//!   shard restarts re-wire the link as they re-wire in-process senders.
+//!   enters it into the destination's inboxes through the same
+//!   `Router::enter`; a supervised shard restart keeps the shard's inbox,
+//!   so it changes nothing on the link.
 //!   These threads sample the `Encode` and `Decode` pipeline stages.
 //!
 //! The socket carries [`crate::wire`] frames and nothing else: exactly the

@@ -78,9 +78,9 @@ fn wait_for(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 }
 
 /// A single induced shard panic under load never aborts the process:
-/// the supervisor restarts the shard in place, requeues its inbox
-/// (including the very frame it died holding — the injected panic fires
-/// before processing), and every published event still arrives.
+/// the supervisor restarts the shard in place behind the inbox it keeps,
+/// hands the successor the very frame it died holding (the injected
+/// panic fires before processing), and every published event arrives.
 #[test]
 fn induced_panic_is_isolated_and_healed_in_place() {
     for transport in [TransportKind::Mpsc, TransportKind::Tcp] {
@@ -211,8 +211,8 @@ fn restart_storm_stays_exactly_once(transport: TransportKind) {
 }
 
 /// A stalled shard (one turn stuck, its worker thread alive but busy) is
-/// fenced and replaced by the stall detector; the frames trapped in the
-/// zombie are salvaged into the replacement when it finally wakes. While
+/// fenced and replaced by the stall detector; the zombie hands its
+/// in-flight frame to the replacement when it finally wakes. While
 /// the zombie still sleeps, the replacement — and every node that shared
 /// the stuck worker — runs on a fresh worker thread.
 #[test]
@@ -359,7 +359,7 @@ fn spent_restart_budget_degrades_to_accounted_loss() {
     let rt = Runtime::start(cfg, Arc::clone(&reg)).unwrap();
     // A *data* frame is the poison pill: unlike control (which muted
     // replay absorbs — a crash on a control frame heals in one restart),
-    // data frames are requeued verbatim into each new generation, which
+    // the data frame goes verbatim to each new generation, which
     // dies on the same frame again until the budget runs out. No
     // advertisement on purpose: this broker never gets to match anything.
     let publisher = rt.publisher();
@@ -391,4 +391,86 @@ fn spent_restart_budget_degrades_to_accounted_loss() {
     assert!(!failure.recovered);
     assert_eq!(failure.restarts, 2);
     assert!(report.into_result().is_err());
+}
+
+/// A control frame the successor's replay already covered still counts as
+/// handled: after a follower shard dies on a subscription, the next
+/// `advertise` finds every frame sent also received and returns at once
+/// (it used to wait out the whole placement timeout).
+#[test]
+fn advertise_after_a_restart_does_not_wait_for_covered_control() {
+    let mut registry = TypeRegistry::new();
+    let decls = || vec![AttributeDecl::new("region", ValueKind::Int)];
+    let first = registry.register("First", None, decls()).unwrap();
+    let second = registry.register("Second", None, decls()).unwrap();
+    let mut cfg = volatile_config(2);
+    // Shard 1's frames: the advertisement, then the subscription.
+    cfg.fault_plan = Some(RtFaultPlan::new(6).panic_shard(0, 1, 2));
+    cfg.supervision.backoff_base = Duration::from_millis(1);
+    let mut rt = Runtime::start(cfg, Arc::new(registry)).unwrap();
+    let map = || StageMap::from_prefixes(&[1]).unwrap();
+    rt.advertise(Advertisement::new(first, map()));
+    rt.add_subscriber(Filter::for_class(first).eq("region", 0i64))
+        .unwrap();
+    let stats = Arc::clone(rt.stats());
+    assert!(
+        wait_for(Duration::from_secs(10), || stats.restarts() == 1),
+        "restart never completed"
+    );
+
+    let started = Instant::now();
+    rt.advertise(Advertisement::new(second, map()));
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "advertise took {took:?}");
+    assert_eq!(stats.frames_sent(), stats.frames_received());
+    assert!(rt.shutdown().failure().is_none());
+}
+
+/// Frames sent while a crashed shard waits out its backoff queue in its
+/// inbox and reach the successor in order: the subscriber gets every
+/// event once, in publish order, and nothing is dropped.
+#[test]
+fn events_published_during_a_restart_arrive_once_and_in_order() {
+    for transport in [TransportKind::Mpsc, TransportKind::Tcp] {
+        restart_window_keeps_order(transport);
+    }
+}
+
+fn restart_window_keeps_order(transport: TransportKind) {
+    let (reg, class) = registry();
+    let mut cfg = volatile_config(1);
+    cfg.transport = transport;
+    // The shard's frames: the advertisement, the subscription, event 0.
+    cfg.fault_plan = Some(RtFaultPlan::new(7).panic_shard(0, 0, 3));
+    cfg.supervision.backoff_base = Duration::from_millis(200);
+    let mut rt = Runtime::start(cfg, Arc::clone(&reg)).unwrap();
+    rt.advertise(Advertisement::new(
+        class,
+        StageMap::from_prefixes(&[1]).unwrap(),
+    ));
+    let sub = rt
+        .add_subscriber(Filter::for_class(class).eq("region", 0i64))
+        .unwrap();
+    let stats = Arc::clone(rt.stats());
+    let publisher = rt.publisher();
+    publisher.publish(event(class, 0));
+    assert!(
+        wait_for(Duration::from_secs(10), || stats.panics() == 1),
+        "the injected panic never fired"
+    );
+    for seq in 1..50 {
+        publisher.publish(event(class, seq));
+    }
+    assert_eq!(stats.restarts(), 0, "published after the backoff");
+    assert!(
+        rt.wait_delivered(50, Duration::from_secs(30)),
+        "delivered only {} of 50 ({transport:?})",
+        stats.delivered(),
+    );
+    assert_eq!(stats.restarts(), 1);
+    assert_eq!(stats.frames_dropped(), 0);
+
+    let report = rt.shutdown().into_result().expect("the crash was healed");
+    let want: Vec<EventSeq> = (0..50).map(EventSeq).collect();
+    assert_eq!(report.deliveries(sub), want.as_slice(), "{transport:?}");
 }
