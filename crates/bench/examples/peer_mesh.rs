@@ -6,14 +6,14 @@
 //! with hop distance from each subscriber, so a paper announcement is
 //! dropped as early as its attributes allow.
 //!
-//! Run with: `cargo run --example peer_mesh`
+//! Run with: `cargo run -p layercake-bench --example peer_mesh`
 
 use std::sync::Arc;
 
-use layercake::event::{event_data, Advertisement};
-use layercake::overlay::mesh::{MeshConfig, MeshSim};
-use layercake::workload::BiblioWorkload;
-use layercake::{Envelope, EventSeq, Filter, TypeRegistry};
+use layercake_bench::mesh::{MeshConfig, MeshSim};
+use layercake_event::{event_data, Advertisement, Envelope, EventSeq, TypeRegistry};
+use layercake_filter::Filter;
+use layercake_workload::BiblioWorkload;
 
 fn main() {
     let mut registry = TypeRegistry::new();

@@ -7,8 +7,8 @@
 //! subscriber has to process.
 
 use layercake_metrics::{format_ratio, render_table};
-use layercake_overlay::baseline::{broadcast_run, centralized_run};
 
+use crate::baseline::{broadcast_run, centralized_run};
 use crate::{biblio_stream, max_broker_rlc, paper_biblio, paper_overlay, run_biblio, Report};
 
 const EVENTS: u64 = 20_000;

@@ -13,10 +13,11 @@ use std::sync::Arc;
 use layercake_event::{event_data, Advertisement, ClassId, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::Filter;
 use layercake_metrics::{render_table, RunMetrics};
-use layercake_overlay::{LinkConfig, OverlayConfig, OverlaySim, SubscriberHandle};
+use layercake_overlay::{OverlayConfig, SubscriberHandle};
 use layercake_sim::{FaultPlan, SimDuration};
 use layercake_workload::BiblioWorkload;
 
+use crate::link::{with_links, LinkConfig, LinkedSim};
 use crate::Report;
 
 const TTL: u64 = 400;
@@ -34,7 +35,7 @@ struct Cell {
 }
 
 struct Rig {
-    sim: OverlaySim,
+    sim: LinkedSim,
     class: ClassId,
     subs: Vec<SubscriberHandle>,
     next_seq: u64,
@@ -44,7 +45,7 @@ impl Rig {
     fn new(reliability: bool, seed: u64) -> Self {
         let mut registry = TypeRegistry::new();
         let class = BiblioWorkload::register(&mut registry);
-        let mut sim = OverlaySim::with_links(
+        let mut sim = with_links(
             OverlayConfig {
                 levels: vec![8, 2, 1],
                 leases_enabled: true,

@@ -211,7 +211,7 @@ impl FlowTx {
     /// Returns `false` (dropped) when the breaker is open: the NACK will
     /// recur after recovery.
     ///
-    /// [`LinkConfig::validate`]: crate::LinkConfig::validate
+    /// [`LinkConfig::validate`]: crate::link::LinkConfig::validate
     pub fn push_retransmit(&mut self, link_seq: u64, env: Envelope) -> bool {
         if self.is_broken() {
             return false;

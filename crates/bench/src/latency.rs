@@ -33,11 +33,12 @@ use std::sync::Arc;
 use layercake_event::{event_data, Advertisement, ClassId, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::Filter;
 use layercake_metrics::{render_histogram, RunMetrics};
-use layercake_overlay::{LinkConfig, OverlayConfig, OverlaySim, SubscriberHandle};
+use layercake_overlay::{OverlayConfig, SubscriberHandle};
 use layercake_sim::{FaultPlan, SimDuration};
 use layercake_trace::TraceId;
 use layercake_workload::BiblioWorkload;
 
+use crate::link::{with_links, LinkConfig, LinkedSim};
 use crate::Report;
 
 const TTL: u64 = 400;
@@ -48,7 +49,7 @@ const JSONL_SAMPLE_EVERY: u64 = 5;
 const JSONL_FILE: &str = "exp_latency_traces.jsonl";
 
 struct Rig {
-    sim: OverlaySim,
+    sim: LinkedSim,
     class: ClassId,
     subs: Vec<SubscriberHandle>,
     next_seq: u64,
@@ -58,7 +59,7 @@ impl Rig {
     fn new(trace_sample_every: u64, fault: Option<FaultPlan>, seed: u64) -> Self {
         let mut registry = TypeRegistry::new();
         let class = BiblioWorkload::register(&mut registry);
-        let mut sim = OverlaySim::with_links(
+        let mut sim = with_links(
             OverlayConfig {
                 levels: vec![8, 2, 1],
                 ttl: SimDuration::from_ticks(TTL),

@@ -13,6 +13,12 @@
 //! settings. Micro-benchmarks (Criterion, `cargo bench`) cover the
 //! mechanisms: weakening/merging, covering checks, and the typed
 //! end-to-end path (E7/M1, M2, M4 in `DESIGN.md`).
+//!
+//! The experiment baselines that only run in the simulator live here too,
+//! outside the production crates: the link layer ([`link`]: reliable
+//! sequencing and credit flow control around each node, for E13–E15),
+//! the peer mesh ([`mesh`], E10), and the Section 2.1 centralized and
+//! broadcast architectures ([`baseline`], E3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,15 +36,19 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 pub mod arch_compare;
+pub mod baseline;
 pub mod chaos;
 pub mod depth;
 pub mod expressiveness;
 pub mod fig7_mr;
+mod flow;
 pub mod latency;
 pub mod lease;
+pub mod link;
 pub mod mesh;
 pub mod overload;
 pub mod placement;
+mod reliability;
 pub mod rlc_table;
 pub mod scaling;
 pub mod wildcard;

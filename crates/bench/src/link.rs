@@ -16,26 +16,27 @@
 //! [`OverlayMsg`] passes through untouched — durable deliveries too: the
 //! log is their buffer and offset replay their repair.
 //!
-//! This is the experiment baseline of E13 (chaos) and E15 (overload).
-//! Only [`crate::OverlaySim::with_links`] turns it on; the wall-clock
-//! runtime never builds a `Linked` node (per-link state would diverge
-//! across matcher shards), and the link vocabulary is not part of the
-//! production protocol: [`OverlayMsg`] has no variant for it and the wire
-//! no tag.
+//! This is the experiment baseline of E13 (chaos), E14 (latency) and E15
+//! (overload). Only [`with_links`] turns it on; the production overlay
+//! never builds a `Linked` node (in the wall-clock runtime per-link state
+//! would diverge across matcher shards), and the link vocabulary is not
+//! part of the production protocol: [`OverlayMsg`] has no variant for it
+//! and the wire no tag.
 
 use std::collections::HashMap;
+use std::error::Error;
+use std::fmt;
 use std::sync::Arc;
 
-use layercake_event::{Envelope, TraceContext};
+use layercake_event::{Envelope, TraceContext, TypeRegistry};
 use layercake_metrics::{OverloadStats, RunMetrics};
+use layercake_overlay::{
+    Host, Node, NodeActor, NodeCtx, OverlayConfig, OverlayError, OverlayMsg, OverlaySim,
+};
 use layercake_sim::{Actor, ActorId, Ctx, SimDuration, SimTime};
 use layercake_trace::{HopRecord, HopVerdict, TraceSink};
 
-use crate::broker::trace_actor;
-use crate::ctx::{Node, NodeCtx};
-use crate::error::OverlayError;
 use crate::flow::{FlowRx, FlowTx, Offer, Queued, Tick};
-use crate::msg::OverlayMsg;
 use crate::reliability::{LinkRx, LinkTx, RxOutcome};
 
 /// Bound, in events, of each link's retransmission ring and `(class,
@@ -92,20 +93,103 @@ impl LinkConfig {
     ///
     /// # Errors
     ///
-    /// [`OverlayError::ZeroQueueCapacity`] or
-    /// [`OverlayError::WindowExceedsQueue`].
-    pub fn validate(&self) -> Result<(), OverlayError> {
+    /// [`LinkError::ZeroQueueCapacity`] or
+    /// [`LinkError::WindowExceedsQueue`].
+    pub fn validate(&self) -> Result<(), LinkError> {
         if self.flow_control && self.queue_capacity == 0 {
-            return Err(OverlayError::ZeroQueueCapacity);
+            return Err(LinkError::ZeroQueueCapacity);
         }
         if self.flow_control && self.reliable && RELIABILITY_WINDOW > self.queue_capacity {
-            return Err(OverlayError::WindowExceedsQueue {
+            return Err(LinkError::WindowExceedsQueue {
                 window: RELIABILITY_WINDOW,
                 capacity: self.queue_capacity,
             });
         }
         Ok(())
     }
+}
+
+/// Why [`with_links`] refused to build an overlay. Every variant names
+/// the knob to change.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LinkError {
+    /// The overlay configuration was rejected.
+    Overlay(OverlayError),
+    /// Flow control is enabled but the egress queues hold zero events, so
+    /// every data message would be shed immediately.
+    ZeroQueueCapacity,
+    /// The reliable-link retransmission window is larger than the egress
+    /// queue, so a single NACK burst could overflow the bounded queue with
+    /// unsheddable retransmissions.
+    WindowExceedsQueue {
+        /// The link layer's retransmission window.
+        window: usize,
+        /// Configured `queue_capacity`.
+        capacity: usize,
+    },
+}
+
+impl fmt::Display for LinkError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Overlay(e) => e.fmt(f),
+            Self::ZeroQueueCapacity => write!(
+                f,
+                "flow control is enabled with queue_capacity = 0, which sheds every event; \
+                 set `queue_capacity` >= 1 or turn `flow_control` off"
+            ),
+            Self::WindowExceedsQueue { window, capacity } => write!(
+                f,
+                "the retransmission window ({window}) exceeds queue_capacity ({capacity}); \
+                 retransmissions are never shed, so the bounded egress queue must be able \
+                 to hold a full NACK burst — raise `queue_capacity`"
+            ),
+        }
+    }
+}
+
+impl Error for LinkError {}
+
+impl From<OverlayError> for LinkError {
+    fn from(e: OverlayError) -> Self {
+        LinkError::Overlay(e)
+    }
+}
+
+/// An overlay simulation with every node behind the link layer.
+pub type LinkedSim = OverlaySim<Linked<NodeActor>>;
+
+/// Builds the hierarchy with every node, broker or subscriber, behind the
+/// link layer: reliable sequencing and/or credit flow control on each
+/// hop, as `link` says. With [`LinkConfig::default`] the layer is
+/// transparent, and the run equals [`OverlaySim::new`]'s.
+///
+/// # Errors
+///
+/// [`LinkConfig::validate`]'s, then [`OverlaySim::try_new`]'s.
+pub fn with_links(
+    cfg: OverlayConfig,
+    link: LinkConfig,
+    registry: Arc<TypeRegistry>,
+) -> Result<LinkedSim, LinkError> {
+    link.validate()?;
+    Ok(OverlaySim::hosting(cfg, registry, move |node, trace| {
+        let (label, stage) = match &node {
+            NodeActor::Broker(b) => (b.label().to_owned(), b.stage()),
+            NodeActor::Subscriber(s) => (s.label().to_owned(), 0),
+        };
+        Linked::new(node, link, label, stage, trace.cloned())
+    })?)
+}
+
+/// Sets (or clears, with `None`) the per-data-message service time of
+/// one broker. A broker with a service time is a finite-capacity
+/// server: data messages queue behind its busy clock, which is what
+/// makes a stage saturate under overload. Control messages are always
+/// free so credit grants and probes never queue behind the backlog
+/// they are meant to drain.
+pub fn set_broker_service_time(sim: &mut LinkedSim, id: ActorId, per_message: Option<SimDuration>) {
+    sim.host_mut(id).set_service_time(per_message);
 }
 
 /// What travels between two [`Linked`] nodes: a message of the production
@@ -276,6 +360,20 @@ impl<N: Node> Linked<N> {
         for env in outcome.released {
             self.with_node(ctx, |n, c| n.on_message(from, release(env), c));
         }
+    }
+}
+
+impl Host for Linked<NodeActor> {
+    fn node(&self) -> &NodeActor {
+        &self.node
+    }
+
+    fn node_mut(&mut self) -> &mut NodeActor {
+        &mut self.node
+    }
+
+    fn absorb_into(&self, m: &mut RunMetrics) {
+        Linked::absorb_into(self, m);
     }
 }
 
@@ -598,10 +696,13 @@ impl LinkState {
         let (Some(tc), Some(sink)) = (tc, self.trace.as_ref()) else {
             return;
         };
+        // A node's own id is never the external sender's sentinel, so it
+        // is its trace id as is.
+        let me = ctx.me().0 as u64;
         let hop = HopRecord {
             node: self.label.clone(),
-            node_id: trace_actor(ctx.me()),
-            from_id: trace_actor(ctx.me()),
+            node_id: me,
+            from_id: me,
             stage: self.stage,
             shard: 0,
             arrival: ctx.now(),
@@ -628,7 +729,7 @@ mod tests {
             queue_capacity: 0,
             ..base
         };
-        assert_eq!(zero_queue.validate(), Err(OverlayError::ZeroQueueCapacity));
+        assert_eq!(zero_queue.validate(), Err(LinkError::ZeroQueueCapacity));
 
         let narrow_queue = LinkConfig {
             reliable: true,
@@ -636,7 +737,7 @@ mod tests {
         };
         assert_eq!(
             narrow_queue.validate(),
-            Err(OverlayError::WindowExceedsQueue {
+            Err(LinkError::WindowExceedsQueue {
                 window: 256,
                 capacity: 64,
             })
@@ -653,5 +754,24 @@ mod tests {
             ..narrow_queue
         };
         assert!(wide_queue.validate().is_ok());
+    }
+
+    #[test]
+    fn messages_name_the_knob_to_change() {
+        let cases = [
+            (LinkError::ZeroQueueCapacity, "queue_capacity"),
+            (
+                LinkError::WindowExceedsQueue {
+                    window: 256,
+                    capacity: 64,
+                },
+                "window (256)",
+            ),
+            (LinkError::Overlay(OverlayError::ZeroTtl), "`ttl`"),
+        ];
+        for (err, needle) in cases {
+            let msg = err.to_string();
+            assert!(msg.contains(needle), "{msg:?} should mention {needle:?}");
+        }
     }
 }

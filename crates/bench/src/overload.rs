@@ -20,10 +20,11 @@ use std::sync::Arc;
 use layercake_event::{event_data, Advertisement, ClassId, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::Filter;
 use layercake_metrics::{render_table, Histogram, OverloadStats};
-use layercake_overlay::{LinkConfig, OverlayConfig, OverlaySim, SubscriberHandle};
+use layercake_overlay::{OverlayConfig, SubscriberHandle};
 use layercake_sim::SimDuration;
 use layercake_workload::BiblioWorkload;
 
+use crate::link::{set_broker_service_time, with_links, LinkConfig, LinkedSim};
 use crate::Report;
 
 /// Per-data-event service time of every stage-1 broker, in ticks.
@@ -49,7 +50,7 @@ struct Run {
 }
 
 struct Rig {
-    sim: OverlaySim,
+    sim: LinkedSim,
     class: ClassId,
     subs: Vec<SubscriberHandle>,
 }
@@ -62,7 +63,7 @@ impl Rig {
     fn new(flow: bool) -> Self {
         let mut registry = TypeRegistry::new();
         let class = BiblioWorkload::register(&mut registry);
-        let mut sim = OverlaySim::with_links(
+        let mut sim = with_links(
             OverlayConfig {
                 levels: vec![4, 2, 1],
                 trace_sample_every: 1,
@@ -96,7 +97,7 @@ impl Rig {
             assert!(sim.subscriber(h).host().is_some(), "placement completed");
         }
         for &b in &sim.brokers().to_vec()[..4] {
-            sim.set_broker_service_time(b, Some(SimDuration::from_ticks(SERVICE)));
+            set_broker_service_time(&mut sim, b, Some(SimDuration::from_ticks(SERVICE)));
         }
         Rig { sim, class, subs }
     }

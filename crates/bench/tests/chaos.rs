@@ -5,9 +5,10 @@
 
 use std::sync::Arc;
 
+use layercake_bench::link::{with_links, LinkConfig, LinkedSim};
 use layercake_event::{event_data, Advertisement, ClassId, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::Filter;
-use layercake_overlay::{LinkConfig, OverlayConfig, OverlaySim, SubscriberHandle};
+use layercake_overlay::{OverlayConfig, OverlaySim, SubscriberHandle};
 use layercake_sim::{FaultPlan, SimDuration};
 use layercake_workload::BiblioWorkload;
 use proptest::prelude::*;
@@ -19,7 +20,7 @@ const TTL: u64 = 200;
 const MAX_RECONVERGE_ROUNDS: u64 = 20;
 
 struct Chaos {
-    sim: OverlaySim,
+    sim: LinkedSim,
     class: ClassId,
     subs: Vec<SubscriberHandle>,
     next_seq: u64,
@@ -32,7 +33,7 @@ impl Chaos {
     fn new(n: usize, seed: u64) -> Self {
         let mut registry = TypeRegistry::new();
         let class = BiblioWorkload::register(&mut registry);
-        let mut sim = OverlaySim::with_links(
+        let mut sim = with_links(
             OverlayConfig {
                 levels: vec![4, 2, 1],
                 leases_enabled: true,
@@ -258,7 +259,7 @@ fn crashes_erase_ring_history_but_not_the_durable_log() {
     let run = |durable: bool| -> Vec<EventSeq> {
         let mut registry = TypeRegistry::new();
         let class = BiblioWorkload::register(&mut registry);
-        let mut sim = OverlaySim::with_links(
+        let mut sim = with_links(
             OverlayConfig {
                 levels: vec![1],
                 leases_enabled: true,
@@ -285,7 +286,7 @@ fn crashes_erase_ring_history_but_not_the_durable_log() {
         sim.run_for(SimDuration::from_ticks(TTL / 2));
         let host = sim.subscriber(sub).host().expect("placed");
 
-        let publish = |sim: &mut OverlaySim, seq: u64| {
+        let publish = |sim: &mut LinkedSim, seq: u64| {
             let data = event_data! {
                 "year" => 2002i64,
                 "conference" => "icdcs",

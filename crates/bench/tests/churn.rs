@@ -4,22 +4,19 @@
 
 use std::sync::Arc;
 
+use layercake_bench::link::{with_links, LinkConfig, LinkedSim};
 use layercake_event::{event_data, Advertisement, ClassId, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::Filter;
-use layercake_overlay::{LinkConfig, OverlayConfig, OverlaySim, SubscriberHandle};
+use layercake_overlay::{OverlayConfig, SubscriberHandle};
 use layercake_sim::SimDuration;
 use layercake_workload::BiblioWorkload;
 
 const TTL: u64 = 200;
 
-fn build(
-    n: usize,
-    leases: bool,
-    reliability: bool,
-) -> (OverlaySim, ClassId, Vec<SubscriberHandle>) {
+fn build(n: usize, leases: bool, reliability: bool) -> (LinkedSim, ClassId, Vec<SubscriberHandle>) {
     let mut registry = TypeRegistry::new();
     let class = BiblioWorkload::register(&mut registry);
-    let mut sim = OverlaySim::with_links(
+    let mut sim = with_links(
         OverlayConfig {
             levels: vec![4, 2, 1],
             leases_enabled: leases,
@@ -54,7 +51,7 @@ fn build(
     (sim, class, subs)
 }
 
-fn publish_for(sim: &mut OverlaySim, class: ClassId, i: usize, seq: u64) -> EventSeq {
+fn publish_for(sim: &mut LinkedSim, class: ClassId, i: usize, seq: u64) -> EventSeq {
     let data = event_data! {
         "year" => 2000i64,
         "conference" => "icdcs",
@@ -141,7 +138,7 @@ fn repeated_isolate_heal_cycles_keep_the_overlay_delivering() {
 #[test]
 fn unrenewed_leases_are_swept_and_events_stop_flowing() {
     let (mut sim, class, subs) = build(2, true, false);
-    let broker_filters = |sim: &OverlaySim| -> usize {
+    let broker_filters = |sim: &LinkedSim| -> usize {
         sim.brokers()
             .iter()
             .map(|&b| sim.broker(b).unwrap().filter_count())
@@ -166,4 +163,53 @@ fn unrenewed_leases_are_swept_and_events_stop_flowing() {
     sim.run_for(SimDuration::from_ticks(TTL / 2));
     assert!(!sim.deliveries(subs[0]).contains(&gone));
     assert!(sim.deliveries(subs[1]).contains(&kept));
+}
+
+/// Node churn: a broker goes dark ([`OverlaySim::isolate`]) and comes back
+/// ([`OverlaySim::heal_node`]). With per-link reliability the events
+/// published while it was dark are retransmitted after heal — node churn
+/// costs latency, not deliveries.
+#[test]
+fn isolated_broker_heals_without_losing_events() {
+    let mut registry = TypeRegistry::new();
+    let class = BiblioWorkload::register(&mut registry);
+    let registry = Arc::new(registry);
+    let mut sim = with_links(
+        OverlayConfig {
+            levels: vec![4, 1],
+            ..OverlayConfig::default()
+        },
+        LinkConfig {
+            reliable: true,
+            ..LinkConfig::default()
+        },
+        Arc::clone(&registry),
+    )
+    .unwrap();
+    sim.advertise(Advertisement::new(class, BiblioWorkload::stage_map()));
+    sim.settle();
+
+    let filter = Filter::for_class(class).eq("year", 2000).eq("author", "me");
+    let sub = sim.add_subscriber(filter).unwrap();
+    sim.settle();
+    let host = sim.subscriber(sub).host().expect("placed");
+    let publish = |sim: &mut LinkedSim, seq: u64| {
+        let e =
+            event_data! { "year" => 2000, "conference" => "c", "author" => "me", "title" => "t" };
+        sim.publish(Envelope::from_meta(class, "Biblio", EventSeq(seq), e));
+        sim.run_for(SimDuration::from_ticks(32));
+    };
+
+    publish(&mut sim, 0);
+    sim.isolate(host);
+    publish(&mut sim, 1); // dropped on the blocked link, buffered upstream
+    assert_eq!(sim.deliveries(sub), &[EventSeq(0)]);
+    sim.heal_node(host);
+    publish(&mut sim, 2); // exposes the gap; 1 is NACKed and retransmitted
+
+    assert_eq!(
+        sim.deliveries(sub),
+        &[EventSeq(0), EventSeq(1), EventSeq(2)]
+    );
+    assert!(sim.metrics().chaos.retransmitted > 0);
 }

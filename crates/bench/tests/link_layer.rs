@@ -5,17 +5,21 @@
 
 use std::sync::Arc;
 
+use layercake_bench::link::{with_links, LinkConfig, Linked};
 use layercake_event::{
-    AttributeDecl, BinCodec, ClassId, CodecError, DecodeDict, DictMode, Envelope, EventData,
-    EventSeq, TypeRegistry, ValueKind, WireReader,
+    Advertisement, AttributeDecl, BinCodec, ClassId, CodecError, DecodeDict, DictMode, Envelope,
+    EventData, EventSeq, TypeRegistry, ValueKind, WireReader,
 };
 use layercake_filter::{Filter, FilterId};
 use layercake_metrics::RunMetrics;
 use layercake_overlay::topology::build_subscriber;
 use layercake_overlay::{
-    LinkConfig, Linked, Node, NodeCtx, OverlayConfig, OverlayMsg, SubscriberNode,
+    Host, Node, NodeCtx, OverlayConfig, OverlayMsg, OverlaySim, SubscriberNode,
 };
 use layercake_sim::{ActorId, FaultPlan, SimDuration, SimTime, World};
+use layercake_workload::{BiblioConfig, BiblioWorkload};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const FORWARDER: ActorId = ActorId(0);
 const RECORDER: ActorId = ActorId(1);
@@ -317,4 +321,91 @@ fn unwrapped_nodes_ignore_link_layer_frames() {
             Err(CodecError::Tag(tag))
         );
     }
+}
+
+/// One Biblio run, with leases, full tracing and both kinds of
+/// unsubscription, whatever the world hosts at each node: what every
+/// subscriber got, the message count, the metrics and the trace log.
+fn biblio_run<H: Host>(
+    build: impl FnOnce(OverlayConfig, Arc<TypeRegistry>) -> OverlaySim<H>,
+) -> (Vec<Vec<EventSeq>>, u64, RunMetrics, Option<String>)
+where
+    H::Msg: From<OverlayMsg> + Clone,
+{
+    const TTL: u64 = 500;
+    let cfg = OverlayConfig {
+        levels: vec![8, 2, 1],
+        leases_enabled: true,
+        ttl: SimDuration::from_ticks(TTL),
+        trace_sample_every: 1,
+        seed: 3,
+        ..OverlayConfig::default()
+    };
+    let mut registry = TypeRegistry::new();
+    let mut rng = StdRng::seed_from_u64(7);
+    let biblio = BiblioConfig {
+        subscriptions: 30,
+        ..BiblioConfig::default()
+    };
+    let workload = BiblioWorkload::new(biblio, &mut registry, &mut rng);
+    let mut sim = build(cfg, Arc::new(registry));
+    sim.advertise(Advertisement::new(
+        workload.class(),
+        BiblioWorkload::stage_map(),
+    ));
+    sim.settle();
+    let handles: Vec<_> = workload
+        .subscriptions()
+        .iter()
+        .map(|f| sim.add_subscriber(f.clone()).unwrap())
+        .collect();
+    sim.settle();
+
+    let mut seq = 0;
+    let mut publish = |sim: &mut OverlaySim<H>, n: u64| {
+        for _ in 0..n {
+            sim.publish(workload.envelope(seq, &mut rng));
+            seq += 1;
+        }
+        sim.settle();
+    };
+    publish(&mut sim, 200);
+    for (i, &h) in handles.iter().enumerate() {
+        match i % 5 {
+            0 => assert!(sim.unsubscribe_now(h)),
+            1 => sim.unsubscribe(h),
+            _ => {}
+        }
+    }
+    sim.run_for(SimDuration::from_ticks(TTL * 4));
+    publish(&mut sim, 200);
+
+    let deliveries = handles
+        .iter()
+        .map(|&h| sim.deliveries(h).to_vec())
+        .collect();
+    (
+        deliveries,
+        sim.network_messages(),
+        sim.metrics(),
+        sim.trace_jsonl(),
+    )
+}
+
+/// The simulator runs bare nodes; the link layer with both mechanisms off
+/// must be a transparent wrapper around them, message for message.
+#[test]
+fn transparent_links_equal_the_bare_simulator() {
+    let bare = biblio_run(OverlaySim::new);
+    let linked =
+        biblio_run(|cfg, registry| with_links(cfg, LinkConfig::default(), registry).unwrap());
+    assert!(bare.0.iter().any(|d| !d.is_empty()), "the run delivers");
+    assert!(
+        bare.3.as_deref().is_some_and(|log| !log.is_empty()),
+        "the run traces"
+    );
+    assert_eq!(bare.0, linked.0, "per-subscriber deliveries");
+    assert_eq!(bare.1, linked.1, "network messages");
+    assert_eq!(bare.2, linked.2, "run metrics");
+    assert_eq!(bare.3, linked.3, "trace log");
 }

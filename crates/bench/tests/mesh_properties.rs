@@ -4,8 +4,8 @@
 
 use std::sync::Arc;
 
+use layercake_bench::mesh::{MeshConfig, MeshSim};
 use layercake_event::{Advertisement, Envelope, EventSeq, TypeRegistry};
-use layercake_overlay::mesh::{MeshConfig, MeshSim};
 use layercake_workload::{BiblioConfig, BiblioWorkload};
 use proptest::prelude::*;
 use rand::rngs::StdRng;

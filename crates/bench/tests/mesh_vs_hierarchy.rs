@@ -5,11 +5,10 @@
 
 use std::sync::Arc;
 
-use layercake::event::Advertisement;
-use layercake::overlay::mesh::{MeshConfig, MeshSim};
-use layercake::overlay::{OverlayConfig, OverlaySim};
-use layercake::workload::{BiblioConfig, BiblioWorkload};
-use layercake::{Envelope, EventSeq, TypeRegistry};
+use layercake_bench::mesh::{MeshConfig, MeshSim};
+use layercake_event::{Advertisement, Envelope, EventSeq, TypeRegistry};
+use layercake_overlay::{OverlayConfig, OverlaySim};
+use layercake_workload::{BiblioConfig, BiblioWorkload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -6,9 +6,10 @@
 
 use std::sync::Arc;
 
+use layercake_bench::link::{set_broker_service_time, with_links, LinkConfig, LinkedSim};
 use layercake_event::{event_data, Advertisement, ClassId, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::Filter;
-use layercake_overlay::{LinkConfig, OverlayConfig, OverlaySim, SubscriberHandle};
+use layercake_overlay::{OverlayConfig, SubscriberHandle};
 use layercake_sim::SimDuration;
 use layercake_workload::BiblioWorkload;
 use proptest::prelude::*;
@@ -18,7 +19,7 @@ use proptest::prelude::*;
 /// shed/delivery accounting exact.
 fn linear_sim(
     cfg_mut: impl FnOnce(&mut OverlayConfig, &mut LinkConfig),
-) -> (OverlaySim, ClassId, SubscriberHandle) {
+) -> (LinkedSim, ClassId, SubscriberHandle) {
     let mut registry = TypeRegistry::new();
     let class = BiblioWorkload::register(&mut registry);
     let mut cfg = OverlayConfig {
@@ -27,7 +28,7 @@ fn linear_sim(
     };
     let mut link = LinkConfig::default();
     cfg_mut(&mut cfg, &mut link);
-    let mut sim = OverlaySim::with_links(cfg, link, Arc::new(registry)).unwrap();
+    let mut sim = with_links(cfg, link, Arc::new(registry)).unwrap();
     sim.advertise(Advertisement::new(class, BiblioWorkload::stage_map()));
     sim.settle();
     // The filter constrains `title`, which only stage 1 can express, so
@@ -97,7 +98,7 @@ fn flow_control_is_invisible_under_capacity() {
 fn slow_stage_sheds_bounded_and_preserves_order() {
     let (mut sim, class, sub) = linear_sim(|_, link| link.flow_control = true);
     let slow = sim.brokers()[0];
-    sim.set_broker_service_time(slow, Some(SimDuration::from_ticks(8)));
+    set_broker_service_time(&mut sim, slow, Some(SimDuration::from_ticks(8)));
 
     const PUBLISHED: u64 = 300;
     for seq in 0..PUBLISHED {
@@ -213,7 +214,8 @@ proptest! {
             cfg.seed = seed;
         });
         let slow = sim.brokers()[0];
-        sim.set_broker_service_time(
+        set_broker_service_time(
+            &mut sim,
             slow,
             (service > 0).then(|| SimDuration::from_ticks(service)),
         );

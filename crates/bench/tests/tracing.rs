@@ -5,9 +5,10 @@
 
 use std::sync::Arc;
 
+use layercake_bench::link::{with_links, LinkConfig, LinkedSim};
 use layercake_event::{event_data, Advertisement, ClassId, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::Filter;
-use layercake_overlay::{LinkConfig, OverlayConfig, OverlaySim, SubscriberHandle};
+use layercake_overlay::{OverlayConfig, SubscriberHandle};
 use layercake_sim::{FaultPlan, SimDuration};
 use layercake_trace::HopVerdict;
 use layercake_workload::BiblioWorkload;
@@ -15,7 +16,7 @@ use layercake_workload::BiblioWorkload;
 const TTL: u64 = 200;
 
 struct Rig {
-    sim: OverlaySim,
+    sim: LinkedSim,
     class: ClassId,
     subs: Vec<SubscriberHandle>,
     next_seq: u64,
@@ -27,7 +28,7 @@ struct Rig {
 fn build(n: usize, trace_sample_every: u64, reliability: bool, seed: u64) -> Rig {
     let mut registry = TypeRegistry::new();
     let class = BiblioWorkload::register(&mut registry);
-    let mut sim = OverlaySim::with_links(
+    let mut sim = with_links(
         OverlayConfig {
             levels: vec![4, 2, 1],
             ttl: SimDuration::from_ticks(TTL),

@@ -6,9 +6,10 @@
 
 use std::sync::Arc;
 
+use layercake_bench::link::{with_links, LinkConfig};
 use layercake_event::{event_data, Advertisement, Envelope, EventSeq, TypeRegistry};
 use layercake_filter::Filter;
-use layercake_overlay::{LinkConfig, OverlayConfig, OverlaySim};
+use layercake_overlay::OverlayConfig;
 use layercake_sim::{FaultPlan, SimDuration};
 use layercake_workload::BiblioWorkload;
 use proptest::prelude::*;
@@ -54,7 +55,7 @@ fn run_zero_loss(
     {
         let mut registry = TypeRegistry::new();
         let class = BiblioWorkload::register(&mut registry);
-        let mut sim = OverlaySim::with_links(
+        let mut sim = with_links(
             OverlayConfig {
                 levels: vec![4, 2, 1],
                 leases_enabled: true,

@@ -50,7 +50,9 @@ pub struct OverlayConfig {
     /// any other — the naive attachment the paper warns about.
     pub wildcard_stage_placement: bool,
     /// Subscription time-to-live. Filters not renewed within
-    /// 3 × TTL are removed (Section 4.3).
+    /// 3 × TTL are removed (Section 4.3). It is also the period of a
+    /// durable subscriber's ack flush and gap-repair retries, which run
+    /// with leases off too, so it must be non-zero either way.
     pub ttl: SimDuration,
     /// Whether the lease machinery runs (renewal timers and expiry sweeps).
     /// Large batch evaluations disable it to keep timer traffic out of the
@@ -123,7 +125,7 @@ impl OverlayConfig {
     }
 
     /// Validates the topology (non-empty, exactly one root, level sizes
-    /// non-growing upward) and the durable log's knobs.
+    /// non-growing upward), the `ttl` and the durable log's knobs.
     ///
     /// # Errors
     ///
@@ -147,6 +149,9 @@ impl OverlayConfig {
                     above: w[1],
                 });
             }
+        }
+        if self.ttl == SimDuration::ZERO {
+            return Err(OverlayError::ZeroTtl);
         }
         if self.durability_enabled {
             if self.wal_segment_bytes == 0 {

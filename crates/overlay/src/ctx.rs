@@ -2,9 +2,9 @@
 //!
 //! Broker and subscriber protocol logic is written against [`NodeCtx`] — a
 //! minimal clock + outbox capability — instead of the simulator's concrete
-//! [`layercake_sim::Ctx`]. The deterministic simulator (through the
-//! [`crate::link`] wrapper) and the wall-clock runtime (`layercake-rt`)
-//! each provide their own implementation, so the *same*
+//! [`layercake_sim::Ctx`]. The deterministic simulator (the `Actor`
+//! adapter on [`crate::NodeActor`]) and the wall-clock runtime
+//! (`layercake-rt`) each provide their own implementation, so the *same*
 //! state machines run under virtual time (byte-identical, reproducible)
 //! and under real threads with framed wire messages. This is the parity
 //! contract: any behavioral divergence between sim and runtime must come

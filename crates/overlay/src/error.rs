@@ -29,18 +29,10 @@ pub enum OverlayError {
         /// Size of the (larger) level above it.
         above: usize,
     },
-    /// Flow control is enabled but the egress queues hold zero events, so
-    /// every data message would be shed immediately.
-    ZeroQueueCapacity,
-    /// The reliable-link retransmission window is larger than the egress
-    /// queue, so a single NACK burst could overflow the bounded queue with
-    /// unsheddable retransmissions.
-    WindowExceedsQueue {
-        /// The link layer's retransmission window.
-        window: usize,
-        /// Configured `queue_capacity`.
-        capacity: usize,
-    },
+    /// A zero `ttl`: the timers it paces (lease renewal and sweep, the
+    /// durable ack flush, gap-repair retries) would re-arm at the same
+    /// instant forever.
+    ZeroTtl,
     /// Durability is enabled with zero-byte log segments, so every append
     /// would rotate (and fsync) its own segment.
     ZeroSegmentBytes,
@@ -70,16 +62,10 @@ impl fmt::Display for OverlayError {
                 "level sizes must not grow upward (found {below} below {above}); \
                  order `levels` from the widest stage-1 tier to the single root"
             ),
-            Self::ZeroQueueCapacity => write!(
+            Self::ZeroTtl => write!(
                 f,
-                "flow control is enabled with queue_capacity = 0, which sheds every event; \
-                 set `queue_capacity` >= 1 or turn `flow_control` off"
-            ),
-            Self::WindowExceedsQueue { window, capacity } => write!(
-                f,
-                "the retransmission window ({window}) exceeds queue_capacity ({capacity}); \
-                 retransmissions are never shed, so the bounded egress queue must be able \
-                 to hold a full NACK burst — raise `queue_capacity`"
+                "ttl = 0 would re-arm the lease, ack-flush and gap-repair timers at the same \
+                 instant forever; set `ttl` to at least one tick"
             ),
             Self::ZeroSegmentBytes => write!(
                 f,
@@ -115,14 +101,7 @@ mod tests {
                 },
                 "must not grow",
             ),
-            (OverlayError::ZeroQueueCapacity, "queue_capacity"),
-            (
-                OverlayError::WindowExceedsQueue {
-                    window: 256,
-                    capacity: 64,
-                },
-                "window (256)",
-            ),
+            (OverlayError::ZeroTtl, "`ttl`"),
             (OverlayError::ZeroSegmentBytes, "wal_segment_bytes"),
             (OverlayError::ZeroFlushEvery, "wal_flush_every"),
         ];

@@ -17,10 +17,15 @@
 //! * [`OverlaySim`] — a facade that builds the hierarchy inside a
 //!   deterministic discrete-event [`layercake_sim::World`], drives
 //!   advertisements, subscriptions and publications, and extracts the
-//!   paper's metrics ([`layercake_metrics::RunMetrics`]).
-//! * [`baseline`] — the two reference architectures of Section 2.1: a
-//!   centralized filtering server (RLC ≡ 1) and broadcast-with-local-
-//!   filtering.
+//!   paper's metrics ([`layercake_metrics::RunMetrics`]). Its world holds
+//!   the bare nodes, exactly the state machines the wall-clock runtime
+//!   (`layercake-rt`) runs; an experiment that wraps them ([`Host`],
+//!   [`OverlaySim::hosting`]) does so from outside this crate.
+//!
+//! Everything here runs in the runtime too. The experiment baselines that
+//! only run in the simulator — the link layer (reliable sequencing and
+//! credit flow control), the peer mesh, and the Section 2.1 centralized
+//! and broadcast architectures — live in `layercake-bench`.
 //!
 //! # Example
 //!
@@ -53,17 +58,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 mod broker;
 mod config;
 mod ctx;
 mod error;
-mod flow;
-pub mod link;
-pub mod mesh;
 mod msg;
 mod node;
-mod reliability;
 mod sim;
 mod subscriber;
 pub mod topology;
@@ -73,8 +73,7 @@ pub use broker::Broker;
 pub use config::{OverlayConfig, PlacementPolicy};
 pub use ctx::{Node, NodeCtx};
 pub use error::OverlayError;
-pub use link::{LinkConfig, LinkMsg, Linked};
 pub use msg::{OverlayMsg, SubscriptionReq};
 pub use node::NodeActor;
-pub use sim::{OverlaySim, SubscriberHandle};
+pub use sim::{Host, OverlaySim, SubscriberHandle};
 pub use subscriber::{Branch, ResidualFilter, SubscriberNode};

@@ -119,8 +119,8 @@ pub enum OverlayMsg {
     Reannounce,
     /// An event delivered from a broker's durable log to a durable
     /// subscriber, stamped with its per-class log offset. Durable
-    /// deliveries bypass the simulator's flow-control egress queues and
-    /// retransmission ring ([`crate::link`]): the log itself is the
+    /// deliveries bypass the egress queues and retransmission ring of the
+    /// experiments' link layer (`layercake-bench`): the log itself is the
     /// buffer, and loss is repaired by offset replay rather than NACKs.
     ///
     /// A stream carries only the records the consumer's filters match,
@@ -230,8 +230,9 @@ impl BinCodec for SubscriptionReq {
 }
 
 // Variant tag bytes. Stable wire constants: append, never renumber. Tags
-// 12, 13, 14, 18 and 19 named the simulator's link-layer frames (now
-// `link::LinkMsg`, which never reaches a wire) and stay unassigned.
+// 12, 13, 14, 18 and 19 named the simulator's link-layer frames (now the
+// experiments' own message type, which never reaches a wire) and stay
+// unassigned.
 const T_ADVERTISE: u8 = 0;
 const T_SUBSCRIBE: u8 = 1;
 const T_JOIN_AT: u8 = 2;

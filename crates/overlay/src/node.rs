@@ -1,6 +1,6 @@
 //! The heterogeneous actor wrapper dispatching to brokers or subscribers.
 
-use layercake_sim::ActorId;
+use layercake_sim::{Actor, ActorId, Ctx, SimDuration, SimTime};
 
 use crate::broker::Broker;
 use crate::ctx::{Node, NodeCtx};
@@ -99,5 +99,45 @@ impl Node for NodeActor {
             NodeActor::Broker(b) => Broker::on_restart(b, ctx),
             NodeActor::Subscriber(_) => {}
         }
+    }
+}
+
+/// The [`NodeCtx`] a bare node runs under in the simulator: the world's
+/// own context. (The runtime's profiling hooks keep their off defaults.)
+struct SimCtx<'a, 'w>(&'a mut Ctx<'w, OverlayMsg>);
+
+impl NodeCtx for SimCtx<'_, '_> {
+    fn now(&self) -> SimTime {
+        self.0.now()
+    }
+
+    fn me(&self) -> ActorId {
+        self.0.me()
+    }
+
+    fn send(&mut self, to: ActorId, msg: OverlayMsg) {
+        self.0.send(to, msg);
+    }
+
+    fn set_timer(&mut self, delay: SimDuration, tag: u64) {
+        self.0.set_timer(delay, tag);
+    }
+}
+
+/// A bare node as the simulator runs it: the production protocol, with
+/// nothing between it and the world.
+impl Actor for NodeActor {
+    type Msg = OverlayMsg;
+
+    fn on_message(&mut self, from: ActorId, msg: OverlayMsg, ctx: &mut Ctx<'_, OverlayMsg>) {
+        Node::on_message(self, from, msg, &mut SimCtx(ctx));
+    }
+
+    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, OverlayMsg>) {
+        Node::on_timer(self, tag, &mut SimCtx(ctx));
+    }
+
+    fn on_restart(&mut self, ctx: &mut Ctx<'_, OverlayMsg>) {
+        Node::on_restart(self, &mut SimCtx(ctx));
     }
 }

@@ -5,13 +5,12 @@ use std::sync::Arc;
 use layercake_event::{Advertisement, Envelope, EventSeq, TraceId, TypeRegistry};
 use layercake_filter::{Filter, FilterError};
 use layercake_metrics::{LatencyMetrics, RunMetrics};
-use layercake_sim::{ActorId, FaultPlan, SimDuration, SimTime, World};
+use layercake_sim::{Actor, ActorId, FaultPlan, SimDuration, SimTime, World};
 use layercake_trace::{EventTrace, TraceSink};
 
 use crate::broker::Broker;
 use crate::config::OverlayConfig;
 use crate::error::OverlayError;
-use crate::link::{LinkConfig, Linked};
 use crate::msg::{OverlayMsg, SubscriptionReq};
 use crate::node::NodeActor;
 use crate::subscriber::{ResidualFilter, SubscriberNode};
@@ -19,6 +18,35 @@ use crate::subscriber::{ResidualFilter, SubscriberNode};
 /// Handle to a subscriber created with [`OverlaySim::add_subscriber`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SubscriberHandle(ActorId);
+
+/// What an [`OverlaySim`] world holds at each node: the bare
+/// [`NodeActor`], or an actor wrapping one (an experiment's link layer,
+/// say), which the facade reaches through.
+pub trait Host: Actor {
+    /// The overlay node inside.
+    fn node(&self) -> &NodeActor;
+
+    /// The overlay node inside, mutably.
+    fn node_mut(&mut self) -> &mut NodeActor;
+
+    /// Adds what the wrapper itself did at this node to a run's metrics.
+    /// A bare node has nothing to add.
+    fn absorb_into(&self, _m: &mut RunMetrics) {}
+}
+
+impl Host for NodeActor {
+    fn node(&self) -> &NodeActor {
+        self
+    }
+
+    fn node_mut(&mut self) -> &mut NodeActor {
+        self
+    }
+}
+
+/// How a facade turns each node it builds into the actor its world holds,
+/// given the shared trace sink.
+type Wrap<H> = Box<dyn Fn(NodeActor, Option<&Arc<TraceSink>>) -> H + Send>;
 
 /// A multi-stage filtering overlay running inside a deterministic
 /// discrete-event world.
@@ -29,11 +57,14 @@ pub struct SubscriberHandle(ActorId);
 /// root and filter down per Figure 6. After (or between) runs, node
 /// counters aggregate into the paper's metrics via
 /// [`OverlaySim::metrics`].
-pub struct OverlaySim {
-    world: World<Linked<NodeActor>>,
+///
+/// The world holds bare nodes unless it was built with
+/// [`OverlaySim::hosting`].
+pub struct OverlaySim<H: Host = NodeActor> {
+    world: World<H>,
     registry: Arc<TypeRegistry>,
     cfg: OverlayConfig,
-    link: LinkConfig,
+    wrap: Wrap<H>,
     root: ActorId,
     brokers: Vec<ActorId>,
     subscribers: Vec<ActorId>,
@@ -67,22 +98,25 @@ impl OverlaySim {
     /// Returns the [`OverlayError`] produced by [`OverlayConfig::validate`],
     /// with a message naming the offending knob and how to fix it.
     pub fn try_new(cfg: OverlayConfig, registry: Arc<TypeRegistry>) -> Result<Self, OverlayError> {
-        Self::with_links(cfg, LinkConfig::default(), registry)
+        Self::hosting(cfg, registry, |node, _| node)
     }
+}
 
-    /// Builds the hierarchy with every node behind the simulator's link
-    /// layer ([`crate::link`]): reliable sequencing and/or credit flow
-    /// control on each hop, as `link` says.
+impl<H: Host> OverlaySim<H>
+where
+    H::Msg: From<OverlayMsg> + Clone,
+{
+    /// Builds the hierarchy with every node, broker or subscriber, put
+    /// into the world as `wrap` makes it.
     ///
     /// # Errors
     ///
-    /// As [`OverlaySim::try_new`], plus [`LinkConfig::validate`]'s.
-    pub fn with_links(
+    /// As [`OverlaySim::try_new`].
+    pub fn hosting(
         cfg: OverlayConfig,
-        link: LinkConfig,
         registry: Arc<TypeRegistry>,
+        wrap: impl Fn(NodeActor, Option<&Arc<TraceSink>>) -> H + Send + 'static,
     ) -> Result<Self, OverlayError> {
-        link.validate()?;
         let trace =
             (cfg.trace_sample_every > 0).then(|| Arc::new(TraceSink::new(cfg.trace_sample_every)));
         let mut world = World::with_latency(SimDuration::from_ticks(1));
@@ -100,15 +134,7 @@ impl OverlaySim {
                 // storage of the wall-clock runtime.
                 broker.enable_durability(Box::new(crate::wal::MemStorage::new()), cfg.log_config());
             }
-            let label = broker.label().to_owned();
-            let linked = Linked::new(
-                NodeActor::Broker(broker),
-                link,
-                label,
-                node.stage,
-                trace.clone(),
-            );
-            let id = world.add_actor(linked);
+            let id = world.add_actor(wrap(NodeActor::Broker(broker), trace.as_ref()));
             debug_assert_eq!(id, node.id, "world id assignment diverged from topology");
             brokers.push(id);
         }
@@ -118,7 +144,7 @@ impl OverlaySim {
             world,
             registry,
             cfg,
-            link,
+            wrap: Box::new(wrap),
             root,
             brokers,
             subscribers: Vec::new(),
@@ -255,16 +281,16 @@ impl OverlaySim {
             &self.cfg,
             &self.registry,
             self.root,
-            label.clone(),
+            label,
             branches.clone(),
             residual,
             self.trace.as_ref(),
             durable,
         );
-        let node = NodeActor::Subscriber(node);
-        let actor =
-            self.world
-                .add_actor(Linked::new(node, self.link, label, 0, self.trace.clone()));
+        let actor = self.world.add_actor((self.wrap)(
+            NodeActor::Subscriber(node),
+            self.trace.as_ref(),
+        ));
         self.subscribers.push(actor);
         for (id, filter) in branches {
             self.world.send_external(
@@ -363,7 +389,7 @@ impl OverlaySim {
     pub fn subscriber(&self, handle: SubscriberHandle) -> &SubscriberNode {
         self.world
             .actor(handle.0)
-            .node
+            .node()
             .as_subscriber()
             .expect("handle points at a subscriber")
     }
@@ -371,7 +397,7 @@ impl OverlaySim {
     /// The broker node behind an actor id, if it is a broker.
     #[must_use]
     pub fn broker(&self, id: ActorId) -> Option<&Broker> {
-        self.world.actor(id).node.as_broker()
+        self.world.actor(id).node().as_broker()
     }
 
     /// Enables envelope buffering for a subscriber, so accepted events can
@@ -383,7 +409,7 @@ impl OverlaySim {
     pub fn set_store_envelopes(&mut self, handle: SubscriberHandle, store: bool) {
         self.world
             .actor_mut(handle.0)
-            .node
+            .node_mut()
             .as_subscriber_mut()
             .expect("handle points at a subscriber")
             .set_store_envelopes(store);
@@ -397,7 +423,7 @@ impl OverlaySim {
     pub fn take_inbox(&mut self, handle: SubscriberHandle) -> Vec<Envelope> {
         self.world
             .actor_mut(handle.0)
-            .node
+            .node_mut()
             .as_subscriber_mut()
             .expect("handle points at a subscriber")
             .take_inbox()
@@ -413,7 +439,7 @@ impl OverlaySim {
     pub fn unsubscribe(&mut self, handle: SubscriberHandle) {
         self.world
             .actor_mut(handle.0)
-            .node
+            .node_mut()
             .as_subscriber_mut()
             .expect("handle points at a subscriber")
             .deactivate();
@@ -432,7 +458,7 @@ impl OverlaySim {
         let node = self
             .world
             .actor_mut(handle.0)
-            .node
+            .node_mut()
             .as_subscriber_mut()
             .expect("handle points at a subscriber");
         if !node.fully_placed() {
@@ -557,7 +583,7 @@ impl OverlaySim {
     }
 
     /// Restarts a crashed broker. Its volatile state (filter table, stage
-    /// maps, leases, link-layer state) is wiped by
+    /// maps, leases) is wiped by
     /// [`Broker::on_restart`]; the rejoin protocol rebuilds it from the
     /// parent's re-advertisements and the children's re-registrations.
     /// When the *root* restarts, the facade replays the externally-injected
@@ -584,14 +610,14 @@ impl OverlaySim {
         self.world.is_crashed(id)
     }
 
-    /// Sets (or clears, with `None`) the per-data-message service time of
-    /// one broker. A broker with a service time is a finite-capacity
-    /// server: data messages queue behind its busy clock, which is what
-    /// makes a stage saturate under overload. Control messages are always
-    /// free so credit grants and probes never queue behind the backlog
-    /// they are meant to drain.
-    pub fn set_broker_service_time(&mut self, id: ActorId, per_message: Option<SimDuration>) {
-        self.world.actor_mut(id).set_service_time(per_message);
+    /// The actor the world holds for `id`: a node's wrapper, for the
+    /// experiments that configure one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this simulation.
+    pub fn host_mut(&mut self, id: ActorId) -> &mut H {
+        self.world.actor_mut(id)
     }
 
     /// The actor id behind a subscriber handle (for fault injection).
@@ -606,7 +632,7 @@ impl OverlaySim {
     /// without [`OverlayConfig::durability_enabled`].
     pub fn flush_wals(&mut self) {
         for &id in &self.brokers.clone() {
-            if let NodeActor::Broker(b) = &mut self.world.actor_mut(id).node {
+            if let NodeActor::Broker(b) = self.world.actor_mut(id).node_mut() {
                 b.flush_wal();
             }
         }
@@ -622,7 +648,7 @@ impl OverlaySim {
         m.chaos.crash_discarded = self.world.crash_discarded();
         for node in self.world.actors() {
             node.absorb_into(&mut m);
-            match &node.node {
+            match node.node() {
                 NodeActor::Broker(b) => {
                     if let Some(d) = b.durability() {
                         m.durability.absorb(d);
@@ -710,13 +736,13 @@ impl OverlaySim {
     pub fn dump_tables(&self) -> String {
         let mut out = String::new();
         let label_of = |actor: ActorId| -> String {
-            match &self.world.actor(actor).node {
+            match self.world.actor(actor).node() {
                 NodeActor::Broker(b) => b.label().to_owned(),
                 NodeActor::Subscriber(s) => format!("sub:{}", s.id()),
             }
         };
         for &id in self.brokers.iter().rev() {
-            let Some(broker) = self.world.actor(id).node.as_broker() else {
+            let Some(broker) = self.world.actor(id).node().as_broker() else {
                 continue;
             };
             out.push_str(&format!(
@@ -1165,6 +1191,22 @@ mod advertise_validation_tests {
             class,
             StageMap::from_prefixes(&[9]).unwrap(),
         ));
+    }
+
+    /// A zero TTL used to pass validation, and the lease timers then
+    /// re-armed at the same tick forever, so `settle` never returned.
+    #[test]
+    fn a_zero_ttl_is_rejected_before_the_first_timer() {
+        for leases_enabled in [true, false] {
+            let cfg = OverlayConfig {
+                levels: vec![2, 1],
+                leases_enabled,
+                ttl: SimDuration::ZERO,
+                ..OverlayConfig::default()
+            };
+            let err = OverlaySim::try_new(cfg, Arc::new(TypeRegistry::new())).err();
+            assert_eq!(err, Some(OverlayError::ZeroTtl), "leases {leases_enabled}");
+        }
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! overlay.
 //!
 //! The deterministic simulator (`layercake-overlay`) is the reference
-//! implementation of the protocol; this crate runs the *same* broker and
-//! subscriber state machines, bare (no [`layercake_overlay::link`]
-//! wrapper), through the transport-agnostic [`layercake_overlay::Node`] /
-//! [`layercake_overlay::NodeCtx`] traits, under real concurrency:
+//! implementation of the protocol; this crate runs the *same* bare broker
+//! and subscriber state machines through the transport-agnostic
+//! [`layercake_overlay::Node`] / [`layercake_overlay::NodeCtx`] traits,
+//! under real concurrency:
 //!
 //! * every broker matcher shard and every subscriber is a task, and a few
 //!   worker threads run them: volatile nodes share at most one worker per

@@ -10,8 +10,9 @@ use layercake_event::{
     StageMap, TypeRegistry, ValueKind, MAX_FRAME_PAYLOAD,
 };
 use layercake_filter::Filter;
-use layercake_overlay::OverlayConfig;
+use layercake_overlay::{OverlayConfig, OverlayError};
 use layercake_rt::{RtConfig, RtError, Runtime, TransportKind};
+use layercake_sim::SimDuration;
 
 /// Registers `n` two-attribute event classes (`region`, `level`).
 fn register_classes(registry: &mut TypeRegistry, n: usize) -> Vec<ClassId> {
@@ -399,4 +400,17 @@ fn runtime_rejects_unsupported_configs() {
     leased.leases_enabled = true;
     let err = Runtime::start(RtConfig::new(leased, 1), registry);
     assert!(matches!(err, Err(RtError::UnsupportedFeature(_))));
+}
+
+#[test]
+fn runtime_rejects_a_zero_ttl() {
+    // The ttl paces a durable subscriber's ack flush and gap repair even
+    // with leases off; zero would re-arm those timers forever.
+    let overlay = OverlayConfig {
+        levels: vec![1],
+        ttl: SimDuration::ZERO,
+        ..OverlayConfig::default()
+    };
+    let err = Runtime::start(RtConfig::new(overlay, 1), Arc::new(TypeRegistry::new()));
+    assert!(matches!(err, Err(RtError::Overlay(OverlayError::ZeroTtl))));
 }

@@ -13,7 +13,10 @@
 //!   weakening, merging, match indexes.
 //! * [`sim`] — deterministic discrete-event simulation substrate.
 //! * [`overlay`] — the broker hierarchy: subscription placement (Figure 5),
-//!   forwarding (Figure 6), TTL leases, baselines.
+//!   forwarding (Figure 6), TTL leases, durable logs, and the
+//!   deterministic simulator that is the protocol's reference. The
+//!   simulator-only experiment baselines (link layer, peer mesh,
+//!   Section 2.1 architectures) live in the `layercake-bench` crate.
 //! * [`workload`] — bibliographic / stock / auction generators
 //!   (Section 5.2).
 //! * [`metrics`] — LC / RLC / MR metrics, latency histograms, and report

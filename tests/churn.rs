@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use layercake::event::{event_data, Advertisement};
-use layercake::overlay::{LinkConfig, OverlayConfig, OverlaySim, SubscriberHandle};
+use layercake::overlay::{OverlayConfig, OverlaySim, SubscriberHandle};
 use layercake::workload::{BiblioConfig, BiblioWorkload};
 use layercake::{Envelope, EventSeq, Filter, TypeRegistry};
 use proptest::prelude::*;
@@ -156,55 +156,4 @@ fn resubscription_intervals() {
 
     assert_eq!(sim.deliveries(first), &[EventSeq(0)]);
     assert_eq!(sim.deliveries(second), &[EventSeq(2)]);
-}
-
-/// Node churn: a broker goes dark ([`OverlaySim::isolate`]) and comes back
-/// ([`OverlaySim::heal_node`]). With per-link reliability the events
-/// published while it was dark are retransmitted after heal — node churn
-/// costs latency, not deliveries.
-#[test]
-fn isolated_broker_heals_without_losing_events() {
-    use layercake::sim::SimDuration;
-
-    let mut registry = TypeRegistry::new();
-    let class = BiblioWorkload::register(&mut registry);
-    let registry = Arc::new(registry);
-    let mut sim = OverlaySim::with_links(
-        OverlayConfig {
-            levels: vec![4, 1],
-            ..OverlayConfig::default()
-        },
-        LinkConfig {
-            reliable: true,
-            ..LinkConfig::default()
-        },
-        Arc::clone(&registry),
-    )
-    .unwrap();
-    sim.advertise(Advertisement::new(class, BiblioWorkload::stage_map()));
-    sim.settle();
-
-    let filter = Filter::for_class(class).eq("year", 2000).eq("author", "me");
-    let sub = sim.add_subscriber(filter).unwrap();
-    sim.settle();
-    let host = sim.subscriber(sub).host().expect("placed");
-    let publish = |sim: &mut OverlaySim, seq: u64| {
-        let e =
-            event_data! { "year" => 2000, "conference" => "c", "author" => "me", "title" => "t" };
-        sim.publish(Envelope::from_meta(class, "Biblio", EventSeq(seq), e));
-        sim.run_for(SimDuration::from_ticks(32));
-    };
-
-    publish(&mut sim, 0);
-    sim.isolate(host);
-    publish(&mut sim, 1); // dropped on the blocked link, buffered upstream
-    assert_eq!(sim.deliveries(sub), &[EventSeq(0)]);
-    sim.heal_node(host);
-    publish(&mut sim, 2); // exposes the gap; 1 is NACKed and retransmitted
-
-    assert_eq!(
-        sim.deliveries(sub),
-        &[EventSeq(0), EventSeq(1), EventSeq(2)]
-    );
-    assert!(sim.metrics().chaos.retransmitted > 0);
 }
