@@ -3,6 +3,8 @@
 use layercake_filter::FilterError;
 use layercake_overlay::OverlayError;
 
+use crate::wire::WireError;
+
 /// Errors from starting or driving the wall-clock runtime.
 #[derive(Debug)]
 pub enum RtError {
@@ -85,5 +87,11 @@ impl From<OverlayError> for RtError {
 impl From<std::io::Error> for RtError {
     fn from(e: std::io::Error) -> Self {
         RtError::Storage(e)
+    }
+}
+
+impl From<WireError> for RtError {
+    fn from(e: WireError) -> Self {
+        RtError::Wire(e.to_string())
     }
 }

@@ -13,14 +13,15 @@
 //!   worker of its own;
 //! * nodes exchange messages — over `std::sync::mpsc` channels by
 //!   default, an event crossing a hop as an `Arc` bump of its envelope, or
-//!   over loopback TCP sockets ([`TransportKind::Tcp`]) that carry plain
-//!   [`wire`] frames and nothing else, end of stream being the shutdown
-//!   pill; on either transport a message enters its destination's inbox
-//!   through the same router path, which picks the shard, captures
-//!   control for restart replay and schedules the node on its worker;
+//!   over loopback TCP sockets ([`TransportKind::Tcp`]) that carry a
+//!   handshake, then plain [`wire`] frames and nothing else, end of
+//!   stream being the shutdown pill; on either transport a message enters
+//!   its destination's inbox through the same router path, which picks
+//!   the shard, captures control for restart replay and schedules the
+//!   node on its worker;
 //! * separate *processes* talk to a broker through the [`remote`]
-//!   protocol: a handshake, a per-connection negotiated attribute
-//!   dictionary, then the same framed binary messages over TCP;
+//!   protocol: the same socket link, with a per-connection negotiated
+//!   attribute dictionary;
 //! * events are hashed by class across `shards` matcher shards per
 //!   broker, which the workers spread across cores, scaling the dominant
 //!   per-event cost (matching);
@@ -126,4 +127,5 @@ pub use runtime::{Publisher, RtConfig, RtReport, RtSubscriberHandle, Runtime};
 pub use stats::RtStats;
 pub use supervisor::{CrashEntry, CrashKind, SupervisionConfig};
 pub use transport::TransportKind;
-pub use wire::{LinkDecoder, WireCodec, WireError};
+pub use wire::retired::*;
+pub use wire::{WireCodec, WireError};

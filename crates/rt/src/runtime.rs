@@ -71,8 +71,8 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGua
 use std::time::{Duration, Instant};
 
 use layercake_event::{
-    Advertisement, AttrValue, DictMode, EncodeDict, Envelope, TraceContext, TraceId, TypeRegistry,
-    FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
+    Advertisement, AttrValue, DecodeDict, DictMode, EncodeDict, Envelope, TraceContext, TraceId,
+    TypeRegistry, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
 };
 use layercake_filter::{Filter, FilterId};
 use layercake_metrics::{DurabilityStats, Gauge, PipelineStage, StageProfiler, TelemetrySnapshot};
@@ -93,7 +93,7 @@ use crate::supervisor::{
     SupervisorShared,
 };
 use crate::transport::{self, Link, LinkCmd, TransportKind};
-use crate::wire::{self, LinkDecoder, WireCodec};
+use crate::wire;
 
 /// The external-publisher sentinel: same value the simulator uses for
 /// `send_external`, so provenance on the wire matches sim traces.
@@ -827,16 +827,8 @@ impl Runtime {
         }
         let mut links: Vec<Link> = Vec::new();
         for (b, shards) in inboxes.into_iter().enumerate() {
-            let link = match cfg.transport {
-                TransportKind::Mpsc => None,
-                TransportKind::Tcp => {
-                    let link = transport::spawn_link(b, router.clone(), Arc::clone(&stats))
-                        .map_err(RtError::Thread)?;
-                    let tx = link.tx.clone();
-                    links.push(link);
-                    Some(tx)
-                }
-            };
+            let link = transport::open_link(cfg.transport, b, &router, &stats, &mut links)
+                .map_err(RtError::Thread)?;
             router.set(ActorId(b), Route { shards, link });
         }
 
@@ -924,6 +916,11 @@ impl Runtime {
     #[must_use]
     pub fn root(&self) -> ActorId {
         self.root
+    }
+
+    /// The stage profiler every node and link samples into.
+    pub(crate) fn profiler(&self) -> &Arc<StageProfiler> {
+        &self.router.profiler
     }
 
     /// Floods an event-class advertisement from the root, mirroring
@@ -1046,17 +1043,14 @@ impl Runtime {
         );
         node.set_store_envelopes(true);
 
-        let link = match self.cfg.transport {
-            TransportKind::Mpsc => None,
-            TransportKind::Tcp => {
-                let link =
-                    transport::spawn_link(id.0, self.router.clone(), Arc::clone(&self.stats))
-                        .map_err(RtError::Thread)?;
-                let link_tx = link.tx.clone();
-                self.links.push(link);
-                Some(link_tx)
-            }
-        };
+        let link = transport::open_link(
+            self.cfg.transport,
+            id.0,
+            &self.router,
+            &self.stats,
+            &mut self.links,
+        )
+        .map_err(RtError::Thread)?;
         let worker = self.executor.worker(false).map_err(RtError::Thread)?;
         let (placed_tx, placed) = channel();
         let (done_tx, done) = channel();
@@ -1574,14 +1568,14 @@ fn equip(
     broker.set_stage_profiler(Arc::clone(profiler));
     let prefix = router.ctrl_prefix(b);
     let replayed = prefix.len() as u64;
-    let mut decoder = LinkDecoder::new(WireCodec::Binary);
+    let mut dict = DecodeDict::new(DictMode::Shared);
     let mut ctx = MutedCtx {
         me: ActorId(b),
         epoch: router.epoch,
     };
+    // Each entry is one frame, the runtime's own encoding.
     for bytes in prefix {
-        decoder.push(&bytes);
-        while let Ok(Some((from, msg))) = decoder.next_msg() {
+        if let Ok(Some((from, msg))) = wire::decode_payload(&bytes[FRAME_HEADER_LEN..], &mut dict) {
             broker.on_message(from, msg, &mut ctx);
         }
     }
@@ -1617,13 +1611,17 @@ fn rebuild_broker(
 /// generation's in-flight frame, as its first. Everything sent to the
 /// shard meanwhile waits in its inbox, in order.
 ///
-/// Returns the shard's restart count; on failure, the error and `current`.
+/// `recovered` gets the shard's restart count just before the successor
+/// is stored: what the successor delivers can be observed at once, and
+/// must not be seen ahead of its restart's accounting. On failure, returns
+/// the error and `current`.
 pub(crate) fn perform_restart(
     shared: &SupervisorShared,
     b: usize,
     shard: usize,
     current: Option<RtEvent>,
-) -> Result<u32, (String, Option<RtEvent>)> {
+    recovered: impl FnOnce(u32),
+) -> Result<(), (String, Option<RtEvent>)> {
     let (broker, replayed) = match rebuild_broker(shared, b, shard) {
         Ok(x) => x,
         Err(e) => return Err((e, current)),
@@ -1654,9 +1652,10 @@ pub(crate) fn perform_restart(
     };
     slot.restarts += 1;
     slot.fence = fence;
+    recovered(slot.restarts);
     let task = ShardTask::new(driver, &slot.rx, &shared.notice_tx, &slot.done_tx);
     slot.worker.rehost(slot.worker_slot, task);
-    Ok(slot.restarts)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -415,29 +415,27 @@ fn complete_restart(shared: &SupervisorShared, restart: PendingRestart) {
         ..
     } = restart;
     let requeued = u64::from(current.as_ref().is_some_and(RtEvent::is_data));
-    match perform_restart(shared, b, shard, current) {
-        Ok(restarts) => {
-            shared.stats.inc_restarts();
-            shared.stats.add_frames_requeued(requeued);
-            shared.stats.record_restart_ns(
-                u64::try_from(noticed_at.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
-            push_crash(
-                shared,
-                CrashEntry {
-                    node: ActorId(b),
-                    shard,
-                    kind,
-                    detail,
-                    restarts,
-                    recovered: true,
-                },
-            );
-        }
-        Err((err, current)) => {
-            let detail = format!("{detail}; restart failed: {err}");
-            give_up(shared, b, shard, kind, detail, current);
-        }
+    let recovered = |restarts| {
+        shared.stats.inc_restarts();
+        shared.stats.add_frames_requeued(requeued);
+        shared
+            .stats
+            .record_restart_ns(u64::try_from(noticed_at.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        push_crash(
+            shared,
+            CrashEntry {
+                node: ActorId(b),
+                shard,
+                kind,
+                detail: detail.clone(),
+                restarts,
+                recovered: true,
+            },
+        );
+    };
+    if let Err((err, current)) = perform_restart(shared, b, shard, current, recovered) {
+        let detail = format!("{detail}; restart failed: {err}");
+        give_up(shared, b, shard, kind, detail, current);
     }
 }
 

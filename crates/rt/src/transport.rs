@@ -14,42 +14,42 @@
 //!   gets a real loopback TCP socket in front of its inboxes. A per-link
 //!   **writer thread** drains a command queue (senders never block on
 //!   socket I/O; the queue keeps mpsc's FIFO order), encoding what it finds
-//!   into one `write`. A per-link **reader thread** decodes each frame and
-//!   enters it into the destination's inboxes through the same
-//!   `Router::enter`; a supervised shard restart keeps the shard's inbox,
-//!   so it changes nothing on the link.
+//!   into one `write`. A per-link **reader thread** reads the frames with
+//!   [`wire::read_link`] and enters each message into the destination's
+//!   inboxes through the same `Router::enter`; a supervised shard restart
+//!   keeps the shard's inbox, so it changes nothing on the link.
 //!   These threads sample the `Encode` and `Decode` pipeline stages.
 //!
-//! The socket carries [`crate::wire`] frames and nothing else: exactly the
-//! bytes [`wire::encode_msg_into`] writes with the shared dictionary.
-//! End of stream is the shutdown pill. Poisoning a TCP node closes its
-//! link once everything queued ahead has been written, and at EOF the
-//! reader hands the pill to every shard of its node — behind the last
-//! frame, which keeps the teardown invariant that a joined upstream
-//! stage's frames are enqueued downstream before the downstream node
-//! drains.
+//! The socket carries [`crate::wire`] frames and nothing else: a
+//! handshake ([`wire::encode_hello`]), then exactly the bytes
+//! [`wire::encode_msg_into`] writes with the shared dictionary. End of
+//! stream is the shutdown pill. Poisoning a TCP node closes its link once
+//! everything queued ahead has been written, and at EOF the reader hands
+//! the pill to every shard of its node — behind the last frame, which
+//! keeps the teardown invariant that a joined upstream stage's frames are
+//! enqueued downstream before the downstream node drains.
 //!
-//! This backend is the in-process proving ground for the socket path
+//! This link is the only code that reads or writes a runtime socket
 //! (sim-vs-rt parity runs over it; see `tests/parity.rs`). Genuinely
-//! separate broker *processes* talk through the higher-level
-//! [`crate::remote`] protocol instead, which adds the handshake and the
-//! negotiated attribute dictionary a trust boundary needs.
+//! separate broker *processes* talk through [`crate::remote`], whose
+//! connection is the same writer and reader in [`DictMode::Negotiated`],
+//! the attribute dictionary a trust boundary needs.
 
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use layercake_event::{DecodeDict, DictMode, EncodeDict, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD};
+use layercake_event::{DictMode, EncodeDict};
 use layercake_metrics::{PipelineStage, StageProfiler};
 use layercake_overlay::OverlayMsg;
 use layercake_sim::ActorId;
 
 use crate::runtime::{elapsed_ns, Router};
 use crate::stats::RtStats;
-use crate::wire::{self, WireCodec};
+use crate::wire::{self, WireCodec, WireError, LINK_BATCH_BYTES};
 
 /// Which link backend carries frames between nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,30 +75,36 @@ pub(crate) enum LinkCmd {
 /// One live TCP link: the command sender the router dispatches into,
 /// plus the writer/reader threads joined at teardown.
 pub(crate) struct Link {
-    pub(crate) tx: Sender<LinkCmd>,
-    writer: Option<JoinHandle<()>>,
-    reader: Option<JoinHandle<()>>,
+    tx: Sender<LinkCmd>,
+    writer: JoinHandle<()>,
+    reader: JoinHandle<()>,
 }
 
 impl Link {
     /// Closes the socket (a no-op when poisoning already did) and joins
     /// both threads. Called after every node has drained, so
     /// nothing useful can still be in flight.
-    pub(crate) fn close(mut self) {
+    pub(crate) fn close(self) {
         let _ = self.tx.send(LinkCmd::Close);
-        if let Some(h) = self.writer.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
+        let _ = self.writer.join();
+        let _ = self.reader.join();
     }
 }
 
-/// Builds the TCP link in front of node `dest`'s inbox channels: binds
-/// an ephemeral loopback listener, connects the writer side, accepts the
-/// reader side, and spawns both threads.
-pub(crate) fn spawn_link(dest: usize, router: Router, stats: Arc<RtStats>) -> io::Result<Link> {
+/// The link in front of node `dest`'s inboxes on transport `kind`: none
+/// on mpsc. On TCP, binds an ephemeral loopback listener, connects the
+/// writer side, accepts the reader side, spawns both threads and keeps
+/// the link in `links` for teardown; returns the queue its writer drains.
+pub(crate) fn open_link(
+    kind: TransportKind,
+    dest: usize,
+    router: &Router,
+    stats: &Arc<RtStats>,
+    links: &mut Vec<Link>,
+) -> io::Result<Option<Sender<LinkCmd>>> {
+    if kind == TransportKind::Mpsc {
+        return Ok(None);
+    }
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     // Loopback connect against our own listening backlog: the handshake
@@ -110,41 +116,41 @@ pub(crate) fn spawn_link(dest: usize, router: Router, stats: Arc<RtStats>) -> io
     inc.set_nodelay(true)?;
 
     let (tx, rx) = channel();
-    let (profiler, writer_stats) = (Arc::clone(&router.profiler), Arc::clone(&stats));
+    let (profiler, writer_stats) = (Arc::clone(&router.profiler), Arc::clone(stats));
     let writer = std::thread::Builder::new()
         .name(format!("lc-link-w-{dest}"))
-        .spawn(move || writer_loop(out, &rx, &profiler, &writer_stats))?;
+        .spawn(move || writer_loop(out, &rx, DictMode::Shared, &profiler, &writer_stats))?;
+    let (router, stats) = (router.clone(), Arc::clone(stats));
     let reader = std::thread::Builder::new()
         .name(format!("lc-link-r-{dest}"))
         .spawn(move || reader_loop(inc, dest, &router, &stats))?;
-    Ok(Link {
-        tx,
-        writer: Some(writer),
-        reader: Some(reader),
-    })
+    links.push(Link {
+        tx: tx.clone(),
+        writer,
+        reader,
+    });
+    Ok(Some(tx))
 }
 
-/// Most bytes one `write` carries: the writer stops draining its queue
-/// into the buffer here, so a backlog goes out in bounded pieces and the
-/// reader's buffer, sized the same, refills with one `read`.
-const LINK_BATCH_BYTES: usize = 64 * 1024;
-
-/// Drains the link's command queue onto the socket. Whatever is already
-/// queued when the writer wakes is encoded, in queue order, into one
-/// reused buffer that leaves in a single `write_all` — under load that is
-/// one syscall (and, with `TCP_NODELAY`, as few segments as the bytes
-/// need) for many frames; an idle link still sends each frame at once.
-fn writer_loop(
+/// Writes the handshake for `mode`, then drains the link's command queue
+/// onto the socket. Whatever is already queued when the writer wakes is
+/// encoded, in queue order, into one reused buffer that leaves in a
+/// single `write_all` — under load that is one syscall (and, with
+/// `TCP_NODELAY`, as few segments as the bytes need) for many frames; an
+/// idle link still sends each frame at once. The handshake rides in the
+/// first batch.
+pub(crate) fn writer_loop(
     mut stream: impl Write,
     rx: &Receiver<LinkCmd>,
+    mode: DictMode,
     profiler: &StageProfiler,
     stats: &RtStats,
 ) {
-    let mut dict = EncodeDict::new(DictMode::Shared);
+    let mut dict = EncodeDict::new(mode);
     let mut sampler = 0u64;
-    let mut buf: Vec<u8> = Vec::with_capacity(4096);
+    let mut buf = wire::encode_hello(mode);
+    buf.reserve(4096);
     while let Ok(first) = rx.recv() {
-        buf.clear();
         let mut closed = false;
         for cmd in std::iter::once(first).chain(rx.try_iter()) {
             // Everything queued ahead of the close still goes out.
@@ -170,54 +176,32 @@ fn writer_loop(
         if stream.write_all(&buf).is_err() || closed {
             break;
         }
+        buf.clear();
     }
     // Dropping the stream sends FIN; the peer reader's EOF is the pill.
 }
 
-/// Reads the next frame's payload into `payload`. `false` ends the
-/// stream: EOF (teardown), a dead peer, or a length beyond the frame cap
-/// — after which nothing that follows can be trusted.
-fn read_frame(stream: &mut impl Read, payload: &mut Vec<u8>) -> bool {
-    let mut head = [0u8; FRAME_HEADER_LEN];
-    if stream.read_exact(&mut head).is_err() {
-        return false;
-    }
-    let len = u32::from_le_bytes(head) as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return false;
-    }
-    payload.resize(len, 0);
-    stream.read_exact(payload).is_ok()
-}
-
-/// Reads frames off the socket (through a buffer: a frame and every frame
-/// batched behind it cost one `read` between them), decodes each with
-/// every check [`wire::decode_payload`] makes and enters it into node
-/// `dest`'s inboxes through the router. A frame that does not decode is
-/// counted in `rt.decode_errors` and dropped; its length was sound, so
-/// the next one starts clean. The end of the stream hands every shard of
-/// `dest` the shutdown pill.
+/// Reads node `dest`'s link with [`wire::read_link`] and enters each
+/// message into its inboxes through the router. A frame that does not
+/// decode is counted in `rt.decode_errors` and dropped, and the link goes
+/// on; a stream that ends on bad framing or a refused handshake is one
+/// more. The end of the stream hands every shard of `dest` the shutdown
+/// pill.
 fn reader_loop(stream: impl Read, dest: usize, router: &Router, stats: &RtStats) {
-    let mut stream = BufReader::with_capacity(LINK_BATCH_BYTES, stream);
-    let profiler = &router.profiler;
-    let mut dict = DecodeDict::new(DictMode::Shared);
-    let mut sampler = 0u64;
-    let mut payload: Vec<u8> = Vec::new();
-    while read_frame(&mut stream, &mut payload) {
-        let timer = profiler.tick(&mut sampler).then(Instant::now);
-        let (from, msg) = match wire::decode_payload(&payload, &mut dict) {
-            Ok(Some(decoded)) => decoded,
-            // A dictionary or handshake frame: absorbed.
-            Ok(None) => continue,
-            Err(_) => {
-                stats.inc_decode_errors();
-                continue;
+    let read = wire::read_link(
+        stream,
+        DictMode::Shared,
+        Some(&router.profiler),
+        |decoded| {
+            match decoded {
+                Ok((from, msg)) => router.enter(&router.read_routes(), dest, from, msg, stats),
+                Err(_) => stats.inc_decode_errors(),
             }
-        };
-        if let Some(t0) = timer {
-            profiler.record(PipelineStage::Decode, elapsed_ns(t0));
-        }
-        router.enter(&router.read_routes(), dest, from, msg, stats);
+            Ok::<(), WireError>(())
+        },
+    );
+    if read.is_err() {
+        stats.inc_decode_errors();
     }
     if let Some(Some(route)) = router.read_routes().get(dest) {
         route.shut_down();
@@ -228,8 +212,8 @@ fn reader_loop(stream: impl Read, dest: usize, router: &Router, stats: &RtStats)
 mod tests {
     use super::*;
     use crate::runtime::{Frame, RtEvent};
-    use crate::wire::encode_msg;
-    use layercake_event::{Bytes, ClassId, Envelope, EventData, EventSeq};
+    use crate::wire::{encode_hello, encode_msg, read_frame};
+    use layercake_event::{Bytes, ClassId, Envelope, EventData, EventSeq, FRAME_HEADER_LEN};
 
     /// An unsampled profiler and the stats it reports into.
     fn instruments() -> (StageProfiler, RtStats) {
@@ -272,8 +256,15 @@ mod tests {
         tx.send(LinkCmd::Close).unwrap();
         let (profiler, stats) = instruments();
         let mut wire = Vec::new();
-        writer_loop(&mut wire, &rx, &profiler, &stats);
+        writer_loop(&mut wire, &rx, DictMode::Shared, &profiler, &stats);
         wire
+    }
+
+    /// `frames` behind the handshake a link opens with.
+    fn opened(frames: &[Vec<u8>]) -> Vec<u8> {
+        [&[encode_hello(DictMode::Shared)], frames]
+            .concat()
+            .concat()
     }
 
     /// One inbox's contents: frames as `(from, msg)`, the pill as `None`.
@@ -303,7 +294,7 @@ mod tests {
     #[test]
     fn link_bytes_are_wire_frames_and_eof_is_the_pill() {
         let wire = written((0..50).map(send));
-        let frames: Vec<u8> = (0..50).flat_map(framed).collect();
+        let frames = opened(&(0..50).map(framed).collect::<Vec<_>>());
         assert!(wire == frames, "the socket carries bare wire frames");
 
         // Class 0 routes every event to one shard; the pill follows the
@@ -339,7 +330,7 @@ mod tests {
         tx.send(send(9_999)).unwrap();
         let writer = std::thread::spawn(move || {
             let (profiler, stats) = instruments();
-            writer_loop(out, &rx, &profiler, &stats);
+            writer_loop(out, &rx, DictMode::Shared, &profiler, &stats);
         });
 
         let (inboxes, _) = read(inc, 1);
@@ -371,33 +362,52 @@ mod tests {
         tx.send(LinkCmd::Close).unwrap();
         let mut sink = Counting(Vec::new(), 0);
         let (profiler, stats) = instruments();
-        writer_loop(&mut sink, &rx, &profiler, &stats);
+        writer_loop(&mut sink, &rx, DictMode::Shared, &profiler, &stats);
         assert_eq!(sink.1, 1, "twenty queued frames, one write");
-        let mut bytes = &sink.0[..];
-        let mut payload = Vec::new();
         let mut frames = 0;
-        while read_frame(&mut bytes, &mut payload) {
-            frames += 1;
-        }
+        wire::read_link(&sink.0[..], DictMode::Shared, None, |decoded| {
+            decoded.map(|_| frames += 1)
+        })
+        .unwrap();
         assert_eq!(frames, 20);
     }
 
     #[test]
     fn corrupt_link_bytes_end_the_stream() {
-        let wire = written([send(5)]);
+        let frame = framed(5);
         let mut payload = Vec::new();
-        assert!(read_frame(&mut &wire[..], &mut payload));
+        assert!(read_frame(&mut &frame[..], &mut payload).unwrap());
 
         // A length beyond the frame cap: rejected before any allocation.
-        let mut bad = wire.clone();
+        let mut bad = frame.clone();
         bad[..FRAME_HEADER_LEN].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(!read_frame(&mut &bad[..], &mut payload));
+        assert!(read_frame(&mut &bad[..], &mut payload).is_err());
         // A frame cut short by a dead peer.
-        let cut = &wire[..wire.len() - 1];
-        assert!(!read_frame(&mut &cut[..], &mut payload));
-        // Either way the node still gets its pill, and nothing else.
-        let (inboxes, _) = read(&bad[..], 1);
-        assert_eq!(inboxes[0], vec![None]);
+        let cut = &frame[..frame.len() - 1];
+        assert!(read_frame(&mut &cut[..], &mut payload).is_err());
+        // Either way the node still gets its pill, and nothing else, and
+        // the lost link is one decode error; a clean close is none.
+        for wire in [opened(&[bad]), opened(&[cut.to_vec()])] {
+            let (inboxes, stats) = read(&wire[..], 1);
+            assert_eq!(inboxes[0], vec![None]);
+            assert_eq!(stats.decode_errors(), 1);
+        }
+        let (inboxes, stats) = read(&opened(&[frame])[..], 1);
+        assert_eq!(inboxes[0], vec![Some(event_msg(5)), None]);
+        assert_eq!(stats.decode_errors(), 0);
+    }
+
+    /// A stream that does not open with a handshake of the link's mode is
+    /// refused whole: one decode error, and only the pill.
+    #[test]
+    fn a_link_without_its_handshake_is_refused() {
+        let bare = framed(1);
+        let negotiated = [encode_hello(DictMode::Negotiated), framed(1)].concat();
+        for wire in [bare, negotiated] {
+            let (inboxes, stats) = read(&wire[..], 1);
+            assert_eq!(inboxes[0], vec![None]);
+            assert_eq!(stats.decode_errors(), 1);
+        }
     }
 
     /// A payload that passes framing but not the codec costs its frame
@@ -409,7 +419,7 @@ mod tests {
         // The payload's kind byte, after the frame's length: no message
         // kind has this value.
         mangled[FRAME_HEADER_LEN] = 0xEE;
-        let wire = [framed(1), mangled, framed(3)].concat();
+        let wire = opened(&[framed(1), mangled, framed(3)]);
 
         let (inboxes, stats) = read(&wire[..], 1);
         assert_eq!(stats.decode_errors(), 1);

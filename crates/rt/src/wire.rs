@@ -8,31 +8,42 @@
 //! [`DictMode::Shared`] (the global interner and shape table *are* the
 //! dictionary), cross-process links negotiate a dense id space via
 //! [`layercake_event::KIND_DICT`] frames emitted ahead of the first
-//! message that references a new name or shape, and open with a
-//! [`layercake_event::KIND_HELLO`] handshake that pins the format
+//! message that references a new name or shape. Every socket opens with
+//! a [`layercake_event::KIND_HELLO`] handshake that pins the format
 //! version and the dictionary mode.
 //!
 //! Bytes exist only where a message crosses a socket. An in-process link
 //! hands the [`OverlayMsg`] itself to the destination's inbox (for an
-//! envelope, an `Arc` bump); the TCP transport's link threads and the
-//! [`crate::remote`] protocol encode and decode at the socket. The sender
-//! id rides inside the frame because sockets, unlike the simulator's
-//! scheduler, do not carry provenance. [`frame_len`] counts the frame a
-//! message takes without writing it, so `rt.bytes_sent` and the frame cap
-//! mean the same on every transport.
+//! envelope, an `Arc` bump); a socket — a TCP link or a [`crate::remote`]
+//! connection — is written by the link writer (`transport.rs`) and read
+//! by [`read_link`]. The sender id rides inside the frame because
+//! sockets, unlike the simulator's scheduler, do not carry provenance.
+//! [`frame_len`] counts the frame a message takes without writing it, so
+//! `rt.bytes_sent` and the frame cap mean the same on every transport.
 //!
 //! Encoding appends into a caller-supplied buffer ([`encode_msg_into`])
 //! so per-connection writers reuse one allocation across messages;
 //! nothing on the encode path panics — a frame over the cap surfaces as a
 //! [`WireError`].
 
+use std::io::{BufRead, BufReader, Read};
+use std::time::Instant;
+
 use layercake_event::{
     varint_len, write_varint, BinCodec, CodecError, DecodeDict, DictMode, EncodeDict, FrameDecoder,
     FrameError, WireReader, FRAME_HEADER_LEN, HELLO_MAGIC, KIND_DICT, KIND_HELLO, KIND_MSG,
     MAX_FRAME_PAYLOAD,
 };
+use layercake_metrics::{PipelineStage, StageProfiler};
 use layercake_overlay::OverlayMsg;
 use layercake_sim::ActorId;
+
+use crate::runtime::elapsed_ns;
+
+/// Most bytes one link `write` carries, and the size of a link reader's
+/// buffer: a backlog goes out in bounded pieces and comes in with one
+/// `read`.
+pub(crate) const LINK_BATCH_BYTES: usize = 64 * 1024;
 
 /// The payload encoding, of which there is one. The type survives only
 /// because `benchmark/src/sut.rs` passes `WireCodec::default()` to
@@ -172,8 +183,8 @@ pub fn frame_len(from: ActorId, msg: &OverlayMsg) -> usize {
 }
 
 /// A framed connection handshake: magic bytes (which end in the format
-/// version) plus the sender's dictionary mode, sent once at connection
-/// open by cross-process peers.
+/// version) plus the sender's dictionary mode, the first frame on every
+/// socket.
 #[must_use]
 pub fn encode_hello(mode: DictMode) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + 5);
@@ -246,10 +257,94 @@ pub fn decode_payload(
     }
 }
 
+/// Reads a socket's byte stream, the one reader of every runtime socket:
+/// the first frame must be a handshake ([`encode_hello`]) of `mode`; each
+/// frame after it is decoded with every check [`decode_payload`] makes
+/// and handed to `handle`, as an `Err` when it does not decode (its
+/// length was sound, so the handler may count it and go on). `profiler`
+/// samples the `Decode` stage.
+///
+/// # Errors
+///
+/// The first error `handle` returns; a missing or refused handshake; a
+/// frame cut short ([`CodecError::Truncated`]) or over the cap
+/// ([`FrameError::Oversized`]). An end at a frame boundary is `Ok`.
+pub fn read_link<E: From<WireError>>(
+    stream: impl Read,
+    mode: DictMode,
+    profiler: Option<&StageProfiler>,
+    mut handle: impl FnMut(Result<(ActorId, OverlayMsg), WireError>) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut stream = BufReader::with_capacity(LINK_BATCH_BYTES, stream);
+    let mut payload = Vec::new();
+    if !read_frame(&mut stream, &mut payload)? {
+        return Ok(());
+    }
+    let opened = match payload.split_first() {
+        Some((&KIND_HELLO, body)) => check_hello(body, mode),
+        _ => Err(CodecError::Invalid("stream opens without a handshake")),
+    };
+    opened.map_err(WireError::from)?;
+    let mut dict = DecodeDict::new(mode);
+    let mut sampler = 0u64;
+    while read_frame(&mut stream, &mut payload)? {
+        let timer = profiler
+            .filter(|p| p.tick(&mut sampler))
+            .map(|p| (p, Instant::now()));
+        let Some(decoded) = decode_payload(&payload, &mut dict).transpose() else {
+            continue;
+        };
+        if let (Some((p, t0)), Ok(_)) = (timer, &decoded) {
+            p.record(PipelineStage::Decode, elapsed_ns(t0));
+        }
+        handle(decoded)?;
+    }
+    Ok(())
+}
+
+/// Reads the next frame's payload into `payload`: `Ok(false)` at an end
+/// of stream (or a read error) on a frame boundary. A length over the
+/// frame cap is refused before anything is allocated for it.
+pub(crate) fn read_frame(
+    stream: &mut impl BufRead,
+    payload: &mut Vec<u8>,
+) -> Result<bool, WireError> {
+    if !stream.fill_buf().is_ok_and(|buf| !buf.is_empty()) {
+        return Ok(false);
+    }
+    let mut head = [0u8; FRAME_HEADER_LEN];
+    stream
+        .read_exact(&mut head)
+        .map_err(|_| CodecError::Truncated)?;
+    let len = u32::from_le_bytes(head) as usize;
+    if len > MAX_FRAME_PAYLOAD {
+        let max = MAX_FRAME_PAYLOAD;
+        return Err(FrameError::Oversized { len, max }.into());
+    }
+    payload.resize(len, 0);
+    stream
+        .read_exact(payload)
+        .map_err(|_| CodecError::Truncated)?;
+    Ok(true)
+}
+
+/// Names `benchmark/src/sut.rs` imports from the crate root that the
+/// runtime does not use, re-exported there from here. Nothing in the
+/// runtime reads with [`LinkDecoder`]: every socket is read by
+/// [`read_link`], and a restarted shard replays its control log with
+/// [`decode_payload`]. It survives only because `sut.rs` times its `push`
+/// and `next_msg` and a change to this crate may not edit the benchmark;
+/// the `benchmark` PR that times [`decode_payload`] instead deletes it,
+/// and with it the runtime's last use of [`FrameDecoder`].
+pub mod retired {
+    pub use super::LinkDecoder;
+}
+
 /// One direction of a link: an incremental frame decoder plus the
 /// connection's decode dictionary, yielding `(sender, message)` pairs
 /// from arbitrarily chunked bytes. Dictionary and handshake frames are
-/// consumed internally.
+/// consumed internally, and nothing requires a handshake first. Kept
+/// for the benchmark only: see [`retired`].
 #[derive(Debug)]
 pub struct LinkDecoder {
     dict: DecodeDict,

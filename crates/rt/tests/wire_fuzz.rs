@@ -1,16 +1,19 @@
 //! A seeded mutation fuzzer over the inputs that cross a trust boundary:
 //! valid frames — a publish, a delivery, a durable delivery, a handshake
 //! and a dictionary update announcing names and a shape — mutated a few
-//! bytes at a time, then fed to `LinkDecoder` in shared and negotiated
-//! mode; and valid write-ahead-log records, mutated under a valid CRC and
-//! opened by `DurableLog`. Std-only: a splitmix64 stream drives the
-//! mutations, so every failure names the seed that reproduces it.
+//! bytes at a time, then fed to `LinkDecoder` and, as a socket's byte
+//! stream behind its handshake, to `wire::read_link`, the reader every
+//! runtime socket runs, in shared and negotiated mode; and valid
+//! write-ahead-log records, mutated under a valid CRC and opened by
+//! `DurableLog`. Std-only: a splitmix64 stream drives the mutations, so
+//! every failure names the seed that reproduces it.
 //!
 //! For every case: nothing panics, no single allocation exceeds the frame
 //! cap (a hostile count or length must be refused before it is trusted
 //! into an allocation — a counting global allocator watches the decode),
 //! and the stream is still usable: the next valid frame decodes to its
-//! message, and the next record appended to the log replays.
+//! message (on a stream, whenever the mutation left the framing intact),
+//! and the next record appended to the log replays.
 //!
 //! Tier-1 runs a few thousand cases. The ignored test runs a hundred times
 //! as many: `cargo test --release -p layercake-rt --test wire_fuzz --
@@ -27,7 +30,7 @@ use layercake_event::{
 use layercake_filter::DestId;
 use layercake_overlay::wal::{DurableLog, FileStorage, LogConfig, LogStorage, MemStorage};
 use layercake_overlay::OverlayMsg;
-use layercake_rt::wire::{encode_hello, encode_msg, LinkDecoder, WireError};
+use layercake_rt::wire::{encode_hello, encode_msg, read_link, LinkDecoder, WireError};
 use layercake_rt::WireCodec;
 use layercake_sim::ActorId;
 
@@ -298,6 +301,54 @@ fn fuzz_link(mode: DictMode, cases: u64) {
     }
 }
 
+/// The runtime's reader over a socket's worth of mutated bytes: the
+/// handshake and the connection's frames, then one seed payload mutated
+/// inside a sound frame, or mutated with its frame, or — one case in
+/// eight — the whole stream mutated, handshake included, and last the
+/// next frame. When the framing was left intact, the next frame is the
+/// last message the link hands on.
+fn fuzz_reader(mode: DictMode, cases: u64) {
+    let conn = connection(mode);
+    let mut opened = conn.prefix.clone();
+    if mode == DictMode::Shared {
+        opened.splice(0..0, encode_hello(mode));
+    }
+    for case in 0..cases {
+        let mut rng = Rng(case ^ 0x4EAD_0000);
+        let seed = &conn.seeds[rng.below(conn.seeds.len())];
+        let kind = rng.below(8);
+        let mut stream = opened.clone();
+        if kind == 0 {
+            stream.extend(encode_frame(seed).unwrap());
+            stream.extend_from_slice(&conn.next);
+            mutate(&mut rng, &mut stream);
+        } else {
+            let mut bytes = seed.clone();
+            if kind < 3 {
+                bytes = encode_frame(&bytes).unwrap();
+                mutate(&mut rng, &mut bytes);
+            } else {
+                mutate(&mut rng, &mut bytes);
+                bytes = encode_frame(&bytes).unwrap();
+            }
+            stream.extend(bytes);
+            stream.extend_from_slice(&conn.next);
+        }
+        let what = format!("{mode:?} stream case {case}: {}", hex(&stream));
+        let mut last = None;
+        let read = guarded(&what, || {
+            read_link::<WireError>(&stream[..], mode, None, |decoded| {
+                last = decoded.ok();
+                Ok(())
+            })
+        });
+        if kind >= 3 {
+            assert!(read.is_ok(), "{what}: {read:?}");
+            assert_eq!(last, Some(conn.next_msg.clone()), "{what}");
+        }
+    }
+}
+
 /// Valid record payloads of the current format, as a log writes them.
 fn log_records() -> Vec<Vec<u8>> {
     let dir = std::env::temp_dir().join(format!("layercake-wire-fuzz-{}", std::process::id()));
@@ -366,10 +417,18 @@ fn mutated_frames_and_records_are_refused_cleanly() {
 }
 
 #[test]
+fn mutated_streams_are_refused_cleanly_by_the_runtime_reader() {
+    fuzz_reader(DictMode::Shared, 2_000);
+    fuzz_reader(DictMode::Negotiated, 2_000);
+}
+
+#[test]
 #[ignore = "long run, for CI: a hundred times tier-1's cases"]
 fn mutated_frames_and_records_are_refused_cleanly_at_length() {
     fuzz_link(DictMode::Shared, 200_000);
     fuzz_link(DictMode::Negotiated, 200_000);
+    fuzz_reader(DictMode::Shared, 200_000);
+    fuzz_reader(DictMode::Negotiated, 200_000);
     fuzz_log(50_000);
 }
 
