@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use layercake_event::{Advertisement, ClassId, Envelope, StageMap, TypeRegistry};
 use layercake_filter::{weaken_to_stage, AggDelta, AggTable, DestId, Filter, FilterTable};
-use layercake_metrics::{DurabilityStats, NodeRecord, PipelineStage, StageProfiler};
+use layercake_metrics::{DurabilityStats, NodeRecord, PipelineStage};
 use layercake_sim::{ActorId, SimDuration, SimTime};
 use layercake_trace::{HopRecord, HopVerdict, TraceSink, EXTERNAL_SOURCE};
 use rand::rngs::StdRng;
@@ -391,13 +391,19 @@ impl Broker {
         }
     }
 
-    /// Attaches stage telemetry to the durable log, so fsync batches
-    /// record their wall-clock duration (see
-    /// [`DurableLog::set_stage_profiler`]). Call after
-    /// [`Broker::enable_durability`]; a no-op on volatile brokers.
-    pub fn set_stage_profiler(&mut self, profiler: std::sync::Arc<StageProfiler>) {
+    /// Ends the durable log's life in the driver: after a final
+    /// [`Broker::flush_wal`] and a [`crate::wal::drain`] when `flush`
+    /// (a graceful shutdown: everything is on disk on return), else by
+    /// abandoning what its storage has not run yet (a kill). A no-op on
+    /// volatile brokers.
+    pub fn close_wal(&mut self, flush: bool) {
         if let Some(wal) = self.wal.as_mut() {
-            wal.set_stage_profiler(profiler);
+            if flush {
+                wal.flush();
+                crate::wal::drain();
+            } else {
+                wal.abandon();
+            }
         }
     }
 
@@ -484,6 +490,9 @@ impl Broker {
     }
 
     pub(crate) fn handle(&mut self, from: ActorId, msg: OverlayMsg, ctx: &mut dyn NodeCtx) {
+        if let Some(wal) = &self.wal {
+            wal.check_storage();
+        }
         self.maybe_start_timers(ctx);
         match msg {
             OverlayMsg::Advertise(adv) => {
@@ -863,13 +872,6 @@ impl Broker {
         let up = self.weaken(&req.filter, self.stage + 1);
         self.insert_with_upstream(weakened, up, dest, ctx);
         self.leases.insert(dest, ctx.now() + self.ttl * 3);
-        ctx.send(
-            req.subscriber,
-            OverlayMsg::AcceptedAt {
-                id: req.id,
-                node: ctx.me(),
-            },
-        );
         // A durable subscription registers a per-class consumer offset in
         // the log and replays the gap past it. A first-time registration
         // starts at the tail (empty replay); a re-subscription — after a
@@ -877,12 +879,22 @@ impl Broker {
         // nothing but its log — finds its persisted offset and replays
         // the unacknowledged suffix. Durability needs a class to key the
         // offsets; class-less (pure wildcard) subscriptions fall back to
-        // the volatile path.
-        if req.durable {
-            if let (Some(wal), Some(class)) = (self.wal.as_mut(), req.filter.class()) {
-                wal.register_consumer(dest, class);
-                self.open_durable_stream(dest, class, true, ctx);
-            }
+        // the volatile path. The registration is queued before the
+        // acknowledgement goes out, so a caller woken by it can wait for
+        // it to be durable.
+        let durable = req.filter.class().filter(|_| req.durable);
+        if let (Some(wal), Some(class)) = (self.wal.as_mut(), durable) {
+            wal.register_consumer(dest, class);
+        }
+        ctx.send(
+            req.subscriber,
+            OverlayMsg::AcceptedAt {
+                id: req.id,
+                node: ctx.me(),
+            },
+        );
+        if let Some(class) = durable.filter(|_| self.wal.is_some()) {
+            self.open_durable_stream(dest, class, true, ctx);
         }
     }
 

@@ -10,7 +10,7 @@ use layercake_event::{
     WireReader, RECORD_HEADER_LEN,
 };
 use layercake_filter::DestId;
-use layercake_metrics::{DurabilityStats, PipelineStage, StageProfiler};
+use layercake_metrics::DurabilityStats;
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use super::storage::LogStorage;
@@ -20,9 +20,9 @@ use super::storage::LogStorage;
 pub struct LogConfig {
     /// Rotate the open segment once it holds at least this many bytes.
     pub segment_bytes: usize,
-    /// fsync after this many appended records (the flush interval). `1`
-    /// syncs every append; larger values batch the fsync cost at the
-    /// price of a longer unsynced tail lost on a crash.
+    /// Ask for an fsync after this many appended records (the flush
+    /// interval). `1` syncs every append; larger values batch the fsync
+    /// cost at the price of a longer unsynced tail lost on a crash.
     pub flush_every: usize,
 }
 
@@ -201,11 +201,6 @@ pub struct DurableLog {
     /// fetched: reused, so neither path allocates per record.
     enc_buf: Vec<u8>,
     read_buf: Vec<u8>,
-    /// Optional stage telemetry: every fsync batch's duration lands in
-    /// the [`PipelineStage::WalFsync`] histogram. Set only by the
-    /// wall-clock runtime; the simulator's logs never time syncs, so
-    /// sim behavior is untouched.
-    profiler: Option<std::sync::Arc<StageProfiler>>,
 }
 
 impl DurableLog {
@@ -229,18 +224,25 @@ impl DurableLog {
             stats: DurabilityStats::default(),
             enc_buf: Vec::new(),
             read_buf: Vec::new(),
-            profiler: None,
         };
         log.rescan();
         log
     }
 
-    /// Attaches stage telemetry: from here on, every fsync batch records
-    /// its wall-clock duration. Unconditional (not sampled) — syncs are
-    /// batched and rare, so the timing cost is noise next to the fsync
-    /// itself.
-    pub fn set_stage_profiler(&mut self, profiler: std::sync::Arc<StageProfiler>) {
-        self.profiler = Some(profiler);
+    /// Drops the storage's fsyncs, offset-table writes and deletes not yet
+    /// run, as a process kill would ([`LogStorage::abandon`]). The log
+    /// must not be used afterwards.
+    pub fn abandon(&mut self) {
+        self.storage.abandon();
+    }
+
+    /// Panics when one of this log's storage jobs failed after its call
+    /// returned ([`LogStorage::failure`]): the same outcome as a failure
+    /// inside the call, one turn later.
+    pub fn check_storage(&self) {
+        if let Some(e) = self.storage.failure() {
+            panic!("durable log storage failed: {e}");
+        }
     }
 
     /// The log's cumulative activity counters.
@@ -263,7 +265,7 @@ impl DurableLog {
     }
 
     /// Appends one event, assigning and returning its per-class durable
-    /// offset. Rotates the open segment when full and fsyncs every
+    /// offset. Rotates the open segment when full and flushes every
     /// [`LogConfig::flush_every`] appends.
     pub fn append(&mut self, env: &Envelope) -> u64 {
         let class = env.class();
@@ -298,7 +300,11 @@ impl DurableLog {
 
     /// Makes everything appended so far durable: fsyncs the open segment
     /// (one batch) and persists the consumer-offset table if it changed.
-    /// Then compacts, since newly persisted acks may free segments.
+    /// Then compacts, since newly persisted acks may free segments. On
+    /// storage that queues these steps ([`FileStorage`]) they are durable
+    /// once [`super::drain`] returns.
+    ///
+    /// [`FileStorage`]: super::FileStorage
     pub fn flush(&mut self) {
         self.sync_dirty();
         if self.offsets_dirty {
@@ -317,17 +323,7 @@ impl DurableLog {
             return;
         }
         if let Some(seg) = self.segs.last() {
-            let t0 = self
-                .profiler
-                .as_ref()
-                .map(|p| (p, std::time::Instant::now()));
             self.storage.sync(seg.id);
-            if let Some((p, t0)) = t0 {
-                p.record(
-                    PipelineStage::WalFsync,
-                    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                );
-            }
         }
         self.stats.fsync_batches += 1;
         self.stats.bytes_fsynced += self.dirty_bytes;
@@ -341,7 +337,8 @@ impl DurableLog {
     /// after a detach or a broker restart — keeps its persisted offset.
     /// Returns the offset the consumer has acknowledged, i.e. where
     /// replay should start *after*. The registration itself is persisted
-    /// immediately, so a crash cannot forget a durable consumer.
+    /// at once — on queued storage, durable when [`super::drain`]
+    /// returns — so a crash cannot forget a durable consumer.
     pub fn register_consumer(&mut self, dest: DestId, class: ClassId) -> u64 {
         let tail = self.tail_off(class);
         let upto = *self.offsets.entry((class.0, dest.0)).or_insert(tail);
@@ -564,7 +561,8 @@ impl DurableLog {
     fn rescan(&mut self) {
         self.segs.clear();
         self.tail.clear();
-        for id in self.storage.segment_ids() {
+        let ids = self.storage.segment_ids();
+        for &id in &ids {
             let bytes = self.storage.read_segment(id);
             let mut meta = SegMeta::new(id);
             while let Some(payload) = read_record(&bytes[meta.bytes..]) {
@@ -593,7 +591,9 @@ impl DurableLog {
             }
             self.segs.push(meta);
         }
-        self.next_seg_id = self.segs.last().map_or(0, |s| s.id + 1);
+        // Past every id found, the empty ones just removed too: a delete
+        // may still be queued, and must not meet a new segment of its id.
+        self.next_seg_id = ids.last().map_or(0, |id| id + 1);
         self.offsets = self
             .storage
             .read_meta()
@@ -791,6 +791,28 @@ mod tests {
         }
         assert_eq!(log.segment_count(), 1, "no consumer → no history kept");
         assert!(log.stats().segments_compacted > 0);
+    }
+
+    /// A storage job that fails on the sync thread fails the log's next
+    /// check, as a failure inside the call would have.
+    #[test]
+    #[should_panic(expected = "durable log storage failed")]
+    fn a_failed_storage_job_fails_the_next_check() {
+        let dir =
+            std::env::temp_dir().join(format!("layercake-wal-failed-job-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut log = DurableLog::open(
+            Box::new(FileStorage::open(&dir).unwrap()),
+            LogConfig::default(),
+        );
+        log.register_consumer(DestId(1), ClassId(0));
+        super::super::drain();
+        log.check_storage();
+        std::fs::remove_dir_all(&dir).unwrap();
+        // The offset table's replace now has no directory to write in.
+        log.register_consumer(DestId(2), ClassId(0));
+        super::super::drain();
+        log.check_storage();
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //!   simulator a deterministic in-memory model with an explicit
 //!   synced/unsynced split (a crash loses the unsynced tail, exactly
 //!   like a page cache), [`FileStorage`] backs the wall-clock runtime
-//!   with real files and real `fsync`.
+//!   with real files and real `fsync`: it writes in the caller's turn and
+//!   queues every fsync, offset-table replace and segment delete for one
+//!   `lc-wal-sync` thread per process, which group-commits them in order
+//!   (`sync.rs`, telemetry through [`SyncTelemetry`]).
 //! * [`DurableLog`] frames events into CRC-checked records (reusing the
 //!   wire codec's length-prefix discipline, plus a CRC-32 over the
 //!   payload), rotates segments, batches fsyncs, tracks per-`(consumer,
@@ -21,6 +24,8 @@
 
 mod log;
 mod storage;
+mod sync;
 
 pub use self::log::{DurableLog, LogConfig};
 pub use storage::{FileStorage, LogStorage, MemStorage};
+pub use sync::{drain, SyncTelemetry};

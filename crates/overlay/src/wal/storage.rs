@@ -9,15 +9,20 @@
 //!   not yet synced are *lost* by [`LogStorage::lose_unsynced`], which the
 //!   broker invokes when it simulates a process crash. Tests get
 //!   byte-reproducible durability semantics without touching a disk.
-//! * [`FileStorage`] — real files under a directory, real `fsync`
-//!   (`sync_data`) per segment, and atomic metadata replacement via
-//!   write-to-temp + rename. This is what `layercake-rt` runs on.
+//! * [`FileStorage`] — real files under a directory. Appends are written
+//!   in the caller's turn; the real `fsync` (`sync_data`) per segment,
+//!   the atomic metadata replacement (write-to-temp + rename) and segment
+//!   deletes are jobs for the process's one sync thread ([`super::drain`]).
+//!   This is what `layercake-rt` runs on.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use super::sync::{self, LogSync, Op, SyncTelemetry};
 
 /// The storage a [`crate::wal::DurableLog`] appends to: a set of segments
 /// addressed by numeric id, plus one metadata blob (the consumer-offset
@@ -27,6 +32,12 @@ use std::path::{Path, PathBuf};
 /// implementation treats an I/O error on a log it already opened as
 /// fatal (storage loss under an append-only log has no useful partial
 /// recovery), while open-time errors surface from its constructor.
+///
+/// [`LogStorage::sync`], [`LogStorage::write_meta`] and
+/// [`LogStorage::remove_segment`] may run later than the call, in the
+/// order the calls were made ([`FileStorage`] queues them for its sync
+/// thread); [`super::drain`] waits for them. Every other method sees
+/// their effects.
 pub trait LogStorage: fmt::Debug + Send {
     /// Ids of all existing segments, ascending.
     fn segment_ids(&self) -> Vec<u64>;
@@ -57,8 +68,20 @@ pub trait LogStorage: fmt::Debug + Send {
     /// The metadata blob, if one was ever written.
     fn read_meta(&self) -> Option<Vec<u8>>;
 
-    /// Atomically replaces the metadata blob; durable on return.
+    /// Atomically replaces the metadata blob with a durable copy of
+    /// `bytes`.
     fn write_meta(&mut self, bytes: &[u8]);
+
+    /// Drops the syncs, metadata writes and deletes not yet run, as a
+    /// process kill would, and every later one: the storage is done.
+    fn abandon(&mut self) {}
+
+    /// Why a sync, metadata write or delete failed after its call
+    /// returned, if one did: the storage is then lost, as it is when a
+    /// call itself fails.
+    fn failure(&self) -> Option<&str> {
+        None
+    }
 
     /// Drops every byte not yet covered by a [`LogStorage::sync`] —
     /// the simulator's model of a process crash taking the page cache
@@ -150,15 +173,21 @@ impl LogStorage for MemStorage {
 }
 
 /// Real-file [`LogStorage`]: one `seg-<id>.log` file per segment and an
-/// `offsets.meta` blob in a directory, with real `fsync` on
-/// [`LogStorage::sync`] and atomic metadata replacement.
+/// `offsets.meta` blob in a directory. Appends are written in the call;
+/// the real `fsync` of [`LogStorage::sync`], the atomic metadata
+/// replacement and segment deletes are queued for the sync thread, which
+/// every `FileStorage` of the process shares (see [`super::drain`]).
+/// Opening a directory, reading its segment list or metadata, and
+/// truncating wait for the jobs queued before them.
 pub struct FileStorage {
     dir: PathBuf,
-    /// Open handles, kept so `sync` can `sync_data` the same file
+    /// Open handles, kept so a sync job can `sync_data` the same file
     /// descriptor the writes went through and `read_at` costs one
     /// positioned read, not an open. Append mode sends every write to
     /// the end of the file whatever a read did to the cursor.
-    handles: BTreeMap<u64, fs::File>,
+    handles: BTreeMap<u64, Arc<fs::File>>,
+    /// This log's side of the sync queue.
+    sync: Arc<LogSync>,
 }
 
 impl fmt::Debug for FileStorage {
@@ -179,10 +208,22 @@ impl FileStorage {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
+        sync::enter()?;
+        // A previous storage of this directory may still have jobs queued.
+        sync::drain();
         Ok(Self {
+            sync: Arc::new(LogSync::new(dir.clone(), None)),
             dir,
             handles: BTreeMap::new(),
         })
+    }
+
+    /// Reports this storage's sync jobs into `telemetry`. Call before
+    /// the first job is queued.
+    #[must_use]
+    pub fn with_telemetry(mut self, telemetry: SyncTelemetry) -> Self {
+        self.sync = Arc::new(LogSync::new(self.dir.clone(), Some(telemetry)));
+        self
     }
 
     /// The directory this storage lives in.
@@ -192,28 +233,32 @@ impl FileStorage {
     }
 
     fn segment_path(&self, seg: u64) -> PathBuf {
-        self.dir.join(format!("seg-{seg:016x}.log"))
+        self.dir.join(sync::segment_name(seg))
     }
 
-    fn meta_path(&self) -> PathBuf {
-        self.dir.join("offsets.meta")
-    }
-
-    fn handle(&mut self, seg: u64) -> &mut fs::File {
+    fn handle(&mut self, seg: u64) -> &Arc<fs::File> {
         let path = self.segment_path(seg);
         self.handles.entry(seg).or_insert_with(|| {
-            fs::OpenOptions::new()
+            let file = fs::OpenOptions::new()
                 .create(true)
                 .read(true)
                 .append(true)
                 .open(&path)
-                .unwrap_or_else(|e| panic!("open log segment {}: {e}", path.display()))
+                .unwrap_or_else(|e| panic!("open log segment {}: {e}", path.display()));
+            Arc::new(file)
         })
+    }
+}
+
+impl Drop for FileStorage {
+    fn drop(&mut self) {
+        sync::leave();
     }
 }
 
 impl LogStorage for FileStorage {
     fn segment_ids(&self) -> Vec<u64> {
+        sync::drain();
         let mut ids = Vec::new();
         let Ok(entries) = fs::read_dir(&self.dir) else {
             return ids;
@@ -244,12 +289,13 @@ impl LogStorage for FileStorage {
     }
 
     fn read_at(&mut self, seg: u64, pos: u64, buf: &mut [u8]) {
-        let file = self.handle(seg);
+        let file = &**self.handle(seg);
         #[cfg(unix)]
         let read = std::os::unix::fs::FileExt::read_exact_at(file, buf, pos);
         #[cfg(not(unix))]
         let read = {
             use std::io::Seek as _;
+            let mut file = file;
             file.seek(io::SeekFrom::Start(pos))
                 .and_then(|_| file.read_exact(buf))
         };
@@ -262,12 +308,13 @@ impl LogStorage for FileStorage {
     }
 
     fn append(&mut self, seg: u64, bytes: &[u8]) {
-        self.handle(seg)
+        (&**self.handle(seg))
             .write_all(bytes)
             .unwrap_or_else(|e| panic!("append to log segment {seg}: {e}"));
     }
 
     fn truncate(&mut self, seg: u64, len: u64) {
+        sync::drain();
         // Re-open without append mode: set_len on an append handle is
         // fine, but dropping the handle first keeps the offset story
         // simple across platforms.
@@ -284,33 +331,30 @@ impl LogStorage for FileStorage {
     }
 
     fn sync(&mut self, seg: u64) {
-        self.handle(seg)
-            .sync_data()
-            .unwrap_or_else(|e| panic!("fsync log segment {seg}: {e}"));
+        let file = Arc::clone(self.handle(seg));
+        self.sync.push(Op::Sync(seg, file));
     }
 
     fn remove_segment(&mut self, seg: u64) {
         self.handles.remove(&seg);
-        let path = self.segment_path(seg);
-        fs::remove_file(&path)
-            .unwrap_or_else(|e| panic!("remove log segment {}: {e}", path.display()));
+        self.sync.push(Op::Remove(seg));
     }
 
     fn read_meta(&self) -> Option<Vec<u8>> {
-        fs::read(self.meta_path()).ok()
+        sync::drain();
+        fs::read(self.dir.join("offsets.meta")).ok()
     }
 
     fn write_meta(&mut self, bytes: &[u8]) {
-        let tmp = self.dir.join("offsets.meta.tmp");
-        let mut f =
-            fs::File::create(&tmp).unwrap_or_else(|e| panic!("create {}: {e}", tmp.display()));
-        f.write_all(bytes)
-            .unwrap_or_else(|e| panic!("write {}: {e}", tmp.display()));
-        f.sync_data()
-            .unwrap_or_else(|e| panic!("sync {}: {e}", tmp.display()));
-        drop(f);
-        fs::rename(&tmp, self.meta_path())
-            .unwrap_or_else(|e| panic!("rename offsets meta into place: {e}"));
+        self.sync.push(Op::Meta(bytes.to_vec()));
+    }
+
+    fn abandon(&mut self) {
+        self.sync.abandon();
+    }
+
+    fn failure(&self) -> Option<&str> {
+        self.sync.failure()
     }
 
     fn lose_unsynced(&mut self) {
@@ -380,5 +424,69 @@ mod tests {
         s2.remove_segment(9);
         assert_eq!(s2.segment_ids(), vec![7]);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "layercake-wal-storage-{tag}-{}",
+            std::process::id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn open_sees_the_jobs_queued_before_it() {
+        let dir = scratch("reopen");
+        let mut s = FileStorage::open(&dir).unwrap();
+        s.append(1, b"old");
+        s.sync(1);
+        s.append(2, b"new");
+        s.sync(2);
+        s.write_meta(b"first");
+        s.remove_segment(1);
+        s.write_meta(b"second");
+        // No drain: the reopen itself waits for the queue.
+        let s2 = FileStorage::open(&dir).unwrap();
+        assert_eq!(s2.segment_ids(), vec![2]);
+        assert_eq!(s2.read_meta().as_deref(), Some(&b"second"[..]));
+        drop((s, s2));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_job_is_counted_and_other_logs_keep_syncing() {
+        let registry = layercake_metrics::TelemetryRegistry::new(1);
+        let profiler = Arc::new(layercake_metrics::StageProfiler::new(&registry, 0));
+        let telemetry = SyncTelemetry::new(&registry, Arc::clone(&profiler));
+        let (gone_dir, kept_dir) = (scratch("gone"), scratch("kept"));
+        let mut gone = FileStorage::open(&gone_dir)
+            .unwrap()
+            .with_telemetry(telemetry.clone());
+        let mut kept = FileStorage::open(&kept_dir)
+            .unwrap()
+            .with_telemetry(telemetry);
+        fs::remove_dir_all(&gone_dir).unwrap();
+        gone.write_meta(b"lost");
+        sync::drain();
+        let errors = || registry.snapshot().counter("rt.wal_sync_errors");
+        assert_eq!(errors(), Some(1));
+        assert!(gone.failure().is_some_and(|e| e.contains("create")));
+
+        // The thread lives on: the other log syncs, and the failed one's
+        // later jobs are skipped, not failed again.
+        kept.append(0, b"record");
+        kept.sync(0);
+        kept.write_meta(b"kept");
+        gone.write_meta(b"again");
+        sync::drain();
+        assert_eq!(errors(), Some(1));
+        assert!(kept.failure().is_none());
+        assert_eq!(kept.read_meta().as_deref(), Some(&b"kept"[..]));
+        let fsyncs = profiler.stage_histogram(layercake_metrics::PipelineStage::WalFsync);
+        assert_eq!(fsyncs.count(), 1);
+        assert_eq!(registry.snapshot().gauge("rt.wal_sync_pending"), Some(0));
+        drop((gone, kept));
+        let _ = fs::remove_dir_all(&kept_dir);
     }
 }

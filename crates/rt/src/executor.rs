@@ -1,11 +1,11 @@
 //! Nodes are tasks, and a few workers run them.
 //!
 //! A [`Worker`] is one OS thread with a run-queue of nodes ([`Task`]s), a
-//! heap of their timer deadlines and a condvar to park on. Volatile nodes
-//! share at most `available_parallelism()` workers, handed out round-robin
-//! as nodes arrive, so there are never more workers than nodes; a node
-//! whose turns block (a broker shard that fsyncs its log) gets a worker of
-//! its own ([`Executor::worker`]).
+//! heap of their timer deadlines and a condvar to park on. Nodes share at
+//! most `available_parallelism()` workers, handed out round-robin as nodes
+//! arrive ([`Executor::worker`]), so there are never more workers than
+//! nodes. No turn blocks on storage: a durable log's fsyncs run on the
+//! process's sync thread (`layercake_overlay::wal`).
 //!
 //! A push into a node's inbox ([`Inbox::push`]) that finds the node's
 //! `scheduled` flag clear sets it, queues the node and wakes its worker if
@@ -382,8 +382,7 @@ pub(crate) struct Executor {
 #[derive(Default)]
 struct Pool {
     all: Vec<Arc<Worker>>,
-    shared: Vec<Arc<Worker>>,
-    /// Volatile nodes placed so far.
+    /// Nodes placed so far.
     placed: usize,
 }
 
@@ -397,23 +396,19 @@ impl Executor {
         }
     }
 
-    /// The worker for the next node: one of its own when `own`, else the
-    /// next shared worker in turn, started while fewer than one per core
-    /// exist.
-    pub(crate) fn worker(&self, own: bool) -> io::Result<Arc<Worker>> {
+    /// The worker for the next node: the next one in turn, started while
+    /// fewer than one per core exist.
+    pub(crate) fn worker(&self) -> io::Result<Arc<Worker>> {
         let mut pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
-        if !own && pool.shared.len() == self.cores {
+        if pool.all.len() == self.cores {
             pool.placed += 1;
-            return Ok(Arc::clone(&pool.shared[(pool.placed - 1) % self.cores]));
+            return Ok(Arc::clone(&pool.all[(pool.placed - 1) % self.cores]));
         }
         let worker = Worker::start(pool.all.len(), self.epoch, &self.registry)?;
         pool.all.push(Arc::clone(&worker));
+        pool.placed += 1;
         let count = i64::try_from(pool.all.len()).unwrap_or(i64::MAX);
         self.registry.gauge("rt.workers").set(count);
-        if !own {
-            pool.shared.push(Arc::clone(&worker));
-            pool.placed += 1;
-        }
         Ok(worker)
     }
 
@@ -510,7 +505,7 @@ mod tests {
 
     fn worker() -> (Executor, Arc<Worker>) {
         let executor = Executor::new(Instant::now(), &Arc::new(TelemetryRegistry::new(1)));
-        let worker = executor.worker(true).unwrap();
+        let worker = executor.worker().unwrap();
         (executor, worker)
     }
 

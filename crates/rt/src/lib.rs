@@ -7,10 +7,9 @@
 //! [`layercake_overlay::Node`] / [`layercake_overlay::NodeCtx`] traits,
 //! under real concurrency:
 //!
-//! * every broker matcher shard and every subscriber is a task, and a few
-//!   worker threads run them: volatile nodes share at most one worker per
-//!   core, and a broker shard with a durable log, whose turns fsync, has a
-//!   worker of its own;
+//! * every broker matcher shard and every subscriber is a task, and at
+//!   most one worker thread per core runs them; a durable log's fsyncs run
+//!   on the process's one `lc-wal-sync` thread, never in a turn;
 //! * nodes exchange messages — over `std::sync::mpsc` channels by
 //!   default, an event crossing a hop as an `Arc` bump of its envelope, or
 //!   over loopback TCP sockets ([`TransportKind::Tcp`]) that carry a

@@ -2,9 +2,9 @@
 //!
 //! Every overlay node — each matcher shard of each broker, and each
 //! subscriber — is a task owning its node state machine outright, run by
-//! one of a few worker threads ([`crate::executor`]): volatile nodes share
-//! at most one worker per core, and a broker shard with a durable log has a
-//! worker of its own. Nodes exchange *messages*: an inbox holds the
+//! one of a few worker threads ([`crate::executor`]), at most one per
+//! core; a durable log's fsyncs run on the process's `lc-wal-sync` thread,
+//! never in a turn. Nodes exchange *messages*: an inbox holds the
 //! [`OverlayMsg`] and its sender, so an event crosses an in-process hop as
 //! an `Arc` bump of its envelope body, with no encode and no decode. Bytes
 //! exist only where a message crosses a socket: the TCP transport's link
@@ -77,7 +77,7 @@ use layercake_event::{
 use layercake_filter::{Filter, FilterId};
 use layercake_metrics::{DurabilityStats, Gauge, PipelineStage, StageProfiler, TelemetrySnapshot};
 use layercake_overlay::topology::{self, TopologyNode};
-use layercake_overlay::wal::FileStorage;
+use layercake_overlay::wal::{FileStorage, SyncTelemetry};
 use layercake_overlay::{Broker, Node, NodeCtx, OverlayConfig, OverlayMsg, SubscriberNode};
 use layercake_sim::{ActorId, SimDuration, SimTime};
 use layercake_trace::TraceSink;
@@ -788,7 +788,7 @@ impl Runtime {
         for (shard, replica) in replicas.into_iter().enumerate() {
             for node in replica {
                 let b = node.id.0;
-                let (broker, _) = equip(node.broker, &cfg, &profiler, &router, b, shard)?;
+                let (broker, _) = equip(node.broker, &cfg, &stats, &router, b, shard)?;
                 let fence = Arc::new(AtomicBool::new(false));
                 let driver = NodeDriver::new(
                     broker,
@@ -798,11 +798,7 @@ impl Runtime {
                     Arc::clone(&stats),
                 )
                 .fenced_by(Arc::clone(&fence));
-                // A shard with a log fsyncs in its turns: a worker of its
-                // own overlaps that with every other node's work.
-                let worker = executor
-                    .worker(driver.node.wal().is_some())
-                    .map_err(RtError::Thread)?;
+                let worker = executor.worker().map_err(RtError::Thread)?;
                 // The inbox and the worker slot every generation uses.
                 let (tx, rx) = channel();
                 let rx: SharedRx = Arc::new(Mutex::new(rx));
@@ -838,7 +834,6 @@ impl Runtime {
             trace: trace.clone(),
             router: router.clone(),
             stats: Arc::clone(&stats),
-            profiler: Arc::clone(&profiler),
             slots: Arc::clone(&slots),
             crashes: Arc::clone(&crashes),
             notice_tx,
@@ -988,7 +983,8 @@ impl Runtime {
     ///
     /// Requires `overlay.durability_enabled` (otherwise the subscription
     /// silently degrades to the volatile path, exactly as in the
-    /// simulator).
+    /// simulator). The registration is on disk when this returns: once
+    /// every shard has handled the request, this waits for the sync queue.
     ///
     /// # Errors
     ///
@@ -997,7 +993,13 @@ impl Runtime {
         &mut self,
         filter: Filter,
     ) -> Result<RtSubscriberHandle, RtError> {
-        self.add_subscriber_inner(vec![filter], true, None)
+        let handle = self.add_subscriber_inner(vec![filter], true, None)?;
+        // The leader's acceptance woke us; a follower may not have registered.
+        if self.cfg.shards > 1 {
+            self.quiesce();
+        }
+        layercake_overlay::wal::drain();
+        Ok(handle)
     }
 
     /// Adds a subscriber with a disjunctive subscription, hosts it on a
@@ -1051,7 +1053,7 @@ impl Runtime {
             &mut self.links,
         )
         .map_err(RtError::Thread)?;
-        let worker = self.executor.worker(false).map_err(RtError::Thread)?;
+        let worker = self.executor.worker().map_err(RtError::Thread)?;
         let (placed_tx, placed) = channel();
         let (done_tx, done) = channel();
         let (tx, rx) = channel();
@@ -1146,8 +1148,9 @@ impl Runtime {
     /// waits for each to exit (each node drains its inbox first), then the
     /// subscribers, stops the workers, and returns the final node states
     /// plus stats. Each
-    /// broker's durable log gets a final flush, so every appended record
-    /// and acknowledged offset is on disk when this returns.
+    /// broker's durable log gets a final flush and waits for the sync
+    /// queue, so every appended record and acknowledged offset is on disk
+    /// when this returns.
     ///
     /// Nodes that panicked do **not** panic this call: they
     /// surface as [`RtReport::crashes`] entries (see
@@ -1163,7 +1166,8 @@ impl Runtime {
     /// Tears the runtime down like [`Runtime::shutdown`] but *without*
     /// the final durable-log flush — a crash stand-in for recovery
     /// tests. Acknowledged offsets still sitting in the batched offset
-    /// table are abandoned, so a runtime restarted over the same
+    /// table, and the sync thread's queued jobs, are abandoned, so a
+    /// runtime restarted over the same
     /// [`RtConfig::durable_dir`] replays a suffix the subscribers had
     /// already seen (the bounded re-delivery the `(class, seq)` dedup
     /// absorbs). Record bytes already handed to the OS survive either
@@ -1285,9 +1289,9 @@ impl Runtime {
                     }
                 }
             }
-            for (_, broker) in brokers.iter_mut() {
-                broker.flush_wal();
-            }
+        }
+        for (_, broker) in brokers.iter_mut() {
+            broker.close_wal(flush_wals);
         }
 
         RtReport {
@@ -1556,16 +1560,17 @@ impl Task for SubscriberTask {
 fn equip(
     mut broker: Broker,
     cfg: &RtConfig,
-    profiler: &Arc<StageProfiler>,
+    stats: &RtStats,
     router: &Router,
     b: usize,
     shard: usize,
 ) -> io::Result<(Broker, u64)> {
     if let Some(dir) = &cfg.durable_dir {
-        let storage = FileStorage::open(dir.join(format!("b{b}")).join(format!("s{shard}")))?;
+        let dir = dir.join(format!("b{b}")).join(format!("s{shard}"));
+        let telemetry = SyncTelemetry::new(stats.registry(), Arc::clone(&router.profiler));
+        let storage = FileStorage::open(dir)?.with_telemetry(telemetry);
         broker.enable_durability(Box::new(storage), cfg.overlay.log_config());
     }
-    broker.set_stage_profiler(Arc::clone(profiler));
     let prefix = router.ctrl_prefix(b);
     let replayed = prefix.len() as u64;
     let mut dict = DecodeDict::new(DictMode::Shared);
@@ -1599,7 +1604,7 @@ fn rebuild_broker(
     }
     // Nodes are indexed by id, so this takes exactly broker `b`.
     let node = nodes.swap_remove(b);
-    equip(node.broker, cfg, &shared.profiler, &shared.router, b, shard)
+    equip(node.broker, cfg, &shared.stats, &shared.router, b, shard)
         .map_err(|e| format!("durable log reopen failed: {e}"))
 }
 

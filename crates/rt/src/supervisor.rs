@@ -31,7 +31,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use layercake_event::TypeRegistry;
-use layercake_metrics::StageProfiler;
 use layercake_overlay::Broker;
 use layercake_sim::ActorId;
 use layercake_trace::TraceSink;
@@ -176,7 +175,6 @@ pub(crate) struct SupervisorShared {
     pub(crate) trace: Option<Arc<TraceSink>>,
     pub(crate) router: Router,
     pub(crate) stats: Arc<RtStats>,
-    pub(crate) profiler: Arc<StageProfiler>,
     pub(crate) slots: Slots,
     pub(crate) crashes: Arc<Mutex<Vec<CrashEntry>>>,
     /// Keeps the notice channel open (workers' sends never disconnect)

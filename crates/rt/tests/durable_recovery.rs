@@ -13,7 +13,8 @@ use layercake_event::{
     Advertisement, AttributeDecl, ClassId, Envelope, EventData, EventSeq, StageMap, TypeRegistry,
     ValueKind,
 };
-use layercake_filter::Filter;
+use layercake_filter::{DestId, Filter};
+use layercake_overlay::wal::{DurableLog, FileStorage, LogConfig};
 use layercake_overlay::OverlayConfig;
 use layercake_rt::{RtConfig, RtError, Runtime};
 
@@ -324,6 +325,33 @@ fn graceful_shutdown_settles_a_selective_consumers_unowed_tail() {
     assert_eq!(d.records_replayed, 0);
     assert!(report.deliveries(one_in_four).is_empty());
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The registration contract: a durable subscription is on disk when
+/// `add_durable_subscriber` returns — in every shard's log, the class
+/// owner's included — even when the runtime is killed at once and the
+/// sync jobs still queued are abandoned.
+#[test]
+fn a_durable_registration_survives_a_kill_right_after_it() {
+    let dir = scratch_dir("register");
+    let (reg, class) = registry();
+    let mut rt = Runtime::start(durable_config(&dir), Arc::clone(&reg)).unwrap();
+    rt.advertise(Advertisement::new(
+        class,
+        StageMap::from_prefixes(&[1]).unwrap(),
+    ));
+    let sub = rt
+        .add_durable_subscriber(Filter::for_class(class).eq("region", 0i64))
+        .unwrap();
+    drop(rt.kill());
+
+    let dest = DestId(sub.node().0 as u64);
+    for shard in ["s0", "s1"] {
+        let storage = FileStorage::open(dir.join("b0").join(shard)).unwrap();
+        let log = DurableLog::open(Box::new(storage), LogConfig::default());
+        assert!(log.is_class_consumer(dest, class), "no entry in {shard}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,6 +1,7 @@
 //! Nodes are tasks, not threads: a runtime's brokers and subscribers
-//! share at most one worker thread per core, and only a broker shard with
-//! a durable log — whose turns fsync — gets a worker of its own.
+//! share at most one worker thread per core, durable broker shards
+//! included — their logs' fsyncs run on one `lc-wal-sync` thread, never
+//! in a turn.
 //!
 //! One test in this file, so that no other test's threads share the
 //! process: it counts the runtime's threads by name in
@@ -72,8 +73,9 @@ fn settled_threads(want: usize) -> Vec<String> {
 }
 
 /// Three brokers of two shards each and twelve subscribers, one region
-/// each; every subscriber must receive exactly its region's events.
-/// Returns the runtime's thread names while it ran, once `want` are named.
+/// each, durable when there is a log directory; every subscriber must
+/// receive exactly its region's events. Returns the runtime's thread
+/// names while it ran, once `want` are named.
 fn run(durable_dir: Option<std::path::PathBuf>, want: usize) -> Vec<String> {
     let (reg, class) = registry();
     let overlay = OverlayConfig {
@@ -81,6 +83,7 @@ fn run(durable_dir: Option<std::path::PathBuf>, want: usize) -> Vec<String> {
         durability_enabled: durable_dir.is_some(),
         ..OverlayConfig::default()
     };
+    let durable = durable_dir.is_some();
     let mut cfg = RtConfig::new(overlay, SHARDS);
     cfg.durable_dir = durable_dir;
     let mut rt = Runtime::start(cfg, reg).unwrap();
@@ -90,8 +93,12 @@ fn run(durable_dir: Option<std::path::PathBuf>, want: usize) -> Vec<String> {
     ));
     let subs: Vec<_> = (0..SUBSCRIBERS)
         .map(|region| {
-            rt.add_subscriber(Filter::for_class(class).eq("region", region))
-                .unwrap()
+            let filter = Filter::for_class(class).eq("region", region);
+            match durable {
+                true => rt.add_durable_subscriber(filter),
+                false => rt.add_subscriber(filter),
+            }
+            .unwrap()
         })
         .collect();
     let publisher = rt.publisher();
@@ -119,7 +126,7 @@ fn run(durable_dir: Option<std::path::PathBuf>, want: usize) -> Vec<String> {
 }
 
 #[test]
-fn nodes_share_a_worker_per_core_and_durable_shards_get_their_own() {
+fn durable_shards_share_the_workers_and_one_sync_thread_serves_every_log() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let brokers = 3 * SHARDS;
     let nodes = brokers + SUBSCRIBERS as usize;
@@ -141,13 +148,23 @@ fn nodes_share_a_worker_per_core_and_durable_shards_get_their_own() {
     let left = settled_threads(0);
     assert!(left.is_empty(), "{left:?} outlived shutdown");
 
-    // Durable: each broker shard adds exactly one worker; subscribers still
-    // share the per-core ones.
+    // Durable: the broker shards, each with a log, take the same shared
+    // workers, and one sync thread serves all six logs.
     let dir = std::env::temp_dir().join(format!("layercake-executor-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let shared = cores.min(SUBSCRIBERS as usize);
-    let threads = run(Some(dir.clone()), shared + brokers + 1);
-    assert_eq!(workers(&threads), shared + brokers, "{threads:?}");
-    assert_eq!(threads.len(), shared + brokers + 1, "{threads:?}");
+    let threads = run(Some(dir.clone()), shared + 2);
+    assert_eq!(workers(&threads), shared, "{threads:?}");
+    let syncs = threads.iter().filter(|name| *name == "lc-wal-sync").count();
+    assert_eq!(syncs, 1, "{threads:?}");
+    assert_eq!(threads.len(), shared + 2, "{threads:?}");
+    assert!(threads.contains(&"lc-supervisor".to_string()));
+    let left = settled_threads(0);
+    assert!(left.is_empty(), "{left:?} outlived shutdown");
+    // Six logs, one per broker shard.
+    let logs = std::fs::read_dir(&dir)
+        .unwrap()
+        .flat_map(|b| std::fs::read_dir(b.unwrap().path()).unwrap())
+        .count();
+    assert_eq!(logs, brokers);
     let _ = std::fs::remove_dir_all(&dir);
 }
